@@ -9,13 +9,19 @@ from .baselines import WeightedAtoms, bp_sample, gibbs, sis, smc
 from .exact import ChainSolution, ExactSolution, exact_kl, is_chain, solve_chain, solve_exact
 from .generators import GeneratorSpec, fg1_ordering, gen_chain, gen_fg1, gen_fg2, gen_permuted_chain, generate
 from .logmath import ZeroMassError, logsumexp
-from .metrics import EvalReport, delta_kl_atoms, delta_kl_sampler, energy_entropy_deltas, evaluate_method
+from .metrics import (
+    EvalReport,
+    SamplerEstimate,
+    delta_kl_atoms,
+    delta_kl_sampler,
+    energy_entropy_deltas,
+    evaluate_method,
+)
 from .model import BudgetLedger, Factor, FactorGraph, graph_from_json_dict, graph_to_json_dict, load_graph, save_graph
 from .prior import (
     Adam,
     HeuristicPrior,
     MLPValueFunction,
-    PriorDistribution,
     ReplayBuffer,
     TrainConfig,
     encode_prefix,
@@ -39,8 +45,8 @@ __all__ = [
     "GeneratorSpec",
     "HeuristicPrior",
     "MLPValueFunction",
-    "PriorDistribution",
     "ReplayBuffer",
+    "SamplerEstimate",
     "SearchTree",
     "TrainConfig",
     "TreeNode",

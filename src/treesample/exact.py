@@ -220,12 +220,16 @@ class ChainSolution:
         return total
 
     def expected_log_density(self) -> float:
-        """E_{P*}[sum of factors], from unary and pairwise marginals."""
+        """E_{P*}[sum of factors], from unary and pairwise marginals.
+
+        Entries of zero marginal contribute 0 and are never multiplied, so a
+        -inf potential does not meet 0 * -inf.
+        """
         total = 0.0
-        marg = self.position_marginals()
-        total += float(np.sum(np.where(marg > 0, marg * self.unary, 0.0)))
-        pair_marg = self.pairwise_marginals()
-        total += float(np.sum(np.where(pair_marg > 0, pair_marg * self.pair, 0.0)))
+        for marg, potential in ((self.position_marginals(), self.unary),
+                                (self.pairwise_marginals(), self.pair)):
+            terms = np.multiply(marg, potential, out=np.zeros_like(marg), where=marg > 0)
+            total += float(np.sum(terms))
         return total
 
     def entropy(self) -> float:

@@ -58,5 +58,25 @@ def sample_softmax(values: np.ndarray, rng: np.random.Generator) -> int:
     return int(np.searchsorted(np.cumsum(p), rng.random(), side="right").clip(0, len(p) - 1))
 
 
+def sample_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sample_softmax of each row of q at its uniform in u, and the log
+    probability of each draw; q may also be one (1, K) row shared by all.
+
+    The arithmetic is sample_softmax's and logsumexp's, the log included
+    (math.log, which can differ from np.log in the last bit), so each draw and
+    each log probability equals the scalar path's bit for bit.
+    """
+    m = q.max(axis=1)
+    if m.min() == NEG_INF:
+        raise ZeroMassError("softmax of an all-(-inf) vector is undefined")
+    e = np.exp(q - m[:, None])
+    total = e.sum(axis=1)
+    cdf = (e / total[:, None]).cumsum(axis=1)
+    a = np.minimum((cdf <= u[:, None]).sum(axis=1), q.shape[1] - 1)
+    lse = m + np.array([math.log(t) for t in total.tolist()])
+    picked = q[0, a] if len(q) == 1 else q[np.arange(len(q)), a]
+    return a, picked - lse
+
+
 class ZeroMassError(RuntimeError):
     """The distribution being sampled or normalized has zero total mass."""

@@ -2,14 +2,18 @@
 expected unnormalized density), the exact KL when an oracle supplies log Z,
 and the energy/entropy split of the gap.
 
-Atom approximations are scored exactly from their weights; samplers are
-scored by Monte Carlo with a reported standard error.
+Atom approximations are scored exactly from their weights. Samplers are
+scored by Monte Carlo with a reported standard error, in one batched pass:
+the sampler's sample_batch returns every draw with its log q, the graph
+scores all draws at once, and the ΔKL estimate, its standard error and the
+energy/entropy split all come from that one set of draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,49 +61,75 @@ def delta_kl_atoms(atoms, graph: FactorGraph) -> float:
     return total
 
 
-def delta_kl_sampler(sampler, graph: FactorGraph, num_samples: int, seed: int = 0):
-    """(estimate, stderr) of E[log P_X(X) - log-density(X)] over the sampler."""
-    rng = np.random.default_rng(seed)
-    terms = np.empty(num_samples)
-    for i in range(num_samples):
-        x = sampler.sample(rng)
-        terms[i] = sampler.log_density(x) - graph.log_unnormalized_density(x)
-    stderr = float(np.std(terms, ddof=1) / math.sqrt(num_samples)) if num_samples > 1 else 0.0
-    return float(np.mean(terms)), stderr
+class SamplerEstimate(NamedTuple):
+    """Monte Carlo estimates from one set of draws x_i ~ q.
+
+    delta_kl = mean(log q(x_i) - log-density(x_i)) with its standard error,
+    energy = mean(log-density(x_i)) and entropy = -mean(log q(x_i)).
+    """
+
+    delta_kl: float
+    stderr: float
+    energy: float
+    entropy: float
 
 
-def _approx_energy_entropy(approx, graph: FactorGraph, num_samples: int, seed: int):
-    """(E_approx[sum psi], H[approx]) exactly for atoms, by MC for samplers."""
-    atoms = getattr(approx, "atoms", None)
-    if atoms is not None:
-        energy = 0.0
-        entropy = 0.0
-        for x, w in zip(atoms, approx.weights):
-            ld = graph.log_unnormalized_density(x)
-            energy = energy + w * ld if ld > NEG_INF else NEG_INF
-            entropy -= w * math.log(w)
-        return energy, entropy
-    rng = np.random.default_rng(seed)
-    e_terms = np.empty(num_samples)
-    h_terms = np.empty(num_samples)
-    for i in range(num_samples):
-        x = approx.sample(rng)
-        e_terms[i] = graph.log_unnormalized_density(x)
-        h_terms[i] = -approx.log_density(x)
-    return float(np.mean(e_terms)), float(np.mean(h_terms))
+def sampler_estimate(log_q: np.ndarray, log_density: np.ndarray) -> SamplerEstimate:
+    """SamplerEstimate from per-draw log q and log-density arrays.
+
+    A draw of zero target mass (log-density -inf) makes the ΔKL estimate and
+    its standard error +inf.
+    """
+    num = len(log_q)
+    energy = float(np.mean(log_density))
+    entropy = -float(np.mean(log_q))
+    if energy == NEG_INF:
+        return SamplerEstimate(math.inf, math.inf, energy, entropy)
+    terms = log_q - log_density
+    stderr = float(np.std(terms, ddof=1) / math.sqrt(num)) if num > 1 else 0.0
+    return SamplerEstimate(float(np.mean(terms)), stderr, energy, entropy)
+
+
+def delta_kl_sampler(sampler, graph: FactorGraph, num_samples: int, seed: int = 0) -> SamplerEstimate:
+    """E[log P_X(X) - log-density(X)] over the sampler, with its stderr and
+    the energy and entropy of the same draws.
+
+    One batched pass: sampler.sample_batch draws every configuration with
+    its log q, and the graph scores all of them at once.
+    """
+    xs, log_q = sampler.sample_batch(num_samples, np.random.default_rng(seed))
+    return sampler_estimate(log_q, graph.log_unnormalized_density_batch(xs))
+
+
+def _oracle_deltas(oracle, e_approx: float, h_approx: float):
+    """(delta_energy, delta_entropy) of an approximation's energy and entropy.
+
+    The oracle's entropy H* is computed once, and E* = log Z - H*.
+    """
+    h_star = oracle.entropy()
+    e_star = oracle.log_z - h_star
+    delta_energy = e_star - e_approx if e_approx > NEG_INF else math.inf
+    return delta_energy, h_approx - h_star
 
 
 def energy_entropy_deltas(approx, oracle, graph: FactorGraph, num_samples: int = 10_000, seed: int = 0):
     """(delta_energy, delta_entropy) against an exact oracle.
 
     delta_energy = E*[sum psi] - E_approx[sum psi] (lower is better);
-    delta_entropy = H[approx] - H[P*] (higher is better).
+    delta_entropy = H[approx] - H[P*] (higher is better). Exact for atoms,
+    by Monte Carlo over num_samples draws for samplers.
     """
-    e_star = oracle.expected_log_density()
-    h_star = oracle.entropy()
-    e_approx, h_approx = _approx_energy_entropy(approx, graph, num_samples, seed)
-    delta_energy = e_star - e_approx if e_approx > NEG_INF else math.inf
-    return delta_energy, h_approx - h_star
+    atoms = getattr(approx, "atoms", None)
+    if atoms is None:
+        est = delta_kl_sampler(approx, graph, num_samples, seed)
+        return _oracle_deltas(oracle, est.energy, est.entropy)
+    energy = 0.0
+    entropy = 0.0
+    for x, w in zip(atoms, approx.weights):
+        ld = graph.log_unnormalized_density(x)
+        energy = energy + w * ld if ld > NEG_INF else NEG_INF
+        entropy -= w * math.log(w)
+    return _oracle_deltas(oracle, energy, entropy)
 
 
 def evaluate_method(
@@ -119,7 +149,8 @@ def evaluate_method(
         stderr = 0.0
         num = len(atoms)
     else:
-        delta_kl, stderr = delta_kl_sampler(approx, graph, num_samples, seed)
+        est = delta_kl_sampler(approx, graph, num_samples, seed)
+        delta_kl, stderr = est.delta_kl, est.stderr
         num = num_samples
     spent = getattr(approx, "budget_spent", None)
     if spent is None:
@@ -135,7 +166,10 @@ def evaluate_method(
     if oracle is not None:
         report.log_z = oracle.log_z
         report.kl = delta_kl + oracle.log_z
-        de, dh = energy_entropy_deltas(approx, oracle, graph, num_samples, seed + 1)
+        if atoms is not None:
+            de, dh = energy_entropy_deltas(approx, oracle, graph)
+        else:  # the same draws as the ΔKL estimate
+            de, dh = _oracle_deltas(oracle, est.energy, est.entropy)
         report.delta_energy = de
         report.delta_entropy = dh
         report.oracle = type(oracle).__name__

@@ -63,6 +63,13 @@ class _CompiledFactor:
             idx += (prefix[pos - 1] - 1) * stride
         return float(self.table[idx])
 
+    def values_at(self, xs: np.ndarray) -> np.ndarray:
+        """Table entries for every row of an (S, >= depth) array of prefixes."""
+        idx = np.zeros(len(xs), dtype=np.int64)
+        for pos, stride in zip(self.positions, self.strides):
+            idx += (xs[:, pos - 1] - 1) * stride
+        return self.table[idx]
+
 
 @dataclass(frozen=True, eq=False)
 class FactorGraph:
@@ -168,6 +175,23 @@ class FactorGraph:
         for depth_factors in self._depth_factors:
             for cf in depth_factors:
                 total += cf.value_at(x)
+        return total
+
+    def log_unnormalized_density_batch(self, xs) -> np.ndarray:
+        """log_unnormalized_density of every row of an (S, N) array.
+
+        Factors are added in the scalar method's order, so each entry equals
+        the scalar result bit for bit.
+        """
+        xs = np.asarray(xs, dtype=np.int64)
+        if xs.ndim != 2 or xs.shape[1] != self.num_variables:
+            raise ValueError("configurations must form an (S, N) array")
+        if xs.size and (xs.min() < 1 or xs.max() > self.num_states):
+            raise ValueError(f"configuration values must lie in 1..{self.num_states}")
+        total = np.zeros(len(xs))
+        for depth_factors in self._depth_factors:
+            for cf in depth_factors:
+                total += cf.values_at(xs)
         return total
 
     def assignment_to_prefix(self, assignment: Sequence[int]) -> Prefix:

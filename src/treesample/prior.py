@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logmath import logsumexp, sample_softmax
 from .model import FactorGraph, Prefix, REWARD_EVAL
 
 CHECKPOINT_FORMAT = "treesample-mlp-v1"
@@ -30,7 +29,20 @@ class HeuristicPrior:
         return np.full(graph.num_states, steps_left * math.log(graph.num_states))
 
     def evaluate_batch(self, graph: FactorGraph, prefixes) -> np.ndarray:
-        return np.stack([self.evaluate(graph, p) for p in prefixes])
+        """evaluate() of every prefix, one call per distinct prefix length."""
+        lengths = _prefix_lengths(prefixes)
+        out = np.empty((len(lengths), graph.num_states))
+        for n in np.flatnonzero(np.bincount(lengths)):
+            rows = lengths == n
+            out[rows] = self.evaluate(graph, prefixes[int(np.argmax(rows))])
+        return out
+
+
+def _prefix_lengths(prefixes) -> np.ndarray:
+    """Lengths of a sequence of prefixes, or of the rows of an (R, d) array."""
+    if isinstance(prefixes, np.ndarray):
+        return np.full(len(prefixes), prefixes.shape[1], dtype=np.int64)
+    return np.fromiter(map(len, prefixes), dtype=np.int64, count=len(prefixes))
 
 
 def encode_prefix(graph: FactorGraph, prefix) -> np.ndarray:
@@ -49,7 +61,20 @@ def encode_prefix(graph: FactorGraph, prefix) -> np.ndarray:
 
 
 def encode_batch(graph: FactorGraph, prefixes) -> np.ndarray:
-    return np.stack([encode_prefix(graph, p) for p in prefixes])
+    """encode_prefix of every prefix as rows. prefixes is a sequence of
+    tuples or an (R, d) int array of equal-length prefixes."""
+    n, k = graph.num_variables, graph.num_states
+    values = np.zeros((len(prefixes), n), dtype=np.int64)  # depth order, 0 = unassigned
+    if isinstance(prefixes, np.ndarray):
+        values[:, : prefixes.shape[1]] = prefixes
+    else:
+        for i, p in enumerate(prefixes):
+            values[i, : len(p)] = p
+    variable_base = (np.asarray(graph.ordering) - 1) * (k + 1)
+    slots = variable_base + np.where(values > 0, values - 1, k)
+    out = np.zeros((len(values), n * (k + 1)))
+    np.put_along_axis(out, slots, 1.0, axis=1)
+    return out
 
 
 class MLPValueFunction:
@@ -147,7 +172,10 @@ class MLPValueFunction:
         return self.forward(encode_prefix(graph, prefix)[None, :])[0]
 
     def evaluate_batch(self, graph: FactorGraph, prefixes) -> np.ndarray:
-        return self.forward(encode_batch(graph, prefixes))
+        """evaluate() of every prefix, equal to it bit for bit: each row is
+        its own (1, D) product (a stacked matmul), where one (R, D) product
+        would round differently from the single-row path."""
+        return self.forward(encode_batch(graph, prefixes)[:, None, :])[:, 0, :]
 
 
 class Adam:
@@ -261,36 +289,6 @@ class TrainConfig:
         }
 
 
-class PriorDistribution:
-    """Ancestral sampler that uses only the prior's softmax at every step."""
-
-    def __init__(self, graph: FactorGraph, prior):
-        self.graph = graph
-        self.prior = prior
-
-    def sample(self, rng) -> Prefix:
-        x: list[int] = []
-        for _ in range(self.graph.num_variables):
-            q = self.prior.evaluate(self.graph, tuple(x))
-            x.append(sample_softmax(q, rng) + 1)
-        return tuple(x)
-
-    def log_density(self, x) -> float:
-        total = 0.0
-        for depth, a in enumerate(x):
-            q = self.prior.evaluate(self.graph, tuple(x[:depth]))
-            total += float(q[a - 1]) - logsumexp(q)
-        return total
-
-
-def _delta_kl_by_sampling(dist, graph: FactorGraph, num_samples: int, rng) -> float:
-    total = 0.0
-    for _ in range(num_samples):
-        x = dist.sample(rng)
-        total += dist.log_density(x) - graph.log_unnormalized_density(x)
-    return total / num_samples
-
-
 def _smc_step_targets(atoms, weights, num_particles: int, k: int):
     """Smoothed log empirical conditionals at every prefix hit by an atom."""
     masses: dict[Prefix, np.ndarray] = {}
@@ -320,6 +318,7 @@ def train_loop(graph: FactorGraph, algo: str, config: TrainConfig,
     and one metrics row per episode.
     """
     from .baselines import DegenerateSampleError, smc
+    from .metrics import delta_kl_atoms, delta_kl_sampler, sampler_estimate
     from .search import build_tree
 
     if algo not in ("treesample", "smc"):
@@ -349,15 +348,13 @@ def train_loop(graph: FactorGraph, algo: str, config: TrainConfig,
             tree = build_tree(graph, mlp, config.budget_per_episode, c=config.c,
                               epsilon=config.epsilon, seed=build_seed,
                               cost_mode=config.cost_mode)
-            total = 0.0
-            for _ in range(config.samples_per_episode):
-                x = tree.sample(draw_rng)
-                total += tree.log_density(x) - graph.log_unnormalized_density(x)
+            xs, log_q = tree.sample_batch(config.samples_per_episode, draw_rng)
+            delta_kl = sampler_estimate(log_q, graph.log_unnormalized_density_batch(xs)).delta_kl
+            for x in map(tuple, xs.tolist()):
                 for d in range(n):
                     node = tree.nodes.get(x[:d])
                     if node is not None:
                         pairs.append((x[:d], node.q.copy()))
-            delta_kl = total / config.samples_per_episode
         else:
             try:
                 result = smc(graph, mlp, config.budget_per_episode,
@@ -367,8 +364,6 @@ def train_loop(graph: FactorGraph, algo: str, config: TrainConfig,
                 degenerate = True
                 result = None
             if result is not None:
-                from .metrics import delta_kl_atoms
-
                 delta_kl = delta_kl_atoms(result, graph)
                 targets = _smc_step_targets(result.atoms, result.weights,
                                             result.num_particles or len(result.atoms), k)
@@ -391,10 +386,9 @@ def train_loop(graph: FactorGraph, algo: str, config: TrainConfig,
                 losses.append(train_step(mlp, replay, config.batch_size, adam,
                                          learn_rng, config.clamp_floor))
 
-        prior_dist = PriorDistribution(graph, mlp)
-        delta_kl_prior = _delta_kl_by_sampling(
-            prior_dist, graph, config.metric_samples, np.random.default_rng(draw_seed + 1)
-        )
+        prior_only = build_tree(graph, mlp, budget=0)  # an empty tree samples the prior
+        delta_kl_prior = delta_kl_sampler(prior_only, graph, config.metric_samples,
+                                          seed=draw_seed + 1).delta_kl
         row = {
             "episode": episode,
             "delta_kl": delta_kl,

@@ -7,7 +7,9 @@ its reward-evaluation cost), and backs the soft-Bellman recursion up the
 path. Fully expanded subtrees are flagged complete and never revisited;
 their values are exact. Sampling from the finished tree walks root to leaf
 through softmax distributions, falling back to the prior once it leaves the
-tree, and costs no budget.
+tree, and costs no budget. SearchTree.sample_batch draws many samples in one
+pass, returning each one's log-probability with it; sample() is its one-row
+case and log_density() the per-configuration reference.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .logmath import NEG_INF, logsumexp, sample_softmax
+from .logmath import NEG_INF, logsumexp, sample_softmax_rows
 from .model import REWARD_EVAL, BudgetLedger, FactorGraph, Prefix
 
 
@@ -71,16 +73,51 @@ class SearchTree:
         return np.random.default_rng(self.seed if rng is None else rng)
 
     def sample(self, rng=None) -> Prefix:
-        """One complete configuration: tree softmax in-tree, prior off-tree."""
+        """One complete configuration: the one-row case of sample_batch."""
+        xs, _ = self.sample_batch(1, rng)
+        return tuple(xs[0].tolist())
+
+    def sample_batch(self, num_samples: int, rng=None) -> tuple[np.ndarray, np.ndarray]:
+        """(xs, log_q): num_samples configurations and their log-probabilities.
+
+        xs is an (S, N) int array of values 1..K; log_q[i] equals
+        log_density(xs[i]) bit for bit. The uniforms are drawn as one (S, N)
+        block, the same stream as S*N scalar draws, so row i is what the i-th
+        of S successive one-row calls would emit. The walk goes depth by
+        depth: the particles at one tree node share one softmax and one
+        vectorised draw; the particles that have left the tree are scored by
+        one prior.evaluate_batch call per depth. Costs no budget.
+        """
         rng = self._as_rng(rng)
-        x: list[int] = []
-        node = self.root
-        for _ in range(self.graph.num_variables):
-            q = node.q if node is not None else self.prior.evaluate(self.graph, tuple(x))
-            a = sample_softmax(q, rng) + 1
-            x.append(a)
-            node = node.children[a - 1] if node is not None else None
-        return tuple(x)
+        n, k = self.graph.num_variables, self.graph.num_states
+        u = rng.random((num_samples, n))
+        xs = np.empty((num_samples, n), dtype=np.int64)
+        log_q = np.zeros(num_samples)
+        rows = np.arange(num_samples)
+        groups = [] if self.root is None else [(self.root, rows)]
+        off = rows if self.root is None else rows[:0]
+        for depth in range(n):
+            next_groups, left = [], [off]
+            for node, at in groups:
+                a, step = sample_softmax_rows(node.q[None, :], u[at, depth])
+                xs[at, depth] = a + 1
+                log_q[at] += step
+                actions = np.flatnonzero(np.bincount(a)) if len(at) > 1 else a
+                for action in actions.tolist():
+                    child = node.children[action]
+                    sel = at if len(actions) == 1 else at[a == action]
+                    if child is None:
+                        left.append(sel)
+                    else:
+                        next_groups.append((child, sel))
+            if len(off):
+                q = np.asarray(self.prior.evaluate_batch(self.graph, xs[off, :depth]), dtype=np.float64)
+                a, step = sample_softmax_rows(q, u[off, depth])
+                xs[off, depth] = a + 1
+                log_q[off] += step
+            groups = next_groups
+            off = np.concatenate(left) if len(left) > 1 else off
+        return xs, log_q
 
     def log_density(self, x) -> float:
         """Exact log-probability that sample() emits x; sums to 1 over the domain."""

@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,14 @@ from treesample.exact import (
     solve_chain,
     solve_exact,
 )
-from treesample.logmath import NEG_INF, logsumexp, logsumexp_rows
+from treesample.logmath import (
+    NEG_INF,
+    ZeroMassError,
+    logsumexp,
+    logsumexp_rows,
+    sample_softmax,
+    sample_softmax_rows,
+)
 from treesample.model import Factor, FactorGraph
 
 from conftest import all_configs, brute_force_log_z, make_random_graph
@@ -51,6 +59,37 @@ class TestLogsumexp:
 
     def test_ignores_neg_inf_entries(self):
         assert logsumexp(np.array([0.0, NEG_INF])) == pytest.approx(0.0)
+
+
+class TestSampleSoftmaxRows:
+    """The row-wise draw equals sample_softmax and logsumexp bit for bit,
+    for widths on both sides of numpy's 8-way and 128-block summation."""
+
+    def test_rows_match_scalar_path(self):
+        rng = np.random.default_rng(3)
+        rows = 2000  # np.log differs from math.log on about 1 in 300 sums here
+        for k in (2, 3, 8, 10, 17, 130):
+            q = rng.normal(scale=3.0, size=(rows, k))
+            q[rng.random(q.shape) < 0.3] = NEG_INF
+            q[np.arange(rows), rng.integers(0, k, size=rows)] = rng.normal(size=rows)
+            u = np.random.default_rng(k).random(rows)
+            a, logp = sample_softmax_rows(q, u)
+            replay = iter(u.tolist())
+            scalar = SimpleNamespace(random=lambda: next(replay))
+            for row, ai, lp in zip(q, a.tolist(), logp.tolist()):
+                assert ai == sample_softmax(row, scalar)
+                assert lp == float(row[ai]) - logsumexp(row)
+
+    def test_shared_row(self):
+        q = np.array([[0.5, NEG_INF, -1.0]])
+        u = np.random.default_rng(0).random(50)
+        a, logp = sample_softmax_rows(q, u)
+        assert set(a.tolist()) == {0, 2}
+        assert logp.tolist() == [float(q[0, i]) - logsumexp(q[0]) for i in a.tolist()]
+
+    def test_zero_mass_row_raises(self):
+        with pytest.raises(ZeroMassError):
+            sample_softmax_rows(np.array([[0.0, 1.0], [NEG_INF, NEG_INF]]), np.zeros(2))
 
 
 class TestSolveExact:
@@ -203,6 +242,18 @@ class TestSolveChain:
         full = solve_exact(g)
         assert chain.expected_log_density() == pytest.approx(full.expected_log_density(), abs=1e-9)
         assert chain.entropy() == pytest.approx(full.entropy(), abs=1e-9)
+
+    def test_expected_log_density_with_neg_inf_entries(self):
+        # zero-marginal entries meet -inf potentials; no 0 * -inf may be formed
+        g = _graph(2, 2, [((1,), np.array([0.3, -np.inf])), ((2,), np.array([0.1, -0.4])),
+                          ((1, 2), np.array([0.2, -np.inf, 0.5, 0.0]))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chain = solve_chain(g)
+            full = solve_exact(g)
+            assert chain.expected_log_density() == pytest.approx(full.expected_log_density(), abs=1e-12)
+            assert chain.entropy() == pytest.approx(full.entropy(), abs=1e-12)
+            assert math.isfinite(chain.expected_log_density())
 
 
 class _Uniform:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,13 +80,13 @@ class TestDeltaKlSampler:
         g = make_random_graph(rng, 3, 2, num_extra_factors=2)
         sol = solve_exact(g)
         tree = build_tree(g, HeuristicPrior(), budget=2 + 4 + 8, seed=1)
-        est, stderr = delta_kl_sampler(tree, g, num_samples=4000, seed=3)
+        est, stderr, *_ = delta_kl_sampler(tree, g, num_samples=4000, seed=3)
         assert abs(est - (-sol.log_z)) < max(3 * stderr, 1e-9)
 
     def test_constant_integrand_has_zero_stderr(self):
         g = _uniform_graph(3, 2)
         tree = build_tree(g, HeuristicPrior(), budget=0, seed=1)
-        est, stderr = delta_kl_sampler(tree, g, num_samples=100, seed=5)
+        est, stderr, *_ = delta_kl_sampler(tree, g, num_samples=100, seed=5)
         assert est == pytest.approx(-3 * math.log(2), abs=1e-12)
         assert stderr == pytest.approx(0.0, abs=1e-13)
 
@@ -93,18 +94,48 @@ class TestDeltaKlSampler:
         rng = np.random.default_rng(19)
         g = make_random_graph(rng, 4, 2, num_extra_factors=2)
         tree = build_tree(g, HeuristicPrior(), budget=12, seed=2)
-        e1, s1 = delta_kl_sampler(tree, g, num_samples=4000, seed=101)
-        e2, s2 = delta_kl_sampler(tree, g, num_samples=4000, seed=202)
+        e1, s1, *_ = delta_kl_sampler(tree, g, num_samples=4000, seed=101)
+        e2, s2, *_ = delta_kl_sampler(tree, g, num_samples=4000, seed=202)
         assert abs(e1 - e2) < 4 * math.hypot(s1, s2)
 
     def test_stderr_shrinks_like_sqrt(self):
         rng = np.random.default_rng(23)
         g = make_random_graph(rng, 4, 2, num_extra_factors=3)
         tree = build_tree(g, HeuristicPrior(), budget=10, seed=2)
-        _, s_small = delta_kl_sampler(tree, g, num_samples=100, seed=7)
-        _, s_big = delta_kl_sampler(tree, g, num_samples=10_000, seed=7)
+        _, s_small, *_ = delta_kl_sampler(tree, g, num_samples=100, seed=7)
+        _, s_big, *_ = delta_kl_sampler(tree, g, num_samples=10_000, seed=7)
         ratio = s_small / s_big
         assert 5 < ratio < 20  # ideal is 10
+
+
+    def test_zero_mass_draw_gives_inf_without_warning(self):
+        # the empty tree samples x=(2,) half the time, where the target has no mass
+        table = np.array([0.0, -np.inf])
+        g = FactorGraph(
+            num_variables=1, num_states=2,
+            factors=(Factor(id=0, scope=(1,), table=table),), ordering=(1,),
+        )
+        tree = build_tree(g, HeuristicPrior(), budget=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = delta_kl_sampler(tree, g, num_samples=50, seed=1)
+            report = evaluate_method("treesample", tree, g, oracle=solve_exact(g),
+                                     num_samples=50, seed=1)
+        assert (est.delta_kl, est.stderr) == (math.inf, math.inf)
+        assert est.energy == -math.inf
+        assert (report.kl, report.stderr, report.delta_energy) == (math.inf, math.inf, math.inf)
+
+    def test_estimates_share_one_set_of_draws(self):
+        rng = np.random.default_rng(43)
+        g = make_random_graph(rng, 4, 2, num_extra_factors=2)
+        tree = build_tree(g, HeuristicPrior(), budget=9, seed=2)
+        est = delta_kl_sampler(tree, g, num_samples=500, seed=4)
+        xs, log_q = tree.sample_batch(500, np.random.default_rng(4))
+        lds = [g.log_unnormalized_density(tuple(x)) for x in xs.tolist()]
+        assert est.delta_kl == float(np.mean(log_q - np.array(lds)))
+        assert est.energy == float(np.mean(lds))
+        assert est.entropy == -float(np.mean(log_q))
+        assert est.delta_kl == pytest.approx(-est.entropy - est.energy, abs=1e-9)
 
 
 class TestEnergyEntropyDeltas:
@@ -150,6 +181,16 @@ class TestEvaluateMethod:
         assert report.delta_energy is not None and report.delta_entropy is not None
         data = report.to_json_dict()
         assert data["method"] == "treesample"
+
+    def test_energy_entropy_split_uses_the_kl_draws(self):
+        # KL = delta_energy - delta_entropy holds per draw set, so only when the
+        # split is computed from the same draws as the ΔKL estimate
+        rng = np.random.default_rng(39)
+        g = make_random_graph(rng, 4, 2, num_extra_factors=2)
+        sol = solve_exact(g)
+        tree = build_tree(g, HeuristicPrior(), budget=10, seed=0)
+        report = evaluate_method("treesample", tree, g, oracle=sol, num_samples=300, seed=2)
+        assert report.kl == pytest.approx(report.delta_energy - report.delta_entropy, abs=1e-9)
 
     def test_ranking_preserved(self):
         rng = np.random.default_rng(41)

@@ -9,9 +9,9 @@ from treesample.prior import (
     Adam,
     HeuristicPrior,
     MLPValueFunction,
-    PriorDistribution,
     ReplayBuffer,
     TrainConfig,
+    encode_batch,
     encode_prefix,
     load_checkpoint,
     save_checkpoint,
@@ -83,6 +83,47 @@ class TestEncodePrefix:
         for p in prefixes:
             seen.add(tuple(encode_prefix(g, tuple(p)).tolist()))
         assert len(seen) == len(prefixes)
+
+
+def _mixed_prefixes(n, k):
+    prefixes = [()]
+    for length in range(1, n):
+        prefixes.extend(all_configs(length, k))
+    return prefixes
+
+
+class TestBatchEvaluation:
+    """Batch calls equal the per-prefix calls bit for bit."""
+
+    def test_encode_batch_matches_encode_prefix(self):
+        g = _uniform_graph(4, 3, ordering=(3, 1, 4, 2))
+        prefixes = _mixed_prefixes(4, 3)
+        expected = np.stack([encode_prefix(g, p) for p in prefixes])
+        assert np.array_equal(encode_batch(g, prefixes), expected)
+        same_length = np.array(list(all_configs(2, 3)))
+        expected = np.stack([encode_prefix(g, tuple(p)) for p in same_length])
+        assert np.array_equal(encode_batch(g, same_length), expected)
+
+    def test_empty_batch(self):
+        g = _uniform_graph(3, 2)
+        assert encode_batch(g, []).shape == (0, 9)
+        assert HeuristicPrior().evaluate_batch(g, np.zeros((0, 1), dtype=int)).shape == (0, 2)
+
+    def test_heuristic_batch_matches_evaluate(self):
+        g = _uniform_graph(4, 3)
+        h = HeuristicPrior()
+        prefixes = _mixed_prefixes(4, 3)
+        expected = np.stack([h.evaluate(g, p) for p in prefixes])
+        assert np.array_equal(h.evaluate_batch(g, prefixes), expected)
+        rows = np.array(list(all_configs(2, 3)))
+        assert np.array_equal(h.evaluate_batch(g, rows), np.stack([h.evaluate(g, (1, 1))] * 9))
+
+    def test_mlp_batch_matches_evaluate(self):
+        g = _uniform_graph(4, 3, ordering=(2, 4, 1, 3))
+        mlp = MLPValueFunction(16, 3, hidden_units=32, num_hidden_layers=3, seed=5)
+        prefixes = _mixed_prefixes(4, 3)
+        expected = np.stack([mlp.evaluate(g, p) for p in prefixes])
+        assert np.array_equal(mlp.evaluate_batch(g, prefixes), expected)
 
 
 class TestMlp:
@@ -229,9 +270,11 @@ class TestCheckpoint:
 
 
 class TestPriorDistribution:
+    """The distribution a prior induces is sampled by a tree with no expansions."""
+
     def test_heuristic_prior_is_uniform(self):
         g = _uniform_graph(3, 2)
-        dist = PriorDistribution(g, HeuristicPrior())
+        dist = build_tree(g, HeuristicPrior(), 0, seed=0)
         for x in all_configs(3, 2):
             assert dist.log_density(x) == pytest.approx(-3 * math.log(2), abs=1e-12)
         rng = np.random.default_rng(0)

@@ -6,7 +6,7 @@ import pytest
 from treesample.exact import kl_by_enumeration, solve_exact
 from treesample.logmath import NEG_INF, ZeroMassError
 from treesample.model import FACTOR_EVAL, REWARD_EVAL, BudgetLedger, Factor, FactorGraph
-from treesample.prior import HeuristicPrior
+from treesample.prior import HeuristicPrior, MLPValueFunction
 from treesample.search import TreeNode, backup, build_tree, expand, q_uct_select
 
 from conftest import all_configs, make_random_graph
@@ -181,6 +181,9 @@ class TestBuildTree:
             x = tree.sample(rng)
             counts[(x[0] - 1) * 4 + (x[1] - 1) * 2 + x[2] - 1] += 1
         assert counts.min() > 0.5 * 4000 / 8
+        xs, log_q = tree.sample_batch(100, rng)
+        assert xs.shape == (100, 3)
+        assert np.allclose(log_q, -3 * math.log(2), atol=1e-12)
 
     def test_hand_run_two_level_uniform(self):
         g = _uniform_graph(2, 2)
@@ -300,3 +303,90 @@ class TestSampleAndDensity:
         assert data["root_complete"] is True
         roots = [n for n in data["nodes"] if n["prefix"] == []]
         assert len(roots) == 1
+
+
+def _small_mlp(graph, seed=0):
+    dim = graph.num_variables * (graph.num_states + 1)
+    return MLPValueFunction(dim, graph.num_states, hidden_units=16, num_hidden_layers=2, seed=seed)
+
+
+def _one_row_calls(tree, num, seed):
+    rng = np.random.default_rng(seed)
+    rows = [tree.sample(rng) for _ in range(num)]
+    return rows, [tree.log_density(x) for x in rows]
+
+
+class TestSampleBatch:
+    """sample_batch equals successive one-row sample() calls and log_density,
+    bit for bit, at the same seed."""
+
+    def _assert_golden(self, tree, num=120, seed=11):
+        xs, log_q = tree.sample_batch(num, np.random.default_rng(seed))
+        rows, densities = _one_row_calls(tree, num, seed)
+        assert xs.dtype.kind == "i" and xs.shape == (num, tree.graph.num_variables)
+        assert [tuple(x) for x in xs.tolist()] == rows
+        assert log_q.tolist() == densities
+
+    def test_partial_trees_with_neg_inf_entries(self):
+        rng = np.random.default_rng(151)
+        for trial in range(4):
+            g = make_random_graph(rng, 5, 3, num_extra_factors=4, neg_inf_frac=0.25,
+                                  shuffle_ordering=True)
+            for cost_mode in (REWARD_EVAL, FACTOR_EVAL):
+                for budget in (0, 4, 40, 400):
+                    tree = build_tree(g, HeuristicPrior(), budget, seed=trial, cost_mode=cost_mode)
+                    self._assert_golden(tree, seed=trial)
+
+    def test_mlp_prior(self):
+        rng = np.random.default_rng(157)
+        for trial in range(3):
+            g = make_random_graph(rng, 5, 3, num_extra_factors=3, neg_inf_frac=0.2)
+            for budget in (0, 15, 60):
+                tree = build_tree(g, _small_mlp(g, seed=trial), budget, seed=trial)
+                self._assert_golden(tree, seed=trial)
+
+    def test_complete_tree(self):
+        rng = np.random.default_rng(163)
+        g = make_random_graph(rng, 3, 3, num_extra_factors=2, neg_inf_frac=0.3)
+        tree = build_tree(g, HeuristicPrior(), exhaustive_budget(g), seed=1)
+        assert tree.root_complete()
+        self._assert_golden(tree, num=1000)
+
+    def test_seed_none_uses_tree_seed(self):
+        g = _uniform_graph(3, 2)
+        tree = build_tree(g, HeuristicPrior(), 3, seed=8)
+        xs, _ = tree.sample_batch(5)
+        assert np.array_equal(xs, tree.sample_batch(5, np.random.default_rng(8))[0])
+
+    def test_zero_draws(self):
+        tree = build_tree(_uniform_graph(3, 2), HeuristicPrior(), 3, seed=0)
+        xs, log_q = tree.sample_batch(0, np.random.default_rng(0))
+        assert xs.shape == (0, 3) and log_q.shape == (0,)
+
+    def test_zero_mass_raises_like_one_row_path(self):
+        g = _graph(1, 2, [((1,), [-np.inf, -np.inf])])
+        tree = build_tree(g, HeuristicPrior(), 10, seed=0)
+        with pytest.raises(ZeroMassError):
+            tree.sample_batch(50, np.random.default_rng(0))
+
+    def test_drawn_mass_agrees_with_enumeration(self):
+        rng = np.random.default_rng(167)
+        g = make_random_graph(rng, 3, 3, num_extra_factors=3, neg_inf_frac=0.2)
+        tree = build_tree(g, HeuristicPrior(), 12, seed=3)
+        exact = {x: tree.log_density(x) for x in all_configs(3, 3)}
+        assert sum(math.exp(v) for v in exact.values()) == pytest.approx(1.0, abs=1e-10)
+        draws = 20000
+        xs, log_q = tree.sample_batch(draws, np.random.default_rng(5))
+        drawn: dict = {}
+        for x, lq in zip(map(tuple, xs.tolist()), log_q.tolist()):
+            assert drawn.setdefault(x, lq) == lq == exact[x]
+        drawn_mass = sum(math.exp(v) for v in drawn.values())
+        missing_mass = sum(math.exp(v) for x, v in exact.items() if x not in drawn)
+        assert drawn_mass + missing_mass == pytest.approx(1.0, abs=1e-10)
+        assert missing_mass < 0.01
+        counts = {x: 0 for x in drawn}
+        for x in map(tuple, xs.tolist()):
+            counts[x] += 1
+        for x, lq in drawn.items():
+            p = math.exp(lq)
+            assert abs(counts[x] / draws - p) < 5 * math.sqrt(p * (1 - p) / draws) + 1e-3
