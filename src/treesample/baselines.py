@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logmath import NEG_INF, ZeroMassError, logsumexp, logsumexp_rows, sample_softmax
+from .logmath import (
+    NEG_INF,
+    ZeroMassError,
+    logsumexp,
+    logsumexp_rows,
+    sample_softmax,
+    sample_softmax_rows,
+)
 from .model import REWARD_EVAL, BudgetLedger, FactorGraph, Prefix
 
 
@@ -114,13 +121,8 @@ def merge_particles(particles: np.ndarray, log_weights: np.ndarray) -> tuple[lis
 def _propose_step(graph, prior, particles, depth, rng):
     """Vectorized draw of column `depth` from the prior softmax; returns the
     chosen 0-based actions and their log proposal probabilities."""
-    prefixes = [tuple(int(v) for v in row[: depth - 1]) for row in particles]
-    qs = np.asarray(prior.evaluate_batch(graph, prefixes), dtype=np.float64)
-    logp = qs - logsumexp_rows(qs)[:, None]
-    cdf = np.cumsum(np.exp(logp), axis=1)
-    u = rng.random(len(particles))
-    actions = np.minimum((cdf < u[:, None]).sum(axis=1), graph.num_states - 1)
-    return actions, logp[np.arange(len(particles)), actions]
+    qs = np.asarray(prior.evaluate_batch(graph, particles[:, : depth - 1]), dtype=np.float64)
+    return sample_softmax_rows(qs, rng.random(len(particles)))
 
 
 def smc(
@@ -355,14 +357,12 @@ def bp_sample(
     budget: int,
     seed: int = 0,
     cost_mode: str = REWARD_EVAL,
-    round_cost: int | None = None,
 ) -> WeightedAtoms:
     """Per sample: run message rounds, draw the next unsampled variable from
     its loopy-BP marginal, clamp it, and repeat through all variables in raw
     index order. One round charges one reward-equivalent per factor."""
     n = graph.num_variables
-    if round_cost is None:
-        round_cost = graph.num_factors
+    round_cost = graph.num_factors
     per_sample = n * num_message_rounds * round_cost
     num = budget // per_sample if per_sample > 0 else budget
     if num < 1:

@@ -2,8 +2,8 @@
 method against an instance, sweep a benchmark grid to CSV, and train the
 MLP value prior.
 
-Exit codes: 0 success, 1 internal error, 2 invalid input or a budget too
-small for a single unit of work.
+Exit codes: 0 success, 1 internal error, 2 invalid input, a budget too
+small for a single unit of work, or a target of zero total mass.
 """
 
 from __future__ import annotations
@@ -22,21 +22,13 @@ import numpy as np
 from .baselines import BudgetTooSmallError, DegenerateSampleError, bp_sample, gibbs, sis, smc
 from .exact import StateSpaceCapError, is_chain, solve_chain, solve_exact
 from .generators import GenerationError, GeneratorSpec, generate
+from .logmath import NEG_INF, ZeroMassError
 from .metrics import evaluate_method
 from .model import COST_MODES, FactorGraph, load_graph, save_graph
 from .prior import HeuristicPrior, TrainConfig, load_checkpoint, save_checkpoint, train_loop
 from .search import build_tree
 
 METHODS = ("treesample", "sis", "smc", "gibbs", "bp")
-
-# Per-family hyperparameters from this repo's own tuning pass (lowest median
-# KL surrogate on held-out seeds); revisit when the cost model changes.
-PRESETS: dict[str, dict] = {
-    "chains": {"c": 2.0, "resample_threshold": 0.5, "num_message_rounds": 10, "num_gibbs_sweeps": 20},
-    "permuted_chains": {"c": 2.0, "resample_threshold": 0.5, "num_message_rounds": 10, "num_gibbs_sweeps": 20},
-    "fg1": {"c": 2.0, "resample_threshold": 0.5, "num_message_rounds": 10, "num_gibbs_sweeps": 20},
-    "fg2": {"c": 2.0, "resample_threshold": 0.5, "num_message_rounds": 10, "num_gibbs_sweeps": 20},
-}
 
 
 @dataclass
@@ -125,11 +117,20 @@ def run_method(graph: FactorGraph, config: RunConfig, dump_tree_path=None):
 
 
 def pick_oracle(graph: FactorGraph, cap: int):
+    """The exact oracle of graph, or None when its state space exceeds cap.
+
+    Raises ZeroMassError when the target has zero total mass: there is no
+    distribution to score an approximation against.
+    """
     if is_chain(graph):
-        return solve_chain(graph)
-    if graph.num_states**graph.num_variables <= cap:
-        return solve_exact(graph, cap=cap)
-    return None
+        oracle = solve_chain(graph)
+    elif graph.num_states**graph.num_variables <= cap:
+        oracle = solve_exact(graph, cap=cap)
+    else:
+        return None
+    if oracle.log_z == NEG_INF:
+        raise ZeroMassError("the target has zero mass: every configuration has log-density -inf")
+    return oracle
 
 
 def evaluate_run(graph: FactorGraph, config: RunConfig, dump_tree_path=None):
@@ -169,8 +170,6 @@ def _run_config_from_args(args) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             data.update(json.load(fh))
-    if args.preset:
-        data.update(PRESETS[args.preset])
     for key in (
         "method", "budget", "cost_mode", "c", "epsilon", "resample_threshold",
         "num_gibbs_sweeps", "num_message_rounds", "metric_samples", "run_seed", "prior",
@@ -186,7 +185,7 @@ def cmd_run(args) -> int:
     config = _run_config_from_args(args)
     try:
         approx, report = evaluate_run(graph, config, dump_tree_path=args.dump_tree)
-    except (BudgetTooSmallError, DegenerateSampleError) as exc:
+    except (BudgetTooSmallError, DegenerateSampleError, ZeroMassError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc),
                           "method": config.method, "budget": config.budget}))
         return 2
@@ -247,7 +246,7 @@ def cmd_bench(args) -> int:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
     budgets = [int(b) for b in args.budgets.split(",")]
-    base_config = dict(PRESETS[args.family]) if args.preset else {}
+    base_config = {}
     if args.config:
         with open(args.config) as fh:
             base_config.update(json.load(fh))
@@ -382,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-seed", dest="run_seed", type=int)
     p.add_argument("--prior", help="'heuristic' or a checkpoint path")
     p.add_argument("--config", help="JSON file of RunConfig fields")
-    p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--dump-tree", dest="dump_tree")
     p.add_argument("--atoms-out", dest="atoms_out")
     p.add_argument("--no-telemetry", action="store_true")
@@ -400,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric-samples", dest="metric_samples", type=int, default=10_000)
     p.add_argument("--params", help="JSON dict of family-specific parameters")
     p.add_argument("--config", help="JSON file of shared RunConfig fields")
-    p.add_argument("--preset", action="store_true", help="apply the family preset")
     p.add_argument("--jobs", type=int, help="parallel workers (default env TREESAMPLE_JOBS or 1)")
     p.add_argument("--out", required=True)
     p.add_argument("--summary-out", dest="summary_out")

@@ -10,6 +10,12 @@ through softmax distributions, falling back to the prior once it leaves the
 tree, and costs no budget. SearchTree.sample_batch draws many samples in one
 pass, returning each one's log-probability with it; sample() is its one-row
 case and log_density() the per-configuration reference.
+
+A node holds K-entry Python lists, not numpy arrays: a traversal touches
+every node on its path, and at K of 2 to 10 the fixed cost of a numpy call
+is many times the arithmetic it does. The per-level work (q_uct_select,
+backup, TreeNode.value) is scalar Python in the same operation order as
+the array code it replaced, so fixed seeds build the same trees bit for bit.
 """
 
 from __future__ import annotations
@@ -20,27 +26,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .logmath import NEG_INF, logsumexp, sample_softmax_rows
+from .logmath import NEG_INF, logsumexp, logsumexp_list, sample_softmax_rows
 from .model import REWARD_EVAL, BudgetLedger, FactorGraph, Prefix
 
 
 class TreeNode:
-    """Per-prefix cache: reward, child values/visits/priors/completeness."""
+    """Per-prefix cache: reward, and per child its value q, visit count eta,
+    prior value and completeness flag, each a K-entry Python list.
 
-    __slots__ = ("reward", "q", "eta", "prior", "complete_children", "children", "complete")
+    backup keeps two counters in step with those lists: visits, the sum of
+    eta, and open, the number of children not yet flagged complete.
+    """
+
+    __slots__ = ("reward", "q", "eta", "prior", "complete_children", "children", "complete",
+                 "visits", "open")
 
     def __init__(self, reward, q, prior, complete_children, complete):
         self.reward = reward
-        self.q = q
-        self.eta = np.zeros(len(q), dtype=np.int64)
-        self.prior = prior
-        self.complete_children = complete_children
-        self.children: list[TreeNode | None] = [None] * len(q)
+        self.q = list(q)
+        self.eta = [0] * len(self.q)
+        self.prior = list(prior)
+        self.complete_children = list(complete_children)
+        self.children: list[TreeNode | None] = [None] * len(self.q)
         self.complete = complete
+        self.visits = 0
+        self.open = self.complete_children.count(False)
 
     def value(self) -> float:
-        """Soft value of the subtree below this node (logsumexp of child values)."""
-        return float(logsumexp(self.q))
+        """Soft value of the subtree below this node (logsumexp of child
+        values), equal to logmath.logsumexp of q bit for bit."""
+        return logsumexp_list(self.q)
 
 
 @dataclass
@@ -99,7 +114,7 @@ class SearchTree:
         for depth in range(n):
             next_groups, left = [], [off]
             for node, at in groups:
-                a, step = sample_softmax_rows(node.q[None, :], u[at, depth])
+                a, step = sample_softmax_rows(np.array([node.q]), u[at, depth])
                 xs[at, depth] = a + 1
                 log_q[at] += step
                 actions = np.flatnonzero(np.bincount(a)) if len(at) > 1 else a
@@ -142,8 +157,8 @@ class SearchTree:
                 {
                     "prefix": list(prefix),
                     "reward": enc(node.reward),
-                    "q": [enc(v) for v in node.q.tolist()],
-                    "eta": node.eta.tolist(),
+                    "q": [enc(v) for v in node.q],
+                    "eta": node.eta,
                     "complete": [bool(b) for b in node.complete_children],
                 }
             )
@@ -166,12 +181,14 @@ def q_uct_select(node: TreeNode, parent_visits: int, c: float, epsilon: float) -
     Ties break toward the smallest action; children flagged complete are
     excluded. Caller must ensure at least one child is incomplete.
     """
-    bonus = c * np.maximum(node.prior, epsilon) * math.sqrt(parent_visits) / (1.0 + node.eta)
-    scores = node.q + bonus
-    scores[node.complete_children] = NEG_INF
-    if not np.any(~node.complete_children):
+    if not node.open:
         raise RuntimeError("q_uct_select called with all children complete")
-    return int(np.argmax(scores)) + 1
+    sqrt_visits = math.sqrt(parent_visits)
+    scores = [
+        NEG_INF if done else q + c * max(prior, epsilon) * sqrt_visits / (1.0 + eta)
+        for q, prior, eta, done in zip(node.q, node.prior, node.eta, node.complete_children)
+    ]
+    return scores.index(max(scores)) + 1  # the first maximum, as np.argmax
 
 
 def expand(graph: FactorGraph, prefix: Prefix, prior, ledger: BudgetLedger) -> TreeNode | None:
@@ -189,17 +206,17 @@ def expand(graph: FactorGraph, prefix: Prefix, prior, ledger: BudgetLedger) -> T
     if n == graph.num_variables:
         return TreeNode(
             reward=reward,
-            q=np.full(k, -math.log(k)),
-            prior=np.zeros(k),
-            complete_children=np.ones(k, dtype=bool),
+            q=[-math.log(k)] * k,
+            prior=[0.0] * k,
+            complete_children=[True] * k,
             complete=True,
         )
-    prior_q = np.asarray(prior.evaluate(graph, prefix), dtype=np.float64)
+    prior_q = np.asarray(prior.evaluate(graph, prefix), dtype=np.float64).tolist()
     return TreeNode(
         reward=reward,
-        q=prior_q.copy(),
+        q=prior_q,
         prior=prior_q,
-        complete_children=np.zeros(k, dtype=bool),
+        complete_children=[False] * k,
         complete=(reward == NEG_INF),
     )
 
@@ -211,12 +228,15 @@ def backup(nodes: list[TreeNode], actions: list[int]) -> None:
     """
     for i in range(len(actions) - 1, -1, -1):
         child, parent, a = nodes[i + 1], nodes[i], actions[i] - 1
-        child.complete = child.complete or bool(np.all(child.complete_children))
+        child.complete = child.complete or not child.open
         parent.q[a] = child.reward + child.value()
-        parent.complete_children[a] = child.complete
+        if child.complete and not parent.complete_children[a]:
+            parent.complete_children[a] = True
+            parent.open -= 1
         parent.eta[a] += 1
+        parent.visits += 1
     root = nodes[0]
-    root.complete = root.complete or bool(np.all(root.complete_children))
+    root.complete = root.complete or not root.open
 
 
 def build_tree(
@@ -243,21 +263,20 @@ def build_tree(
             tree.root = expand(graph, (), prior, ledger)
             tree.nodes[()] = tree.root
             continue
-        prefix: list[int] = []
         nodes = [tree.root]
-        actions: list[int] = []
+        actions: list[int] = []  # the prefix of the node reached so far
         node = tree.root
         while True:
-            a = q_uct_select(node, int(node.eta.sum()), c, epsilon)
+            a = q_uct_select(node, node.visits, c, epsilon)
             actions.append(a)
-            prefix.append(a)
             child = node.children[a - 1]
             if child is None:
-                new = expand(graph, tuple(prefix), prior, ledger)
+                prefix = tuple(actions)
+                new = expand(graph, prefix, prior, ledger)
                 if new is None:  # unreachable under the guard; kept as a hard stop
                     return tree
                 node.children[a - 1] = new
-                tree.nodes[tuple(prefix)] = new
+                tree.nodes[prefix] = new
                 nodes.append(new)
                 backup(nodes, actions)
                 break

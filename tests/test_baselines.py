@@ -12,11 +12,12 @@ from treesample.baselines import (
     bp_step_conditionals,
     effective_sample_size,
     gibbs,
+    merge_particles,
     sis,
     smc,
 )
 from treesample.exact import solve_chain, solve_exact
-from treesample.logmath import NEG_INF, logsumexp_rows
+from treesample.logmath import NEG_INF, logsumexp, logsumexp_rows, sample_softmax_rows
 from treesample.model import Factor, FactorGraph
 from treesample.prior import HeuristicPrior
 
@@ -150,6 +151,29 @@ class TestSmc:
         assert a.atoms == b.atoms
         assert a.weights == b.weights
         assert a.log_z_estimate == b.log_z_estimate
+
+    def test_proposals_are_sample_softmax_rows_draws(self):
+        # SIS replayed by hand: per depth, one sample_softmax_rows draw over
+        # the prior's rows at the next uniforms of the run's stream
+        n, k = 6, 3
+        rng = np.random.default_rng(97)
+        g = make_random_chain(rng, n, k, scale=2.0)
+        prior = ExactConditionalPrior(solve_exact(make_random_chain(rng, n, k, scale=2.0)))
+        result = sis(g, prior, budget=1200, seed=4)
+        num = result.num_particles
+        stream = np.random.default_rng(4)
+        particles = np.zeros((num, n), dtype=np.int64)
+        lw = np.zeros(num)
+        for depth in range(1, n + 1):
+            qs = prior.evaluate_batch(g, particles[:, : depth - 1])
+            assert np.ptp(qs, axis=1).min() > 0.0  # the prior is not uniform
+            actions, logq = sample_softmax_rows(qs, stream.random(num))
+            particles[:, depth - 1] = actions + 1
+            lw += np.array([g.reward(tuple(row[:depth])) for row in particles.tolist()]) - logq
+        atoms, weights = merge_particles(particles, lw)
+        assert result.atoms == atoms
+        assert result.weights == weights
+        assert result.log_z_estimate == logsumexp(lw) - math.log(num)
 
     def test_uniform_weights_never_resample(self):
         g = _uniform_graph(4, 2)

@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from treesample.cli import RunConfig, main
+from treesample.cli import METHODS, RunConfig, main
 from treesample.model import Factor, FactorGraph, load_graph, save_graph
 
 
@@ -116,6 +117,31 @@ class TestRun:
         first = capsys.readouterr().out
         main(args)
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("chain", [True, False], ids=["chain", "loopy"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_zero_mass_structured_error(self, tmp_path, capsys, method, chain):
+        # every configuration has log-density -inf: the (x1, x2) factor is all
+        # -inf; with a third-order factor the graph is no chain and
+        # solve_exact is the oracle
+        factors = [Factor(id=0, scope=(1, 2), table=np.full(4, -np.inf)),
+                   Factor(id=1, scope=(2, 3), table=np.zeros(4))]
+        if not chain:
+            factors.append(Factor(id=2, scope=(1, 2, 3), table=np.zeros(8)))
+        g = FactorGraph(num_variables=3, num_states=2, factors=tuple(factors),
+                        ordering=(1, 2, 3))
+        path = tmp_path / "zero.json"
+        save_graph(g, path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", str(path), "--method", method, "--budget", "1000",
+                         "--metric-samples", "50", "--num-gibbs-sweeps", "2",
+                         "--num-message-rounds", "2", "--no-telemetry"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] in ("ZeroMassError", "DegenerateSampleError")
+        assert err["method"] == method
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_config_file_with_unknown_key(self, tmp_path, capsys):
         instance = _uniform_instance(tmp_path)

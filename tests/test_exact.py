@@ -18,6 +18,7 @@ from treesample.logmath import (
     NEG_INF,
     ZeroMassError,
     logsumexp,
+    logsumexp_list,
     logsumexp_rows,
     sample_softmax,
     sample_softmax_rows,
@@ -90,6 +91,28 @@ class TestSampleSoftmaxRows:
     def test_zero_mass_row_raises(self):
         with pytest.raises(ZeroMassError):
             sample_softmax_rows(np.array([[0.0, 1.0], [NEG_INF, NEG_INF]]), np.zeros(2))
+
+
+class TestLogsumexpList:
+    """The list path of the search tree's soft value equals logsumexp bit for
+    bit at every width from 2 to 130, -inf entries included. It fails if
+    math.exp replaces np.exp (different last bits on some inputs) or if the
+    Python loop sums 8 or more entries (numpy sums those pairwise)."""
+
+    def test_matches_logsumexp_bitwise(self):
+        rng = np.random.default_rng(5)
+        for k in range(2, 131):
+            # below 8 entries a math.exp summand moves about 1 result in 200
+            rows = 2000 if k < 8 else 40
+            q = rng.normal(scale=3.0, size=(rows, k))
+            q[rng.random(q.shape) < 0.2] = NEG_INF
+            q[np.arange(rows), rng.integers(0, k, size=rows)] = rng.normal(size=rows)
+            for row in q:
+                assert logsumexp_list(row.tolist()) == logsumexp(row), k
+
+    def test_all_neg_inf(self):
+        assert logsumexp_list([NEG_INF, NEG_INF]) == NEG_INF
+        assert logsumexp_list([NEG_INF] * 9) == NEG_INF
 
 
 class TestSolveExact:

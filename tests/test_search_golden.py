@@ -1,0 +1,108 @@
+"""Golden digests of built trees and of their batch samples.
+
+Each case builds one tree at fixed seeds and hashes two things: the tree's
+JSON dump (every node's prefix, reward, child values, visit counts and
+completeness flags) and sample_batch(500, seed)'s (xs, log_q) bytes. The
+digests were recorded before the search layer moved from numpy arrays to
+Python lists, so they pin that the representation change left every tree,
+every draw and every log-probability bit-identical.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from treesample.generators import GeneratorSpec, generate
+from treesample.model import FACTOR_EVAL, REWARD_EVAL
+from treesample.prior import HeuristicPrior, MLPValueFunction
+from treesample.search import build_tree
+
+from conftest import make_random_graph
+
+NUM_DRAWS = 500
+
+
+def _spec_graph(family, n, k, seed):
+    return generate(GeneratorSpec(family=family, n=n, k=k, seed=seed))
+
+
+def _neg_inf_graph():
+    rng = np.random.default_rng(151)
+    return make_random_graph(rng, 5, 3, num_extra_factors=4, neg_inf_frac=0.25,
+                             shuffle_ordering=True)
+
+
+def _mlp(graph):
+    return MLPValueFunction(graph.num_variables * (graph.num_states + 1), graph.num_states, seed=0)
+
+
+# name -> (graph factory, prior factory, budget, cost mode, build seed, draw seed).
+# K = 10 runs the numpy-reduction branch of the soft value (8 entries or more);
+# the "/complete" case is the only one built until its root is complete.
+CASES = {
+    "fg1-n12-k2/reward_eval": (lambda: _spec_graph("fg1", 12, 2, 3), None, 600, REWARD_EVAL, 6, 7),
+    "fg2-n12/factor_eval": (lambda: _spec_graph("fg2", 12, 2, 5), None, 800, FACTOR_EVAL, 7, 8),
+    "chains-n8-k10": (lambda: _spec_graph("chains", 8, 10, 7), None, 600, REWARD_EVAL, 11, 12),
+    "chains-n6-k3/complete": (lambda: _spec_graph("chains", 6, 3, 13), None, 2000, REWARD_EVAL,
+                              6, 7),
+    "neg-inf/reward_eval": (_neg_inf_graph, None, 120, REWARD_EVAL, 2, 3),
+    "neg-inf/factor_eval": (_neg_inf_graph, None, 200, FACTOR_EVAL, 2, 3),
+    "fg2-n10/mlp": (lambda: _spec_graph("fg2", 10, 2, 5), _mlp, 300, REWARD_EVAL, 9, 10),
+}
+
+GOLDEN = {
+    "fg1-n12-k2/reward_eval": (
+        "f59964d7693d27b6943c99e73accb981e26fe1ac0bb1e1cc1aec8bb473953f09",
+        "88335cd2ee43199d3c171e99ed3de3d6b277b35e3eb1e77f5e087af1596a74a4",
+    ),
+    "fg2-n12/factor_eval": (
+        "e6e00c76e1a169f932f6ba46213c32d9deb9b882ef050809424d621fee85729c",
+        "2ce54ac7edd2a7904a74b1ab18cbea7aeec5a5b19779b3160843d24a29807d89",
+    ),
+    "chains-n8-k10": (
+        "a25099edad2b2513999dba2c724a3c752c8933866a3ced8e1a0d38ac556b26cb",
+        "e0231017b4ed6e67df1f501bd4728d2d58019a74c8eaa7ca769bf4212078cd9d",
+    ),
+    "chains-n6-k3/complete": (
+        "8e42db83e8dafd3b5cbc1a0f0219bddbec2c3edcf8714affaa2fb79a35c1ad04",
+        "9e6e725041ada99c5bfd5c9e02bb059e519dc8c24b68124a92e63e223018fe15",
+    ),
+    "neg-inf/reward_eval": (
+        "78cef3a7c76ad37318c9d69ba29b63f7d2df935db5b5f4979dfbd57ef6911fa4",
+        "2cb83233d31ea5f02b1bbc34296be7087ba0374eac43897ce90f3076f583333e",
+    ),
+    "neg-inf/factor_eval": (
+        "7f6577aaa6fe0606a22c8e3557e3083977a1228abbd9fdb92d53a3c9d552ee98",
+        "dcab7e8b62fbfac3ca729e8f2096fbc2858d3f1da35910b01071ce1680ecf85e",
+    ),
+    "fg2-n10/mlp": (
+        "0135b00204992657a25fbbe4b27396b3bdacbf2bc330b3ed99a50d31a397aa7b",
+        "d052bdd7bacdb2a5daba404ac393056544a0d2035b0ded12e0b0407263f989b2",
+    ),
+}
+
+
+def build_case(name):
+    graph_of, prior_of, budget, cost_mode, seed, _ = CASES[name]
+    graph = graph_of()
+    prior = HeuristicPrior() if prior_of is None else prior_of(graph)
+    return build_tree(graph, prior, budget, seed=seed, cost_mode=cost_mode)
+
+
+def digests(name, tree):
+    """(sha256 of the sorted-key JSON dump, sha256 of the batch draws)."""
+    dump = json.dumps(tree.dump_json_dict(), sort_keys=True).encode()
+    xs, log_q = tree.sample_batch(NUM_DRAWS, np.random.default_rng(CASES[name][-1]))
+    draws = np.ascontiguousarray(xs, dtype=np.int64).tobytes() + log_q.tobytes()
+    return hashlib.sha256(dump).hexdigest(), hashlib.sha256(draws).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_tree_and_draws_match_golden(name):
+    tree = build_case(name)
+    assert digests(name, tree) == GOLDEN[name]
+    assert tree.root_complete() == name.endswith("/complete")
