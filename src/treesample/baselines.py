@@ -3,6 +3,23 @@ with ESS-triggered resampling, Gibbs sweeps, and loopy-BP-guided sampling.
 
 Every method returns a WeightedAtoms particle approximation and spends at
 most the given budget under the same cost accounting as the tree search.
+
+Each sampler is an array program over all of its particles or messages:
+- SMC keeps the particles as one (I, N) array and scores a depth for all of
+  them with one FactorGraph.reward_batch call.
+- Gibbs runs all chains in lockstep on one (chains, N) state array. A site
+  update scores the K completions of every chain through the site's factors
+  at once and draws each chain's value with sample_softmax_rows. Each site
+  update reads exactly one uniform per chain: chain by chain, the stream
+  holds the chain's initial state and then one uniform per site update, so
+  the draws equal a chain-at-a-time loop that calls sample_softmax. A zero-
+  mass conditional takes the uniform value min(int(u * K), K - 1) + 1 from
+  that same uniform u.
+- Loopy BP stores the messages as (edges, K) arrays, one edge per (factor,
+  scope position), and a round reduces every factor->variable message of one
+  arity in one pass. The sums and normalizers keep the order and arithmetic
+  of the per-message logsumexp_rows/logsumexp calls, so the messages and
+  the draws are bit-identical to a message-at-a-time implementation.
 """
 
 from __future__ import annotations
@@ -13,14 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logmath import (
-    NEG_INF,
-    ZeroMassError,
-    logsumexp,
-    logsumexp_rows,
-    sample_softmax,
-    sample_softmax_rows,
-)
+from .logmath import NEG_INF, ZeroMassError, logsumexp, sample_softmax, sample_softmax_rows
 from .model import REWARD_EVAL, BudgetLedger, FactorGraph, Prefix
 
 
@@ -107,11 +117,11 @@ def merge_particles(particles: np.ndarray, log_weights: np.ndarray) -> tuple[lis
     w = np.exp(log_weights - m)
     w /= w.sum()
     merged: dict[Prefix, float] = {}
-    for row, wi in zip(particles, w):
+    for row, wi in zip(particles.tolist(), w.tolist()):
         if wi <= 0.0:
             continue
-        x = tuple(int(v) for v in row)
-        merged[x] = merged.get(x, 0.0) + float(wi)
+        x = tuple(row)
+        merged[x] = merged.get(x, 0.0) + wi
     atoms = list(merged.keys())
     weights = np.array([merged[x] for x in atoms])
     weights /= weights.sum()
@@ -132,7 +142,6 @@ def smc(
     resample_threshold: float = 0.5,
     seed: int = 0,
     cost_mode: str = REWARD_EVAL,
-    resampling: str = "multinomial",
 ) -> WeightedAtoms:
     """Ancestral particles from the prior softmax with importance reweighting;
     multinomial resampling whenever the effective sample size drops below
@@ -155,26 +164,14 @@ def smc(
         actions, logq = _propose_step(graph, prior, particles, depth, rng)
         particles[:, depth - 1] = actions + 1
         _must_charge(ledger, num * graph.reward_cost(depth, cost_mode))
-        rewards = np.fromiter(
-            (graph.reward(tuple(int(v) for v in row[:depth])) for row in particles),
-            dtype=np.float64,
-            count=num,
-        )
-        lw += rewards - logq
+        lw += graph.reward_batch(particles[:, :depth]) - logq
         if depth < n and resample_threshold > 0.0 and np.max(lw) > NEG_INF:
             # ESS on max-shifted weights: exact (no division) for uniform weights
             shifted = np.exp(lw - np.max(lw))
             if effective_sample_size(shifted) < resample_threshold * num:
-                wn = shifted / shifted.sum()
                 log_z += logsumexp(lw) - math.log(num)
-                if resampling == "systematic":
-                    positions = (np.arange(num) + rng.random()) / num
-                    idx = np.searchsorted(np.cumsum(wn), positions, side="right")
-                    idx = np.minimum(idx, num - 1)
-                else:
-                    counts = rng.multinomial(num, wn)
-                    idx = np.repeat(np.arange(num), counts)
-                particles = particles[idx]
+                counts = rng.multinomial(num, shifted / shifted.sum())
+                particles = particles[np.repeat(np.arange(num), counts)]
                 lw[:] = 0.0
     log_z += logsumexp(lw) - math.log(num)
     atoms, weights = merge_particles(particles, lw)
@@ -214,8 +211,8 @@ def gibbs(
     cost_mode: str = REWARD_EVAL,
 ) -> WeightedAtoms:
     """Restarted Gibbs chains: uniform init, num_sweeps full sweeps over the
-    variables in raw index order, emit the final state, repeat until the
-    budget cannot pay another sample.
+    variables in raw index order, emit the final state; as many chains as the
+    budget can pay for, run in lockstep.
 
     One full-conditional update charges K reward-equivalents (it probes the K
     completions of the site's factors); under factor-level accounting it
@@ -239,28 +236,36 @@ def gibbs(
         )
     ledger = BudgetLedger(budget=budget, cost_mode=cost_mode)
     rng = np.random.default_rng(seed)
-    zero_conditionals = 0
-    particles = np.zeros((num, n), dtype=np.int64)
-    scores = np.empty(k)
+    # chain by chain: the initial state, then one uniform per site update
+    states = np.empty((num, n), dtype=np.int64)
+    uniforms = np.empty((num, num_sweeps * n))
     for i in range(num):
-        state = rng.integers(1, k + 1, size=n).tolist()
-        for _ in range(num_sweeps):
-            for v in range(1, n + 1):
-                pos = graph.depth_of(v)
-                _must_charge(ledger, site_cost[v])
-                for val in range(1, k + 1):
-                    state[pos - 1] = val
-                    total = 0.0
-                    for cf in site_factors[v]:
-                        total += cf.value_at(state)
-                    scores[val - 1] = total
-                if np.max(scores) == NEG_INF:
-                    zero_conditionals += 1
-                    state[pos - 1] = int(rng.integers(1, k + 1))
-                else:
-                    state[pos - 1] = sample_softmax(scores, rng) + 1
-        particles[i] = state
-    atoms, weights = merge_particles(particles, np.zeros(num))
+        states[i] = rng.integers(1, k + 1, size=n)
+        uniforms[i] = rng.random(num_sweeps * n)
+    site_values = np.tile(np.arange(1, k + 1), num)
+    zero_conditionals = 0
+    for t, v in enumerate(list(range(1, n + 1)) * num_sweeps):
+        col = graph.depth_of(v) - 1
+        _must_charge(ledger, num * site_cost[v])
+        # row c * K + j of the repeated states sets the site to value j + 1
+        completions = np.repeat(states, k, axis=0)
+        completions[:, col] = site_values
+        scores = np.zeros(num * k)
+        for cf in site_factors[v]:
+            scores += cf.values_at(completions)
+        scores = scores.reshape(num, k)
+        u = uniforms[:, t]
+        zero = scores.max(axis=1) == NEG_INF
+        if zero.any():
+            # zero-mass conditional: a uniform value read off the same uniform
+            zero_conditionals += int(zero.sum())
+            states[zero, col] = np.minimum((u[zero] * k).astype(np.int64), k - 1) + 1
+            live = ~zero
+            if live.any():
+                states[live, col] = sample_softmax_rows(scores[live], u[live])[0] + 1
+        else:
+            states[:, col] = sample_softmax_rows(scores, u)[0] + 1
+    atoms, weights = merge_particles(states, np.zeros(num))
     return WeightedAtoms(
         atoms=atoms,
         weights=weights,
@@ -275,80 +280,135 @@ def gibbs(
 # ---------------------------------------------------------------------------
 
 
-class _BPState:
-    """Log-domain sum-product messages on the bipartite factor graph."""
+def _lse_last(arr: np.ndarray) -> np.ndarray:
+    """logsumexp_rows over the last axis of a C-contiguous array, in its
+    arithmetic (np.log); rows of all -inf give -inf."""
+    m = arr.max(axis=-1)
+    if m.min() > NEG_INF:
+        return m + np.log(np.exp(arr - m[..., None]).sum(axis=-1))
+    safe = m > NEG_INF
+    shift = np.where(safe, m, 0.0)
+    total = np.exp(arr - shift[..., None]).sum(axis=-1)
+    return np.where(safe, shift + np.log(np.where(safe, total, 1.0)), NEG_INF)
+
+
+def _normalize_rows(vecs: np.ndarray) -> np.ndarray:
+    """Subtract each row's logsumexp, in logsumexp's arithmetic (math.log);
+    rows of all -inf stay as they are."""
+    m = vecs.max(axis=1)
+    if m.min() > NEG_INF:
+        total = np.exp(vecs - m[:, None]).sum(axis=1)
+    else:
+        m = np.where(m > NEG_INF, m, 0.0)
+        total = np.exp(vecs - m[:, None]).sum(axis=1)
+        total[total == 0.0] = 1.0
+    return vecs - (m + np.array(list(map(math.log, total.tolist()))))[:, None]
+
+
+class _LoopyBP:
+    """Log-domain sum-product messages on the bipartite factor graph.
+
+    Edge e is one (factor, scope position) pair, numbered factor by factor;
+    msg_vf[e] and msg_fv[e] are its (K,) messages. A factor->variable message
+    is a logsumexp over rows of the factor's table plus the other positions'
+    incoming messages. Those rows are laid out once, for every edge of every
+    factor, in one flat array grouped by arity: a round gathers the incoming
+    messages into it with one fancy index per scope position, then reduces
+    one (rows, K^(arity-1)) block per arity.
+    """
 
     def __init__(self, graph: FactorGraph):
-        self.graph = graph
-        k = graph.num_states
-        self.k = k
-        self.scopes = [f.scope for f in graph.factors]
-        self.tensors = [
-            f.table.reshape((k,) * len(f.scope)) for f in graph.factors
-        ]
-        self.var_factors: dict[int, list[int]] = {v: [] for v in range(1, graph.num_variables + 1)}
-        for fi, scope in enumerate(self.scopes):
-            for v in scope:
-                self.var_factors[v].append(fi)
+        k = self.k = graph.num_states
+        scopes = [f.scope for f in graph.factors]
+        first = np.cumsum([0] + [len(s) for s in scopes])
+        self.num_edges = num_edges = int(first[-1])
+        self.var_edges: dict[int, list[int]] = {v: [] for v in range(1, graph.num_variables + 1)}
+        for fi, scope in enumerate(scopes):
+            for axis, v in enumerate(scope):
+                self.var_edges[v].append(int(first[fi]) + axis)
+        pad = num_edges * k  # index of an appended -0.0, which adds exactly nothing
+        max_arity = max(len(s) for s in scopes)
+        base, steps, edge_order, self.blocks = [], [[] for _ in range(max_arity - 1)], [], []
+        offset = 0
+        for arity in sorted({len(s) for s in scopes}):
+            fis = [fi for fi, s in enumerate(scopes) if len(s) == arity]
+            tables = np.stack([graph.factors[fi].table for fi in fis])  # (F, K^arity)
+            edges = first[fis][:, None] + np.arange(arity)  # (F, arity)
+            grid = np.arange(k**arity).reshape((k,) * arity)
+            for axis in range(arity):
+                # entry (j, l): the table index with this position at value j + 1
+                # and the other positions enumerating l in row-major order
+                others = [a for a in range(arity) if a != axis]
+                cells = grid.transpose([axis] + others).reshape(k, -1)
+                base.append(tables[:, cells].ravel())
+                for step in range(max_arity - 1):
+                    if step < len(others):
+                        ax2 = others[step]
+                        digit = cells // k ** (arity - 1 - ax2) % k
+                        steps[step].append((edges[:, ax2, None, None] * k + digit).ravel())
+                    else:
+                        steps[step].append(np.full(len(fis) * cells.size, pad))
+                edge_order.append(edges[:, axis])
+            size = arity * len(fis) * k**arity
+            self.blocks.append((offset, offset + size, k ** (arity - 1)))
+            offset += size
+        self.base = np.concatenate(base)
+        self.steps = [np.concatenate(idx) for idx in steps]
+        self.edge_order = np.concatenate(edge_order)
+        # incoming[e]: the edges of the other factors at e's variable, in factor
+        # order, padded with the index of an all -0.0 row
+        incoming = [[] for _ in range(num_edges)]
+        for edges in self.var_edges.values():
+            for e in edges:
+                incoming[e] = [g for g in edges if g != e]
+        width = max(len(row) for row in incoming)
+        self.incoming = np.array(
+            [row + [num_edges] * (width - len(row)) for row in incoming], dtype=np.int64
+        ).reshape(num_edges, width)
         self.reset()
 
     def reset(self):
-        uniform = np.full(self.k, -math.log(self.k))
-        self.msg_vf = {
-            (v, fi): uniform.copy()
-            for fi, scope in enumerate(self.scopes)
-            for v in scope
-        }
-        self.msg_fv = {
-            (fi, v): uniform.copy()
-            for fi, scope in enumerate(self.scopes)
-            for v in scope
-        }
-        self.clamped: dict[int, int] = {}
+        self.msg_vf = np.full((self.num_edges, self.k), -math.log(self.k))
+        self.msg_fv = self.msg_vf.copy()
+        self.clamped = np.zeros(self.num_edges, dtype=bool)
 
     def clamp(self, v: int, value: int):
-        self.clamped[v] = value
         atom = np.full(self.k, NEG_INF)
         atom[value - 1] = 0.0
-        for fi in self.var_factors[v]:
-            self.msg_vf[(v, fi)] = atom.copy()
-
-    @staticmethod
-    def _normalize(vec: np.ndarray) -> np.ndarray:
-        lse = logsumexp(vec)
-        return vec - lse if lse > NEG_INF else vec
+        self.msg_vf[self.var_edges[v]] = atom
+        self.clamped[self.var_edges[v]] = True
 
     def round(self):
-        """One synchronous round: all factor->variable, then variable->factor."""
-        new_fv = {}
-        for fi, scope in enumerate(self.scopes):
-            for axis, v in enumerate(scope):
-                # sum incoming messages from the other scope variables only;
-                # never subtract (-inf - -inf is undefined)
-                arr = self.tensors[fi]
-                for ax2, u in enumerate(scope):
-                    if u == v:
-                        continue
-                    shape = [1] * len(scope)
-                    shape[ax2] = self.k
-                    arr = arr + self.msg_vf[(u, fi)].reshape(shape)
-                vec = logsumexp_rows(np.moveaxis(arr, axis, 0).reshape(self.k, -1))
-                new_fv[(fi, v)] = self._normalize(vec)
-        self.msg_fv = new_fv
-        for (v, fi), old in self.msg_vf.items():
-            if v in self.clamped:
-                continue
-            total = np.zeros(self.k)
-            for gi in self.var_factors[v]:
-                if gi != fi:
-                    total = total + self.msg_fv[(gi, v)]
-            self.msg_vf[(v, fi)] = self._normalize(total)
+        """One synchronous round: all factor->variable, then variable->factor.
+
+        Each message adds the other incoming messages one at a time in scope
+        or factor order (never subtracting: -inf - -inf is undefined), with
+        the arithmetic of one logsumexp_rows and one logsumexp call per
+        message, so every message equals the per-message computation bit
+        for bit.
+        """
+        k = self.k
+        vf = np.append(self.msg_vf.ravel(), -0.0)
+        rows = self.base
+        for idx in self.steps:
+            rows = rows + vf[idx]
+        fv = np.empty((self.num_edges + 1, k))
+        fv[self.edge_order] = np.concatenate(
+            [_lse_last(rows[lo:hi].reshape(-1, width)) for lo, hi, width in self.blocks]
+        ).reshape(-1, k)
+        fv[:-1] = _normalize_rows(fv[:-1])
+        fv[-1] = -0.0
+        self.msg_fv = fv[:-1]
+        total = np.zeros((self.num_edges, k))
+        for j in range(self.incoming.shape[1]):
+            total = total + fv[self.incoming[:, j]]
+        self.msg_vf = np.where(self.clamped[:, None], self.msg_vf, _normalize_rows(total))
 
     def log_marginal(self, v: int) -> np.ndarray:
         total = np.zeros(self.k)
-        for fi in self.var_factors[v]:
-            total = total + self.msg_fv[(fi, v)]
-        return self._normalize(total)
+        for e in self.var_edges[v]:
+            total = total + self.msg_fv[e]
+        return _normalize_rows(total[None, :])[0]
 
 
 def bp_sample(
@@ -371,7 +431,7 @@ def bp_sample(
         )
     ledger = BudgetLedger(budget=budget, cost_mode=cost_mode)
     rng = np.random.default_rng(seed)
-    state = _BPState(graph)
+    state = _LoopyBP(graph)
     particles = np.zeros((num, n), dtype=np.int64)
     for i in range(num):
         state.reset()
@@ -391,21 +451,3 @@ def bp_sample(
     return WeightedAtoms(
         atoms=atoms, weights=weights, num_particles=num, budget_spent=ledger.spent
     )
-
-
-def bp_step_conditionals(
-    graph: FactorGraph, num_message_rounds: int, prefix_values: dict[int, int]
-) -> np.ndarray:
-    """Log-marginal of the lowest-index unclamped variable after clamping the
-    given variable->value map and running the message rounds. Test hook for
-    checking BP conditionals against exact oracles."""
-    state = _BPState(graph)
-    unsampled = [v for v in range(1, graph.num_variables + 1) if v not in prefix_values]
-    target = unsampled[0]
-    for v in sorted(prefix_values):
-        for _ in range(num_message_rounds):
-            state.round()
-        state.clamp(v, prefix_values[v])
-    for _ in range(num_message_rounds):
-        state.round()
-    return state.log_marginal(target)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .baselines import BudgetTooSmallError, DegenerateSampleError, bp_sample, gibbs, sis, smc
 from .exact import StateSpaceCapError, is_chain, solve_chain, solve_exact
-from .generators import GenerationError, GeneratorSpec, generate
+from .generators import FAMILIES, GenerationError, GeneratorSpec, generate
 from .logmath import NEG_INF, ZeroMassError
 from .metrics import evaluate_method
 from .model import COST_MODES, FactorGraph, load_graph, save_graph
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a random instance as JSON")
-    p.add_argument("--family", required=True, choices=sorted(["chains", "permuted_chains", "fg1", "fg2"]))
+    p.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--seed", type=int, required=True)
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="sweep methods x budgets x instances to CSV")
-    p.add_argument("--family", required=True, choices=sorted(["chains", "permuted_chains", "fg1", "fg2"]))
+    p.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--methods", required=True, help="comma-separated")

@@ -150,6 +150,22 @@ class FactorGraph:
             total += cf.value_at(prefix)
         return total
 
+    def reward_batch(self, prefixes) -> np.ndarray:
+        """reward of every row of an (S, d) array of prefixes, 1 <= d <= N.
+
+        Factors are added in the scalar method's order, so each entry equals
+        the scalar result bit for bit.
+        """
+        xs = np.asarray(prefixes, dtype=np.int64)
+        if xs.ndim != 2 or not 1 <= xs.shape[1] <= self.num_variables:
+            raise ValueError("prefixes must form an (S, d) array with 1 <= d <= N")
+        if xs.size and (xs.min() < 1 or xs.max() > self.num_states):
+            raise ValueError(f"prefix values must lie in 1..{self.num_states}")
+        total = np.zeros(len(xs))
+        for cf in self._depth_factors[xs.shape[1]]:
+            total += cf.values_at(xs)
+        return total
+
     def reward_cost(self, depth: int, cost_mode: str = REWARD_EVAL) -> int:
         """Budget units charged by one reward evaluation at the given depth."""
         if not 1 <= depth <= self.num_variables:

@@ -179,7 +179,9 @@ def q_uct_select(node: TreeNode, parent_visits: int, c: float, epsilon: float) -
     """Best incomplete child: value plus prior-scaled visit-count bonus.
 
     Ties break toward the smallest action; children flagged complete are
-    excluded. Caller must ensure at least one child is incomplete.
+    excluded, and when every incomplete child scores -inf (a zero-mass prior
+    entry) the first incomplete child wins. Caller must ensure at least one
+    child is incomplete.
     """
     if not node.open:
         raise RuntimeError("q_uct_select called with all children complete")
@@ -188,7 +190,10 @@ def q_uct_select(node: TreeNode, parent_visits: int, c: float, epsilon: float) -
         NEG_INF if done else q + c * max(prior, epsilon) * sqrt_visits / (1.0 + eta)
         for q, prior, eta, done in zip(node.q, node.prior, node.eta, node.complete_children)
     ]
-    return scores.index(max(scores)) + 1  # the first maximum, as np.argmax
+    best = max(scores)
+    if best == NEG_INF:
+        return node.complete_children.index(False) + 1
+    return scores.index(best) + 1  # the first maximum, as np.argmax
 
 
 def expand(graph: FactorGraph, prefix: Prefix, prior, ledger: BudgetLedger) -> TreeNode | None:

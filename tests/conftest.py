@@ -38,6 +38,19 @@ def make_random_graph(
     )
 
 
+class ExactConditionalPrior:
+    """Proposal equal to the target conditionals (zero-variance importance)."""
+
+    def __init__(self, solution):
+        self.solution = solution
+
+    def evaluate(self, graph, prefix):
+        return self.solution.q_values(prefix)
+
+    def evaluate_batch(self, graph, prefixes):
+        return np.stack([self.evaluate(graph, p) for p in prefixes])
+
+
 def all_configs(n: int, k: int):
     """All K^N complete prefixes in rank (row-major) order."""
     return itertools.product(range(1, k + 1), repeat=n)

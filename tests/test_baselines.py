@@ -8,8 +8,8 @@ from treesample.baselines import (
     BudgetTooSmallError,
     DegenerateSampleError,
     WeightedAtoms,
+    _LoopyBP,
     bp_sample,
-    bp_step_conditionals,
     effective_sample_size,
     gibbs,
     merge_particles,
@@ -21,7 +21,7 @@ from treesample.logmath import NEG_INF, logsumexp, logsumexp_rows, sample_softma
 from treesample.model import Factor, FactorGraph
 from treesample.prior import HeuristicPrior
 
-from conftest import all_configs, make_random_graph
+from conftest import ExactConditionalPrior, all_configs, make_random_graph
 
 
 def _graph(n, k, factors, ordering=None):
@@ -43,19 +43,6 @@ def make_random_chain(rng, n, k, scale=1.0):
     factors = [((v,), rng.normal(scale=scale, size=k)) for v in range(1, n + 1)]
     factors += [((v, v + 1), rng.normal(scale=scale, size=k * k)) for v in range(1, n)]
     return _graph(n, k, factors)
-
-
-class ExactConditionalPrior:
-    """Proposal equal to the target conditionals (zero-variance importance)."""
-
-    def __init__(self, solution):
-        self.solution = solution
-
-    def evaluate(self, graph, prefix):
-        return self.solution.q_values(prefix)
-
-    def evaluate_batch(self, graph, prefixes):
-        return np.stack([self.evaluate(graph, p) for p in prefixes])
 
 
 class TestWeightedAtoms:
@@ -207,12 +194,6 @@ class TestSmc:
             se = estimates.std(ddof=1) / math.sqrt(len(estimates))
             assert abs(estimates.mean() - z) < 4 * se
 
-    def test_systematic_resampling_option(self):
-        rng = np.random.default_rng(97)
-        g = make_random_chain(rng, 6, 3, scale=3.0)
-        a = smc(g, HeuristicPrior(), budget=600, resample_threshold=0.9, seed=1, resampling="systematic")
-        assert sum(a.weights) == pytest.approx(1.0, abs=1e-12)
-
 
 class TestGibbs:
     def test_single_variable_exact(self):
@@ -266,6 +247,43 @@ class TestGibbs:
         assert result.num_particles == 4
         assert result.budget_spent == 96
 
+    def test_site_updates_are_sample_softmax_rows_draws(self):
+        # Gibbs replayed by hand: each chain's stream is its initial state and
+        # then one uniform per site update; the chains advance in lockstep, one
+        # sample_softmax_rows draw over their full conditionals per site update
+        n, k, sweeps = 5, 3, 3
+        g = make_random_graph(np.random.default_rng(131), n, k, num_extra_factors=3,
+                              shuffle_ordering=True)
+        result = gibbs(g, num_sweeps=sweeps, budget=40 * sweeps * n * k, seed=2)
+        num = result.num_particles
+        assert num == 40
+        stream = np.random.default_rng(2)
+        states, uniforms = [], []
+        for _ in range(num):
+            states.append(stream.integers(1, k + 1, size=n))
+            uniforms.append(stream.random(sweeps * n))
+        states, uniforms = np.array(states), np.array(uniforms)
+        site_factors = {
+            v: [cf for d in range(1, n + 1) for cf in g.factors_at_depth(d) if v in cf.factor.scope]
+            for v in range(1, n + 1)
+        }
+        for t, v in enumerate(list(range(1, n + 1)) * sweeps):
+            pos = g.depth_of(v)
+            scores = np.zeros((num, k))
+            for c, state in enumerate(states.tolist()):
+                for val in range(1, k + 1):
+                    state[pos - 1] = val
+                    total = 0.0
+                    for cf in site_factors[v]:
+                        total += cf.value_at(state)
+                    scores[c, val - 1] = total
+            actions, _ = sample_softmax_rows(scores, uniforms[:, t])
+            states[:, pos - 1] = actions + 1
+        atoms, weights = merge_particles(states, np.zeros(num))
+        assert result.atoms == atoms
+        assert result.weights == weights
+        assert result.zero_conditional_count == 0
+
 
 class TestBpSample:
     def test_single_factor_graph_one_round(self):
@@ -311,6 +329,43 @@ class TestBpSample:
         with pytest.raises(BudgetTooSmallError):
             bp_sample(g, num_message_rounds=2, budget=55, seed=1)
 
+    def test_messages_equal_message_at_a_time_rounds(self):
+        # the stacked rounds against one logsumexp_rows/logsumexp call per
+        # message, bit for bit, with clamps, -inf entries and K up to 10
+        rng = np.random.default_rng(127)
+        for trial in range(24):
+            k = int(rng.integers(2, 11))
+            g = make_random_graph(rng, 5, k, num_extra_factors=4, max_scope=4 if k <= 3 else 3,
+                                  neg_inf_frac=0.3 if trial % 2 else 0.0, shuffle_ordering=True)
+            state, ref = _LoopyBP(g), _MessageAtATimeBP(g)
+            for v in rng.permutation(np.arange(1, 6))[:3].tolist() + [None]:
+                for _ in range(3):
+                    state.round()
+                    ref.round()
+                    assert state.msg_fv.tobytes() == ref.stacked(ref.msg_fv).tobytes()
+                    assert state.msg_vf.tobytes() == ref.stacked(ref.msg_vf).tobytes()
+                for u in range(1, 6):
+                    assert state.log_marginal(u).tobytes() == ref.log_marginal(u).tobytes()
+                if v is not None:
+                    value = int(rng.integers(1, k + 1))
+                    state.clamp(v, value)
+                    ref.clamp(v, value)
+
+
+def bp_step_conditionals(graph, num_message_rounds, prefix_values):
+    """Log-marginal of the lowest-index unclamped variable after clamping the
+    given variable->value map in index order, with the message rounds run
+    before each clamp and once more at the end, as bp_sample schedules them."""
+    state = _LoopyBP(graph)
+    unsampled = [v for v in range(1, graph.num_variables + 1) if v not in prefix_values]
+    for v in sorted(prefix_values):
+        for _ in range(num_message_rounds):
+            state.round()
+        state.clamp(v, prefix_values[v])
+    for _ in range(num_message_rounds):
+        state.round()
+    return state.log_marginal(unsampled[0])
+
 
 def _reference_bp_marginal(graph, rounds, clamped, target):
     """Independent dense sum-product with the same synchronous schedule:
@@ -354,3 +409,63 @@ def _reference_bp_marginal(graph, rounds, clamped, target):
         if target in sc:
             belief = belief * msg_fv[(fi, target)]
     return belief / belief.sum()
+
+
+def _normalize(vec):
+    lse = logsumexp(vec)
+    return vec - lse if lse > NEG_INF else vec
+
+
+class _MessageAtATimeBP:
+    """Reference loopy BP: one dict entry and one logsumexp_rows/logsumexp
+    call per message, in the order of _LoopyBP's edges."""
+
+    def __init__(self, graph):
+        k = self.k = graph.num_states
+        self.scopes = [f.scope for f in graph.factors]
+        self.tensors = [f.table.reshape((k,) * len(f.scope)) for f in graph.factors]
+        self.var_factors = {v: [] for v in range(1, graph.num_variables + 1)}
+        for fi, scope in enumerate(self.scopes):
+            for v in scope:
+                self.var_factors[v].append(fi)
+        edges = [(fi, v) for fi, scope in enumerate(self.scopes) for v in scope]
+        self.msg_vf = {(v, fi): np.full(k, -math.log(k)) for fi, v in edges}
+        self.msg_fv = {(fi, v): np.full(k, -math.log(k)) for fi, v in edges}
+        self.clamped = set()
+
+    def stacked(self, messages):
+        return np.array(list(messages.values()))
+
+    def clamp(self, v, value):
+        self.clamped.add(v)
+        atom = np.full(self.k, NEG_INF)
+        atom[value - 1] = 0.0
+        for fi in self.var_factors[v]:
+            self.msg_vf[(v, fi)] = atom.copy()
+
+    def round(self):
+        new_fv = {}
+        for fi, scope in enumerate(self.scopes):
+            for axis, v in enumerate(scope):
+                arr = self.tensors[fi]
+                for ax2, u in enumerate(scope):
+                    if u != v:
+                        shape = [1] * len(scope)
+                        shape[ax2] = self.k
+                        arr = arr + self.msg_vf[(u, fi)].reshape(shape)
+                rows = np.moveaxis(arr, axis, 0).reshape(self.k, -1)
+                new_fv[(fi, v)] = _normalize(logsumexp_rows(rows))
+        self.msg_fv = new_fv
+        for v, fi in self.msg_vf:
+            if v not in self.clamped:
+                total = np.zeros(self.k)
+                for gi in self.var_factors[v]:
+                    if gi != fi:
+                        total = total + self.msg_fv[(gi, v)]
+                self.msg_vf[(v, fi)] = _normalize(total)
+
+    def log_marginal(self, v):
+        total = np.zeros(self.k)
+        for fi in self.var_factors[v]:
+            total = total + self.msg_fv[(fi, v)]
+        return _normalize(total)

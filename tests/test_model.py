@@ -131,6 +131,28 @@ class TestLogUnnormalizedDensityBatch:
                 g.log_unnormalized_density_batch(xs)
 
 
+class TestRewardBatch:
+    def test_rows_equal_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(73)
+        for trial in range(6):
+            g = make_random_graph(rng, 4, 3, num_extra_factors=4, neg_inf_frac=0.2,
+                                  shuffle_ordering=True)
+            xs = np.array(list(all_configs(4, 3)))
+            for depth in range(1, 5):
+                expected = [g.reward(tuple(x)) for x in xs[:, :depth].tolist()]
+                assert g.reward_batch(xs[:, :depth]).tolist() == expected
+
+    def test_empty_batch(self):
+        g = _graph(2, 2, [((1, 2), [0.0, 1.0, 2.0, 3.0])])
+        assert g.reward_batch(np.zeros((0, 1), dtype=int)).shape == (0,)
+
+    def test_bad_rows_rejected(self):
+        g = _graph(2, 2, [((1, 2), [0.0, 1.0, 2.0, 3.0])])
+        for xs in (np.zeros((1, 0), dtype=int), [[1, 1, 1]], [[1, 3]], [[0, 1]], [1, 2]):
+            with pytest.raises(ValueError):
+                g.reward_batch(xs)
+
+
 class TestPartitionProperty:
     def test_each_factor_at_exactly_one_depth(self):
         rng = np.random.default_rng(3)

@@ -9,7 +9,7 @@ from treesample.model import FACTOR_EVAL, REWARD_EVAL, BudgetLedger, Factor, Fac
 from treesample.prior import HeuristicPrior, MLPValueFunction
 from treesample.search import TreeNode, backup, build_tree, expand, q_uct_select
 
-from conftest import all_configs, make_random_graph
+from conftest import ExactConditionalPrior, all_configs, make_random_graph
 
 
 def _graph(n, k, factors, ordering=None):
@@ -65,6 +65,21 @@ class TestQUctSelect:
         # bonus then ties and action 1 wins
         node = _node([0.5, 0.5], [-3.0, 0.01], [1, 1], [False, False])
         assert q_uct_select(node, 9, c=1.0, epsilon=0.1) == 1
+
+    def test_all_incomplete_neg_inf_picks_first_incomplete(self):
+        # every incomplete child scores -inf: the complete child must not win
+        node = _node([0.0, NEG_INF, NEG_INF], [0.0, NEG_INF, NEG_INF], [1, 0, 0],
+                     [True, False, False])
+        assert q_uct_select(node, 1, c=2.0, epsilon=0.1) == 2
+
+    def test_exact_conditional_prior_with_neg_inf_entries(self):
+        # the exact conditionals put -inf on zero-mass children, so whole
+        # rows of incomplete children score -inf during the build
+        for seed in range(40):
+            g = make_random_graph(np.random.default_rng(seed), 4, 3, neg_inf_frac=0.4)
+            tree = build_tree(g, ExactConditionalPrior(solve_exact(g)), 60)
+            total = sum(math.exp(tree.log_density(x)) for x in all_configs(4, 3))
+            assert abs(total - 1.0) <= 1e-12
 
     def test_all_complete_is_contract_violation(self):
         node = _node([0.0, 0.0], [0.0, 0.0], [1, 1], [True, True])
