@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logmath import NEG_INF, ZeroMassError, logsumexp, sample_softmax, sample_softmax_rows
+from .logmath import NEG_INF, ZeroMassError, logsumexp, logsumexp_rows, sample_softmax, sample_softmax_rows
 from .model import REWARD_EVAL, BudgetLedger, FactorGraph, Prefix
 
 
@@ -280,18 +280,6 @@ def gibbs(
 # ---------------------------------------------------------------------------
 
 
-def _lse_last(arr: np.ndarray) -> np.ndarray:
-    """logsumexp_rows over the last axis of a C-contiguous array, in its
-    arithmetic (np.log); rows of all -inf give -inf."""
-    m = arr.max(axis=-1)
-    if m.min() > NEG_INF:
-        return m + np.log(np.exp(arr - m[..., None]).sum(axis=-1))
-    safe = m > NEG_INF
-    shift = np.where(safe, m, 0.0)
-    total = np.exp(arr - shift[..., None]).sum(axis=-1)
-    return np.where(safe, shift + np.log(np.where(safe, total, 1.0)), NEG_INF)
-
-
 def _normalize_rows(vecs: np.ndarray) -> np.ndarray:
     """Subtract each row's logsumexp, in logsumexp's arithmetic (math.log);
     rows of all -inf stay as they are."""
@@ -394,7 +382,7 @@ class _LoopyBP:
             rows = rows + vf[idx]
         fv = np.empty((self.num_edges + 1, k))
         fv[self.edge_order] = np.concatenate(
-            [_lse_last(rows[lo:hi].reshape(-1, width)) for lo, hi, width in self.blocks]
+            [logsumexp_rows(rows[lo:hi].reshape(-1, width)) for lo, hi, width in self.blocks]
         ).reshape(-1, k)
         fv[:-1] = _normalize_rows(fv[:-1])
         fv[-1] = -0.0

@@ -9,14 +9,13 @@ softmax normalizations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .logmath import NEG_INF, logsumexp, logsumexp_rows
-from .model import FactorGraph, Prefix
+from .model import FactorGraph
 
 
 class StateSpaceCapError(RuntimeError):
@@ -24,18 +23,21 @@ class StateSpaceCapError(RuntimeError):
 
 
 def _level_rewards(graph: FactorGraph, depth: int) -> np.ndarray:
-    """Vector of depth-`depth` rewards over all K^depth prefixes, rank order."""
+    """Vector of depth-`depth` rewards over all K^depth prefixes, rank order.
+
+    The rewards live on a (K,) * depth grid, one axis per depth, so rank
+    order is the grid's row-major order. Each factor's table is reshaped to
+    its scope, its axes put in depth order, and broadcast onto the grid.
+    """
     k = graph.num_states
-    size = k**depth
-    total = np.zeros(size, dtype=np.float64)
-    ranks = np.arange(size, dtype=np.int64)
+    total = np.zeros((k,) * depth)
     for cf in graph.factors_at_depth(depth):
-        idx = np.zeros(size, dtype=np.int64)
-        for pos, stride in zip(cf.positions, cf.strides):
-            digit = (ranks // (k ** (depth - pos))) % k
-            idx += digit * stride
-        total += cf.table[idx]
-    return total
+        shape = [1] * depth
+        for pos in cf.positions:
+            shape[pos - 1] = k
+        table = cf.table.reshape((k,) * len(cf.positions)).transpose(np.argsort(cf.positions))
+        total += table.reshape(shape)
+    return total.reshape(-1)
 
 
 @dataclass
@@ -91,32 +93,47 @@ class ExactSolution:
             total += float(q[x[n] - 1]) - float(v)
         return total
 
-    def level_log_probs(self) -> list[np.ndarray]:
-        """Prefix marginals log P*(x_{<=n}) per level, rank order."""
-        k = self.num_states
-        out = [np.zeros(1)]
+    def _iter_level_log_probs(self):
+        """Prefix marginals log P*(x_{<=n}) for n = 1..N, rank order.
+
+        log P*(x_{<=n}) = log P*(x_{<n}) + (q - V) at the prefix's q row; a
+        zero-mass prefix (V = -inf) gives -inf children without -inf - -inf.
+        """
         logp = np.zeros(1)
-        for n in range(self.num_variables):
-            q = self.q_levels[n]
-            v = logsumexp_rows(q)
-            cond = np.where(v[:, None] > NEG_INF, q - v[:, None], NEG_INF)
-            logp = (logp[:, None] + cond).reshape(-1)
-            out.append(logp)
-        return out
+        for q in self.q_levels:
+            v = logsumexp_rows(q)[:, None]
+            safe = v > NEG_INF
+            if safe.all():
+                cond = q - v
+            else:
+                cond = np.subtract(q, v, out=np.full(q.shape, NEG_INF), where=safe)
+            cond += logp[:, None]
+            logp = cond.reshape(-1)
+            yield logp
+
+    def level_log_probs(self) -> list[np.ndarray]:
+        """Prefix marginals log P*(x_{<=n}) per level n = 0..N, rank order."""
+        return [np.zeros(1), *self._iter_level_log_probs()]
 
     def enumerate_log_joint(self) -> np.ndarray:
         """log P*(x) for all K^N configurations, prefix-rank order."""
-        return self.level_log_probs()[-1]
+        for logp in self._iter_level_log_probs():
+            pass
+        return logp
 
     def expected_log_density(self) -> float:
-        """E_{P*}[sum of factors] via level marginals and level rewards."""
+        """E_{P*}[sum of factors], as log Z minus the entropy."""
         return self.log_z - self.entropy()
 
     def entropy(self) -> float:
+        """-sum p log p over the configurations of positive probability."""
         logp = self.enumerate_log_joint()
         p = np.exp(logp)
         mask = p > 0
-        return float(-np.sum(p[mask] * logp[mask]))
+        if not mask.all():
+            p, logp = p[mask], logp[mask]
+        p *= logp
+        return float(-np.sum(p))
 
     def variable_marginals(self, graph: FactorGraph) -> np.ndarray:
         """(N, K) marginal table indexed by variable (row v-1)."""
@@ -139,10 +156,14 @@ def solve_exact(graph: FactorGraph, cap: int = 10**7) -> ExactSolution:
     if k**n > cap:
         raise StateSpaceCapError(f"state space {k}^{n} exceeds cap {cap}")
     q_levels: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    v_next = np.zeros(k**n)  # V_{N+1} is identically zero
+    # V_{N+1} is identically zero, and adding it would change no reward (a sum
+    # that starts from +0.0 is never -0.0), so the deepest level skips it
+    v_next = None
     for depth in range(n, 0, -1):
-        q = (_level_rewards(graph, depth) + v_next).reshape(-1, k)
-        q_levels[depth - 1] = q
+        q = _level_rewards(graph, depth)
+        if v_next is not None:
+            q += v_next
+        q = q_levels[depth - 1] = q.reshape(-1, k)
         v_next = logsumexp_rows(q)
     log_z = float(v_next[0])
     return ExactSolution(log_z=log_z, q_levels=q_levels, num_variables=n, num_states=k)
@@ -183,30 +204,23 @@ class ChainSolution:
 
     def pairwise_marginals(self) -> np.ndarray:
         """(N-1, K, K) joint marginals of consecutive positions."""
-        n = self.num_positions
-        out = np.zeros_like(self.pair)
-        for p in range(n - 1):
-            log_m = (
-                self.alpha[p][:, None]
-                + self.pair[p]
-                + self.unary[p + 1][None, :]
-                + self.beta[p + 1][None, :]
-                - self.log_z
-            )
-            out[p] = np.exp(log_m)
-        return out
+        log_m = (
+            self.alpha[:-1, :, None]
+            + self.pair
+            + self.unary[1:, None, :]
+            + self.beta[1:, None, :]
+            - self.log_z
+        )
+        return np.exp(log_m)
 
     def log_step_conditionals(self) -> tuple[np.ndarray, np.ndarray]:
         """(first, steps): log P*(x_1) of shape (K,) and log P*(x_{p+1}|x_p)
         of shape (N-1, K, K); rows for zero-mass predecessors stay -inf."""
         first = self.unary[0] + self.beta[0] - self.log_z
-        n = self.num_positions
-        steps = np.full_like(self.pair, NEG_INF)
-        for p in range(n - 1):
-            scores = self.pair[p] + self.unary[p + 1][None, :] + self.beta[p + 1][None, :]
-            norms = logsumexp_rows(scores)
-            ok = norms > NEG_INF
-            steps[p][ok] = scores[ok] - norms[ok, None]
+        scores = self.pair + self.unary[1:, None, :] + self.beta[1:, None, :]
+        norms = logsumexp_rows(scores)[..., None]
+        steps = np.subtract(scores, norms, out=np.full_like(scores, NEG_INF),
+                            where=norms > NEG_INF)
         return first, steps
 
     def log_joint(self, x: Sequence[int]) -> float:
@@ -267,74 +281,18 @@ def solve_chain(graph: FactorGraph) -> ChainSolution:
             else:
                 pair[pv - 1] += tbl.T
 
+    # emit[p] = pair[p] + unary[p+1] along the successor axis; pair_t[p] is
+    # pair[p] transposed, so the forward pass reduces contiguous rows
+    emit = pair + unary[1:, None, :]
+    pair_t = np.ascontiguousarray(pair.transpose(0, 2, 1))
     beta = np.zeros((n, k))
     for p in range(n - 2, -1, -1):
-        beta[p] = logsumexp_rows(pair[p] + unary[p + 1][None, :] + beta[p + 1][None, :])
+        beta[p] = logsumexp_rows(emit[p] + beta[p + 1])
     alpha = np.zeros((n, k))
     alpha[0] = unary[0]
     for p in range(n - 1):
-        alpha[p + 1] = unary[p + 1] + logsumexp_rows(
-            (alpha[p][:, None] + pair[p]).T
-        )
+        alpha[p + 1] = unary[p + 1] + logsumexp_rows(pair_t[p] + alpha[p])
     log_z = float(logsumexp(alpha[n - 1]))
     return ChainSolution(
         log_z=log_z, unary=unary, pair=pair, alpha=alpha, beta=beta, ordering=graph.ordering
     )
-
-
-# ---------------------------------------------------------------------------
-# KL divergence against an oracle.
-# ---------------------------------------------------------------------------
-
-
-def exact_kl(approx, oracle, num_samples: int = 10_000, seed: int = 0) -> float:
-    """D_KL[P_X || P*] against an exact oracle.
-
-    Atom approximations are summed exactly; sampler approximations (objects
-    with sample(rng) and log_density(x)) are estimated by Monte Carlo. A
-    configuration with positive approx mass but zero target mass yields +inf.
-    """
-    atoms = getattr(approx, "atoms", None)
-    if atoms is not None:
-        total = 0.0
-        for x, w in zip(atoms, approx.weights):
-            target = oracle.log_joint(x)
-            if target == NEG_INF:
-                return math.inf
-            total += w * (math.log(w) - target)
-        return total
-    rng = np.random.default_rng(seed)
-    terms = np.empty(num_samples)
-    for i in range(num_samples):
-        x = approx.sample(rng)
-        target = oracle.log_joint(x)
-        if target == NEG_INF:
-            return math.inf
-        terms[i] = approx.log_density(x) - target
-    return float(np.mean(terms))
-
-
-def kl_by_enumeration(log_density_fn, oracle, graph: FactorGraph, cap: int = 10**6) -> float:
-    """Exact D_KL[P_X || P*] by summing over the whole domain (small graphs)."""
-    n, k = graph.num_variables, graph.num_states
-    if k**n > cap:
-        raise StateSpaceCapError(f"enumeration over {k}^{n} exceeds cap {cap}")
-    total = 0.0
-    for rank in range(k**n):
-        x = _rank_to_prefix(rank, n, k)
-        lp = log_density_fn(x)
-        if lp == NEG_INF:
-            continue
-        target = oracle.log_joint(x)
-        if target == NEG_INF:
-            return math.inf
-        total += math.exp(lp) * (lp - target)
-    return total
-
-
-def _rank_to_prefix(rank: int, n: int, k: int) -> Prefix:
-    digits = []
-    for _ in range(n):
-        digits.append(rank % k + 1)
-        rank //= k
-    return tuple(reversed(digits))

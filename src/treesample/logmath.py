@@ -49,15 +49,43 @@ def logsumexp_list(values: list[float]) -> float:
 
 
 def logsumexp_rows(arr: np.ndarray) -> np.ndarray:
-    """Row-wise logsumexp over the last axis; all-(-inf) rows yield -inf."""
+    """Row-wise logsumexp over the last axis; all-(-inf) rows yield -inf.
+
+    Each row's sum runs in numpy's order for a row of that width. Below
+    PAIRWISE_SUM_MIN columns that is left to right, done here column by
+    column over the whole array; from PAIRWISE_SUM_MIN on it is numpy's
+    pairwise sum along a contiguous row, so the array is made C-contiguous
+    first (a transposed array would be summed column by column, which rounds
+    differently). An all-(-inf) row is shifted by 0 instead of its maximum.
+    """
     arr = np.asarray(arr, dtype=np.float64)
-    m = np.max(arr, axis=-1)
-    out = np.full(m.shape, NEG_INF)
-    safe = m > NEG_INF
-    if np.any(safe):
-        shifted = arr[safe] - m[safe, None]
-        out[safe] = m[safe] + np.log(np.sum(np.exp(shifted), axis=-1))
-    return out
+    rows = arr.reshape(-1, arr.shape[-1])
+    k = rows.shape[1]
+    if k < PAIRWISE_SUM_MIN:
+        m = rows[:, 0].copy()
+        for j in range(1, k):
+            np.maximum(m, rows[:, j], out=m)
+        shift = m if m.min() > NEG_INF else np.where(m > NEG_INF, m, 0.0)
+        total = np.subtract(rows[:, 0], shift)
+        np.exp(total, out=total)
+        term = np.empty_like(total)
+        for j in range(1, k):
+            np.subtract(rows[:, j], shift, out=term)
+            np.exp(term, out=term)
+            total += term
+    else:
+        rows = np.ascontiguousarray(rows)
+        m = rows.max(axis=1)
+        shift = m if m.min() > NEG_INF else np.where(m > NEG_INF, m, 0.0)
+        terms = rows - shift[:, None]
+        total = np.exp(terms, out=terms).sum(axis=1)
+    if shift is m:
+        total = np.log(total, out=total)
+        total += m
+    else:
+        safe = m > NEG_INF
+        total = np.where(safe, shift + np.log(np.where(safe, total, 1.0)), NEG_INF)
+    return total.reshape(arr.shape[:-1])
 
 
 def log_softmax(values: np.ndarray) -> np.ndarray:

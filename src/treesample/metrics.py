@@ -49,12 +49,18 @@ class EvalReport:
         return {k: enc(v) for k, v in self.__dict__.items()}
 
 
+def _atom_log_densities(atoms, graph: FactorGraph) -> list[float]:
+    """log-density of every atom, from one batched call."""
+    if not atoms:
+        return []
+    return graph.log_unnormalized_density_batch(atoms).tolist()
+
+
 def delta_kl_atoms(atoms, graph: FactorGraph) -> float:
     """Exact surrogate for an atom approximation:
     sum_i p_i log p_i - sum_i p_i * log-density(x_i). No sampling involved."""
     total = 0.0
-    for x, w in zip(atoms.atoms, atoms.weights):
-        ld = graph.log_unnormalized_density(x)
+    for w, ld in zip(atoms.weights, _atom_log_densities(atoms.atoms, graph)):
         if ld == NEG_INF:
             return math.inf
         total += w * (math.log(w) - ld)
@@ -125,8 +131,7 @@ def energy_entropy_deltas(approx, oracle, graph: FactorGraph, num_samples: int =
         return _oracle_deltas(oracle, est.energy, est.entropy)
     energy = 0.0
     entropy = 0.0
-    for x, w in zip(atoms, approx.weights):
-        ld = graph.log_unnormalized_density(x)
+    for w, ld in zip(approx.weights, _atom_log_densities(atoms, graph)):
         energy = energy + w * ld if ld > NEG_INF else NEG_INF
         entropy -= w * math.log(w)
     return _oracle_deltas(oracle, energy, entropy)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from treesample.model import Factor, FactorGraph
+from treesample.exact import StateSpaceCapError
+from treesample.logmath import NEG_INF
+from treesample.model import Factor, FactorGraph, Prefix
 
 
 def make_random_graph(
@@ -67,3 +70,56 @@ def brute_force_log_z(graph: FactorGraph) -> float:
     if m == -np.inf:
         return float("-inf")
     return float(m + np.log(np.sum(np.exp(vals - m))))
+
+
+def exact_kl(approx, oracle, num_samples: int = 10_000, seed: int = 0) -> float:
+    """D_KL[P_X || P*] against an exact oracle, through oracle.log_joint.
+
+    Atom approximations are summed exactly; sampler approximations (objects
+    with sample(rng) and log_density(x)) are estimated by Monte Carlo. A
+    configuration with positive approx mass but zero target mass yields +inf.
+    """
+    atoms = getattr(approx, "atoms", None)
+    if atoms is not None:
+        total = 0.0
+        for x, w in zip(atoms, approx.weights):
+            target = oracle.log_joint(x)
+            if target == NEG_INF:
+                return math.inf
+            total += w * (math.log(w) - target)
+        return total
+    rng = np.random.default_rng(seed)
+    terms = np.empty(num_samples)
+    for i in range(num_samples):
+        x = approx.sample(rng)
+        target = oracle.log_joint(x)
+        if target == NEG_INF:
+            return math.inf
+        terms[i] = approx.log_density(x) - target
+    return float(np.mean(terms))
+
+
+def kl_by_enumeration(log_density_fn, oracle, graph: FactorGraph, cap: int = 10**6) -> float:
+    """Exact D_KL[P_X || P*] by summing over the whole domain (small graphs)."""
+    n, k = graph.num_variables, graph.num_states
+    if k**n > cap:
+        raise StateSpaceCapError(f"enumeration over {k}^{n} exceeds cap {cap}")
+    total = 0.0
+    for rank in range(k**n):
+        x = _rank_to_prefix(rank, n, k)
+        lp = log_density_fn(x)
+        if lp == NEG_INF:
+            continue
+        target = oracle.log_joint(x)
+        if target == NEG_INF:
+            return math.inf
+        total += math.exp(lp) * (lp - target)
+    return total
+
+
+def _rank_to_prefix(rank: int, n: int, k: int) -> Prefix:
+    digits = []
+    for _ in range(n):
+        digits.append(rank % k + 1)
+        rank //= k
+    return tuple(reversed(digits))

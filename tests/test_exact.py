@@ -8,9 +8,8 @@ import pytest
 from treesample.exact import (
     ChainSolution,
     StateSpaceCapError,
-    exact_kl,
+    _level_rewards,
     is_chain,
-    kl_by_enumeration,
     solve_chain,
     solve_exact,
 )
@@ -25,7 +24,7 @@ from treesample.logmath import (
 )
 from treesample.model import Factor, FactorGraph
 
-from conftest import all_configs, brute_force_log_z, make_random_graph
+from conftest import all_configs, brute_force_log_z, exact_kl, kl_by_enumeration, make_random_graph
 
 
 def _graph(n, k, factors, ordering=None):
@@ -60,6 +59,66 @@ class TestLogsumexp:
 
     def test_ignores_neg_inf_entries(self):
         assert logsumexp(np.array([0.0, NEG_INF])) == pytest.approx(0.0)
+
+
+def _mask_copy_logsumexp_rows(arr):
+    """The former logsumexp_rows: a boolean-mask copy of the rows that are
+    not all -inf, reduced along their contiguous last axis."""
+    arr = np.asarray(arr, dtype=np.float64)
+    m = np.max(arr, axis=-1)
+    out = np.full(m.shape, NEG_INF)
+    safe = m > NEG_INF
+    if np.any(safe):
+        shifted = arr[safe] - m[safe, None]
+        out[safe] = m[safe] + np.log(np.sum(np.exp(shifted), axis=-1))
+    return out
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLogsumexpRowsBitwise:
+    """logsumexp_rows equals the former mask-copy routine bit for bit at
+    every width from 2 to 130, on both sides of numpy's pairwise summation,
+    with -inf entries and all -inf rows. The transposed inputs fail if the
+    pairwise branch sums a Fortran-ordered array along its last axis."""
+
+    @staticmethod
+    def _rows(rng, rows, k):
+        q = rng.normal(scale=3.0, size=(rows, k))
+        q[rng.random(q.shape) < 0.3] = NEG_INF
+        q[rng.random(rows) < 0.1] = NEG_INF
+        return q
+
+    def test_matches_mask_copy(self):
+        rng = np.random.default_rng(71)
+        for k in range(2, 131):
+            q = self._rows(rng, 60, k)
+            assert np.isneginf(q.max(axis=1)).any(), k
+            assert _same_bits(logsumexp_rows(q), _mask_copy_logsumexp_rows(q)), k
+            assert _same_bits(logsumexp_rows(q[7]), _mask_copy_logsumexp_rows(q[7])), k
+            cube = q.reshape(3, 20, k)
+            assert _same_bits(logsumexp_rows(cube), _mask_copy_logsumexp_rows(cube)), k
+
+    def test_transposed_input(self):
+        rng = np.random.default_rng(73)
+        for k in range(2, 131):
+            t = self._rows(rng, 60, k).T.copy().T  # Fortran order, same values
+            assert not t.flags.c_contiguous
+            assert _same_bits(logsumexp_rows(t), _mask_copy_logsumexp_rows(t)), k
+            square = self._rows(rng, k, k).T
+            assert _same_bits(logsumexp_rows(square), _mask_copy_logsumexp_rows(square)), k
+
+    def test_all_neg_inf_rows_without_warning(self):
+        for k in (2, 7, 8, 20):
+            q = np.full((4, k), NEG_INF)
+            q[1, 0] = 0.5
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = logsumexp_rows(q)
+            assert out.tolist() == [NEG_INF, 0.5, NEG_INF, NEG_INF]
 
 
 class TestSampleSoftmaxRows:
@@ -113,6 +172,45 @@ class TestLogsumexpList:
     def test_all_neg_inf(self):
         assert logsumexp_list([NEG_INF, NEG_INF]) == NEG_INF
         assert logsumexp_list([NEG_INF] * 9) == NEG_INF
+
+
+def _digit_gather_level_rewards(graph, depth):
+    """The former _level_rewards: each prefix rank split into base-K digits,
+    one integer array per scope position, and a gather from the table."""
+    k = graph.num_states
+    size = k**depth
+    total = np.zeros(size, dtype=np.float64)
+    ranks = np.arange(size, dtype=np.int64)
+    for cf in graph.factors_at_depth(depth):
+        idx = np.zeros(size, dtype=np.int64)
+        for pos, stride in zip(cf.positions, cf.strides):
+            digit = (ranks // (k ** (depth - pos))) % k
+            idx += digit * stride
+        total += cf.table[idx]
+    return total
+
+
+class TestLevelRewards:
+    def test_matches_digit_gather(self):
+        rng = np.random.default_rng(79)
+        arities = set()
+        for trial in range(60):
+            n, k = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+            g = make_random_graph(rng, n, k, num_extra_factors=5, max_scope=4,
+                                  shuffle_ordering=True, neg_inf_frac=0.2)
+            arities |= {len(f.scope) for f in g.factors}
+            for depth in range(1, n + 1):
+                got = _level_rewards(g, depth)
+                assert _same_bits(got, _digit_gather_level_rewards(g, depth)), (trial, depth)
+        assert arities == {1, 2, 3, 4}
+
+    def test_matches_reward(self):
+        rng = np.random.default_rng(83)
+        g = make_random_graph(rng, 4, 3, num_extra_factors=4, max_scope=4,
+                              shuffle_ordering=True, neg_inf_frac=0.2)
+        for depth in range(1, 5):
+            ref = [g.reward(x) for x in all_configs(depth, 3)]
+            assert _level_rewards(g, depth).tolist() == ref
 
 
 class TestSolveExact:

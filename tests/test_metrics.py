@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from treesample.baselines import WeightedAtoms
-from treesample.exact import exact_kl, solve_exact
+from treesample.exact import solve_exact
 from treesample.metrics import (
     EvalReport,
     delta_kl_atoms,
@@ -17,7 +17,7 @@ from treesample.model import Factor, FactorGraph
 from treesample.prior import HeuristicPrior
 from treesample.search import build_tree
 
-from conftest import all_configs, make_random_graph
+from conftest import all_configs, exact_kl, make_random_graph
 
 
 def _uniform_graph(n, k):
@@ -72,6 +72,62 @@ class TestDeltaKlAtoms:
         )
         atoms = WeightedAtoms(atoms=[(2,)], weights=[1.0])
         assert delta_kl_atoms(atoms, g) == math.inf
+
+
+def _scalar_atom_scores(atoms, graph):
+    """delta_kl_atoms and the atom energy and entropy of energy_entropy_deltas,
+    with one scalar log_unnormalized_density call per atom and sum."""
+    delta_kl, energy, entropy = 0.0, 0.0, 0.0
+    for x, w in zip(atoms.atoms, atoms.weights):
+        ld = graph.log_unnormalized_density(x)
+        delta_kl = delta_kl + w * (math.log(w) - ld) if ld > -math.inf else math.inf
+        energy = energy + w * ld if ld > -math.inf else -math.inf
+        entropy -= w * math.log(w)
+    return delta_kl, energy, entropy
+
+
+class TestBatchedAtomScoring:
+    """delta_kl_atoms and energy_entropy_deltas score every atom with one
+    batched call and give the bits of the per-atom scalar loop."""
+
+    def test_matches_scalar_loop_bitwise(self):
+        rng = np.random.default_rng(47)
+        inf_seen = False
+        for trial in range(30):
+            g = make_random_graph(rng, 5, 3, num_extra_factors=4, neg_inf_frac=0.1 * (trial % 3))
+            sol = solve_exact(g)
+            configs = list(all_configs(5, 3))
+            picks = rng.choice(len(configs), size=int(rng.integers(1, 40)), replace=False)
+            w = rng.random(len(picks))
+            w /= w.sum()
+            atoms = WeightedAtoms(atoms=[configs[i] for i in picks], weights=w.tolist())
+            ref_kl, ref_energy, ref_entropy = _scalar_atom_scores(atoms, g)
+            inf_seen |= ref_kl == math.inf
+            assert delta_kl_atoms(atoms, g) == ref_kl
+            h_star = sol.entropy()
+            de, dh = energy_entropy_deltas(atoms, sol, g)
+            assert de == (sol.log_z - h_star - ref_energy if ref_energy > -math.inf else math.inf)
+            assert dh == ref_entropy - h_star
+        assert inf_seen
+
+    def test_empty_atoms(self):
+        g = _uniform_graph(2, 2)
+        sol = solve_exact(g)
+        empty = WeightedAtoms(atoms=[], weights=[])
+        assert delta_kl_atoms(empty, g) == 0.0
+        assert energy_entropy_deltas(empty, sol, g) == (sol.log_z - sol.entropy(), -sol.entropy())
+
+    def test_zero_mass_atom_without_warning(self):
+        table = np.array([0.0, -np.inf])
+        g = FactorGraph(
+            num_variables=1, num_states=2,
+            factors=(Factor(id=0, scope=(1,), table=table),), ordering=(1,),
+        )
+        atoms = WeightedAtoms(atoms=[(1,), (2,)], weights=[0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert delta_kl_atoms(atoms, g) == math.inf
+            assert energy_entropy_deltas(atoms, solve_exact(g), g)[0] == math.inf
 
 
 class TestDeltaKlSampler:

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from treesample.exact import kl_by_enumeration, solve_exact
+from treesample.exact import solve_exact
 from treesample.logmath import NEG_INF, ZeroMassError
 from treesample.model import FACTOR_EVAL, REWARD_EVAL, BudgetLedger, Factor, FactorGraph
 from treesample.prior import HeuristicPrior, MLPValueFunction
 from treesample.search import TreeNode, backup, build_tree, expand, q_uct_select
 
-from conftest import ExactConditionalPrior, all_configs, make_random_graph
+from conftest import ExactConditionalPrior, all_configs, kl_by_enumeration, make_random_graph
 
 
 def _graph(n, k, factors, ordering=None):
