@@ -24,7 +24,6 @@ from .prior import (
     MLPValueFunction,
     ReplayBuffer,
     TrainConfig,
-    encode_prefix,
     load_checkpoint,
     save_checkpoint,
     train_loop,
@@ -57,7 +56,6 @@ __all__ = [
     "build_tree",
     "delta_kl_atoms",
     "delta_kl_sampler",
-    "encode_prefix",
     "energy_entropy_deltas",
     "evaluate_method",
     "expand",

@@ -12,9 +12,9 @@ Each sampler is an array program over all of its particles or messages:
   at once and draws each chain's value with sample_softmax_rows. Each site
   update reads exactly one uniform per chain: chain by chain, the stream
   holds the chain's initial state and then one uniform per site update, so
-  the draws equal a chain-at-a-time loop that calls sample_softmax. A zero-
-  mass conditional takes the uniform value min(int(u * K), K - 1) + 1 from
-  that same uniform u.
+  the draws equal a chain-at-a-time loop that draws each site from its own
+  softmax. A zero-mass conditional takes the uniform value
+  min(int(u * K), K - 1) + 1 from that same uniform u.
 - Loopy BP stores the messages as (edges, K) arrays, one edge per (factor,
   scope position), and a round reduces every factor->variable message of one
   arity in one pass. The sums and normalizers keep the order and arithmetic
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logmath import NEG_INF, ZeroMassError, logsumexp, logsumexp_rows, sample_softmax, sample_softmax_rows
+from .logmath import NEG_INF, ZeroMassError, logsumexp, logsumexp_rows, sample_softmax_rows
 from .model import REWARD_EVAL, BudgetLedger, FactorGraph, Prefix
 
 
@@ -77,10 +77,6 @@ class WeightedAtoms:
                 raise ValueError("atoms must be pairwise distinct")
             if any(w <= 0 for w in self.weights):
                 raise ValueError("weights must be positive after merging")
-
-    def sample(self, rng) -> Prefix:
-        i = int(np.searchsorted(np.cumsum(self.weights), rng.random(), side="right"))
-        return self.atoms[min(i, len(self.atoms) - 1)]
 
     def to_json_lines(self) -> str:
         return "".join(
@@ -150,7 +146,7 @@ def smc(
         raise ValueError("resample_threshold must lie in [0, 1]")
     n = graph.num_variables
     per_particle = graph.full_traversal_cost(cost_mode)
-    num = budget // per_particle if per_particle > 0 else budget
+    num = budget // per_particle
     if num < 1:
         raise BudgetTooSmallError(
             f"budget {budget} cannot pay for one rollout (cost {per_particle})"
@@ -216,8 +212,11 @@ def gibbs(
 
     One full-conditional update charges K reward-equivalents (it probes the K
     completions of the site's factors); under factor-level accounting it
-    charges K times the number of factors touching the site.
+    charges K times the number of factors touching the site. Raises
+    ValueError when num_sweeps is below 1.
     """
+    if num_sweeps < 1:
+        raise ValueError("num_sweeps must be at least 1")
     n, k = graph.num_variables, graph.num_states
     site_factors = {v: [] for v in range(1, n + 1)}
     for depth_factors in (graph.factors_at_depth(d) for d in range(1, n + 1)):
@@ -229,7 +228,7 @@ def gibbs(
     else:
         site_cost = {v: k * len(fs) for v, fs in site_factors.items()}
     per_sample = num_sweeps * sum(site_cost.values())
-    num = budget // per_sample if per_sample > 0 else budget
+    num = budget // per_sample
     if num < 1:
         raise BudgetTooSmallError(
             f"budget {budget} cannot pay for one sample (cost {per_sample})"
@@ -408,11 +407,14 @@ def bp_sample(
 ) -> WeightedAtoms:
     """Per sample: run message rounds, draw the next unsampled variable from
     its loopy-BP marginal, clamp it, and repeat through all variables in raw
-    index order. One round charges one reward-equivalent per factor."""
+    index order. One round charges one reward-equivalent per factor. Raises
+    ValueError when num_message_rounds is below 1."""
+    if num_message_rounds < 1:
+        raise ValueError("num_message_rounds must be at least 1")
     n = graph.num_variables
     round_cost = graph.num_factors
     per_sample = n * num_message_rounds * round_cost
-    num = budget // per_sample if per_sample > 0 else budget
+    num = budget // per_sample
     if num < 1:
         raise BudgetTooSmallError(
             f"budget {budget} cannot pay for one sample (cost {per_sample})"
@@ -431,7 +433,7 @@ def bp_sample(
             marg = state.log_marginal(v)
             if np.max(marg) == NEG_INF:
                 raise ZeroMassError(f"BP marginal of variable {v} has zero mass")
-            value = sample_softmax(marg, rng) + 1
+            value = int(sample_softmax_rows(marg[None, :], rng.random(1))[0][0]) + 1
             assignment[v - 1] = value
             state.clamp(v, value)
         particles[i] = graph.assignment_to_prefix(assignment)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -55,6 +56,12 @@ class RunConfig:
             raise ValueError("budget must be non-negative")
         if not 0.0 <= self.resample_threshold <= 1.0:
             raise ValueError("resample_threshold must lie in [0, 1]")
+        for name in ("metric_samples", "num_gibbs_sweeps", "num_message_rounds", "oracle_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("c", "epsilon"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails this too
+                raise ValueError(f"{name} must be finite and non-negative")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -73,7 +80,7 @@ def _load_prior(spec: str):
 
 
 def run_method(graph: FactorGraph, config: RunConfig, dump_tree_path=None):
-    """Build the configured approximation; returns (approx, extras dict)."""
+    """Build the configured approximation: a SearchTree or WeightedAtoms."""
     prior = _load_prior(config.prior)
     if config.method == "treesample":
         tree = build_tree(
@@ -82,7 +89,6 @@ def run_method(graph: FactorGraph, config: RunConfig, dump_tree_path=None):
             config.budget,
             c=config.c,
             epsilon=config.epsilon,
-            seed=config.run_seed,
             cost_mode=config.cost_mode,
         )
         if dump_tree_path:
@@ -170,13 +176,10 @@ def _run_config_from_args(args) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             data.update(json.load(fh))
-    for key in (
-        "method", "budget", "cost_mode", "c", "epsilon", "resample_threshold",
-        "num_gibbs_sweeps", "num_message_rounds", "metric_samples", "run_seed", "prior",
-    ):
-        value = getattr(args, key, None)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            data[key] = value
+            data[f.name] = value
     return RunConfig.from_dict(data)
 
 
@@ -208,21 +211,15 @@ _BENCH_COLUMNS = [
 
 def _bench_cell(task: dict) -> dict:
     spec = GeneratorSpec(**task["spec"])
-    row = {
-        "family": spec.family, "n": spec.n, "k": spec.k, "method": task["method"],
-        "budget": task["budget"], "instance_seed": spec.seed, "run_seed": task["run_seed"],
-        "delta_kl": None, "kl": None, "log_z": None, "delta_energy": None,
-        "delta_entropy": None, "stderr": None, "budget_spent": None, "error": None,
-    }
+    row = dict.fromkeys(_BENCH_COLUMNS)
+    row.update(family=spec.family, n=spec.n, k=spec.k, method=task["method"],
+               budget=task["budget"], instance_seed=spec.seed, run_seed=task["run_seed"])
     try:
         graph = generate(spec)
         config = RunConfig.from_dict(dict(task["config"], method=task["method"],
                                           budget=task["budget"], run_seed=task["run_seed"]))
         _, report = evaluate_run(graph, config)
-        data = report.to_json_dict()
-        for key in ("delta_kl", "kl", "log_z", "delta_energy", "delta_entropy",
-                    "stderr", "budget_spent"):
-            row[key] = data.get(key)
+        row.update((key, value) for key, value in report.to_json_dict().items() if key in row)
     except Exception as exc:  # per-cell failures leave null metrics
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -429,10 +426,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, GenerationError, FileNotFoundError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StateSpaceCapError as exc:
+    except (ValueError, TypeError, GenerationError, FileNotFoundError, KeyError,
+            StateSpaceCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failures

@@ -66,12 +66,6 @@ class ExactSolution:
             raise ValueError("no actions below a complete configuration")
         return self.q_levels[n][self.prefix_rank(prefix)]
 
-    def value(self, prefix: Sequence[int]) -> float:
-        """Optimal value of the subproblem below this prefix; 0 at full depth."""
-        if len(prefix) == self.num_variables:
-            return 0.0
-        return float(logsumexp(self.q_values(prefix)))
-
     def conditional(self, prefix: Sequence[int]) -> np.ndarray:
         """Target conditional probabilities of the next variable given prefix."""
         q = self.q_values(prefix)
@@ -145,9 +139,6 @@ class ExactSolution:
             axes = tuple(d for d in range(n) if d != depth - 1)
             out[graph.ordering[depth - 1] - 1] = probs.sum(axis=axes)
         return out
-
-    def to_json_dict(self) -> dict:
-        return {"log_z": self.log_z, "n": self.num_variables, "k": self.num_states}
 
 
 def solve_exact(graph: FactorGraph, cap: int = 10**7) -> ExactSolution:

@@ -13,6 +13,12 @@ import numpy as np
 NEG_INF = float("-inf")
 
 
+def json_float(v: float) -> float | str:
+    """v as a JSON value: finite floats as they are, -inf, inf and NaN as the
+    strings "-inf", "inf" and "nan" (JSON has no non-finite numbers)."""
+    return v if math.isfinite(v) else str(v)
+
+
 def logsumexp(values: np.ndarray) -> float:
     """log(sum(exp(values))) with max-shift; all-(-inf) input yields -inf."""
     values = np.asarray(values, dtype=np.float64)
@@ -88,37 +94,15 @@ def logsumexp_rows(arr: np.ndarray) -> np.ndarray:
     return total.reshape(arr.shape[:-1])
 
 
-def log_softmax(values: np.ndarray) -> np.ndarray:
-    """Per-entry log probability of softmax(values); -inf entries get -inf."""
-    lse = logsumexp(values)
-    if lse == NEG_INF:
-        raise ZeroMassError("softmax of an all-(-inf) vector is undefined")
-    return np.asarray(values, dtype=np.float64) - lse
-
-
-def softmax(values: np.ndarray) -> np.ndarray:
-    """Normalized probabilities exp(values)/sum; raises on all-(-inf)."""
-    values = np.asarray(values, dtype=np.float64)
-    m = float(np.max(values))
-    if m == NEG_INF:
-        raise ZeroMassError("softmax of an all-(-inf) vector is undefined")
-    p = np.exp(values - m)
-    return p / p.sum()
-
-
-def sample_softmax(values: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw a 0-based index from softmax(values)."""
-    p = softmax(values)
-    return int(np.searchsorted(np.cumsum(p), rng.random(), side="right").clip(0, len(p) - 1))
-
-
 def sample_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sample_softmax of each row of q at its uniform in u, and the log
-    probability of each draw; q may also be one (1, K) row shared by all.
+    """A 0-based draw from softmax of each row of q at its uniform in u, and
+    the log probability of each draw; q may also be one (1, K) row shared by
+    all. Raises ZeroMassError when a row is all -inf.
 
-    The arithmetic is sample_softmax's and logsumexp's, the log included
-    (math.log, which can differ from np.log in the last bit), so each draw and
-    each log probability equals the scalar path's bit for bit.
+    A draw is the first index whose cumulative probability exceeds u. The
+    log probability is the row entry minus the row's logsumexp, in
+    logsumexp's arithmetic (math.log, which can differ from np.log in the
+    last bit), so it equals q[a] - logsumexp(q) bit for bit.
     """
     m = q.max(axis=1)
     if m.min() == NEG_INF:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .logmath import NEG_INF
+from .logmath import NEG_INF, json_float
 from .model import FactorGraph
 
 
@@ -37,41 +37,16 @@ class EvalReport:
     wall_clock_s: float | None = None  # telemetry only, excluded from determinism
 
     def to_json_dict(self) -> dict:
-        def enc(v):
-            if v is None or isinstance(v, (int, str)):
-                return v
-            if math.isnan(v):
-                return "nan"
-            if math.isinf(v):
-                return "inf" if v > 0 else "-inf"
-            return v
-
-        return {k: enc(v) for k, v in self.__dict__.items()}
-
-
-def _atom_log_densities(atoms, graph: FactorGraph) -> list[float]:
-    """log-density of every atom, from one batched call."""
-    if not atoms:
-        return []
-    return graph.log_unnormalized_density_batch(atoms).tolist()
-
-
-def delta_kl_atoms(atoms, graph: FactorGraph) -> float:
-    """Exact surrogate for an atom approximation:
-    sum_i p_i log p_i - sum_i p_i * log-density(x_i). No sampling involved."""
-    total = 0.0
-    for w, ld in zip(atoms.weights, _atom_log_densities(atoms.atoms, graph)):
-        if ld == NEG_INF:
-            return math.inf
-        total += w * (math.log(w) - ld)
-    return total
+        return {k: json_float(v) if isinstance(v, float) else v for k, v in self.__dict__.items()}
 
 
 class SamplerEstimate(NamedTuple):
     """Monte Carlo estimates from one set of draws x_i ~ q.
 
     delta_kl = mean(log q(x_i) - log-density(x_i)) with its standard error,
-    energy = mean(log-density(x_i)) and entropy = -mean(log q(x_i)).
+    energy = mean(log-density(x_i)) and entropy = -mean(log q(x_i)). For an
+    atom approximation the means are exact sums over the atoms' weights, and
+    the standard error is 0.
     """
 
     delta_kl: float
@@ -107,15 +82,43 @@ def delta_kl_sampler(sampler, graph: FactorGraph, num_samples: int, seed: int = 
     return sampler_estimate(log_q, graph.log_unnormalized_density_batch(xs))
 
 
-def _oracle_deltas(oracle, e_approx: float, h_approx: float):
-    """(delta_energy, delta_entropy) of an approximation's energy and entropy.
+def _atoms_estimate(approx, graph: FactorGraph) -> SamplerEstimate:
+    """SamplerEstimate of an atom approximation, scoring every atom in one
+    batched call. A zero-mass atom (log-density -inf, weight > 0) makes
+    delta_kl +inf and the energy -inf."""
+    atoms = approx.atoms
+    log_densities = graph.log_unnormalized_density_batch(atoms).tolist() if atoms else []
+    delta_kl = energy = entropy = 0.0
+    for w, ld in zip(approx.weights, log_densities):
+        log_w = math.log(w)
+        delta_kl += w * (log_w - ld)
+        energy += w * ld
+        entropy -= w * log_w
+    return SamplerEstimate(delta_kl, 0.0, energy, entropy)
+
+
+def delta_kl_atoms(atoms, graph: FactorGraph) -> float:
+    """Exact surrogate for an atom approximation:
+    sum_i p_i log p_i - sum_i p_i * log-density(x_i). No sampling involved."""
+    return _atoms_estimate(atoms, graph).delta_kl
+
+
+def _estimate(approx, graph: FactorGraph, num_samples: int, seed: int) -> SamplerEstimate:
+    """Exact for atoms; num_samples Monte Carlo draws for samplers."""
+    if getattr(approx, "atoms", None) is not None:
+        return _atoms_estimate(approx, graph)
+    return delta_kl_sampler(approx, graph, num_samples, seed)
+
+
+def _oracle_deltas(oracle, est: SamplerEstimate):
+    """(delta_energy, delta_entropy) of an estimate's energy and entropy.
 
     The oracle's entropy H* is computed once, and E* = log Z - H*.
     """
     h_star = oracle.entropy()
     e_star = oracle.log_z - h_star
-    delta_energy = e_star - e_approx if e_approx > NEG_INF else math.inf
-    return delta_energy, h_approx - h_star
+    delta_energy = e_star - est.energy if est.energy > NEG_INF else math.inf
+    return delta_energy, est.entropy - h_star
 
 
 def energy_entropy_deltas(approx, oracle, graph: FactorGraph, num_samples: int = 10_000, seed: int = 0):
@@ -125,16 +128,7 @@ def energy_entropy_deltas(approx, oracle, graph: FactorGraph, num_samples: int =
     delta_entropy = H[approx] - H[P*] (higher is better). Exact for atoms,
     by Monte Carlo over num_samples draws for samplers.
     """
-    atoms = getattr(approx, "atoms", None)
-    if atoms is None:
-        est = delta_kl_sampler(approx, graph, num_samples, seed)
-        return _oracle_deltas(oracle, est.energy, est.entropy)
-    energy = 0.0
-    entropy = 0.0
-    for w, ld in zip(approx.weights, _atom_log_densities(atoms, graph)):
-        energy = energy + w * ld if ld > NEG_INF else NEG_INF
-        entropy -= w * math.log(w)
-    return _oracle_deltas(oracle, energy, entropy)
+    return _oracle_deltas(oracle, _estimate(approx, graph, num_samples, seed))
 
 
 def evaluate_method(
@@ -147,35 +141,24 @@ def evaluate_method(
     budget: int | None = None,
 ) -> EvalReport:
     """Full report for one finished approximation; exact KL and the
-    energy/entropy split are filled in only when an oracle is available."""
+    energy/entropy split are filled in only when an oracle is available.
+    The split comes from the same atoms or draws as the ΔKL estimate."""
+    est = _estimate(approx, graph, num_samples, seed)
     atoms = getattr(approx, "atoms", None)
-    if atoms is not None:
-        delta_kl = delta_kl_atoms(approx, graph)
-        stderr = 0.0
-        num = len(atoms)
-    else:
-        est = delta_kl_sampler(approx, graph, num_samples, seed)
-        delta_kl, stderr = est.delta_kl, est.stderr
-        num = num_samples
     spent = getattr(approx, "budget_spent", None)
     if spent is None:
         spent = getattr(getattr(approx, "ledger", None), "spent", None)
     report = EvalReport(
         method=method,
-        delta_kl=delta_kl,
-        num_samples=num,
-        stderr=stderr,
+        delta_kl=est.delta_kl,
+        num_samples=num_samples if atoms is None else len(atoms),
+        stderr=est.stderr,
         budget=budget,
         budget_spent=spent,
     )
     if oracle is not None:
         report.log_z = oracle.log_z
-        report.kl = delta_kl + oracle.log_z
-        if atoms is not None:
-            de, dh = energy_entropy_deltas(approx, oracle, graph)
-        else:  # the same draws as the ΔKL estimate
-            de, dh = _oracle_deltas(oracle, est.energy, est.entropy)
-        report.delta_energy = de
-        report.delta_entropy = dh
+        report.kl = est.delta_kl + oracle.log_z
+        report.delta_energy, report.delta_entropy = _oracle_deltas(oracle, est)
         report.oracle = type(oracle).__name__
     return report

@@ -9,13 +9,12 @@ ordering. Factor tables are dense log-values, -inf allowed, +inf/NaN rejected.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .logmath import NEG_INF
+from .logmath import json_float
 
 REWARD_EVAL = "reward_eval"
 FACTOR_EVAL = "factor_eval"
@@ -214,13 +213,6 @@ class FactorGraph:
         """Reorder a by-variable assignment (index v-1) into depth order."""
         return tuple(assignment[v - 1] for v in self.ordering)
 
-    def prefix_to_assignment(self, prefix: Sequence[int]) -> tuple[int, ...]:
-        """Inverse of assignment_to_prefix for complete prefixes."""
-        out = [0] * self.num_variables
-        for depth, v in enumerate(self.ordering):
-            out[v - 1] = prefix[depth]
-        return tuple(out)
-
 
 @dataclass
 class BudgetLedger:
@@ -260,10 +252,8 @@ class BudgetLedger:
 
 
 def graph_to_json_dict(graph: FactorGraph) -> dict:
-    factors = []
-    for f in graph.factors:
-        table = [v if math.isfinite(v) else "-inf" for v in f.table.tolist()]
-        factors.append({"scope": list(f.scope), "log_table": table})
+    factors = [{"scope": list(f.scope), "log_table": [json_float(v) for v in f.table.tolist()]}
+               for f in graph.factors]
     return {
         "n": graph.num_variables,
         "k": graph.num_states,
@@ -275,9 +265,7 @@ def graph_to_json_dict(graph: FactorGraph) -> dict:
 def graph_from_json_dict(data: dict) -> FactorGraph:
     factors = []
     for i, fd in enumerate(data["factors"]):
-        table = np.array(
-            [NEG_INF if v == "-inf" else float(v) for v in fd["log_table"]], dtype=np.float64
-        )
+        table = np.array(fd["log_table"], dtype=np.float64)  # parses the "-inf" strings
         factors.append(Factor(id=i, scope=tuple(fd["scope"]), table=table))
     return FactorGraph(
         num_variables=int(data["n"]),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,35 +45,29 @@ def _prefix_lengths(prefixes) -> np.ndarray:
     return np.fromiter(map(len, prefixes), dtype=np.int64, count=len(prefixes))
 
 
-def encode_prefix(graph: FactorGraph, prefix) -> np.ndarray:
-    """Fixed-width encoding: per variable, K one-hot slots plus an
-    unassigned flag in slot K+1. Injective over prefixes."""
-    n, k = graph.num_variables, graph.num_states
-    out = np.zeros(n * (k + 1))
-    assigned = {graph.ordering[d]: prefix[d] for d in range(len(prefix))}
-    for v in range(1, n + 1):
-        base = (v - 1) * (k + 1)
-        if v in assigned:
-            out[base + assigned[v] - 1] = 1.0
-        else:
-            out[base + k] = 1.0
-    return out
-
-
 def encode_batch(graph: FactorGraph, prefixes) -> np.ndarray:
-    """encode_prefix of every prefix as rows. prefixes is a sequence of
-    tuples or an (R, d) int array of equal-length prefixes."""
+    """Fixed-width encoding of every prefix as one row: per variable, K one-hot
+    slots plus an unassigned flag in slot K+1. Injective over prefixes.
+
+    prefixes is a sequence of tuples or an (R, d) int array of equal-length
+    prefixes. Value x at depth d, with x = K+1 for an unassigned variable,
+    sets slot base[d] + x, where base[d] = (v - 1)(K + 1) - 1 for the
+    variable v assigned at depth d. Tuples are encoded row by row with one
+    fancy assignment each, which on a single prefix (MLPValueFunction.evaluate,
+    once per tree expansion) costs less than building an (R, N) value array.
+    """
     n, k = graph.num_variables, graph.num_states
-    values = np.zeros((len(prefixes), n), dtype=np.int64)  # depth order, 0 = unassigned
+    base = [(v - 1) * (k + 1) - 1 for v in graph.ordering]
+    out = np.zeros((len(prefixes), n * (k + 1)))
     if isinstance(prefixes, np.ndarray):
+        values = np.full((len(prefixes), n), k + 1, dtype=np.int64)
         values[:, : prefixes.shape[1]] = prefixes
-    else:
-        for i, p in enumerate(prefixes):
-            values[i, : len(p)] = p
-    variable_base = (np.asarray(graph.ordering) - 1) * (k + 1)
-    slots = variable_base + np.where(values > 0, values - 1, k)
-    out = np.zeros((len(values), n * (k + 1)))
-    np.put_along_axis(out, slots, 1.0, axis=1)
+        np.put_along_axis(out, np.array(base) + values, 1.0, axis=1)
+        return out
+    unassigned = [b + k + 1 for b in base]
+    for row, prefix in zip(out, prefixes):
+        d = len(prefix)
+        row[[b + x for b, x in zip(base, prefix)] + unassigned[d:]] = 1.0
     return out
 
 
@@ -169,7 +163,7 @@ class MLPValueFunction:
     # -- prior interface ---------------------------------------------------
 
     def evaluate(self, graph: FactorGraph, prefix) -> np.ndarray:
-        return self.forward(encode_prefix(graph, prefix)[None, :])[0]
+        return self.forward(encode_batch(graph, [prefix]))[0]
 
     def evaluate_batch(self, graph: FactorGraph, prefixes) -> np.ndarray:
         """evaluate() of every prefix, equal to it bit for bit: each row is
@@ -272,21 +266,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
 
     def to_json_dict(self) -> dict:
-        return {
-            "episodes": self.episodes,
-            "budget_per_episode": self.budget_per_episode,
-            "samples_per_episode": self.samples_per_episode,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-            "replay_capacity": self.replay_capacity,
-            "clamp_floor": self.clamp_floor,
-            "c": self.c,
-            "epsilon": self.epsilon,
-            "smc_threshold": self.smc_threshold,
-            "cost_mode": self.cost_mode,
-            "metric_samples": self.metric_samples,
-        }
+        return asdict(self)
 
 
 def _smc_step_targets(atoms, weights, num_particles: int, k: int):
@@ -346,8 +326,7 @@ def train_loop(graph: FactorGraph, algo: str, config: TrainConfig,
 
         if algo == "treesample":
             tree = build_tree(graph, mlp, config.budget_per_episode, c=config.c,
-                              epsilon=config.epsilon, seed=build_seed,
-                              cost_mode=config.cost_mode)
+                              epsilon=config.epsilon, cost_mode=config.cost_mode)
             xs, log_q = tree.sample_batch(config.samples_per_episode, draw_rng)
             delta_kl = sampler_estimate(log_q, graph.log_unnormalized_density_batch(xs)).delta_kl
             for x in map(tuple, xs.tolist()):
@@ -376,8 +355,9 @@ def train_loop(graph: FactorGraph, algo: str, config: TrainConfig,
                         if t is not None:
                             pairs.append((x[:d], t))
 
-        for prefix, target in pairs:
-            replay.add(encode_prefix(graph, prefix), target)
+        encoded = encode_batch(graph, [prefix for prefix, _ in pairs])
+        for x, (_, target) in zip(encoded, pairs):
+            replay.add(x, target)
 
         learn_rng = np.random.default_rng(learn_seed)
         losses = []

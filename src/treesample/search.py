@@ -8,14 +8,15 @@ path. Fully expanded subtrees are flagged complete and never revisited;
 their values are exact. Sampling from the finished tree walks root to leaf
 through softmax distributions, falling back to the prior once it leaves the
 tree, and costs no budget. SearchTree.sample_batch draws many samples in one
-pass, returning each one's log-probability with it; sample() is its one-row
-case and log_density() the per-configuration reference.
+pass from a generator the caller passes, returning each one's
+log-probability with it; sample() is its one-row case and log_density() the
+per-configuration reference. The build itself draws no random numbers.
 
 A node holds K-entry Python lists, not numpy arrays: a traversal touches
 every node on its path, and at K of 2 to 10 the fixed cost of a numpy call
 is many times the arithmetic it does. The per-level work (q_uct_select,
 backup, TreeNode.value) is scalar Python in the same operation order as
-the array code it replaced, so fixed seeds build the same trees bit for bit.
+the array code it replaced, so the trees are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .logmath import NEG_INF, logsumexp, logsumexp_list, sample_softmax_rows
+from .logmath import NEG_INF, json_float, logsumexp, logsumexp_list, sample_softmax_rows
 from .model import REWARD_EVAL, BudgetLedger, FactorGraph, Prefix
 
 
@@ -65,15 +66,8 @@ class SearchTree:
     graph: FactorGraph
     prior: object
     ledger: BudgetLedger
-    c: float
-    epsilon: float
-    seed: int
     root: TreeNode | None = None
     nodes: dict[Prefix, TreeNode] = field(default_factory=dict)
-
-    @property
-    def num_expansions(self) -> int:
-        return len(self.nodes)
 
     def root_complete(self) -> bool:
         return self.root is not None and self.root.complete
@@ -82,17 +76,12 @@ class SearchTree:
         """Estimate of log Z; exact once the root is complete. None if empty."""
         return None if self.root is None else self.root.value()
 
-    def _as_rng(self, rng) -> np.random.Generator:
-        if isinstance(rng, np.random.Generator):
-            return rng
-        return np.random.default_rng(self.seed if rng is None else rng)
-
-    def sample(self, rng=None) -> Prefix:
+    def sample(self, rng: np.random.Generator) -> Prefix:
         """One complete configuration: the one-row case of sample_batch."""
         xs, _ = self.sample_batch(1, rng)
         return tuple(xs[0].tolist())
 
-    def sample_batch(self, num_samples: int, rng=None) -> tuple[np.ndarray, np.ndarray]:
+    def sample_batch(self, num_samples: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """(xs, log_q): num_samples configurations and their log-probabilities.
 
         xs is an (S, N) int array of values 1..K; log_q[i] equals
@@ -103,8 +92,7 @@ class SearchTree:
         vectorised draw; the particles that have left the tree are scored by
         one prior.evaluate_batch call per depth. Costs no budget.
         """
-        rng = self._as_rng(rng)
-        n, k = self.graph.num_variables, self.graph.num_states
+        n = self.graph.num_variables
         u = rng.random((num_samples, n))
         xs = np.empty((num_samples, n), dtype=np.int64)
         log_q = np.zeros(num_samples)
@@ -147,17 +135,14 @@ class SearchTree:
         return total
 
     def dump_json_dict(self) -> dict:
-        def enc(v):
-            return v if math.isfinite(v) else "-inf"
-
         nodes = []
         for prefix in sorted(self.nodes, key=lambda p: (len(p), p)):
             node = self.nodes[prefix]
             nodes.append(
                 {
                     "prefix": list(prefix),
-                    "reward": enc(node.reward),
-                    "q": [enc(v) for v in node.q],
+                    "reward": json_float(node.reward),
+                    "q": [json_float(v) for v in node.q],
                     "eta": node.eta,
                     "complete": [bool(b) for b in node.complete_children],
                 }
@@ -250,7 +235,6 @@ def build_tree(
     budget: int,
     c: float = 2.0,
     epsilon: float = 0.1,
-    seed: int = 0,
     cost_mode: str = REWARD_EVAL,
 ) -> SearchTree:
     """Run traversals until the root completes or the next one may not be payable.
@@ -258,10 +242,11 @@ def build_tree(
     The loop guard reserves the worst-case cost of a single expansion (one
     reward evaluation, or all M factors under factor-level accounting), so a
     started traversal always completes and the ledger never overruns. The
-    result is a deterministic function of all arguments.
+    build draws no random numbers: the tree is a deterministic function of
+    the arguments.
     """
     ledger = BudgetLedger(budget=budget, cost_mode=cost_mode)
-    tree = SearchTree(graph=graph, prior=prior, ledger=ledger, c=c, epsilon=epsilon, seed=seed)
+    tree = SearchTree(graph=graph, prior=prior, ledger=ledger)
     worst_cost = graph.num_factors if cost_mode != REWARD_EVAL else 1
     while ledger.remaining >= worst_cost and not tree.root_complete():
         if tree.root is None:

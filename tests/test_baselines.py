@@ -60,12 +60,6 @@ class TestWeightedAtoms:
         assert back.atoms == wa.atoms
         assert back.weights == wa.weights
 
-    def test_sample_respects_weights(self):
-        wa = WeightedAtoms(atoms=[(1,), (2,)], weights=[0.9, 0.1])
-        rng = np.random.default_rng(0)
-        hits = sum(wa.sample(rng) == (1,) for _ in range(5000))
-        assert 4300 < hits < 4700
-
 
 class TestEffectiveSampleSize:
     def test_uniform_is_count(self):
@@ -221,10 +215,10 @@ class TestGibbs:
         sol = solve_exact(g)
         exact = sol.variable_marginals(g)
         result = gibbs(g, num_sweeps=50, budget=50 * 6 * 3000, seed=7)
+        assert g.ordering == (1, 2, 3)  # so each atom is also the by-variable assignment
         marg = np.zeros((3, 2))
         for x, w in zip(result.atoms, result.weights):
-            assignment = g.prefix_to_assignment(x)
-            for v, val in enumerate(assignment, start=1):
+            for v, val in enumerate(x, start=1):
                 marg[v - 1][val - 1] += w
         tv = 0.5 * np.abs(marg - exact).sum(axis=1).max()
         assert tv < 0.02
@@ -246,6 +240,8 @@ class TestGibbs:
         # one sample costs 4 sweeps * 3 sites * K=2 -> 24 units; 4 samples fit
         assert result.num_particles == 4
         assert result.budget_spent == 96
+        with pytest.raises(ValueError, match="num_sweeps"):
+            gibbs(g, num_sweeps=0, budget=100, seed=0)
 
     def test_site_updates_are_sample_softmax_rows_draws(self):
         # Gibbs replayed by hand: each chain's stream is its initial state and
@@ -328,6 +324,8 @@ class TestBpSample:
         assert sum(result.weights) == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(BudgetTooSmallError):
             bp_sample(g, num_message_rounds=2, budget=55, seed=1)
+        with pytest.raises(ValueError, match="num_message_rounds"):
+            bp_sample(g, num_message_rounds=0, budget=200, seed=1)
 
     def test_messages_equal_message_at_a_time_rounds(self):
         # the stacked rounds against one logsumexp_rows/logsumexp call per

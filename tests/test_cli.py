@@ -30,6 +30,11 @@ class TestRunConfig:
             RunConfig.from_dict({"method": "nope", "budget": 10})
         with pytest.raises(ValueError):
             RunConfig.from_dict({"method": "sis", "budget": -1})
+        for key, value in (("metric_samples", 0), ("num_gibbs_sweeps", 0),
+                           ("num_message_rounds", 0), ("oracle_cap", 0), ("c", -1.0),
+                           ("c", float("nan")), ("epsilon", -0.1), ("epsilon", float("inf"))):
+            with pytest.raises(ValueError, match=key):
+                RunConfig.from_dict({"method": "sis", "budget": 10, key: value})
 
 
 class TestGenerate:
@@ -141,6 +146,20 @@ class TestRun:
         err = json.loads(capsys.readouterr().out)
         assert err["error"] in ("ZeroMassError", "DegenerateSampleError")
         assert err["method"] == method
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("method, flag", [("gibbs", "--num-gibbs-sweeps"),
+                                              ("bp", "--num-message-rounds"),
+                                              ("treesample", "--metric-samples")])
+    def test_zero_count_rejected(self, tmp_path, capsys, method, flag):
+        # zero sweeps or rounds would make a sample cost nothing; zero metric
+        # samples would average an empty set of draws
+        instance = _uniform_instance(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", str(instance), "--method", method, "--budget", "100",
+                         flag, "0", "--no-telemetry"])
+        assert code == 2
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_config_file_with_unknown_key(self, tmp_path, capsys):

@@ -19,7 +19,6 @@ from treesample.logmath import (
     logsumexp,
     logsumexp_list,
     logsumexp_rows,
-    sample_softmax,
     sample_softmax_rows,
 )
 from treesample.model import Factor, FactorGraph
@@ -125,6 +124,13 @@ class TestSampleSoftmaxRows:
     """The row-wise draw equals sample_softmax and logsumexp bit for bit,
     for widths on both sides of numpy's 8-way and 128-block summation."""
 
+    @staticmethod
+    def sample_softmax(values, rng):
+        """Reference draw: one 0-based index from softmax(values) at rng.random()."""
+        p = np.exp(values - float(np.max(values)))
+        p = p / p.sum()
+        return int(np.searchsorted(np.cumsum(p), rng.random(), side="right").clip(0, len(p) - 1))
+
     def test_rows_match_scalar_path(self):
         rng = np.random.default_rng(3)
         rows = 2000  # np.log differs from math.log on about 1 in 300 sums here
@@ -137,7 +143,7 @@ class TestSampleSoftmaxRows:
             replay = iter(u.tolist())
             scalar = SimpleNamespace(random=lambda: next(replay))
             for row, ai, lp in zip(q, a.tolist(), logp.tolist()):
-                assert ai == sample_softmax(row, scalar)
+                assert ai == self.sample_softmax(row, scalar)
                 assert lp == float(row[ai]) - logsumexp(row)
 
     def test_shared_row(self):

@@ -135,13 +135,13 @@ class TestDeltaKlSampler:
         rng = np.random.default_rng(17)
         g = make_random_graph(rng, 3, 2, num_extra_factors=2)
         sol = solve_exact(g)
-        tree = build_tree(g, HeuristicPrior(), budget=2 + 4 + 8, seed=1)
+        tree = build_tree(g, HeuristicPrior(), budget=2 + 4 + 8)
         est, stderr, *_ = delta_kl_sampler(tree, g, num_samples=4000, seed=3)
         assert abs(est - (-sol.log_z)) < max(3 * stderr, 1e-9)
 
     def test_constant_integrand_has_zero_stderr(self):
         g = _uniform_graph(3, 2)
-        tree = build_tree(g, HeuristicPrior(), budget=0, seed=1)
+        tree = build_tree(g, HeuristicPrior(), budget=0)
         est, stderr, *_ = delta_kl_sampler(tree, g, num_samples=100, seed=5)
         assert est == pytest.approx(-3 * math.log(2), abs=1e-12)
         assert stderr == pytest.approx(0.0, abs=1e-13)
@@ -149,7 +149,7 @@ class TestDeltaKlSampler:
     def test_seed_invariance_within_stderr(self):
         rng = np.random.default_rng(19)
         g = make_random_graph(rng, 4, 2, num_extra_factors=2)
-        tree = build_tree(g, HeuristicPrior(), budget=12, seed=2)
+        tree = build_tree(g, HeuristicPrior(), budget=12)
         e1, s1, *_ = delta_kl_sampler(tree, g, num_samples=4000, seed=101)
         e2, s2, *_ = delta_kl_sampler(tree, g, num_samples=4000, seed=202)
         assert abs(e1 - e2) < 4 * math.hypot(s1, s2)
@@ -157,7 +157,7 @@ class TestDeltaKlSampler:
     def test_stderr_shrinks_like_sqrt(self):
         rng = np.random.default_rng(23)
         g = make_random_graph(rng, 4, 2, num_extra_factors=3)
-        tree = build_tree(g, HeuristicPrior(), budget=10, seed=2)
+        tree = build_tree(g, HeuristicPrior(), budget=10)
         _, s_small, *_ = delta_kl_sampler(tree, g, num_samples=100, seed=7)
         _, s_big, *_ = delta_kl_sampler(tree, g, num_samples=10_000, seed=7)
         ratio = s_small / s_big
@@ -184,7 +184,7 @@ class TestDeltaKlSampler:
     def test_estimates_share_one_set_of_draws(self):
         rng = np.random.default_rng(43)
         g = make_random_graph(rng, 4, 2, num_extra_factors=2)
-        tree = build_tree(g, HeuristicPrior(), budget=9, seed=2)
+        tree = build_tree(g, HeuristicPrior(), budget=9)
         est = delta_kl_sampler(tree, g, num_samples=500, seed=4)
         xs, log_q = tree.sample_batch(500, np.random.default_rng(4))
         lds = [g.log_unnormalized_density(tuple(x)) for x in xs.tolist()]
@@ -230,7 +230,7 @@ class TestEvaluateMethod:
         rng = np.random.default_rng(37)
         g = make_random_graph(rng, 3, 2, num_extra_factors=1)
         sol = solve_exact(g)
-        tree = build_tree(g, HeuristicPrior(), budget=14, seed=0)
+        tree = build_tree(g, HeuristicPrior(), budget=14)
         report = evaluate_method("treesample", tree, g, oracle=sol, num_samples=500, seed=1, budget=14)
         assert report.kl == pytest.approx(report.delta_kl + sol.log_z, abs=1e-12)
         assert report.budget_spent == 14
@@ -244,7 +244,7 @@ class TestEvaluateMethod:
         rng = np.random.default_rng(39)
         g = make_random_graph(rng, 4, 2, num_extra_factors=2)
         sol = solve_exact(g)
-        tree = build_tree(g, HeuristicPrior(), budget=10, seed=0)
+        tree = build_tree(g, HeuristicPrior(), budget=10)
         report = evaluate_method("treesample", tree, g, oracle=sol, num_samples=300, seed=2)
         assert report.kl == pytest.approx(report.delta_energy - report.delta_entropy, abs=1e-9)
 

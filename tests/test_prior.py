@@ -12,7 +12,6 @@ from treesample.prior import (
     ReplayBuffer,
     TrainConfig,
     encode_batch,
-    encode_prefix,
     load_checkpoint,
     save_checkpoint,
     train_loop,
@@ -55,24 +54,34 @@ class TestHeuristicPrior:
             HeuristicPrior().evaluate(g, (1, 2))
 
 
+def encode_one(graph, prefix):
+    return encode_batch(graph, [prefix])[0]
+
+
 class TestEncodePrefix:
     def test_empty_prefix(self):
         g = _uniform_graph(2, 2)
-        assert np.array_equal(encode_prefix(g, ()), [0, 0, 1, 0, 0, 1])
+        assert np.array_equal(encode_one(g, ()), [0, 0, 1, 0, 0, 1])
 
     def test_partial_prefix(self):
         g = _uniform_graph(2, 2)
-        assert np.array_equal(encode_prefix(g, (2,)), [0, 1, 0, 0, 0, 1])
+        assert np.array_equal(encode_one(g, (2,)), [0, 1, 0, 0, 0, 1])
 
     def test_complete_prefix_has_no_flags(self):
         g = _uniform_graph(3, 2)
-        enc = encode_prefix(g, (1, 2, 1)).reshape(3, 3)
+        enc = encode_one(g, (1, 2, 1)).reshape(3, 3)
         assert np.all(enc[:, 2] == 0)
 
     def test_respects_ordering(self):
         g = _uniform_graph(2, 2, ordering=(2, 1))
         # depth-1 value assigns variable 2
-        assert np.array_equal(encode_prefix(g, (1,)), [0, 0, 1, 1, 0, 0])
+        assert np.array_equal(encode_one(g, (1,)), [0, 0, 1, 1, 0, 0])
+
+    def test_array_rows(self):
+        g = _uniform_graph(3, 2, ordering=(2, 3, 1))
+        rows = np.array([[1, 2], [2, 1]])
+        assert np.array_equal(encode_batch(g, rows), [[0, 0, 1, 1, 0, 0, 0, 1, 0],
+                                                      [0, 0, 1, 0, 1, 0, 1, 0, 0]])
 
     def test_injective(self):
         g = _uniform_graph(3, 2)
@@ -81,7 +90,7 @@ class TestEncodePrefix:
         for n in range(1, 4):
             prefixes.extend(all_configs(n, 2))
         for p in prefixes:
-            seen.add(tuple(encode_prefix(g, tuple(p)).tolist()))
+            seen.add(tuple(encode_one(g, tuple(p)).tolist()))
         assert len(seen) == len(prefixes)
 
 
@@ -95,13 +104,13 @@ def _mixed_prefixes(n, k):
 class TestBatchEvaluation:
     """Batch calls equal the per-prefix calls bit for bit."""
 
-    def test_encode_batch_matches_encode_prefix(self):
+    def test_encode_batch_rows_match_single_prefixes(self):
         g = _uniform_graph(4, 3, ordering=(3, 1, 4, 2))
         prefixes = _mixed_prefixes(4, 3)
-        expected = np.stack([encode_prefix(g, p) for p in prefixes])
+        expected = np.stack([encode_one(g, p) for p in prefixes])
         assert np.array_equal(encode_batch(g, prefixes), expected)
         same_length = np.array(list(all_configs(2, 3)))
-        expected = np.stack([encode_prefix(g, tuple(p)) for p in same_length])
+        expected = np.stack([encode_one(g, tuple(p)) for p in same_length.tolist()])
         assert np.array_equal(encode_batch(g, same_length), expected)
 
     def test_empty_batch(self):
@@ -274,7 +283,7 @@ class TestPriorDistribution:
 
     def test_heuristic_prior_is_uniform(self):
         g = _uniform_graph(3, 2)
-        dist = build_tree(g, HeuristicPrior(), 0, seed=0)
+        dist = build_tree(g, HeuristicPrior(), 0)
         for x in all_configs(3, 2):
             assert dist.log_density(x) == pytest.approx(-3 * math.log(2), abs=1e-12)
         rng = np.random.default_rng(0)

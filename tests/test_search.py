@@ -176,7 +176,7 @@ class TestBuildTree:
             sol = solve_exact(g)
             for cost_mode in (REWARD_EVAL, FACTOR_EVAL):
                 tree = build_tree(
-                    g, HeuristicPrior(), exhaustive_budget(g, cost_mode), seed=1, cost_mode=cost_mode
+                    g, HeuristicPrior(), exhaustive_budget(g, cost_mode), cost_mode=cost_mode
                 )
                 assert tree.root_complete()
                 assert tree.root_value() == pytest.approx(sol.log_z, abs=1e-9)
@@ -185,8 +185,8 @@ class TestBuildTree:
 
     def test_zero_budget_tree_is_prior(self):
         g = _uniform_graph(3, 2)
-        tree = build_tree(g, HeuristicPrior(), 0, seed=3)
-        assert tree.num_expansions == 0
+        tree = build_tree(g, HeuristicPrior(), 0)
+        assert len(tree.nodes) == 0
         assert tree.root_value() is None
         for x in all_configs(3, 2):
             assert tree.log_density(x) == pytest.approx(-3 * math.log(2), abs=1e-12)
@@ -202,9 +202,9 @@ class TestBuildTree:
 
     def test_hand_run_two_level_uniform(self):
         g = _uniform_graph(2, 2)
-        tree = build_tree(g, HeuristicPrior(), 6, seed=0)
+        tree = build_tree(g, HeuristicPrior(), 6)
         assert tree.ledger.spent == 6
-        assert tree.num_expansions == 7  # root plus six charged expansions
+        assert len(tree.nodes) == 7  # root plus six charged expansions
         assert tree.root_complete()
         assert np.allclose(tree.root.q, math.log(2), atol=1e-12)
         for a in (1, 2):
@@ -216,16 +216,16 @@ class TestBuildTree:
         for trial in range(10):
             g = make_random_graph(rng, 4, 2, num_extra_factors=3)
             budget = int(rng.integers(0, 40))
-            tree = build_tree(g, HeuristicPrior(), budget, seed=trial)
+            tree = build_tree(g, HeuristicPrior(), budget)
             assert tree.ledger.spent <= budget
             # every charged unit is one reward evaluation at a non-root node
-            assert tree.ledger.spent == tree.num_expansions - (1 if () in tree.nodes else 0)
+            assert tree.ledger.spent == len(tree.nodes) - (1 if () in tree.nodes else 0)
 
     def test_determinism(self):
         rng = np.random.default_rng(109)
         g = make_random_graph(rng, 4, 3, num_extra_factors=3)
-        t1 = build_tree(g, HeuristicPrior(), 50, c=1.5, epsilon=0.1, seed=9)
-        t2 = build_tree(g, HeuristicPrior(), 50, c=1.5, epsilon=0.1, seed=9)
+        t1 = build_tree(g, HeuristicPrior(), 50, c=1.5, epsilon=0.1)
+        t2 = build_tree(g, HeuristicPrior(), 50, c=1.5, epsilon=0.1)
         assert t1.nodes.keys() == t2.nodes.keys()
         for prefix, node in t1.nodes.items():
             other = t2.nodes[prefix]
@@ -243,7 +243,7 @@ class TestBuildTree:
             )
             sol = solve_exact(g)
             budget = int(rng.integers(5, exhaustive_budget(g) + 5))
-            tree = build_tree(g, HeuristicPrior(), budget, seed=trial)
+            tree = build_tree(g, HeuristicPrior(), budget)
             for prefix, node in tree.nodes.items():
                 if len(prefix) == g.num_variables:
                     continue
@@ -259,7 +259,7 @@ class TestBuildTree:
 
     def test_dead_end_branch_never_sampled(self):
         g = _graph(2, 2, [((1,), [0.0, -np.inf]), ((2,), [0.3, -0.2])])
-        tree = build_tree(g, HeuristicPrior(), 100, seed=2)
+        tree = build_tree(g, HeuristicPrior(), 100)
         assert tree.root_complete()
         assert tree.root.q[1] == NEG_INF
         rng = np.random.default_rng(0)
@@ -269,7 +269,7 @@ class TestBuildTree:
 
     def test_zero_mass_target_raises_on_sample(self):
         g = _graph(1, 2, [((1,), [-np.inf, -np.inf])])
-        tree = build_tree(g, HeuristicPrior(), 10, seed=0)
+        tree = build_tree(g, HeuristicPrior(), 10)
         with pytest.raises(ZeroMassError):
             tree.sample(np.random.default_rng(0))
 
@@ -279,7 +279,7 @@ class TestSampleAndDensity:
         rng = np.random.default_rng(127)
         for budget in (0, 1, 3, 7, 20):
             g = make_random_graph(rng, 3, 3, num_extra_factors=2)
-            tree = build_tree(g, HeuristicPrior(), budget, seed=1)
+            tree = build_tree(g, HeuristicPrior(), budget)
             total = sum(math.exp(tree.log_density(x)) for x in all_configs(3, 3))
             assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -287,7 +287,7 @@ class TestSampleAndDensity:
         rng = np.random.default_rng(131)
         g = make_random_graph(rng, 3, 2, num_extra_factors=2)
         sol = solve_exact(g)
-        tree = build_tree(g, HeuristicPrior(), exhaustive_budget(g), seed=4)
+        tree = build_tree(g, HeuristicPrior(), exhaustive_budget(g))
         for x in all_configs(3, 2):
             assert tree.log_density(x) == pytest.approx(sol.log_joint(x), abs=1e-9)
 
@@ -295,7 +295,7 @@ class TestSampleAndDensity:
         rng = np.random.default_rng(137)
         g = make_random_graph(rng, 3, 2, num_extra_factors=1)
         sol = solve_exact(g)
-        tree = build_tree(g, HeuristicPrior(), exhaustive_budget(g), seed=4)
+        tree = build_tree(g, HeuristicPrior(), exhaustive_budget(g))
         draws = 20000
         counts: dict = {}
         for _ in range(draws):
@@ -308,7 +308,7 @@ class TestSampleAndDensity:
 
     def test_dump_round_trip(self, tmp_path):
         g = _uniform_graph(2, 2)
-        tree = build_tree(g, HeuristicPrior(), 6, seed=0)
+        tree = build_tree(g, HeuristicPrior(), 6)
         path = tmp_path / "tree.json"
         tree.dump(path)
         import json
@@ -349,7 +349,7 @@ class TestSampleBatch:
                                   shuffle_ordering=True)
             for cost_mode in (REWARD_EVAL, FACTOR_EVAL):
                 for budget in (0, 4, 40, 400):
-                    tree = build_tree(g, HeuristicPrior(), budget, seed=trial, cost_mode=cost_mode)
+                    tree = build_tree(g, HeuristicPrior(), budget, cost_mode=cost_mode)
                     self._assert_golden(tree, seed=trial)
 
     def test_mlp_prior(self):
@@ -357,37 +357,31 @@ class TestSampleBatch:
         for trial in range(3):
             g = make_random_graph(rng, 5, 3, num_extra_factors=3, neg_inf_frac=0.2)
             for budget in (0, 15, 60):
-                tree = build_tree(g, _small_mlp(g, seed=trial), budget, seed=trial)
+                tree = build_tree(g, _small_mlp(g, seed=trial), budget)
                 self._assert_golden(tree, seed=trial)
 
     def test_complete_tree(self):
         rng = np.random.default_rng(163)
         g = make_random_graph(rng, 3, 3, num_extra_factors=2, neg_inf_frac=0.3)
-        tree = build_tree(g, HeuristicPrior(), exhaustive_budget(g), seed=1)
+        tree = build_tree(g, HeuristicPrior(), exhaustive_budget(g))
         assert tree.root_complete()
         self._assert_golden(tree, num=1000)
 
-    def test_seed_none_uses_tree_seed(self):
-        g = _uniform_graph(3, 2)
-        tree = build_tree(g, HeuristicPrior(), 3, seed=8)
-        xs, _ = tree.sample_batch(5)
-        assert np.array_equal(xs, tree.sample_batch(5, np.random.default_rng(8))[0])
-
     def test_zero_draws(self):
-        tree = build_tree(_uniform_graph(3, 2), HeuristicPrior(), 3, seed=0)
+        tree = build_tree(_uniform_graph(3, 2), HeuristicPrior(), 3)
         xs, log_q = tree.sample_batch(0, np.random.default_rng(0))
         assert xs.shape == (0, 3) and log_q.shape == (0,)
 
     def test_zero_mass_raises_like_one_row_path(self):
         g = _graph(1, 2, [((1,), [-np.inf, -np.inf])])
-        tree = build_tree(g, HeuristicPrior(), 10, seed=0)
+        tree = build_tree(g, HeuristicPrior(), 10)
         with pytest.raises(ZeroMassError):
             tree.sample_batch(50, np.random.default_rng(0))
 
     def test_drawn_mass_agrees_with_enumeration(self):
         rng = np.random.default_rng(167)
         g = make_random_graph(rng, 3, 3, num_extra_factors=3, neg_inf_frac=0.2)
-        tree = build_tree(g, HeuristicPrior(), 12, seed=3)
+        tree = build_tree(g, HeuristicPrior(), 12)
         exact = {x: tree.log_density(x) for x in all_configs(3, 3)}
         assert sum(math.exp(v) for v in exact.values()) == pytest.approx(1.0, abs=1e-10)
         draws = 20000

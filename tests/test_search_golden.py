@@ -40,18 +40,17 @@ def _mlp(graph):
     return MLPValueFunction(graph.num_variables * (graph.num_states + 1), graph.num_states, seed=0)
 
 
-# name -> (graph factory, prior factory, budget, cost mode, build seed, draw seed).
+# name -> (graph factory, prior factory, budget, cost mode, draw seed).
 # K = 10 runs the numpy-reduction branch of the soft value (8 entries or more);
 # the "/complete" case is the only one built until its root is complete.
 CASES = {
-    "fg1-n12-k2/reward_eval": (lambda: _spec_graph("fg1", 12, 2, 3), None, 600, REWARD_EVAL, 6, 7),
-    "fg2-n12/factor_eval": (lambda: _spec_graph("fg2", 12, 2, 5), None, 800, FACTOR_EVAL, 7, 8),
-    "chains-n8-k10": (lambda: _spec_graph("chains", 8, 10, 7), None, 600, REWARD_EVAL, 11, 12),
-    "chains-n6-k3/complete": (lambda: _spec_graph("chains", 6, 3, 13), None, 2000, REWARD_EVAL,
-                              6, 7),
-    "neg-inf/reward_eval": (_neg_inf_graph, None, 120, REWARD_EVAL, 2, 3),
-    "neg-inf/factor_eval": (_neg_inf_graph, None, 200, FACTOR_EVAL, 2, 3),
-    "fg2-n10/mlp": (lambda: _spec_graph("fg2", 10, 2, 5), _mlp, 300, REWARD_EVAL, 9, 10),
+    "fg1-n12-k2/reward_eval": (lambda: _spec_graph("fg1", 12, 2, 3), None, 600, REWARD_EVAL, 7),
+    "fg2-n12/factor_eval": (lambda: _spec_graph("fg2", 12, 2, 5), None, 800, FACTOR_EVAL, 8),
+    "chains-n8-k10": (lambda: _spec_graph("chains", 8, 10, 7), None, 600, REWARD_EVAL, 12),
+    "chains-n6-k3/complete": (lambda: _spec_graph("chains", 6, 3, 13), None, 2000, REWARD_EVAL, 7),
+    "neg-inf/reward_eval": (_neg_inf_graph, None, 120, REWARD_EVAL, 3),
+    "neg-inf/factor_eval": (_neg_inf_graph, None, 200, FACTOR_EVAL, 3),
+    "fg2-n10/mlp": (lambda: _spec_graph("fg2", 10, 2, 5), _mlp, 300, REWARD_EVAL, 10),
 }
 
 GOLDEN = {
@@ -87,10 +86,10 @@ GOLDEN = {
 
 
 def build_case(name):
-    graph_of, prior_of, budget, cost_mode, seed, _ = CASES[name]
+    graph_of, prior_of, budget, cost_mode, _ = CASES[name]
     graph = graph_of()
     prior = HeuristicPrior() if prior_of is None else prior_of(graph)
-    return build_tree(graph, prior, budget, seed=seed, cost_mode=cost_mode)
+    return build_tree(graph, prior, budget, cost_mode=cost_mode)
 
 
 def digests(name, tree):

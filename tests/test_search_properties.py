@@ -42,7 +42,7 @@ def _build(p):
     extra = p["extra_factors"] if p["n"] > 1 else 0  # extra factors span 2+ variables
     graph = make_random_graph(rng, p["n"], p["k"], num_extra_factors=extra,
                               neg_inf_frac=p["neg_inf_frac"], shuffle_ordering=True)
-    tree = build_tree(graph, HeuristicPrior(), p["budget"], c=p["c"], seed=p["seed"],
+    tree = build_tree(graph, HeuristicPrior(), p["budget"], c=p["c"],
                       cost_mode=p["cost_mode"])
     return graph, tree
 
