@@ -84,17 +84,6 @@ class WeightedAtoms:
             for x, w in zip(self.atoms, self.weights)
         )
 
-    @staticmethod
-    def from_json_lines(text: str) -> "WeightedAtoms":
-        atoms, weights = [], []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            atoms.append(tuple(d["x"]))
-            weights.append(float(d["weight"]))
-        return WeightedAtoms(atoms=atoms, weights=weights)
-
 
 def effective_sample_size(weights) -> float:
     """(sum w)^2 / sum w^2; equals the particle count for uniform weights."""
@@ -403,12 +392,14 @@ def bp_sample(
     num_message_rounds: int,
     budget: int,
     seed: int = 0,
-    cost_mode: str = REWARD_EVAL,
 ) -> WeightedAtoms:
     """Per sample: run message rounds, draw the next unsampled variable from
     its loopy-BP marginal, clamp it, and repeat through all variables in raw
-    index order. One round charges one reward-equivalent per factor. Raises
-    ValueError when num_message_rounds is below 1."""
+    index order. Raises ValueError when num_message_rounds is below 1.
+
+    A round charges num_factors units, one per factor it updates, which
+    both cost modes count alike; so bp_sample takes no cost mode.
+    """
     if num_message_rounds < 1:
         raise ValueError("num_message_rounds must be at least 1")
     n = graph.num_variables
@@ -419,7 +410,7 @@ def bp_sample(
         raise BudgetTooSmallError(
             f"budget {budget} cannot pay for one sample (cost {per_sample})"
         )
-    ledger = BudgetLedger(budget=budget, cost_mode=cost_mode)
+    ledger = BudgetLedger(budget=budget)
     rng = np.random.default_rng(seed)
     state = _LoopyBP(graph)
     particles = np.zeros((num, n), dtype=np.int64)

@@ -12,11 +12,10 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -26,8 +25,9 @@ from .generators import FAMILIES, GenerationError, GeneratorSpec, generate
 from .logmath import NEG_INF, ZeroMassError
 from .metrics import evaluate_method
 from .model import COST_MODES, FactorGraph, load_graph, save_graph
-from .prior import HeuristicPrior, TrainConfig, load_checkpoint, save_checkpoint, train_loop
-from .search import build_tree
+from .prior import (Adam, HeuristicPrior, MLPValueFunction, TrainConfig, load_checkpoint,
+                    save_checkpoint, train_loop)
+from .search import build_tree, check_search_params
 
 METHODS = ("treesample", "sis", "smc", "gibbs", "bp")
 
@@ -59,9 +59,7 @@ class RunConfig:
         for name in ("metric_samples", "num_gibbs_sweeps", "num_message_rounds", "oracle_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        for name in ("c", "epsilon"):
-            if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails this too
-                raise ValueError(f"{name} must be finite and non-negative")
+        check_search_params(self.c, self.epsilon)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -118,7 +116,6 @@ def run_method(graph: FactorGraph, config: RunConfig, dump_tree_path=None):
         num_message_rounds=config.num_message_rounds,
         budget=config.budget,
         seed=config.run_seed,
-        cost_mode=config.cost_mode,
     )
 
 
@@ -171,15 +168,18 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _given_fields(cls, args) -> dict:
+    """The fields of dataclass cls that were set by a command-line flag."""
+    return {f.name: getattr(args, f.name) for f in fields(cls)
+            if getattr(args, f.name, None) is not None}
+
+
 def _run_config_from_args(args) -> RunConfig:
     data = {}
     if args.config:
         with open(args.config) as fh:
             data.update(json.load(fh))
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            data[f.name] = value
+    data.update(_given_fields(RunConfig, args))
     return RunConfig.from_dict(data)
 
 
@@ -226,15 +226,17 @@ def _bench_cell(task: dict) -> dict:
 
 
 def _quantiles(values: list[float]) -> dict:
-    arr = np.array(values, dtype=float)
-    return {
-        "mean": float(np.mean(arr)),
-        "std": float(np.std(arr, ddof=1)) if len(arr) > 1 else 0.0,
-        "median": float(np.median(arr)),
-        "q25": float(np.percentile(arr, 25)),
-        "q75": float(np.percentile(arr, 75)),
-        "count": len(arr),
-    }
+    """Summary of finite or +inf values. np.interp, unlike np.percentile,
+    interpolates next to +inf without forming inf - inf (a NaN)."""
+    arr = np.sort(np.array(values, dtype=float))
+    n = len(arr)
+    q25, median, q75 = np.interp(np.array([0.25, 0.5, 0.75]) * (n - 1), np.arange(n), arr)
+    if n == 1:
+        std = 0.0
+    else:
+        std = float(np.std(arr, ddof=1)) if arr[-1] < math.inf else math.inf
+    return {"mean": float(np.mean(arr)), "std": std, "median": float(median),
+            "q25": float(q25), "q75": float(q75), "count": n}
 
 
 def cmd_bench(args) -> int:
@@ -266,9 +268,8 @@ def cmd_bench(args) -> int:
                         "config": base_config,
                     }
                 )
-    jobs = args.jobs or int(os.environ.get("TREESAMPLE_JOBS", "1"))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_bench_cell, tasks))
     else:
         rows = [_bench_cell(t) for t in tasks]
@@ -286,16 +287,12 @@ def cmd_bench(args) -> int:
                 r for r in rows
                 if r["method"] == method and r["budget"] == budget and r["error"] is None
             ]
-            values = [
-                r["kl"] if r["kl"] is not None else r["delta_kl"]
-                for r in cell
-                if isinstance(r["kl"] if r["kl"] is not None else r["delta_kl"], (int, float))
-            ]
-            if not values:
+            if not cell:
                 continue
-            stats = _quantiles(values)
-            stats.update({"method": method, "budget": budget,
-                          "metric": "kl" if all(r["kl"] is not None for r in cell) else "delta_kl"})
+            # one metric per cell; json_float wrote +inf as the string "inf"
+            metric = "kl" if all(r["kl"] is not None for r in cell) else "delta_kl"
+            stats = _quantiles([float(r[metric]) for r in cell])
+            stats.update({"method": method, "budget": budget, "metric": metric})
             summary_rows.append(stats)
     summary_cols = ["method", "budget", "metric", "mean", "std", "median", "q25", "q75", "count"]
     out = open(args.summary_out, "w", newline="") if args.summary_out else sys.stdout
@@ -310,26 +307,20 @@ def cmd_bench(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .prior import Adam, MLPValueFunction
-
     graph = load_graph(args.instance)
+    given = _given_fields(TrainConfig, args)
     if args.resume:
+        fixed = [name for name in given if name != "episodes"]
+        if fixed:
+            flags = ", ".join("--resample-threshold" if name == "smc_threshold"
+                              else "--" + name.replace("_", "-") for name in fixed)
+            raise ValueError(f"--resume restores the checkpoint's training config; "
+                             f"it cannot be changed by {flags}")
         mlp, adam, start_episode, old_config = load_checkpoint(args.resume)
-        config = TrainConfig(**dict(old_config.to_json_dict(), episodes=args.episodes))
+        config = replace(old_config, episodes=args.episodes)
     else:
         start_episode = 0
-        config = TrainConfig(
-            episodes=args.episodes,
-            budget_per_episode=args.budget_per_episode,
-            samples_per_episode=args.samples_per_episode,
-            batch_size=args.batch_size,
-            learning_rate=args.learning_rate,
-            seed=args.seed,
-            c=args.c,
-            epsilon=args.epsilon,
-            smc_threshold=args.resample_threshold,
-            metric_samples=args.metric_samples,
-        )
+        config = TrainConfig(**given)
         dim = graph.num_variables * (graph.num_states + 1)
         mlp = MLPValueFunction(dim, graph.num_states, seed=config.seed)
         adam = Adam(mlp.parameters(), learning_rate=config.learning_rate)
@@ -395,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric-samples", dest="metric_samples", type=int, default=10_000)
     p.add_argument("--params", help="JSON dict of family-specific parameters")
     p.add_argument("--config", help="JSON file of shared RunConfig fields")
-    p.add_argument("--jobs", type=int, help="parallel workers (default env TREESAMPLE_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True)
     p.add_argument("--summary-out", dest="summary_out")
     p.set_defaults(func=cmd_bench)
@@ -404,15 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--algo", choices=("treesample", "smc"), default="treesample")
     p.add_argument("--episodes", type=int, required=True)
-    p.add_argument("--budget-per-episode", dest="budget_per_episode", type=int, default=2500)
-    p.add_argument("--samples-per-episode", dest="samples_per_episode", type=int, default=128)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=128)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=3e-4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c", type=float, default=2.0)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--resample-threshold", dest="resample_threshold", type=float, default=0.5)
-    p.add_argument("--metric-samples", dest="metric_samples", type=int, default=128)
+    # TrainConfig fields; an omitted flag keeps the TrainConfig default
+    p.add_argument("--budget-per-episode", dest="budget_per_episode", type=int)
+    p.add_argument("--samples-per-episode", dest="samples_per_episode", type=int)
+    p.add_argument("--batch-size", dest="batch_size", type=int)
+    p.add_argument("--learning-rate", dest="learning_rate", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--c", type=float)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--resample-threshold", dest="smc_threshold", type=float)
+    p.add_argument("--metric-samples", dest="metric_samples", type=int)
     p.add_argument("--checkpoint-out", dest="checkpoint_out", required=True)
     p.add_argument("--metrics-out", dest="metrics_out", required=True)
     p.add_argument("--resume")

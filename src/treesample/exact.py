@@ -66,14 +66,6 @@ class ExactSolution:
             raise ValueError("no actions below a complete configuration")
         return self.q_levels[n][self.prefix_rank(prefix)]
 
-    def conditional(self, prefix: Sequence[int]) -> np.ndarray:
-        """Target conditional probabilities of the next variable given prefix."""
-        q = self.q_values(prefix)
-        v = logsumexp(q)
-        if v == NEG_INF:
-            raise ValueError("prefix has zero mass under the target")
-        return np.exp(q - v)
-
     def log_joint(self, x: Sequence[int]) -> float:
         """Normalized log-probability of a complete configuration."""
         if len(x) != self.num_variables:
@@ -87,10 +79,11 @@ class ExactSolution:
             total += float(q[x[n] - 1]) - float(v)
         return total
 
-    def _iter_level_log_probs(self):
-        """Prefix marginals log P*(x_{<=n}) for n = 1..N, rank order.
+    def enumerate_log_joint(self) -> np.ndarray:
+        """log P*(x) for all K^N configurations, prefix-rank order.
 
-        log P*(x_{<=n}) = log P*(x_{<n}) + (q - V) at the prefix's q row; a
+        Built level by level from the prefix marginals:
+        log P*(x_{<=n}) = log P*(x_{<n}) + (q - V) at the prefix's q row. A
         zero-mass prefix (V = -inf) gives -inf children without -inf - -inf.
         """
         logp = np.zeros(1)
@@ -103,21 +96,7 @@ class ExactSolution:
                 cond = np.subtract(q, v, out=np.full(q.shape, NEG_INF), where=safe)
             cond += logp[:, None]
             logp = cond.reshape(-1)
-            yield logp
-
-    def level_log_probs(self) -> list[np.ndarray]:
-        """Prefix marginals log P*(x_{<=n}) per level n = 0..N, rank order."""
-        return [np.zeros(1), *self._iter_level_log_probs()]
-
-    def enumerate_log_joint(self) -> np.ndarray:
-        """log P*(x) for all K^N configurations, prefix-rank order."""
-        for logp in self._iter_level_log_probs():
-            pass
         return logp
-
-    def expected_log_density(self) -> float:
-        """E_{P*}[sum of factors], as log Z minus the entropy."""
-        return self.log_z - self.entropy()
 
     def entropy(self) -> float:
         """-sum p log p over the configurations of positive probability."""
@@ -176,10 +155,6 @@ class ChainSolution:
     beta: np.ndarray  # (N, K) backward messages
     ordering: tuple[int, ...]
 
-    @property
-    def num_positions(self) -> int:
-        return self.unary.shape[0]
-
     def position_marginals(self) -> np.ndarray:
         """(N, K) marginal probabilities by ordering position."""
         log_m = self.alpha + self.beta - self.log_z
@@ -218,7 +193,7 @@ class ChainSolution:
         """Normalized log-probability of a complete prefix (depth order)."""
         first, steps = self.log_step_conditionals()
         total = float(first[x[0] - 1])
-        for p in range(self.num_positions - 1):
+        for p in range(len(steps)):
             if total == NEG_INF:
                 return NEG_INF
             total += float(steps[p][x[p] - 1, x[p + 1] - 1])

@@ -116,11 +116,13 @@ def gen_permuted_chain(n: int, k: int, seed: int, alpha: float = 1.0) -> FactorG
     factors = []
     root = int(sigma[0])
     prior = rng.dirichlet(np.full(k, alpha))
-    factors.append(Factor(id=0, scope=(root,), table=np.log(prior)))
+    with np.errstate(divide="ignore"):  # a small alpha can draw exact zeros: log 0 = -inf
+        factors.append(Factor(id=0, scope=(root,), table=np.log(prior)))
     for step in range(1, n):
         u, v = int(sigma[step - 1]), int(sigma[step])
         cpt = np.stack([rng.dirichlet(np.full(k, alpha)) for _ in range(k)])  # [prev, next]
-        log_cpt = np.log(cpt)
+        with np.errstate(divide="ignore"):
+            log_cpt = np.log(cpt)
         if u < v:
             table = log_cpt.reshape(-1)
             scope = (u, v)
@@ -280,9 +282,16 @@ def _majority_table(scope_size: int, scale: float) -> np.ndarray:
     return table
 
 
+def _fg2_family(n: int, k: int, seed: int, **kw) -> FactorGraph:
+    """gen_fg2 under the (n, k, seed) signature of the other families."""
+    if k != 2:
+        raise ValueError(f"fg2 variables are binary: k must be 2, not {k}")
+    return gen_fg2(n, seed, **kw)
+
+
 FAMILIES = {
-    "chains": lambda n, k, seed, **kw: gen_chain(n, k, seed, **kw),
-    "permuted_chains": lambda n, k, seed, **kw: gen_permuted_chain(n, k, seed, **kw),
-    "fg1": lambda n, k, seed, **kw: gen_fg1(n, k, seed, **kw),
-    "fg2": lambda n, k, seed, **kw: gen_fg2(n, seed, **kw),
+    "chains": gen_chain,
+    "permuted_chains": gen_permuted_chain,
+    "fg1": gen_fg1,
+    "fg2": _fg2_family,
 }

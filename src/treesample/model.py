@@ -35,13 +35,6 @@ class Factor:
     scope: tuple[int, ...]
     table: np.ndarray
 
-    def value(self, values_by_scope: Sequence[int], num_states: int) -> float:
-        """Table entry for 1-based values given in scope order."""
-        idx = 0
-        for v in values_by_scope:
-            idx = idx * num_states + (v - 1)
-        return float(self.table[idx])
-
 
 class _CompiledFactor:
     """Factor with ordering positions and strides precomputed for fast lookup."""
@@ -182,22 +175,13 @@ class FactorGraph:
         return self.num_factors
 
     def log_unnormalized_density(self, x: Sequence[int]) -> float:
-        """Sum of all factor values at a complete configuration (prefix of length N)."""
-        if len(x) != self.num_variables:
-            raise ValueError("configuration must assign all variables")
-        self.check_prefix(x)
-        total = 0.0
-        for depth_factors in self._depth_factors:
-            for cf in depth_factors:
-                total += cf.value_at(x)
-        return total
+        """Sum of all factor values at a complete configuration (prefix of
+        length N): the one-row case of log_unnormalized_density_batch."""
+        return float(self.log_unnormalized_density_batch([x])[0])
 
     def log_unnormalized_density_batch(self, xs) -> np.ndarray:
-        """log_unnormalized_density of every row of an (S, N) array.
-
-        Factors are added in the scalar method's order, so each entry equals
-        the scalar result bit for bit.
-        """
+        """Sum of all factor values at every row of an (S, N) array of
+        complete configurations, adding the factors depth by depth."""
         xs = np.asarray(xs, dtype=np.int64)
         if xs.ndim != 2 or xs.shape[1] != self.num_variables:
             raise ValueError("configurations must form an (S, N) array")

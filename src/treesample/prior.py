@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .model import FactorGraph, Prefix, REWARD_EVAL
+from .search import build_tree, check_search_params
 
 CHECKPOINT_FORMAT = "treesample-mlp-v1"
 
@@ -29,7 +30,11 @@ class HeuristicPrior:
         return np.full(graph.num_states, steps_left * math.log(graph.num_states))
 
     def evaluate_batch(self, graph: FactorGraph, prefixes) -> np.ndarray:
-        """evaluate() of every prefix, one call per distinct prefix length."""
+        """evaluate() of every prefix, one call per distinct prefix length.
+
+        prefixes is an (R, d) int array of equal-length prefixes, as the
+        samplers pass it, or a sequence of tuples of any lengths.
+        """
         lengths = _prefix_lengths(prefixes)
         out = np.empty((len(lengths), graph.num_states))
         for n in np.flatnonzero(np.bincount(lengths)):
@@ -124,15 +129,13 @@ class MLPValueFunction:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """(B, input_dim) -> (B, output_dim)."""
-        h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
-        out = h @ self.weights[-1] + self.biases[-1]
+        out, _ = self._forward_cached(x)
         if np.any(np.isnan(out)):
             raise FloatingPointError("MLP produced NaN outputs")
         return out
 
     def _forward_cached(self, x: np.ndarray):
+        """Outputs and the input of every layer, which the backward pass reads."""
         acts = [x]
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
@@ -166,9 +169,10 @@ class MLPValueFunction:
         return self.forward(encode_batch(graph, [prefix]))[0]
 
     def evaluate_batch(self, graph: FactorGraph, prefixes) -> np.ndarray:
-        """evaluate() of every prefix, equal to it bit for bit: each row is
-        its own (1, D) product (a stacked matmul), where one (R, D) product
-        would round differently from the single-row path."""
+        """evaluate() of every prefix, in either form encode_batch takes,
+        equal to it bit for bit: each row is its own (1, D) product (a
+        stacked matmul), where one (R, D) product would round differently
+        from the single-row path."""
         return self.forward(encode_batch(graph, prefixes)[:, None, :])[:, 0, :]
 
 
@@ -264,9 +268,7 @@ class TrainConfig:
                      "batch_size", "learning_rate", "replay_capacity", "metric_samples"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
+        check_search_params(self.c, self.epsilon)
 
 
 def _smc_step_targets(atoms, weights, num_particles: int, k: int):
@@ -299,7 +301,6 @@ def train_loop(graph: FactorGraph, algo: str, config: TrainConfig,
     """
     from .baselines import DegenerateSampleError, smc
     from .metrics import delta_kl_atoms, delta_kl_sampler, sampler_estimate
-    from .search import build_tree
 
     if algo not in ("treesample", "smc"):
         raise ValueError("algo must be 'treesample' or 'smc'")
@@ -401,7 +402,7 @@ def save_checkpoint(path, mlp: MLPValueFunction, adam: Adam, episode: int,
         "num_parameters": mlp.num_parameters(),
         "adam_step": adam.step_count,
         "episode": episode,
-        "config": config.to_json_dict(),
+        "config": asdict(config),
     }
     flat = mlp.get_flat()
     m = np.concatenate([a.ravel() for a in adam.m])

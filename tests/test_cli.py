@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import warnings
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from treesample.cli import METHODS, RunConfig, main
 from treesample.model import Factor, FactorGraph, load_graph, save_graph
+from treesample.prior import TrainConfig, load_checkpoint
 
 
 def _uniform_instance(tmp_path, n=3, k=2, name="uniform.json"):
@@ -210,6 +213,27 @@ class TestBench:
         assert rows[0]["error"].startswith("BudgetTooSmallError")
         assert rows[0]["delta_kl"] == ""
 
+    def test_summary_keeps_runs_with_infinite_kl(self, tmp_path, capsys):
+        # a tiny alpha puts exact zeros in the tables; one Gibbs sweep then
+        # leaves some chains on zero-mass configurations, whose KL is +inf
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"num_gibbs_sweeps": 1}))
+        out, summary = tmp_path / "b.csv", tmp_path / "s.csv"
+        code = main(["bench", "--family", "permuted_chains", "--n", "6", "--k", "3",
+                     "--params", json.dumps({"alpha": 0.005}), "--methods", "gibbs",
+                     "--budgets", "400", "--num-instances", "12", "--config", str(config),
+                     "--out", str(out), "--summary-out", str(summary)])
+        assert code == 0
+        with open(out) as fh:
+            kls = [float(r["kl"]) for r in csv.DictReader(fh)]
+        assert kls.count(math.inf) == 6
+        with open(summary) as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["metric"] == "kl" and int(row["count"]) == 12
+        assert float(row["mean"]) == float(row["median"]) == float(row["std"]) == math.inf
+        finite = sorted(k for k in kls if k < math.inf)
+        assert float(row["q25"]) == pytest.approx(np.interp(2.75, range(6), finite))
+
 
 class TestTrain:
     def test_single_episode_and_resume(self, tmp_path, capsys):
@@ -219,9 +243,13 @@ class TestTrain:
         code = main(["train", str(instance), "--episodes", "1",
                      "--budget-per-episode", "20", "--samples-per-episode", "8",
                      "--batch-size", "8", "--metric-samples", "8", "--seed", "4",
+                     "--resample-threshold", "0.25",
                      "--checkpoint-out", str(ckpt), "--metrics-out", str(metrics)])
         assert code == 0
-        assert ckpt.exists()
+        # flags left out keep the TrainConfig defaults
+        assert load_checkpoint(ckpt)[3] == TrainConfig(
+            episodes=1, budget_per_episode=20, samples_per_episode=8, batch_size=8,
+            metric_samples=8, seed=4, smc_threshold=0.25)
         rows = metrics.read_text().strip().splitlines()
         assert len(rows) == 2  # header + one episode
 
@@ -235,3 +263,28 @@ class TestTrain:
         with open(metrics2) as fh:
             resumed = list(csvmod.DictReader(fh))
         assert [r["episode"] for r in resumed] == ["1"]  # continues the index
+
+    def test_invalid_search_params_exit_2(self, tmp_path, capsys):
+        instance = _uniform_instance(tmp_path)
+        for flag, value in (("--c", "nan"), ("--epsilon", "-1")):
+            code = main(["train", str(instance), "--episodes", "1", flag, value,
+                         "--checkpoint-out", str(tmp_path / "m.ckpt"),
+                         "--metrics-out", str(tmp_path / "m.csv")])
+            assert code == 2
+            assert "must be finite and non-negative" in capsys.readouterr().err
+
+    def test_resume_rejects_config_flags(self, tmp_path, capsys):
+        instance = _uniform_instance(tmp_path)
+        ckpt = tmp_path / "model.ckpt"
+        common = ["--checkpoint-out", str(ckpt), "--metrics-out", str(tmp_path / "m.csv")]
+        assert main(["train", str(instance), "--episodes", "1", "--budget-per-episode", "20",
+                     "--samples-per-episode", "8", "--batch-size", "8"] + common) == 0
+        before = ckpt.read_bytes()
+        code = main(["train", str(instance), "--episodes", "2", "--resume", str(ckpt),
+                     "--learning-rate", "0.01", "--c", "1.0", "--resample-threshold", "0.3"]
+                    + common)
+        assert code == 2
+        err = capsys.readouterr().err
+        for flag in ("--learning-rate", "--c", "--resample-threshold"):
+            assert flag in err
+        assert ckpt.read_bytes() == before

@@ -26,6 +26,12 @@ from treesample.model import Factor, FactorGraph
 from conftest import all_configs, brute_force_log_z, exact_kl, kl_by_enumeration, make_random_graph
 
 
+def _conditional(sol, prefix):
+    """Target conditional of the next variable: the softmax of q_values."""
+    q = sol.q_values(prefix)
+    return np.exp(q - logsumexp(q))
+
+
 def _graph(n, k, factors, ordering=None):
     return FactorGraph(
         num_variables=n,
@@ -234,8 +240,8 @@ class TestSolveExact:
         g = _graph(3, 2, [((1, 2, 3), table)])
         sol = solve_exact(g)
         assert sol.log_z == pytest.approx(0.0, abs=1e-12)
-        assert np.array_equal(sol.conditional(()), [1.0, 0.0])
-        assert np.array_equal(sol.conditional((1,)), [1.0, 0.0])
+        assert np.array_equal(_conditional(sol, ()), [1.0, 0.0])
+        assert np.array_equal(_conditional(sol, (1,)), [1.0, 0.0])
         assert sol.log_joint((1, 1, 1)) == pytest.approx(0.0)
         assert sol.log_joint((2, 1, 1)) == NEG_INF
 
@@ -263,14 +269,17 @@ class TestSolveExact:
                 if masses.sum() == 0:
                     continue
                 ref = masses / masses.sum()
-                assert np.allclose(sol.conditional(tuple(prefix)), ref, atol=1e-9)
+                assert np.allclose(_conditional(sol, tuple(prefix)), ref, atol=1e-9)
 
-    def test_level_log_probs_normalized(self):
+    def test_enumerate_log_joint_matches_enumeration(self):
         rng = np.random.default_rng(31)
-        g = make_random_graph(rng, 4, 3, num_extra_factors=2)
+        g = make_random_graph(rng, 4, 3, num_extra_factors=2, neg_inf_frac=0.2)
         sol = solve_exact(g)
-        for level in sol.level_log_probs():
-            assert np.exp(level).sum() == pytest.approx(1.0, abs=1e-10)
+        logp = sol.enumerate_log_joint()
+        ref = np.array([g.log_unnormalized_density(x) for x in all_configs(4, 3)]) - sol.log_z
+        assert np.array_equal(logp == NEG_INF, ref == NEG_INF) and (ref == NEG_INF).any()
+        assert np.allclose(logp[ref > NEG_INF], ref[ref > NEG_INF], atol=1e-10)
+        assert np.exp(logp).sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_variable_marginals_match_enumeration(self):
         rng = np.random.default_rng(37)
@@ -297,7 +306,7 @@ class TestSolveExact:
         lds = np.array([g.log_unnormalized_density(x) for x in all_configs(3, 3)])
         e_ref = float(np.sum(probs * lds))
         h_ref = float(-np.sum(probs[probs > 0] * np.log(probs[probs > 0])))
-        assert sol.expected_log_density() == pytest.approx(e_ref, abs=1e-9)
+        assert sol.log_z - sol.entropy() == pytest.approx(e_ref, abs=1e-9)
         assert sol.entropy() == pytest.approx(h_ref, abs=1e-9)
 
 
@@ -329,10 +338,10 @@ class TestSolveChain:
             assert chain.log_z == pytest.approx(full.log_z, abs=1e-9)
             assert np.allclose(chain.variable_marginals(), full.variable_marginals(g), atol=1e-9)
             first, steps = chain.log_step_conditionals()
-            assert np.allclose(np.exp(first), full.conditional(()), atol=1e-9)
+            assert np.allclose(np.exp(first), _conditional(full, ()), atol=1e-9)
             for prefix in [(1,), (2, 3), (3, 1, 2, 1)]:
                 p = len(prefix)
-                ref = full.conditional(prefix)
+                ref = _conditional(full, prefix)
                 got = np.exp(steps[p - 1][prefix[-1] - 1])
                 assert np.allclose(got, ref, atol=1e-9)
 
@@ -367,7 +376,7 @@ class TestSolveChain:
         g = make_random_chain(rng, 4, 3)
         chain = solve_chain(g)
         full = solve_exact(g)
-        assert chain.expected_log_density() == pytest.approx(full.expected_log_density(), abs=1e-9)
+        assert chain.expected_log_density() == pytest.approx(full.log_z - full.entropy(), abs=1e-9)
         assert chain.entropy() == pytest.approx(full.entropy(), abs=1e-9)
 
     def test_expected_log_density_with_neg_inf_entries(self):
@@ -378,7 +387,8 @@ class TestSolveChain:
             warnings.simplefilter("error")
             chain = solve_chain(g)
             full = solve_exact(g)
-            assert chain.expected_log_density() == pytest.approx(full.expected_log_density(), abs=1e-12)
+            assert chain.expected_log_density() == pytest.approx(full.log_z - full.entropy(),
+                                                                 abs=1e-12)
             assert chain.entropy() == pytest.approx(full.entropy(), abs=1e-12)
             assert math.isfinite(chain.expected_log_density())
 

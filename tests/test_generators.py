@@ -93,6 +93,11 @@ class TestPermutedChains:
         g = gen_permuted_chain(6, 3, seed=11)
         assert g.ordering == tuple(range(1, 7))
 
+    def test_zero_dirichlet_draws_become_neg_inf_without_warning(self):
+        # the suite turns a RuntimeWarning into an error; alpha 0.01 draws exact zeros
+        g = gen_permuted_chain(5, 3, seed=0, alpha=0.01)
+        assert sum(int(np.sum(f.table == -np.inf)) for f in g.factors) == 7
+
 
 class TestFg1:
     def test_connected_and_clique_bound(self):
@@ -205,6 +210,11 @@ class TestFg2:
 
     def test_deterministic(self):
         assert graph_to_json_dict(gen_fg2(12, seed=5)) == graph_to_json_dict(gen_fg2(12, seed=5))
+
+    def test_family_rejects_k_other_than_two(self):
+        assert generate(GeneratorSpec(family="fg2", n=8, k=2, seed=0)).num_states == 2
+        with pytest.raises(ValueError, match="k must be 2"):
+            generate(GeneratorSpec(family="fg2", n=8, k=3, seed=0))
 
 
 class TestCliqueEnumeration:

@@ -248,6 +248,15 @@ class TestTrainStep:
             train_step(mlp, buf, 4, Adam(mlp.parameters()), np.random.default_rng(0))
 
 
+class TestTrainConfig:
+    def test_search_params_validated(self):
+        for key, value in (("c", float("nan")), ("c", -1.0), ("epsilon", -1.0),
+                           ("epsilon", float("inf"))):
+            with pytest.raises(ValueError, match=f"{key} must be finite and non-negative"):
+                TrainConfig(**{key: value})
+        TrainConfig(c=0.0, epsilon=0.0)
+
+
 class TestCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):
         mlp = MLPValueFunction(6, 2, hidden_units=8, num_hidden_layers=2, seed=7)
