@@ -249,7 +249,8 @@ def cmd_bench(args) -> int:
     if args.config:
         with open(args.config) as fh:
             base_config.update(json.load(fh))
-    base_config.setdefault("metric_samples", args.metric_samples)
+    # flags override the file, as in run; each cell then sets its own run_seed
+    base_config.update(_given_fields(RunConfig, args))
     params = json.loads(args.params) if args.params else {}
 
     tasks = []
@@ -383,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-instances", dest="num_instances", type=int, required=True)
     p.add_argument("--instance-seed", dest="instance_seed", type=int, default=0)
     p.add_argument("--run-seed", dest="run_seed", type=int, default=0)
-    p.add_argument("--metric-samples", dest="metric_samples", type=int, default=10_000)
+    p.add_argument("--metric-samples", dest="metric_samples", type=int)
     p.add_argument("--params", help="JSON dict of family-specific parameters")
     p.add_argument("--config", help="JSON file of shared RunConfig fields")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")

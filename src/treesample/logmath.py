@@ -37,20 +37,30 @@ def logsumexp_list(values: list[float]) -> float:
     """logsumexp of a list of floats, equal to logsumexp bit for bit.
 
     Below PAIRWISE_SUM_MIN entries the sum runs as a Python loop in numpy's
-    order, over np.exp of each float (np.exp of one float equals the array
-    np.exp; math.exp differs in the last bit on some inputs), which avoids
-    the fixed cost of numpy array calls on a few entries. From
-    PAIRWISE_SUM_MIN entries on it is logsumexp itself, whose pairwise sum
-    the loop would not reproduce.
+    order, which avoids the fixed cost of numpy array calls on a few
+    entries. Its summands are what logsumexp adds: an entry equal to the
+    maximum m adds exactly 1.0, since v - m is 0.0 and exp(0.0) is exactly
+    1.0; a -inf entry adds exp(-inf) = 0.0, which leaves the running total
+    (0.0 or positive) unchanged, so the entry is skipped. Every other
+    entry adds np.exp of its float (np.exp of one float equals the array
+    np.exp; math.exp differs in the last bit on some inputs).
+
+    From PAIRWISE_SUM_MIN entries on, the sum is numpy's pairwise sum of
+    exp(values - m), as in logsumexp: ndarray.sum and np.sum both run
+    np.add.reduce over the same contiguous array, so they round alike, and
+    calling the method skips np.sum's Python-level dispatch.
     """
-    if len(values) >= PAIRWISE_SUM_MIN:
-        return logsumexp(values)
     m = max(values)
     if m == NEG_INF:
         return NEG_INF
+    if len(values) >= PAIRWISE_SUM_MIN:
+        return m + math.log(np.exp(np.subtract(values, m)).sum())
     total = 0.0
     for v in values:
-        total += np.exp(v - m)
+        if v == m:
+            total += 1.0
+        elif v != NEG_INF:
+            total += np.exp(v - m)
     return m + math.log(total)
 
 

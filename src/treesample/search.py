@@ -14,9 +14,12 @@ per-configuration reference. The build itself draws no random numbers.
 
 A node holds K-entry Python lists, not numpy arrays: a traversal touches
 every node on its path, and at K of 2 to 10 the fixed cost of a numpy call
-is many times the arithmetic it does. The per-level work (q_uct_select,
-backup, TreeNode.value) is scalar Python in the same operation order as
-the array code it replaced, so the trees are the same bit for bit.
+is many times the arithmetic it does. A traversal is three calls, whatever
+its depth: q_uct_select walks the whole path down to the first missing
+child, expand creates that child, and backup updates the path bottom-up
+through TreeNode.value. The walk and the backup are scalar Python in the
+same operation order as the array code they replaced, so the trees are the
+same bit for bit.
 """
 
 from __future__ import annotations
@@ -33,20 +36,23 @@ from .model import REWARD_EVAL, BudgetLedger, FactorGraph, Prefix
 
 class TreeNode:
     """Per-prefix cache: reward, and per child its value q, visit count eta,
-    prior value and completeness flag, each a K-entry Python list.
+    exploration coefficient bonus and completeness flag, each a K-entry
+    Python list.
 
-    backup keeps two counters in step with those lists: visits, the sum of
+    bonus[a] is c * max(prior value, epsilon), fixed when expand creates the
+    node, so q_uct_select scores a child as q + bonus * sqrt(visits) / (1 + eta).
+    backup keeps two counters in step with the lists: visits, the sum of
     eta, and open, the number of children not yet flagged complete.
     """
 
-    __slots__ = ("reward", "q", "eta", "prior", "complete_children", "children", "complete",
+    __slots__ = ("reward", "q", "eta", "bonus", "complete_children", "children", "complete",
                  "visits", "open")
 
-    def __init__(self, reward, q, prior, complete_children, complete):
+    def __init__(self, reward, q, bonus, complete_children, complete):
         self.reward = reward
         self.q = list(q)
         self.eta = [0] * len(self.q)
-        self.prior = list(prior)
+        self.bonus = list(bonus)
         self.complete_children = list(complete_children)
         self.children: list[TreeNode | None] = [None] * len(self.q)
         self.complete = complete
@@ -160,33 +166,56 @@ class SearchTree:
             fh.write("\n")
 
 
-def q_uct_select(node: TreeNode, parent_visits: int, c: float, epsilon: float) -> int:
-    """Best incomplete child: value plus prior-scaled visit-count bonus.
+def q_uct_select(root: TreeNode) -> tuple[list[TreeNode], list[int]]:
+    """One traversal's descent: (path, actions) from root to the first
+    missing child.
 
-    Ties break toward the smallest action; children flagged complete are
-    excluded, and when every incomplete child scores -inf (a zero-mass prior
-    entry) the first incomplete child wins. Caller must ensure at least one
-    child is incomplete.
+    path[i] --actions[i]--> path[i + 1], and the last action (1-based) names
+    a child of path[-1] that is not in the tree yet. At each node the best
+    incomplete child wins on q + bonus * sqrt(visits) / (1 + eta): ties break
+    toward the smallest action, children flagged complete are excluded, and
+    when every incomplete child scores -inf (a zero-mass prior entry) the
+    first incomplete child wins. A node with one incomplete child takes it
+    without scoring, which is the same choice. Raises RuntimeError at a node
+    whose children are all complete; a root that is not complete has none.
     """
-    if not node.open:
-        raise RuntimeError("q_uct_select called with all children complete")
-    sqrt_visits = math.sqrt(parent_visits)
-    scores = [
-        NEG_INF if done else q + c * max(prior, epsilon) * sqrt_visits / (1.0 + eta)
-        for q, prior, eta, done in zip(node.q, node.prior, node.eta, node.complete_children)
-    ]
-    best = max(scores)
-    if best == NEG_INF:
-        return node.complete_children.index(False) + 1
-    return scores.index(best) + 1  # the first maximum, as np.argmax
+    path: list[TreeNode] = []
+    actions: list[int] = []
+    node = root
+    while True:
+        done = node.complete_children
+        if node.open == 1:
+            a = done.index(False)
+        elif not node.open:
+            raise RuntimeError("q_uct_select reached a node with all children complete")
+        else:
+            q, bonus, eta = node.q, node.bonus, node.eta
+            sqrt_visits = math.sqrt(node.visits)
+            best, a = NEG_INF, -1
+            for i in range(len(done)):
+                if not done[i]:
+                    score = q[i] + bonus[i] * sqrt_visits / (1.0 + eta[i])
+                    if score > best:  # strict: the first maximum, as np.argmax
+                        best, a = score, i
+            if a < 0:
+                a = done.index(False)
+        path.append(node)
+        actions.append(a + 1)
+        node = node.children[a]
+        if node is None:
+            return path, actions
 
 
-def expand(graph: FactorGraph, prefix: Prefix, prior, ledger: BudgetLedger) -> TreeNode | None:
+def expand(graph: FactorGraph, prefix: Prefix, prior, ledger: BudgetLedger, c: float,
+           epsilon: float) -> TreeNode | None:
     """Evaluate and cache the reward at prefix; None signals budget exhaustion.
 
-    Depth-N leaves initialize child values to -log K and are complete. A node
-    whose own reward is -inf is complete immediately: its branch has zero mass,
-    so its exact edge value at the parent is -inf regardless of descendants.
+    The children's values start at the prior's and their exploration
+    coefficients are c * max(prior value, epsilon). Depth-N leaves initialize
+    child values to -log K and are complete, so their coefficients, never
+    read, are 0. A node whose own reward is -inf is complete immediately:
+    its branch has zero mass, so its exact edge value at the parent is -inf
+    regardless of descendants.
     """
     n, k = len(prefix), graph.num_states
     cost = 0 if n == 0 else graph.reward_cost(n, ledger.cost_mode)
@@ -197,7 +226,7 @@ def expand(graph: FactorGraph, prefix: Prefix, prior, ledger: BudgetLedger) -> T
         return TreeNode(
             reward=reward,
             q=[-math.log(k)] * k,
-            prior=[0.0] * k,
+            bonus=[0.0] * k,
             complete_children=[True] * k,
             complete=True,
         )
@@ -205,7 +234,7 @@ def expand(graph: FactorGraph, prefix: Prefix, prior, ledger: BudgetLedger) -> T
     return TreeNode(
         reward=reward,
         q=prior_q,
-        prior=prior_q,
+        bonus=[c * (epsilon if epsilon > v else v) for v in prior_q],  # max(v, epsilon)
         complete_children=[False] * k,
         complete=(reward == NEG_INF),
     )
@@ -216,8 +245,9 @@ def backup(nodes: list[TreeNode], actions: list[int]) -> None:
 
     nodes has one more entry than actions; nodes[i] --actions[i]--> nodes[i+1].
     """
+    child = nodes[-1]
     for i in range(len(actions) - 1, -1, -1):
-        child, parent, a = nodes[i + 1], nodes[i], actions[i] - 1
+        parent, a = nodes[i], actions[i] - 1
         child.complete = child.complete or not child.open
         parent.q[a] = child.reward + child.value()
         if child.complete and not parent.complete_children[a]:
@@ -225,8 +255,8 @@ def backup(nodes: list[TreeNode], actions: list[int]) -> None:
             parent.open -= 1
         parent.eta[a] += 1
         parent.visits += 1
-    root = nodes[0]
-    root.complete = root.complete or not root.open
+        child = parent
+    child.complete = child.complete or not child.open
 
 
 def check_search_params(c: float, epsilon: float) -> None:
@@ -257,26 +287,16 @@ def build_tree(
     worst_cost = graph.num_factors if cost_mode != REWARD_EVAL else 1
     while ledger.remaining >= worst_cost and not tree.root_complete():
         if tree.root is None:
-            tree.root = expand(graph, (), prior, ledger)
+            tree.root = expand(graph, (), prior, ledger, c, epsilon)
             tree.nodes[()] = tree.root
             continue
-        nodes = [tree.root]
-        actions: list[int] = []  # the prefix of the node reached so far
-        node = tree.root
-        while True:
-            a = q_uct_select(node, node.visits, c, epsilon)
-            actions.append(a)
-            child = node.children[a - 1]
-            if child is None:
-                prefix = tuple(actions)
-                new = expand(graph, prefix, prior, ledger)
-                if new is None:  # unreachable under the guard; kept as a hard stop
-                    return tree
-                node.children[a - 1] = new
-                tree.nodes[prefix] = new
-                nodes.append(new)
-                backup(nodes, actions)
-                break
-            node = child
-            nodes.append(node)
+        path, actions = q_uct_select(tree.root)
+        prefix = tuple(actions)
+        new = expand(graph, prefix, prior, ledger, c, epsilon)
+        if new is None:  # unreachable under the guard; kept as a hard stop
+            return tree
+        path[-1].children[actions[-1] - 1] = new
+        tree.nodes[prefix] = new
+        path.append(new)
+        backup(path, actions)
     return tree

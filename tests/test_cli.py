@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from treesample import cli
 from treesample.cli import METHODS, RunConfig, main
 from treesample.model import Factor, FactorGraph, load_graph, save_graph
 from treesample.prior import TrainConfig, load_checkpoint
@@ -188,6 +189,24 @@ class TestBench:
         assert out1.read_bytes() == out2.read_bytes()
         srows = summary.read_text().strip().splitlines()
         assert len(srows) == 3  # header + one summary row per (method, budget)
+
+    def test_metric_samples_flag_overrides_config_file(self, tmp_path, capsys, monkeypatch):
+        scored = []
+        evaluate_run = cli.evaluate_run
+
+        def recording_evaluate_run(graph, config, **kwargs):
+            scored.append(config.metric_samples)
+            return evaluate_run(graph, config, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_run", recording_evaluate_run)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"metric_samples": 50}))
+        base = ["bench", "--family", "chains", "--n", "5", "--k", "2", "--methods", "treesample",
+                "--budgets", "20", "--num-instances", "1", "--config", str(config),
+                "--summary-out", str(tmp_path / "s.csv")]
+        assert main(base + ["--metric-samples", "100", "--out", str(tmp_path / "a.csv")]) == 0
+        assert main(base + ["--out", str(tmp_path / "b.csv")]) == 0
+        assert scored == [100, 50]
 
     def test_budget_sweep(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -1,9 +1,12 @@
 import math
+import struct
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesample.exact import (
     ChainSolution,
@@ -166,9 +169,10 @@ class TestSampleSoftmaxRows:
 
 class TestLogsumexpList:
     """The list path of the search tree's soft value equals logsumexp bit for
-    bit at every width from 2 to 130, -inf entries included. It fails if
-    math.exp replaces np.exp (different last bits on some inputs) or if the
-    Python loop sums 8 or more entries (numpy sums those pairwise)."""
+    bit at every width from 1 to 130, -inf entries and repeated maxima
+    included. It fails if math.exp replaces np.exp (different last bits on
+    some inputs) or if the Python loop sums 8 or more entries (numpy sums
+    those pairwise)."""
 
     def test_matches_logsumexp_bitwise(self):
         rng = np.random.default_rng(5)
@@ -184,6 +188,25 @@ class TestLogsumexpList:
     def test_all_neg_inf(self):
         assert logsumexp_list([NEG_INF, NEG_INF]) == NEG_INF
         assert logsumexp_list([NEG_INF] * 9) == NEG_INF
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_logsumexp_bitwise_property(self, data):
+        # lists of 1 to 40 entries up to +-700, with some entries raised to
+        # the maximum (repeated maxima, each adding exactly 1.0 below 8
+        # entries) and some set to -inf (skipped below 8 entries), or every
+        # entry -inf
+        values = data.draw(st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=40))
+        positions = st.lists(st.integers(0, len(values) - 1), max_size=len(values))
+        top = max(values)
+        for i in data.draw(positions):
+            values[i] = top
+        for i in data.draw(positions):
+            values[i] = NEG_INF
+        if data.draw(st.integers(0, 19)) == 0:
+            values = [NEG_INF] * len(values)
+        expected = logsumexp(np.array(values))
+        assert struct.pack("<d", logsumexp_list(values)) == struct.pack("<d", expected)
 
 
 def _digit_gather_level_rewards(graph, depth):

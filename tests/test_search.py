@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from treesample.exact import solve_exact
-from treesample.logmath import NEG_INF, ZeroMassError
+from treesample.logmath import NEG_INF, ZeroMassError, logsumexp
 from treesample.model import FACTOR_EVAL, REWARD_EVAL, BudgetLedger, Factor, FactorGraph
 from treesample.prior import HeuristicPrior, MLPValueFunction
-from treesample.search import TreeNode, backup, build_tree, expand, q_uct_select
+from treesample.search import SearchTree, TreeNode, backup, build_tree, expand, q_uct_select
 
 from conftest import ExactConditionalPrior, all_configs, kl_by_enumeration, make_random_graph
 
@@ -27,16 +27,27 @@ def _uniform_graph(n, k):
     return _graph(n, k, [((v,), np.zeros(k)) for v in range(1, n + 1)])
 
 
-def _node(q, prior, eta, complete):
+def _node(q, bonus, eta, complete):
     node = TreeNode(
         reward=0.0,
         q=np.asarray(q, dtype=float),
-        prior=np.asarray(prior, dtype=float),
+        bonus=np.asarray(bonus, dtype=float),
         complete_children=np.asarray(complete, dtype=bool),
         complete=False,
     )
     node.eta[:] = eta
+    node.visits = sum(eta)
     return node
+
+
+class _FixedPrior:
+    """A prior that returns the same child values after every prefix."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def evaluate(self, graph, prefix):
+        return np.asarray(self.values, dtype=float)
 
 
 def exhaustive_budget(graph, cost_mode=REWARD_EVAL):
@@ -48,29 +59,48 @@ def exhaustive_budget(graph, cost_mode=REWARD_EVAL):
 
 class TestQUctSelect:
     def test_symmetric_tie_breaks_low(self):
-        node = _node([0.0, 0.0], [0.0, 0.0], [0, 0], [False, False])
-        assert q_uct_select(node, 0, c=2.0, epsilon=0.1) == 1
+        node = _node([0.0, 0.0], [0.2, 0.2], [0, 0], [False, False])
+        assert q_uct_select(node) == ([node], [1])
 
     def test_worked_scores(self):
-        # scores: 1.0 + 2*0.5*sqrt(4)/(1+3) = 1.5 and 1.2 + 2*0.5*2/(1+1) = 2.2
-        node = _node([1.0, 1.2], [0.5, 0.5], [3, 1], [False, False])
-        assert q_uct_select(node, 4, c=2.0, epsilon=0.1) == 2
+        # bonus = c * prior = 2 * 0.5; visits = 4
+        # scores: 1.0 + 1.0*sqrt(4)/(1+3) = 1.5 and 1.2 + 1.0*2/(1+1) = 2.2
+        node = _node([1.0, 1.2], [1.0, 1.0], [3, 1], [False, False])
+        assert q_uct_select(node) == ([node], [2])
+
+    def test_score_operation_order(self):
+        # child 1 scores 0.0 + 2.997 * sqrt(7) / (1 + 10) = 0.7208469708418708,
+        # which child 2's bare q equals: the tie goes to child 1. Rounding
+        # sqrt(7) / 11 first would score child 1 one ulp lower, and child 2
+        # would win.
+        node = _node([0.0, 0.7208469708418708], [2.997, 0.0], [10, 0], [False, False])
+        node.visits = 7
+        assert q_uct_select(node) == ([node], [1])
 
     def test_complete_children_excluded(self):
-        node = _node([100.0, -5.0], [1.0, 1.0], [0, 0], [True, False])
-        assert q_uct_select(node, 7, c=2.0, epsilon=0.1) == 2
+        node = _node([100.0, -5.0], [2.0, 2.0], [0, 0], [True, False])
+        assert q_uct_select(node) == ([node], [2])
+
+    def test_complete_children_excluded_when_scored(self):
+        node = _node([100.0, -5.0, -6.0], [2.0, 2.0, 2.0], [3, 2, 1], [True, False, False])
+        assert q_uct_select(node) == ([node], [2])
 
     def test_epsilon_floor_applies(self):
         # prior below epsilon uses epsilon in the bonus: equal Q, equal eta,
         # bonus then ties and action 1 wins
-        node = _node([0.5, 0.5], [-3.0, 0.01], [1, 1], [False, False])
-        assert q_uct_select(node, 9, c=1.0, epsilon=0.1) == 1
+        node = expand(_uniform_graph(3, 2), (), _FixedPrior([-3.0, 0.01]), BudgetLedger(budget=1),
+                      c=1.0, epsilon=0.1)
+        assert node.bonus == [0.1, 0.1]
+        node.q[:] = [0.5, 0.5]
+        node.eta[:] = [1, 1]
+        node.visits = 9
+        assert q_uct_select(node) == ([node], [1])
 
     def test_all_incomplete_neg_inf_picks_first_incomplete(self):
         # every incomplete child scores -inf: the complete child must not win
-        node = _node([0.0, NEG_INF, NEG_INF], [0.0, NEG_INF, NEG_INF], [1, 0, 0],
+        node = _node([0.0, NEG_INF, NEG_INF], [0.2, 0.2, 0.2], [1, 0, 0],
                      [True, False, False])
-        assert q_uct_select(node, 1, c=2.0, epsilon=0.1) == 2
+        assert q_uct_select(node) == ([node], [2])
 
     def test_exact_conditional_prior_with_neg_inf_entries(self):
         # the exact conditionals put -inf on zero-mass children, so whole
@@ -82,16 +112,32 @@ class TestQUctSelect:
             assert abs(total - 1.0) <= 1e-12
 
     def test_all_complete_is_contract_violation(self):
-        node = _node([0.0, 0.0], [0.0, 0.0], [1, 1], [True, True])
+        node = _node([0.0, 0.0], [0.2, 0.2], [1, 1], [True, True])
         with pytest.raises(RuntimeError):
-            q_uct_select(node, 2, c=2.0, epsilon=0.1)
+            q_uct_select(node)
+
+    def test_walks_to_first_missing_child(self):
+        # root picks 2 (2.2 against 1.5), the child picks 1 (tie), and the
+        # grandchild's child 1 is not in the tree yet
+        root = _node([1.0, 1.2], [1.0, 1.0], [3, 1], [False, False])
+        child = _node([0.0, 0.0], [0.2, 0.2], [0, 0], [False, False])
+        grandchild = _node([0.0, -1.0], [0.2, 0.2], [0, 0], [False, False])
+        root.children[1] = child
+        child.children[0] = grandchild
+        assert q_uct_select(root) == ([root, child, grandchild], [2, 1, 1])
+
+    def test_complete_node_below_root_is_contract_violation(self):
+        root = _node([0.0, 0.0], [0.2, 0.2], [0, 0], [False, True])
+        root.children[0] = _node([0.0, 0.0], [0.2, 0.2], [1, 1], [True, True])
+        with pytest.raises(RuntimeError):
+            q_uct_select(root)
 
 
 class TestExpand:
     def test_leaf_children(self):
         g = _uniform_graph(2, 3)
         ledger = BudgetLedger(budget=10)
-        node = expand(g, (1, 2), HeuristicPrior(), ledger)
+        node = expand(g, (1, 2), HeuristicPrior(), ledger, c=2.0, epsilon=0.1)
         assert np.allclose(node.q, -math.log(3))
         assert node.value() == pytest.approx(0.0, abs=1e-12)
         assert node.complete
@@ -99,33 +145,34 @@ class TestExpand:
 
     def test_root_uses_heuristic(self):
         g = _uniform_graph(10, 5)
-        node = expand(g, (), HeuristicPrior(), BudgetLedger(budget=10))
+        node = expand(g, (), HeuristicPrior(), BudgetLedger(budget=10), c=2.0, epsilon=0.1)
         assert np.allclose(node.q, 9 * math.log(5))
         assert node.q[0] == pytest.approx(14.485, abs=1e-3)
+        assert node.bonus == [2.0 * node.q[0]] * 5
         assert not node.complete
 
     def test_root_is_free(self):
         g = _uniform_graph(3, 2)
         ledger = BudgetLedger(budget=5)
-        expand(g, (), HeuristicPrior(), ledger)
+        expand(g, (), HeuristicPrior(), ledger, c=2.0, epsilon=0.1)
         assert ledger.spent == 0
 
     def test_dead_end_marked_complete(self):
         g = _graph(2, 2, [((1,), [0.0, -np.inf]), ((2,), [0.0, 0.0])])
-        node = expand(g, (2,), HeuristicPrior(), BudgetLedger(budget=5))
+        node = expand(g, (2,), HeuristicPrior(), BudgetLedger(budget=5), c=2.0, epsilon=0.1)
         assert node.reward == NEG_INF
         assert node.complete
 
     def test_factor_eval_cost(self):
         g = _graph(2, 2, [((1,), np.zeros(2)), ((1, 2), np.zeros(4)), ((2,), np.zeros(2))])
         ledger = BudgetLedger(budget=10, cost_mode=FACTOR_EVAL)
-        expand(g, (1, 2), HeuristicPrior(), ledger)
+        expand(g, (1, 2), HeuristicPrior(), ledger, c=2.0, epsilon=0.1)
         assert ledger.spent == 2  # both the pair factor and the unary resolve at depth 2
 
     def test_exhaustion_signal(self):
         g = _uniform_graph(2, 2)
         ledger = BudgetLedger(budget=0)
-        assert expand(g, (1,), HeuristicPrior(), ledger) is None
+        assert expand(g, (1,), HeuristicPrior(), ledger, c=2.0, epsilon=0.1) is None
         assert ledger.spent == 0
 
 
@@ -133,10 +180,10 @@ class TestBackup:
     def test_fresh_leaf_gives_reward(self):
         g = _graph(2, 2, [((1,), np.zeros(2)), ((1, 2), np.array([0.7, 0.0, 0.0, 0.0]))])
         ledger = BudgetLedger(budget=10)
-        root = expand(g, (), HeuristicPrior(), ledger)
-        child = expand(g, (1,), HeuristicPrior(), ledger)
+        root = expand(g, (), HeuristicPrior(), ledger, c=2.0, epsilon=0.1)
+        child = expand(g, (1,), HeuristicPrior(), ledger, c=2.0, epsilon=0.1)
         root.children[0] = child
-        leaf = expand(g, (1, 1), HeuristicPrior(), ledger)
+        leaf = expand(g, (1, 1), HeuristicPrior(), ledger, c=2.0, epsilon=0.1)
         child.children[0] = leaf
         backup([root, child, leaf], [1, 1])
         assert child.q[0] == pytest.approx(0.7)  # leaf reward + V=0
@@ -144,23 +191,23 @@ class TestBackup:
         assert root.eta[0] == 1
 
     def test_logsumexp_of_children(self):
-        parent = _node([0.0, 0.0], [0.0, 0.0], [0, 0], [False, False])
-        child = _node([0.0, 0.0], [0.0, 0.0], [0, 0], [False, False])
+        parent = _node([0.0, 0.0], [0.2, 0.2], [0, 0], [False, False])
+        child = _node([0.0, 0.0], [0.2, 0.2], [0, 0], [False, False])
         child.reward = -1.0
         backup([parent, child], [1])
         assert parent.q[0] == pytest.approx(-1.0 + math.log(2), abs=1e-12)
         assert parent.q[0] == pytest.approx(-0.3069, abs=1e-4)
 
     def test_neg_inf_child_ignored_in_value(self):
-        parent = _node([0.0, 0.0], [0.0, 0.0], [0, 0], [False, False])
-        child = _node([NEG_INF, 0.0], [0.0, 0.0], [0, 0], [False, False])
+        parent = _node([0.0, 0.0], [0.2, 0.2], [0, 0], [False, False])
+        child = _node([NEG_INF, 0.0], [0.2, 0.2], [0, 0], [False, False])
         child.reward = 0.0
         backup([parent, child], [2])
         assert parent.q[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_completeness_propagates(self):
-        parent = _node([0.0, 0.0], [0.0, 0.0], [0, 0], [False, True])
-        child = _node([0.0, 0.0], [0.0, 0.0], [0, 0], [True, True])
+        parent = _node([0.0, 0.0], [0.2, 0.2], [0, 0], [False, True])
+        child = _node([0.0, 0.0], [0.2, 0.2], [0, 0], [True, True])
         child.reward = 0.0
         backup([parent, child], [1])
         assert child.complete
@@ -272,6 +319,131 @@ class TestBuildTree:
         tree = build_tree(g, HeuristicPrior(), 10)
         with pytest.raises(ZeroMassError):
             tree.sample(np.random.default_rng(0))
+
+
+class _PerLevelNode:
+    """The former TreeNode: the raw prior per child instead of the bonus."""
+
+    def __init__(self, reward, q, prior, complete_children, complete):
+        self.reward = reward
+        self.q = list(q)
+        self.eta = [0] * len(self.q)
+        self.prior = list(prior)
+        self.complete_children = list(complete_children)
+        self.children = [None] * len(self.q)
+        self.complete = complete
+        self.visits = 0
+        self.open = self.complete_children.count(False)
+
+    def value(self):
+        return logsumexp(self.q)
+
+
+def _per_level_select(node, parent_visits, c, epsilon):
+    """The former q_uct_select: one node's choice, every child scored."""
+    if not node.open:
+        raise RuntimeError("q_uct_select called with all children complete")
+    sqrt_visits = math.sqrt(parent_visits)
+    scores = [
+        NEG_INF if done else q + c * max(prior, epsilon) * sqrt_visits / (1.0 + eta)
+        for q, prior, eta, done in zip(node.q, node.prior, node.eta, node.complete_children)
+    ]
+    best = max(scores)
+    if best == NEG_INF:
+        return node.complete_children.index(False) + 1
+    return scores.index(best) + 1
+
+
+def _per_level_expand(graph, prefix, prior, ledger):
+    n, k = len(prefix), graph.num_states
+    cost = 0 if n == 0 else graph.reward_cost(n, ledger.cost_mode)
+    if not ledger.charge(cost):
+        return None
+    reward = 0.0 if n == 0 else graph.reward(prefix)
+    if n == graph.num_variables:
+        return _PerLevelNode(reward, [-math.log(k)] * k, [0.0] * k, [True] * k, True)
+    prior_q = np.asarray(prior.evaluate(graph, prefix), dtype=np.float64).tolist()
+    return _PerLevelNode(reward, prior_q, prior_q, [False] * k, reward == NEG_INF)
+
+
+def _per_level_backup(nodes, actions):
+    for i in range(len(actions) - 1, -1, -1):
+        child, parent, a = nodes[i + 1], nodes[i], actions[i] - 1
+        child.complete = child.complete or not child.open
+        parent.q[a] = child.reward + child.value()
+        if child.complete and not parent.complete_children[a]:
+            parent.complete_children[a] = True
+            parent.open -= 1
+        parent.eta[a] += 1
+        parent.visits += 1
+    root = nodes[0]
+    root.complete = root.complete or not root.open
+
+
+def _per_level_build_tree(graph, prior, budget, c, epsilon, cost_mode):
+    """The former build_tree: one selection call per level of every traversal
+    and the soft value through numpy's logsumexp."""
+    ledger = BudgetLedger(budget=budget, cost_mode=cost_mode)
+    tree = SearchTree(graph=graph, prior=prior, ledger=ledger)
+    worst_cost = graph.num_factors if cost_mode != REWARD_EVAL else 1
+    while ledger.remaining >= worst_cost and not tree.root_complete():
+        if tree.root is None:
+            tree.root = _per_level_expand(graph, (), prior, ledger)
+            tree.nodes[()] = tree.root
+            continue
+        nodes, actions, node = [tree.root], [], tree.root
+        while True:
+            a = _per_level_select(node, node.visits, c, epsilon)
+            actions.append(a)
+            child = node.children[a - 1]
+            if child is None:
+                new = _per_level_expand(graph, tuple(actions), prior, ledger)
+                node.children[a - 1] = new
+                tree.nodes[tuple(actions)] = new
+                nodes.append(new)
+                _per_level_backup(nodes, actions)
+                break
+            node = child
+            nodes.append(node)
+    return tree
+
+
+class TestBuildMatchesPerLevelReference:
+    """build_tree's one-call descent and soft value give the same tree, bit
+    for bit, as the per-level loop it replaced (kept above as reference)."""
+
+    def _assert_same_tree(self, g, prior, budget, c=2.0, epsilon=0.1, cost_mode=REWARD_EVAL):
+        tree = build_tree(g, prior, budget, c=c, epsilon=epsilon, cost_mode=cost_mode)
+        ref = _per_level_build_tree(g, prior, budget, c, epsilon, cost_mode)
+        assert tree.dump_json_dict() == ref.dump_json_dict()
+        return tree
+
+    def test_random_graphs_with_neg_inf_entries(self):
+        rng = np.random.default_rng(173)
+        for trial in range(48):
+            n, k = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+            g = make_random_graph(rng, n, k, num_extra_factors=int(rng.integers(1, 5)),
+                                  neg_inf_frac=float(rng.choice([0.1, 0.3, 0.6])),
+                                  shuffle_ordering=bool(trial % 2))
+            cost_mode = (REWARD_EVAL, FACTOR_EVAL)[trial % 2]
+            prior = (HeuristicPrior(), ExactConditionalPrior(solve_exact(g)),
+                     _small_mlp(g, seed=trial))[trial % 3]
+            full = exhaustive_budget(g, cost_mode)
+            for budget in (int(rng.integers(1, full)), full):
+                tree = self._assert_same_tree(g, prior, budget, c=float(rng.choice([0.5, 2.0])),
+                                              epsilon=float(rng.choice([0.0, 0.1, 1.0])),
+                                              cost_mode=cost_mode)
+            assert tree.root_complete()
+
+    def test_wide_nodes_run_the_pairwise_soft_value(self):
+        # K of 8 or more sums the soft value with numpy's pairwise reduction
+        rng = np.random.default_rng(179)
+        for k in (8, 10):
+            g = make_random_graph(rng, 3, k, num_extra_factors=2, neg_inf_frac=0.3)
+            for prior in (HeuristicPrior(), ExactConditionalPrior(solve_exact(g)), _small_mlp(g)):
+                for budget in (60, 400, exhaustive_budget(g)):
+                    tree = self._assert_same_tree(g, prior, budget)
+                assert tree.root_complete()
 
 
 class TestSampleAndDensity:
