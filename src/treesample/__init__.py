@@ -7,7 +7,7 @@ SIS/SMC/Gibbs/loopy-BP baselines under identical evaluation budgets.
 
 from .baselines import WeightedAtoms, bp_sample, gibbs, sis, smc
 from .exact import ChainSolution, ExactSolution, is_chain, solve_chain, solve_exact
-from .generators import GeneratorSpec, fg1_ordering, gen_chain, gen_fg1, gen_fg2, gen_permuted_chain, generate
+from .generators import GeneratorSpec, gen_chain, gen_fg1, gen_fg2, gen_permuted_chain, generate
 from .logmath import ZeroMassError, logsumexp
 from .metrics import (
     EvalReport,
@@ -59,7 +59,6 @@ __all__ = [
     "energy_entropy_deltas",
     "evaluate_method",
     "expand",
-    "fg1_ordering",
     "gen_chain",
     "gen_fg1",
     "gen_fg2",

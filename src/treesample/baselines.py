@@ -44,11 +44,7 @@ def _must_charge(ledger: "BudgetLedger", amount: int) -> None:
 
 
 class DegenerateSampleError(RuntimeError):
-    """Every particle ended with zero weight; carries the empty result."""
-
-    def __init__(self, message: str, result: "WeightedAtoms"):
-        super().__init__(message)
-        self.result = result
+    """Every particle ended with zero weight."""
 
 
 @dataclass
@@ -113,13 +109,6 @@ def merge_particles(particles: np.ndarray, log_weights: np.ndarray) -> tuple[lis
     return atoms, weights.tolist()
 
 
-def _propose_step(graph, prior, particles, depth, rng):
-    """Vectorized draw of column `depth` from the prior softmax; returns the
-    chosen 0-based actions and their log proposal probabilities."""
-    qs = np.asarray(prior.evaluate_batch(graph, particles[:, : depth - 1]), dtype=np.float64)
-    return sample_softmax_rows(qs, rng.random(len(particles)))
-
-
 def smc(
     graph: FactorGraph,
     prior,
@@ -130,11 +119,13 @@ def smc(
 ) -> WeightedAtoms:
     """Ancestral particles from the prior softmax with importance reweighting;
     multinomial resampling whenever the effective sample size drops below
-    threshold * I. A threshold of 0 never resamples and reproduces SIS."""
+    threshold * I. A threshold of 0 never resamples and reproduces SIS.
+    A particle costs reward_cost summed over depths 1..N. Raises
+    DegenerateSampleError when every particle ends with zero weight."""
     if not 0.0 <= resample_threshold <= 1.0:
         raise ValueError("resample_threshold must lie in [0, 1]")
     n = graph.num_variables
-    per_particle = graph.full_traversal_cost(cost_mode)
+    per_particle = sum(graph.reward_cost(d, cost_mode) for d in range(1, n + 1))
     num = budget // per_particle
     if num < 1:
         raise BudgetTooSmallError(
@@ -146,7 +137,8 @@ def smc(
     lw = np.zeros(num)
     log_z = 0.0
     for depth in range(1, n + 1):
-        actions, logq = _propose_step(graph, prior, particles, depth, rng)
+        qs = np.asarray(prior.evaluate_batch(graph, particles[:, : depth - 1]), dtype=np.float64)
+        actions, logq = sample_softmax_rows(qs, rng.random(num))
         particles[:, depth - 1] = actions + 1
         _must_charge(ledger, num * graph.reward_cost(depth, cost_mode))
         lw += graph.reward_batch(particles[:, :depth]) - logq
@@ -160,16 +152,15 @@ def smc(
                 lw[:] = 0.0
     log_z += logsumexp(lw) - math.log(num)
     atoms, weights = merge_particles(particles, lw)
-    result = WeightedAtoms(
+    if not atoms:
+        raise DegenerateSampleError("all particles have zero weight")
+    return WeightedAtoms(
         atoms=atoms,
         weights=weights,
         num_particles=num,
         log_z_estimate=log_z,
         budget_spent=ledger.spent,
     )
-    if not atoms:
-        raise DegenerateSampleError("all particles have zero weight", result)
-    return result
 
 
 def sis(

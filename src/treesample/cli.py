@@ -174,18 +174,22 @@ def _given_fields(cls, args) -> dict:
             if getattr(args, f.name, None) is not None}
 
 
-def _run_config_from_args(args) -> RunConfig:
+def _run_config_fields(args) -> dict:
+    """The RunConfig fields of the --config file, overridden by the flags given."""
     data = {}
     if args.config:
         with open(args.config) as fh:
-            data.update(json.load(fh))
-    data.update(_given_fields(RunConfig, args))
-    return RunConfig.from_dict(data)
+            data = json.load(fh)
+    return {**data, **_given_fields(RunConfig, args)}
 
 
 def cmd_run(args) -> int:
     graph = load_graph(args.instance)
-    config = _run_config_from_args(args)
+    config = RunConfig.from_dict(_run_config_fields(args))
+    if args.dump_tree and config.method != "treesample":
+        raise ValueError(f"--dump-tree needs method treesample; {config.method} builds no tree")
+    if args.atoms_out and config.method == "treesample":
+        raise ValueError("--atoms-out needs a particle method; treesample builds a tree")
     try:
         approx, report = evaluate_run(graph, config, dump_tree_path=args.dump_tree)
     except (BudgetTooSmallError, DegenerateSampleError, ZeroMassError) as exc:
@@ -196,7 +200,7 @@ def cmd_run(args) -> int:
     if args.no_telemetry:
         data.pop("wall_clock_s", None)
     print(json.dumps(data, sort_keys=True))
-    if args.atoms_out and hasattr(approx, "to_json_lines"):
+    if args.atoms_out:
         with open(args.atoms_out, "w") as fh:
             fh.write(approx.to_json_lines())
     return 0
@@ -245,12 +249,7 @@ def cmd_bench(args) -> int:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
     budgets = [int(b) for b in args.budgets.split(",")]
-    base_config = {}
-    if args.config:
-        with open(args.config) as fh:
-            base_config.update(json.load(fh))
-    # flags override the file, as in run; each cell then sets its own run_seed
-    base_config.update(_given_fields(RunConfig, args))
+    base_config = _run_config_fields(args)  # each cell then sets its own run_seed
     params = json.loads(args.params) if args.params else {}
 
     tasks = []
@@ -318,6 +317,9 @@ def cmd_train(args) -> int:
             raise ValueError(f"--resume restores the checkpoint's training config; "
                              f"it cannot be changed by {flags}")
         mlp, adam, start_episode, old_config = load_checkpoint(args.resume)
+        if args.episodes < start_episode:
+            raise ValueError(f"--episodes {args.episodes} is below the checkpoint's "
+                             f"{start_episode} episodes; --resume cannot go back")
         config = replace(old_config, episodes=args.episodes)
     else:
         start_episode = 0

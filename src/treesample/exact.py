@@ -4,7 +4,7 @@ Two independent paths: exhaustive backward dynamic programming with
 soft-Bellman recursions (any graph, capped state space), and linear-time
 forward-backward on chain-structured graphs. Both stay in the log domain
 end to end; the only exponentiations happen inside logsumexp and final
-softmax normalizations.
+softmax normalizations. Both solutions index by depth (ordering position).
 """
 
 from __future__ import annotations
@@ -153,20 +153,11 @@ class ChainSolution:
     pair: np.ndarray  # (N-1, K, K) summed pairwise log-potentials per step
     alpha: np.ndarray  # (N, K) forward messages
     beta: np.ndarray  # (N, K) backward messages
-    ordering: tuple[int, ...]
 
     def position_marginals(self) -> np.ndarray:
         """(N, K) marginal probabilities by ordering position."""
         log_m = self.alpha + self.beta - self.log_z
         return np.exp(log_m)
-
-    def variable_marginals(self) -> np.ndarray:
-        """(N, K) marginal probabilities by variable index (row v-1)."""
-        by_pos = self.position_marginals()
-        out = np.zeros_like(by_pos)
-        for pos, v in enumerate(self.ordering):
-            out[v - 1] = by_pos[pos]
-        return out
 
     def pairwise_marginals(self) -> np.ndarray:
         """(N-1, K, K) joint marginals of consecutive positions."""
@@ -259,6 +250,4 @@ def solve_chain(graph: FactorGraph) -> ChainSolution:
     for p in range(n - 1):
         alpha[p + 1] = unary[p + 1] + logsumexp_rows(pair_t[p] + alpha[p])
     log_z = float(logsumexp(alpha[n - 1]))
-    return ChainSolution(
-        log_z=log_z, unary=unary, pair=pair, alpha=alpha, beta=beta, ordering=graph.ordering
-    )
+    return ChainSolution(log_z=log_z, unary=unary, pair=pair, alpha=alpha, beta=beta)

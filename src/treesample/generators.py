@@ -7,7 +7,8 @@ built from Dirichlet conditional tables, so the sequential methods see
 maximal cliques. fg2: binary variables paired by XOR factors, with scaled
 MAJORITY factors on cliques of a pair-level random graph.
 
-Every generator is a pure function of (parameters, seed).
+Every generator in FAMILIES takes (n, k, seed, **params) and is a pure
+function of them.
 """
 
 from __future__ import annotations
@@ -182,6 +183,8 @@ def maximal_cliques(adj: dict[int, set[int]]) -> list[tuple[int, ...]]:
 
 
 def _ordering_from_scopes(scopes: list[tuple[int, ...]], n: int) -> tuple[int, ...]:
+    """Depth order: walk the scopes by descending size (ties by index),
+    appending variables the first time they appear."""
     order: list[int] = []
     seen: set[int] = set()
     ranked = sorted(range(len(scopes)), key=lambda i: (-len(scopes[i]), i))
@@ -193,12 +196,6 @@ def _ordering_from_scopes(scopes: list[tuple[int, ...]], n: int) -> tuple[int, .
     if len(order) != n:
         raise ValueError("factor scopes do not cover every variable")
     return tuple(order)
-
-
-def fg1_ordering(graph: FactorGraph) -> tuple[int, ...]:
-    """Depth order: walk factors by descending scope size (ties by id),
-    appending variables the first time they appear."""
-    return _ordering_from_scopes([f.scope for f in graph.factors], graph.num_variables)
 
 
 def gen_fg1(
@@ -232,16 +229,18 @@ def gen_fg1(
 
 def gen_fg2(
     n: int,
+    k: int,
     seed: int,
     max_clique: int = 4,
     rejection_cap: int = 10_000,
     scale: float = 2.0,
 ) -> FactorGraph:
-    """Binary variables in XOR-linked pairs plus MAJORITY factors on cliques
-    of a random graph over the pairs. All factor outputs are scaled by 2."""
+    """Binary variables (k must be 2) in XOR-linked pairs plus MAJORITY
+    factors on cliques of a random graph over the pairs, all scaled by `scale`."""
+    if k != 2:
+        raise ValueError(f"fg2 variables are binary: k must be 2, not {k}")
     if n < 4 or n % 2:
         raise ValueError("fg2 needs an even number of variables, at least 4")
-    k = 2
     num_pairs = n // 2
     rng = np.random.default_rng(seed)
     p = 3.0 * math.log(num_pairs) / n
@@ -282,16 +281,9 @@ def _majority_table(scope_size: int, scale: float) -> np.ndarray:
     return table
 
 
-def _fg2_family(n: int, k: int, seed: int, **kw) -> FactorGraph:
-    """gen_fg2 under the (n, k, seed) signature of the other families."""
-    if k != 2:
-        raise ValueError(f"fg2 variables are binary: k must be 2, not {k}")
-    return gen_fg2(n, seed, **kw)
-
-
 FAMILIES = {
     "chains": gen_chain,
     "permuted_chains": gen_permuted_chain,
     "fg1": gen_fg1,
-    "fg2": _fg2_family,
+    "fg2": gen_fg2,
 }

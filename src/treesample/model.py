@@ -168,12 +168,6 @@ class FactorGraph:
             return len(self._depth_factors[depth])
         raise ValueError(f"unknown cost mode {cost_mode!r}")
 
-    def full_traversal_cost(self, cost_mode: str = REWARD_EVAL) -> int:
-        """Worst-case cost of evaluating all depths 1..N once."""
-        if cost_mode == REWARD_EVAL:
-            return self.num_variables
-        return self.num_factors
-
     def log_unnormalized_density(self, x: Sequence[int]) -> float:
         """Sum of all factor values at a complete configuration (prefix of
         length N): the one-row case of log_unnormalized_density_batch."""

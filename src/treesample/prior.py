@@ -342,11 +342,9 @@ def train_loop(graph: FactorGraph, algo: str, config: TrainConfig,
                              seed=build_seed, cost_mode=config.cost_mode)
             except DegenerateSampleError:
                 degenerate = True
-                result = None
-            if result is not None:
+            else:
                 delta_kl = delta_kl_atoms(result, graph)
-                targets = _smc_step_targets(result.atoms, result.weights,
-                                            result.num_particles or len(result.atoms), k)
+                targets = _smc_step_targets(result.atoms, result.weights, result.num_particles, k)
                 w = np.asarray(result.weights)
                 for _ in range(config.samples_per_episode):
                     i = int(draw_rng.choice(len(result.atoms), p=w))

@@ -119,9 +119,8 @@ class TestSis:
 
     def test_degenerate_signal(self):
         g = _graph(1, 2, [((1,), [-np.inf, -np.inf])])
-        with pytest.raises(DegenerateSampleError) as exc:
+        with pytest.raises(DegenerateSampleError):
             sis(g, HeuristicPrior(), budget=10, seed=0)
-        assert exc.value.result.atoms == []
 
 
 class TestSmc:

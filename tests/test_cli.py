@@ -117,6 +117,29 @@ class TestRun:
         assert data["root_complete"] is True
         assert data["num_nodes"] == 15
 
+    @pytest.mark.parametrize("method, flag", [("gibbs", "--dump-tree"), ("smc", "--dump-tree"),
+                                              ("treesample", "--atoms-out")])
+    def test_output_flag_the_method_cannot_fill_rejected(self, tmp_path, capsys, method, flag):
+        # a tree dump needs a tree and an atoms file needs particles: neither
+        # flag may be dropped without a word
+        instance = _uniform_instance(tmp_path)
+        out = tmp_path / "out.txt"
+        code = main(["run", str(instance), "--method", method, "--budget", "300",
+                     "--num-gibbs-sweeps", "2", "--metric-samples", "50", flag, str(out)])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_atoms_out(self, tmp_path, capsys):
+        instance = _uniform_instance(tmp_path)
+        out = tmp_path / "atoms.jsonl"
+        code = main(["run", str(instance), "--method", "sis", "--budget", "30",
+                     "--metric-samples", "50", "--atoms-out", str(out)])
+        assert code == 0
+        atoms = [json.loads(line) for line in out.read_text().splitlines()]
+        assert atoms and all(len(a["x"]) == 3 for a in atoms)
+        assert sum(a["weight"] for a in atoms) == pytest.approx(1.0)
+
     def test_deterministic_stdout(self, tmp_path, capsys):
         instance = _uniform_instance(tmp_path)
         args = ["run", str(instance), "--method", "gibbs", "--budget", "300",
@@ -208,6 +231,19 @@ class TestBench:
         assert main(base + ["--out", str(tmp_path / "b.csv")]) == 0
         assert scored == [100, 50]
 
+    def test_parallel_jobs_match_serial(self, tmp_path, capsys):
+        base = ["bench", "--family", "chains", "--n", "5", "--k", "2",
+                "--methods", "treesample,smc,gibbs", "--budgets", "40,400",
+                "--num-instances", "2", "--metric-samples", "100"]
+        outputs = []
+        for jobs in ("1", "2"):
+            out, summary = tmp_path / f"b{jobs}.csv", tmp_path / f"s{jobs}.csv"
+            assert main(base + ["--jobs", jobs, "--out", str(out),
+                                "--summary-out", str(summary)]) == 0
+            outputs.append((out.read_bytes(), summary.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0].splitlines()) == 13  # header + 3 methods x 2 budgets x 2
+
     def test_budget_sweep(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main(["bench", "--family", "chains", "--n", "5", "--k", "2",
@@ -291,6 +327,22 @@ class TestTrain:
                          "--metrics-out", str(tmp_path / "m.csv")])
             assert code == 2
             assert "must be finite and non-negative" in capsys.readouterr().err
+
+    def test_resume_cannot_go_back(self, tmp_path, capsys):
+        # a checkpoint of 3 episodes resumed with --episodes 1 would train
+        # nothing and write a checkpoint at episode 1 with 3 episodes of Adam
+        # steps, so a later resume would rerun episodes 1-2 on used seeds
+        instance = _uniform_instance(tmp_path)
+        ckpt, ckpt2 = tmp_path / "model.ckpt", tmp_path / "model2.ckpt"
+        metrics = str(tmp_path / "m.csv")
+        assert main(["train", str(instance), "--episodes", "3", "--budget-per-episode", "20",
+                     "--samples-per-episode", "4", "--batch-size", "4", "--metric-samples", "8",
+                     "--checkpoint-out", str(ckpt), "--metrics-out", metrics]) == 0
+        code = main(["train", str(instance), "--episodes", "1", "--resume", str(ckpt),
+                     "--checkpoint-out", str(ckpt2), "--metrics-out", metrics])
+        assert code == 2
+        assert "--episodes" in capsys.readouterr().err
+        assert not ckpt2.exists()
 
     def test_resume_rejects_config_flags(self, tmp_path, capsys):
         instance = _uniform_instance(tmp_path)

@@ -359,7 +359,8 @@ class TestSolveChain:
             chain = solve_chain(g)
             full = solve_exact(g)
             assert chain.log_z == pytest.approx(full.log_z, abs=1e-9)
-            assert np.allclose(chain.variable_marginals(), full.variable_marginals(g), atol=1e-9)
+            by_depth = full.variable_marginals(g)[np.array(g.ordering) - 1]
+            assert np.allclose(chain.position_marginals(), by_depth, atol=1e-9)
             first, steps = chain.log_step_conditionals()
             assert np.allclose(np.exp(first), _conditional(full, ()), atol=1e-9)
             for prefix in [(1,), (2, 3), (3, 1, 2, 1)]:
@@ -393,6 +394,16 @@ class TestSolveChain:
         assert is_chain(g)
         sol = solve_chain(g)
         assert sol.log_z == pytest.approx(brute_force_log_z(g), abs=1e-9)
+
+    def test_position_marginals_follow_ordering(self):
+        # position p holds variable ordering[p]: rows 1, 3, 2 of the exact marginals
+        g = _graph(3, 2, [((1, 3), np.array([0.1, -0.7, 1.3, 0.4])),
+                          ((2, 3), np.array([0.5, 0.2, -1.1, 0.9])),
+                          ((1,), np.array([0.3, -0.2])), ((2,), np.array([1.0, 0.0]))],
+                   ordering=(1, 3, 2))
+        by_variable = solve_exact(g).variable_marginals(g)
+        assert np.allclose(solve_chain(g).position_marginals(), by_variable[[0, 2, 1]], atol=1e-12)
+        assert not np.allclose(by_variable[[0, 2, 1]], by_variable, atol=1e-3)
 
     def test_expected_log_density(self):
         rng = np.random.default_rng(59)

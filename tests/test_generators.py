@@ -9,7 +9,7 @@ from treesample.generators import (
     GenerationError,
     GeneratorSpec,
     _majority_table,
-    fg1_ordering,
+    _ordering_from_scopes,
     gen_chain,
     gen_fg1,
     gen_fg2,
@@ -18,7 +18,7 @@ from treesample.generators import (
     maximal_cliques,
     torus_distance,
 )
-from treesample.model import Factor, FactorGraph, graph_to_json_dict
+from treesample.model import graph_to_json_dict
 
 
 class TestChains:
@@ -137,7 +137,7 @@ class TestFg1:
 
     def test_ordering_comes_from_heuristic(self):
         g = gen_fg1(10, 5, seed=4)
-        assert g.ordering == fg1_ordering(g)
+        assert g.ordering == _ordering_from_scopes([f.scope for f in g.factors], 10)
         assert sorted(g.ordering) == list(range(1, 11))
 
     def test_deterministic(self):
@@ -147,41 +147,34 @@ class TestFg1:
 
 class TestFg1Ordering:
     def test_single_factor_covering_all(self):
-        g = FactorGraph(
-            num_variables=3,
-            num_states=2,
-            factors=(Factor(id=0, scope=(1, 2, 3), table=np.zeros(8)),),
-            ordering=(1, 2, 3),
-        )
-        assert fg1_ordering(g) == (1, 2, 3)
+        assert _ordering_from_scopes([(1, 2, 3)], 3) == (1, 2, 3)
 
     def test_descending_scope_size(self):
-        g = FactorGraph(
-            num_variables=5,
-            num_states=2,
-            factors=(
-                Factor(id=0, scope=(4, 5), table=np.zeros(4)),
-                Factor(id=1, scope=(1, 2, 3), table=np.zeros(8)),
-            ),
-            ordering=(1, 2, 3, 4, 5),
-        )
-        assert fg1_ordering(g) == (1, 2, 3, 4, 5)
+        assert _ordering_from_scopes([(4, 5), (1, 2, 3)], 5) == (1, 2, 3, 4, 5)
+
+    def test_ties_keep_scope_order(self):
+        assert _ordering_from_scopes([(3, 4), (1, 2), (4, 5)], 5) == (3, 4, 1, 2, 5)
+
+    def test_uncovered_variable_rejected(self):
+        with pytest.raises(ValueError, match="cover"):
+            _ordering_from_scopes([(1, 2)], 3)
 
     def test_always_a_permutation(self):
         for seed in range(5):
             g = gen_fg1(9, 3, seed=seed)
-            assert sorted(fg1_ordering(g)) == list(range(1, 10))
+            scopes = [f.scope for f in g.factors]
+            assert sorted(_ordering_from_scopes(scopes, 9)) == list(range(1, 10))
 
 
 class TestFg2:
     def test_not_factor_table(self):
-        g = gen_fg2(8, seed=0)
+        g = gen_fg2(8, 2, seed=0)
         for f in g.factors[:4]:
             assert f.scope in [(1, 2), (3, 4), (5, 6), (7, 8)]
             assert np.array_equal(f.table, [0.0, 2.0, 2.0, 0.0])
 
     def test_twenty_variables_has_ten_not_factors(self):
-        g = gen_fg2(20, seed=1)
+        g = gen_fg2(20, 2, seed=1)
         not_factors = [
             f for f in g.factors if len(f.scope) == 2 and f.scope[1] == f.scope[0] + 1
             and f.scope[0] % 2 == 1 and np.array_equal(f.table, [0.0, 2.0, 2.0, 0.0])
@@ -196,7 +189,7 @@ class TestFg2:
         assert set(np.unique(t)) <= {0.0, 2.0}
 
     def test_majority_scope_one_per_pair(self):
-        g = gen_fg2(20, seed=3)
+        g = gen_fg2(20, 2, seed=3)
         for f in g.factors[10:]:
             pairs = [(v - 1) // 2 for v in f.scope]
             assert len(set(pairs)) == len(pairs)
@@ -204,17 +197,20 @@ class TestFg2:
 
     def test_even_and_minimum_size(self):
         with pytest.raises(ValueError):
-            gen_fg2(7, seed=0)
+            gen_fg2(7, 2, seed=0)
         with pytest.raises(ValueError):
-            gen_fg2(2, seed=0)
+            gen_fg2(2, 2, seed=0)
 
     def test_deterministic(self):
-        assert graph_to_json_dict(gen_fg2(12, seed=5)) == graph_to_json_dict(gen_fg2(12, seed=5))
+        a, b = gen_fg2(12, 2, seed=5), gen_fg2(12, 2, seed=5)
+        assert graph_to_json_dict(a) == graph_to_json_dict(b)
 
     def test_family_rejects_k_other_than_two(self):
         assert generate(GeneratorSpec(family="fg2", n=8, k=2, seed=0)).num_states == 2
         with pytest.raises(ValueError, match="k must be 2"):
             generate(GeneratorSpec(family="fg2", n=8, k=3, seed=0))
+        with pytest.raises(ValueError, match="k must be 2"):
+            gen_fg2(8, 3, seed=0)
 
 
 class TestCliqueEnumeration:
