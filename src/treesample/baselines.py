@@ -43,7 +43,7 @@ def _must_charge(ledger: "BudgetLedger", amount: int) -> None:
         raise RuntimeError("internal accounting error: planned charge exceeds budget")
 
 
-class DegenerateSampleError(RuntimeError):
+class DegenerateSampleError(ValueError):
     """Every particle ended with zero weight."""
 
 

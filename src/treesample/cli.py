@@ -2,8 +2,12 @@
 method against an instance, sweep a benchmark grid to CSV, and train the
 MLP value prior.
 
-Exit codes: 0 success, 1 internal error, 2 invalid input, a budget too
-small for a single unit of work, or a target of zero total mass.
+Exit codes: 0 success, 2 bad input or data, 1 a bug. Bad input (flags, config
+or parameters, a malformed or unreadable file, a budget too small for one unit
+of work, a target of zero total mass) raises ValueError or OSError, and `main`
+alone reports it: one JSON object on stdout, {"error": <exception class>,
+"message": <text>}, plus "method" and "budget" when given as flags. Any other
+exception is a bug: `main` writes "internal error: ..." to stderr.
 """
 
 from __future__ import annotations
@@ -15,18 +19,19 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .baselines import BudgetTooSmallError, DegenerateSampleError, bp_sample, gibbs, sis, smc
-from .exact import StateSpaceCapError, is_chain, solve_chain, solve_exact
-from .generators import FAMILIES, GenerationError, GeneratorSpec, generate
+from .baselines import bp_sample, gibbs, sis, smc
+from .exact import is_chain, solve_chain, solve_exact
+from .generators import FAMILIES, GeneratorSpec, generate
 from .logmath import NEG_INF, ZeroMassError
 from .metrics import evaluate_method
 from .model import COST_MODES, FactorGraph, load_graph, save_graph
-from .prior import (Adam, HeuristicPrior, MLPValueFunction, TrainConfig, load_checkpoint,
-                    save_checkpoint, train_loop)
+from .prior import (Adam, HeuristicPrior, MLPValueFunction, TrainConfig, check_field_types,
+                    load_checkpoint, save_checkpoint, train_loop)
 from .search import build_tree, check_search_params
 
 METHODS = ("treesample", "sis", "smc", "gibbs", "bp")
@@ -48,6 +53,7 @@ class RunConfig:
     oracle_cap: int = 10**6
 
     def __post_init__(self):
+        check_field_types(self)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         if self.cost_mode not in COST_MODES:
@@ -63,11 +69,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        try:
+            return cls(**data)
+        except TypeError as exc:  # an unknown, missing or mistyped field
+            raise ValueError(f"bad config: {exc}") from None
 
 
 def _load_prior(spec: str):
@@ -81,14 +86,8 @@ def run_method(graph: FactorGraph, config: RunConfig, dump_tree_path=None):
     """Build the configured approximation: a SearchTree or WeightedAtoms."""
     prior = _load_prior(config.prior)
     if config.method == "treesample":
-        tree = build_tree(
-            graph,
-            prior,
-            config.budget,
-            c=config.c,
-            epsilon=config.epsilon,
-            cost_mode=config.cost_mode,
-        )
+        tree = build_tree(graph, prior, config.budget, c=config.c, epsilon=config.epsilon,
+                          cost_mode=config.cost_mode)
         if dump_tree_path:
             tree.dump(dump_tree_path)
         return tree
@@ -180,6 +179,8 @@ def _run_config_fields(args) -> dict:
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"--config {args.config} must hold a JSON object")
     return {**data, **_given_fields(RunConfig, args)}
 
 
@@ -190,19 +191,14 @@ def cmd_run(args) -> int:
         raise ValueError(f"--dump-tree needs method treesample; {config.method} builds no tree")
     if args.atoms_out and config.method == "treesample":
         raise ValueError("--atoms-out needs a particle method; treesample builds a tree")
-    try:
-        approx, report = evaluate_run(graph, config, dump_tree_path=args.dump_tree)
-    except (BudgetTooSmallError, DegenerateSampleError, ZeroMassError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                          "method": config.method, "budget": config.budget}))
-        return 2
+    approx, report = evaluate_run(graph, config, dump_tree_path=args.dump_tree)
+    if args.atoms_out:  # before the report, so a failed write prints only the error
+        with open(args.atoms_out, "w") as fh:
+            fh.write(approx.to_json_lines())
     data = report.to_json_dict()
     if args.no_telemetry:
         data.pop("wall_clock_s", None)
     print(json.dumps(data, sort_keys=True))
-    if args.atoms_out:
-        with open(args.atoms_out, "w") as fh:
-            fh.write(approx.to_json_lines())
     return 0
 
 
@@ -224,7 +220,7 @@ def _bench_cell(task: dict) -> dict:
                                           budget=task["budget"], run_seed=task["run_seed"]))
         _, report = evaluate_run(graph, config)
         row.update((key, value) for key, value in report.to_json_dict().items() if key in row)
-    except Exception as exc:  # per-cell failures leave null metrics
+    except ValueError as exc:  # a cell's bad data leaves null metrics; a bug exits 1
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
@@ -244,30 +240,23 @@ def _quantiles(values: list[float]) -> dict:
 
 
 def cmd_bench(args) -> int:
+    for flag, value in (("--jobs", args.jobs), ("--num-instances", args.num_instances)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1")
     methods = args.methods.split(",")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}")
     budgets = [int(b) for b in args.budgets.split(",")]
     base_config = _run_config_fields(args)  # each cell then sets its own run_seed
     params = json.loads(args.params) if args.params else {}
-
+    spec = {"family": args.family, "n": args.n, "k": args.k, "params": params}
+    # input errors of the whole grid exit 2 here, before any cell runs
+    GeneratorSpec(seed=args.instance_seed, **spec)
     tasks = []
     for method in methods:
         for budget in budgets:
-            for i in range(args.num_instances):
-                tasks.append(
-                    {
-                        "spec": {
-                            "family": args.family, "n": args.n, "k": args.k,
-                            "seed": args.instance_seed + i, "params": params,
-                        },
-                        "method": method,
-                        "budget": budget,
-                        "run_seed": args.run_seed + i,
-                        "config": base_config,
-                    }
-                )
+            RunConfig.from_dict(dict(base_config, method=method, budget=budget))
+            tasks += [{"spec": dict(spec, seed=args.instance_seed + i), "method": method,
+                       "budget": budget, "run_seed": args.run_seed + i, "config": base_config}
+                      for i in range(args.num_instances)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_bench_cell, tasks))
@@ -295,14 +284,11 @@ def cmd_bench(args) -> int:
             stats.update({"method": method, "budget": budget, "metric": metric})
             summary_rows.append(stats)
     summary_cols = ["method", "budget", "metric", "mean", "std", "median", "q25", "q75", "count"]
-    out = open(args.summary_out, "w", newline="") if args.summary_out else sys.stdout
-    try:
+    dest = open(args.summary_out, "w", newline="") if args.summary_out else nullcontext(sys.stdout)
+    with dest as out:
         writer = csv.DictWriter(out, fieldnames=summary_cols)
         writer.writeheader()
         writer.writerows(summary_rows)
-    finally:
-        if args.summary_out:
-            out.close()
     return 0
 
 
@@ -417,15 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, GenerationError, FileNotFoundError, KeyError,
-            StateSpaceCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:  # bad input or data; see the module docstring
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        error.update((key, getattr(args, key)) for key in ("method", "budget")
+                     if getattr(args, key, None) is not None)
+        print(json.dumps(error))
         return 2
-    except Exception as exc:  # pragma: no cover - internal failures
+    except Exception as exc:  # a bug
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

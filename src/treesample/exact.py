@@ -18,7 +18,7 @@ from .logmath import NEG_INF, logsumexp, logsumexp_rows
 from .model import FactorGraph
 
 
-class StateSpaceCapError(RuntimeError):
+class StateSpaceCapError(ValueError):
     """The graph's K^N state space exceeds the configured oracle cap."""
 
 
@@ -107,17 +107,6 @@ class ExactSolution:
             p, logp = p[mask], logp[mask]
         p *= logp
         return float(-np.sum(p))
-
-    def variable_marginals(self, graph: FactorGraph) -> np.ndarray:
-        """(N, K) marginal table indexed by variable (row v-1)."""
-        k = self.num_states
-        n = self.num_variables
-        probs = np.exp(self.enumerate_log_joint()).reshape((k,) * n)
-        out = np.zeros((n, k))
-        for depth in range(1, n + 1):
-            axes = tuple(d for d in range(n) if d != depth - 1)
-            out[graph.ordering[depth - 1] - 1] = probs.sum(axis=axes)
-        return out
 
 
 def solve_exact(graph: FactorGraph, cap: int = 10**7) -> ExactSolution:

@@ -13,6 +13,7 @@ function of them.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ import numpy as np
 from .model import Factor, FactorGraph
 
 
-class GenerationError(RuntimeError):
+class GenerationError(ValueError):
     """Rejection sampling exceeded its cap or a kernel was not factorizable."""
 
 
@@ -36,6 +37,12 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {sorted(FAMILIES)}")
+        if self.n < 1 or self.k < 2:
+            raise ValueError("a graph needs n >= 1 variables of k >= 2 states")
+        try:
+            inspect.signature(FAMILIES[self.family]).bind(self.n, self.k, self.seed, **self.params)
+        except TypeError as exc:  # an unknown parameter, or params not a mapping
+            raise ValueError(f"{self.family} params: {exc}") from None
 
 
 def generate(spec: GeneratorSpec) -> FactorGraph:

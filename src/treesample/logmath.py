@@ -126,5 +126,5 @@ def sample_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.nd
     return a, picked - lse
 
 
-class ZeroMassError(RuntimeError):
+class ZeroMassError(ValueError):
     """The distribution being sampled or normalized has zero total mass."""

@@ -261,4 +261,8 @@ def save_graph(graph: FactorGraph, path) -> None:
 
 def load_graph(path) -> FactorGraph:
     with open(path) as fh:
-        return graph_from_json_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return graph_from_json_dict(data)
+    except (LookupError, TypeError) as exc:  # a missing or mistyped entry
+        raise ValueError(f"malformed instance {path}: {exc!r}") from None

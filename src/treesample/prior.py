@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -247,6 +247,14 @@ def train_step(
     return loss
 
 
+def check_field_types(config) -> None:
+    """Raise TypeError unless each field holds its type; an int will do for a float."""
+    kinds = {"int": int, "float": (int, float), "str": str}
+    for f in fields(config):
+        if not isinstance(getattr(config, f.name), kinds[f.type]):
+            raise TypeError(f"{f.name} must be of type {f.type}")
+
+
 @dataclass
 class TrainConfig:
     episodes: int = 4000
@@ -264,10 +272,13 @@ class TrainConfig:
     metric_samples: int = 128
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("episodes", "budget_per_episode", "samples_per_episode",
                      "batch_size", "learning_rate", "replay_capacity", "metric_samples"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails this too
+                raise ValueError(f"{name} must be positive and finite")
+        if not math.isfinite(self.clamp_floor):
+            raise ValueError("clamp_floor must be finite")
         check_search_params(self.c, self.epsilon)
 
 
@@ -417,30 +428,32 @@ def load_checkpoint(path):
     """Returns (mlp, adam, episode, config) rebuilt bit-exactly."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError("unrecognized checkpoint format")
-        count = header["num_parameters"]
         blob = fh.read()
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError("unrecognized checkpoint format")
+    keys = ("input_dim", "output_dim", "hidden_units", "num_hidden_layers", "adam_step", "episode")
+    try:
+        config = TrainConfig(**header["config"])
+        d_in, d_out, h, layers, adam_step, episode = sizes = [header[key] for key in keys]
+    except (KeyError, TypeError) as exc:  # a missing entry or a bad training config
+        raise ValueError(f"malformed checkpoint header in {path}: {exc!r}") from None
+    if not all(isinstance(v, int) and v >= 0 for v in sizes) or 0 in sizes[:4]:
+        raise ValueError(f"checkpoint {keys} must be integers, the first four positive")
+    # the MLP's weights and biases, counted before anything is allocated
+    count = (d_in + 1) * h + (layers - 1) * (h + 1) * h + (h + 1) * d_out
     expected = 3 * count * 8
     if len(blob) != expected:
         raise ValueError(f"checkpoint block size {len(blob)} != expected {expected}")
     flat = np.frombuffer(blob[: count * 8], dtype="<f8")
     m_flat = np.frombuffer(blob[count * 8 : 2 * count * 8], dtype="<f8")
     v_flat = np.frombuffer(blob[2 * count * 8 :], dtype="<f8")
-    config = TrainConfig(**header["config"])
-    mlp = MLPValueFunction(
-        header["input_dim"],
-        header["output_dim"],
-        hidden_units=header["hidden_units"],
-        num_hidden_layers=header["num_hidden_layers"],
-        seed=config.seed,
-    )
+    mlp = MLPValueFunction(d_in, d_out, hidden_units=h, num_hidden_layers=layers, seed=config.seed)
     mlp.set_flat(flat.copy())
     adam = Adam(mlp.parameters(), learning_rate=config.learning_rate)
-    adam.step_count = header["adam_step"]
+    adam.step_count = adam_step
     i = 0
     for a_m, a_v in zip(adam.m, adam.v):
         a_m[...] = m_flat[i : i + a_m.size].reshape(a_m.shape)
         a_v[...] = v_flat[i : i + a_v.size].reshape(a_v.shape)
         i += a_m.size
-    return mlp, adam, header["episode"], config
+    return mlp, adam, episode, config

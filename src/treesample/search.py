@@ -276,15 +276,14 @@ def build_tree(
 ) -> SearchTree:
     """Run traversals until the root completes or the next one may not be payable.
 
-    The loop guard reserves the worst-case cost of a single expansion (one
-    reward evaluation, or all M factors under factor-level accounting), so a
-    started traversal always completes and the ledger never overruns. The
-    build draws no random numbers: the tree is a deterministic function of
-    the arguments.
+    The loop guard reserves the worst-case cost of a single expansion (the
+    largest per-depth reward cost), so a started traversal always completes
+    and the ledger never overruns. The build draws no random numbers: the
+    tree is a deterministic function of the arguments.
     """
     ledger = BudgetLedger(budget=budget, cost_mode=cost_mode)
     tree = SearchTree(graph=graph, prior=prior, ledger=ledger)
-    worst_cost = graph.num_factors if cost_mode != REWARD_EVAL else 1
+    worst_cost = max(graph.reward_cost(d, cost_mode) for d in range(1, graph.num_variables + 1))
     while ledger.remaining >= worst_cost and not tree.root_complete():
         if tree.root is None:
             tree.root = expand(graph, (), prior, ledger, c, epsilon)

@@ -54,6 +54,17 @@ class ExactConditionalPrior:
         return np.stack([self.evaluate(graph, p) for p in prefixes])
 
 
+def variable_marginals(solution, graph: FactorGraph) -> np.ndarray:
+    """(N, K) marginal table of an ExactSolution, indexed by variable (row v-1)."""
+    k, n = solution.num_states, solution.num_variables
+    probs = np.exp(solution.enumerate_log_joint()).reshape((k,) * n)
+    out = np.zeros((n, k))
+    for depth in range(1, n + 1):
+        axes = tuple(d for d in range(n) if d != depth - 1)
+        out[graph.ordering[depth - 1] - 1] = probs.sum(axis=axes)
+    return out
+
+
 def all_configs(n: int, k: int):
     """All K^N complete prefixes in rank (row-major) order."""
     return itertools.product(range(1, k + 1), repeat=n)

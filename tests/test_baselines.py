@@ -22,7 +22,7 @@ from treesample.logmath import NEG_INF, logsumexp, logsumexp_rows, sample_softma
 from treesample.model import Factor, FactorGraph
 from treesample.prior import HeuristicPrior
 
-from conftest import ExactConditionalPrior, all_configs, make_random_graph
+from conftest import ExactConditionalPrior, all_configs, make_random_graph, variable_marginals
 
 
 def _graph(n, k, factors, ordering=None):
@@ -213,7 +213,7 @@ class TestGibbs:
         rng = np.random.default_rng(101)
         g = make_random_graph(rng, 3, 2, num_extra_factors=2)
         sol = solve_exact(g)
-        exact = sol.variable_marginals(g)
+        exact = variable_marginals(sol, g)
         result = gibbs(g, num_sweeps=50, budget=50 * 6 * 3000, seed=7)
         assert g.ordering == (1, 2, 3)  # so each atom is also the by-variable assignment
         marg = np.zeros((3, 2))

@@ -1,15 +1,23 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesample import cli
 from treesample.cli import METHODS, RunConfig, main
 from treesample.model import Factor, FactorGraph, load_graph, save_graph
-from treesample.prior import TrainConfig, load_checkpoint
+from treesample.prior import (Adam, MLPValueFunction, TrainConfig, load_checkpoint,
+                              save_checkpoint)
+
+from conftest import make_random_graph
 
 
 def _uniform_instance(tmp_path, n=3, k=2, name="uniform.json"):
@@ -22,6 +30,29 @@ def _uniform_instance(tmp_path, n=3, k=2, name="uniform.json"):
     path = tmp_path / name
     save_graph(g, path)
     return path
+
+
+def _main_json(argv):
+    """(exit code, the one JSON object main printed to stdout), with every
+    warning recorded; a bug (exit 1) fails here with main's stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1, out.getvalue()
+
+    def no_bare_constants(token):
+        raise AssertionError(f"bare {token} in JSON output")
+
+    data = json.loads(lines[0], parse_constant=no_bare_constants)
+    assert isinstance(data, dict)
+    if code == 2:
+        assert set(data) >= {"error", "message"}
+    return code, data
 
 
 class TestRunConfig:
@@ -124,10 +155,11 @@ class TestRun:
         # flag may be dropped without a word
         instance = _uniform_instance(tmp_path)
         out = tmp_path / "out.txt"
-        code = main(["run", str(instance), "--method", method, "--budget", "300",
-                     "--num-gibbs-sweeps", "2", "--metric-samples", "50", flag, str(out)])
+        code, error = _main_json(["run", str(instance), "--method", method, "--budget", "300",
+                                  "--num-gibbs-sweeps", "2", "--metric-samples", "50", flag,
+                                  str(out)])
         assert code == 2
-        assert flag in capsys.readouterr().err
+        assert flag in error["message"]
         assert not out.exists()
 
     def test_atoms_out(self, tmp_path, capsys):
@@ -322,11 +354,11 @@ class TestTrain:
     def test_invalid_search_params_exit_2(self, tmp_path, capsys):
         instance = _uniform_instance(tmp_path)
         for flag, value in (("--c", "nan"), ("--epsilon", "-1")):
-            code = main(["train", str(instance), "--episodes", "1", flag, value,
-                         "--checkpoint-out", str(tmp_path / "m.ckpt"),
-                         "--metrics-out", str(tmp_path / "m.csv")])
+            code, error = _main_json(["train", str(instance), "--episodes", "1", flag, value,
+                                      "--checkpoint-out", str(tmp_path / "m.ckpt"),
+                                      "--metrics-out", str(tmp_path / "m.csv")])
             assert code == 2
-            assert "must be finite and non-negative" in capsys.readouterr().err
+            assert "must be finite and non-negative" in error["message"]
 
     def test_resume_cannot_go_back(self, tmp_path, capsys):
         # a checkpoint of 3 episodes resumed with --episodes 1 would train
@@ -338,10 +370,11 @@ class TestTrain:
         assert main(["train", str(instance), "--episodes", "3", "--budget-per-episode", "20",
                      "--samples-per-episode", "4", "--batch-size", "4", "--metric-samples", "8",
                      "--checkpoint-out", str(ckpt), "--metrics-out", metrics]) == 0
-        code = main(["train", str(instance), "--episodes", "1", "--resume", str(ckpt),
-                     "--checkpoint-out", str(ckpt2), "--metrics-out", metrics])
+        code, error = _main_json(["train", str(instance), "--episodes", "1", "--resume",
+                                  str(ckpt), "--checkpoint-out", str(ckpt2),
+                                  "--metrics-out", metrics])
         assert code == 2
-        assert "--episodes" in capsys.readouterr().err
+        assert "--episodes" in error["message"]
         assert not ckpt2.exists()
 
     def test_resume_rejects_config_flags(self, tmp_path, capsys):
@@ -351,11 +384,140 @@ class TestTrain:
         assert main(["train", str(instance), "--episodes", "1", "--budget-per-episode", "20",
                      "--samples-per-episode", "8", "--batch-size", "8"] + common) == 0
         before = ckpt.read_bytes()
-        code = main(["train", str(instance), "--episodes", "2", "--resume", str(ckpt),
-                     "--learning-rate", "0.01", "--c", "1.0", "--resample-threshold", "0.3"]
-                    + common)
+        code, error = _main_json(["train", str(instance), "--episodes", "2", "--resume",
+                                  str(ckpt), "--learning-rate", "0.01", "--c", "1.0",
+                                  "--resample-threshold", "0.3"] + common)
         assert code == 2
-        err = capsys.readouterr().err
         for flag in ("--learning-rate", "--c", "--resample-threshold"):
-            assert flag in err
+            assert flag in error["message"]
         assert ckpt.read_bytes() == before
+
+
+# ---------------------------------------------------------------------------
+# the error contract: exit 0 with a JSON report or 2 with one JSON error
+# ---------------------------------------------------------------------------
+
+
+class TestErrorContract:
+    @pytest.fixture
+    def files(self, tmp_path):
+        instance = _uniform_instance(tmp_path)
+        (tmp_path / "bad.json").write_text("{bad")
+        (tmp_path / "nofactors.json").write_text(json.dumps({"n": 1, "k": 2, "ordering": [1]}))
+        (tmp_path / "badkey.json").write_text(json.dumps({"method": "sis", "budget": 10, "x": 1}))
+        (tmp_path / "bare.ckpt").write_bytes(json.dumps({"format": "treesample-mlp-v1"}).encode()
+                                              + b"\n")
+        return tmp_path, str(instance)
+
+    @pytest.mark.parametrize("probe", [
+        "run {instance} --budget 10",
+        "run {instance} --config {d}/badkey.json",
+        "run {instance} --method sis --budget 10 --config {d}/bad.json",
+        "run {d}/missing.json --method sis --budget 10",
+        "run {d}/nofactors.json --method sis --budget 10",
+        "run {instance} --method treesample --budget 10 --c -1",
+        "generate --family chains --n 3 --seed 0 --out {d}/g.json --params {{\"foo\":1}}",
+        "run {instance} --method treesample --budget 10 --prior {d}/bare.ckpt",
+        "generate --family chains --n 3 --seed 0 --out {d}",
+        "bench --family chains --n 3 --methods sis --budgets 10 --num-instances 1 "
+        "--out {d}/b.csv --jobs 0",
+        "bench --family chains --n 3 --methods sis --budgets 10 --num-instances 0 "
+        "--out {d}/b.csv",
+    ], ids=["no-method", "unknown-config-key", "malformed-config-json", "missing-instance",
+            "instance-without-factors", "negative-c", "unknown-generator-param",
+            "checkpoint-header-without-keys", "generate-out-is-a-directory", "bench-jobs-0",
+            "bench-num-instances-0"])
+    def test_input_error_exits_2_with_one_json_object(self, files, probe):
+        d, instance = files
+        code, error = _main_json(probe.format(d=d, instance=instance).split())
+        assert code == 2
+        assert error["message"]
+
+    @pytest.mark.parametrize("exc", [KeyError("k"), TypeError("t")])
+    def test_program_key_or_type_error_exits_1(self, tmp_path, capsys, monkeypatch, exc):
+        def broken_evaluate_run(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "evaluate_run", broken_evaluate_run)
+        code = main(["run", str(_uniform_instance(tmp_path)), "--method", "sis", "--budget", "30"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"internal error: {type(exc).__name__}")
+
+    def test_bench_cell_bug_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a bug in one cell is no CSV error row
+        def broken_evaluate_run(*args, **kwargs):
+            raise KeyError("k")
+
+        monkeypatch.setattr(cli, "evaluate_run", broken_evaluate_run)
+        out = tmp_path / "b.csv"
+        code = main(["bench", "--family", "chains", "--n", "3", "--methods", "sis",
+                     "--budgets", "30", "--num-instances", "1", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
+
+# field -> (valid values, out-of-range values); "mlp" names a checkpoint
+# that fits the graph, "mlp-other-graph" one that does not
+_FUZZ_FIELDS = {
+    "method": (st.sampled_from(METHODS), st.just("bogus")),
+    "budget": (st.integers(0, 300), st.just(-1)),
+    "cost_mode": (st.sampled_from(("reward_eval", "factor_eval")), st.just("bogus")),
+    "c": (st.floats(0.0, 5.0), st.sampled_from([-1.0, math.nan, math.inf])),
+    "epsilon": (st.floats(0.0, 2.0), st.sampled_from([-0.1, math.nan, math.inf])),
+    "resample_threshold": (st.floats(0.0, 1.0), st.sampled_from([-0.5, 1.5, math.nan])),
+    "num_gibbs_sweeps": (st.integers(1, 3), st.just(0)),
+    "num_message_rounds": (st.integers(1, 3), st.just(0)),
+    "metric_samples": (st.integers(1, 30), st.just(0)),
+    "run_seed": (st.integers(0, 2**32), st.just(-1)),
+    "prior": (st.sampled_from(["heuristic", "mlp"]), st.sampled_from(["mlp-other-graph",
+                                                                      "missing.ckpt"])),
+    "oracle_cap": (st.integers(1, 40), st.just(0)),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), k=st.integers(2, 3), graph_seed=st.integers(0, 2**32 - 1),
+       extra_factors=st.integers(0, 3), neg_inf_frac=st.sampled_from([0.0, 0.5, 1.0]),
+       zero_mass=st.booleans(), as_flags=st.booleans(), data=st.data())
+def test_run_fuzz_exits_0_or_2_with_one_json_object(tmp_path_factory, n, k, graph_seed,
+                                                    extra_factors, neg_inf_frac, zero_mass,
+                                                    as_flags, data):
+    """Random RunConfig fields on tiny graphs with -inf entries and zero mass,
+    at most one field out of range, missing or mistyped: never exit 1, never
+    a RuntimeWarning, always one JSON object."""
+    d = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(graph_seed)
+    g = make_random_graph(rng, n, k, num_extra_factors=extra_factors if n > 1 else 0,
+                          neg_inf_frac=neg_inf_frac, shuffle_ordering=True)
+    if zero_mass:
+        first = g.factors[0]  # the unary factor of variable 1
+        g = replace(g, factors=(replace(first, table=np.full(k, -np.inf)),) + g.factors[1:])
+    save_graph(g, d / "g.json")
+    for name, dim in (("mlp", g.num_variables * (k + 1)), ("mlp-other-graph", 5)):
+        mlp = MLPValueFunction(dim, k, hidden_units=4, num_hidden_layers=1)
+        save_checkpoint(d / name, mlp, Adam(mlp.parameters()), episode=0, config=TrainConfig())
+
+    config = {name: data.draw(valid, label=name) for name, (valid, _) in _FUZZ_FIELDS.items()}
+    fault = data.draw(st.sampled_from([None, None, None, "out of range", "missing", "mistyped"]),
+                      label="fault")
+    faulty = data.draw(st.sampled_from(sorted(_FUZZ_FIELDS)), label="faulty field")
+    if fault == "missing":
+        del config[faulty]
+    elif fault is not None:
+        config[faulty] = data.draw(_FUZZ_FIELDS[faulty][1] if fault == "out of range"
+                                   else st.sampled_from([None, [1]]), label=faulty)
+    if config.get("prior") in ("mlp", "mlp-other-graph", "missing.ckpt"):
+        config["prior"] = str(d / config["prior"])
+    budget = config.get("budget")
+    argv = ["run", str(d / "g.json"), "--no-telemetry"]
+    if as_flags:  # argparse's own usage errors are no part of this contract
+        argv += [arg for name in ("method", "budget") if name in config and faulty != name
+                 for arg in (f"--{name}", str(config.pop(name)))]
+    (d / "config.json").write_text(json.dumps(config))
+    code, out = _main_json(argv + ["--config", str(d / "config.json")])
+    if fault == "mistyped":
+        assert code == 2 and out["message"].startswith("bad config")
+    if code == 0:
+        assert out["budget_spent"] <= budget

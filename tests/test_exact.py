@@ -26,7 +26,8 @@ from treesample.logmath import (
 )
 from treesample.model import Factor, FactorGraph
 
-from conftest import all_configs, brute_force_log_z, exact_kl, kl_by_enumeration, make_random_graph
+from conftest import (all_configs, brute_force_log_z, exact_kl, kl_by_enumeration,
+                      make_random_graph, variable_marginals)
 
 
 def _conditional(sol, prefix):
@@ -308,7 +309,7 @@ class TestSolveExact:
         rng = np.random.default_rng(37)
         g = make_random_graph(rng, 4, 2, num_extra_factors=3, shuffle_ordering=True)
         sol = solve_exact(g)
-        marg = sol.variable_marginals(g)
+        marg = variable_marginals(sol, g)
         probs = {x: math.exp(sol.log_joint(g.assignment_to_prefix(x))) for x in all_configs(4, 2)}
         for v in range(1, 5):
             for val in (1, 2):
@@ -359,7 +360,7 @@ class TestSolveChain:
             chain = solve_chain(g)
             full = solve_exact(g)
             assert chain.log_z == pytest.approx(full.log_z, abs=1e-9)
-            by_depth = full.variable_marginals(g)[np.array(g.ordering) - 1]
+            by_depth = variable_marginals(full, g)[np.array(g.ordering) - 1]
             assert np.allclose(chain.position_marginals(), by_depth, atol=1e-9)
             first, steps = chain.log_step_conditionals()
             assert np.allclose(np.exp(first), _conditional(full, ()), atol=1e-9)
@@ -401,7 +402,7 @@ class TestSolveChain:
                           ((2, 3), np.array([0.5, 0.2, -1.1, 0.9])),
                           ((1,), np.array([0.3, -0.2])), ((2,), np.array([1.0, 0.0]))],
                    ordering=(1, 3, 2))
-        by_variable = solve_exact(g).variable_marginals(g)
+        by_variable = variable_marginals(solve_exact(g), g)
         assert np.allclose(solve_chain(g).position_marginals(), by_variable[[0, 2, 1]], atol=1e-12)
         assert not np.allclose(by_variable[[0, 2, 1]], by_variable, atol=1e-3)
 

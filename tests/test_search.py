@@ -382,10 +382,11 @@ def _per_level_backup(nodes, actions):
 
 def _per_level_build_tree(graph, prior, budget, c, epsilon, cost_mode):
     """The former build_tree: one selection call per level of every traversal
-    and the soft value through numpy's logsumexp."""
+    and the soft value through numpy's logsumexp. It stops where build_tree
+    stops, since the comparison is of descent and backup."""
     ledger = BudgetLedger(budget=budget, cost_mode=cost_mode)
     tree = SearchTree(graph=graph, prior=prior, ledger=ledger)
-    worst_cost = graph.num_factors if cost_mode != REWARD_EVAL else 1
+    worst_cost = max(graph.reward_cost(d, cost_mode) for d in range(1, graph.num_variables + 1))
     while ledger.remaining >= worst_cost and not tree.root_complete():
         if tree.root is None:
             tree.root = _per_level_expand(graph, (), prior, ledger)

@@ -59,8 +59,8 @@ GOLDEN = {
         "88335cd2ee43199d3c171e99ed3de3d6b277b35e3eb1e77f5e087af1596a74a4",
     ),
     "fg2-n12/factor_eval": (
-        "e6e00c76e1a169f932f6ba46213c32d9deb9b882ef050809424d621fee85729c",
-        "2ce54ac7edd2a7904a74b1ab18cbea7aeec5a5b19779b3160843d24a29807d89",
+        "a1a4f31d0c96afea367076f3a3aa957e938c229a2a1dc9bd5bb8be8c3af77c6b",
+        "8ef3198ef23168387c307d9c8526be620e2c330bbcac6f472354cc2241ab1c84",
     ),
     "chains-n8-k10": (
         "a25099edad2b2513999dba2c724a3c752c8933866a3ced8e1a0d38ac556b26cb",
@@ -75,8 +75,8 @@ GOLDEN = {
         "2cb83233d31ea5f02b1bbc34296be7087ba0374eac43897ce90f3076f583333e",
     ),
     "neg-inf/factor_eval": (
-        "7f6577aaa6fe0606a22c8e3557e3083977a1228abbd9fdb92d53a3c9d552ee98",
-        "dcab7e8b62fbfac3ca729e8f2096fbc2858d3f1da35910b01071ce1680ecf85e",
+        "b2021ca4ff85c1f6e595077333c78d0b610dca58932e3e20ca2a080f7dce86f7",
+        "5794008f88084ef8af52fa2ed67e903b7a087ee1f01347514cb3591255bc7840",
     ),
     "fg2-n10/mlp": (
         "0135b00204992657a25fbbe4b27396b3bdacbf2bc330b3ed99a50d31a397aa7b",
