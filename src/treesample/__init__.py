@@ -32,52 +32,3 @@ from .prior import (
 from .search import SearchTree, TreeNode, backup, build_tree, expand, q_uct_select
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Adam",
-    "BudgetLedger",
-    "ChainSolution",
-    "EvalReport",
-    "ExactSolution",
-    "Factor",
-    "FactorGraph",
-    "GeneratorSpec",
-    "HeuristicPrior",
-    "MLPValueFunction",
-    "ReplayBuffer",
-    "SamplerEstimate",
-    "SearchTree",
-    "TrainConfig",
-    "TreeNode",
-    "WeightedAtoms",
-    "ZeroMassError",
-    "backup",
-    "bp_sample",
-    "build_tree",
-    "delta_kl_atoms",
-    "delta_kl_sampler",
-    "energy_entropy_deltas",
-    "evaluate_method",
-    "expand",
-    "gen_chain",
-    "gen_fg1",
-    "gen_fg2",
-    "gen_permuted_chain",
-    "generate",
-    "gibbs",
-    "graph_from_json_dict",
-    "graph_to_json_dict",
-    "is_chain",
-    "load_checkpoint",
-    "load_graph",
-    "logsumexp",
-    "q_uct_select",
-    "save_checkpoint",
-    "save_graph",
-    "sis",
-    "smc",
-    "solve_chain",
-    "solve_exact",
-    "train_loop",
-    "train_step",
-]

@@ -75,33 +75,18 @@ class RunConfig:
             raise ValueError(f"bad config: {exc}") from None
 
 
-def _load_prior(spec: str):
-    if spec == "heuristic":
-        return HeuristicPrior()
-    mlp, _, _, _ = load_checkpoint(spec)
-    return mlp
+def _checkpoint_for(path, graph: FactorGraph):
+    """load_checkpoint(path), checked to fit graph: N(K+1) inputs, K outputs."""
+    checkpoint = load_checkpoint(path)
+    mlp, n, k = checkpoint[0], graph.num_variables, graph.num_states
+    if (mlp.input_dim, mlp.output_dim) != (n * (k + 1), k):
+        raise ValueError(f"checkpoint {path} has input_dim {mlp.input_dim} and output_dim "
+                         f"{mlp.output_dim}; a graph of N={n}, K={k} needs {n * (k + 1)} and {k}")
+    return checkpoint
 
 
 def run_method(graph: FactorGraph, config: RunConfig, dump_tree_path=None):
     """Build the configured approximation: a SearchTree or WeightedAtoms."""
-    prior = _load_prior(config.prior)
-    if config.method == "treesample":
-        tree = build_tree(graph, prior, config.budget, c=config.c, epsilon=config.epsilon,
-                          cost_mode=config.cost_mode)
-        if dump_tree_path:
-            tree.dump(dump_tree_path)
-        return tree
-    if config.method == "sis":
-        return sis(graph, prior, config.budget, seed=config.run_seed, cost_mode=config.cost_mode)
-    if config.method == "smc":
-        return smc(
-            graph,
-            prior,
-            config.budget,
-            resample_threshold=config.resample_threshold,
-            seed=config.run_seed,
-            cost_mode=config.cost_mode,
-        )
     if config.method == "gibbs":
         return gibbs(
             graph,
@@ -110,11 +95,30 @@ def run_method(graph: FactorGraph, config: RunConfig, dump_tree_path=None):
             seed=config.run_seed,
             cost_mode=config.cost_mode,
         )
-    return bp_sample(
+    if config.method == "bp":
+        return bp_sample(
+            graph,
+            num_message_rounds=config.num_message_rounds,
+            budget=config.budget,
+            seed=config.run_seed,
+        )
+    prior = (HeuristicPrior() if config.prior == "heuristic"
+             else _checkpoint_for(config.prior, graph)[0])
+    if config.method == "treesample":
+        tree = build_tree(graph, prior, config.budget, c=config.c, epsilon=config.epsilon,
+                          cost_mode=config.cost_mode)
+        if dump_tree_path:
+            tree.dump(dump_tree_path)
+        return tree
+    if config.method == "sis":
+        return sis(graph, prior, config.budget, seed=config.run_seed, cost_mode=config.cost_mode)
+    return smc(
         graph,
-        num_message_rounds=config.num_message_rounds,
-        budget=config.budget,
+        prior,
+        config.budget,
+        resample_threshold=config.resample_threshold,
         seed=config.run_seed,
+        cost_mode=config.cost_mode,
     )
 
 
@@ -302,7 +306,7 @@ def cmd_train(args) -> int:
                               else "--" + name.replace("_", "-") for name in fixed)
             raise ValueError(f"--resume restores the checkpoint's training config; "
                              f"it cannot be changed by {flags}")
-        mlp, adam, start_episode, old_config = load_checkpoint(args.resume)
+        mlp, adam, start_episode, old_config = _checkpoint_for(args.resume, graph)
         if args.episodes < start_episode:
             raise ValueError(f"--episodes {args.episodes} is below the checkpoint's "
                              f"{start_episode} episodes; --resume cannot go back")

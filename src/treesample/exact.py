@@ -10,8 +10,6 @@ softmax normalizations. Both solutions index by depth (ordering position).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .logmath import NEG_INF, logsumexp, logsumexp_rows
@@ -50,34 +48,6 @@ class ExactSolution:
 
     log_z: float
     q_levels: list[np.ndarray]
-    num_variables: int
-    num_states: int
-
-    def prefix_rank(self, prefix: Sequence[int]) -> int:
-        r = 0
-        for v in prefix:
-            r = r * self.num_states + (v - 1)
-        return r
-
-    def q_values(self, prefix: Sequence[int]) -> np.ndarray:
-        """K-vector of optimal values for the actions below this prefix."""
-        n = len(prefix)
-        if n >= self.num_variables:
-            raise ValueError("no actions below a complete configuration")
-        return self.q_levels[n][self.prefix_rank(prefix)]
-
-    def log_joint(self, x: Sequence[int]) -> float:
-        """Normalized log-probability of a complete configuration."""
-        if len(x) != self.num_variables:
-            raise ValueError("configuration must be complete")
-        total = 0.0
-        for n in range(self.num_variables):
-            q = self.q_levels[n][self.prefix_rank(x[:n])]
-            v = logsumexp(q)
-            if q[x[n] - 1] == NEG_INF:
-                return NEG_INF
-            total += float(q[x[n] - 1]) - float(v)
-        return total
 
     def enumerate_log_joint(self) -> np.ndarray:
         """log P*(x) for all K^N configurations, prefix-rank order.
@@ -125,7 +95,7 @@ def solve_exact(graph: FactorGraph, cap: int = 10**7) -> ExactSolution:
         q = q_levels[depth - 1] = q.reshape(-1, k)
         v_next = logsumexp_rows(q)
     log_z = float(v_next[0])
-    return ExactSolution(log_z=log_z, q_levels=q_levels, num_variables=n, num_states=k)
+    return ExactSolution(log_z=log_z, q_levels=q_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -159,26 +129,6 @@ class ChainSolution:
         )
         return np.exp(log_m)
 
-    def log_step_conditionals(self) -> tuple[np.ndarray, np.ndarray]:
-        """(first, steps): log P*(x_1) of shape (K,) and log P*(x_{p+1}|x_p)
-        of shape (N-1, K, K); rows for zero-mass predecessors stay -inf."""
-        first = self.unary[0] + self.beta[0] - self.log_z
-        scores = self.pair + self.unary[1:, None, :] + self.beta[1:, None, :]
-        norms = logsumexp_rows(scores)[..., None]
-        steps = np.subtract(scores, norms, out=np.full_like(scores, NEG_INF),
-                            where=norms > NEG_INF)
-        return first, steps
-
-    def log_joint(self, x: Sequence[int]) -> float:
-        """Normalized log-probability of a complete prefix (depth order)."""
-        first, steps = self.log_step_conditionals()
-        total = float(first[x[0] - 1])
-        for p in range(len(steps)):
-            if total == NEG_INF:
-                return NEG_INF
-            total += float(steps[p][x[p] - 1, x[p + 1] - 1])
-        return total
-
     def expected_log_density(self) -> float:
         """E_{P*}[sum of factors], from unary and pairwise marginals.
 
@@ -209,7 +159,7 @@ def is_chain(graph: FactorGraph) -> bool:
 
 
 def solve_chain(graph: FactorGraph) -> ChainSolution:
-    """Exact log Z, marginals and step conditionals for a chain graph."""
+    """Exact log Z, forward-backward messages and marginals for a chain graph."""
     if not is_chain(graph):
         raise ValueError("graph is not chain-structured under its ordering")
     n, k = graph.num_variables, graph.num_states

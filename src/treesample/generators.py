@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Factor, FactorGraph
+from .model import Factor, FactorGraph, check_type
 
 
 class GenerationError(ValueError):
@@ -39,14 +39,23 @@ class GeneratorSpec:
             raise ValueError(f"unknown family {self.family!r}; choose from {sorted(FAMILIES)}")
         if self.n < 1 or self.k < 2:
             raise ValueError("a graph needs n >= 1 variables of k >= 2 states")
+        signature = inspect.signature(FAMILIES[self.family])
         try:
-            inspect.signature(FAMILIES[self.family]).bind(self.n, self.k, self.seed, **self.params)
-        except TypeError as exc:  # an unknown parameter, or params not a mapping
+            signature.bind(self.n, self.k, self.seed, **self.params)
+            for name, value in self.params.items():  # each of its default's type
+                check_type(name, value, type(signature.parameters[name].default).__name__)
+        except TypeError as exc:  # an unknown or mistyped parameter, or params not a mapping
             raise ValueError(f"{self.family} params: {exc}") from None
 
 
 def generate(spec: GeneratorSpec) -> FactorGraph:
-    return FAMILIES[spec.family](spec.n, spec.k, spec.seed, **spec.params)
+    """The spec's graph. Parameter values that overflow or divide by zero
+    raise ValueError, as other bad values do."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return FAMILIES[spec.family](spec.n, spec.k, spec.seed, **spec.params)
+    except ArithmeticError as exc:  # FloatingPointError, or OverflowError from a float power
+        raise ValueError(f"{spec.family} params {spec.params}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +103,13 @@ def gen_chain(
         raise GenerationError("GP kernel not positive definite even after jitter escalation")
     unary_values = (chol @ rng.standard_normal(n * k)).reshape(n, k)
 
-    factors = [Factor(id=v - 1, scope=(v,), table=unary_values[v - 1].copy()) for v in range(1, n + 1)]
+    factors = [Factor(scope=(v,), table=unary_values[v - 1].copy()) for v in range(1, n + 1)]
     pair_table = np.array(
         [coupling * torus_distance(a, b, k) for a in range(1, k + 1) for b in range(1, k + 1)],
         dtype=float,
     )
     for v in range(1, n):
-        factors.append(Factor(id=len(factors), scope=(v, v + 1), table=pair_table.copy()))
+        factors.append(Factor(scope=(v, v + 1), table=pair_table.copy()))
     return FactorGraph(
         num_variables=n, num_states=k, factors=tuple(factors), ordering=tuple(range(1, n + 1))
     )
@@ -125,7 +134,7 @@ def gen_permuted_chain(n: int, k: int, seed: int, alpha: float = 1.0) -> FactorG
     root = int(sigma[0])
     prior = rng.dirichlet(np.full(k, alpha))
     with np.errstate(divide="ignore"):  # a small alpha can draw exact zeros: log 0 = -inf
-        factors.append(Factor(id=0, scope=(root,), table=np.log(prior)))
+        factors.append(Factor(scope=(root,), table=np.log(prior)))
     for step in range(1, n):
         u, v = int(sigma[step - 1]), int(sigma[step])
         cpt = np.stack([rng.dirichlet(np.full(k, alpha)) for _ in range(k)])  # [prev, next]
@@ -137,7 +146,7 @@ def gen_permuted_chain(n: int, k: int, seed: int, alpha: float = 1.0) -> FactorG
         else:
             table = log_cpt.T.reshape(-1)
             scope = (v, u)
-        factors.append(Factor(id=len(factors), scope=scope, table=table))
+        factors.append(Factor(scope=scope, table=table))
     return FactorGraph(
         num_variables=n, num_states=k, factors=tuple(factors), ordering=tuple(range(1, n + 1))
     )
@@ -228,7 +237,7 @@ def gen_fg1(
         for clique in cliques:
             scope = tuple(v + 1 for v in clique)
             table = rng.standard_normal(k ** len(scope))
-            factors.append(Factor(id=len(factors), scope=scope, table=table))
+            factors.append(Factor(scope=scope, table=table))
         ordering = _ordering_from_scopes([f.scope for f in factors], n)
         return FactorGraph(num_variables=n, num_states=k, factors=tuple(factors), ordering=ordering)
     raise GenerationError(f"no admissible fg1 graph within {rejection_cap} attempts")
@@ -261,15 +270,11 @@ def gen_fg2(
         factors = []
         not_table = scale * np.array([0.0, 1.0, 1.0, 0.0])
         for j in range(num_pairs):
-            factors.append(
-                Factor(id=len(factors), scope=(2 * j + 1, 2 * j + 2), table=not_table.copy())
-            )
+            factors.append(Factor(scope=(2 * j + 1, 2 * j + 2), table=not_table.copy()))
         for clique in cliques:
             members = [2 * j + 1 + int(rng.integers(0, 2)) for j in clique]
             scope = tuple(sorted(members))
-            factors.append(
-                Factor(id=len(factors), scope=scope, table=_majority_table(len(scope), scale))
-            )
+            factors.append(Factor(scope=scope, table=_majority_table(len(scope), scale)))
         return FactorGraph(
             num_variables=n,
             num_states=k,

@@ -22,6 +22,14 @@ COST_MODES = (REWARD_EVAL, FACTOR_EVAL)
 
 Prefix = tuple[int, ...]
 
+_KINDS = {"int": int, "float": (int, float), "str": str}
+
+
+def check_type(name: str, value, type_name: str) -> None:
+    """Raise TypeError unless value is of the named type; an int will do for a float."""
+    if not isinstance(value, _KINDS[type_name]):
+        raise TypeError(f"{name} must be of type {type_name}")
+
 
 @dataclass(frozen=True, eq=False)
 class Factor:
@@ -31,7 +39,6 @@ class Factor:
     variable values (first scope variable is the slowest index).
     """
 
-    id: int
     scope: tuple[int, ...]
     table: np.ndarray
 
@@ -242,9 +249,9 @@ def graph_to_json_dict(graph: FactorGraph) -> dict:
 
 def graph_from_json_dict(data: dict) -> FactorGraph:
     factors = []
-    for i, fd in enumerate(data["factors"]):
+    for fd in data["factors"]:
         table = np.array(fd["log_table"], dtype=np.float64)  # parses the "-inf" strings
-        factors.append(Factor(id=i, scope=tuple(fd["scope"]), table=table))
+        factors.append(Factor(scope=tuple(fd["scope"]), table=table))
     return FactorGraph(
         num_variables=int(data["n"]),
         num_states=int(data["k"]),

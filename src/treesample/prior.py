@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .model import FactorGraph, Prefix, REWARD_EVAL
+from .model import FactorGraph, Prefix, REWARD_EVAL, check_type
 from .search import build_tree, check_search_params
 
 CHECKPOINT_FORMAT = "treesample-mlp-v1"
@@ -131,7 +131,7 @@ class MLPValueFunction:
         """(B, input_dim) -> (B, output_dim)."""
         out, _ = self._forward_cached(x)
         if np.any(np.isnan(out)):
-            raise FloatingPointError("MLP produced NaN outputs")
+            raise ValueError("MLP produced NaN outputs")
         return out
 
     def _forward_cached(self, x: np.ndarray):
@@ -236,23 +236,26 @@ def train_step(
     """One uniform minibatch, one Adam update; returns the pre-update loss.
 
     Zero-mass (-inf) targets are clamped to the floor so the squared loss
-    stays defined while the action ranking is preserved.
+    stays defined while the action ranking is preserved. An overflow means
+    the optimizer diverged, which raises ValueError.
     """
     if len(replay) < batch_size:
         raise ValueError("replay buffer smaller than the batch size")
     x, y = replay.sample_batch(batch_size, rng)
     y = np.maximum(y, clamp_floor)
-    loss, grads = mlp.loss_and_gradients(x, y)
-    adam.step(mlp.parameters(), grads)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            loss, grads = mlp.loss_and_gradients(x, y)
+            adam.step(mlp.parameters(), grads)
+    except FloatingPointError as exc:
+        raise ValueError(f"training diverged ({exc}); lower the learning rate") from None
     return loss
 
 
 def check_field_types(config) -> None:
-    """Raise TypeError unless each field holds its type; an int will do for a float."""
-    kinds = {"int": int, "float": (int, float), "str": str}
+    """check_type of each field of a dataclass against its annotation."""
     for f in fields(config):
-        if not isinstance(getattr(config, f.name), kinds[f.type]):
-            raise TypeError(f"{f.name} must be of type {f.type}")
+        check_type(f.name, getattr(config, f.name), f.type)
 
 
 @dataclass

@@ -7,8 +7,8 @@ import math
 
 import numpy as np
 
-from treesample.exact import StateSpaceCapError
-from treesample.logmath import NEG_INF
+from treesample.exact import ChainSolution, StateSpaceCapError
+from treesample.logmath import NEG_INF, logsumexp, logsumexp_rows
 from treesample.model import Factor, FactorGraph, Prefix
 
 
@@ -24,7 +24,7 @@ def make_random_graph(
     """Random dense-table graph with every variable covered by a unary factor."""
     factors = []
     for v in range(1, n + 1):
-        factors.append(Factor(id=len(factors), scope=(v,), table=rng.normal(size=k)))
+        factors.append(Factor(scope=(v,), table=rng.normal(size=k)))
     for _ in range(num_extra_factors):
         size = int(rng.integers(2, min(max_scope, n) + 1))
         scope = tuple(sorted(rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist()))
@@ -32,7 +32,7 @@ def make_random_graph(
         if neg_inf_frac > 0:
             mask = rng.random(table.shape) < neg_inf_frac
             table[mask] = -np.inf
-        factors.append(Factor(id=len(factors), scope=scope, table=table))
+        factors.append(Factor(scope=scope, table=table))
     ordering = np.arange(1, n + 1)
     if shuffle_ordering:
         rng.shuffle(ordering)
@@ -48,15 +48,65 @@ class ExactConditionalPrior:
         self.solution = solution
 
     def evaluate(self, graph, prefix):
-        return self.solution.q_values(prefix)
+        return q_values(self.solution, prefix)
 
     def evaluate_batch(self, graph, prefixes):
         return np.stack([self.evaluate(graph, p) for p in prefixes])
 
 
+def _prefix_rank(solution, prefix) -> int:
+    """Base-K rank of a prefix: its row in an ExactSolution's q level."""
+    k = solution.q_levels[0].shape[1]
+    r = 0
+    for v in prefix:
+        r = r * k + (v - 1)
+    return r
+
+
+def q_values(solution, prefix) -> np.ndarray:
+    """K-vector of an ExactSolution's optimal values for the actions below a prefix."""
+    if len(prefix) >= len(solution.q_levels):
+        raise ValueError("no actions below a complete configuration")
+    return solution.q_levels[len(prefix)][_prefix_rank(solution, prefix)]
+
+
+def log_step_conditionals(chain: ChainSolution) -> tuple[np.ndarray, np.ndarray]:
+    """(first, steps): log P*(x_1) of shape (K,) and log P*(x_{p+1}|x_p)
+    of shape (N-1, K, K); rows for zero-mass predecessors stay -inf."""
+    first = chain.unary[0] + chain.beta[0] - chain.log_z
+    scores = chain.pair + chain.unary[1:, None, :] + chain.beta[1:, None, :]
+    norms = logsumexp_rows(scores)[..., None]
+    steps = np.subtract(scores, norms, out=np.full_like(scores, NEG_INF),
+                        where=norms > NEG_INF)
+    return first, steps
+
+
+def log_joint(solution, x) -> float:
+    """Normalized log-probability of a complete configuration (depth order)
+    under an ExactSolution or a ChainSolution."""
+    if isinstance(solution, ChainSolution):
+        first, steps = log_step_conditionals(solution)
+        total = float(first[x[0] - 1])
+        for p in range(len(steps)):
+            if total == NEG_INF:
+                return NEG_INF
+            total += float(steps[p][x[p] - 1, x[p + 1] - 1])
+        return total
+    if len(x) != len(solution.q_levels):
+        raise ValueError("configuration must be complete")
+    total = 0.0
+    for n in range(len(x)):
+        q = solution.q_levels[n][_prefix_rank(solution, x[:n])]
+        v = logsumexp(q)
+        if q[x[n] - 1] == NEG_INF:
+            return NEG_INF
+        total += float(q[x[n] - 1]) - float(v)
+    return total
+
+
 def variable_marginals(solution, graph: FactorGraph) -> np.ndarray:
     """(N, K) marginal table of an ExactSolution, indexed by variable (row v-1)."""
-    k, n = solution.num_states, solution.num_variables
+    k, n = graph.num_states, graph.num_variables
     probs = np.exp(solution.enumerate_log_joint()).reshape((k,) * n)
     out = np.zeros((n, k))
     for depth in range(1, n + 1):
@@ -84,7 +134,7 @@ def brute_force_log_z(graph: FactorGraph) -> float:
 
 
 def exact_kl(approx, oracle, num_samples: int = 10_000, seed: int = 0) -> float:
-    """D_KL[P_X || P*] against an exact oracle, through oracle.log_joint.
+    """D_KL[P_X || P*] against an exact oracle, through log_joint.
 
     Atom approximations are summed exactly; sampler approximations (objects
     with sample(rng) and log_density(x)) are estimated by Monte Carlo. A
@@ -94,7 +144,7 @@ def exact_kl(approx, oracle, num_samples: int = 10_000, seed: int = 0) -> float:
     if atoms is not None:
         total = 0.0
         for x, w in zip(atoms, approx.weights):
-            target = oracle.log_joint(x)
+            target = log_joint(oracle, x)
             if target == NEG_INF:
                 return math.inf
             total += w * (math.log(w) - target)
@@ -103,7 +153,7 @@ def exact_kl(approx, oracle, num_samples: int = 10_000, seed: int = 0) -> float:
     terms = np.empty(num_samples)
     for i in range(num_samples):
         x = approx.sample(rng)
-        target = oracle.log_joint(x)
+        target = log_joint(oracle, x)
         if target == NEG_INF:
             return math.inf
         terms[i] = approx.log_density(x) - target
@@ -121,7 +171,7 @@ def kl_by_enumeration(log_density_fn, oracle, graph: FactorGraph, cap: int = 10*
         lp = log_density_fn(x)
         if lp == NEG_INF:
             continue
-        target = oracle.log_joint(x)
+        target = log_joint(oracle, x)
         if target == NEG_INF:
             return math.inf
         total += math.exp(lp) * (lp - target)

@@ -22,7 +22,8 @@ from treesample.logmath import NEG_INF, logsumexp, logsumexp_rows, sample_softma
 from treesample.model import Factor, FactorGraph
 from treesample.prior import HeuristicPrior
 
-from conftest import ExactConditionalPrior, all_configs, make_random_graph, variable_marginals
+from conftest import (ExactConditionalPrior, all_configs, log_step_conditionals, make_random_graph,
+                      variable_marginals)
 
 
 def _graph(n, k, factors, ordering=None):
@@ -30,7 +31,7 @@ def _graph(n, k, factors, ordering=None):
         num_variables=n,
         num_states=k,
         factors=tuple(
-            Factor(id=i, scope=s, table=np.asarray(t, dtype=float)) for i, (s, t) in enumerate(factors)
+            Factor(scope=s, table=np.asarray(t, dtype=float)) for s, t in factors
         ),
         ordering=tuple(ordering or range(1, n + 1)),
     )
@@ -295,7 +296,7 @@ class TestBpSample:
         rng = np.random.default_rng(107)
         g = make_random_chain(rng, 6, 3)
         chain = solve_chain(g)
-        first, steps = chain.log_step_conditionals()
+        first, steps = log_step_conditionals(chain)
         got0 = bp_step_conditionals(g, num_message_rounds=6, prefix_values={})
         assert np.allclose(np.exp(got0), np.exp(first), atol=1e-6)
         got2 = bp_step_conditionals(g, num_message_rounds=6, prefix_values={1: 2})

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from treesample import cli
 from treesample.cli import METHODS, RunConfig, main
+from treesample.generators import FAMILIES
 from treesample.model import Factor, FactorGraph, load_graph, save_graph
 from treesample.prior import (Adam, MLPValueFunction, TrainConfig, load_checkpoint,
                               save_checkpoint)
@@ -24,7 +26,7 @@ def _uniform_instance(tmp_path, n=3, k=2, name="uniform.json"):
     g = FactorGraph(
         num_variables=n,
         num_states=k,
-        factors=tuple(Factor(id=v - 1, scope=(v,), table=np.zeros(k)) for v in range(1, n + 1)),
+        factors=tuple(Factor(scope=(v,), table=np.zeros(k)) for v in range(1, n + 1)),
         ordering=tuple(range(1, n + 1)),
     )
     path = tmp_path / name
@@ -32,9 +34,11 @@ def _uniform_instance(tmp_path, n=3, k=2, name="uniform.json"):
     return path
 
 
-def _main_json(argv):
+def _main_json(argv, quiet_success=False):
     """(exit code, the one JSON object main printed to stdout), with every
-    warning recorded; a bug (exit 1) fails here with main's stderr."""
+    warning recorded; a bug (exit 1) fails here with main's stderr. With
+    quiet_success (bench writing its summary to a file), exit 0 prints
+    nothing and returns (0, None)."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -42,6 +46,9 @@ def _main_json(argv):
         code = main(argv)
     assert code in (0, 2), err.getvalue()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if quiet_success and code == 0:
+        assert out.getvalue() == ""
+        return code, None
     lines = out.getvalue().splitlines()
     assert len(lines) == 1, out.getvalue()
 
@@ -188,10 +195,10 @@ class TestRun:
         # every configuration has log-density -inf: the (x1, x2) factor is all
         # -inf; with a third-order factor the graph is no chain and
         # solve_exact is the oracle
-        factors = [Factor(id=0, scope=(1, 2), table=np.full(4, -np.inf)),
-                   Factor(id=1, scope=(2, 3), table=np.zeros(4))]
+        factors = [Factor(scope=(1, 2), table=np.full(4, -np.inf)),
+                   Factor(scope=(2, 3), table=np.zeros(4))]
         if not chain:
-            factors.append(Factor(id=2, scope=(1, 2, 3), table=np.zeros(8)))
+            factors.append(Factor(scope=(1, 2, 3), table=np.zeros(8)))
         g = FactorGraph(num_variables=3, num_states=2, factors=tuple(factors),
                         ordering=(1, 2, 3))
         path = tmp_path / "zero.json"
@@ -407,6 +414,8 @@ class TestErrorContract:
         (tmp_path / "badkey.json").write_text(json.dumps({"method": "sis", "budget": 10, "x": 1}))
         (tmp_path / "bare.ckpt").write_bytes(json.dumps({"format": "treesample-mlp-v1"}).encode()
                                               + b"\n")
+        mlp = MLPValueFunction(5 * 3, 2, hidden_units=4, num_hidden_layers=1)  # an n5 k2 graph's
+        save_checkpoint(tmp_path / "n5.ckpt", mlp, Adam(mlp.parameters()), 0, TrainConfig())
         return tmp_path, str(instance)
 
     @pytest.mark.parametrize("probe", [
@@ -423,10 +432,23 @@ class TestErrorContract:
         "--out {d}/b.csv --jobs 0",
         "bench --family chains --n 3 --methods sis --budgets 10 --num-instances 0 "
         "--out {d}/b.csv",
+        "generate --family permuted_chains --n 4 --k 3 --seed 0 --out {d}/g.json "
+        "--params {{\"alpha\":\"x\"}}",
+        "generate --family chains --n 3 --seed 0 --out {d}/g.json "
+        "--params {{\"kernel_bandwidth\":0}}",
+        "generate --family chains --n 3 --seed 0 --out {d}/g.json "
+        "--params {{\"kernel_bandwidth\":1e300}}",
+        "train {instance} --episodes 3 --budget-per-episode 20 --samples-per-episode 8 "
+        "--batch-size 4 --learning-rate 1e30 --checkpoint-out {d}/t.ckpt --metrics-out {d}/t.csv",
+        "run {instance} --method sis --budget 10 --prior {d}/n5.ckpt",
+        "train {instance} --episodes 2 --resume {d}/n5.ckpt --checkpoint-out {d}/t.ckpt "
+        "--metrics-out {d}/t.csv",
     ], ids=["no-method", "unknown-config-key", "malformed-config-json", "missing-instance",
             "instance-without-factors", "negative-c", "unknown-generator-param",
             "checkpoint-header-without-keys", "generate-out-is-a-directory", "bench-jobs-0",
-            "bench-num-instances-0"])
+            "bench-num-instances-0", "mistyped-generator-param",
+            "generator-param-divides-by-zero", "generator-param-overflows", "diverging-training",
+            "run-prior-of-another-graph-size", "resume-of-another-graph-size"])
     def test_input_error_exits_2_with_one_json_object(self, files, probe):
         d, instance = files
         code, error = _main_json(probe.format(d=d, instance=instance).split())
@@ -521,3 +543,103 @@ def test_run_fuzz_exits_0_or_2_with_one_json_object(tmp_path_factory, n, k, grap
         assert code == 2 and out["message"].startswith("bad config")
     if code == 0:
         assert out["budget_spent"] <= budget
+
+
+# generator parameter names of every family, so that a draw is often a
+# parameter of another family (unknown here), plus one of no family
+_PARAM_NAMES = sorted({name for gen in FAMILIES.values()
+                       for name in list(inspect.signature(gen).parameters)[3:]} | {"bogus"})
+_PARAM_VALUES = st.one_of(st.integers(-2, 12), st.floats(), st.sampled_from([0.0, -1.0, 1e300]),
+                          st.booleans(), st.none(), st.text(max_size=2),
+                          st.lists(st.integers(0, 3), max_size=1))
+
+
+def _params_arg(data, family) -> str:
+    """A --params value: a JSON object of random names, most of them the
+    family's own, and values of any type; sometimes no object or no JSON."""
+    own = list(inspect.signature(FAMILIES[family]).parameters)[3:]
+    names = st.one_of(st.sampled_from(own), st.sampled_from(own), st.sampled_from(_PARAM_NAMES))
+    params = data.draw(st.dictionaries(names, _PARAM_VALUES, max_size=2), label="params")
+    form = data.draw(st.sampled_from(["object", "object", "object", "list", "malformed"]),
+                     label="params form")
+    if form == "list":
+        return json.dumps(list(params))
+    return json.dumps(params) + ("}" if form == "malformed" else "")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(family=st.sampled_from(sorted(FAMILIES)), n=st.integers(1, 7), k=st.integers(2, 3),
+       seed=st.integers(-1, 2**32), data=st.data())
+def test_generate_fuzz_exits_0_or_2_with_one_json_object(tmp_path_factory, family, n, k, seed,
+                                                         data):
+    """Random family parameters of any type, known, unknown or of another
+    family: never exit 1, never a RuntimeWarning, always one JSON object."""
+    out = tmp_path_factory.mktemp("gen") / "g.json"
+    code, report = _main_json(["generate", "--family", family, "--n", str(n), "--k", str(k),
+                               "--seed", str(seed), "--out", str(out),
+                               "--params", _params_arg(data, family)])
+    if code == 0:
+        assert report["n"] == load_graph(out).num_variables == n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(family=st.sampled_from(sorted(FAMILIES)), n=st.integers(1, 5), k=st.integers(2, 3),
+       methods=st.lists(st.sampled_from(METHODS + ("bogus",)), min_size=1, max_size=3),
+       budgets=st.lists(st.integers(-1, 150), min_size=1, max_size=2),
+       num_instances=st.integers(1, 2), metric_samples=st.integers(1, 20),
+       with_params=st.booleans(), data=st.data())
+def test_bench_fuzz_exits_0_or_2_with_one_json_object(tmp_path_factory, family, n, k, methods,
+                                                      budgets, num_instances, metric_samples,
+                                                      with_params, data):
+    """Tiny grids, serial, with bad methods, budgets and generator
+    parameters: exit 0 with a CSV row per cell and nothing on stdout, or 2
+    with one JSON object; never exit 1 or a RuntimeWarning."""
+    d = tmp_path_factory.mktemp("bench")
+    # "--budgets=-1": argparse reads a separate "-1,5" as a flag
+    argv = ["bench", "--family", family, "--n", str(n), "--k", str(k),
+            "--methods", ",".join(methods), "--budgets=" + ",".join(map(str, budgets)),
+            "--num-instances", str(num_instances), "--metric-samples", str(metric_samples),
+            "--jobs", "1", "--out", str(d / "b.csv"), "--summary-out", str(d / "s.csv")]
+    if with_params:
+        argv += ["--params", _params_arg(data, family)]
+    code, _ = _main_json(argv, quiet_success=True)
+    if code == 0:
+        with open(d / "b.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == len(methods) * len(budgets) * num_instances
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), k=st.integers(2, 3), graph_seed=st.integers(0, 2**32 - 1),
+       neg_inf_frac=st.sampled_from([0.0, 0.5]), algo=st.sampled_from(["treesample", "smc"]),
+       episodes=st.integers(1, 3), budget=st.integers(1, 60), samples=st.integers(1, 8),
+       batch_size=st.integers(1, 8),
+       learning_rate=st.sampled_from([1e-3, 1.0, 10.0, 1e3, 1e6, 1e10, 1e15, 1e20, 1e30]),
+       resume=st.sampled_from([None, "fits", "other-graph-size"]))
+def test_train_fuzz_exits_0_or_2_with_one_json_object(tmp_path_factory, n, k, graph_seed,
+                                                      neg_inf_frac, algo, episodes, budget,
+                                                      samples, batch_size, learning_rate, resume):
+    """Learning rates up to 1e30 on tiny graphs with -inf entries, fresh or
+    resumed from a checkpoint that fits the graph or not: never exit 1,
+    never a RuntimeWarning, always one JSON object."""
+    d = tmp_path_factory.mktemp("train")
+    rng = np.random.default_rng(graph_seed)
+    save_graph(make_random_graph(rng, n, k, num_extra_factors=2 if n > 1 else 0,
+                                 neg_inf_frac=neg_inf_frac), d / "g.json")
+    argv = ["train", str(d / "g.json"), "--algo", algo, "--episodes", str(episodes),
+            "--checkpoint-out", str(d / "out.ckpt"), "--metrics-out", str(d / "m.csv")]
+    config = TrainConfig(budget_per_episode=budget, samples_per_episode=samples,
+                         batch_size=batch_size, learning_rate=learning_rate, metric_samples=8)
+    if resume is None:
+        argv += [f"--{f.replace('_', '-')}={getattr(config, f)}" for f in
+                 ("budget_per_episode", "samples_per_episode", "batch_size", "learning_rate",
+                  "metric_samples")]
+    else:
+        dim = n * (k + 1) if resume == "fits" else n * (k + 1) + 1
+        mlp = MLPValueFunction(dim, k, hidden_units=8, num_hidden_layers=2)
+        save_checkpoint(d / "in.ckpt", mlp, Adam(mlp.parameters(), learning_rate), 0, config)
+        argv += ["--resume", str(d / "in.ckpt")]
+    code, out = _main_json(argv)
+    if resume == "other-graph-size":
+        assert code == 2 and "input_dim" in out["message"]
+    if code == 0:
+        assert out["episodes"] == episodes

@@ -26,13 +26,13 @@ from treesample.logmath import (
 )
 from treesample.model import Factor, FactorGraph
 
-from conftest import (all_configs, brute_force_log_z, exact_kl, kl_by_enumeration,
-                      make_random_graph, variable_marginals)
+from conftest import (all_configs, brute_force_log_z, exact_kl, kl_by_enumeration, log_joint,
+                      log_step_conditionals, make_random_graph, q_values, variable_marginals)
 
 
 def _conditional(sol, prefix):
     """Target conditional of the next variable: the softmax of q_values."""
-    q = sol.q_values(prefix)
+    q = q_values(sol, prefix)
     return np.exp(q - logsumexp(q))
 
 
@@ -41,7 +41,7 @@ def _graph(n, k, factors, ordering=None):
         num_variables=n,
         num_states=k,
         factors=tuple(
-            Factor(id=i, scope=s, table=np.asarray(t, dtype=float)) for i, (s, t) in enumerate(factors)
+            Factor(scope=s, table=np.asarray(t, dtype=float)) for s, t in factors
         ),
         ordering=tuple(ordering or range(1, n + 1)),
     )
@@ -266,8 +266,8 @@ class TestSolveExact:
         assert sol.log_z == pytest.approx(0.0, abs=1e-12)
         assert np.array_equal(_conditional(sol, ()), [1.0, 0.0])
         assert np.array_equal(_conditional(sol, (1,)), [1.0, 0.0])
-        assert sol.log_joint((1, 1, 1)) == pytest.approx(0.0)
-        assert sol.log_joint((2, 1, 1)) == NEG_INF
+        assert log_joint(sol, (1, 1, 1)) == pytest.approx(0.0)
+        assert log_joint(sol, (2, 1, 1)) == NEG_INF
 
     def test_log_z_matches_enumeration(self):
         rng = np.random.default_rng(23)
@@ -310,7 +310,7 @@ class TestSolveExact:
         g = make_random_graph(rng, 4, 2, num_extra_factors=3, shuffle_ordering=True)
         sol = solve_exact(g)
         marg = variable_marginals(sol, g)
-        probs = {x: math.exp(sol.log_joint(g.assignment_to_prefix(x))) for x in all_configs(4, 2)}
+        probs = {x: math.exp(log_joint(sol, g.assignment_to_prefix(x))) for x in all_configs(4, 2)}
         for v in range(1, 5):
             for val in (1, 2):
                 ref = sum(p for x, p in probs.items() if x[v - 1] == val)
@@ -362,7 +362,7 @@ class TestSolveChain:
             assert chain.log_z == pytest.approx(full.log_z, abs=1e-9)
             by_depth = variable_marginals(full, g)[np.array(g.ordering) - 1]
             assert np.allclose(chain.position_marginals(), by_depth, atol=1e-9)
-            first, steps = chain.log_step_conditionals()
+            first, steps = log_step_conditionals(chain)
             assert np.allclose(np.exp(first), _conditional(full, ()), atol=1e-9)
             for prefix in [(1,), (2, 3), (3, 1, 2, 1)]:
                 p = len(prefix)
@@ -376,7 +376,7 @@ class TestSolveChain:
         chain = solve_chain(g)
         for x in all_configs(5, 2):
             ref = g.log_unnormalized_density(x) - chain.log_z
-            assert chain.log_joint(x) == pytest.approx(ref, abs=1e-9)
+            assert log_joint(chain, x) == pytest.approx(ref, abs=1e-9)
 
     def test_non_chain_rejected(self):
         g = _graph(3, 2, [((1, 3), np.zeros(4)), ((2,), np.zeros(2))])
@@ -445,7 +445,7 @@ class TestExactKl:
         g = make_random_graph(rng, 3, 2, num_extra_factors=2)
         sol = solve_exact(g)
         atoms = list(all_configs(3, 2))
-        weights = [math.exp(sol.log_joint(x)) for x in atoms]
+        weights = [math.exp(log_joint(sol, x)) for x in atoms]
         approx = SimpleNamespace(atoms=atoms, weights=weights)
         assert exact_kl(approx, sol) == pytest.approx(0.0, abs=1e-9)
 
@@ -468,6 +468,6 @@ class TestExactKl:
         kl = kl_by_enumeration(lambda x: -3 * math.log(2), sol, g)
         # uniform vs target: KL = log Z ... E_unif[log gamma-hat] - H(unif)
         ref = sum(
-            (1 / 8) * (-3 * math.log(2) - sol.log_joint(x)) for x in all_configs(3, 2)
+            (1 / 8) * (-3 * math.log(2) - log_joint(sol, x)) for x in all_configs(3, 2)
         )
         assert kl == pytest.approx(ref, abs=1e-12)

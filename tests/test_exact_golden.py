@@ -21,7 +21,7 @@ import pytest
 from treesample.exact import solve_chain, solve_exact
 from treesample.generators import GeneratorSpec, generate
 
-from conftest import make_random_graph
+from conftest import log_step_conditionals, make_random_graph
 
 
 def _spec_graph(family, n, k, seed):
@@ -79,7 +79,7 @@ def digest(name) -> str:
         sol = solve_exact(graph)
         return _hash(sol.q_levels, [sol.log_z, sol.entropy()])
     sol = solve_chain(graph)
-    first, steps = sol.log_step_conditionals()
+    first, steps = log_step_conditionals(sol)
     return _hash([sol.alpha, sol.beta, first, steps], [sol.log_z, sol.entropy()])
 
 

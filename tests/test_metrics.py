@@ -17,21 +17,21 @@ from treesample.model import Factor, FactorGraph
 from treesample.prior import HeuristicPrior
 from treesample.search import build_tree
 
-from conftest import all_configs, exact_kl, make_random_graph
+from conftest import all_configs, exact_kl, log_joint, make_random_graph
 
 
 def _uniform_graph(n, k):
     return FactorGraph(
         num_variables=n,
         num_states=k,
-        factors=tuple(Factor(id=v - 1, scope=(v,), table=np.zeros(k)) for v in range(1, n + 1)),
+        factors=tuple(Factor(scope=(v,), table=np.zeros(k)) for v in range(1, n + 1)),
         ordering=tuple(range(1, n + 1)),
     )
 
 
 def _target_atoms(graph, sol):
     atoms = list(all_configs(graph.num_variables, graph.num_states))
-    weights = [math.exp(sol.log_joint(x)) for x in atoms]
+    weights = [math.exp(log_joint(sol, x)) for x in atoms]
     total = sum(weights)
     return WeightedAtoms(atoms=atoms, weights=[w / total for w in weights])
 
@@ -68,7 +68,7 @@ class TestDeltaKlAtoms:
         table = np.array([0.0, -np.inf])
         g = FactorGraph(
             num_variables=1, num_states=2,
-            factors=(Factor(id=0, scope=(1,), table=table),), ordering=(1,),
+            factors=(Factor(scope=(1,), table=table),), ordering=(1,),
         )
         atoms = WeightedAtoms(atoms=[(2,)], weights=[1.0])
         assert delta_kl_atoms(atoms, g) == math.inf
@@ -121,7 +121,7 @@ class TestBatchedAtomScoring:
         table = np.array([0.0, -np.inf])
         g = FactorGraph(
             num_variables=1, num_states=2,
-            factors=(Factor(id=0, scope=(1,), table=table),), ordering=(1,),
+            factors=(Factor(scope=(1,), table=table),), ordering=(1,),
         )
         atoms = WeightedAtoms(atoms=[(1,), (2,)], weights=[0.5, 0.5])
         with warnings.catch_warnings():
@@ -169,7 +169,7 @@ class TestDeltaKlSampler:
         table = np.array([0.0, -np.inf])
         g = FactorGraph(
             num_variables=1, num_states=2,
-            factors=(Factor(id=0, scope=(1,), table=table),), ordering=(1,),
+            factors=(Factor(scope=(1,), table=table),), ordering=(1,),
         )
         tree = build_tree(g, HeuristicPrior(), budget=0)
         with warnings.catch_warnings():

@@ -23,7 +23,7 @@ def _graph(n, k, factors, ordering=None):
     return FactorGraph(
         num_variables=n,
         num_states=k,
-        factors=tuple(Factor(id=i, scope=s, table=np.asarray(t, dtype=float)) for i, (s, t) in enumerate(factors)),
+        factors=tuple(Factor(scope=s, table=np.asarray(t, dtype=float)) for s, t in factors),
         ordering=tuple(ordering or range(1, n + 1)),
     )
 
@@ -173,14 +173,14 @@ class TestPartitionProperty:
             g = make_random_graph(rng, 5, 2, num_extra_factors=5, shuffle_ordering=True)
             seen = []
             for d in range(1, 6):
-                seen.extend(cf.factor.id for cf in g.factors_at_depth(d))
+                seen.extend(g.factors.index(cf.factor) for cf in g.factors_at_depth(d))
             assert sorted(seen) == list(range(g.num_factors))
 
     def test_depth_equals_max_ordering_position(self):
         g = _graph(3, 2, [((1, 3), np.zeros(4)), ((2,), np.zeros(2)), ((1,), np.zeros(2))], ordering=(3, 2, 1))
         # positions: var3->1, var2->2, var1->3; factor (1,3) resolves at depth 3
-        assert [cf.factor.id for cf in g.factors_at_depth(3)] == [0, 2]
-        assert [cf.factor.id for cf in g.factors_at_depth(2)] == [1]
+        assert [g.factors.index(cf.factor) for cf in g.factors_at_depth(3)] == [0, 2]
+        assert [g.factors.index(cf.factor) for cf in g.factors_at_depth(2)] == [1]
 
 
 class TestValidation:

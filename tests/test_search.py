@@ -9,7 +9,8 @@ from treesample.model import FACTOR_EVAL, REWARD_EVAL, BudgetLedger, Factor, Fac
 from treesample.prior import HeuristicPrior, MLPValueFunction
 from treesample.search import SearchTree, TreeNode, backup, build_tree, expand, q_uct_select
 
-from conftest import ExactConditionalPrior, all_configs, kl_by_enumeration, make_random_graph
+from conftest import (ExactConditionalPrior, all_configs, kl_by_enumeration, log_joint,
+                      make_random_graph, q_values)
 
 
 def _graph(n, k, factors, ordering=None):
@@ -17,7 +18,7 @@ def _graph(n, k, factors, ordering=None):
         num_variables=n,
         num_states=k,
         factors=tuple(
-            Factor(id=i, scope=s, table=np.asarray(t, dtype=float)) for i, (s, t) in enumerate(factors)
+            Factor(scope=s, table=np.asarray(t, dtype=float)) for s, t in factors
         ),
         ordering=tuple(ordering or range(1, n + 1)),
     )
@@ -294,7 +295,7 @@ class TestBuildTree:
             for prefix, node in tree.nodes.items():
                 if len(prefix) == g.num_variables:
                     continue
-                exact_q = sol.q_values(prefix)
+                exact_q = q_values(sol, prefix)
                 for a in range(g.num_states):
                     if node.complete_children[a]:
                         if exact_q[a] == NEG_INF:
@@ -462,7 +463,7 @@ class TestSampleAndDensity:
         sol = solve_exact(g)
         tree = build_tree(g, HeuristicPrior(), exhaustive_budget(g))
         for x in all_configs(3, 2):
-            assert tree.log_density(x) == pytest.approx(sol.log_joint(x), abs=1e-9)
+            assert tree.log_density(x) == pytest.approx(log_joint(sol, x), abs=1e-9)
 
     def test_sampling_frequencies_track_target(self):
         rng = np.random.default_rng(137)
@@ -475,7 +476,7 @@ class TestSampleAndDensity:
             x = tree.sample(rng)
             counts[x] = counts.get(x, 0) + 1
         for x in all_configs(3, 2):
-            p = math.exp(sol.log_joint(x))
+            p = math.exp(log_joint(sol, x))
             se = math.sqrt(p * (1 - p) / draws)
             assert abs(counts.get(tuple(x), 0) / draws - p) < 5 * se + 1e-3
 
