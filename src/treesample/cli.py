@@ -2,10 +2,11 @@
 method against an instance, sweep a benchmark grid to CSV, and train the
 MLP value prior.
 
-Exit codes: 0 success, 2 bad input or data, 1 a bug. Bad input (flags, config
-or parameters, a malformed or unreadable file, a budget too small for one unit
-of work, a target of zero total mass) raises ValueError or OSError, and `main`
-alone reports it: one JSON object on stdout, {"error": <exception class>,
+Exit codes: 0 success, 2 bad input or data, 1 a bug. Bad input (a usage error
+such as an unknown flag or a flag without its value, config or parameters, a
+malformed or unreadable file, a budget too small for one unit of work, a
+target of zero total mass) raises ValueError or OSError, and `main` alone
+reports it: one JSON object on stdout, {"error": <exception class>,
 "message": <text>}, plus "method" and "budget" when given as flags. Any other
 exception is a bug: `main` writes "internal error: ..." to stderr.
 """
@@ -335,8 +336,17 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, which main
+    reports like any other bad input; its subcommand parsers are of this
+    class too."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="treesample")
+    parser = _ArgumentParser(prog="treesample")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a random instance as JSON")
@@ -407,8 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:  # bad input or data; see the module docstring
         error = {"error": type(exc).__name__, "message": str(exc)}

@@ -43,7 +43,9 @@ def logsumexp_list(values: list[float]) -> float:
     1.0; a -inf entry adds exp(-inf) = 0.0, which leaves the running total
     (0.0 or positive) unchanged, so the entry is skipped. Every other
     entry adds np.exp of its float (np.exp of one float equals the array
-    np.exp; math.exp differs in the last bit on some inputs).
+    np.exp; math.exp differs in the last bit on some inputs), converted to
+    a Python float so that the running sum and the log stay off numpy
+    scalar arithmetic, which rounds alike but costs more.
 
     From PAIRWISE_SUM_MIN entries on, the sum is numpy's pairwise sum of
     exp(values - m), as in logsumexp: ndarray.sum and np.sum both run
@@ -60,7 +62,7 @@ def logsumexp_list(values: list[float]) -> float:
         if v == m:
             total += 1.0
         elif v != NEG_INF:
-            total += np.exp(v - m)
+            total += float(np.exp(v - m))
     return m + math.log(total)
 
 

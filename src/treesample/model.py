@@ -44,9 +44,14 @@ class Factor:
 
 
 class _CompiledFactor:
-    """Factor with ordering positions and strides precomputed for fast lookup."""
+    """Factor with ordering positions and strides precomputed for fast lookup.
 
-    __slots__ = ("factor", "depth", "positions", "strides", "table")
+    value_at reads Python ints and a list copy of the table: it is called once
+    per factor of every reward, where a numpy scalar costs more than the
+    arithmetic. values_at and the exact oracle read the numpy forms.
+    """
+
+    __slots__ = ("factor", "depth", "positions", "strides", "table", "_terms", "_entries")
 
     def __init__(self, factor: Factor, positions: np.ndarray, num_states: int):
         self.factor = factor
@@ -55,12 +60,14 @@ class _CompiledFactor:
         s = len(factor.scope)
         self.strides = num_states ** np.arange(s - 1, -1, -1, dtype=np.int64)
         self.table = factor.table
+        self._terms = tuple(zip(positions.tolist(), self.strides.tolist()))
+        self._entries = factor.table.tolist()
 
     def value_at(self, prefix: Sequence[int]) -> float:
         idx = 0
-        for pos, stride in zip(self.positions, self.strides):
+        for pos, stride in self._terms:
             idx += (prefix[pos - 1] - 1) * stride
-        return float(self.table[idx])
+        return self._entries[idx]
 
     def values_at(self, xs: np.ndarray) -> np.ndarray:
         """Table entries for every row of an (S, >= depth) array of prefixes."""
@@ -129,21 +136,15 @@ class FactorGraph:
         """Factors whose maximal ordering position over their scope equals depth."""
         return self._depth_factors[depth]
 
-    def check_prefix(self, prefix: Sequence[int]) -> None:
-        if len(prefix) > self.num_variables:
-            raise ValueError("prefix longer than the number of variables")
-        for v in prefix:
-            if not 1 <= v <= self.num_states:
-                raise ValueError(f"prefix value {v} out of range 1..{self.num_states}")
-
     def reward(self, prefix: Sequence[int]) -> float:
         """Sum of the factors that become computable exactly at this depth.
 
         Empty factor sets contribute 0; any -inf summand makes the result -inf.
         """
-        if not prefix:
-            raise ValueError("reward is defined for prefixes of length >= 1")
-        self.check_prefix(prefix)
+        if not 1 <= len(prefix) <= self.num_variables:
+            raise ValueError("reward is defined for prefixes of length 1..N")
+        if min(prefix) < 1 or max(prefix) > self.num_states:
+            raise ValueError(f"prefix values must lie in 1..{self.num_states}")
         total = 0.0
         for cf in self._depth_factors[len(prefix)]:
             total += cf.value_at(prefix)

@@ -1,8 +1,12 @@
 """State-action value priors: the closed-form uniform-target heuristic and a
 trainable MLP regressed onto search values.
 
-A prior maps a prefix of length n to the K-vector of default values for the
-next variable. Priors are free to evaluate: they never touch the budget.
+A prior maps a prefix of length n to the K default values for the next
+variable. evaluate takes one prefix and returns a list of K Python floats,
+the form a search node stores, so an expansion builds no array;
+evaluate_batch takes many prefixes and returns an (R, K) float64 array, one
+row per prefix, each row equal to evaluate of that prefix. Priors are free
+to evaluate: they never touch the budget.
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ class HeuristicPrior:
     """Values of the all-factors-vanish target: (N - n - 1) * log K after an
     n-prefix, i.e. the log-volume of the remaining configurations."""
 
-    def evaluate(self, graph: FactorGraph, prefix) -> np.ndarray:
+    def evaluate(self, graph: FactorGraph, prefix) -> list[float]:
         steps_left = graph.num_variables - len(prefix) - 1
         if steps_left < 0:
             raise ValueError("prefix already complete")
-        return np.full(graph.num_states, steps_left * math.log(graph.num_states))
+        return [steps_left * math.log(graph.num_states)] * graph.num_states
 
     def evaluate_batch(self, graph: FactorGraph, prefixes) -> np.ndarray:
         """evaluate() of every prefix, one call per distinct prefix length.
@@ -95,13 +99,33 @@ class MLPValueFunction:
         self.hidden_units = hidden_units
         self.num_hidden_layers = num_hidden_layers
         rng = np.random.default_rng(seed)
-        dims = [input_dim] + [hidden_units] * num_hidden_layers + [output_dim]
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        for fan_in, fan_out in self._layer_dims():
             scale = math.sqrt(2.0 / fan_in)
             self.weights.append(rng.normal(scale=scale, size=(fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, input_dim: int, output_dim: int, hidden_units: int,
+                  num_hidden_layers: int) -> "MLPValueFunction":
+        """The network whose get_flat() equals flat, built without drawing
+        the random initial weights that set_flat would overwrite."""
+        mlp = cls.__new__(cls)
+        mlp.input_dim = input_dim
+        mlp.output_dim = output_dim
+        mlp.hidden_units = hidden_units
+        mlp.num_hidden_layers = num_hidden_layers
+        layers = mlp._layer_dims()
+        mlp.weights = [np.empty((fan_in, fan_out)) for fan_in, fan_out in layers]
+        mlp.biases = [np.empty(fan_out) for _, fan_out in layers]
+        mlp.set_flat(flat)
+        return mlp
+
+    def _layer_dims(self) -> list[tuple[int, int]]:
+        """(fan_in, fan_out) of every layer, input first."""
+        dims = [self.input_dim] + [self.hidden_units] * self.num_hidden_layers + [self.output_dim]
+        return list(zip(dims[:-1], dims[1:]))
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -165,8 +189,8 @@ class MLPValueFunction:
 
     # -- prior interface ---------------------------------------------------
 
-    def evaluate(self, graph: FactorGraph, prefix) -> np.ndarray:
-        return self.forward(encode_batch(graph, [prefix]))[0]
+    def evaluate(self, graph: FactorGraph, prefix) -> list[float]:
+        return self.forward(encode_batch(graph, [prefix]))[0].tolist()
 
     def evaluate_batch(self, graph: FactorGraph, prefixes) -> np.ndarray:
         """evaluate() of every prefix, in either form encode_batch takes,
@@ -303,9 +327,8 @@ def _smc_step_targets(atoms, weights, num_particles: int, k: int):
     return targets
 
 
-def train_loop(graph: FactorGraph, algo: str, config: TrainConfig,
-               mlp: MLPValueFunction | None = None, adam: Adam | None = None,
-               start_episode: int = 0, progress=None):
+def train_loop(graph: FactorGraph, algo: str, config: TrainConfig, mlp: MLPValueFunction,
+               adam: Adam | None = None, start_episode: int = 0, progress=None):
     """Alternating data generation and optimizer passes on one fixed graph.
 
     Per episode: build an approximation with the current value function as
@@ -320,8 +343,6 @@ def train_loop(graph: FactorGraph, algo: str, config: TrainConfig,
         raise ValueError("algo must be 'treesample' or 'smc'")
     n, k = graph.num_variables, graph.num_states
     input_dim = n * (k + 1)
-    if mlp is None:
-        mlp = MLPValueFunction(input_dim, k, seed=config.seed)
     if adam is None:
         adam = Adam(mlp.parameters(), learning_rate=config.learning_rate)
     replay = ReplayBuffer(config.replay_capacity, input_dim, k)
@@ -450,8 +471,7 @@ def load_checkpoint(path):
     flat = np.frombuffer(blob[: count * 8], dtype="<f8")
     m_flat = np.frombuffer(blob[count * 8 : 2 * count * 8], dtype="<f8")
     v_flat = np.frombuffer(blob[2 * count * 8 :], dtype="<f8")
-    mlp = MLPValueFunction(d_in, d_out, hidden_units=h, num_hidden_layers=layers, seed=config.seed)
-    mlp.set_flat(flat.copy())
+    mlp = MLPValueFunction.from_flat(flat, d_in, d_out, hidden_units=h, num_hidden_layers=layers)
     adam = Adam(mlp.parameters(), learning_rate=config.learning_rate)
     adam.step_count = adam_step
     i = 0

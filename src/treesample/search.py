@@ -19,7 +19,9 @@ its depth: q_uct_select walks the whole path down to the first missing
 child, expand creates that child, and backup updates the path bottom-up
 through TreeNode.value. The walk and the backup are scalar Python in the
 same operation order as the array code they replaced, so the trees are the
-same bit for bit.
+same bit for bit. backup stops recomputing soft values at the first edge
+whose value comes out unchanged and whose child is not newly complete: no
+value above that edge can change, so above it only the visit counts grow.
 """
 
 from __future__ import annotations
@@ -230,7 +232,7 @@ def expand(graph: FactorGraph, prefix: Prefix, prior, ledger: BudgetLedger, c: f
             complete_children=[True] * k,
             complete=True,
         )
-    prior_q = np.asarray(prior.evaluate(graph, prefix), dtype=np.float64).tolist()
+    prior_q = prior.evaluate(graph, prefix)
     return TreeNode(
         reward=reward,
         q=prior_q,
@@ -244,13 +246,29 @@ def backup(nodes: list[TreeNode], actions: list[int]) -> None:
     """Soft-Bellman backup along one traversal path, deepest edge first.
 
     nodes has one more entry than actions; nodes[i] --actions[i]--> nodes[i+1].
+
+    It stops recomputing at the first edge whose new value equals the old
+    one and whose child is not newly complete. The node above that edge
+    then holds the same q as before, up to the sign of a zero, and a soft
+    value does not depend on the sign of a zero, so every edge further up
+    would be recomputed to the bits it holds. Above that edge only eta and
+    visits change. The edge itself still stores the new value, which may be
+    the other zero.
     """
     child = nodes[-1]
     for i in range(len(actions) - 1, -1, -1):
         parent, a = nodes[i], actions[i] - 1
         child.complete = child.complete or not child.open
-        parent.q[a] = child.reward + child.value()
-        if child.complete and not parent.complete_children[a]:
+        value = child.reward + child.value()
+        completes = child.complete and not parent.complete_children[a]
+        unchanged = value == parent.q[a]
+        parent.q[a] = value
+        if unchanged and not completes:
+            for node, action in zip(nodes[: i + 1], actions):
+                node.eta[action - 1] += 1
+                node.visits += 1
+            return
+        if completes:
             parent.complete_children[a] = True
             parent.open -= 1
         parent.eta[a] += 1

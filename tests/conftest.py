@@ -48,7 +48,7 @@ class ExactConditionalPrior:
         self.solution = solution
 
     def evaluate(self, graph, prefix):
-        return q_values(self.solution, prefix)
+        return q_values(self.solution, prefix).tolist()
 
     def evaluate_batch(self, graph, prefixes):
         return np.stack([self.evaluate(graph, p) for p in prefixes])

@@ -95,10 +95,12 @@ class TestGenerate:
         assert a.read_bytes() == b.read_bytes()
 
     def test_invalid_family_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["generate", "--family", "nope", "--n", "4", "--seed", "0",
-                  "--out", str(tmp_path / "x.json")])
-        assert exc.value.code == 2
+        code, error = _main_json(["generate", "--family", "nope", "--n", "4", "--seed", "0",
+                                  "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert error["error"] == "ValueError"
+        assert error["message"].startswith("treesample generate: argument --family: invalid")
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestRun:
@@ -306,6 +308,18 @@ class TestBench:
             rows = list(csvmod.DictReader(fh))
         assert rows[0]["error"].startswith("BudgetTooSmallError")
         assert rows[0]["delta_kl"] == ""
+
+    def test_negative_first_budget_is_one_json_error(self, tmp_path):
+        # argparse reads "-1,100" as a flag, so --budgets has no value: a
+        # usage error, which exits 2 with one JSON object like any bad input
+        out = tmp_path / "b.csv"
+        code, error = _main_json(["bench", "--family", "chains", "--n", "5", "--methods", "sis",
+                                  "--budgets", "-1,100", "--num-instances", "1",
+                                  "--out", str(out)])
+        assert code == 2
+        assert error == {"error": "ValueError", "message":
+                         "treesample bench: argument --budgets: expected one argument"}
+        assert not out.exists()
 
     def test_summary_keeps_runs_with_infinite_kl(self, tmp_path, capsys):
         # a tiny alpha puts exact zeros in the tables; one Gibbs sweep then
@@ -534,13 +548,15 @@ def test_run_fuzz_exits_0_or_2_with_one_json_object(tmp_path_factory, n, k, grap
         config["prior"] = str(d / config["prior"])
     budget = config.get("budget")
     argv = ["run", str(d / "g.json"), "--no-telemetry"]
-    if as_flags:  # argparse's own usage errors are no part of this contract
-        argv += [arg for name in ("method", "budget") if name in config and faulty != name
-                 for arg in (f"--{name}", str(config.pop(name)))]
+    flags = [name for name in ("method", "budget") if as_flags and name in config]
+    for name in flags:  # a bad flag value is a usage error, reported as one JSON object
+        argv += [f"--{name}", str(config.pop(name))]
     (d / "config.json").write_text(json.dumps(config))
     code, out = _main_json(argv + ["--config", str(d / "config.json")])
     if fault == "mistyped":
-        assert code == 2 and out["message"].startswith("bad config")
+        usage = f"treesample run: argument --{faulty}: invalid"
+        assert code == 2
+        assert out["message"].startswith(usage if faulty in flags else "bad config")
     if code == 0:
         assert out["budget_spent"] <= budget
 

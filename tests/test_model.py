@@ -68,10 +68,30 @@ class TestReward:
 
     def test_out_of_range_value_rejected(self):
         g = _graph(2, 2, [((1,), [0.0, 0.0]), ((2,), [0.0, 0.0])])
-        with pytest.raises(ValueError):
-            g.reward((3,))
-        with pytest.raises(ValueError):
-            g.reward(())
+        for prefix in [(3,), (0,), (1, 3), (0, 1), (), (1, 1, 1)]:
+            with pytest.raises(ValueError):
+                g.reward(prefix)
+
+    def test_value_at_reads_every_table_cell(self):
+        # the scalar lookup's Python-int indices and list copy give the
+        # table entry itself, -inf included, as a Python float
+        rng = np.random.default_rng(19)
+        for trial in range(12):
+            n, k = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+            g = make_random_graph(rng, n, k, num_extra_factors=3, shuffle_ordering=bool(trial % 2),
+                                  neg_inf_frac=0.3)
+            for depth in range(1, n + 1):
+                for cf in g.factors_at_depth(depth):
+                    seen = set()
+                    for x in all_configs(depth, k):
+                        idx = 0
+                        for v in cf.factor.scope:
+                            idx = idx * k + (x[g.depth_of(v) - 1] - 1)
+                        got = cf.value_at(x)
+                        assert type(got) is float
+                        assert got == float(cf.factor.table[idx])
+                        seen.add(idx)
+                    assert seen == set(range(len(cf.factor.table)))
 
     def test_neg_inf_propagates(self):
         g = _graph(2, 2, [((1,), [-np.inf, 0.0]), ((1, 2), np.ones(4))])

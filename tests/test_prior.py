@@ -182,13 +182,17 @@ class TestMlp:
             mlp.forward(np.ones((1, 2)))
 
     def test_prior_interface_shape(self):
+        # evaluate: a list of K Python floats; evaluate_batch: an (R, K) array
         g = _uniform_graph(3, 2)
         mlp = MLPValueFunction(9, 2, hidden_units=8, num_hidden_layers=2, seed=1)
-        q = mlp.evaluate(g, (1,))
-        assert q.shape == (2,)
-        batch = mlp.evaluate_batch(g, [(), (1,), (2, 2)])
-        assert batch.shape == (3, 2)
-        assert np.allclose(batch[1], q)
+        for prior in (HeuristicPrior(), mlp):
+            q = prior.evaluate(g, (1,))
+            assert type(q) is list and len(q) == 2
+            assert all(type(v) is float for v in q)
+            batch = prior.evaluate_batch(g, [(), (1,), (2, 2)])
+            assert isinstance(batch, np.ndarray)
+            assert batch.shape == (3, 2) and batch.dtype == np.float64
+            assert batch[1].tolist() == q
 
 
 class TestReplayBuffer:
@@ -280,6 +284,32 @@ class TestCheckpoint:
         for a, b in zip(adam.v, adam2.v):
             assert np.array_equal(a, b)
 
+    def test_load_builds_the_network_from_the_blocks(self, tmp_path, monkeypatch):
+        # no random initial weights are drawn, and the network computes
+        # what the saved one does, bit for bit
+        mlp = MLPValueFunction(6, 2, hidden_units=8, num_hidden_layers=3, seed=5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, mlp, Adam(mlp.parameters()), episode=0, config=TrainConfig())
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        mlp2 = load_checkpoint(path)[0]
+        assert (mlp2.input_dim, mlp2.output_dim, mlp2.hidden_units, mlp2.num_hidden_layers) == \
+            (6, 2, 8, 3)
+        assert [p.shape for p in mlp2.parameters()] == [p.shape for p in mlp.parameters()]
+        x = np.random.standard_normal((5, 6))
+        assert np.array_equal(mlp2.forward(x), mlp.forward(x))
+
+    def test_rejects_truncated_blocks(self, tmp_path):
+        mlp = MLPValueFunction(6, 2, hidden_units=8, num_hidden_layers=2, seed=5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, mlp, Adam(mlp.parameters()), episode=0, config=TrainConfig())
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="block size"):
+            load_checkpoint(path)
+
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b'{"format": "other"}\n')
@@ -352,5 +382,6 @@ class TestTrainLoop:
         assert h1 == h2
 
     def test_bad_algo(self):
+        g = _uniform_graph(2, 2)
         with pytest.raises(ValueError):
-            train_loop(_uniform_graph(2, 2), "gibbs", TrainConfig(episodes=1))
+            train_loop(g, "gibbs", TrainConfig(episodes=1), mlp=self._small_mlp(g))

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from treesample.exact import solve_exact
+from treesample.generators import GeneratorSpec, generate
 from treesample.logmath import NEG_INF, ZeroMassError, logsumexp
 from treesample.model import FACTOR_EVAL, REWARD_EVAL, BudgetLedger, Factor, FactorGraph
 from treesample.prior import HeuristicPrior, MLPValueFunction
@@ -48,7 +50,7 @@ class _FixedPrior:
         self.values = values
 
     def evaluate(self, graph, prefix):
-        return np.asarray(self.values, dtype=float)
+        return [float(v) for v in self.values]
 
 
 def exhaustive_budget(graph, cost_mode=REWARD_EVAL):
@@ -411,14 +413,43 @@ def _per_level_build_tree(graph, prior, budget, c, epsilon, cost_mode):
 
 
 class TestBuildMatchesPerLevelReference:
-    """build_tree's one-call descent and soft value give the same tree, bit
-    for bit, as the per-level loop it replaced (kept above as reference)."""
+    """build_tree's one-call descent, soft value and early-stopping backup
+    give the same tree, bit for bit, as the per-level loop with a full
+    backup that they replaced (kept above as reference)."""
 
     def _assert_same_tree(self, g, prior, budget, c=2.0, epsilon=0.1, cost_mode=REWARD_EVAL):
         tree = build_tree(g, prior, budget, c=c, epsilon=epsilon, cost_mode=cost_mode)
         ref = _per_level_build_tree(g, prior, budget, c, epsilon, cost_mode)
-        assert tree.dump_json_dict() == ref.dump_json_dict()
+        # the JSON text, unlike ==, tells -0.0 from 0.0
+        assert json.dumps(tree.dump_json_dict()) == json.dumps(ref.dump_json_dict())
         return tree
+
+    def test_stopped_backup_stores_the_recomputed_zero(self):
+        # a leaf's soft value on a zero graph is 0.0, which equals the
+        # prior's -0.0 that it replaces: the backup stops at that edge, but
+        # it stores 0.0 there, as a full backup does
+        g = _uniform_graph(3, 2)
+        for budget in range(2, exhaustive_budget(g) + 1):
+            tree = self._assert_same_tree(g, _FixedPrior([-0.0, -0.0]), budget)
+        assert '"q": [0.0, 0.0]' in json.dumps(tree.dump_json_dict())
+
+    def test_backup_stops_early_with_fewer_soft_values(self, monkeypatch):
+        # fg2 under factor_eval has depths without factors, where a new
+        # node's soft value often equals the heuristic value it replaces,
+        # so the backup stops there and recomputes nothing above
+        calls = {TreeNode: 0, _PerLevelNode: 0}
+        for cls in calls:
+            def counted(self, value=cls.value, cls=cls):
+                calls[cls] += 1
+                return value(self)
+            monkeypatch.setattr(cls, "value", counted)
+        for seed in (0, 1):
+            g = generate(GeneratorSpec(family="fg2", n=8, k=2, seed=seed))
+            for budget in (50, 300, exhaustive_budget(g, FACTOR_EVAL)):
+                calls.update(dict.fromkeys(calls, 0))
+                tree = self._assert_same_tree(g, HeuristicPrior(), budget, cost_mode=FACTOR_EVAL)
+                assert calls[TreeNode] < calls[_PerLevelNode]
+            assert tree.root_complete()
 
     def test_random_graphs_with_neg_inf_entries(self):
         rng = np.random.default_rng(173)
