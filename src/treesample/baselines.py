@@ -9,17 +9,25 @@ Each sampler is an array program over all of its particles or messages:
   them with one FactorGraph.reward_batch call.
 - Gibbs runs all chains in lockstep on one (chains, N) state array. A site
   update scores the K completions of every chain through the site's factors
-  at once and draws each chain's value with sample_softmax_rows. Each site
-  update reads exactly one uniform per chain: chain by chain, the stream
-  holds the chain's initial state and then one uniform per site update, so
-  the draws equal a chain-at-a-time loop that draws each site from its own
-  softmax. A zero-mass conditional takes the uniform value
-  min(int(u * K), K - 1) + 1 from that same uniform u.
+  at once: per factor, one (chains,) table index from the factor's other
+  scope positions, plus stride * (0..K-1) for the site, gathers a
+  (chains, K) block of table entries, and the blocks add up in site-factor
+  order. Each chain's value is drawn with draw_softmax_rows, which computes
+  no log probability. Each site update reads exactly one uniform per chain:
+  chain by chain, the stream holds the chain's initial state and then one
+  uniform per site update, so the draws equal a chain-at-a-time loop that
+  draws each site from its own softmax. A zero-mass conditional takes the
+  uniform value min(int(u * K), K - 1) + 1 from that same uniform u.
 - Loopy BP stores the messages as (edges, K) arrays, one edge per (factor,
   scope position), and a round reduces every factor->variable message of one
   arity in one pass. The sums and normalizers keep the order and arithmetic
   of the per-message logsumexp_rows/logsumexp calls, so the messages and
-  the draws are bit-identical to a message-at-a-time implementation.
+  the draws are bit-identical to a message-at-a-time implementation. A
+  round is a function of the variable->factor messages and the clamps
+  alone, so once a round returns those messages with the same bit patterns
+  (an exact fixed point), the variable's remaining rounds are skipped. A
+  skipped round is still charged num_factors units, so wall-clock work
+  does not change what a budget buys.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logmath import NEG_INF, ZeroMassError, logsumexp, logsumexp_rows, sample_softmax_rows
+from .logmath import (NEG_INF, ZeroMassError, draw_softmax_rows, log_each, logsumexp,
+                      logsumexp_rows, sample_softmax_rows)
 from .model import REWARD_EVAL, BudgetLedger, FactorGraph, Prefix
 
 
@@ -221,29 +230,40 @@ def gibbs(
     for i in range(num):
         states[i] = rng.integers(1, k + 1, size=n)
         uniforms[i] = rng.random(num_sweeps * n)
-    site_values = np.tile(np.arange(1, k + 1), num)
+    x = states - 1  # 0-based values, the digits of a table index
+    # per site factor: its table, the (column, stride) of its other scope
+    # positions, and the index offsets stride * (0..K-1) of the site's values
+    site_terms = {v: [] for v in site_factors}
+    for v, factors in site_factors.items():
+        depth = graph.depth_of(v)
+        for cf in factors:
+            terms = list(zip(cf.positions.tolist(), cf.strides.tolist()))
+            others = [(pos - 1, stride) for pos, stride in terms if pos != depth]
+            offsets = np.arange(k) * dict(terms)[depth]
+            site_terms[v].append((cf.table, others, offsets))
     zero_conditionals = 0
     for t, v in enumerate(list(range(1, n + 1)) * num_sweeps):
         col = graph.depth_of(v) - 1
         _must_charge(ledger, num * site_cost[v])
-        # row c * K + j of the repeated states sets the site to value j + 1
-        completions = np.repeat(states, k, axis=0)
-        completions[:, col] = site_values
-        scores = np.zeros(num * k)
-        for cf in site_factors[v]:
-            scores += cf.values_at(completions)
-        scores = scores.reshape(num, k)
+        # scores[c, j]: the site's factors at chain c with the site set to j + 1
+        scores = np.zeros((num, k))
+        for table, others, offsets in site_terms[v]:
+            base = np.zeros(num, dtype=np.int64)
+            for c, stride in others:
+                base += x[:, c] * stride
+            scores += table[base[:, None] + offsets]
         u = uniforms[:, t]
         zero = scores.max(axis=1) == NEG_INF
         if zero.any():
             # zero-mass conditional: a uniform value read off the same uniform
             zero_conditionals += int(zero.sum())
-            states[zero, col] = np.minimum((u[zero] * k).astype(np.int64), k - 1) + 1
+            x[zero, col] = np.minimum((u[zero] * k).astype(np.int64), k - 1)
             live = ~zero
             if live.any():
-                states[live, col] = sample_softmax_rows(scores[live], u[live])[0] + 1
+                x[live, col] = draw_softmax_rows(scores[live], u[live])[0]
         else:
-            states[:, col] = sample_softmax_rows(scores, u)[0] + 1
+            x[:, col] = draw_softmax_rows(scores, u)[0]
+    states = x + 1
     atoms, weights = merge_particles(states, np.zeros(num))
     return WeightedAtoms(
         atoms=atoms,
@@ -269,7 +289,7 @@ def _normalize_rows(vecs: np.ndarray) -> np.ndarray:
         m = np.where(m > NEG_INF, m, 0.0)
         total = np.exp(vecs - m[:, None]).sum(axis=1)
         total[total == 0.0] = 1.0
-    return vecs - (m + np.array(list(map(math.log, total.tolist()))))[:, None]
+    return vecs - (m + log_each(total))[:, None]
 
 
 class _LoopyBP:
@@ -345,8 +365,10 @@ class _LoopyBP:
         self.msg_vf[self.var_edges[v]] = atom
         self.clamped[self.var_edges[v]] = True
 
-    def round(self):
+    def round(self) -> bool:
         """One synchronous round: all factor->variable, then variable->factor.
+        Returns whether it was an exact fixed point: every variable->factor
+        message came out with the bit pattern it went in with.
 
         Each message adds the other incoming messages one at a time in scope
         or factor order (never subtracting: -inf - -inf is undefined), with
@@ -369,7 +391,11 @@ class _LoopyBP:
         total = np.zeros((self.num_edges, k))
         for j in range(self.incoming.shape[1]):
             total = total + fv[self.incoming[:, j]]
-        self.msg_vf = np.where(self.clamped[:, None], self.msg_vf, _normalize_rows(total))
+        msg_vf = np.where(self.clamped[:, None], self.msg_vf, _normalize_rows(total))
+        # compared as int64, so that -0.0 and 0.0 differ
+        fixed = np.array_equal(msg_vf.view(np.int64), self.msg_vf.view(np.int64))
+        self.msg_vf = msg_vf
+        return fixed
 
     def log_marginal(self, v: int) -> np.ndarray:
         total = np.zeros(self.k)
@@ -389,7 +415,10 @@ def bp_sample(
     index order. Raises ValueError when num_message_rounds is below 1.
 
     A round charges num_factors units, one per factor it updates, which
-    both cost modes count alike; so bp_sample takes no cost mode.
+    both cost modes count alike; so bp_sample takes no cost mode. A round
+    is a function of the variable->factor messages and the clamps alone,
+    so after an exact fixed point the variable's remaining rounds would
+    repeat it: they are skipped, and still charged.
     """
     if num_message_rounds < 1:
         raise ValueError("num_message_rounds must be at least 1")
@@ -409,13 +438,15 @@ def bp_sample(
         state.reset()
         assignment = [0] * n
         for v in range(1, n + 1):
-            for _ in range(num_message_rounds):
+            for r in range(1, num_message_rounds + 1):
                 _must_charge(ledger, round_cost)
-                state.round()
+                if state.round():
+                    _must_charge(ledger, (num_message_rounds - r) * round_cost)
+                    break
             marg = state.log_marginal(v)
             if np.max(marg) == NEG_INF:
                 raise ZeroMassError(f"BP marginal of variable {v} has zero mass")
-            value = int(sample_softmax_rows(marg[None, :], rng.random(1))[0][0]) + 1
+            value = int(draw_softmax_rows(marg[None, :], rng.random(1))[0][0]) + 1
             assignment[v - 1] = value
             state.clamp(v, value)
         particles[i] = graph.assignment_to_prefix(assignment)

@@ -106,26 +106,67 @@ def logsumexp_rows(arr: np.ndarray) -> np.ndarray:
     return total.reshape(arr.shape[:-1])
 
 
-def sample_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A 0-based draw from softmax of each row of q at its uniform in u, and
-    the log probability of each draw; q may also be one (1, K) row shared by
-    all. Raises ZeroMassError when a row is all -inf.
+def log_each(values: np.ndarray) -> np.ndarray:
+    """math.log of every entry of a 1-D array, as a float64 array.
 
-    A draw is the first index whose cumulative probability exceeds u. The
-    log probability is the row entry minus the row's logsumexp, in
-    logsumexp's arithmetic (math.log, which can differ from np.log in the
-    last bit), so it equals q[a] - logsumexp(q) bit for bit.
+    This is logsumexp's arithmetic; np.log can differ from math.log in the
+    last bit.
     """
+    return np.fromiter(map(math.log, values.tolist()), dtype=np.float64, count=len(values))
+
+
+def draw_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A 0-based draw from softmax of each row of q at its uniform in u; q
+    may also be one (1, K) row shared by all. Returns the draws, each row's
+    maximum m and each row's sum of exp(q - m). Raises ZeroMassError when a
+    row is all -inf.
+
+    A draw is the first index whose cumulative probability exceeds u, or
+    K - 1 when none does. Below PAIRWISE_SUM_MIN columns the max, exp, sum,
+    cumulative sum and count run column by column, in the left-to-right
+    order numpy's row reductions use at those widths, so they give the
+    same bits without a row reduction call; the count stops at column
+    K - 2, since the cumulative sum never decreases and the draw is capped
+    at K - 1. From PAIRWISE_SUM_MIN columns on, the row sum is numpy's
+    pairwise sum, so the reductions stay numpy's own.
+    """
+    k = q.shape[1]
+    if k < PAIRWISE_SUM_MIN:
+        cols = [q[:, j] for j in range(k)]
+        m = cols[0].copy()
+        for col in cols[1:]:
+            np.maximum(m, col, out=m)
+        if m.min() == NEG_INF:
+            raise ZeroMassError("softmax of an all-(-inf) vector is undefined")
+        exps = [np.exp(col - m) for col in cols]
+        total = exps[0].copy()
+        for e in exps[1:]:
+            total += e
+        cdf = exps[0] / total
+        a = (cdf <= u).astype(np.int64)
+        for e in exps[1:-1]:
+            cdf += e / total
+            a += cdf <= u
+        return a, m, total
     m = q.max(axis=1)
     if m.min() == NEG_INF:
         raise ZeroMassError("softmax of an all-(-inf) vector is undefined")
     e = np.exp(q - m[:, None])
     total = e.sum(axis=1)
     cdf = (e / total[:, None]).cumsum(axis=1)
-    a = np.minimum((cdf <= u[:, None]).sum(axis=1), q.shape[1] - 1)
-    lse = m + np.array([math.log(t) for t in total.tolist()])
+    return np.minimum((cdf <= u[:, None]).sum(axis=1), k - 1), m, total
+
+
+def sample_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """draw_softmax_rows' draws and the log probability of each draw.
+
+    The log probability is the row entry minus the row's logsumexp,
+    m + math.log(total) in logsumexp's arithmetic, so it equals
+    q[a] - logsumexp(q) bit for bit.
+    """
+    a, m, total = draw_softmax_rows(q, u)
     picked = q[0, a] if len(q) == 1 else q[np.arange(len(q)), a]
-    return a, picked - lse
+    return a, picked - (m + log_each(total))
 
 
 class ZeroMassError(ValueError):

@@ -2,8 +2,9 @@
 trainable MLP regressed onto search values.
 
 A prior maps a prefix of length n to the K default values for the next
-variable. evaluate takes one prefix and returns a list of K Python floats,
-the form a search node stores, so an expansion builds no array;
+variable. evaluate takes one prefix and returns a fresh list of K Python
+floats, the form a search node stores: the node keeps that list as its
+child values and mutates it, so an expansion builds no array or copy;
 evaluate_batch takes many prefixes and returns an (R, K) float64 array, one
 row per prefix, each row equal to evaluate of that prefix. Priors are free
 to evaluate: they never touch the budget.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -452,31 +454,33 @@ def load_checkpoint(path):
     """Returns (mlp, adam, episode, config) rebuilt bit-exactly."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
-        blob = fh.read()
-    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError("unrecognized checkpoint format")
-    keys = ("input_dim", "output_dim", "hidden_units", "num_hidden_layers", "adam_step", "episode")
-    try:
-        config = TrainConfig(**header["config"])
-        d_in, d_out, h, layers, adam_step, episode = sizes = [header[key] for key in keys]
-    except (KeyError, TypeError) as exc:  # a missing entry or a bad training config
-        raise ValueError(f"malformed checkpoint header in {path}: {exc!r}") from None
-    if not all(isinstance(v, int) and v >= 0 for v in sizes) or 0 in sizes[:4]:
-        raise ValueError(f"checkpoint {keys} must be integers, the first four positive")
-    # the MLP's weights and biases, counted before anything is allocated
-    count = (d_in + 1) * h + (layers - 1) * (h + 1) * h + (h + 1) * d_out
-    expected = 3 * count * 8
-    if len(blob) != expected:
-        raise ValueError(f"checkpoint block size {len(blob)} != expected {expected}")
-    flat = np.frombuffer(blob[: count * 8], dtype="<f8")
-    m_flat = np.frombuffer(blob[count * 8 : 2 * count * 8], dtype="<f8")
-    v_flat = np.frombuffer(blob[2 * count * 8 :], dtype="<f8")
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError("unrecognized checkpoint format")
+        keys = ("input_dim", "output_dim", "hidden_units", "num_hidden_layers", "adam_step",
+                "episode")
+        try:
+            config = TrainConfig(**header["config"])
+            d_in, d_out, h, layers, adam_step, episode = sizes = [header[key] for key in keys]
+        except (KeyError, TypeError) as exc:  # a missing entry or a bad training config
+            raise ValueError(f"malformed checkpoint header in {path}: {exc!r}") from None
+        if not all(isinstance(v, int) and v >= 0 for v in sizes) or 0 in sizes[:4]:
+            raise ValueError(f"checkpoint {keys} must be integers, the first four positive")
+        # the MLP's weights and biases, counted before anything is allocated
+        count = (d_in + 1) * h + (layers - 1) * (h + 1) * h + (h + 1) * d_out
+        expected = 3 * count * 8
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != expected:
+            raise ValueError(f"checkpoint block size {size} != expected {expected}")
+        flat = np.fromfile(fh, dtype="<f8", count=count)
+        moments = np.fromfile(fh, dtype="<f8", count=2 * count)
     mlp = MLPValueFunction.from_flat(flat, d_in, d_out, hidden_units=h, num_hidden_layers=layers)
-    adam = Adam(mlp.parameters(), learning_rate=config.learning_rate)
+    # Adam's moments are views of the file's two moment blocks, not zeros
+    # overwritten from them
+    adam = Adam([], learning_rate=config.learning_rate)
     adam.step_count = adam_step
     i = 0
-    for a_m, a_v in zip(adam.m, adam.v):
-        a_m[...] = m_flat[i : i + a_m.size].reshape(a_m.shape)
-        a_v[...] = v_flat[i : i + a_v.size].reshape(a_v.shape)
-        i += a_m.size
+    for p in mlp.parameters():
+        adam.m.append(moments[i : i + p.size].reshape(p.shape))
+        adam.v.append(moments[count + i : count + i + p.size].reshape(p.shape))
+        i += p.size
     return mlp, adam, episode, config

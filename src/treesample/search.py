@@ -51,12 +51,13 @@ class TreeNode:
                  "visits", "open")
 
     def __init__(self, reward, q, bonus, complete_children, complete):
+        """Keeps the given lists, which the node then owns and mutates."""
         self.reward = reward
-        self.q = list(q)
-        self.eta = [0] * len(self.q)
-        self.bonus = list(bonus)
-        self.complete_children = list(complete_children)
-        self.children: list[TreeNode | None] = [None] * len(self.q)
+        self.q = q
+        self.eta = [0] * len(q)
+        self.bonus = bonus
+        self.complete_children = complete_children
+        self.children: list[TreeNode | None] = [None] * len(q)
         self.complete = complete
         self.visits = 0
         self.open = self.complete_children.count(False)

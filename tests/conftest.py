@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from treesample.exact import ChainSolution, StateSpaceCapError
-from treesample.logmath import NEG_INF, logsumexp, logsumexp_rows
+from treesample.logmath import NEG_INF, ZeroMassError, logsumexp, logsumexp_rows
 from treesample.model import Factor, FactorGraph, Prefix
 
 
@@ -113,6 +113,22 @@ def variable_marginals(solution, graph: FactorGraph) -> np.ndarray:
         axes = tuple(d for d in range(n) if d != depth - 1)
         out[graph.ordering[depth - 1] - 1] = probs.sum(axis=axes)
     return out
+
+
+def reference_sample_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row-reduction form of logmath.sample_softmax_rows, which the
+    column-by-column path must equal bit for bit: numpy's axis-1 max, sum
+    and cumsum, and one math.log per row sum."""
+    m = q.max(axis=1)
+    if m.min() == NEG_INF:
+        raise ZeroMassError("softmax of an all-(-inf) vector is undefined")
+    e = np.exp(q - m[:, None])
+    total = e.sum(axis=1)
+    cdf = (e / total[:, None]).cumsum(axis=1)
+    a = np.minimum((cdf <= u[:, None]).sum(axis=1), q.shape[1] - 1)
+    lse = m + np.array([math.log(t) for t in total.tolist()])
+    picked = q[0, a] if len(q) == 1 else q[np.arange(len(q)), a]
+    return a, picked - lse
 
 
 def all_configs(n: int, k: int):

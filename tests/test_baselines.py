@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from treesample import baselines
 from treesample.baselines import (
     BudgetTooSmallError,
     DegenerateSampleError,
@@ -18,8 +19,10 @@ from treesample.baselines import (
     smc,
 )
 from treesample.exact import solve_chain, solve_exact
-from treesample.logmath import NEG_INF, logsumexp, logsumexp_rows, sample_softmax_rows
-from treesample.model import Factor, FactorGraph
+from treesample.generators import GeneratorSpec, generate
+from treesample.logmath import (NEG_INF, ZeroMassError, logsumexp, logsumexp_rows,
+                                sample_softmax_rows)
+from treesample.model import FACTOR_EVAL, REWARD_EVAL, Factor, FactorGraph
 from treesample.prior import HeuristicPrior
 
 from conftest import (ExactConditionalPrior, all_configs, log_step_conditionals, make_random_graph,
@@ -282,7 +285,132 @@ class TestGibbs:
         assert result.zero_conditional_count == 0
 
 
+class TestGibbsScores:
+    """The gathered (chains, K) scores equal the former scoring of K repeated
+    completions of every chain through values_at, bit for bit."""
+
+    @staticmethod
+    def repeated_completion_gibbs(graph, num_sweeps, budget, seed, cost_mode):
+        """The former Gibbs: np.repeat(states, K), the site column set to
+        1..K, values_at per site factor. Returns the run and the scores of
+        the live rows of every site update."""
+        n, k = graph.num_variables, graph.num_states
+        site_factors = {v: [cf for d in range(1, n + 1) for cf in graph.factors_at_depth(d)
+                            if v in cf.factor.scope] for v in range(1, n + 1)}
+        cost = {v: k if cost_mode == REWARD_EVAL else k * len(fs) for v, fs in site_factors.items()}
+        num = budget // (num_sweeps * sum(cost.values()))
+        rng = np.random.default_rng(seed)
+        states = np.empty((num, n), dtype=np.int64)
+        uniforms = np.empty((num, num_sweeps * n))
+        for i in range(num):
+            states[i] = rng.integers(1, k + 1, size=n)
+            uniforms[i] = rng.random(num_sweeps * n)
+        recorded, zero_conditionals, spent = [], 0, 0
+        for t, v in enumerate(list(range(1, n + 1)) * num_sweeps):
+            col = graph.depth_of(v) - 1
+            spent += num * cost[v]
+            completions = np.repeat(states, k, axis=0)
+            completions[:, col] = np.tile(np.arange(1, k + 1), num)
+            scores = np.zeros(num * k)
+            for cf in site_factors[v]:
+                scores += cf.values_at(completions)
+            scores = scores.reshape(num, k)
+            u = uniforms[:, t]
+            zero = scores.max(axis=1) == NEG_INF
+            zero_conditionals += int(zero.sum())
+            states[zero, col] = np.minimum((u[zero] * k).astype(np.int64), k - 1) + 1
+            if (~zero).any():
+                recorded.append(scores[~zero])
+                states[~zero, col] = sample_softmax_rows(scores[~zero], u[~zero])[0] + 1
+        atoms, weights = merge_particles(states, np.zeros(num))
+        return (atoms, weights, spent, zero_conditionals), recorded
+
+    @pytest.mark.parametrize("cost_mode", [REWARD_EVAL, FACTOR_EVAL])
+    def test_scores_equal_repeated_completions(self, cost_mode, monkeypatch):
+        rng = np.random.default_rng(137)
+        recorded = []
+        draw = baselines.draw_softmax_rows
+
+        def recording_draw(q, u):
+            recorded.append(q.copy())
+            return draw(q, u)
+
+        monkeypatch.setattr(baselines, "draw_softmax_rows", recording_draw)
+        zero_seen = 0
+        for trial in range(12):
+            k = int(rng.integers(2, 5))
+            g = make_random_graph(rng, 5, k, num_extra_factors=4, max_scope=3,
+                                  neg_inf_frac=0.5 if trial % 2 else 0.0, shuffle_ordering=True)
+            recorded.clear()
+            result = gibbs(g, num_sweeps=3, budget=20_000, seed=trial, cost_mode=cost_mode)
+            ref, ref_scores = self.repeated_completion_gibbs(g, 3, 20_000, trial, cost_mode)
+            assert (result.atoms, result.weights, result.budget_spent,
+                    result.zero_conditional_count) == ref
+            assert len(recorded) == len(ref_scores)
+            for got, want in zip(recorded, ref_scores):
+                assert got.tobytes() == want.tobytes()
+            zero_seen += result.zero_conditional_count > 0
+        assert zero_seen >= 3
+
+
 class TestBpSample:
+    @staticmethod
+    def every_round_bp_sample(graph, num_message_rounds, budget, seed):
+        """bp_sample without the fixed-point rule: every round runs."""
+        n = graph.num_variables
+        num = budget // (n * num_message_rounds * graph.num_factors)
+        rng = np.random.default_rng(seed)
+        state = _LoopyBP(graph)
+        particles = np.zeros((num, n), dtype=np.int64)
+        spent = 0
+        for i in range(num):
+            state.reset()
+            assignment = [0] * n
+            for v in range(1, n + 1):
+                for _ in range(num_message_rounds):
+                    spent += graph.num_factors
+                    state.round()
+                marg = state.log_marginal(v)
+                assignment[v - 1] = int(sample_softmax_rows(marg[None, :], rng.random(1))[0][0]) + 1
+                state.clamp(v, assignment[v - 1])
+            particles[i] = graph.assignment_to_prefix(assignment)
+        atoms, weights = merge_particles(particles, np.zeros(num))
+        return atoms, weights, spent
+
+    def test_fixed_point_skip_equals_running_every_round(self):
+        # random graphs with -inf entries: same atoms, weights and charge, or
+        # the same zero-mass marginal
+        rng = np.random.default_rng(139)
+        for trial in range(10):
+            k = int(rng.integers(2, 5))
+            g = make_random_graph(rng, 5, k, num_extra_factors=4, max_scope=3,
+                                  neg_inf_frac=0.3 if trial % 2 else 0.0, shuffle_ordering=True)
+            budget = 3 * 5 * 6 * g.num_factors
+            try:
+                ref = self.every_round_bp_sample(g, 6, budget, seed=trial)
+            except ZeroMassError:
+                with pytest.raises(ZeroMassError):
+                    bp_sample(g, 6, budget, seed=trial)
+                continue
+            result = bp_sample(g, 6, budget, seed=trial)
+            assert (result.atoms, result.weights, result.budget_spent) == ref
+
+    def test_skipped_rounds_are_charged_on_fg1(self, monkeypatch):
+        g = generate(GeneratorSpec(family="fg1", n=14, k=2, seed=11))
+        ref = self.every_round_bp_sample(g, 10, 8000, seed=6)
+        rounds_run = 0
+        round_ = _LoopyBP.round
+
+        def counted_round(state):
+            nonlocal rounds_run
+            rounds_run += 1
+            return round_(state)
+
+        monkeypatch.setattr(_LoopyBP, "round", counted_round)
+        result = bp_sample(g, 10, 8000, seed=6)
+        assert (result.atoms, result.weights, result.budget_spent) == ref
+        assert rounds_run < result.budget_spent // g.num_factors == 420
+
     def test_single_factor_graph_one_round(self):
         rng = np.random.default_rng(103)
         table = rng.normal(size=4)

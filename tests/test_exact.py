@@ -27,7 +27,8 @@ from treesample.logmath import (
 from treesample.model import Factor, FactorGraph
 
 from conftest import (all_configs, brute_force_log_z, exact_kl, kl_by_enumeration, log_joint,
-                      log_step_conditionals, make_random_graph, q_values, variable_marginals)
+                      log_step_conditionals, make_random_graph, q_values,
+                      reference_sample_softmax_rows, variable_marginals)
 
 
 def _conditional(sol, prefix):
@@ -166,6 +167,28 @@ class TestSampleSoftmaxRows:
     def test_zero_mass_row_raises(self):
         with pytest.raises(ZeroMassError):
             sample_softmax_rows(np.array([[0.0, 1.0], [NEG_INF, NEG_INF]]), np.zeros(2))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(k=st.integers(2, 10), rows=st.integers(1, 60), shared=st.booleans(),
+           neg_inf=st.sampled_from([0.0, 0.3, 0.9]), ties=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_row_reduction_form_bitwise(self, k, rows, shared, neg_inf, ties, seed):
+        # K from 2 to 10 (both sides of PAIRWISE_SUM_MIN), -inf entries,
+        # +-0 ties for the maximum, u = 0 and a (1, K) row shared by all
+        rng = np.random.default_rng(seed)
+        q = rng.normal(scale=5.0, size=(1 if shared else rows, k))
+        q[rng.random(q.shape) < neg_inf] = NEG_INF
+        if ties:
+            q = np.minimum(q, 0.0)
+            zeros = rng.random(q.shape) < 0.5
+            q[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+        q[q.max(axis=1) == NEG_INF, rng.integers(0, k)] = -0.0
+        u = rng.random(rows)
+        u[rng.random(rows) < 0.2] = 0.0
+        a, logp = sample_softmax_rows(q, u)
+        ref_a, ref_logp = reference_sample_softmax_rows(q, u)
+        assert a.dtype == ref_a.dtype and a.tolist() == ref_a.tolist()
+        assert _same_bits(logp, ref_logp)
 
 
 class TestLogsumexpList:

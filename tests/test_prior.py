@@ -271,7 +271,7 @@ class TestCheckpoint:
             buf.add(rng.normal(size=6), rng.normal(size=2))
         for _ in range(10):
             train_step(mlp, buf, 2, adam, rng)
-        config = TrainConfig(episodes=5, seed=7)
+        config = TrainConfig(episodes=5, seed=7, learning_rate=1e-3)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, mlp, adam, episode=3, config=config)
         mlp2, adam2, episode, config2 = load_checkpoint(path)
@@ -282,6 +282,12 @@ class TestCheckpoint:
         for a, b in zip(adam.m, adam2.m):
             assert np.array_equal(a, b)
         for a, b in zip(adam.v, adam2.v):
+            assert np.array_equal(a, b)
+        # the loaded moments take further steps in place, as the saved ones do
+        train_step(mlp, buf, 2, adam, np.random.default_rng(3))
+        train_step(mlp2, buf, 2, adam2, np.random.default_rng(3))
+        assert np.array_equal(mlp.get_flat(), mlp2.get_flat())
+        for a, b in zip(adam.m + adam.v, adam2.m + adam2.v):
             assert np.array_equal(a, b)
 
     def test_load_builds_the_network_from_the_blocks(self, tmp_path, monkeypatch):

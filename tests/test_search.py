@@ -33,9 +33,9 @@ def _uniform_graph(n, k):
 def _node(q, bonus, eta, complete):
     node = TreeNode(
         reward=0.0,
-        q=np.asarray(q, dtype=float),
-        bonus=np.asarray(bonus, dtype=float),
-        complete_children=np.asarray(complete, dtype=bool),
+        q=[float(v) for v in q],
+        bonus=[float(v) for v in bonus],
+        complete_children=[bool(v) for v in complete],
         complete=False,
     )
     node.eta[:] = eta
