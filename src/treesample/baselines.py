@@ -6,7 +6,10 @@ most the given budget under the same cost accounting as the tree search.
 
 Each sampler is an array program over all of its particles or messages:
 - SMC keeps the particles as one (I, N) array and scores a depth for all of
-  them with one FactorGraph.reward_batch call.
+  them with one FactorGraph.reward_batch call. Its proposal rows come from
+  one prior.evaluate_batch call per depth; HeuristicPrior's depend on the
+  depth alone and come back as one broadcast row, which
+  sample_softmax_rows reduces once for all particles.
 - Gibbs runs all chains in lockstep on one (chains, N) state array. A site
   update scores the K completions of every chain through the site's factors
   at once: per factor, one (chains,) table index from the factor's other
@@ -27,7 +30,10 @@ Each sampler is an array program over all of its particles or messages:
   alone, so once a round returns those messages with the same bit patterns
   (an exact fixed point), the variable's remaining rounds are skipped. A
   skipped round is still charged num_factors units, so wall-clock work
-  does not change what a budget buys.
+  does not change what a budget buys. The samples share their prefixes'
+  rounds: bp_sample walks the trie of sampled assignment prefixes depth
+  first, runs each node's rounds once, and charges the node what its
+  member samples would pay one by one.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logmath import (NEG_INF, ZeroMassError, draw_softmax_rows, log_each, logsumexp,
-                      logsumexp_rows, sample_softmax_rows)
+                      logsumexp_rows, sample_softmax_rows, shifted_exp_sums)
 from .model import REWARD_EVAL, BudgetLedger, FactorGraph, Prefix
 
 
@@ -281,15 +287,12 @@ def gibbs(
 
 def _normalize_rows(vecs: np.ndarray) -> np.ndarray:
     """Subtract each row's logsumexp, in logsumexp's arithmetic (math.log);
-    rows of all -inf stay as they are."""
-    m = vecs.max(axis=1)
-    if m.min() > NEG_INF:
-        total = np.exp(vecs - m[:, None]).sum(axis=1)
-    else:
-        m = np.where(m > NEG_INF, m, 0.0)
-        total = np.exp(vecs - m[:, None]).sum(axis=1)
-        total[total == 0.0] = 1.0
-    return vecs - (m + log_each(total))[:, None]
+    rows of all -inf stay as they are. The sums are shifted_exp_sums',
+    column by column below PAIRWISE_SUM_MIN columns."""
+    m, shift, total = shifted_exp_sums(vecs)
+    if shift is not m:
+        total[total == 0.0] = 1.0  # an all -inf row: shift 0, log 1
+    return vecs - (shift + log_each(total))[:, None]
 
 
 class _LoopyBP:
@@ -419,6 +422,18 @@ def bp_sample(
     is a function of the variable->factor messages and the clamps alone,
     so after an exact fixed point the variable's remaining rounds would
     repeat it: they are skipped, and still charged.
+
+    The messages before a variable's rounds are a function of the values
+    clamped before it, so the samples are walked as a trie of assignment
+    prefixes, depth first: each node runs its variable's rounds once and
+    draws every member sample's value from the one marginal, at that
+    sample's own uniform; the members then split by value, in ascending
+    order, and each branch starts from a copy of the node's messages. A
+    node charges members * num_message_rounds * num_factors units, what
+    its members would pay one by one. The uniforms are drawn up front as
+    one (samples, N) block, the stream of one draw per sample and variable
+    in that order, so the atoms, the charge and any ZeroMassError equal a
+    sample-at-a-time loop's.
     """
     if num_message_rounds < 1:
         raise ValueError("num_message_rounds must be at least 1")
@@ -431,25 +446,37 @@ def bp_sample(
             f"budget {budget} cannot pay for one sample (cost {per_sample})"
         )
     ledger = BudgetLedger(budget=budget)
-    rng = np.random.default_rng(seed)
+    uniforms = np.random.default_rng(seed).random((num, n))
+    values = np.empty((num, n), dtype=np.int64)  # column v - 1: variable v
     state = _LoopyBP(graph)
-    particles = np.zeros((num, n), dtype=np.int64)
-    for i in range(num):
-        state.reset()
-        assignment = [0] * n
-        for v in range(1, n + 1):
-            for r in range(1, num_message_rounds + 1):
-                _must_charge(ledger, round_cost)
-                if state.round():
-                    _must_charge(ledger, (num_message_rounds - r) * round_cost)
-                    break
-            marg = state.log_marginal(v)
-            if np.max(marg) == NEG_INF:
-                raise ZeroMassError(f"BP marginal of variable {v} has zero mass")
-            value = int(draw_softmax_rows(marg[None, :], rng.random(1))[0][0]) + 1
-            assignment[v - 1] = value
-            state.clamp(v, value)
-        particles[i] = graph.assignment_to_prefix(assignment)
+    # a trie node: its variable v, its member samples, and the value of
+    # v - 1 to clamp on entry (0 at the root) after restoring the parent's
+    # saved (msg_vf, clamped), or None when the state is still the parent's
+    stack = [(1, np.arange(num), 0, None)]
+    while stack:
+        v, members, value, saved = stack.pop()
+        if saved is not None:
+            state.msg_vf, state.clamped = saved[0].copy(), saved[1].copy()
+        if value:
+            state.clamp(v - 1, value)
+        _must_charge(ledger, len(members) * num_message_rounds * round_cost)
+        for _ in range(num_message_rounds):
+            if state.round():
+                break
+        marg = state.log_marginal(v)
+        if np.max(marg) == NEG_INF:
+            raise ZeroMassError(f"BP marginal of variable {v} has zero mass")
+        drawn = draw_softmax_rows(marg[None, :], uniforms[members, v - 1])[0] + 1
+        values[members, v - 1] = drawn
+        if v == n:
+            continue
+        branches = np.flatnonzero(np.bincount(drawn)).tolist()
+        # the later branches restore msg_vf and clamped; msg_fv is not
+        # saved, since a child's first round recomputes it
+        saved = (state.msg_vf.copy(), state.clamped.copy()) if len(branches) > 1 else None
+        for x in reversed(branches):  # pushed last, the lowest value runs first
+            stack.append((v + 1, members[drawn == x], x, None if x == branches[0] else saved))
+    particles = np.array([graph.assignment_to_prefix(row) for row in values.tolist()])
     atoms, weights = merge_particles(particles, np.zeros(num))
     return WeightedAtoms(
         atoms=atoms, weights=weights, num_particles=num, budget_spent=ledger.spent

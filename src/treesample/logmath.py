@@ -66,18 +66,18 @@ def logsumexp_list(values: list[float]) -> float:
     return m + math.log(total)
 
 
-def logsumexp_rows(arr: np.ndarray) -> np.ndarray:
-    """Row-wise logsumexp over the last axis; all-(-inf) rows yield -inf.
+def shifted_exp_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, shift, total) of a 2-D array: each row's maximum m, its shift
+    (m itself when no row is all -inf, else m with those rows' -inf made 0)
+    and each row's sum of exp(row - shift).
 
     Each row's sum runs in numpy's order for a row of that width. Below
     PAIRWISE_SUM_MIN columns that is left to right, done here column by
     column over the whole array; from PAIRWISE_SUM_MIN on it is numpy's
     pairwise sum along a contiguous row, so the array is made C-contiguous
     first (a transposed array would be summed column by column, which rounds
-    differently). An all-(-inf) row is shifted by 0 instead of its maximum.
+    differently).
     """
-    arr = np.asarray(arr, dtype=np.float64)
-    rows = arr.reshape(-1, arr.shape[-1])
     k = rows.shape[1]
     if k < PAIRWISE_SUM_MIN:
         m = rows[:, 0].copy()
@@ -97,6 +97,17 @@ def logsumexp_rows(arr: np.ndarray) -> np.ndarray:
         shift = m if m.min() > NEG_INF else np.where(m > NEG_INF, m, 0.0)
         terms = rows - shift[:, None]
         total = np.exp(terms, out=terms).sum(axis=1)
+    return m, shift, total
+
+
+def logsumexp_rows(arr: np.ndarray) -> np.ndarray:
+    """Row-wise logsumexp over the last axis; all-(-inf) rows yield -inf.
+
+    The sums are shifted_exp_sums'; an all-(-inf) row is shifted by 0
+    instead of its maximum.
+    """
+    arr = np.asarray(arr, dtype=np.float64)
+    m, shift, total = shifted_exp_sums(arr.reshape(-1, arr.shape[-1]))
     if shift is m:
         total = np.log(total, out=total)
         total += m
@@ -115,11 +126,20 @@ def log_each(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, values.tolist()), dtype=np.float64, count=len(values))
 
 
+def _shared_row(q: np.ndarray) -> np.ndarray:
+    """The (1, K) row that every row of q is, when q's row stride is 0."""
+    return q[:1] if q.strides[0] == 0 else q
+
+
 def draw_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A 0-based draw from softmax of each row of q at its uniform in u; q
     may also be one (1, K) row shared by all. Returns the draws, each row's
     maximum m and each row's sum of exp(q - m). Raises ZeroMassError when a
     row is all -inf.
+
+    A q whose row stride is 0 (an np.broadcast_to view of one row) is that
+    shared row: it is reduced once, and m and total have one entry. A
+    materialised q with equal rows gives the same draws, bit for bit.
 
     A draw is the first index whose cumulative probability exceeds u, or
     K - 1 when none does. Below PAIRWISE_SUM_MIN columns the max, exp, sum,
@@ -130,6 +150,7 @@ def draw_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     at K - 1. From PAIRWISE_SUM_MIN columns on, the row sum is numpy's
     pairwise sum, so the reductions stay numpy's own.
     """
+    q = _shared_row(q)
     k = q.shape[1]
     if k < PAIRWISE_SUM_MIN:
         cols = [q[:, j] for j in range(k)]
@@ -164,6 +185,7 @@ def sample_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.nd
     m + math.log(total) in logsumexp's arithmetic, so it equals
     q[a] - logsumexp(q) bit for bit.
     """
+    q = _shared_row(q)
     a, m, total = draw_softmax_rows(q, u)
     picked = q[0, a] if len(q) == 1 else q[np.arange(len(q)), a]
     return a, picked - (m + log_each(total))

@@ -6,7 +6,8 @@ variable. evaluate takes one prefix and returns a fresh list of K Python
 floats, the form a search node stores: the node keeps that list as its
 child values and mutates it, so an expansion builds no array or copy;
 evaluate_batch takes many prefixes and returns an (R, K) float64 array, one
-row per prefix, each row equal to evaluate of that prefix. Priors are free
+row per prefix, each row equal to evaluate of that prefix; callers only read
+it, and HeuristicPrior returns a read-only broadcast view. Priors are free
 to evaluate: they never touch the budget.
 """
 
@@ -39,8 +40,14 @@ class HeuristicPrior:
         """evaluate() of every prefix, one call per distinct prefix length.
 
         prefixes is an (R, d) int array of equal-length prefixes, as the
-        samplers pass it, or a sequence of tuples of any lengths.
+        samplers pass it, or a sequence of tuples of any lengths. For a
+        non-empty array, the result is np.broadcast_to of the one evaluate
+        row: a read-only (R, K) view with row stride 0, which
+        logmath.draw_softmax_rows reduces once as a shared row.
         """
+        if isinstance(prefixes, np.ndarray) and len(prefixes):
+            row = np.array(self.evaluate(graph, prefixes[0]))
+            return np.broadcast_to(row, (len(prefixes), graph.num_states))
         lengths = _prefix_lengths(prefixes)
         out = np.empty((len(lengths), graph.num_states))
         for n in np.flatnonzero(np.bincount(lengths)):
@@ -155,24 +162,33 @@ class MLPValueFunction:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """(B, input_dim) -> (B, output_dim)."""
-        out, _ = self._forward_cached(x)
+        out = self._forward(x)
         if np.any(np.isnan(out)):
             raise ValueError("MLP produced NaN outputs")
         return out
 
-    def _forward_cached(self, x: np.ndarray):
-        """Outputs and the input of every layer, which the backward pass reads."""
-        acts = [x]
+    def _forward(self, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+        """Outputs of the network; the one layer loop of inference and
+        training. When acts is a list, the input of every layer is appended
+        to it, which the backward pass reads. Each layer's product is a
+        fresh array, so the bias and the ReLU are applied to it in place."""
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
+            if acts is not None:
+                acts.append(h)
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
+        if acts is not None:
             acts.append(h)
-        out = h @ self.weights[-1] + self.biases[-1]
-        return out, acts
+        out = h @ self.weights[-1]
+        out += self.biases[-1]
+        return out
 
     def loss_and_gradients(self, x: np.ndarray, targets: np.ndarray):
         """Mean squared-L2 regression loss and its parameter gradients."""
-        out, acts = self._forward_cached(x)
+        acts = []
+        out = self._forward(x, acts)
         batch = x.shape[0]
         diff = out - targets
         loss = float(np.sum(diff * diff) / batch)
@@ -192,7 +208,11 @@ class MLPValueFunction:
     # -- prior interface ---------------------------------------------------
 
     def evaluate(self, graph: FactorGraph, prefix) -> list[float]:
-        return self.forward(encode_batch(graph, [prefix]))[0].tolist()
+        """forward() of one prefix, with the NaN check on its K floats."""
+        values = self._forward(encode_batch(graph, [prefix]))[0].tolist()
+        if any(map(math.isnan, values)):
+            raise ValueError("MLP produced NaN outputs")
+        return values
 
     def evaluate_batch(self, graph: FactorGraph, prefixes) -> np.ndarray:
         """evaluate() of every prefix, in either form encode_batch takes,

@@ -99,7 +99,9 @@ class SearchTree:
         of S successive one-row calls would emit. The walk goes depth by
         depth: the particles at one tree node share one softmax and one
         vectorised draw; the particles that have left the tree are scored by
-        one prior.evaluate_batch call per depth. Costs no budget.
+        one prior.evaluate_batch call per depth. A prior whose values depend
+        on the depth alone (HeuristicPrior) returns one broadcast row there,
+        which sample_softmax_rows reduces once. Costs no budget.
         """
         n = self.graph.num_variables
         u = rng.random((num_samples, n))

@@ -7,9 +7,11 @@ import math
 
 import numpy as np
 
+from treesample.baselines import WeightedAtoms, _LoopyBP, merge_particles
 from treesample.exact import ChainSolution, StateSpaceCapError
-from treesample.logmath import NEG_INF, ZeroMassError, logsumexp, logsumexp_rows
-from treesample.model import Factor, FactorGraph, Prefix
+from treesample.logmath import (NEG_INF, ZeroMassError, draw_softmax_rows, logsumexp,
+                                logsumexp_rows)
+from treesample.model import BudgetLedger, Factor, FactorGraph, Prefix
 
 
 def make_random_graph(
@@ -129,6 +131,40 @@ def reference_sample_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndar
     lse = m + np.array([math.log(t) for t in total.tolist()])
     picked = q[0, a] if len(q) == 1 else q[np.arange(len(q)), a]
     return a, picked - lse
+
+
+def reference_bp_sample(graph: FactorGraph, num_message_rounds: int, budget: int,
+                        seed: int = 0) -> WeightedAtoms:
+    """baselines.bp_sample as a sample-at-a-time loop, which its trie walk
+    must equal: per sample, reset the messages; per variable, run rounds
+    up to an exact fixed point (charging the skipped ones), draw from the
+    marginal at the next rng.random(1) and clamp."""
+    n = graph.num_variables
+    round_cost = graph.num_factors
+    num = budget // (n * num_message_rounds * round_cost)
+    ledger = BudgetLedger(budget=budget)
+    rng = np.random.default_rng(seed)
+    state = _LoopyBP(graph)
+    particles = np.zeros((num, n), dtype=np.int64)
+    for i in range(num):
+        state.reset()
+        assignment = [0] * n
+        for v in range(1, n + 1):
+            for r in range(1, num_message_rounds + 1):
+                assert ledger.charge(round_cost)
+                if state.round():
+                    assert ledger.charge((num_message_rounds - r) * round_cost)
+                    break
+            marg = state.log_marginal(v)
+            if np.max(marg) == NEG_INF:
+                raise ZeroMassError(f"BP marginal of variable {v} has zero mass")
+            value = int(draw_softmax_rows(marg[None, :], rng.random(1))[0][0]) + 1
+            assignment[v - 1] = value
+            state.clamp(v, value)
+        particles[i] = graph.assignment_to_prefix(assignment)
+    atoms, weights = merge_particles(particles, np.zeros(num))
+    return WeightedAtoms(atoms=atoms, weights=weights, num_particles=num,
+                         budget_spent=ledger.spent)
 
 
 def all_configs(n: int, k: int):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesample import baselines
 from treesample.baselines import (
@@ -26,7 +28,7 @@ from treesample.model import FACTOR_EVAL, REWARD_EVAL, Factor, FactorGraph
 from treesample.prior import HeuristicPrior
 
 from conftest import (ExactConditionalPrior, all_configs, log_step_conditionals, make_random_graph,
-                      variable_marginals)
+                      reference_bp_sample, variable_marginals)
 
 
 def _graph(n, k, factors, ordering=None):
@@ -136,6 +138,22 @@ class TestSmc:
         assert a.atoms == b.atoms
         assert a.weights == b.weights
         assert a.log_z_estimate == b.log_z_estimate
+
+    @pytest.mark.parametrize("family,n,k,seed", [("fg1", 14, 2, 11), ("chains", 20, 10, 7)])
+    def test_shared_heuristic_row_equals_materialised_rows(self, family, n, k, seed):
+        # HeuristicPrior's broadcast row is reduced once per depth; a prior
+        # handing SMC the same rows as a fresh C-contiguous array gives the
+        # same bits (K = 2 takes the column path, K = 10 the row reduction)
+        class MaterialisedPrior(HeuristicPrior):
+            def evaluate_batch(self, graph, prefixes):
+                return super().evaluate_batch(graph, prefixes).copy()
+
+        g = generate(GeneratorSpec(family=family, n=n, k=k, seed=seed))
+        for threshold in (0.0, 0.5):
+            a = smc(g, HeuristicPrior(), budget=6000, resample_threshold=threshold, seed=3)
+            b = smc(g, MaterialisedPrior(), budget=6000, resample_threshold=threshold, seed=3)
+            assert (a.atoms, a.weights) == (b.atoms, b.weights)
+            assert a.log_z_estimate == b.log_z_estimate
 
     def test_proposals_are_sample_softmax_rows_draws(self):
         # SIS replayed by hand: per depth, one sample_softmax_rows draw over
@@ -410,6 +428,65 @@ class TestBpSample:
         result = bp_sample(g, 10, 8000, seed=6)
         assert (result.atoms, result.weights, result.budget_spent) == ref
         assert rounds_run < result.budget_spent // g.num_factors == 420
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), k=st.sampled_from([2, 3]),
+           rounds=st.integers(1, 4), samples=st.integers(1, 12),
+           neg_inf=st.sampled_from([0.0, 0.4, 0.8]))
+    def test_trie_walk_equals_sample_at_a_time(self, seed, n, k, rounds, samples, neg_inf):
+        # same atoms, weights and charge, or the same error class
+        rng = np.random.default_rng(seed)
+        g = make_random_graph(rng, n, k, num_extra_factors=4 if n > 1 else 0,
+                              neg_inf_frac=neg_inf, shuffle_ordering=True)
+        per_sample = n * rounds * g.num_factors
+        budget = samples * per_sample + int(rng.integers(0, per_sample))
+        try:
+            ref = reference_bp_sample(g, rounds, budget, seed=seed)
+        except ZeroMassError:
+            with pytest.raises(ZeroMassError):
+                bp_sample(g, rounds, budget, seed=seed)
+            return
+        result = bp_sample(g, rounds, budget, seed=seed)
+        assert (result.atoms, result.weights) == (ref.atoms, ref.weights)
+        assert (result.num_particles, result.budget_spent) == (samples, ref.budget_spent)
+
+    @pytest.mark.parametrize("seed", range(6, 12))
+    def test_rounds_run_once_per_prefix_on_fg1(self, seed, monkeypatch):
+        # the benchmark's fg1 n14 BP cell: the trie walk runs each distinct
+        # assignment prefix's rounds once, where the sample-at-a-time loop
+        # runs them once per sample, and charges what that loop charges
+        g = generate(GeneratorSpec(family="fg1", n=14, k=2, seed=11))
+        calls = []  # (sample, clamps since the last reset) of every round run
+        sample, clamps = -1, ()
+        reset, clamp, round_ = _LoopyBP.reset, _LoopyBP.clamp, _LoopyBP.round
+
+        def counted_reset(state):
+            nonlocal sample, clamps
+            sample, clamps = sample + 1, ()
+            reset(state)
+
+        def counted_clamp(state, v, value):
+            nonlocal clamps
+            clamps += ((v, value),)
+            clamp(state, v, value)
+
+        def counted_round(state):
+            calls.append((sample, clamps))
+            return round_(state)
+
+        monkeypatch.setattr(_LoopyBP, "reset", counted_reset)
+        monkeypatch.setattr(_LoopyBP, "clamp", counted_clamp)
+        monkeypatch.setattr(_LoopyBP, "round", counted_round)
+        ref = reference_bp_sample(g, 10, 8000, seed=seed)
+        first_visit = {}
+        for i, prefix in calls:
+            first_visit.setdefault(prefix, i)
+        once_per_prefix = sum(first_visit[prefix] == i for i, prefix in calls)
+        calls.clear()
+        result = bp_sample(g, 10, 8000, seed=seed)
+        assert (result.atoms, result.weights) == (ref.atoms, ref.weights)
+        assert len(calls) == once_per_prefix < 315
+        assert result.budget_spent == ref.budget_spent == 420 * g.num_factors
 
     def test_single_factor_graph_one_round(self):
         rng = np.random.default_rng(103)

@@ -19,6 +19,7 @@ from treesample.exact import (
 from treesample.logmath import (
     NEG_INF,
     ZeroMassError,
+    draw_softmax_rows,
     logsumexp,
     logsumexp_list,
     logsumexp_rows,
@@ -189,6 +190,39 @@ class TestSampleSoftmaxRows:
         ref_a, ref_logp = reference_sample_softmax_rows(q, u)
         assert a.dtype == ref_a.dtype and a.tolist() == ref_a.tolist()
         assert _same_bits(logp, ref_logp)
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(k=st.sampled_from([2, 3, 10]), rows=st.integers(1, 40),
+           neg_inf=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**32 - 1))
+    def test_broadcast_row_equals_materialised_bitwise(self, k, rows, neg_inf, seed):
+        # a row-stride-0 view is reduced once as the shared row; K = 10
+        # takes the row-reduction path, K = 2 and 3 the column path
+        rng = np.random.default_rng(seed)
+        row = rng.normal(scale=5.0, size=k)
+        row[rng.random(k) < neg_inf] = NEG_INF
+        row[rng.integers(0, k)] = rng.normal()
+        view = np.broadcast_to(row, (rows, k))
+        assert view.strides[0] == 0
+        full = view.copy()  # C-contiguous, as evaluate_batch used to fill it
+        u = rng.random(rows)
+        u[rng.random(rows) < 0.3] = 0.0
+        a, m, total = draw_softmax_rows(view, u)
+        full_a, full_m, full_total = draw_softmax_rows(full, u)
+        assert a.dtype == full_a.dtype and a.tolist() == full_a.tolist()
+        assert _same_bits(m, full_m[:1]) and _same_bits(total, full_total[:1])
+        assert len(m) == len(total) == 1
+        a, logp = sample_softmax_rows(view, u)
+        full_a, full_logp = sample_softmax_rows(full, u)
+        assert a.tolist() == full_a.tolist() and _same_bits(logp, full_logp)
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_broadcast_zero_mass_row_raises(self, k):
+        view = np.broadcast_to(np.full(k, NEG_INF), (5, k))
+        with pytest.raises(ZeroMassError):
+            draw_softmax_rows(view, np.zeros(5))
+        with pytest.raises(ZeroMassError):
+            sample_softmax_rows(view, np.zeros(5))
 
 
 class TestLogsumexpList:

@@ -125,7 +125,26 @@ class TestBatchEvaluation:
         expected = np.stack([h.evaluate(g, p) for p in prefixes])
         assert np.array_equal(h.evaluate_batch(g, prefixes), expected)
         rows = np.array(list(all_configs(2, 3)))
-        assert np.array_equal(h.evaluate_batch(g, rows), np.stack([h.evaluate(g, (1, 1))] * 9))
+        out = h.evaluate_batch(g, rows)
+        assert np.array_equal(out, np.stack([h.evaluate(g, (1, 1))] * 9))
+        # an equal-length array gives one read-only row, broadcast
+        assert out.strides[0] == 0 and not out.flags.writeable
+
+    def test_heuristic_batch_calls_evaluate_once_per_length(self, monkeypatch):
+        g = _uniform_graph(4, 3)
+        calls = []
+        evaluate = HeuristicPrior.evaluate
+
+        def counted(prior, graph, prefix):
+            calls.append(len(prefix))
+            return evaluate(prior, graph, prefix)
+
+        monkeypatch.setattr(HeuristicPrior, "evaluate", counted)
+        HeuristicPrior().evaluate_batch(g, [(), (1,), (2,), (1, 2, 3), (3,)])
+        assert sorted(calls) == [0, 1, 3]
+        calls.clear()
+        HeuristicPrior().evaluate_batch(g, np.ones((7, 2), dtype=np.int64))
+        assert calls == [2]
 
     def test_mlp_batch_matches_evaluate(self):
         g = _uniform_graph(4, 3, ordering=(2, 4, 1, 3))
