@@ -32,6 +32,10 @@ def logsumexp(values: np.ndarray) -> float:
 # blocks of 8) from 8 on; a Python loop matches it only below.
 PAIRWISE_SUM_MIN = 8
 
+# math.log of the sums a 2-entry logsumexp_list forms when no np.exp is needed
+_LOG_ONE = math.log(1.0)
+_LOG_TWO = math.log(2.0)
+
 
 def logsumexp_list(values: list[float]) -> float:
     """logsumexp of a list of floats, equal to logsumexp bit for bit.
@@ -51,7 +55,27 @@ def logsumexp_list(values: list[float]) -> float:
     exp(values - m), as in logsumexp: ndarray.sum and np.sum both run
     np.add.reduce over the same contiguous array, so they round alike, and
     calling the method skips np.sum's Python-level dispatch.
+
+    Two entries, the binary factor graphs' node width, skip the builtin max
+    and the loop. With the pair ordered as a >= b, the loop's sum is one of
+    three: 1.0 when b is -inf (a adds 1.0, b is skipped), 1.0 + 1.0 = 2.0
+    when a == b, else 1.0 plus the Python float of np.exp(b - a), added in
+    either order, which gives the same bits since one rounded addition does
+    not depend on the order of its operands (and 0.0 + x is x). So the
+    unrolled path returns a + log(1.0), a + log(2.0) or
+    a + log(1.0 + exp(b - a)), the loop's m + log(total) bit for bit; the
+    first keeps the addition of log(1.0) = 0.0, which turns an a of -0.0
+    into 0.0 as the loop does, and gives -inf when both entries are -inf.
     """
+    if len(values) == 2:
+        a, b = values
+        if a < b:
+            a, b = b, a
+        if b == NEG_INF:
+            return a + _LOG_ONE
+        if a == b:
+            return a + _LOG_TWO
+        return a + math.log(1.0 + float(np.exp(b - a)))
     m = max(values)
     if m == NEG_INF:
         return NEG_INF
@@ -148,7 +172,9 @@ def draw_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     same bits without a row reduction call; the count stops at column
     K - 2, since the cumulative sum never decreases and the draw is capped
     at K - 1. From PAIRWISE_SUM_MIN columns on, the row sum is numpy's
-    pairwise sum, so the reductions stay numpy's own.
+    pairwise sum, so the reductions stay numpy's own, over a C-contiguous
+    copy of q as in shifted_exp_sums: a Fortran-ordered q would be summed
+    column by column, one ulp off on some rows.
     """
     q = _shared_row(q)
     k = q.shape[1]
@@ -169,6 +195,7 @@ def draw_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndar
             cdf += e / total
             a += cdf <= u
         return a, m, total
+    q = np.ascontiguousarray(q)
     m = q.max(axis=1)
     if m.min() == NEG_INF:
         raise ZeroMassError("softmax of an all-(-inf) vector is undefined")

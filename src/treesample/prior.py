@@ -13,6 +13,7 @@ to evaluate: they never touch the budget.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -63,6 +64,17 @@ def _prefix_lengths(prefixes) -> np.ndarray:
     return np.fromiter(map(len, prefixes), dtype=np.int64, count=len(prefixes))
 
 
+@functools.lru_cache(maxsize=16)
+def _encoding_slots(graph: FactorGraph) -> tuple[list[int], list[int]]:
+    """encode_batch's slot lists for one graph, built once per graph (a
+    graph hashes by identity): base[d] and the unassigned flag's slot
+    base[d] + K + 1 of the variable at every depth d. Every call for the
+    graph gets the same two lists, so callers only read them."""
+    k = graph.num_states
+    base = [(v - 1) * (k + 1) - 1 for v in graph.ordering]
+    return base, [b + k + 1 for b in base]
+
+
 def encode_batch(graph: FactorGraph, prefixes) -> np.ndarray:
     """Fixed-width encoding of every prefix as one row: per variable, K one-hot
     slots plus an unassigned flag in slot K+1. Injective over prefixes.
@@ -70,22 +82,22 @@ def encode_batch(graph: FactorGraph, prefixes) -> np.ndarray:
     prefixes is a sequence of tuples or an (R, d) int array of equal-length
     prefixes. Value x at depth d, with x = K+1 for an unassigned variable,
     sets slot base[d] + x, where base[d] = (v - 1)(K + 1) - 1 for the
-    variable v assigned at depth d. Tuples are encoded row by row with one
-    fancy assignment each, which on a single prefix (MLPValueFunction.evaluate,
-    once per tree expansion) costs less than building an (R, N) value array.
+    variable v assigned at depth d; the slot lists come from
+    _encoding_slots, once per graph. Tuples are encoded row by row with one
+    ndarray.put each, which on a single prefix (MLPValueFunction.evaluate,
+    once per tree expansion) costs less than building an (R, N) value array
+    or a fancy assignment.
     """
     n, k = graph.num_variables, graph.num_states
-    base = [(v - 1) * (k + 1) - 1 for v in graph.ordering]
+    base, unassigned = _encoding_slots(graph)
     out = np.zeros((len(prefixes), n * (k + 1)))
     if isinstance(prefixes, np.ndarray):
         values = np.full((len(prefixes), n), k + 1, dtype=np.int64)
         values[:, : prefixes.shape[1]] = prefixes
         np.put_along_axis(out, np.array(base) + values, 1.0, axis=1)
         return out
-    unassigned = [b + k + 1 for b in base]
-    for row, prefix in zip(out, prefixes):
-        d = len(prefix)
-        row[[b + x for b, x in zip(base, prefix)] + unassigned[d:]] = 1.0
+    for i, prefix in enumerate(prefixes):
+        out[i].put([b + x for b, x in zip(base, prefix)] + unassigned[len(prefix):], 1.0)
     return out
 
 

@@ -225,6 +225,27 @@ class TestSampleSoftmaxRows:
             sample_softmax_rows(view, np.zeros(5))
 
 
+    @pytest.mark.parametrize("k", [2, 3, 8, 10, 17])
+    def test_fortran_ordered_rows_equal_c_ordered_bitwise(self, k):
+        # from 8 columns on the row sum is numpy's pairwise sum along a row;
+        # a Fortran-ordered q must be summed as its C-ordered copy is, not
+        # column by column (one ulp off on some rows at K = 10)
+        rng = np.random.default_rng(k)
+        q = rng.normal(scale=5.0, size=(400, k))
+        q[rng.random(q.shape) < 0.2] = NEG_INF
+        q[np.arange(400), rng.integers(0, k, size=400)] = rng.normal(size=400)
+        fortran = np.asfortranarray(q)
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        u = rng.random(400)
+        a, m, total = draw_softmax_rows(fortran, u)
+        c_a, c_m, c_total = draw_softmax_rows(q, u)
+        assert a.tolist() == c_a.tolist()
+        assert _same_bits(m, c_m) and _same_bits(total, c_total)
+        a, logp = sample_softmax_rows(fortran, u)
+        c_a, c_logp = sample_softmax_rows(q, u)
+        assert a.tolist() == c_a.tolist() and _same_bits(logp, c_logp)
+
+
 class TestLogsumexpList:
     """The list path of the search tree's soft value equals logsumexp bit for
     bit at every width from 1 to 130, -inf entries and repeated maxima
@@ -265,6 +286,53 @@ class TestLogsumexpList:
             values = [NEG_INF] * len(values)
         expected = logsumexp(np.array(values))
         assert struct.pack("<d", logsumexp_list(values)) == struct.pack("<d", expected)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestLogsumexpListBinary:
+    """Two entries take logsumexp_list's unrolled path. Each case is pinned
+    bit for bit against logsumexp and against the sum the loop forms:
+    a + log(1.0) when the smaller entry is -inf (which makes -0.0 into
+    0.0), a + log(2.0) for equal entries, else a + log(1.0 + exp(b - a))."""
+
+    XS = [0.0, -0.0, 1.5, -2.25, 700.0, -700.0, 1e-300, -1e-300, 5e-324]
+
+    @staticmethod
+    def _check(values, expected):
+        got = logsumexp_list(values)
+        assert _bits(got) == _bits(expected), values
+        assert _bits(got) == _bits(logsumexp(np.array(values))), values
+
+    def test_signed_zeros(self):
+        self._check([-0.0, 0.0], -0.0 + math.log(2.0))
+        self._check([0.0, -0.0], 0.0 + math.log(2.0))
+
+    @pytest.mark.parametrize("x", XS)
+    def test_one_neg_inf_entry(self, x):
+        self._check([x, NEG_INF], x + math.log(1.0))
+        self._check([NEG_INF, x], x + math.log(1.0))
+
+    def test_neg_zero_beside_neg_inf_becomes_zero(self):
+        assert _bits(logsumexp_list([-0.0, NEG_INF])) == _bits(0.0)
+        assert _bits(logsumexp_list([NEG_INF, -0.0])) == _bits(0.0)
+
+    @pytest.mark.parametrize("x", XS)
+    def test_equal_entries(self, x):
+        self._check([x, x], x + math.log(2.0))
+
+    def test_both_neg_inf(self):
+        self._check([NEG_INF, NEG_INF], NEG_INF)
+
+    @pytest.mark.parametrize("x", XS)
+    @pytest.mark.parametrize("y", [-3.0, -1e-12, 0.5, 699.0])
+    def test_distinct_entries_in_either_order(self, x, y):
+        a, b = max(x, y), min(x, y)
+        expected = a + math.log(1.0 + float(np.exp(b - a)))
+        self._check([x, y], expected)
+        self._check([y, x], expected)
 
 
 def _digit_gather_level_rewards(graph, depth):

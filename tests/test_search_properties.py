@@ -5,7 +5,8 @@ Graphs have up to 5 variables of up to 3 states, random extra factors with
 past exhaustive, under both cost modes. For every tree: the ledger never
 overruns, the tree density sums to 1 over all K^N configurations, a complete
 root's value equals the exact log Z, and sample_batch's log q equals
-log_density exactly.
+log_density exactly. On random two-child nodes, q_uct_select's unrolled
+binary choice equals the generic scoring loop's.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from treesample.exact import solve_exact
 from treesample.logmath import NEG_INF
 from treesample.model import COST_MODES
 from treesample.prior import HeuristicPrior
-from treesample.search import build_tree
+from treesample.search import TreeNode, build_tree, q_uct_select
 
 from conftest import all_configs, make_random_graph
 
@@ -68,3 +69,40 @@ def test_search_invariants(p):
 
     xs, log_q = tree.sample_batch(50, np.random.default_rng(p["seed"]))
     assert log_q.tolist() == [tree.log_density(tuple(x)) for x in xs.tolist()]
+
+
+def reference_select(node: TreeNode) -> int:
+    """The generic scoring loop of q_uct_select at one node: the first
+    maximum of q + bonus * sqrt(visits) / (1 + eta) over incomplete children
+    (a score must beat the starting -inf), else the first incomplete child.
+    Returns the 1-based action."""
+    done = node.complete_children
+    sqrt_visits = math.sqrt(node.visits)
+    best, a = NEG_INF, -1
+    for i in range(len(done)):
+        if not done[i]:
+            score = node.q[i] + node.bonus[i] * sqrt_visits / (1.0 + node.eta[i])
+            if score > best:
+                best, a = score, i
+    return (done.index(False) if a < 0 else a) + 1
+
+
+# few distinct values, so that equal scores, -inf, +-0.0 and zero visits
+# come up often; an infinite bonus (an overflowing c * prior) makes NaN
+# scores at zero visits or with a -inf q
+q_entries = st.sampled_from([NEG_INF, -1.0, -0.0, 0.0, 0.5, 1.0]) | st.floats(-50.0, 50.0)
+bonus_entries = st.sampled_from([0.0, -0.0, 0.2, 1.0, math.inf]) | st.floats(0.0, 10.0)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(q=st.lists(q_entries, min_size=2, max_size=2),
+       bonus=st.lists(bonus_entries, min_size=2, max_size=2),
+       eta=st.lists(st.integers(0, 3), min_size=2, max_size=2),
+       complete=st.sampled_from([(False, False), (True, False), (False, True)]))
+def test_binary_choice_equals_scoring_loop(q, bonus, eta, complete):
+    node = TreeNode(0.0, q, bonus, list(complete), False)
+    node.eta[:] = eta
+    node.visits = sum(eta)
+    path, actions = q_uct_select(node)
+    assert path == [node]
+    assert actions == [reference_select(node)]
