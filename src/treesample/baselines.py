@@ -46,16 +46,8 @@ import numpy as np
 
 from .logmath import (NEG_INF, ZeroMassError, draw_softmax_rows, log_each, logsumexp,
                       logsumexp_rows, sample_softmax_rows, shifted_exp_sums)
+from .model import BudgetTooSmallError  # noqa: F401  (BudgetLedger.count raises it)
 from .model import REWARD_EVAL, BudgetLedger, FactorGraph, Prefix
-
-
-class BudgetTooSmallError(ValueError):
-    """The budget cannot pay for even one unit of work."""
-
-
-def _must_charge(ledger: "BudgetLedger", amount: int) -> None:
-    if not ledger.charge(amount):
-        raise RuntimeError("internal accounting error: planned charge exceeds budget")
 
 
 class DegenerateSampleError(ValueError):
@@ -141,12 +133,8 @@ def smc(
         raise ValueError("resample_threshold must lie in [0, 1]")
     n = graph.num_variables
     per_particle = sum(graph.reward_cost(d, cost_mode) for d in range(1, n + 1))
-    num = budget // per_particle
-    if num < 1:
-        raise BudgetTooSmallError(
-            f"budget {budget} cannot pay for one rollout (cost {per_particle})"
-        )
     ledger = BudgetLedger(budget=budget, cost_mode=cost_mode)
+    num = ledger.count(per_particle, "one rollout")
     rng = np.random.default_rng(seed)
     particles = np.zeros((num, n), dtype=np.int64)
     lw = np.zeros(num)
@@ -155,7 +143,7 @@ def smc(
         qs = np.asarray(prior.evaluate_batch(graph, particles[:, : depth - 1]), dtype=np.float64)
         actions, logq = sample_softmax_rows(qs, rng.random(num))
         particles[:, depth - 1] = actions + 1
-        _must_charge(ledger, num * graph.reward_cost(depth, cost_mode))
+        ledger.charge(num * graph.reward_cost(depth, cost_mode))
         lw += graph.reward_batch(particles[:, :depth]) - logq
         if depth < n and resample_threshold > 0.0 and np.max(lw) > NEG_INF:
             # ESS on max-shifted weights: exact (no division) for uniform weights
@@ -222,13 +210,8 @@ def gibbs(
         site_cost = {v: k for v in site_factors}
     else:
         site_cost = {v: k * len(fs) for v, fs in site_factors.items()}
-    per_sample = num_sweeps * sum(site_cost.values())
-    num = budget // per_sample
-    if num < 1:
-        raise BudgetTooSmallError(
-            f"budget {budget} cannot pay for one sample (cost {per_sample})"
-        )
     ledger = BudgetLedger(budget=budget, cost_mode=cost_mode)
+    num = ledger.count(num_sweeps * sum(site_cost.values()), "one sample")
     rng = np.random.default_rng(seed)
     # chain by chain: the initial state, then one uniform per site update
     states = np.empty((num, n), dtype=np.int64)
@@ -250,7 +233,7 @@ def gibbs(
     zero_conditionals = 0
     for t, v in enumerate(list(range(1, n + 1)) * num_sweeps):
         col = graph.depth_of(v) - 1
-        _must_charge(ledger, num * site_cost[v])
+        ledger.charge(num * site_cost[v])
         # scores[c, j]: the site's factors at chain c with the site set to j + 1
         scores = np.zeros((num, k))
         for table, others, offsets in site_terms[v]:
@@ -439,13 +422,8 @@ def bp_sample(
         raise ValueError("num_message_rounds must be at least 1")
     n = graph.num_variables
     round_cost = graph.num_factors
-    per_sample = n * num_message_rounds * round_cost
-    num = budget // per_sample
-    if num < 1:
-        raise BudgetTooSmallError(
-            f"budget {budget} cannot pay for one sample (cost {per_sample})"
-        )
     ledger = BudgetLedger(budget=budget)
+    num = ledger.count(n * num_message_rounds * round_cost, "one sample")
     uniforms = np.random.default_rng(seed).random((num, n))
     values = np.empty((num, n), dtype=np.int64)  # column v - 1: variable v
     state = _LoopyBP(graph)
@@ -459,7 +437,7 @@ def bp_sample(
             state.msg_vf, state.clamped = saved[0].copy(), saved[1].copy()
         if value:
             state.clamp(v - 1, value)
-        _must_charge(ledger, len(members) * num_message_rounds * round_cost)
+        ledger.charge(len(members) * num_message_rounds * round_cost)
         for _ in range(num_message_rounds):
             if state.round():
                 break

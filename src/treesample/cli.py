@@ -31,8 +31,8 @@ from .generators import FAMILIES, GeneratorSpec, generate
 from .logmath import NEG_INF, ZeroMassError
 from .metrics import evaluate_method
 from .model import COST_MODES, FactorGraph, load_graph, save_graph
-from .prior import (Adam, HeuristicPrior, MLPValueFunction, TrainConfig, check_field_types,
-                    load_checkpoint, save_checkpoint, train_loop)
+from .prior import (ALGOS, Adam, HeuristicPrior, MLPValueFunction, TrainConfig,
+                    check_field_types, load_checkpoint, save_checkpoint, train_loop)
 from .search import build_tree, check_search_params
 
 METHODS = ("treesample", "sis", "smc", "gibbs", "bp")
@@ -103,8 +103,13 @@ def run_method(graph: FactorGraph, config: RunConfig, dump_tree_path=None):
             budget=config.budget,
             seed=config.run_seed,
         )
-    prior = (HeuristicPrior() if config.prior == "heuristic"
-             else _checkpoint_for(config.prior, graph)[0])
+    if config.prior == "heuristic":
+        prior = HeuristicPrior()
+    else:
+        prior, _, _, trained = _checkpoint_for(config.prior, graph)
+        if config.method == "treesample" and trained.algo == "smc":
+            raise ValueError(f"checkpoint {config.prior} was trained by smc on log conditionals, "
+                             "but treesample reads a prior's outputs as soft values")
     if config.method == "treesample":
         tree = build_tree(graph, prior, config.budget, c=config.c, epsilon=config.epsilon,
                           cost_mode=config.cost_mode)
@@ -303,8 +308,7 @@ def cmd_train(args) -> int:
     if args.resume:
         fixed = [name for name in given if name != "episodes"]
         if fixed:
-            flags = ", ".join("--resample-threshold" if name == "smc_threshold"
-                              else "--" + name.replace("_", "-") for name in fixed)
+            flags = ", ".join("--" + name.replace("_", "-") for name in fixed)
             raise ValueError(f"--resume restores the checkpoint's training config; "
                              f"it cannot be changed by {flags}")
         mlp, adam, start_episode, old_config = _checkpoint_for(args.resume, graph)
@@ -319,7 +323,7 @@ def cmd_train(args) -> int:
         mlp = MLPValueFunction(dim, graph.num_states, seed=config.seed)
         adam = Adam(mlp.parameters(), learning_rate=config.learning_rate)
     echo = (lambda row: print(json.dumps(row), file=sys.stderr)) if args.verbose else None
-    mlp, history = train_loop(graph, args.algo, config, mlp=mlp, adam=adam,
+    mlp, history = train_loop(graph, config, mlp=mlp, adam=adam,
                               start_episode=start_episode, progress=echo)
     save_checkpoint(args.checkpoint_out, mlp, adam, episode=config.episodes, config=config)
     cols = ["episode", "delta_kl", "delta_kl_prior", "mean_loss", "train_steps",
@@ -396,9 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the MLP value prior on one instance")
     p.add_argument("instance")
-    p.add_argument("--algo", choices=("treesample", "smc"), default="treesample")
     p.add_argument("--episodes", type=int, required=True)
     # TrainConfig fields; an omitted flag keeps the TrainConfig default
+    p.add_argument("--algo", choices=ALGOS)
     p.add_argument("--budget-per-episode", dest="budget_per_episode", type=int)
     p.add_argument("--samples-per-episode", dest="samples_per_episode", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
@@ -406,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--c", type=float)
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--resample-threshold", dest="smc_threshold", type=float)
+    p.add_argument("--resample-threshold", dest="resample_threshold", type=float)
     p.add_argument("--metric-samples", dest="metric_samples", type=int)
     p.add_argument("--checkpoint-out", dest="checkpoint_out", required=True)
     p.add_argument("--metrics-out", dest="metrics_out", required=True)

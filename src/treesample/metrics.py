@@ -145,16 +145,13 @@ def evaluate_method(
     The split comes from the same atoms or draws as the ΔKL estimate."""
     est = _estimate(approx, graph, num_samples, seed)
     atoms = getattr(approx, "atoms", None)
-    spent = getattr(approx, "budget_spent", None)
-    if spent is None:
-        spent = getattr(getattr(approx, "ledger", None), "spent", None)
     report = EvalReport(
         method=method,
         delta_kl=est.delta_kl,
         num_samples=num_samples if atoms is None else len(atoms),
         stderr=est.stderr,
         budget=budget,
-        budget_spent=spent,
+        budget_spent=approx.budget_spent,
     )
     if oracle is not None:
         report.log_z = oracle.log_z

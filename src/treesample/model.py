@@ -200,11 +200,17 @@ class FactorGraph:
         return tuple(assignment[v - 1] for v in self.ordering)
 
 
+class BudgetTooSmallError(ValueError):
+    """The budget cannot pay for even one unit of work."""
+
+
 @dataclass
 class BudgetLedger:
     """Counts oracle evaluations against a fixed budget.
 
-    Exhaustion is a signal (charge returns False, spent unchanged), not an error.
+    Callers size their work up front (count, or build_tree's loop guard), so
+    a charge past the budget is an accounting bug: charge raises RuntimeError
+    and leaves spent unchanged.
     """
 
     budget: int
@@ -221,13 +227,22 @@ class BudgetLedger:
     def remaining(self) -> int:
         return self.budget - self.spent
 
-    def charge(self, amount: int) -> bool:
+    def count(self, unit_cost: int, what: str) -> int:
+        """How many units of work of unit_cost the whole budget pays for;
+        BudgetTooSmallError, naming what one unit is, when not even one."""
+        num = self.budget // unit_cost
+        if num < 1:
+            raise BudgetTooSmallError(f"budget {self.budget} cannot pay for {what} "
+                                      f"(cost {unit_cost})")
+        return num
+
+    def charge(self, amount: int) -> None:
         if amount < 0:
             raise ValueError("charge amount must be non-negative")
         if self.spent + amount > self.budget:
-            return False
+            raise RuntimeError(f"internal accounting error: a charge of {amount} exceeds the "
+                               f"{self.remaining} units left")
         self.spent += amount
-        return True
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,11 @@ evaluate_batch takes many prefixes and returns an (R, K) float64 array, one
 row per prefix, each row equal to evaluate of that prefix; callers only read
 it, and HeuristicPrior returns a read-only broadcast view. Priors are free
 to evaluate: they never touch the budget.
+
+The tree reads a prior's outputs as soft values (log future mass), the scale
+train --algo treesample fits; --algo smc fits log conditionals, which only
+softmax proposals read alike. TrainConfig records the algo; the replay
+capacity, the target floor and Adam's moment rates are constants.
 """
 
 from __future__ import annotations
@@ -21,10 +26,13 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .model import FactorGraph, Prefix, REWARD_EVAL, check_type
+from .model import FactorGraph, Prefix, check_type
 from .search import build_tree, check_search_params
 
-CHECKPOINT_FORMAT = "treesample-mlp-v1"
+CHECKPOINT_FORMAT = "treesample-mlp-v2"
+ALGOS = ("treesample", "smc")
+REPLAY_CAPACITY = 10_000
+CLAMP_FLOOR = -50.0  # what train_step clamps a -inf (zero-mass) target to
 
 
 class HeuristicPrior:
@@ -49,19 +57,11 @@ class HeuristicPrior:
         if isinstance(prefixes, np.ndarray) and len(prefixes):
             row = np.array(self.evaluate(graph, prefixes[0]))
             return np.broadcast_to(row, (len(prefixes), graph.num_states))
-        lengths = _prefix_lengths(prefixes)
-        out = np.empty((len(lengths), graph.num_states))
-        for n in np.flatnonzero(np.bincount(lengths)):
-            rows = lengths == n
-            out[rows] = self.evaluate(graph, prefixes[int(np.argmax(rows))])
-        return out
-
-
-def _prefix_lengths(prefixes) -> np.ndarray:
-    """Lengths of a sequence of prefixes, or of the rows of an (R, d) array."""
-    if isinstance(prefixes, np.ndarray):
-        return np.full(len(prefixes), prefixes.shape[1], dtype=np.int64)
-    return np.fromiter(map(len, prefixes), dtype=np.int64, count=len(prefixes))
+        rows: dict[int, list[float]] = {}
+        for prefix in prefixes:
+            if len(prefix) not in rows:
+                rows[len(prefix)] = self.evaluate(graph, prefix)
+        return np.array([rows[len(p)] for p in prefixes]).reshape(-1, graph.num_states)
 
 
 @functools.lru_cache(maxsize=16)
@@ -235,28 +235,26 @@ class MLPValueFunction:
 
 
 class Adam:
-    """Adam with standard moment defaults; state aligned with a parameter list."""
+    """Adam with the standard moment rates; state aligned with a parameter list."""
 
-    def __init__(self, params: list[np.ndarray], learning_rate: float = 3e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[np.ndarray], learning_rate: float = 3e-4):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.step_count += 1
-        b1c = 1.0 - self.beta1**self.step_count
-        b2c = 1.0 - self.beta2**self.step_count
+        b1c = 1.0 - self.BETA1**self.step_count
+        b2c = 1.0 - self.BETA2**self.step_count
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * (g * g)
+            p -= self.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + self.EPS)
 
 
 class ReplayBuffer:
@@ -283,24 +281,18 @@ class ReplayBuffer:
         return self.inputs[idx], self.targets[idx]
 
 
-def train_step(
-    mlp: MLPValueFunction,
-    replay: ReplayBuffer,
-    batch_size: int,
-    adam: Adam,
-    rng: np.random.Generator,
-    clamp_floor: float = -50.0,
-) -> float:
+def train_step(mlp: MLPValueFunction, replay: ReplayBuffer, batch_size: int, adam: Adam,
+               rng: np.random.Generator) -> float:
     """One uniform minibatch, one Adam update; returns the pre-update loss.
 
-    Zero-mass (-inf) targets are clamped to the floor so the squared loss
+    Zero-mass (-inf) targets are clamped to CLAMP_FLOOR so the squared loss
     stays defined while the action ranking is preserved. An overflow means
     the optimizer diverged, which raises ValueError.
     """
     if len(replay) < batch_size:
         raise ValueError("replay buffer smaller than the batch size")
     x, y = replay.sample_batch(batch_size, rng)
-    y = np.maximum(y, clamp_floor)
+    y = np.maximum(y, CLAMP_FLOOR)
     try:
         with np.errstate(over="raise", invalid="raise"):
             loss, grads = mlp.loss_and_gradients(x, y)
@@ -324,22 +316,20 @@ class TrainConfig:
     batch_size: int = 128
     learning_rate: float = 3e-4
     seed: int = 0
-    replay_capacity: int = 10_000
-    clamp_floor: float = -50.0
     c: float = 2.0
     epsilon: float = 0.1
-    smc_threshold: float = 0.5
-    cost_mode: str = REWARD_EVAL
+    resample_threshold: float = 0.5
     metric_samples: int = 128
+    algo: str = "treesample"
 
     def __post_init__(self):
         check_field_types(self)
         for name in ("episodes", "budget_per_episode", "samples_per_episode",
-                     "batch_size", "learning_rate", "replay_capacity", "metric_samples"):
+                     "batch_size", "learning_rate", "metric_samples"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails this too
                 raise ValueError(f"{name} must be positive and finite")
-        if not math.isfinite(self.clamp_floor):
-            raise ValueError("clamp_floor must be finite")
+        if self.algo not in ALGOS:
+            raise ValueError(f"algo must be one of {ALGOS}")
         check_search_params(self.c, self.epsilon)
 
 
@@ -361,25 +351,20 @@ def _smc_step_targets(atoms, weights, num_particles: int, k: int):
     return targets
 
 
-def train_loop(graph: FactorGraph, algo: str, config: TrainConfig, mlp: MLPValueFunction,
-               adam: Adam | None = None, start_episode: int = 0, progress=None):
+def train_loop(graph: FactorGraph, config: TrainConfig, mlp: MLPValueFunction, adam: Adam,
+               start_episode: int = 0, progress=None):
     """Alternating data generation and optimizer passes on one fixed graph.
 
-    Per episode: build an approximation with the current value function as
-    prior/proposal, draw samples, write per-step value targets to replay,
-    then run one optimizer step per sample drawn. Returns the trained network
-    and one metrics row per episode.
+    Per episode: build an approximation (config.algo) with the current
+    value function as prior/proposal, draw samples, write per-step value
+    targets to replay, then run one optimizer step per sample drawn. Returns
+    the trained network and one metrics row per episode.
     """
     from .baselines import DegenerateSampleError, smc
     from .metrics import delta_kl_atoms, delta_kl_sampler, sampler_estimate
 
-    if algo not in ("treesample", "smc"):
-        raise ValueError("algo must be 'treesample' or 'smc'")
     n, k = graph.num_variables, graph.num_states
-    input_dim = n * (k + 1)
-    if adam is None:
-        adam = Adam(mlp.parameters(), learning_rate=config.learning_rate)
-    replay = ReplayBuffer(config.replay_capacity, input_dim, k)
+    replay = ReplayBuffer(REPLAY_CAPACITY, n * (k + 1), k)
     master = np.random.default_rng(config.seed)
     history: list[dict] = []
     # burn replay/rng state forward so a resumed run keeps drawing fresh seeds
@@ -394,9 +379,9 @@ def train_loop(graph: FactorGraph, algo: str, config: TrainConfig, mlp: MLPValue
         delta_kl = math.nan
         pairs: list[tuple[Prefix, np.ndarray]] = []
 
-        if algo == "treesample":
+        if config.algo == "treesample":
             tree = build_tree(graph, mlp, config.budget_per_episode, c=config.c,
-                              epsilon=config.epsilon, cost_mode=config.cost_mode)
+                              epsilon=config.epsilon)
             xs, log_q = tree.sample_batch(config.samples_per_episode, draw_rng)
             delta_kl = sampler_estimate(log_q, graph.log_unnormalized_density_batch(xs)).delta_kl
             for x in map(tuple, xs.tolist()):
@@ -407,8 +392,7 @@ def train_loop(graph: FactorGraph, algo: str, config: TrainConfig, mlp: MLPValue
         else:
             try:
                 result = smc(graph, mlp, config.budget_per_episode,
-                             resample_threshold=config.smc_threshold,
-                             seed=build_seed, cost_mode=config.cost_mode)
+                             resample_threshold=config.resample_threshold, seed=build_seed)
             except DegenerateSampleError:
                 degenerate = True
             else:
@@ -431,8 +415,7 @@ def train_loop(graph: FactorGraph, algo: str, config: TrainConfig, mlp: MLPValue
         losses = []
         if len(replay) >= config.batch_size:
             for _ in range(config.samples_per_episode):
-                losses.append(train_step(mlp, replay, config.batch_size, adam,
-                                         learn_rng, config.clamp_floor))
+                losses.append(train_step(mlp, replay, config.batch_size, adam, learn_rng))
 
         prior_only = build_tree(graph, mlp, budget=0)  # an empty tree samples the prior
         delta_kl_prior = delta_kl_sampler(prior_only, graph, config.metric_samples,
@@ -455,6 +438,7 @@ def train_loop(graph: FactorGraph, algo: str, config: TrainConfig, mlp: MLPValue
 # ---------------------------------------------------------------------------
 # Checkpoints: one JSON header line, then raw little-endian float64 blocks
 # (parameters, Adam first moments, Adam second moments). Loads bit-exactly.
+# The header stores the whole TrainConfig, so its algo names the output scale.
 # ---------------------------------------------------------------------------
 
 

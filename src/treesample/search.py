@@ -86,6 +86,10 @@ class SearchTree:
     root: TreeNode | None = None
     nodes: dict[Prefix, TreeNode] = field(default_factory=dict)
 
+    @property
+    def budget_spent(self) -> int:
+        return self.ledger.spent
+
     def root_complete(self) -> bool:
         return self.root is not None and self.root.complete
 
@@ -168,7 +172,7 @@ class SearchTree:
             )
         return {
             "num_nodes": len(nodes),
-            "budget_spent": self.ledger.spent,
+            "budget_spent": self.budget_spent,
             "root_complete": self.root_complete(),
             "nodes": nodes,
         }
@@ -229,8 +233,9 @@ def q_uct_select(root: TreeNode) -> tuple[list[TreeNode], list[int]]:
 
 
 def expand(graph: FactorGraph, prefix: Prefix, prior, ledger: BudgetLedger, c: float,
-           epsilon: float) -> TreeNode | None:
-    """Evaluate and cache the reward at prefix; None signals budget exhaustion.
+           epsilon: float) -> TreeNode:
+    """Charge the ledger for the reward at prefix, evaluate it and make the
+    node; a charge past the budget raises RuntimeError (see BudgetLedger).
 
     The children's values start at the prior's and their exploration
     coefficients are c * max(prior value, epsilon). Depth-N leaves initialize
@@ -240,9 +245,8 @@ def expand(graph: FactorGraph, prefix: Prefix, prior, ledger: BudgetLedger, c: f
     regardless of descendants.
     """
     n, k = len(prefix), graph.num_states
-    cost = 0 if n == 0 else graph.reward_cost(n, ledger.cost_mode)
-    if not ledger.charge(cost):
-        return None
+    if n:  # the root is free
+        ledger.charge(graph.reward_cost(n, ledger.cost_mode))
     reward = 0.0 if n == 0 else graph.reward(prefix)
     if n == graph.num_variables:
         return TreeNode(reward, [-math.log(k)] * k, [0.0] * k, [True] * k, True)
@@ -324,8 +328,6 @@ def build_tree(
         path, actions = q_uct_select(tree.root)
         prefix = tuple(actions)
         new = expand(graph, prefix, prior, ledger, c, epsilon)
-        if new is None:  # unreachable under the guard; kept as a hard stop
-            return tree
         path[-1].children[actions[-1] - 1] = new
         tree.nodes[prefix] = new
         path.append(new)

@@ -43,8 +43,10 @@ def make_random_graph(
     )
 
 
-class ExactConditionalPrior:
-    """Proposal equal to the target conditionals (zero-variance importance)."""
+class ExactValuePrior:
+    """The oracle's optimal values Q*, the soft-value scale the tree reads.
+    As a softmax proposal they give the target conditionals
+    (zero-variance importance sampling)."""
 
     def __init__(self, solution):
         self.solution = solution
@@ -151,9 +153,9 @@ def reference_bp_sample(graph: FactorGraph, num_message_rounds: int, budget: int
         assignment = [0] * n
         for v in range(1, n + 1):
             for r in range(1, num_message_rounds + 1):
-                assert ledger.charge(round_cost)
+                ledger.charge(round_cost)
                 if state.round():
-                    assert ledger.charge((num_message_rounds - r) * round_cost)
+                    ledger.charge((num_message_rounds - r) * round_cost)
                     break
             marg = state.log_marginal(v)
             if np.max(marg) == NEG_INF:

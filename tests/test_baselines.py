@@ -27,7 +27,7 @@ from treesample.logmath import (NEG_INF, ZeroMassError, logsumexp, logsumexp_row
 from treesample.model import FACTOR_EVAL, REWARD_EVAL, Factor, FactorGraph
 from treesample.prior import HeuristicPrior
 
-from conftest import (ExactConditionalPrior, all_configs, log_step_conditionals, make_random_graph,
+from conftest import (ExactValuePrior, all_configs, log_step_conditionals, make_random_graph,
                       reference_bp_sample, variable_marginals)
 
 
@@ -95,7 +95,7 @@ class TestSis:
         rng = np.random.default_rng(71)
         g = make_random_graph(rng, 3, 2, num_extra_factors=2)
         sol = solve_exact(g)
-        result = sis(g, ExactConditionalPrior(sol), budget=600, seed=1)
+        result = sis(g, ExactValuePrior(sol), budget=600, seed=1)
         # every particle carries weight Z exactly, so the estimate is exact
         assert result.log_z_estimate == pytest.approx(sol.log_z, abs=1e-9)
         for w in result.weights:
@@ -161,7 +161,7 @@ class TestSmc:
         n, k = 6, 3
         rng = np.random.default_rng(97)
         g = make_random_chain(rng, n, k, scale=2.0)
-        prior = ExactConditionalPrior(solve_exact(make_random_chain(rng, n, k, scale=2.0)))
+        prior = ExactValuePrior(solve_exact(make_random_chain(rng, n, k, scale=2.0)))
         result = sis(g, prior, budget=1200, seed=4)
         num = result.num_particles
         stream = np.random.default_rng(4)

@@ -16,8 +16,8 @@ from treesample import cli
 from treesample.cli import METHODS, RunConfig, main
 from treesample.generators import FAMILIES
 from treesample.model import Factor, FactorGraph, load_graph, save_graph
-from treesample.prior import (Adam, MLPValueFunction, TrainConfig, load_checkpoint,
-                              save_checkpoint)
+from treesample.prior import (CHECKPOINT_FORMAT, Adam, MLPValueFunction, TrainConfig,
+                              load_checkpoint, save_checkpoint)
 
 from conftest import make_random_graph
 
@@ -357,7 +357,7 @@ class TestTrain:
         # flags left out keep the TrainConfig defaults
         assert load_checkpoint(ckpt)[3] == TrainConfig(
             episodes=1, budget_per_episode=20, samples_per_episode=8, batch_size=8,
-            metric_samples=8, seed=4, smc_threshold=0.25)
+            metric_samples=8, seed=4, resample_threshold=0.25)
         rows = metrics.read_text().strip().splitlines()
         assert len(rows) == 2  # header + one episode
 
@@ -371,6 +371,28 @@ class TestTrain:
         with open(metrics2) as fh:
             resumed = list(csvmod.DictReader(fh))
         assert [r["episode"] for r in resumed] == ["1"]  # continues the index
+
+    def test_verbose_writes_one_json_row_per_episode(self, tmp_path, capsys):
+        instance = _uniform_instance(tmp_path)
+        code = main(["train", str(instance), "--episodes", "2", "--budget-per-episode", "20",
+                     "--samples-per-episode", "4", "--batch-size", "4", "--metric-samples", "8",
+                     "--verbose", "--checkpoint-out", str(tmp_path / "m.ckpt"),
+                     "--metrics-out", str(tmp_path / "m.csv")])
+        assert code == 0
+        rows = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [row["episode"] for row in rows] == [0, 1]
+
+    def test_resume_keeps_the_checkpoint_algo(self, tmp_path, capsys):
+        instance = _uniform_instance(tmp_path)
+        ckpt, ckpt2 = tmp_path / "model.ckpt", tmp_path / "model2.ckpt"
+        metrics = str(tmp_path / "m.csv")
+        common = ["--budget-per-episode", "20", "--samples-per-episode", "4", "--batch-size",
+                  "4", "--metric-samples", "8"]
+        assert main(["train", str(instance), "--algo", "smc", "--episodes", "1"] + common
+                    + ["--checkpoint-out", str(ckpt), "--metrics-out", metrics]) == 0
+        assert main(["train", str(instance), "--episodes", "2", "--resume", str(ckpt),
+                     "--checkpoint-out", str(ckpt2), "--metrics-out", metrics]) == 0
+        assert load_checkpoint(ckpt2)[3].algo == "smc"
 
     def test_invalid_search_params_exit_2(self, tmp_path, capsys):
         instance = _uniform_instance(tmp_path)
@@ -407,11 +429,32 @@ class TestTrain:
         before = ckpt.read_bytes()
         code, error = _main_json(["train", str(instance), "--episodes", "2", "--resume",
                                   str(ckpt), "--learning-rate", "0.01", "--c", "1.0",
-                                  "--resample-threshold", "0.3"] + common)
+                                  "--resample-threshold", "0.3", "--algo", "treesample"] + common)
         assert code == 2
-        for flag in ("--learning-rate", "--c", "--resample-threshold"):
+        for flag in ("--learning-rate", "--c", "--resample-threshold", "--algo"):
             assert flag in error["message"]
         assert ckpt.read_bytes() == before
+
+
+class TestPriorScale:
+    """A prior trained by smc outputs log conditionals; the tree reads soft
+    values, so only the particle methods take such a checkpoint."""
+
+    @pytest.mark.parametrize("algo, method, exit_code", [
+        ("smc", "treesample", 2), ("smc", "smc", 0), ("smc", "sis", 0),
+        ("treesample", "treesample", 0), ("treesample", "smc", 0),
+    ])
+    def test_run_checks_the_checkpoint_scale(self, tmp_path, algo, method, exit_code):
+        instance = _uniform_instance(tmp_path)
+        mlp = MLPValueFunction(3 * 3, 2, hidden_units=4, num_hidden_layers=1)
+        save_checkpoint(tmp_path / "p.ckpt", mlp, Adam(mlp.parameters()), 0,
+                        TrainConfig(algo=algo))
+        code, out = _main_json(["run", str(instance), "--method", method, "--budget", "30",
+                                "--metric-samples", "8", "--prior", str(tmp_path / "p.ckpt")])
+        assert code == exit_code
+        if code == 2:
+            assert out["error"] == "ValueError"
+            assert "log conditionals" in out["message"] and "soft values" in out["message"]
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +469,15 @@ class TestErrorContract:
         (tmp_path / "bad.json").write_text("{bad")
         (tmp_path / "nofactors.json").write_text(json.dumps({"n": 1, "k": 2, "ordering": [1]}))
         (tmp_path / "badkey.json").write_text(json.dumps({"method": "sis", "budget": 10, "x": 1}))
-        (tmp_path / "bare.ckpt").write_bytes(json.dumps({"format": "treesample-mlp-v1"}).encode()
+        (tmp_path / "bare.ckpt").write_bytes(json.dumps({"format": CHECKPOINT_FORMAT}).encode()
                                               + b"\n")
+        (tmp_path / "list.json").write_text("[1]")
+        (tmp_path / "badcost.json").write_text(json.dumps({"cost_mode": "bogus"}))
+        mlp = MLPValueFunction(3 * 3, 2, hidden_units=4, num_hidden_layers=1)  # the instance's
+        save_checkpoint(tmp_path / "float.ckpt", mlp, Adam(mlp.parameters()), 0, TrainConfig())
+        header, blocks = (tmp_path / "float.ckpt").read_bytes().split(b"\n", 1)
+        header = dict(json.loads(header), hidden_units=4.0)
+        (tmp_path / "float.ckpt").write_bytes(json.dumps(header).encode() + b"\n" + blocks)
         mlp = MLPValueFunction(5 * 3, 2, hidden_units=4, num_hidden_layers=1)  # an n5 k2 graph's
         save_checkpoint(tmp_path / "n5.ckpt", mlp, Adam(mlp.parameters()), 0, TrainConfig())
         return tmp_path, str(instance)
@@ -457,12 +507,21 @@ class TestErrorContract:
         "run {instance} --method sis --budget 10 --prior {d}/n5.ckpt",
         "train {instance} --episodes 2 --resume {d}/n5.ckpt --checkpoint-out {d}/t.ckpt "
         "--metrics-out {d}/t.csv",
+        "run {instance} --method sis --budget 10 --config {d}/badcost.json",
+        "run {instance} --method smc --budget 10 --resample-threshold 1.5",
+        "run {instance} --method sis --budget 10 --config {d}/list.json",
+        "train {instance} --episodes 0 --checkpoint-out {d}/t.ckpt --metrics-out {d}/t.csv",
+        "train {instance} --episodes 1 --batch-size 0 --checkpoint-out {d}/t.ckpt "
+        "--metrics-out {d}/t.csv",
+        "run {instance} --method sis --budget 10 --prior {d}/float.ckpt",
     ], ids=["no-method", "unknown-config-key", "malformed-config-json", "missing-instance",
             "instance-without-factors", "negative-c", "unknown-generator-param",
             "checkpoint-header-without-keys", "generate-out-is-a-directory", "bench-jobs-0",
             "bench-num-instances-0", "mistyped-generator-param",
             "generator-param-divides-by-zero", "generator-param-overflows", "diverging-training",
-            "run-prior-of-another-graph-size", "resume-of-another-graph-size"])
+            "run-prior-of-another-graph-size", "resume-of-another-graph-size",
+            "config-unknown-cost-mode", "resample-threshold-above-1", "config-json-non-object",
+            "train-zero-episodes", "train-zero-batch-size", "checkpoint-float-size"])
     def test_input_error_exits_2_with_one_json_object(self, files, probe):
         d, instance = files
         code, error = _main_json(probe.format(d=d, instance=instance).split())
@@ -641,14 +700,15 @@ def test_train_fuzz_exits_0_or_2_with_one_json_object(tmp_path_factory, n, k, gr
     rng = np.random.default_rng(graph_seed)
     save_graph(make_random_graph(rng, n, k, num_extra_factors=2 if n > 1 else 0,
                                  neg_inf_frac=neg_inf_frac), d / "g.json")
-    argv = ["train", str(d / "g.json"), "--algo", algo, "--episodes", str(episodes),
+    argv = ["train", str(d / "g.json"), "--episodes", str(episodes),
             "--checkpoint-out", str(d / "out.ckpt"), "--metrics-out", str(d / "m.csv")]
     config = TrainConfig(budget_per_episode=budget, samples_per_episode=samples,
-                         batch_size=batch_size, learning_rate=learning_rate, metric_samples=8)
+                         batch_size=batch_size, learning_rate=learning_rate, metric_samples=8,
+                         algo=algo)
     if resume is None:
         argv += [f"--{f.replace('_', '-')}={getattr(config, f)}" for f in
-                 ("budget_per_episode", "samples_per_episode", "batch_size", "learning_rate",
-                  "metric_samples")]
+                 ("algo", "budget_per_episode", "samples_per_episode", "batch_size",
+                  "learning_rate", "metric_samples")]
     else:
         dim = n * (k + 1) if resume == "fits" else n * (k + 1) + 1
         mlp = MLPValueFunction(dim, k, hidden_units=8, num_hidden_layers=2)

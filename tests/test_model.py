@@ -6,6 +6,7 @@ import pytest
 
 from treesample.model import (
     BudgetLedger,
+    BudgetTooSmallError,
     FACTOR_EVAL,
     Factor,
     FactorGraph,
@@ -234,17 +235,24 @@ class TestValidation:
 class TestBudgetLedger:
     def test_charge_to_limit(self):
         led = BudgetLedger(budget=10, spent=9)
-        assert led.charge(1)
+        led.charge(1)
         assert led.spent == 10
 
     def test_exhaustion_leaves_spent(self):
+        # a charge past the budget is an accounting bug: it raises, and
+        # spent keeps its value
         led = BudgetLedger(budget=10, spent=10)
-        assert not led.charge(1)
+        with pytest.raises(RuntimeError, match="internal accounting error"):
+            led.charge(1)
         assert led.spent == 10
+        led = BudgetLedger(budget=10, spent=9)
+        with pytest.raises(RuntimeError, match="internal accounting error"):
+            led.charge(2)
+        assert led.spent == 9
 
     def test_zero_charge(self):
         led = BudgetLedger(budget=10)
-        assert led.charge(0)
+        led.charge(0)
         assert led.spent == 0
 
     def test_total_equals_sum_of_charges(self):
@@ -253,14 +261,33 @@ class TestBudgetLedger:
         total = 0
         for _ in range(100):
             amt = int(rng.integers(0, 4))
-            if led.charge(amt):
+            if amt <= led.remaining:
+                led.charge(amt)
                 total += amt
+            else:
+                with pytest.raises(RuntimeError):
+                    led.charge(amt)
             assert led.spent == total
             assert led.spent <= led.budget
 
     def test_negative_amount_rejected(self):
         with pytest.raises(ValueError):
             BudgetLedger(budget=1).charge(-1)
+
+    def test_negative_budget_and_unknown_cost_mode_rejected(self):
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            BudgetLedger(budget=-1)
+        with pytest.raises(ValueError, match="cost_mode must be one of"):
+            BudgetLedger(budget=1, cost_mode="bogus")
+
+    def test_count_sizes_the_work_or_raises(self):
+        led = BudgetLedger(budget=10)
+        assert led.count(3, "one sample") == 3
+        assert led.count(10, "one sample") == 1
+        with pytest.raises(BudgetTooSmallError, match=r"budget 10 cannot pay for one rollout "
+                                                       r"\(cost 11\)"):
+            led.count(11, "one rollout")
+        assert led.spent == 0
 
 
 class TestJsonRoundTrip:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from treesample.exact import solve_exact
 from treesample.model import Factor, FactorGraph
 from treesample.prior import (
+    CHECKPOINT_FORMAT,
     Adam,
     HeuristicPrior,
     MLPValueFunction,
@@ -261,7 +263,7 @@ class TestTrainStep:
         buf = ReplayBuffer(capacity=1, input_dim=2, output_dim=2)
         buf.add(np.ones(2), np.array([-np.inf, 1.0]))
         adam = Adam(mlp.parameters())
-        loss = train_step(mlp, buf, 1, adam, np.random.default_rng(0), clamp_floor=-50.0)
+        loss = train_step(mlp, buf, 1, adam, np.random.default_rng(0))
         assert math.isfinite(loss)
 
     def test_requires_enough_data(self):
@@ -278,6 +280,13 @@ class TestTrainConfig:
             with pytest.raises(ValueError, match=f"{key} must be finite and non-negative"):
                 TrainConfig(**{key: value})
         TrainConfig(c=0.0, epsilon=0.0)
+
+    @pytest.mark.parametrize("name", ["episodes", "budget_per_episode", "samples_per_episode",
+                                      "batch_size", "learning_rate", "metric_samples"])
+    def test_non_positive_fields_rejected(self, name):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                TrainConfig(**{name: value})
 
 
 class TestCheckpoint:
@@ -337,9 +346,33 @@ class TestCheckpoint:
 
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "bad.ckpt"
-        path.write_bytes(b'{"format": "other"}\n')
-        with pytest.raises(ValueError):
+        for fmt in ("other", "treesample-mlp-v1"):
+            path.write_bytes(json.dumps({"format": fmt}).encode() + b"\n")
+            with pytest.raises(ValueError, match="unrecognized checkpoint format"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [("input_dim", 1.5), ("hidden_units", "8"),
+                                            ("episode", -1), ("output_dim", 0)])
+    def test_rejects_non_integer_or_bad_sizes(self, tmp_path, key, value):
+        mlp = MLPValueFunction(6, 2, hidden_units=8, num_hidden_layers=2, seed=5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, mlp, Adam(mlp.parameters()), episode=0, config=TrainConfig())
+        header, blocks = path.read_bytes().split(b"\n", 1)
+        data = json.loads(header)
+        data[key] = value
+        path.write_bytes(json.dumps(data).encode() + b"\n" + blocks)
+        with pytest.raises(ValueError, match="must be integers"):
             load_checkpoint(path)
+
+    def test_header_records_the_algo(self, tmp_path):
+        mlp = MLPValueFunction(6, 2, hidden_units=8, num_hidden_layers=2, seed=5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, mlp, Adam(mlp.parameters()), episode=0,
+                        config=TrainConfig(algo="smc"))
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        assert header["format"] == CHECKPOINT_FORMAT == "treesample-mlp-v2"
+        assert header["config"]["algo"] == "smc"
+        assert load_checkpoint(path)[3].algo == "smc"
 
 
 class TestPriorDistribution:
@@ -355,9 +388,11 @@ class TestPriorDistribution:
 
 
 class TestTrainLoop:
-    def _small_mlp(self, graph):
+    def _fresh(self, graph, config):
+        """A small untrained network and its optimizer."""
         dim = graph.num_variables * (graph.num_states + 1)
-        return MLPValueFunction(dim, graph.num_states, hidden_units=32, num_hidden_layers=2, seed=0)
+        mlp = MLPValueFunction(dim, graph.num_states, hidden_units=32, num_hidden_layers=2, seed=0)
+        return mlp, Adam(mlp.parameters(), learning_rate=config.learning_rate)
 
     def test_learns_uniform_target(self):
         g = _uniform_graph(3, 2)
@@ -365,7 +400,7 @@ class TestTrainLoop:
             episodes=25, budget_per_episode=30, samples_per_episode=32, batch_size=32,
             learning_rate=3e-3, seed=1, metric_samples=64,
         )
-        mlp, history = train_loop(g, "treesample", config, mlp=self._small_mlp(g))
+        mlp, history = train_loop(g, config, *self._fresh(g, config))
         final = history[-1]
         log_z = 3 * math.log(2)
         # prior-alone KL = delta_kl_prior + log Z must approach zero
@@ -382,7 +417,7 @@ class TestTrainLoop:
             episodes=60, budget_per_episode=14, samples_per_episode=32, batch_size=32,
             learning_rate=3e-3, seed=2, metric_samples=8,
         )
-        mlp, _ = train_loop(g, "treesample", config, mlp=self._small_mlp(g))
+        mlp, _ = train_loop(g, config, *self._fresh(g, config))
         got = mlp.evaluate(g, ())
         assert np.allclose(got, q_values(sol, ()), atol=0.05)
 
@@ -390,9 +425,9 @@ class TestTrainLoop:
         g = _uniform_graph(3, 2)
         config = TrainConfig(
             episodes=3, budget_per_episode=30, samples_per_episode=16, batch_size=16,
-            learning_rate=1e-3, seed=3, metric_samples=16,
+            learning_rate=1e-3, seed=3, metric_samples=16, algo="smc",
         )
-        mlp, history = train_loop(g, "smc", config, mlp=self._small_mlp(g))
+        mlp, history = train_loop(g, config, *self._fresh(g, config))
         assert len(history) == 3
         assert all(math.isfinite(row["delta_kl"]) for row in history)
 
@@ -402,11 +437,10 @@ class TestTrainLoop:
             episodes=4, budget_per_episode=20, samples_per_episode=8, batch_size=8,
             learning_rate=1e-3, seed=9, metric_samples=8,
         )
-        _, h1 = train_loop(g, "treesample", config, mlp=self._small_mlp(g))
-        _, h2 = train_loop(g, "treesample", config, mlp=self._small_mlp(g))
+        _, h1 = train_loop(g, config, *self._fresh(g, config))
+        _, h2 = train_loop(g, config, *self._fresh(g, config))
         assert h1 == h2
 
     def test_bad_algo(self):
-        g = _uniform_graph(2, 2)
-        with pytest.raises(ValueError):
-            train_loop(g, "gibbs", TrainConfig(episodes=1), mlp=self._small_mlp(g))
+        with pytest.raises(ValueError, match="algo must be one of"):
+            TrainConfig(episodes=1, algo="gibbs")

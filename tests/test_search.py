@@ -11,7 +11,7 @@ from treesample.model import FACTOR_EVAL, REWARD_EVAL, BudgetLedger, Factor, Fac
 from treesample.prior import HeuristicPrior, MLPValueFunction
 from treesample.search import SearchTree, TreeNode, backup, build_tree, expand, q_uct_select
 
-from conftest import (ExactConditionalPrior, all_configs, kl_by_enumeration, log_joint,
+from conftest import (ExactValuePrior, all_configs, kl_by_enumeration, log_joint,
                       make_random_graph, q_values)
 
 
@@ -110,7 +110,7 @@ class TestQUctSelect:
         # rows of incomplete children score -inf during the build
         for seed in range(40):
             g = make_random_graph(np.random.default_rng(seed), 4, 3, neg_inf_frac=0.4)
-            tree = build_tree(g, ExactConditionalPrior(solve_exact(g)), 60)
+            tree = build_tree(g, ExactValuePrior(solve_exact(g)), 60)
             total = sum(math.exp(tree.log_density(x)) for x in all_configs(4, 3))
             assert abs(total - 1.0) <= 1e-12
 
@@ -172,10 +172,11 @@ class TestExpand:
         expand(g, (1, 2), HeuristicPrior(), ledger, c=2.0, epsilon=0.1)
         assert ledger.spent == 2  # both the pair factor and the unary resolve at depth 2
 
-    def test_exhaustion_signal(self):
+    def test_overrun_raises(self):
         g = _uniform_graph(2, 2)
         ledger = BudgetLedger(budget=0)
-        assert expand(g, (1,), HeuristicPrior(), ledger, c=2.0, epsilon=0.1) is None
+        with pytest.raises(RuntimeError, match="internal accounting error"):
+            expand(g, (1,), HeuristicPrior(), ledger, c=2.0, epsilon=0.1)
         assert ledger.spent == 0
 
 
@@ -360,8 +361,7 @@ def _per_level_select(node, parent_visits, c, epsilon):
 def _per_level_expand(graph, prefix, prior, ledger):
     n, k = len(prefix), graph.num_states
     cost = 0 if n == 0 else graph.reward_cost(n, ledger.cost_mode)
-    if not ledger.charge(cost):
-        return None
+    ledger.charge(cost)
     reward = 0.0 if n == 0 else graph.reward(prefix)
     if n == graph.num_variables:
         return _PerLevelNode(reward, [-math.log(k)] * k, [0.0] * k, [True] * k, True)
@@ -459,7 +459,7 @@ class TestBuildMatchesPerLevelReference:
                                   neg_inf_frac=float(rng.choice([0.1, 0.3, 0.6])),
                                   shuffle_ordering=bool(trial % 2))
             cost_mode = (REWARD_EVAL, FACTOR_EVAL)[trial % 2]
-            prior = (HeuristicPrior(), ExactConditionalPrior(solve_exact(g)),
+            prior = (HeuristicPrior(), ExactValuePrior(solve_exact(g)),
                      _small_mlp(g, seed=trial))[trial % 3]
             full = exhaustive_budget(g, cost_mode)
             for budget in (int(rng.integers(1, full)), full):
@@ -473,7 +473,7 @@ class TestBuildMatchesPerLevelReference:
         rng = np.random.default_rng(179)
         for k in (8, 10):
             g = make_random_graph(rng, 3, k, num_extra_factors=2, neg_inf_frac=0.3)
-            for prior in (HeuristicPrior(), ExactConditionalPrior(solve_exact(g)), _small_mlp(g)):
+            for prior in (HeuristicPrior(), ExactValuePrior(solve_exact(g)), _small_mlp(g)):
                 for budget in (60, 400, exhaustive_budget(g)):
                     tree = self._assert_same_tree(g, prior, budget)
                 assert tree.root_complete()

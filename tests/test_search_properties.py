@@ -5,8 +5,10 @@ Graphs have up to 5 variables of up to 3 states, random extra factors with
 past exhaustive, under both cost modes. For every tree: the ledger never
 overruns, the tree density sums to 1 over all K^N configurations, a complete
 root's value equals the exact log Z, and sample_batch's log q equals
-log_density exactly. On random two-child nodes, q_uct_select's unrolled
-binary choice equals the generic scoring loop's.
+log_density exactly. With the exact-value prior (the oracle's Q*, the
+scale the tree reads), the tree's KL to the target is 0 at every budget. On
+random two-child nodes, q_uct_select's unrolled binary choice equals the
+generic scoring loop's.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from hypothesis import strategies as st
 
 from treesample.exact import solve_exact
 from treesample.logmath import NEG_INF
-from treesample.model import COST_MODES
+from treesample.model import COST_MODES, REWARD_EVAL
 from treesample.prior import HeuristicPrior
 from treesample.search import TreeNode, build_tree, q_uct_select
 
-from conftest import all_configs, make_random_graph
+from conftest import ExactValuePrior, all_configs, kl_by_enumeration, make_random_graph
 
 trees = st.fixed_dictionaries({
     "graph_seed": st.integers(0, 2**32 - 1),
@@ -69,6 +71,30 @@ def test_search_invariants(p):
 
     xs, log_q = tree.sample_batch(50, np.random.default_rng(p["seed"]))
     assert log_q.tolist() == [tree.log_density(tuple(x)) for x in xs.tolist()]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graph_seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), k=st.integers(2, 3),
+       extra_factors=st.integers(0, 4), neg_inf_frac=st.sampled_from([0.0, 0.2, 0.5]),
+       cost_mode=st.sampled_from(COST_MODES))
+def test_exact_value_prior_gives_zero_kl_at_every_budget(graph_seed, n, k, extra_factors,
+                                                         neg_inf_frac, cost_mode):
+    """Backups of exact values reproduce them, so a tree started from Q*
+    samples the target exactly however far it has grown."""
+    rng = np.random.default_rng(graph_seed)
+    graph = make_random_graph(rng, n, k, num_extra_factors=extra_factors if n > 1 else 0,
+                              neg_inf_frac=neg_inf_frac, shuffle_ordering=True)
+    oracle = solve_exact(graph)
+    if oracle.log_z == NEG_INF:
+        return  # no target distribution to compare with
+    prior = ExactValuePrior(oracle)
+    if cost_mode == REWARD_EVAL:
+        exhaustive = sum(k**d for d in range(1, n + 1))
+    else:
+        exhaustive = graph.num_factors * k**n
+    for budget in sorted({int(b) for b in np.linspace(0, exhaustive, 10)}):
+        tree = build_tree(graph, prior, budget, cost_mode=cost_mode)
+        assert abs(kl_by_enumeration(tree.log_density, oracle, graph)) <= 1e-9
 
 
 def reference_select(node: TreeNode) -> int:
