@@ -116,6 +116,12 @@ def merge_particles(particles: np.ndarray, log_weights: np.ndarray) -> tuple[lis
     return atoms, weights.tolist()
 
 
+def check_resample_threshold(resample_threshold: float) -> None:
+    """The rule smc, RunConfig and TrainConfig share: a threshold in [0, 1]."""
+    if not 0.0 <= resample_threshold <= 1.0:  # NaN fails this too
+        raise ValueError("resample_threshold must lie in [0, 1]")
+
+
 def smc(
     graph: FactorGraph,
     prior,
@@ -129,8 +135,7 @@ def smc(
     threshold * I. A threshold of 0 never resamples and reproduces SIS.
     A particle costs reward_cost summed over depths 1..N. Raises
     DegenerateSampleError when every particle ends with zero weight."""
-    if not 0.0 <= resample_threshold <= 1.0:
-        raise ValueError("resample_threshold must lie in [0, 1]")
+    check_resample_threshold(resample_threshold)
     n = graph.num_variables
     per_particle = sum(graph.reward_cost(d, cost_mode) for d in range(1, n + 1))
     ledger = BudgetLedger(budget=budget, cost_mode=cost_mode)

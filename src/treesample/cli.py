@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .baselines import bp_sample, gibbs, sis, smc
+from .baselines import bp_sample, check_resample_threshold, gibbs, sis, smc
 from .exact import is_chain, solve_chain, solve_exact
 from .generators import FAMILIES, GeneratorSpec, generate
 from .logmath import NEG_INF, ZeroMassError
@@ -61,8 +61,7 @@ class RunConfig:
             raise ValueError(f"cost_mode must be one of {COST_MODES}")
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
-        if not 0.0 <= self.resample_threshold <= 1.0:
-            raise ValueError("resample_threshold must lie in [0, 1]")
+        check_resample_threshold(self.resample_threshold)
         for name in ("metric_samples", "num_gibbs_sweeps", "num_message_rounds", "oracle_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")

@@ -214,6 +214,21 @@ def _ordering_from_scopes(scopes: list[tuple[int, ...]], n: int) -> tuple[int, .
     return tuple(order)
 
 
+def _admissible_cliques(family: str, num_nodes: int, p: float, max_clique: int,
+                        rejection_cap: int, rng) -> list[tuple[int, ...]]:
+    """The maximal cliques of the first connected Erdos-Renyi G(num_nodes, p)
+    draw whose cliques have at most max_clique members. The caller draws its
+    tables from the same rng afterwards. Raises GenerationError after
+    rejection_cap rejected draws."""
+    for _ in range(rejection_cap):
+        adj = _erdos_renyi(num_nodes, p, rng)
+        if _connected(adj):
+            cliques = maximal_cliques(adj)
+            if max(len(c) for c in cliques) <= max_clique:
+                return cliques
+    raise GenerationError(f"no admissible {family} graph within {rejection_cap} attempts")
+
+
 def gen_fg1(
     n: int,
     k: int,
@@ -225,22 +240,14 @@ def gen_fg1(
     if n < 2:
         raise ValueError("fg1 needs at least two variables")
     rng = np.random.default_rng(seed)
-    p = 2.0 * math.log(n) / n
-    for _ in range(rejection_cap):
-        adj = _erdos_renyi(n, p, rng)
-        if not _connected(adj):
-            continue
-        cliques = maximal_cliques(adj)
-        if max(len(c) for c in cliques) > max_clique:
-            continue
-        factors = []
-        for clique in cliques:
-            scope = tuple(v + 1 for v in clique)
-            table = rng.standard_normal(k ** len(scope))
-            factors.append(Factor(scope=scope, table=table))
-        ordering = _ordering_from_scopes([f.scope for f in factors], n)
-        return FactorGraph(num_variables=n, num_states=k, factors=tuple(factors), ordering=ordering)
-    raise GenerationError(f"no admissible fg1 graph within {rejection_cap} attempts")
+    cliques = _admissible_cliques("fg1", n, 2.0 * math.log(n) / n, max_clique, rejection_cap, rng)
+    factors = []
+    for clique in cliques:
+        scope = tuple(v + 1 for v in clique)
+        table = rng.standard_normal(k ** len(scope))
+        factors.append(Factor(scope=scope, table=table))
+    ordering = _ordering_from_scopes([f.scope for f in factors], n)
+    return FactorGraph(num_variables=n, num_states=k, factors=tuple(factors), ordering=ordering)
 
 
 def gen_fg2(
@@ -259,29 +266,18 @@ def gen_fg2(
         raise ValueError("fg2 needs an even number of variables, at least 4")
     num_pairs = n // 2
     rng = np.random.default_rng(seed)
-    p = 3.0 * math.log(num_pairs) / n
-    for _ in range(rejection_cap):
-        adj = _erdos_renyi(num_pairs, p, rng)
-        if not _connected(adj):
-            continue
-        cliques = maximal_cliques(adj)
-        if max(len(c) for c in cliques) > max_clique:
-            continue
-        factors = []
-        not_table = scale * np.array([0.0, 1.0, 1.0, 0.0])
-        for j in range(num_pairs):
-            factors.append(Factor(scope=(2 * j + 1, 2 * j + 2), table=not_table.copy()))
-        for clique in cliques:
-            members = [2 * j + 1 + int(rng.integers(0, 2)) for j in clique]
-            scope = tuple(sorted(members))
-            factors.append(Factor(scope=scope, table=_majority_table(len(scope), scale)))
-        return FactorGraph(
-            num_variables=n,
-            num_states=k,
-            factors=tuple(factors),
-            ordering=tuple(range(1, n + 1)),
-        )
-    raise GenerationError(f"no admissible fg2 graph within {rejection_cap} attempts")
+    cliques = _admissible_cliques("fg2", num_pairs, 3.0 * math.log(num_pairs) / n, max_clique,
+                                  rejection_cap, rng)
+    factors = []
+    not_table = scale * np.array([0.0, 1.0, 1.0, 0.0])
+    for j in range(num_pairs):
+        factors.append(Factor(scope=(2 * j + 1, 2 * j + 2), table=not_table.copy()))
+    for clique in cliques:
+        members = [2 * j + 1 + int(rng.integers(0, 2)) for j in clique]
+        scope = tuple(sorted(members))
+        factors.append(Factor(scope=scope, table=_majority_table(len(scope), scale)))
+    return FactorGraph(num_variables=n, num_states=k, factors=tuple(factors),
+                       ordering=tuple(range(1, n + 1)))
 
 
 def _majority_table(scope_size: int, scale: float) -> np.ndarray:

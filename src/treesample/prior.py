@@ -14,6 +14,10 @@ The tree reads a prior's outputs as soft values (log future mass), the scale
 train --algo treesample fits; --algo smc fits log conditionals, which only
 softmax proposals read alike. TrainConfig records the algo; the replay
 capacity, the target floor and Adam's moment rates are constants.
+
+The MLP's trainable state is three float64 vectors in one layout (see
+MLPValueFunction): its parameters, flat, and Adam's two moments. The
+gradient shares the layout, and a checkpoint stores the three vectors.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .baselines import check_resample_threshold
 from .model import FactorGraph, Prefix, check_type
 from .search import build_tree, check_search_params
 
@@ -105,6 +110,12 @@ class MLPValueFunction:
     """Plain fully connected ReLU network in float64 numpy.
 
     Architecture: input -> [hidden x num_hidden_layers] -> K linear outputs.
+    Every parameter lives in one float64 vector, flat, in the checkpoint's
+    layout: layer by layer from the input, each layer's (fan_in, fan_out)
+    weight matrix row-major, then its fan_out biases, i.e. one row-major
+    (fan_in + 1, fan_out) block whose last row is the biases. weights and
+    biases are views of flat, so parameters() is [flat] and an in-place
+    update of flat (Adam.step) updates the layers.
     """
 
     def __init__(
@@ -119,28 +130,25 @@ class MLPValueFunction:
         self.output_dim = output_dim
         self.hidden_units = hidden_units
         self.num_hidden_layers = num_hidden_layers
+        layers = self._layer_dims()
+        self.flat = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in layers))
+        self.weights, self.biases = self._views(self.flat)
         rng = np.random.default_rng(seed)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in self._layer_dims():
-            scale = math.sqrt(2.0 / fan_in)
-            self.weights.append(rng.normal(scale=scale, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+        for w, (fan_in, fan_out) in zip(self.weights, layers):
+            w[...] = rng.normal(scale=math.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, input_dim: int, output_dim: int, hidden_units: int,
                   num_hidden_layers: int) -> "MLPValueFunction":
-        """The network whose get_flat() equals flat, built without drawing
-        the random initial weights that set_flat would overwrite."""
+        """The network whose parameter vector is flat itself, not a copy,
+        built without drawing random initial weights."""
         mlp = cls.__new__(cls)
         mlp.input_dim = input_dim
         mlp.output_dim = output_dim
         mlp.hidden_units = hidden_units
         mlp.num_hidden_layers = num_hidden_layers
-        layers = mlp._layer_dims()
-        mlp.weights = [np.empty((fan_in, fan_out)) for fan_in, fan_out in layers]
-        mlp.biases = [np.empty(fan_out) for _, fan_out in layers]
-        mlp.set_flat(flat)
+        mlp.flat = flat
+        mlp.weights, mlp.biases = mlp._views(flat)
         return mlp
 
     def _layer_dims(self) -> list[tuple[int, int]]:
@@ -148,27 +156,22 @@ class MLPValueFunction:
         dims = [self.input_dim] + [self.hidden_units] * self.num_hidden_layers + [self.output_dim]
         return list(zip(dims[:-1], dims[1:]))
 
-    # -- parameter plumbing ------------------------------------------------
-
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.parameters()])
-
-    def set_flat(self, flat: np.ndarray) -> None:
+    def _views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer (weights, biases) views of a vector in flat's layout;
+        raises ValueError if its length does not fit the layout."""
+        weights, biases = [], []
         i = 0
-        for p in self.parameters():
-            p[...] = flat[i : i + p.size].reshape(p.shape)
-            i += p.size
+        for fan_in, fan_out in self._layer_dims():
+            block = flat[i : i + (fan_in + 1) * fan_out].reshape(fan_in + 1, fan_out)
+            weights.append(block[:-1])
+            biases.append(block[-1])
+            i += block.size
         if i != flat.size:
             raise ValueError("flat parameter vector has the wrong length")
+        return weights, biases
+
+    def parameters(self) -> list[np.ndarray]:
+        return [self.flat]
 
     # -- forward / backward ------------------------------------------------
 
@@ -198,24 +201,22 @@ class MLPValueFunction:
         return out
 
     def loss_and_gradients(self, x: np.ndarray, targets: np.ndarray):
-        """Mean squared-L2 regression loss and its parameter gradients."""
+        """Mean squared-L2 regression loss and [its gradient], one vector in
+        flat's layout whose per-layer views the backward pass fills."""
         acts = []
         out = self._forward(x, acts)
         batch = x.shape[0]
         diff = out - targets
         loss = float(np.sum(diff * diff) / batch)
-        grad_ws = [np.empty_like(w) for w in self.weights]
-        grad_bs = [np.empty_like(b) for b in self.biases]
+        grad = np.empty_like(self.flat)
+        grad_ws, grad_bs = self._views(grad)
         delta = 2.0 * diff / batch
         for layer in range(len(self.weights) - 1, -1, -1):
-            grad_ws[layer] = acts[layer].T @ delta
-            grad_bs[layer] = delta.sum(axis=0)
+            np.matmul(acts[layer].T, delta, out=grad_ws[layer])
+            delta.sum(axis=0, out=grad_bs[layer])
             if layer > 0:
                 delta = (delta @ self.weights[layer].T) * (acts[layer] > 0.0)
-        grads = []
-        for gw, gb in zip(grad_ws, grad_bs):
-            grads.extend((gw, gb))
-        return loss, grads
+        return loss, [grad]
 
     # -- prior interface ---------------------------------------------------
 
@@ -235,7 +236,8 @@ class MLPValueFunction:
 
 
 class Adam:
-    """Adam with the standard moment rates; state aligned with a parameter list."""
+    """Adam with the standard moment rates; state aligned with a parameter
+    list, which for an MLPValueFunction is [flat]."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -331,6 +333,7 @@ class TrainConfig:
         if self.algo not in ALGOS:
             raise ValueError(f"algo must be one of {ALGOS}")
         check_search_params(self.c, self.epsilon)
+        check_resample_threshold(self.resample_threshold)
 
 
 def _smc_step_targets(atoms, weights, num_particles: int, k: int):
@@ -377,18 +380,17 @@ def train_loop(graph: FactorGraph, config: TrainConfig, mlp: MLPValueFunction, a
         draw_rng = np.random.default_rng(draw_seed)
         degenerate = False
         delta_kl = math.nan
-        pairs: list[tuple[Prefix, np.ndarray]] = []
+        targets: dict = {}  # prefix -> value target, for the prefixes that have one
+        draws: list[Prefix] = []  # configurations whose prefixes go to replay
 
         if config.algo == "treesample":
             tree = build_tree(graph, mlp, config.budget_per_episode, c=config.c,
                               epsilon=config.epsilon)
             xs, log_q = tree.sample_batch(config.samples_per_episode, draw_rng)
             delta_kl = sampler_estimate(log_q, graph.log_unnormalized_density_batch(xs)).delta_kl
-            for x in map(tuple, xs.tolist()):
-                for d in range(n):
-                    node = tree.nodes.get(x[:d])
-                    if node is not None:
-                        pairs.append((x[:d], node.q.copy()))
+            # the finished tree no longer changes, and replay copies each target
+            targets = {prefix: node.q for prefix, node in tree.nodes.items()}
+            draws = list(map(tuple, xs.tolist()))
         else:
             try:
                 result = smc(graph, mlp, config.budget_per_episode,
@@ -399,14 +401,15 @@ def train_loop(graph: FactorGraph, config: TrainConfig, mlp: MLPValueFunction, a
                 delta_kl = delta_kl_atoms(result, graph)
                 targets = _smc_step_targets(result.atoms, result.weights, result.num_particles, k)
                 w = np.asarray(result.weights)
-                for _ in range(config.samples_per_episode):
-                    i = int(draw_rng.choice(len(result.atoms), p=w))
-                    x = result.atoms[i]
-                    for d in range(n):
-                        t = targets.get(x[:d])
-                        if t is not None:
-                            pairs.append((x[:d], t))
+                draws = [result.atoms[int(draw_rng.choice(len(result.atoms), p=w))]
+                         for _ in range(config.samples_per_episode)]
 
+        pairs = []
+        for x in draws:  # draw by draw, then depth by depth
+            for d in range(n):
+                target = targets.get(x[:d])
+                if target is not None:
+                    pairs.append((x[:d], target))
         encoded = encode_batch(graph, [prefix for prefix, _ in pairs])
         for x, (_, target) in zip(encoded, pairs):
             replay.add(x, target)
@@ -436,8 +439,9 @@ def train_loop(graph: FactorGraph, config: TrainConfig, mlp: MLPValueFunction, a
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: one JSON header line, then raw little-endian float64 blocks
-# (parameters, Adam first moments, Adam second moments). Loads bit-exactly.
+# Checkpoints: one JSON header line, then three raw little-endian float64
+# blocks in MLPValueFunction.flat's layout (parameters, Adam first moments,
+# Adam second moments). Loads bit-exactly.
 # The header stores the whole TrainConfig, so its algo names the output scale.
 # ---------------------------------------------------------------------------
 
@@ -450,20 +454,16 @@ def save_checkpoint(path, mlp: MLPValueFunction, adam: Adam, episode: int,
         "output_dim": mlp.output_dim,
         "hidden_units": mlp.hidden_units,
         "num_hidden_layers": mlp.num_hidden_layers,
-        "num_parameters": mlp.num_parameters(),
+        "num_parameters": mlp.flat.size,
         "adam_step": adam.step_count,
         "episode": episode,
         "config": asdict(config),
     }
-    flat = mlp.get_flat()
-    m = np.concatenate([a.ravel() for a in adam.m])
-    v = np.concatenate([a.ravel() for a in adam.v])
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(flat.astype("<f8").tobytes())
-        fh.write(m.astype("<f8").tobytes())
-        fh.write(v.astype("<f8").tobytes())
+        for block in (mlp.flat, *adam.m, *adam.v):
+            fh.write(block.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -477,7 +477,7 @@ def load_checkpoint(path):
         try:
             config = TrainConfig(**header["config"])
             d_in, d_out, h, layers, adam_step, episode = sizes = [header[key] for key in keys]
-        except (KeyError, TypeError) as exc:  # a missing entry or a bad training config
+        except (KeyError, TypeError, ValueError) as exc:  # a missing entry or a bad config
             raise ValueError(f"malformed checkpoint header in {path}: {exc!r}") from None
         if not all(isinstance(v, int) and v >= 0 for v in sizes) or 0 in sizes[:4]:
             raise ValueError(f"checkpoint {keys} must be integers, the first four positive")
@@ -487,16 +487,12 @@ def load_checkpoint(path):
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         if size != expected:
             raise ValueError(f"checkpoint block size {size} != expected {expected}")
+        # the network keeps only its own block alive, and dropping the
+        # optimizer frees the moment blocks
         flat = np.fromfile(fh, dtype="<f8", count=count)
-        moments = np.fromfile(fh, dtype="<f8", count=2 * count)
+        m, v = np.fromfile(fh, dtype="<f8", count=2 * count).reshape(2, count)
     mlp = MLPValueFunction.from_flat(flat, d_in, d_out, hidden_units=h, num_hidden_layers=layers)
-    # Adam's moments are views of the file's two moment blocks, not zeros
-    # overwritten from them
     adam = Adam([], learning_rate=config.learning_rate)
     adam.step_count = adam_step
-    i = 0
-    for p in mlp.parameters():
-        adam.m.append(moments[i : i + p.size].reshape(p.shape))
-        adam.v.append(moments[count + i : count + i + p.size].reshape(p.shape))
-        i += p.size
+    adam.m, adam.v = [m], [v]
     return mlp, adam, episode, config

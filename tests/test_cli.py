@@ -403,6 +403,19 @@ class TestTrain:
             assert code == 2
             assert "must be finite and non-negative" in error["message"]
 
+    @pytest.mark.parametrize("algo", ["treesample", "smc"])
+    def test_bad_resample_threshold_exits_2_before_training(self, tmp_path, algo):
+        instance = _uniform_instance(tmp_path)
+        ckpt, metrics = tmp_path / "m.ckpt", tmp_path / "m.csv"
+        code, error = _main_json(["train", str(instance), "--algo", algo, "--episodes", "1",
+                                  "--budget-per-episode", "20", "--samples-per-episode", "4",
+                                  "--batch-size", "4", "--metric-samples", "8",
+                                  "--resample-threshold", "7", "--checkpoint-out", str(ckpt),
+                                  "--metrics-out", str(metrics)])
+        assert code == 2
+        assert error["message"] == "resample_threshold must lie in [0, 1]"
+        assert not ckpt.exists() and not metrics.exists()
+
     def test_resume_cannot_go_back(self, tmp_path, capsys):
         # a checkpoint of 3 episodes resumed with --episodes 1 would train
         # nothing and write a checkpoint at episode 1 with 3 episodes of Adam

@@ -159,13 +159,13 @@ class TestBatchEvaluation:
 class TestMlp:
     def test_zero_parameters_give_zero(self):
         mlp = MLPValueFunction(4, 2, hidden_units=8, num_hidden_layers=2, seed=0)
-        mlp.set_flat(np.zeros(mlp.num_parameters()))
+        mlp.flat[:] = 0.0
         assert np.array_equal(mlp.forward(np.ones((3, 4))), np.zeros((3, 2)))
 
     def test_single_unit_analytic(self):
         mlp = MLPValueFunction(1, 1, hidden_units=1, num_hidden_layers=1, seed=0)
         # out = w2 * relu(w1*x + b1) + b2 with w1=2, b1=-1, w2=3, b2=0.5
-        mlp.set_flat(np.array([2.0, -1.0, 3.0, 0.5]))
+        mlp.flat[:] = [2.0, -1.0, 3.0, 0.5]
         x = np.array([[2.0], [-1.0]])
         out = mlp.forward(x)
         assert out[0, 0] == pytest.approx(3.0 * max(2.0 * 2.0 - 1.0, 0.0) + 0.5)
@@ -179,26 +179,55 @@ class TestMlp:
             y = rng.normal(size=(4, 3))
             _, grads = mlp.loss_and_gradients(x, y)
             flat_grad = np.concatenate([g.ravel() for g in grads])
-            theta = mlp.get_flat()
+            theta = mlp.flat.copy()
             h = 1e-5
             idx = rng.choice(theta.size, size=40, replace=False)
             for i in idx:
                 bump = np.zeros_like(theta)
                 bump[i] = h
-                mlp.set_flat(theta + bump)
+                mlp.flat[:] = theta + bump
                 up, _ = mlp.loss_and_gradients(x, y)
-                mlp.set_flat(theta - bump)
+                mlp.flat[:] = theta - bump
                 down, _ = mlp.loss_and_gradients(x, y)
-                mlp.set_flat(theta)
+                mlp.flat[:] = theta
                 fd = (up - down) / (2 * h)
                 denom = max(abs(fd), abs(flat_grad[i]), 1e-8)
                 assert abs(fd - flat_grad[i]) / denom < 1e-4
 
+    def test_views_stay_views(self, tmp_path):
+        # after construction, after a load and after training steps on both,
+        # every layer is a view of flat, in the documented layout, and each
+        # Adam moment is one vector of flat's size
+        def assert_views(mlp, adam):
+            assert len(mlp.parameters()) == 1 and mlp.parameters()[0] is mlp.flat
+            for layer in mlp.weights + mlp.biases:
+                assert np.shares_memory(layer, mlp.flat)
+            layout = [np.concatenate([w.ravel(), b]) for w, b in zip(mlp.weights, mlp.biases)]
+            assert np.array_equal(np.concatenate(layout), mlp.flat)
+            for moment in (adam.m, adam.v):
+                assert len(moment) == 1 and moment[0].shape == mlp.flat.shape
+
+        mlp = MLPValueFunction(6, 2, hidden_units=8, num_hidden_layers=2, seed=7)
+        adam = Adam(mlp.parameters())
+        assert_views(mlp, adam)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, mlp, adam, episode=0, config=TrainConfig())
+        mlp2, adam2, _, _ = load_checkpoint(path)
+        assert_views(mlp2, adam2)
+        buf = ReplayBuffer(capacity=4, input_dim=6, output_dim=2)
+        rng = np.random.default_rng(2)
+        for _ in range(4):
+            buf.add(rng.normal(size=6), rng.normal(size=2))
+        for net, opt in ((mlp, adam), (mlp2, adam2)):
+            before = net.flat.copy()
+            for _ in range(3):
+                train_step(net, buf, 2, opt, rng)
+            assert not np.array_equal(net.flat, before)
+            assert_views(net, opt)
+
     def test_nan_parameters_hard_error(self):
         mlp = MLPValueFunction(2, 2, hidden_units=4, num_hidden_layers=1, seed=0)
-        flat = mlp.get_flat()
-        flat[0] = np.nan
-        mlp.set_flat(flat)
+        mlp.flat[0] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             mlp.forward(np.ones((1, 2)))
 
@@ -243,10 +272,10 @@ class TestTrainStep:
         x = rng.normal(size=3)
         buf.add(x, mlp.forward(x[None, :])[0])
         adam = Adam(mlp.parameters())
-        before = mlp.get_flat().copy()
+        before = mlp.flat.copy()
         loss = train_step(mlp, buf, batch_size=1, adam=adam, rng=rng)
         assert loss == pytest.approx(0.0, abs=1e-24)
-        assert np.array_equal(mlp.get_flat(), before)  # zero gradient, zero update
+        assert np.array_equal(mlp.flat, before)  # zero gradient, zero update
 
     def test_overfits_single_example(self):
         mlp = MLPValueFunction(4, 3, hidden_units=32, num_hidden_layers=2, seed=4)
@@ -281,6 +310,13 @@ class TestTrainConfig:
                 TrainConfig(**{key: value})
         TrainConfig(c=0.0, epsilon=0.0)
 
+    def test_resample_threshold_validated(self):
+        for value in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=r"resample_threshold must lie in \[0, 1\]"):
+                TrainConfig(resample_threshold=value)
+        TrainConfig(resample_threshold=0.0)
+        TrainConfig(resample_threshold=1.0)
+
     @pytest.mark.parametrize("name", ["episodes", "budget_per_episode", "samples_per_episode",
                                       "batch_size", "learning_rate", "metric_samples"])
     def test_non_positive_fields_rejected(self, name):
@@ -305,7 +341,7 @@ class TestCheckpoint:
         mlp2, adam2, episode, config2 = load_checkpoint(path)
         assert episode == 3
         assert config2 == config
-        assert np.array_equal(mlp.get_flat(), mlp2.get_flat())
+        assert np.array_equal(mlp.flat, mlp2.flat)
         assert adam2.step_count == adam.step_count
         for a, b in zip(adam.m, adam2.m):
             assert np.array_equal(a, b)
@@ -314,7 +350,7 @@ class TestCheckpoint:
         # the loaded moments take further steps in place, as the saved ones do
         train_step(mlp, buf, 2, adam, np.random.default_rng(3))
         train_step(mlp2, buf, 2, adam2, np.random.default_rng(3))
-        assert np.array_equal(mlp.get_flat(), mlp2.get_flat())
+        assert np.array_equal(mlp.flat, mlp2.flat)
         for a, b in zip(adam.m + adam.v, adam2.m + adam2.v):
             assert np.array_equal(a, b)
 
@@ -332,7 +368,8 @@ class TestCheckpoint:
         mlp2 = load_checkpoint(path)[0]
         assert (mlp2.input_dim, mlp2.output_dim, mlp2.hidden_units, mlp2.num_hidden_layers) == \
             (6, 2, 8, 3)
-        assert [p.shape for p in mlp2.parameters()] == [p.shape for p in mlp.parameters()]
+        assert [w.shape for w in mlp2.weights] == [w.shape for w in mlp.weights]
+        assert [b.shape for b in mlp2.biases] == [b.shape for b in mlp.biases]
         x = np.random.standard_normal((5, 6))
         assert np.array_equal(mlp2.forward(x), mlp.forward(x))
 
@@ -363,6 +400,20 @@ class TestCheckpoint:
         path.write_bytes(json.dumps(data).encode() + b"\n" + blocks)
         with pytest.raises(ValueError, match="must be integers"):
             load_checkpoint(path)
+
+    def test_rejected_training_config_names_the_file(self, tmp_path):
+        # a header config that TrainConfig rejects by value, such as a
+        # resample threshold of 7.0, is a malformed header like a missing key
+        mlp = MLPValueFunction(6, 2, hidden_units=8, num_hidden_layers=2, seed=5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, mlp, Adam(mlp.parameters()), episode=0, config=TrainConfig())
+        header, blocks = path.read_bytes().split(b"\n", 1)
+        data = json.loads(header)
+        data["config"]["resample_threshold"] = 7.0
+        path.write_bytes(json.dumps(data).encode() + b"\n" + blocks)
+        with pytest.raises(ValueError, match="malformed checkpoint header in") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value) and "resample_threshold" in str(info.value)
 
     def test_header_records_the_algo(self, tmp_path):
         mlp = MLPValueFunction(6, 2, hidden_units=8, num_hidden_layers=2, seed=5)
