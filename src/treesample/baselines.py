@@ -10,17 +10,17 @@ Each sampler is an array program over all of its particles or messages:
   one prior.evaluate_batch call per depth; HeuristicPrior's depend on the
   depth alone and come back as one broadcast row, which
   sample_softmax_rows reduces once for all particles.
-- Gibbs runs all chains in lockstep on one (chains, N) state array. A site
-  update scores the K completions of every chain through the site's factors
-  at once: per factor, one (chains,) table index from the factor's other
-  scope positions, plus stride * (0..K-1) for the site, gathers a
-  (chains, K) block of table entries, and the blocks add up in site-factor
-  order. Each chain's value is drawn with draw_softmax_rows, which computes
-  no log probability. Each site update reads exactly one uniform per chain:
-  chain by chain, the stream holds the chain's initial state and then one
-  uniform per site update, so the draws equal a chain-at-a-time loop that
-  draws each site from its own softmax. A zero-mass conditional takes the
-  uniform value min(int(u * K), K - 1) + 1 from that same uniform u.
+- Gibbs runs all chains in lockstep on one (chains, N) state array. One pass
+  over the factors builds its site table: per variable, in raw index order,
+  its column, the charge of one update of one chain, and per site factor
+  the terms a site update gathers. A site update scores the K completions of
+  every chain through the site's factors at once: per factor, one (chains,)
+  table index from the factor's other scope positions, plus
+  stride * (0..K-1) for the site, gathers a (chains, K) block of table
+  entries, and the blocks add up in site-factor order. Each site update
+  reads exactly one uniform per chain: chain by chain, the stream holds the
+  chain's initial state and then one uniform per site update, so the draws
+  equal a chain-at-a-time loop that draws each site from its own softmax.
 - Loopy BP stores the messages as (edges, K) arrays, one edge per (factor,
   scope position), and a round reduces every factor->variable message of one
   arity in one pass. The sums and normalizers keep the order and arithmetic
@@ -33,7 +33,11 @@ Each sampler is an array program over all of its particles or messages:
   does not change what a budget buys. The samples share their prefixes'
   rounds: bp_sample walks the trie of sampled assignment prefixes depth
   first, runs each node's rounds once, and charges the node what its
-  member samples would pay one by one.
+  member samples would pay one by one. Each draw is written at its
+  variable's depth column, so the samples come out as prefixes.
+
+Gibbs and BP share one zero-mass rule: a conditional or marginal of all -inf
+draws min(int(u * K), K - 1) + 1 off its own uniform u, and is counted.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logmath import (NEG_INF, ZeroMassError, draw_softmax_rows, log_each, logsumexp,
-                      logsumexp_rows, sample_softmax_rows, shifted_exp_sums)
+from .logmath import (NEG_INF, draw_softmax_rows, log_each, logsumexp, logsumexp_rows,
+                      sample_softmax_rows, shifted_exp_sums)
 from .model import BudgetTooSmallError  # noqa: F401  (BudgetLedger.count raises it)
 from .model import REWARD_EVAL, BudgetLedger, FactorGraph, Prefix
 
@@ -60,6 +64,8 @@ class WeightedAtoms:
 
     num_particles, log_z_estimate, budget_spent and zero_conditional_count
     are run metadata, not part of the distribution itself.
+    zero_conditional_count counts the draws made at zero mass: a chain's
+    Gibbs site update or a sample's BP draw; SMC and SIS leave it 0.
     """
 
     atoms: list[Prefix]
@@ -137,9 +143,9 @@ def smc(
     DegenerateSampleError when every particle ends with zero weight."""
     check_resample_threshold(resample_threshold)
     n = graph.num_variables
-    per_particle = sum(graph.reward_cost(d, cost_mode) for d in range(1, n + 1))
+    costs = [graph.reward_cost(d, cost_mode) for d in range(1, n + 1)]
     ledger = BudgetLedger(budget=budget, cost_mode=cost_mode)
-    num = ledger.count(per_particle, "one rollout")
+    num = ledger.count(sum(costs), "one rollout")
     rng = np.random.default_rng(seed)
     particles = np.zeros((num, n), dtype=np.int64)
     lw = np.zeros(num)
@@ -148,14 +154,16 @@ def smc(
         qs = np.asarray(prior.evaluate_batch(graph, particles[:, : depth - 1]), dtype=np.float64)
         actions, logq = sample_softmax_rows(qs, rng.random(num))
         particles[:, depth - 1] = actions + 1
-        ledger.charge(num * graph.reward_cost(depth, cost_mode))
+        ledger.charge(num * costs[depth - 1])
         lw += graph.reward_batch(particles[:, :depth]) - logq
-        if depth < n and resample_threshold > 0.0 and np.max(lw) > NEG_INF:
-            # ESS on max-shifted weights: exact (no division) for uniform weights
-            shifted = np.exp(lw - np.max(lw))
+        if depth < n and resample_threshold > 0.0 and (m := float(np.max(lw))) > NEG_INF:
+            # ESS on max-shifted weights: exact (no division) for uniform
+            # weights; m + log(total) is logsumexp(lw), in its arithmetic
+            shifted = np.exp(lw - m)
+            total = float(shifted.sum())
             if effective_sample_size(shifted) < resample_threshold * num:
-                log_z += logsumexp(lw) - math.log(num)
-                counts = rng.multinomial(num, shifted / shifted.sum())
+                log_z += m + math.log(total) - math.log(num)
+                counts = rng.multinomial(num, shifted / total)
                 particles = particles[np.repeat(np.arange(num), counts)]
                 lw[:] = 0.0
     log_z += logsumexp(lw) - math.log(num)
@@ -182,6 +190,20 @@ def sis(
     return smc(graph, prior, budget, resample_threshold=0.0, seed=seed, cost_mode=cost_mode)
 
 
+def _draw_or_uniform(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int]:
+    """draw_softmax_rows' 0-based draws (q may be one shared (1, K) row), but
+    a row of all -inf takes min(int(u * K), K - 1) off its own uniform u.
+    Returns the draws and the number of these zero-mass draws."""
+    zero = q.max(axis=1) == NEG_INF
+    if not zero.any():
+        return draw_softmax_rows(q, u)[0], 0
+    zero = np.broadcast_to(zero, u.shape)  # a shared row's zero mass is every draw's
+    drawn = np.minimum((u * q.shape[1]).astype(np.int64), q.shape[1] - 1)
+    if not zero.all():
+        drawn[~zero] = draw_softmax_rows(q[~zero], u[~zero])[0]
+    return drawn, int(zero.sum())
+
+
 # ---------------------------------------------------------------------------
 # Gibbs
 # ---------------------------------------------------------------------------
@@ -206,17 +228,20 @@ def gibbs(
     if num_sweeps < 1:
         raise ValueError("num_sweeps must be at least 1")
     n, k = graph.num_variables, graph.num_states
-    site_factors = {v: [] for v in range(1, n + 1)}
-    for depth_factors in (graph.factors_at_depth(d) for d in range(1, n + 1)):
-        for cf in depth_factors:
-            for v in cf.factor.scope:
-                site_factors[v].append(cf)
-    if cost_mode == REWARD_EVAL:
-        site_cost = {v: k for v in site_factors}
-    else:
-        site_cost = {v: k * len(fs) for v, fs in site_factors.items()}
+    # per site factor of v: its table, the (column, stride) of its other scope
+    # positions, and the index offsets stride * (0..K-1) of v's values
+    terms = {v: [] for v in range(1, n + 1)}
+    for d in range(1, n + 1):
+        for cf in graph.factors_at_depth(d):
+            scope = list(zip(cf.factor.scope, cf.positions.tolist(), cf.strides.tolist()))
+            for v, pos, stride in scope:
+                others = [(p - 1, s) for _, p, s in scope if p != pos]
+                terms[v].append((cf.table, others, np.arange(k) * stride))
+    # per site update, in raw index order: (column, charge of one chain, terms)
+    sites = [(graph.depth_of(v) - 1, k if cost_mode == REWARD_EVAL else k * len(terms[v]),
+              terms[v]) for v in range(1, n + 1)]
     ledger = BudgetLedger(budget=budget, cost_mode=cost_mode)
-    num = ledger.count(num_sweeps * sum(site_cost.values()), "one sample")
+    num = ledger.count(num_sweeps * sum(cost for _, cost, _ in sites), "one sample")
     rng = np.random.default_rng(seed)
     # chain by chain: the initial state, then one uniform per site update
     states = np.empty((num, n), dtype=np.int64)
@@ -225,47 +250,21 @@ def gibbs(
         states[i] = rng.integers(1, k + 1, size=n)
         uniforms[i] = rng.random(num_sweeps * n)
     x = states - 1  # 0-based values, the digits of a table index
-    # per site factor: its table, the (column, stride) of its other scope
-    # positions, and the index offsets stride * (0..K-1) of the site's values
-    site_terms = {v: [] for v in site_factors}
-    for v, factors in site_factors.items():
-        depth = graph.depth_of(v)
-        for cf in factors:
-            terms = list(zip(cf.positions.tolist(), cf.strides.tolist()))
-            others = [(pos - 1, stride) for pos, stride in terms if pos != depth]
-            offsets = np.arange(k) * dict(terms)[depth]
-            site_terms[v].append((cf.table, others, offsets))
     zero_conditionals = 0
-    for t, v in enumerate(list(range(1, n + 1)) * num_sweeps):
-        col = graph.depth_of(v) - 1
-        ledger.charge(num * site_cost[v])
+    for t, (col, cost, site_terms) in enumerate(sites * num_sweeps):
+        ledger.charge(num * cost)
         # scores[c, j]: the site's factors at chain c with the site set to j + 1
         scores = np.zeros((num, k))
-        for table, others, offsets in site_terms[v]:
+        for table, others, offsets in site_terms:
             base = np.zeros(num, dtype=np.int64)
             for c, stride in others:
                 base += x[:, c] * stride
             scores += table[base[:, None] + offsets]
-        u = uniforms[:, t]
-        zero = scores.max(axis=1) == NEG_INF
-        if zero.any():
-            # zero-mass conditional: a uniform value read off the same uniform
-            zero_conditionals += int(zero.sum())
-            x[zero, col] = np.minimum((u[zero] * k).astype(np.int64), k - 1)
-            live = ~zero
-            if live.any():
-                x[live, col] = draw_softmax_rows(scores[live], u[live])[0]
-        else:
-            x[:, col] = draw_softmax_rows(scores, u)[0]
-    states = x + 1
-    atoms, weights = merge_particles(states, np.zeros(num))
-    return WeightedAtoms(
-        atoms=atoms,
-        weights=weights,
-        num_particles=num,
-        budget_spent=ledger.spent,
-        zero_conditional_count=zero_conditionals,
-    )
+        x[:, col], zeros = _draw_or_uniform(scores, uniforms[:, t])
+        zero_conditionals += zeros
+    atoms, weights = merge_particles(x + 1, np.zeros(num))
+    return WeightedAtoms(atoms=atoms, weights=weights, num_particles=num,
+                         budget_spent=ledger.spent, zero_conditional_count=zero_conditionals)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +419,9 @@ def bp_sample(
     node charges members * num_message_rounds * num_factors units, what
     its members would pay one by one. The uniforms are drawn up front as
     one (samples, N) block, the stream of one draw per sample and variable
-    in that order, so the atoms, the charge and any ZeroMassError equal a
-    sample-at-a-time loop's.
+    in that order, so the atoms, the charge and the zero-mass count equal a
+    sample-at-a-time loop's. A marginal of zero mass gives each member the
+    uniform value read off its own uniform, as a Gibbs site update does.
     """
     if num_message_rounds < 1:
         raise ValueError("num_message_rounds must be at least 1")
@@ -430,12 +430,13 @@ def bp_sample(
     ledger = BudgetLedger(budget=budget)
     num = ledger.count(n * num_message_rounds * round_cost, "one sample")
     uniforms = np.random.default_rng(seed).random((num, n))
-    values = np.empty((num, n), dtype=np.int64)  # column v - 1: variable v
+    values = np.empty((num, n), dtype=np.int64)  # the samples as prefixes
     state = _LoopyBP(graph)
     # a trie node: its variable v, its member samples, and the value of
     # v - 1 to clamp on entry (0 at the root) after restoring the parent's
     # saved (msg_vf, clamped), or None when the state is still the parent's
     stack = [(1, np.arange(num), 0, None)]
+    zero_marginals = 0
     while stack:
         v, members, value, saved = stack.pop()
         if saved is not None:
@@ -446,11 +447,10 @@ def bp_sample(
         for _ in range(num_message_rounds):
             if state.round():
                 break
-        marg = state.log_marginal(v)
-        if np.max(marg) == NEG_INF:
-            raise ZeroMassError(f"BP marginal of variable {v} has zero mass")
-        drawn = draw_softmax_rows(marg[None, :], uniforms[members, v - 1])[0] + 1
-        values[members, v - 1] = drawn
+        drawn, zeros = _draw_or_uniform(state.log_marginal(v)[None, :], uniforms[members, v - 1])
+        drawn += 1
+        zero_marginals += zeros
+        values[members, graph.depth_of(v) - 1] = drawn
         if v == n:
             continue
         branches = np.flatnonzero(np.bincount(drawn)).tolist()
@@ -459,8 +459,6 @@ def bp_sample(
         saved = (state.msg_vf.copy(), state.clamped.copy()) if len(branches) > 1 else None
         for x in reversed(branches):  # pushed last, the lowest value runs first
             stack.append((v + 1, members[drawn == x], x, None if x == branches[0] else saved))
-    particles = np.array([graph.assignment_to_prefix(row) for row in values.tolist()])
-    atoms, weights = merge_particles(particles, np.zeros(num))
-    return WeightedAtoms(
-        atoms=atoms, weights=weights, num_particles=num, budget_spent=ledger.spent
-    )
+    atoms, weights = merge_particles(values, np.zeros(num))
+    return WeightedAtoms(atoms=atoms, weights=weights, num_particles=num,
+                         budget_spent=ledger.spent, zero_conditional_count=zero_marginals)

@@ -218,16 +218,13 @@ _BENCH_COLUMNS = [
 ]
 
 
-def _bench_cell(task: dict) -> dict:
-    spec = GeneratorSpec(**task["spec"])
+def _bench_cell(task: tuple[GeneratorSpec, RunConfig]) -> dict:
+    spec, config = task
     row = dict.fromkeys(_BENCH_COLUMNS)
-    row.update(family=spec.family, n=spec.n, k=spec.k, method=task["method"],
-               budget=task["budget"], instance_seed=spec.seed, run_seed=task["run_seed"])
+    row.update(family=spec.family, n=spec.n, k=spec.k, method=config.method,
+               budget=config.budget, instance_seed=spec.seed, run_seed=config.run_seed)
     try:
-        graph = generate(spec)
-        config = RunConfig.from_dict(dict(task["config"], method=task["method"],
-                                          budget=task["budget"], run_seed=task["run_seed"]))
-        _, report = evaluate_run(graph, config)
+        _, report = evaluate_run(generate(spec), config)
         row.update((key, value) for key, value in report.to_json_dict().items() if key in row)
     except ValueError as exc:  # a cell's bad data leaves null metrics; a bug exits 1
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -254,17 +251,17 @@ def cmd_bench(args) -> int:
             raise ValueError(f"{flag} must be at least 1")
     methods = args.methods.split(",")
     budgets = [int(b) for b in args.budgets.split(",")]
-    base_config = _run_config_fields(args)  # each cell then sets its own run_seed
+    base_config = _run_config_fields(args)
     params = json.loads(args.params) if args.params else {}
-    spec = {"family": args.family, "n": args.n, "k": args.k, "params": params}
     # input errors of the whole grid exit 2 here, before any cell runs
-    GeneratorSpec(seed=args.instance_seed, **spec)
+    spec = GeneratorSpec(family=args.family, n=args.n, k=args.k, seed=args.instance_seed,
+                         params=params)
     tasks = []
     for method in methods:
         for budget in budgets:
-            RunConfig.from_dict(dict(base_config, method=method, budget=budget))
-            tasks += [{"spec": dict(spec, seed=args.instance_seed + i), "method": method,
-                       "budget": budget, "run_seed": args.run_seed + i, "config": base_config}
+            config = RunConfig.from_dict(dict(base_config, method=method, budget=budget))
+            tasks += [(replace(spec, seed=spec.seed + i),
+                       replace(config, run_seed=args.run_seed + i))
                       for i in range(args.num_instances)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

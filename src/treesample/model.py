@@ -195,10 +195,6 @@ class FactorGraph:
                 total += cf.values_at(xs)
         return total
 
-    def assignment_to_prefix(self, assignment: Sequence[int]) -> Prefix:
-        """Reorder a by-variable assignment (index v-1) into depth order."""
-        return tuple(assignment[v - 1] for v in self.ordering)
-
 
 class BudgetTooSmallError(ValueError):
     """The budget cannot pay for even one unit of work."""

@@ -315,8 +315,10 @@ def build_tree(
     The loop guard reserves the worst-case cost of a single expansion (the
     largest per-depth reward cost), so a started traversal always completes
     and the ledger never overruns. The build draws no random numbers: the
-    tree is a deterministic function of the arguments.
+    tree is a deterministic function of the arguments. Raises ValueError
+    unless c and epsilon are finite and non-negative.
     """
+    check_search_params(c, epsilon)
     ledger = BudgetLedger(budget=budget, cost_mode=cost_mode)
     tree = SearchTree(graph=graph, prior=prior, ledger=ledger)
     worst_cost = max(graph.reward_cost(d, cost_mode) for d in range(1, graph.num_variables + 1))

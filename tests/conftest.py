@@ -135,19 +135,27 @@ def reference_sample_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndar
     return a, picked - lse
 
 
+def assignment_to_prefix(graph: FactorGraph, assignment) -> Prefix:
+    """Reorder a by-variable assignment (index v-1) into depth order."""
+    return tuple(assignment[v - 1] for v in graph.ordering)
+
+
 def reference_bp_sample(graph: FactorGraph, num_message_rounds: int, budget: int,
                         seed: int = 0) -> WeightedAtoms:
     """baselines.bp_sample as a sample-at-a-time loop, which its trie walk
     must equal: per sample, reset the messages; per variable, run rounds
     up to an exact fixed point (charging the skipped ones), draw from the
-    marginal at the next rng.random(1) and clamp."""
-    n = graph.num_variables
+    marginal at the next rng.random(1) and clamp. A zero-mass marginal
+    gives the uniform value min(int(u * K), K - 1) + 1 of that uniform u,
+    and is counted."""
+    n, k = graph.num_variables, graph.num_states
     round_cost = graph.num_factors
     num = budget // (n * num_message_rounds * round_cost)
     ledger = BudgetLedger(budget=budget)
     rng = np.random.default_rng(seed)
     state = _LoopyBP(graph)
     particles = np.zeros((num, n), dtype=np.int64)
+    zero_marginals = 0
     for i in range(num):
         state.reset()
         assignment = [0] * n
@@ -158,15 +166,18 @@ def reference_bp_sample(graph: FactorGraph, num_message_rounds: int, budget: int
                     ledger.charge((num_message_rounds - r) * round_cost)
                     break
             marg = state.log_marginal(v)
+            u = rng.random(1)
             if np.max(marg) == NEG_INF:
-                raise ZeroMassError(f"BP marginal of variable {v} has zero mass")
-            value = int(draw_softmax_rows(marg[None, :], rng.random(1))[0][0]) + 1
+                zero_marginals += 1
+                value = min(int(u[0] * k), k - 1) + 1
+            else:
+                value = int(draw_softmax_rows(marg[None, :], u)[0][0]) + 1
             assignment[v - 1] = value
             state.clamp(v, value)
-        particles[i] = graph.assignment_to_prefix(assignment)
+        particles[i] = assignment_to_prefix(graph, assignment)
     atoms, weights = merge_particles(particles, np.zeros(num))
     return WeightedAtoms(atoms=atoms, weights=weights, num_particles=num,
-                         budget_spent=ledger.spent)
+                         budget_spent=ledger.spent, zero_conditional_count=zero_marginals)
 
 
 def all_configs(n: int, k: int):

@@ -22,13 +22,14 @@ from treesample.baselines import (
 )
 from treesample.exact import solve_chain, solve_exact
 from treesample.generators import GeneratorSpec, generate
-from treesample.logmath import (NEG_INF, ZeroMassError, logsumexp, logsumexp_rows,
-                                sample_softmax_rows)
+from treesample.logmath import NEG_INF, logsumexp, logsumexp_rows, sample_softmax_rows
 from treesample.model import FACTOR_EVAL, REWARD_EVAL, Factor, FactorGraph
 from treesample.prior import HeuristicPrior
 
-from conftest import (ExactValuePrior, all_configs, log_step_conditionals, make_random_graph,
-                      reference_bp_sample, variable_marginals)
+from test_baselines_golden import digest as golden_digest
+
+from conftest import (ExactValuePrior, all_configs, assignment_to_prefix, log_step_conditionals,
+                      make_random_graph, reference_bp_sample, variable_marginals)
 
 
 def _graph(n, k, factors, ordering=None):
@@ -60,6 +61,10 @@ class TestWeightedAtoms:
             WeightedAtoms(atoms=[(1,), (2,)], weights=[0.7, 0.7])
         with pytest.raises(ValueError):
             WeightedAtoms(atoms=[(1,), (2,)], weights=[1.0, 0.0])
+
+    def test_lists_must_be_parallel(self):
+        with pytest.raises(ValueError, match="parallel"):
+            WeightedAtoms(atoms=[(1,), (2,)], weights=[1.0])
 
     def test_json_lines_round_trip(self):
         wa = WeightedAtoms(atoms=[(1, 2), (2, 1)], weights=[0.25, 0.75])
@@ -374,13 +379,14 @@ class TestGibbsScores:
 class TestBpSample:
     @staticmethod
     def every_round_bp_sample(graph, num_message_rounds, budget, seed):
-        """bp_sample without the fixed-point rule: every round runs."""
-        n = graph.num_variables
+        """bp_sample without the fixed-point rule: every round runs. A
+        zero-mass marginal gives the uniform value of its uniform."""
+        n, k = graph.num_variables, graph.num_states
         num = budget // (n * num_message_rounds * graph.num_factors)
         rng = np.random.default_rng(seed)
         state = _LoopyBP(graph)
         particles = np.zeros((num, n), dtype=np.int64)
-        spent = 0
+        spent = zero_marginals = 0
         for i in range(num):
             state.reset()
             assignment = [0] * n
@@ -389,29 +395,30 @@ class TestBpSample:
                     spent += graph.num_factors
                     state.round()
                 marg = state.log_marginal(v)
-                assignment[v - 1] = int(sample_softmax_rows(marg[None, :], rng.random(1))[0][0]) + 1
+                u = rng.random(1)
+                if np.max(marg) == NEG_INF:
+                    zero_marginals += 1
+                    assignment[v - 1] = min(int(u[0] * k), k - 1) + 1
+                else:
+                    assignment[v - 1] = int(sample_softmax_rows(marg[None, :], u)[0][0]) + 1
                 state.clamp(v, assignment[v - 1])
-            particles[i] = graph.assignment_to_prefix(assignment)
+            particles[i] = assignment_to_prefix(graph, assignment)
         atoms, weights = merge_particles(particles, np.zeros(num))
-        return atoms, weights, spent
+        return atoms, weights, spent, zero_marginals
 
     def test_fixed_point_skip_equals_running_every_round(self):
-        # random graphs with -inf entries: same atoms, weights and charge, or
-        # the same zero-mass marginal
+        # random graphs with -inf entries: same atoms, weights, charge and
+        # zero-mass count
         rng = np.random.default_rng(139)
         for trial in range(10):
             k = int(rng.integers(2, 5))
             g = make_random_graph(rng, 5, k, num_extra_factors=4, max_scope=3,
                                   neg_inf_frac=0.3 if trial % 2 else 0.0, shuffle_ordering=True)
             budget = 3 * 5 * 6 * g.num_factors
-            try:
-                ref = self.every_round_bp_sample(g, 6, budget, seed=trial)
-            except ZeroMassError:
-                with pytest.raises(ZeroMassError):
-                    bp_sample(g, 6, budget, seed=trial)
-                continue
+            ref = self.every_round_bp_sample(g, 6, budget, seed=trial)
             result = bp_sample(g, 6, budget, seed=trial)
-            assert (result.atoms, result.weights, result.budget_spent) == ref
+            assert (result.atoms, result.weights, result.budget_spent,
+                    result.zero_conditional_count) == ref
 
     def test_skipped_rounds_are_charged_on_fg1(self, monkeypatch):
         g = generate(GeneratorSpec(family="fg1", n=14, k=2, seed=11))
@@ -426,7 +433,8 @@ class TestBpSample:
 
         monkeypatch.setattr(_LoopyBP, "round", counted_round)
         result = bp_sample(g, 10, 8000, seed=6)
-        assert (result.atoms, result.weights, result.budget_spent) == ref
+        assert (result.atoms, result.weights, result.budget_spent,
+                result.zero_conditional_count) == ref
         assert rounds_run < result.budget_spent // g.num_factors == 420
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -434,21 +442,45 @@ class TestBpSample:
            rounds=st.integers(1, 4), samples=st.integers(1, 12),
            neg_inf=st.sampled_from([0.0, 0.4, 0.8]))
     def test_trie_walk_equals_sample_at_a_time(self, seed, n, k, rounds, samples, neg_inf):
-        # same atoms, weights and charge, or the same error class
+        # same atoms, weights, charge and zero-mass count
         rng = np.random.default_rng(seed)
         g = make_random_graph(rng, n, k, num_extra_factors=4 if n > 1 else 0,
                               neg_inf_frac=neg_inf, shuffle_ordering=True)
         per_sample = n * rounds * g.num_factors
         budget = samples * per_sample + int(rng.integers(0, per_sample))
-        try:
-            ref = reference_bp_sample(g, rounds, budget, seed=seed)
-        except ZeroMassError:
-            with pytest.raises(ZeroMassError):
-                bp_sample(g, rounds, budget, seed=seed)
-            return
+        ref = reference_bp_sample(g, rounds, budget, seed=seed)
         result = bp_sample(g, rounds, budget, seed=seed)
         assert (result.atoms, result.weights) == (ref.atoms, ref.weights)
         assert (result.num_particles, result.budget_spent) == (samples, ref.budget_spent)
+        assert result.zero_conditional_count == ref.zero_conditional_count
+
+    def test_zero_mass_marginals_draw_a_uniform_value(self):
+        # hard-constraint graphs on which a BP marginal of zero mass used to
+        # end the run with ZeroMassError: every call returns its samples, with
+        # no RuntimeWarning, and counts its zero-mass draws
+        rng = np.random.default_rng(41)
+        zero_seen = 0
+        for trial in range(300):
+            n, k = int(rng.integers(1, 7)), int(rng.integers(2, 4))
+            g = make_random_graph(rng, n, k, num_extra_factors=4 if n > 1 else 0,
+                                  neg_inf_frac=[0.0, 0.4, 0.8][trial % 3], shuffle_ordering=True)
+            rounds, samples = int(rng.integers(1, 5)), int(rng.integers(1, 13))
+            result = bp_sample(g, rounds, samples * n * rounds * g.num_factors, seed=trial)
+            assert result.num_particles == samples
+            assert 0 <= result.zero_conditional_count <= samples * n
+            zero_seen += result.zero_conditional_count > 0
+        assert zero_seen >= 50
+
+    def test_zero_mass_marginals_golden(self):
+        # a graph of positive total mass on which 39 of the 110 draws meet a
+        # zero-mass marginal; the digest was recorded when bp_sample took the
+        # uniform rule (the atoms, weights, log Z, charge and zero-mass count)
+        g = make_random_graph(np.random.default_rng(29), 5, 3, num_extra_factors=4,
+                              neg_inf_frac=0.4, shuffle_ordering=True)
+        result = bp_sample(g, 2, 2000, seed=3)
+        assert (result.num_particles, result.zero_conditional_count) == (22, 39)
+        assert golden_digest(result) == (
+            "cc57dddfc4d66dd785b8ad79e10df0253e0776a4370d986cbff7e6571c066f22")
 
     @pytest.mark.parametrize("seed", range(6, 12))
     def test_rounds_run_once_per_prefix_on_fg1(self, seed, monkeypatch):

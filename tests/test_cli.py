@@ -216,6 +216,18 @@ class TestRun:
         assert err["method"] == method
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_bp_with_zero_mass_marginals_exits_0(self, tmp_path):
+        # the target has positive mass, but 39 of BP's 110 draws meet a
+        # zero-mass marginal; each takes a uniform value instead of ending the run
+        g = make_random_graph(np.random.default_rng(29), 5, 3, num_extra_factors=4,
+                              neg_inf_frac=0.4, shuffle_ordering=True)
+        save_graph(g, tmp_path / "g.json")
+        code, report = _main_json(["run", str(tmp_path / "g.json"), "--method", "bp",
+                                   "--budget", "2000", "--num-message-rounds", "2",
+                                   "--run-seed", "3", "--metric-samples", "50"])
+        assert code == 0
+        assert (report["method"], report["budget_spent"]) == ("bp", 1980)
+
     @pytest.mark.parametrize("method, flag", [("gibbs", "--num-gibbs-sweeps"),
                                               ("bp", "--num-message-rounds"),
                                               ("treesample", "--metric-samples")])
@@ -540,6 +552,25 @@ class TestErrorContract:
         code, error = _main_json(probe.format(d=d, instance=instance).split())
         assert code == 2
         assert error["message"]
+
+    @pytest.mark.parametrize("probe, message", [
+        ("generate --family chains --n 0 --seed 0 --out {d}/g.json",
+         "a graph needs n >= 1 variables of k >= 2 states"),
+        ("generate --family chains --n 3 --k 2 --seed 0 --out {d}/g.json "
+         "--params {{\"kernel_scale\":-1.0}}",
+         "GP kernel not positive definite even after jitter escalation"),
+        ("run {d}/n0.json --method sis --budget 10", "num_variables must be positive"),
+        ("run {d}/k1.json --method sis --budget 10", "num_states must be at least 2"),
+    ], ids=["generate-n-0", "generate-kernel-not-positive-definite", "run-instance-n-0",
+            "run-instance-k-1"])
+    def test_input_check_exits_2_with_its_message(self, tmp_path, probe, message):
+        (tmp_path / "n0.json").write_text(json.dumps(
+            {"n": 0, "k": 2, "ordering": [], "factors": []}))
+        (tmp_path / "k1.json").write_text(json.dumps(
+            {"n": 1, "k": 1, "ordering": [1], "factors": [{"scope": [1], "log_table": [0.0]}]}))
+        code, error = _main_json(probe.format(d=tmp_path).split())
+        assert code == 2
+        assert error["message"] == message
 
     @pytest.mark.parametrize("exc", [KeyError("k"), TypeError("t")])
     def test_program_key_or_type_error_exits_1(self, tmp_path, capsys, monkeypatch, exc):

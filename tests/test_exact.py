@@ -27,9 +27,9 @@ from treesample.logmath import (
 )
 from treesample.model import Factor, FactorGraph
 
-from conftest import (all_configs, brute_force_log_z, exact_kl, kl_by_enumeration, log_joint,
-                      log_step_conditionals, make_random_graph, q_values,
-                      reference_sample_softmax_rows, variable_marginals)
+from conftest import (all_configs, assignment_to_prefix, brute_force_log_z, exact_kl,
+                      kl_by_enumeration, log_joint, log_step_conditionals, make_random_graph,
+                      q_values, reference_sample_softmax_rows, variable_marginals)
 
 
 def _conditional(sol, prefix):
@@ -435,7 +435,7 @@ class TestSolveExact:
         g = make_random_graph(rng, 4, 2, num_extra_factors=3, shuffle_ordering=True)
         sol = solve_exact(g)
         marg = variable_marginals(sol, g)
-        probs = {x: math.exp(log_joint(sol, g.assignment_to_prefix(x))) for x in all_configs(4, 2)}
+        probs = {x: math.exp(log_joint(sol, assignment_to_prefix(g, x))) for x in all_configs(4, 2)}
         for v in range(1, 5):
             for val in (1, 2):
                 ref = sum(p for x, p in probs.items() if x[v - 1] == val)

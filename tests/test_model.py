@@ -114,6 +114,17 @@ class TestRewardCost:
         assert g.reward_cost(2, REWARD_EVAL) == 1
         assert g.reward_cost(3, FACTOR_EVAL) == 2
 
+    @pytest.mark.parametrize("depth", [0, 3])
+    def test_depth_out_of_range_rejected(self, depth):
+        g = _graph(2, 2, [((1, 2), np.zeros(4))])
+        with pytest.raises(ValueError, match="depth out of range"):
+            g.reward_cost(depth)
+
+    def test_unknown_cost_mode_rejected(self):
+        g = _graph(2, 2, [((1, 2), np.zeros(4))])
+        with pytest.raises(ValueError, match="unknown cost mode 'bogus'"):
+            g.reward_cost(1, "bogus")
+
 
 class TestLogUnnormalizedDensity:
     def test_all_zero_factors(self):

@@ -231,6 +231,22 @@ class TestMlp:
         with pytest.raises(ValueError, match="NaN"):
             mlp.forward(np.ones((1, 2)))
 
+    def test_evaluate_with_nan_parameters_hard_error(self):
+        g = _uniform_graph(3, 2)
+        mlp = MLPValueFunction(3 * 3, 2, hidden_units=4, num_hidden_layers=1, seed=0)
+        mlp.flat[-1] = np.nan  # the last output bias
+        with pytest.raises(ValueError, match="NaN"):
+            mlp.evaluate(g, (1,))
+
+    def test_from_flat_of_the_wrong_length_rejected(self):
+        size = MLPValueFunction(2, 2, hidden_units=4, num_hidden_layers=1).flat.size
+        with pytest.raises(ValueError, match="wrong length"):
+            MLPValueFunction.from_flat(np.zeros(size + 1), 2, 2, hidden_units=4,
+                                       num_hidden_layers=1)
+        with pytest.raises(ValueError):  # too short for the last layer's reshape
+            MLPValueFunction.from_flat(np.zeros(size - 1), 2, 2, hidden_units=4,
+                                       num_hidden_layers=1)
+
     def test_prior_interface_shape(self):
         # evaluate: a list of K Python floats; evaluate_batch: an (R, K) array
         g = _uniform_graph(3, 2)

@@ -234,6 +234,16 @@ class TestBuildTree:
                 kl = kl_by_enumeration(tree.log_density, sol, g)
                 assert kl == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("name", ["c", "epsilon"])
+    @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+    def test_bad_search_params_rejected_before_any_spend(self, name, value, monkeypatch):
+        g = generate(GeneratorSpec(family="fg1", n=8, k=2, seed=0))
+        charges = []
+        monkeypatch.setattr(BudgetLedger, "charge", lambda ledger, amount: charges.append(amount))
+        with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+            build_tree(g, HeuristicPrior(), 200, **{name: value})
+        assert charges == []
+
     def test_zero_budget_tree_is_prior(self):
         g = _uniform_graph(3, 2)
         tree = build_tree(g, HeuristicPrior(), 0)
