@@ -2,6 +2,9 @@
 method against an instance, sweep a benchmark grid to CSV, and train the
 MLP value prior.
 
+Each RunConfig and TrainConfig field is also a flag, made by _add_field_flags.
+The --config of run and bench sets the same fields, and a flag wins.
+
 Exit codes: 0 success, 2 bad input or data, 1 a bug. Bad input (a usage error
 such as an unknown flag or a flag without its value, config or parameters, a
 malformed or unreadable file, a budget too small for one unit of work, a
@@ -31,8 +34,8 @@ from .generators import FAMILIES, GeneratorSpec, generate
 from .logmath import NEG_INF, ZeroMassError
 from .metrics import evaluate_method
 from .model import COST_MODES, FactorGraph, load_graph, save_graph
-from .prior import (ALGOS, Adam, HeuristicPrior, MLPValueFunction, TrainConfig,
-                    check_field_types, load_checkpoint, save_checkpoint, train_loop)
+from .prior import (Adam, HeuristicPrior, MLPValueFunction, TrainConfig, check_fields,
+                    config_field, load_checkpoint, save_checkpoint, train_loop)
 from .search import build_tree, check_search_params
 
 METHODS = ("treesample", "sis", "smc", "gibbs", "bp")
@@ -40,25 +43,23 @@ METHODS = ("treesample", "sis", "smc", "gibbs", "bp")
 
 @dataclass
 class RunConfig:
-    method: str
-    budget: int
-    cost_mode: str = "reward_eval"
-    c: float = 2.0
-    epsilon: float = 0.1
-    resample_threshold: float = 0.5
-    num_gibbs_sweeps: int = 20
-    num_message_rounds: int = 10
-    metric_samples: int = 10_000
-    run_seed: int = 0
-    prior: str = "heuristic"
-    oracle_cap: int = 10**6
+    """One method run on one instance; each field's help is also its flag's."""
+
+    method: str = config_field(help="the inference method", choices=METHODS)
+    budget: int = config_field(help="the cap on the run's cost, in units of cost_mode")
+    cost_mode: str = config_field("reward_eval", "what a unit of budget counts", choices=COST_MODES)
+    c: float = config_field(2.0, "treesample's exploration bonus is c * max(prior value, epsilon)")
+    epsilon: float = config_field(0.1, "the floor of the prior value in that bonus")
+    resample_threshold: float = config_field(0.5, "smc resamples if ESS < this share of particles")
+    num_gibbs_sweeps: int = config_field(20, "full sweeps of each gibbs chain")
+    num_message_rounds: int = config_field(10, "rounds of loopy bp message passing")
+    metric_samples: int = config_field(10_000, "the draws the metrics score")
+    run_seed: int = config_field(0, "the seed of the build and of the scoring")
+    prior: str = config_field("heuristic", "'heuristic' or a checkpoint path")
+    oracle_cap: int = config_field(10**6, "the largest K**N of a non-chain graph solved exactly")
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
-        if self.cost_mode not in COST_MODES:
-            raise ValueError(f"cost_mode must be one of {COST_MODES}")
+        check_fields(self)
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
         check_resample_threshold(self.resample_threshold)
@@ -182,6 +183,17 @@ def _given_fields(cls, args) -> dict:
             if getattr(args, f.name, None) is not None}
 
 
+def _add_field_flags(parser, cls, skip=()) -> None:
+    """An optional --<name with dashes> per field of dataclass cls outside skip,
+    of the annotation's type, with the metadata's choices and help. An omitted
+    flag is None, so _given_fields leaves the field to the dataclass."""
+    types = {"int": int, "float": float, "str": str}
+    for f in fields(cls):
+        if f.name not in skip:
+            parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                                type=types[f.type], **f.metadata)
+
+
 def _run_config_fields(args) -> dict:
     """The RunConfig fields of the --config file, overridden by the flags given."""
     data = {}
@@ -251,6 +263,10 @@ def cmd_bench(args) -> int:
             raise ValueError(f"{flag} must be at least 1")
     methods = args.methods.split(",")
     budgets = [int(b) for b in args.budgets.split(",")]
+    for flag, entries in (("--methods", methods), ("--budgets", budgets)):
+        for i, entry in enumerate(entries):
+            if entry in entries[:i]:
+                raise ValueError(f"{flag} lists {entry} more than once")
     base_config = _run_config_fields(args)
     params = json.loads(args.params) if args.params else {}
     # input errors of the whole grid exit 2 here, before any cell runs
@@ -360,17 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one inference method on an instance")
     p.add_argument("instance")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--cost-mode", dest="cost_mode", choices=COST_MODES)
-    p.add_argument("--c", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--resample-threshold", dest="resample_threshold", type=float)
-    p.add_argument("--num-gibbs-sweeps", dest="num_gibbs_sweeps", type=int)
-    p.add_argument("--num-message-rounds", dest="num_message_rounds", type=int)
-    p.add_argument("--metric-samples", dest="metric_samples", type=int)
-    p.add_argument("--run-seed", dest="run_seed", type=int)
-    p.add_argument("--prior", help="'heuristic' or a checkpoint path")
+    _add_field_flags(p, RunConfig)
     p.add_argument("--config", help="JSON file of RunConfig fields")
     p.add_argument("--dump-tree", dest="dump_tree")
     p.add_argument("--atoms-out", dest="atoms_out")
@@ -386,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-instances", dest="num_instances", type=int, required=True)
     p.add_argument("--instance-seed", dest="instance_seed", type=int, default=0)
     p.add_argument("--run-seed", dest="run_seed", type=int, default=0)
-    p.add_argument("--metric-samples", dest="metric_samples", type=int)
+    _add_field_flags(p, RunConfig, skip=("method", "budget", "run_seed"))
     p.add_argument("--params", help="JSON dict of family-specific parameters")
     p.add_argument("--config", help="JSON file of shared RunConfig fields")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
@@ -397,17 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the MLP value prior on one instance")
     p.add_argument("instance")
     p.add_argument("--episodes", type=int, required=True)
-    # TrainConfig fields; an omitted flag keeps the TrainConfig default
-    p.add_argument("--algo", choices=ALGOS)
-    p.add_argument("--budget-per-episode", dest="budget_per_episode", type=int)
-    p.add_argument("--samples-per-episode", dest="samples_per_episode", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--c", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--resample-threshold", dest="resample_threshold", type=float)
-    p.add_argument("--metric-samples", dest="metric_samples", type=int)
+    _add_field_flags(p, TrainConfig, skip=("episodes",))
     p.add_argument("--checkpoint-out", dest="checkpoint_out", required=True)
     p.add_argument("--metrics-out", dest="metrics_out", required=True)
     p.add_argument("--resume")

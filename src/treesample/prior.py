@@ -26,7 +26,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -106,6 +106,14 @@ def encode_batch(graph: FactorGraph, prefixes) -> np.ndarray:
     return out
 
 
+def _flat_size(input_dim: int, output_dim: int, hidden_units: int, num_hidden_layers: int) -> int:
+    """Length of MLPValueFunction.flat in closed form, to size untrusted headers."""
+    if num_hidden_layers == 0:  # one linear layer
+        return (input_dim + 1) * output_dim
+    h = hidden_units
+    return (input_dim + 1) * h + (num_hidden_layers - 1) * (h + 1) * h + (h + 1) * output_dim
+
+
 class MLPValueFunction:
     """Plain fully connected ReLU network in float64 numpy.
 
@@ -130,12 +138,11 @@ class MLPValueFunction:
         self.output_dim = output_dim
         self.hidden_units = hidden_units
         self.num_hidden_layers = num_hidden_layers
-        layers = self._layer_dims()
-        self.flat = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in layers))
+        self.flat = np.zeros(_flat_size(input_dim, output_dim, hidden_units, num_hidden_layers))
         self.weights, self.biases = self._views(self.flat)
         rng = np.random.default_rng(seed)
-        for w, (fan_in, fan_out) in zip(self.weights, layers):
-            w[...] = rng.normal(scale=math.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+        for w in self.weights:
+            w[...] = rng.normal(scale=math.sqrt(2.0 / w.shape[0]), size=w.shape)
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, input_dim: int, output_dim: int, hidden_units: int,
@@ -151,23 +158,20 @@ class MLPValueFunction:
         mlp.weights, mlp.biases = mlp._views(flat)
         return mlp
 
-    def _layer_dims(self) -> list[tuple[int, int]]:
-        """(fan_in, fan_out) of every layer, input first."""
-        dims = [self.input_dim] + [self.hidden_units] * self.num_hidden_layers + [self.output_dim]
-        return list(zip(dims[:-1], dims[1:]))
-
     def _views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer (weights, biases) views of a vector in flat's layout;
-        raises ValueError if its length does not fit the layout."""
+        raises ValueError, before slicing, if its length does not fit the layout."""
+        if flat.size != _flat_size(self.input_dim, self.output_dim, self.hidden_units,
+                                   self.num_hidden_layers):
+            raise ValueError("flat parameter vector has the wrong length")
+        dims = [self.input_dim] + [self.hidden_units] * self.num_hidden_layers + [self.output_dim]
         weights, biases = [], []
         i = 0
-        for fan_in, fan_out in self._layer_dims():
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             block = flat[i : i + (fan_in + 1) * fan_out].reshape(fan_in + 1, fan_out)
             weights.append(block[:-1])
             biases.append(block[-1])
             i += block.size
-        if i != flat.size:
-            raise ValueError("flat parameter vector has the wrong length")
         return weights, biases
 
     def parameters(self) -> list[np.ndarray]:
@@ -304,34 +308,44 @@ def train_step(mlp: MLPValueFunction, replay: ReplayBuffer, batch_size: int, ada
     return loss
 
 
-def check_field_types(config) -> None:
-    """check_type of each field of a dataclass against its annotation."""
+def check_fields(config) -> None:
+    """check_type of each field of a dataclass against its annotation, and
+    of its value against the choices in the field's metadata, if any."""
     for f in fields(config):
-        check_type(f.name, getattr(config, f.name), f.type)
+        value = getattr(config, f.name)
+        check_type(f.name, value, f.type)
+        choices = f.metadata.get("choices")
+        if choices is not None and value not in choices:
+            raise ValueError(f"{f.name} must be one of {choices}")
+
+
+def config_field(default=MISSING, help=None, choices=None):
+    """A config dataclass field that carries its flag's help and choices."""
+    return field(default=default, metadata={"help": help, "choices": choices})
 
 
 @dataclass
 class TrainConfig:
-    episodes: int = 4000
-    budget_per_episode: int = 2500
-    samples_per_episode: int = 128
-    batch_size: int = 128
-    learning_rate: float = 3e-4
-    seed: int = 0
-    c: float = 2.0
-    epsilon: float = 0.1
-    resample_threshold: float = 0.5
-    metric_samples: int = 128
-    algo: str = "treesample"
+    """One train run on one graph; each field's help is also its flag's."""
+
+    episodes: int = config_field(4000, "the training rounds")
+    budget_per_episode: int = config_field(2500, "the budget of each episode's build")
+    samples_per_episode: int = config_field(128, "replay draws, and Adam steps, per episode")
+    batch_size: int = config_field(128, "the replay pairs of one Adam step")
+    learning_rate: float = config_field(3e-4, "Adam's step size")
+    seed: int = config_field(0, "the seed of the initial weights and of every episode")
+    c: float = config_field(2.0, "as for run")
+    epsilon: float = config_field(0.1, "as for run")
+    resample_threshold: float = config_field(0.5, "as for run")
+    metric_samples: int = config_field(128, "the draws that score each episode's delta_kl_prior")
+    algo: str = config_field("treesample", "the sampler each episode builds", choices=ALGOS)
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self)
         for name in ("episodes", "budget_per_episode", "samples_per_episode",
                      "batch_size", "learning_rate", "metric_samples"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails this too
                 raise ValueError(f"{name} must be positive and finite")
-        if self.algo not in ALGOS:
-            raise ValueError(f"algo must be one of {ALGOS}")
         check_search_params(self.c, self.epsilon)
         check_resample_threshold(self.resample_threshold)
 
@@ -482,7 +496,7 @@ def load_checkpoint(path):
         if not all(isinstance(v, int) and v >= 0 for v in sizes) or 0 in sizes[:4]:
             raise ValueError(f"checkpoint {keys} must be integers, the first four positive")
         # the MLP's weights and biases, counted before anything is allocated
-        count = (d_in + 1) * h + (layers - 1) * (h + 1) * h + (h + 1) * d_out
+        count = _flat_size(d_in, d_out, h, layers)
         expected = 3 * count * 8
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         if size != expected:

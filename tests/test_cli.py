@@ -5,7 +5,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from treesample import cli
 from treesample.cli import METHODS, RunConfig, main
 from treesample.generators import FAMILIES
-from treesample.model import Factor, FactorGraph, load_graph, save_graph
-from treesample.prior import (CHECKPOINT_FORMAT, Adam, MLPValueFunction, TrainConfig,
+from treesample.model import COST_MODES, Factor, FactorGraph, load_graph, save_graph
+from treesample.prior import (ALGOS, CHECKPOINT_FORMAT, Adam, MLPValueFunction, TrainConfig,
                               load_checkpoint, save_checkpoint)
 
 from conftest import make_random_graph
@@ -321,6 +321,22 @@ class TestBench:
         assert rows[0]["error"].startswith("BudgetTooSmallError")
         assert rows[0]["delta_kl"] == ""
 
+    @pytest.mark.parametrize("flag, entries, message", [
+        ("--methods", "smc,sis,smc", "--methods lists smc more than once"),
+        ("--budgets", "100,50,0100", "--budgets lists 100 more than once"),
+    ], ids=["methods", "budgets"])
+    def test_repeated_grid_entry_exits_2_before_any_cell(self, tmp_path, monkeypatch, flag,
+                                                         entries, message):
+        cells = []
+        monkeypatch.setattr(cli, "evaluate_run", lambda *args, **kwargs: cells.append(args))
+        grid = {"--methods": "smc", "--budgets": "100", flag: entries}
+        out = tmp_path / "b.csv"
+        code, error = _main_json(["bench", "--family", "fg1", "--n", "5", "--num-instances", "2",
+                                  "--metric-samples", "20", "--out", str(out),
+                                  *(arg for item in grid.items() for arg in item)])
+        assert (code, error) == (2, {"error": "ValueError", "message": message})
+        assert cells == [] and not out.exists()
+
     def test_negative_first_budget_is_one_json_error(self, tmp_path):
         # argparse reads "-1,100" as a flag, so --budgets has no value: a
         # usage error, which exits 2 with one JSON object like any bad input
@@ -353,6 +369,48 @@ class TestBench:
         assert float(row["mean"]) == float(row["median"]) == float(row["std"]) == math.inf
         finite = sorted(k for k in kls if k < math.inf)
         assert float(row["q25"]) == pytest.approx(np.interp(2.75, range(6), finite))
+
+
+# command -> (its config class, the fields it takes by other flags, the
+# arguments it requires)
+_FIELD_FLAG_COMMANDS = {
+    "run": (RunConfig, (), ["g.json"]),
+    "bench": (RunConfig, ("method", "budget", "run_seed"),
+              ["--family", "fg1", "--n", "3", "--methods", "sis", "--budgets", "10",
+               "--num-instances", "1", "--out", "b.csv"]),
+    "train": (TrainConfig, ("episodes",),
+              ["g.json", "--episodes", "1", "--checkpoint-out", "c", "--metrics-out", "m"]),
+}
+
+
+class TestFieldFlags:
+    @pytest.mark.parametrize("command", sorted(_FIELD_FLAG_COMMANDS))
+    def test_every_field_is_a_flag_of_its_type(self, command):
+        cls, skip, required = _FIELD_FLAG_COMMANDS[command]
+        for f in fields(cls):
+            if f.name in skip:
+                continue
+            value = {"int": 7, "float": 0.25, "str": "x.ckpt"}[f.type]
+            value = (f.metadata.get("choices") or [value])[-1]
+            args = cli.build_parser().parse_args(
+                [command, *required, f"--{f.name.replace('_', '-')}", str(value)])
+            given = cli._given_fields(cls, args)[f.name]
+            assert given == value and type(given) is type(value)
+
+    @pytest.mark.parametrize("command, expected", [
+        ("run", ["--method {" + ",".join(METHODS) + "}", "--cost-mode {" + ",".join(COST_MODES)
+                 + "}", "--prior PRIOR 'heuristic' or a checkpoint path"]),
+        ("bench", ["--cost-mode {" + ",".join(COST_MODES) + "}",
+                   "--prior PRIOR 'heuristic' or a checkpoint path"]),
+        ("train", ["--algo {" + ",".join(ALGOS) + "}"]),
+    ])
+    def test_help_lists_choices_and_help_of_the_fields(self, capsys, command, expected):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for entry in expected:
+            assert entry in text
 
 
 class TestTrain:
@@ -503,6 +561,8 @@ class TestErrorContract:
         header, blocks = (tmp_path / "float.ckpt").read_bytes().split(b"\n", 1)
         header = dict(json.loads(header), hidden_units=4.0)
         (tmp_path / "float.ckpt").write_bytes(json.dumps(header).encode() + b"\n" + blocks)
+        header = dict(header, hidden_units=4, num_hidden_layers=10**12)
+        (tmp_path / "huge.ckpt").write_bytes(json.dumps(header).encode() + b"\n" + blocks)
         mlp = MLPValueFunction(5 * 3, 2, hidden_units=4, num_hidden_layers=1)  # an n5 k2 graph's
         save_checkpoint(tmp_path / "n5.ckpt", mlp, Adam(mlp.parameters()), 0, TrainConfig())
         return tmp_path, str(instance)
@@ -539,6 +599,9 @@ class TestErrorContract:
         "train {instance} --episodes 1 --batch-size 0 --checkpoint-out {d}/t.ckpt "
         "--metrics-out {d}/t.csv",
         "run {instance} --method sis --budget 10 --prior {d}/float.ckpt",
+        "run {instance} --method sis --budget 10 --prior {d}/huge.ckpt",
+        "train {instance} --episodes 2 --resume {d}/huge.ckpt --checkpoint-out {d}/t.ckpt "
+        "--metrics-out {d}/t.csv",
     ], ids=["no-method", "unknown-config-key", "malformed-config-json", "missing-instance",
             "instance-without-factors", "negative-c", "unknown-generator-param",
             "checkpoint-header-without-keys", "generate-out-is-a-directory", "bench-jobs-0",
@@ -546,7 +609,8 @@ class TestErrorContract:
             "generator-param-divides-by-zero", "generator-param-overflows", "diverging-training",
             "run-prior-of-another-graph-size", "resume-of-another-graph-size",
             "config-unknown-cost-mode", "resample-threshold-above-1", "config-json-non-object",
-            "train-zero-episodes", "train-zero-batch-size", "checkpoint-float-size"])
+            "train-zero-episodes", "train-zero-batch-size", "checkpoint-float-size",
+            "run-prior-of-a-huge-header", "resume-of-a-huge-header"])
     def test_input_error_exits_2_with_one_json_object(self, files, probe):
         d, instance = files
         code, error = _main_json(probe.format(d=d, instance=instance).split())
@@ -619,10 +683,10 @@ _FUZZ_FIELDS = {
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(n=st.integers(1, 3), k=st.integers(2, 3), graph_seed=st.integers(0, 2**32 - 1),
        extra_factors=st.integers(0, 3), neg_inf_frac=st.sampled_from([0.0, 0.5, 1.0]),
-       zero_mass=st.booleans(), as_flags=st.booleans(), data=st.data())
+       zero_mass=st.booleans(), data=st.data())
 def test_run_fuzz_exits_0_or_2_with_one_json_object(tmp_path_factory, n, k, graph_seed,
                                                     extra_factors, neg_inf_frac, zero_mass,
-                                                    as_flags, data):
+                                                    data):
     """Random RunConfig fields on tiny graphs with -inf entries and zero mass,
     at most one field out of range, missing or mistyped: never exit 1, never
     a RuntimeWarning, always one JSON object."""
@@ -651,13 +715,16 @@ def test_run_fuzz_exits_0_or_2_with_one_json_object(tmp_path_factory, n, k, grap
         config["prior"] = str(d / config["prior"])
     budget = config.get("budget")
     argv = ["run", str(d / "g.json"), "--no-telemetry"]
-    flags = [name for name in ("method", "budget") if as_flags and name in config]
-    for name in flags:  # a bad flag value is a usage error, reported as one JSON object
-        argv += [f"--{name}", str(config.pop(name))]
+    # each field goes as a flag or into the --config file; a bad flag value
+    # is a usage error, reported as one JSON object
+    flags = [name for name in config if data.draw(st.booleans(), label=f"--{name}")]
+    for name in flags:
+        argv.append(f"--{name.replace('_', '-')}={config.pop(name)}")
     (d / "config.json").write_text(json.dumps(config))
     code, out = _main_json(argv + ["--config", str(d / "config.json")])
-    if fault == "mistyped":
-        usage = f"treesample run: argument --{faulty}: invalid"
+    # every text is a str, so a --prior flag cannot be mistyped: it names a path
+    if fault == "mistyped" and not (faulty == "prior" and faulty in flags):
+        usage = f"treesample run: argument --{faulty.replace('_', '-')}: invalid"
         assert code == 2
         assert out["message"].startswith(usage if faulty in flags else "bad config")
     if code == 0:
@@ -701,6 +768,12 @@ def test_generate_fuzz_exits_0_or_2_with_one_json_object(tmp_path_factory, famil
         assert report["n"] == load_graph(out).num_variables == n
 
 
+# RunConfig fields bench takes as flags, other than its grid, --run-seed,
+# --metric-samples and --prior (whose checkpoint paths need files)
+_BENCH_FLAG_FIELDS = ["cost_mode", "c", "epsilon", "resample_threshold", "num_gibbs_sweeps",
+                      "num_message_rounds", "oracle_cap"]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(family=st.sampled_from(sorted(FAMILIES)), n=st.integers(1, 5), k=st.integers(2, 3),
        methods=st.lists(st.sampled_from(METHODS + ("bogus",)), min_size=1, max_size=3),
@@ -721,6 +794,9 @@ def test_bench_fuzz_exits_0_or_2_with_one_json_object(tmp_path_factory, family, 
             "--jobs", "1", "--out", str(d / "b.csv"), "--summary-out", str(d / "s.csv")]
     if with_params:
         argv += ["--params", _params_arg(data, family)]
+    for name in data.draw(st.lists(st.sampled_from(_BENCH_FLAG_FIELDS), unique=True),
+                          label="field flags"):
+        argv.append(f"--{name.replace('_', '-')}={data.draw(_FUZZ_FIELDS[name][0], label=name)}")
     code, _ = _main_json(argv, quiet_success=True)
     if code == 0:
         with open(d / "b.csv") as fh:

@@ -240,12 +240,10 @@ class TestMlp:
 
     def test_from_flat_of_the_wrong_length_rejected(self):
         size = MLPValueFunction(2, 2, hidden_units=4, num_hidden_layers=1).flat.size
-        with pytest.raises(ValueError, match="wrong length"):
-            MLPValueFunction.from_flat(np.zeros(size + 1), 2, 2, hidden_units=4,
-                                       num_hidden_layers=1)
-        with pytest.raises(ValueError):  # too short for the last layer's reshape
-            MLPValueFunction.from_flat(np.zeros(size - 1), 2, 2, hidden_units=4,
-                                       num_hidden_layers=1)
+        for wrong in (size + 1, size - 1):
+            with pytest.raises(ValueError, match="flat parameter vector has the wrong length"):
+                MLPValueFunction.from_flat(np.zeros(wrong), 2, 2, hidden_units=4,
+                                           num_hidden_layers=1)
 
     def test_prior_interface_shape(self):
         # evaluate: a list of K Python floats; evaluate_batch: an (R, K) array
@@ -394,6 +392,20 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, mlp, Adam(mlp.parameters()), episode=0, config=TrainConfig())
         path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="block size"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("layers", [10**8, 10**12, 2**63])
+    def test_rejects_a_huge_size_before_allocating(self, tmp_path, layers):
+        # the block size is counted in closed form, so a header claiming a
+        # vast network is a ValueError, not a MemoryError or OverflowError
+        mlp = MLPValueFunction(6, 2, hidden_units=8, num_hidden_layers=2, seed=5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, mlp, Adam(mlp.parameters()), episode=0, config=TrainConfig())
+        header, blocks = path.read_bytes().split(b"\n", 1)
+        data = json.loads(header)
+        data["num_hidden_layers"] = layers
+        path.write_bytes(json.dumps(data).encode() + b"\n" + blocks)
         with pytest.raises(ValueError, match="block size"):
             load_checkpoint(path)
 
