@@ -355,7 +355,11 @@ def cmd_train(args) -> int:
 class _ArgumentParser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors raise ValueError, which main
     reports like any other bad input; its subcommand parsers are of this
-    class too."""
+    class too. Flags match only when spelled in full: an abbreviation would
+    change meaning once a flag sharing its prefix is added."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")

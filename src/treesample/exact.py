@@ -5,6 +5,9 @@ soft-Bellman recursions (any graph, capped state space), and linear-time
 forward-backward on chain-structured graphs. Both stay in the log domain
 end to end; the only exponentiations happen inside logsumexp and final
 softmax normalizations. Both solutions index by depth (ordering position).
+The exhaustive solution keeps every level's soft values next to its
+state-action values, so its entropy enumerates the joint from the solve's
+own normalisers instead of reducing every level a second time.
 """
 
 from __future__ import annotations
@@ -44,27 +47,40 @@ class ExactSolution:
 
     q_levels[n-1] has shape (K^(n-1), K): row r holds the K values at the
     prefix whose base-K rank is r (depth 1 is the most significant digit).
+    v_levels[n-1] has shape (K^(n-1),): entry r is the soft value V of that
+    prefix, logsumexp_rows(q_levels[n-1]) as solve_exact computed it for
+    the level above, kept so that the prefix marginals need no second
+    reduction. So the oracle exponentiates only inside solve_exact's
+    logsumexp_rows calls and in entropy's one np.exp of the joint.
     """
 
     log_z: float
     q_levels: list[np.ndarray]
+    v_levels: list[np.ndarray]
 
     def enumerate_log_joint(self) -> np.ndarray:
         """log P*(x) for all K^N configurations, prefix-rank order.
 
         Built level by level from the prefix marginals:
-        log P*(x_{<=n}) = log P*(x_{<n}) + (q - V) at the prefix's q row. A
-        zero-mass prefix (V = -inf) gives -inf children without -inf - -inf.
+        log P*(x_{<=n}) = log P*(x_{<n}) + (q - V) at the prefix's q row, with
+        V read from v_levels. A zero-mass prefix (V = -inf) gives -inf
+        children without -inf - -inf. Each of the K columns is one
+        subtraction and one addition over all rows, against the contiguous
+        V and log P*(x_{<n}) vectors: broadcasting a (rows, 1) operand instead
+        would run numpy's inner loop only K entries long. Each entry still
+        takes the same two roundings, (q - V) + log P*(x_{<n}).
         """
         logp = np.zeros(1)
-        for q in self.q_levels:
-            v = logsumexp_rows(q)[:, None]
+        for q, v in zip(self.q_levels, self.v_levels):
             safe = v > NEG_INF
             if safe.all():
-                cond = q - v
+                cond, safe = np.empty(q.shape), True
             else:
-                cond = np.subtract(q, v, out=np.full(q.shape, NEG_INF), where=safe)
-            cond += logp[:, None]
+                cond = np.full(q.shape, NEG_INF)
+            for j in range(q.shape[1]):
+                col = cond[:, j]
+                np.subtract(q[:, j], v, out=col, where=safe)
+                col += logp
             logp = cond.reshape(-1)
         return logp
 
@@ -85,6 +101,7 @@ def solve_exact(graph: FactorGraph, cap: int = 10**7) -> ExactSolution:
     if k**n > cap:
         raise StateSpaceCapError(f"state space {k}^{n} exceeds cap {cap}")
     q_levels: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+    v_levels: list[np.ndarray] = [None] * n  # type: ignore[list-item]
     # V_{N+1} is identically zero, and adding it would change no reward (a sum
     # that starts from +0.0 is never -0.0), so the deepest level skips it
     v_next = None
@@ -93,9 +110,9 @@ def solve_exact(graph: FactorGraph, cap: int = 10**7) -> ExactSolution:
         if v_next is not None:
             q += v_next
         q = q_levels[depth - 1] = q.reshape(-1, k)
-        v_next = logsumexp_rows(q)
+        v_next = v_levels[depth - 1] = logsumexp_rows(q)
     log_z = float(v_next[0])
-    return ExactSolution(log_z=log_z, q_levels=q_levels)
+    return ExactSolution(log_z=log_z, q_levels=q_levels, v_levels=v_levels)
 
 
 # ---------------------------------------------------------------------------

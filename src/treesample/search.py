@@ -10,7 +10,10 @@ through softmax distributions, falling back to the prior once it leaves the
 tree, and costs no budget. SearchTree.sample_batch draws many samples in one
 pass from a generator the caller passes, returning each one's
 log-probability with it; sample() is its one-row case and log_density() the
-per-configuration reference. The build itself draws no random numbers.
+per-configuration reference. The pass goes depth by depth with at most two
+draws per depth, one for every particle still in the tree and one for the
+particles that have left it, however many nodes the depth holds. The build
+itself draws no random numbers.
 
 A node holds K-entry Python lists, not numpy arrays: a traversal touches
 every node on its path, and at K of 2 to 10 the fixed cost of a numpy call
@@ -109,40 +112,64 @@ class SearchTree:
         log_density(xs[i]) bit for bit. The uniforms are drawn as one (S, N)
         block, the same stream as S*N scalar draws, so row i is what the i-th
         of S successive one-row calls would emit. The walk goes depth by
-        depth: the particles at one tree node share one softmax and one
-        vectorised draw; the particles that have left the tree are scored by
-        one prior.evaluate_batch call per depth. A prior whose values depend
-        on the depth alone (HeuristicPrior) returns one broadcast row there,
-        which sample_softmax_rows reduces once. Costs no budget.
+        depth, with one sample_softmax_rows call for all particles in the
+        tree: the q rows of the depth's occupied nodes are stacked into a
+        (G, K) array and indexed by each particle's node. That draw has the
+        bits of one draw per node, since sample_softmax_rows works row by
+        row (see draw_softmax_rows): below 8 columns element-wise, column by
+        column, and from 8 on along each contiguous row. A stable sort on
+        node * K + action then cuts the particles into runs that share a
+        child, in node order, then action order, each run in its earlier
+        order; a run whose child is missing leaves the tree. The particles
+        that have left it are scored by one prior.evaluate_batch call per
+        depth, on the same rows in the same order as one walk per node
+        would pass. A prior whose values depend on the depth alone
+        (HeuristicPrior) returns one broadcast row there, which
+        sample_softmax_rows reduces once. Costs no budget.
         """
-        n = self.graph.num_variables
+        n, k = self.graph.num_variables, self.graph.num_states
         u = rng.random((num_samples, n))
         xs = np.empty((num_samples, n), dtype=np.int64)
         log_q = np.zeros(num_samples)
         rows = np.arange(num_samples)
-        groups = [] if self.root is None else [(self.root, rows)]
-        off = rows if self.root is None else rows[:0]
+        # the in-tree particles `at` sit at nodes[which]; `off` has left the tree
+        if self.root is None:
+            nodes, at, off = [], rows[:0], rows
+        else:
+            nodes, at, off = [self.root], rows, rows[:0]
+        which = np.zeros_like(at)
         for depth in range(n):
-            next_groups, left = [], [off]
-            for node, at in groups:
-                a, step = sample_softmax_rows(np.array([node.q]), u[at, depth])
-                xs[at, depth] = a + 1
-                log_q[at] += step
-                actions = np.flatnonzero(np.bincount(a)) if len(at) > 1 else a
-                for action in actions.tolist():
-                    child = node.children[action]
-                    sel = at if len(actions) == 1 else at[a == action]
-                    if child is None:
-                        left.append(sel)
-                    else:
-                        next_groups.append((child, sel))
             if len(off):
                 q = np.asarray(self.prior.evaluate_batch(self.graph, xs[off, :depth]), dtype=np.float64)
                 a, step = sample_softmax_rows(q, u[off, depth])
                 xs[off, depth] = a + 1
                 log_q[off] += step
-            groups = next_groups
-            off = np.concatenate(left) if len(left) > 1 else off
+            if not nodes:
+                continue
+            q = np.array([node.q for node in nodes])
+            a, step = sample_softmax_rows(q if len(nodes) == 1 else q[which], u[at, depth])
+            xs[at, depth] = a + 1
+            log_q[at] += step
+            if depth + 1 == n:
+                break
+            # cut the particles into runs that share a child: node order,
+            # then action order, each run in the order it had
+            key = which * k + a
+            order = np.argsort(key, kind="stable")
+            key, at = key[order], at[order]
+            first = np.empty(len(key), dtype=bool)
+            first[:1] = True
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            g, b = np.divmod(key[first], k)
+            children = [nodes[i].children[j] for i, j in zip(g.tolist(), b.tolist())]
+            nodes = [child for child in children if child is not None]
+            present = np.array([child is not None for child in children], dtype=bool)
+            run = np.cumsum(first) - 1
+            if len(nodes) < len(children):
+                stays = present[run]
+                off = np.concatenate((off, at[~stays]))
+                at, run = at[stays], run[stays]
+            which = (np.cumsum(present) - 1)[run]
         return xs, log_q
 
     def log_density(self, x) -> float:

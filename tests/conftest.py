@@ -10,7 +10,7 @@ import numpy as np
 from treesample.baselines import WeightedAtoms, _LoopyBP, merge_particles
 from treesample.exact import ChainSolution, StateSpaceCapError
 from treesample.logmath import (NEG_INF, ZeroMassError, draw_softmax_rows, logsumexp,
-                                logsumexp_rows)
+                                logsumexp_rows, sample_softmax_rows)
 from treesample.model import BudgetLedger, Factor, FactorGraph, Prefix
 
 
@@ -133,6 +133,66 @@ def reference_sample_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndar
     lse = m + np.array([math.log(t) for t in total.tolist()])
     picked = q[0, a] if len(q) == 1 else q[np.arange(len(q)), a]
     return a, picked - lse
+
+
+def reference_sample_batch(tree, num_samples: int, rng: np.random.Generator):
+    """SearchTree.sample_batch as a node-at-a-time walk, which its one draw
+    per depth must equal bit for bit: per depth, one sample_softmax_rows
+    call on each occupied node's (1, K) q row, the particles split among its
+    children in action order, and those whose child is missing added to the
+    off-tree particles, scored by one prior.evaluate_batch call per depth."""
+    n = tree.graph.num_variables
+    u = rng.random((num_samples, n))
+    xs = np.empty((num_samples, n), dtype=np.int64)
+    log_q = np.zeros(num_samples)
+    rows = np.arange(num_samples)
+    groups = [] if tree.root is None else [(tree.root, rows)]
+    off = rows if tree.root is None else rows[:0]
+    for depth in range(n):
+        next_groups, left = [], [off]
+        for node, at in groups:
+            a, step = sample_softmax_rows(np.array([node.q]), u[at, depth])
+            xs[at, depth] = a + 1
+            log_q[at] += step
+            actions = np.flatnonzero(np.bincount(a)) if len(at) > 1 else a
+            for action in actions.tolist():
+                child = node.children[action]
+                sel = at if len(actions) == 1 else at[a == action]
+                if child is None:
+                    left.append(sel)
+                else:
+                    next_groups.append((child, sel))
+        if len(off):
+            q = np.asarray(tree.prior.evaluate_batch(tree.graph, xs[off, :depth]),
+                           dtype=np.float64)
+            a, step = sample_softmax_rows(q, u[off, depth])
+            xs[off, depth] = a + 1
+            log_q[off] += step
+        groups = next_groups
+        off = np.concatenate(left) if len(left) > 1 else off
+    return xs, log_q
+
+
+def reference_entropy(solution) -> float:
+    """ExactSolution.entropy with every level's normaliser recomputed by
+    logsumexp_rows and subtracted by broadcasting, which the entropy from
+    the stored v_levels must equal bit for bit."""
+    logp = np.zeros(1)
+    for q in solution.q_levels:
+        v = logsumexp_rows(q)[:, None]
+        safe = v > NEG_INF
+        if safe.all():
+            cond = q - v
+        else:
+            cond = np.subtract(q, v, out=np.full(q.shape, NEG_INF), where=safe)
+        cond += logp[:, None]
+        logp = cond.reshape(-1)
+    p = np.exp(logp)
+    mask = p > 0
+    if not mask.all():
+        p, logp = p[mask], logp[mask]
+    p *= logp
+    return float(-np.sum(p))
 
 
 def assignment_to_prefix(graph: FactorGraph, assignment) -> Prefix:

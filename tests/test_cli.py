@@ -397,6 +397,23 @@ class TestFieldFlags:
             given = cli._given_fields(cls, args)[f.name]
             assert given == value and type(given) is type(value)
 
+    @pytest.mark.parametrize("argv, message", [
+        ("run {instance} --meth sis --budget 10", "unrecognized arguments: --meth sis"),
+        ("run {instance} --method sis --budget 10 --metric 20",
+         "unrecognized arguments: --metric 20"),
+        ("bench --family chains --n 3 --method sis --budget 30 --num-inst 1 --metric 20 "
+         "--out {d}/b.csv", "required: --methods, --budgets, --num-instances"),
+        ("train {instance} --epi 1 --checkpoint-out {d}/t.ckpt --metrics-out {d}/t.csv",
+         "required: --episodes"),
+    ], ids=["run", "run-optional", "bench", "train"])
+    def test_abbreviated_flag_exits_2(self, tmp_path, argv, message):
+        # argparse would otherwise expand a unique prefix to the full flag
+        instance = _uniform_instance(tmp_path)
+        code, error = _main_json(argv.format(d=tmp_path, instance=instance).split())
+        assert code == 2 and error["error"] == "ValueError"
+        assert message in error["message"]
+        assert not [p for p in tmp_path.iterdir() if p.name != instance.name]
+
     @pytest.mark.parametrize("command, expected", [
         ("run", ["--method {" + ",".join(METHODS) + "}", "--cost-mode {" + ",".join(COST_MODES)
                  + "}", "--prior PRIOR 'heuristic' or a checkpoint path"]),

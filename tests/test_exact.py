@@ -29,7 +29,8 @@ from treesample.model import Factor, FactorGraph
 
 from conftest import (all_configs, assignment_to_prefix, brute_force_log_z, exact_kl,
                       kl_by_enumeration, log_joint, log_step_conditionals, make_random_graph,
-                      q_values, reference_sample_softmax_rows, variable_marginals)
+                      q_values, reference_entropy, reference_sample_softmax_rows,
+                      variable_marginals)
 
 
 def _conditional(sol, prefix):
@@ -457,6 +458,48 @@ class TestSolveExact:
         h_ref = float(-np.sum(probs[probs > 0] * np.log(probs[probs > 0])))
         assert sol.log_z - sol.entropy() == pytest.approx(e_ref, abs=1e-9)
         assert sol.entropy() == pytest.approx(h_ref, abs=1e-9)
+
+
+class TestStoredNormalisers:
+    """solve_exact keeps each level's soft values V as v_levels, and the
+    entropy reads them: both must equal the recomputed values bit for bit,
+    zero-mass prefixes (all -inf q rows) included."""
+
+    @staticmethod
+    def _assert_equal_to_recomputed(sol):
+        assert len(sol.v_levels) == len(sol.q_levels)
+        for q, v in zip(sol.q_levels, sol.v_levels):
+            assert v.shape == (q.shape[0],)
+            assert _same_bits(v, logsumexp_rows(q))
+        assert struct.pack("<d", sol.entropy()) == struct.pack("<d", reference_entropy(sol))
+
+    def test_zero_mass_prefixes(self):
+        rng = np.random.default_rng(47)
+        g = make_random_graph(rng, 5, 3, num_extra_factors=6, max_scope=3, neg_inf_frac=0.4,
+                              shuffle_ordering=True)
+        sol = solve_exact(g)
+        assert sol.log_z > NEG_INF
+        assert any((v == NEG_INF).any() for v in sol.v_levels[1:])
+        self._assert_equal_to_recomputed(sol)
+
+    def test_no_mass_at_all(self):
+        g = _graph(2, 2, [((1, 2), np.full(4, -np.inf))])
+        sol = solve_exact(g)
+        assert sol.log_z == NEG_INF
+        self._assert_equal_to_recomputed(sol)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(graph_seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+           k=st.sampled_from([2, 3, 8, 10]), extra_factors=st.integers(0, 6),
+           neg_inf_frac=st.sampled_from([0.0, 0.3, 0.6, 0.9]))
+    def test_equal_to_recomputed_bitwise(self, graph_seed, n, k, extra_factors, neg_inf_frac):
+        # K = 8 and 10 reduce rows pairwise, K = 2 and 3 column by column
+        if k >= 8:
+            n = min(n, 4)
+        rng = np.random.default_rng(graph_seed)
+        g = make_random_graph(rng, n, k, num_extra_factors=extra_factors if n > 1 else 0,
+                              max_scope=4, neg_inf_frac=neg_inf_frac, shuffle_ordering=True)
+        self._assert_equal_to_recomputed(solve_exact(g))
 
 
 class TestSolveChain:

@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from treesample import search
 from treesample.exact import solve_exact
 from treesample.generators import GeneratorSpec, generate
-from treesample.logmath import NEG_INF, ZeroMassError, logsumexp
+from treesample.logmath import NEG_INF, ZeroMassError, logsumexp, sample_softmax_rows
 from treesample.model import FACTOR_EVAL, REWARD_EVAL, BudgetLedger, Factor, FactorGraph
 from treesample.prior import HeuristicPrior, MLPValueFunction
 from treesample.search import SearchTree, TreeNode, backup, build_tree, expand, q_uct_select
 
 from conftest import (ExactValuePrior, all_configs, kl_by_enumeration, log_joint,
-                      make_random_graph, q_values)
+                      make_random_graph, q_values, reference_sample_batch)
 
 
 def _graph(n, k, factors, ordering=None):
@@ -581,6 +582,42 @@ class TestSampleBatch:
         tree = build_tree(g, HeuristicPrior(), exhaustive_budget(g))
         assert tree.root_complete()
         self._assert_golden(tree, num=1000)
+
+    @pytest.mark.parametrize("k", [8, 10])
+    def test_wide_nodes(self, k):
+        # K >= 8 draws through numpy's pairwise row sum inside the tree too;
+        # at budget 400 dozens of nodes share one depth
+        rng = np.random.default_rng(173 + k)
+        g = make_random_graph(rng, 4, k, num_extra_factors=4, neg_inf_frac=0.2,
+                              shuffle_ordering=True)
+        for prior in (HeuristicPrior(), _small_mlp(g, seed=k)):
+            for budget in (0, 30, 400):
+                tree = build_tree(g, prior, budget)
+                if budget == 400:
+                    assert max(sum(len(p) == d for p in tree.nodes) for d in range(5)) >= 20
+                self._assert_golden(tree, num=300, seed=k)
+                xs, log_q = tree.sample_batch(300, np.random.default_rng(k))
+                ref_xs, ref_log_q = reference_sample_batch(tree, 300, np.random.default_rng(k))
+                assert xs.tolist() == ref_xs.tolist() and log_q.tobytes() == ref_log_q.tobytes()
+
+    def test_one_draw_call_per_depth(self, monkeypatch):
+        # a partial tree with dozens of nodes per depth: one draw for all
+        # in-tree particles and one for the off-tree ones at each depth, and
+        # every particle drawn once per depth
+        g = generate(GeneratorSpec(family="chains", n=6, k=3, seed=2))
+        tree = build_tree(g, HeuristicPrior(), 400)
+        assert max(sum(len(p) == d for p in tree.nodes) for d in range(7)) >= 50
+        draws = []
+
+        def counted(q, u):
+            draws.append(len(u))
+            return sample_softmax_rows(q, u)
+
+        monkeypatch.setattr(search, "sample_softmax_rows", counted)
+        xs, log_q = tree.sample_batch(500, np.random.default_rng(3))
+        assert len(draws) <= 2 * g.num_variables and sum(draws) == 500 * g.num_variables
+        ref_xs, ref_log_q = reference_sample_batch(tree, 500, np.random.default_rng(3))
+        assert xs.tolist() == ref_xs.tolist() and log_q.tobytes() == ref_log_q.tobytes()
 
     def test_zero_draws(self):
         tree = build_tree(_uniform_graph(3, 2), HeuristicPrior(), 3)

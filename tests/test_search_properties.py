@@ -5,7 +5,9 @@ Graphs have up to 5 variables of up to 3 states, random extra factors with
 past exhaustive, under both cost modes. For every tree: the ledger never
 overruns, the tree density sums to 1 over all K^N configurations, a complete
 root's value equals the exact log Z, and sample_batch's log q equals
-log_density exactly. With the exact-value prior (the oracle's Q*, the
+log_density exactly. sample_batch also equals the node-at-a-time reference
+walk bit for bit, for K of 2 to 10, both priors, empty to complete trees
+and 0 to 300 samples. With the exact-value prior (the oracle's Q*, the
 scale the tree reads), the tree's KL to the target is 0 at every budget. On
 random two-child nodes, q_uct_select's unrolled binary choice equals the
 generic scoring loop's.
@@ -16,16 +18,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treesample.exact import solve_exact
-from treesample.logmath import NEG_INF
+from treesample.logmath import NEG_INF, ZeroMassError
 from treesample.model import COST_MODES, REWARD_EVAL
-from treesample.prior import HeuristicPrior
+from treesample.prior import HeuristicPrior, MLPValueFunction
 from treesample.search import TreeNode, build_tree, q_uct_select
 
-from conftest import ExactValuePrior, all_configs, kl_by_enumeration, make_random_graph
+from conftest import (ExactValuePrior, all_configs, kl_by_enumeration, make_random_graph,
+                      reference_sample_batch)
 
 trees = st.fixed_dictionaries({
     "graph_seed": st.integers(0, 2**32 - 1),
@@ -71,6 +75,39 @@ def test_search_invariants(p):
 
     xs, log_q = tree.sample_batch(50, np.random.default_rng(p["seed"]))
     assert log_q.tolist() == [tree.log_density(tuple(x)) for x in xs.tolist()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graph_seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       k=st.sampled_from([2, 3, 8, 10]), extra_factors=st.integers(0, 4),
+       neg_inf_frac=st.sampled_from([0.0, 0.2, 0.5, 0.9]), cost_mode=st.sampled_from(COST_MODES),
+       budget=st.sampled_from([0, 5, 40, 300, None]), mlp=st.booleans(),
+       num_samples=st.sampled_from([0, 1, 2, 300]), seed=st.integers(0, 100))
+def test_sample_batch_equals_reference_walk_bitwise(graph_seed, n, k, extra_factors,
+                                                    neg_inf_frac, cost_mode, budget, mlp,
+                                                    num_samples, seed):
+    """One draw per depth for all in-tree particles gives what one draw per
+    node gives: K >= 8 reduces each row pairwise, K < 8 column by column,
+    and either way a row's bits do not depend on the rows stacked with it.
+    A budget of None builds the complete tree, 0 leaves the root None."""
+    rng = np.random.default_rng(graph_seed)
+    graph = make_random_graph(rng, n, k, num_extra_factors=extra_factors if n > 1 else 0,
+                              neg_inf_frac=neg_inf_frac, shuffle_ordering=True)
+    prior = (MLPValueFunction(n * (k + 1), k, hidden_units=8, num_hidden_layers=1, seed=seed)
+             if mlp else HeuristicPrior())
+    if budget is None:
+        budget = (sum(k**d for d in range(1, n + 1)) if cost_mode == REWARD_EVAL
+                  else graph.num_factors * k**n)
+    tree = build_tree(graph, prior, budget, cost_mode=cost_mode)
+    try:
+        expected = reference_sample_batch(tree, num_samples, np.random.default_rng(seed))
+    except ZeroMassError:
+        with pytest.raises(ZeroMassError):
+            tree.sample_batch(num_samples, np.random.default_rng(seed))
+        return
+    xs, log_q = tree.sample_batch(num_samples, np.random.default_rng(seed))
+    assert xs.dtype == expected[0].dtype and xs.tolist() == expected[0].tolist()
+    assert log_q.tobytes() == expected[1].tobytes()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
