@@ -414,9 +414,9 @@ def train_loop(graph: FactorGraph, config: TrainConfig, mlp: MLPValueFunction, a
             else:
                 delta_kl = delta_kl_atoms(result, graph)
                 targets = _smc_step_targets(result.atoms, result.weights, result.num_particles, k)
-                w = np.asarray(result.weights)
-                draws = [result.atoms[int(draw_rng.choice(len(result.atoms), p=w))]
-                         for _ in range(config.samples_per_episode)]
+                picks = draw_rng.choice(len(result.atoms), size=config.samples_per_episode,
+                                        p=np.asarray(result.weights))
+                draws = [result.atoms[i] for i in picks.tolist()]
 
         pairs = []
         for x in draws:  # draw by draw, then depth by depth
