@@ -106,10 +106,7 @@ def run_method(graph: FactorGraph, config: RunConfig, dump_tree_path=None):
     if config.prior == "heuristic":
         prior = HeuristicPrior()
     else:
-        prior, _, _, trained = _checkpoint_for(config.prior, graph)
-        if config.method == "treesample" and trained.algo == "smc":
-            raise ValueError(f"checkpoint {config.prior} was trained by smc on log conditionals, "
-                             "but treesample reads a prior's outputs as soft values")
+        prior = _checkpoint_for(config.prior, graph)[0]
     if config.method == "treesample":
         tree = build_tree(graph, prior, config.budget, c=config.c, epsilon=config.epsilon,
                           cost_mode=config.cost_mode)

@@ -10,10 +10,10 @@ row per prefix, each row equal to evaluate of that prefix; callers only read
 it, and HeuristicPrior returns a read-only broadcast view. Priors are free
 to evaluate: they never touch the budget.
 
-The tree reads a prior's outputs as soft values (log future mass), the scale
-train --algo treesample fits; --algo smc fits log conditionals, which only
-softmax proposals read alike. TrainConfig records the algo; the replay
-capacity, the target floor and Adam's moment rates are constants.
+A prior's outputs are soft values, the log of the summed future mass below
+each child, on the scale backup writes; train fits them with either algo,
+and SIS and SMC draw from their softmax. TrainConfig records the algo; the
+replay capacity, the target floor and Adam's moment rates are constants.
 
 The MLP's trainable state is three float64 vectors in one layout (see
 MLPValueFunction): its parameters, flat, and Adam's two moments. The
@@ -34,7 +34,7 @@ from .baselines import check_resample_threshold
 from .model import FactorGraph, Prefix, check_type
 from .search import build_tree, check_search_params
 
-CHECKPOINT_FORMAT = "treesample-mlp-v2"
+CHECKPOINT_FORMAT = "treesample-mlp-v3"
 ALGOS = ("treesample", "smc")
 REPLAY_CAPACITY = 10_000
 CLAMP_FLOOR = -50.0  # what train_step clamps a -inf (zero-mass) target to
@@ -350,22 +350,20 @@ class TrainConfig:
         check_resample_threshold(self.resample_threshold)
 
 
-def _smc_step_targets(atoms, weights, num_particles: int, k: int):
-    """Smoothed log empirical conditionals at every prefix hit by an atom."""
-    masses: dict[Prefix, np.ndarray] = {}
-    for x, w in zip(atoms, weights):
-        for n in range(len(x)):
-            vec = masses.get(x[:n])
-            if vec is None:
-                vec = np.zeros(k)
-                masses[x[:n]] = vec
-            vec[x[n] - 1] += w
-    smooth = 1.0 / (k * num_particles)
-    targets = {}
-    for prefix, vec in masses.items():
-        p = vec + smooth
-        targets[prefix] = np.log(p / p.sum())
-    return targets
+def _smc_value_targets(graph: FactorGraph, result, smooth: float) -> dict:
+    """Soft-value targets Q(x<n, a) = log(P(x<n.a) + smooth) + log Z - R(x<n)
+    at every prefix hit by an atom of result, a WeightedAtoms: P is the
+    atoms' mass, Z their log_z_estimate, R the prefix's summed reward. With
+    the exact mass and Z and smooth 0 this is the optimal value Q*."""
+    xs, n, k = np.array(result.atoms), graph.num_variables, graph.num_states
+    steps = [np.zeros(len(xs))] + [graph.reward_batch(xs[:, :d]) for d in range(1, n)]
+    offsets = result.log_z_estimate - np.cumsum(steps, axis=0).T  # log Z - R(x<d) at [i, d]
+    masses: dict[Prefix, tuple[np.ndarray, float]] = {}
+    for x, w, offset in zip(result.atoms, result.weights, offsets.tolist()):
+        for d in range(n):
+            vec = masses.setdefault(x[:d], (np.zeros(k), offset[d]))[0]
+            vec[x[d] - 1] += w
+    return {prefix: np.log(vec + smooth) + offset for prefix, (vec, offset) in masses.items()}
 
 
 def train_loop(graph: FactorGraph, config: TrainConfig, mlp: MLPValueFunction, adam: Adam,
@@ -413,7 +411,7 @@ def train_loop(graph: FactorGraph, config: TrainConfig, mlp: MLPValueFunction, a
                 degenerate = True
             else:
                 delta_kl = delta_kl_atoms(result, graph)
-                targets = _smc_step_targets(result.atoms, result.weights, result.num_particles, k)
+                targets = _smc_value_targets(graph, result, 1.0 / (k * result.num_particles))
                 picks = draw_rng.choice(len(result.atoms), size=config.samples_per_episode,
                                         p=np.asarray(result.weights))
                 draws = [result.atoms[i] for i in picks.tolist()]
@@ -456,7 +454,7 @@ def train_loop(graph: FactorGraph, config: TrainConfig, mlp: MLPValueFunction, a
 # Checkpoints: one JSON header line, then three raw little-endian float64
 # blocks in MLPValueFunction.flat's layout (parameters, Adam first moments,
 # Adam second moments). Loads bit-exactly.
-# The header stores the whole TrainConfig, so its algo names the output scale.
+# The header stores the whole TrainConfig.
 # ---------------------------------------------------------------------------
 
 

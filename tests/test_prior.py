@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from treesample.baselines import WeightedAtoms, smc
 from treesample.exact import solve_exact
+from treesample.generators import GeneratorSpec, generate
+from treesample.logmath import logsumexp_rows
 from treesample.model import Factor, FactorGraph
 from treesample.prior import (
     CHECKPOINT_FORMAT,
@@ -13,6 +16,7 @@ from treesample.prior import (
     MLPValueFunction,
     ReplayBuffer,
     TrainConfig,
+    _smc_value_targets,
     encode_batch,
     load_checkpoint,
     save_checkpoint,
@@ -21,7 +25,7 @@ from treesample.prior import (
 )
 from treesample.search import build_tree
 
-from conftest import all_configs, q_values
+from conftest import all_configs, kl_by_enumeration, make_random_graph, q_values
 
 
 def _uniform_graph(n, k, ordering=None):
@@ -411,7 +415,7 @@ class TestCheckpoint:
 
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "bad.ckpt"
-        for fmt in ("other", "treesample-mlp-v1"):
+        for fmt in ("other", "treesample-mlp-v1", "treesample-mlp-v2"):
             path.write_bytes(json.dumps({"format": fmt}).encode() + b"\n")
             with pytest.raises(ValueError, match="unrecognized checkpoint format"):
                 load_checkpoint(path)
@@ -449,7 +453,7 @@ class TestCheckpoint:
         save_checkpoint(path, mlp, Adam(mlp.parameters()), episode=0,
                         config=TrainConfig(algo="smc"))
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        assert header["format"] == CHECKPOINT_FORMAT == "treesample-mlp-v2"
+        assert header["format"] == CHECKPOINT_FORMAT == "treesample-mlp-v3"
         assert header["config"]["algo"] == "smc"
         assert load_checkpoint(path)[3].algo == "smc"
 
@@ -523,3 +527,71 @@ class TestTrainLoop:
     def test_bad_algo(self):
         with pytest.raises(ValueError, match="algo must be one of"):
             TrainConfig(episodes=1, algo="gibbs")
+
+
+def _prefixes_below(n, k):
+    """Every prefix of length 0..n-1."""
+    return [p for d in range(n) for p in all_configs(d, k)]
+
+
+class TestSmcValueTargets:
+    """SMC's replay targets are soft values, the scale the tree reads."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_full_enumeration_gives_the_exact_values(self, seed):
+        # every configuration as an atom, at its exact weight, with the
+        # exact log Z and no smoothing: the targets are Q*
+        g = make_random_graph(np.random.default_rng(seed), 5, 3, shuffle_ordering=True)
+        sol = solve_exact(g)
+        atoms = WeightedAtoms(atoms=list(all_configs(5, 3)),
+                              weights=np.exp(sol.enumerate_log_joint()).tolist(),
+                              log_z_estimate=sol.log_z)
+        targets = _smc_value_targets(g, atoms, 0.0)
+        assert sorted(targets) == sorted(_prefixes_below(5, 3))
+        for prefix, target in targets.items():
+            np.testing.assert_allclose(target, q_values(sol, prefix), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_softmax_is_the_smoothed_empirical_conditional(self, seed):
+        # each row differs from the log of the prefix's smoothed, normalised
+        # atom mass by a constant, so SIS and SMC draw from the same softmax
+        g = make_random_graph(np.random.default_rng(seed), 6, 3, neg_inf_frac=0.2)
+        result = smc(g, HeuristicPrior(), 150, seed=seed)
+        smooth = 1.0 / (3 * result.num_particles)
+        targets = _smc_value_targets(g, result, smooth)
+        masses = {}
+        for x, w in zip(result.atoms, result.weights):
+            for d in range(6):
+                masses.setdefault(x[:d], np.zeros(3))[x[d] - 1] += w
+        assert sorted(targets) == sorted(masses)
+        for prefix, mass in masses.items():
+            p = mass + smooth
+            row = targets[prefix]
+            np.testing.assert_allclose(row - logsumexp_rows(row[None, :])[0], np.log(p / p.sum()),
+                                       rtol=0, atol=1e-12)
+
+
+class TestDistilledPrior:
+    """The whole neural path on the value scale: Q* distilled into a small MLP
+    through ReplayBuffer, train_step and Adam guides the tree far better
+    than the heuristic prior."""
+
+    @pytest.mark.parametrize("family, n, k, seed", [
+        ("fg2", 8, 2, 1000), ("fg1", 8, 2, 1), ("chains", 6, 3, 1),
+    ])
+    def test_distilled_values_beat_the_heuristic(self, family, n, k, seed):
+        g = generate(GeneratorSpec(family=family, n=n, k=k, seed=seed))
+        sol = solve_exact(g)
+        prefixes = _prefixes_below(n, k)
+        replay = ReplayBuffer(len(prefixes), n * (k + 1), k)
+        for x, prefix in zip(encode_batch(g, prefixes), prefixes):
+            replay.add(x, q_values(sol, prefix))
+        mlp = MLPValueFunction(n * (k + 1), k, hidden_units=32, num_hidden_layers=2, seed=0)
+        adam = Adam(mlp.parameters(), learning_rate=3e-3)
+        rng = np.random.default_rng(0)
+        for _ in range(800):
+            train_step(mlp, replay, 64, adam, rng)
+        for budget in (0, 30):
+            kl = {name: kl_by_enumeration(build_tree(g, prior, budget).log_density, sol, g)
+                  for name, prior in (("mlp", mlp), ("heuristic", HeuristicPrior()))}
+            assert 5 * kl["mlp"] < kl["heuristic"], (budget, kl)
