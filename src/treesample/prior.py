@@ -30,7 +30,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
-from .baselines import check_resample_threshold
+from .baselines import WeightedAtoms, check_resample_threshold
 from .model import FactorGraph, Prefix, check_type
 from .search import build_tree, check_search_params
 
@@ -350,11 +350,11 @@ class TrainConfig:
         check_resample_threshold(self.resample_threshold)
 
 
-def _smc_value_targets(graph: FactorGraph, result, smooth: float) -> dict:
+def _smc_value_targets(graph: FactorGraph, result: WeightedAtoms, smooth: float) -> dict:
     """Soft-value targets Q(x<n, a) = log(P(x<n.a) + smooth) + log Z - R(x<n)
-    at every prefix hit by an atom of result, a WeightedAtoms: P is the
-    atoms' mass, Z their log_z_estimate, R the prefix's summed reward. With
-    the exact mass and Z and smooth 0 this is the optimal value Q*."""
+    at every prefix hit by an atom of result: P is the atoms' mass, Z their
+    log_z_estimate, R the prefix's summed reward. With the exact mass and Z
+    and smooth 0 this is the optimal value Q*."""
     xs, n, k = np.array(result.atoms), graph.num_variables, graph.num_states
     steps = [np.zeros(len(xs))] + [graph.reward_batch(xs[:, :d]) for d in range(1, n)]
     offsets = result.log_z_estimate - np.cumsum(steps, axis=0).T  # log Z - R(x<d) at [i, d]
