@@ -6,10 +6,12 @@ most the given budget under the same cost accounting as the tree search.
 
 Each sampler is an array program over all of its particles or messages:
 - SMC keeps the particles as one (I, N) array and scores a depth for all of
-  them with one FactorGraph.reward_batch call. Its proposal rows come from
-  one prior.evaluate_batch call per depth; HeuristicPrior's depend on the
+  them with one FactorGraph.reward_batch call, which gathers the depth's
+  factors in one take. Its proposal rows come from one
+  prior.evaluate_batch call per depth; HeuristicPrior's depend on the
   depth alone and come back as one broadcast row, which
-  sample_softmax_rows reduces once for all particles.
+  sample_softmax_rows reduces once for all particles; from 8 columns on
+  it draws by binary search.
 - Gibbs runs all chains in lockstep on one (chains, N) state array. One pass
   over the factors builds its site table: per variable, in raw index order,
   its column, the charge of one update of one chain, and per site factor

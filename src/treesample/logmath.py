@@ -150,20 +150,29 @@ def log_each(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, values.tolist()), dtype=np.float64, count=len(values))
 
 
-def _shared_row(q: np.ndarray) -> np.ndarray:
-    """The (1, K) row that every row of q is, when q's row stride is 0."""
-    return q[:1] if q.strides[0] == 0 else q
+def _shared_row(q: np.ndarray, which: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """(q, which), or q's one row and no index when q has one row or its
+    row stride is 0."""
+    return (q[:1], None) if len(q) == 1 or q.strides[0] == 0 else (q, which)
 
 
-def draw_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A 0-based draw from softmax of each row of q at its uniform in u; q
-    may also be one (1, K) row shared by all. Returns the draws, each row's
-    maximum m and each row's sum of exp(q - m). Raises ZeroMassError when a
-    row is all -inf.
+def draw_softmax_rows(q: np.ndarray, u: np.ndarray,
+                      which: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A 0-based draw from softmax of each row of q at its uniform in u.
+    Returns the draws, each row's maximum m and each row's sum of
+    exp(q - m). Raises ZeroMassError when a row is all -inf.
 
-    A q whose row stride is 0 (an np.broadcast_to view of one row) is that
-    shared row: it is reduced once, and m and total have one entry. A
-    materialised q with equal rows gives the same draws, bit for bit.
+    q holds one row per uniform, or one (1, K) row shared by all, or, with
+    which (shape (S,)), G rows of which uniform i draws from row which[i].
+    A q with one row, or whose row stride is 0 (an np.broadcast_to view of
+    one row), is a shared row, and which is then ignored. Each row of q is
+    reduced once, so m and total have one entry per row of q, and the
+    draws equal those from the materialised q[which] (or np.array(q)) bit
+    for bit: a row's reduction does not depend on its neighbours. Every
+    row of an indexed q is reduced, so an all -inf row raises
+    ZeroMassError even when no uniform draws from it. A caller that passes
+    which must draw from every row at least once; the error then fires
+    exactly when the materialised q[which] would raise it.
 
     A draw is the first index whose cumulative probability exceeds u, or
     K - 1 when none does. Below PAIRWISE_SUM_MIN columns the max, exp, sum,
@@ -174,9 +183,12 @@ def draw_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     at K - 1. From PAIRWISE_SUM_MIN columns on, the row sum is numpy's
     pairwise sum, so the reductions stay numpy's own, over a C-contiguous
     copy of q as in shifted_exp_sums: a Fortran-ordered q would be summed
-    column by column, one ulp off on some rows.
+    column by column, one ulp off on some rows. There, a shared row counts
+    by binary search: np.searchsorted(cdf, u, side="right") is the number
+    of entries at most u, as the count is, since a cumulative sum of
+    non-negative terms never decreases.
     """
-    q = _shared_row(q)
+    q, which = _shared_row(q, which)
     k = q.shape[1]
     if k < PAIRWISE_SUM_MIN:
         cols = [q[:, j] for j in range(k)]
@@ -190,10 +202,10 @@ def draw_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndar
         for e in exps[1:]:
             total += e
         cdf = exps[0] / total
-        a = (cdf <= u).astype(np.int64)
+        a = ((cdf if which is None else cdf[which]) <= u).astype(np.int64)
         for e in exps[1:-1]:
             cdf += e / total
-            a += cdf <= u
+            a += (cdf if which is None else cdf[which]) <= u
         return a, m, total
     q = np.ascontiguousarray(q)
     m = q.max(axis=1)
@@ -202,20 +214,31 @@ def draw_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     e = np.exp(q - m[:, None])
     total = e.sum(axis=1)
     cdf = (e / total[:, None]).cumsum(axis=1)
-    return np.minimum((cdf <= u[:, None]).sum(axis=1), k - 1), m, total
+    if len(q) == 1:
+        a = np.searchsorted(cdf[0], u, side="right")
+    else:
+        a = ((cdf if which is None else cdf[which]) <= u[:, None]).sum(axis=1)
+    return np.minimum(a, k - 1), m, total
 
 
-def sample_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """draw_softmax_rows' draws and the log probability of each draw.
+def sample_softmax_rows(q: np.ndarray, u: np.ndarray,
+                        which: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """draw_softmax_rows' draws and the log probability of each draw; q,
+    u and which are as there.
 
     The log probability is the row entry minus the row's logsumexp,
     m + math.log(total) in logsumexp's arithmetic, so it equals
-    q[a] - logsumexp(q) bit for bit.
+    q[a] - logsumexp(q) bit for bit. The logsumexp is formed once per row
+    of q and then gathered by which.
     """
-    q = _shared_row(q)
-    a, m, total = draw_softmax_rows(q, u)
-    picked = q[0, a] if len(q) == 1 else q[np.arange(len(q)), a]
-    return a, picked - (m + log_each(total))
+    q, which = _shared_row(q, which)
+    a, m, total = draw_softmax_rows(q, u, which)
+    lse = m + log_each(total)
+    if len(q) == 1:
+        return a, q[0, a] - lse
+    if which is None:
+        return a, q[np.arange(len(q)), a] - lse
+    return a, q[which, a] - lse[which]
 
 
 class ZeroMassError(ValueError):

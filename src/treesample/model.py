@@ -48,7 +48,8 @@ class _CompiledFactor:
 
     value_at reads Python ints and a list copy of the table: it is called once
     per factor of every reward, where a numpy scalar costs more than the
-    arithmetic. values_at and the exact oracle read the numpy forms.
+    arithmetic. The exact oracle and Gibbs read the numpy forms, and the
+    batch methods of FactorGraph gather through its _FactorBlock.
     """
 
     __slots__ = ("factor", "depth", "positions", "strides", "table", "_terms", "_entries")
@@ -69,12 +70,55 @@ class _CompiledFactor:
             idx += (prefix[pos - 1] - 1) * stride
         return self._entries[idx]
 
-    def values_at(self, xs: np.ndarray) -> np.ndarray:
-        """Table entries for every row of an (S, >= depth) array of prefixes."""
-        idx = np.zeros(len(xs), dtype=np.int64)
-        for pos, stride in zip(self.positions, self.strides):
-            idx += (xs[:, pos - 1] - 1) * stride
-        return self.table[idx]
+
+class _FactorBlock:
+    """Every factor of a graph in depth order, gathered many rows at a time.
+
+    It holds the concatenated tables and, per factor, its scope's 0-based
+    columns and strides, padded to the largest arity with column 0 and
+    stride 0, and a base index: the table's offset minus the sum of its
+    strides, which takes the 1-based values to 0-based digits. So factor f's
+    entry at a row x is tables[base[f] + sum_j x[columns[f, j]] * strides[f, j]].
+    starts[d] is the first factor of depth d; depth d's factors are
+    starts[d] to starts[d + 1] - 1.
+    """
+
+    __slots__ = ("tables", "base", "columns", "strides", "starts")
+
+    def __init__(self, by_depth: list[list[_CompiledFactor]]):
+        compiled = [cf for fs in by_depth for cf in fs]
+        arity = max(len(cf.positions) for cf in compiled)
+        self.columns = np.zeros((len(compiled), arity), dtype=np.int64)
+        self.strides = np.zeros((len(compiled), arity), dtype=np.int64)
+        for i, cf in enumerate(compiled):
+            self.columns[i, : len(cf.positions)] = cf.positions - 1
+            self.strides[i, : len(cf.positions)] = cf.strides
+        sizes = [len(cf.table) for cf in compiled]
+        self.tables = np.concatenate([cf.table for cf in compiled])
+        self.base = np.cumsum([0] + sizes[:-1], dtype=np.int64) - self.strides.sum(axis=1)
+        self.starts = np.cumsum([0] + [len(fs) for fs in by_depth]).tolist()
+
+    def sums(self, xs: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Sum of factors lo to hi - 1 at every row of an (S, d) array of
+        values; every column the factors read must lie below d.
+
+        All (hi - lo, S) indices come from integer arithmetic on the
+        transposed values and one take. The rows are then added into zeros
+        one factor at a time, in block order, as the scalar loop adds them.
+        A reduction over the factor axis would not do: numpy adds an axis
+        left to right or pairwise depending on the array's layout.
+        """
+        total = np.zeros(len(xs))
+        if lo == hi:
+            return total
+        xt, columns, strides = xs.T, self.columns[lo:hi], self.strides[lo:hi]
+        idx = xt[columns[:, 0]] * strides[:, :1]
+        idx += self.base[lo:hi, None]
+        for j in range(1, columns.shape[1]):
+            idx += xt[columns[:, j]] * strides[:, j : j + 1]
+        for row in self.tables.take(idx):
+            total += row
+        return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,6 +135,7 @@ class FactorGraph:
     _depth_factors: tuple[tuple[_CompiledFactor, ...], ...] = field(
         init=False, repr=False, compare=False
     )
+    _block: _FactorBlock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, k = self.num_variables, self.num_states
@@ -124,6 +169,7 @@ class FactorGraph:
 
         object.__setattr__(self, "_position", position)
         object.__setattr__(self, "_depth_factors", tuple(tuple(fs) for fs in by_depth))
+        object.__setattr__(self, "_block", _FactorBlock(by_depth))
 
     @property
     def num_factors(self) -> int:
@@ -161,10 +207,8 @@ class FactorGraph:
             raise ValueError("prefixes must form an (S, d) array with 1 <= d <= N")
         if xs.size and (xs.min() < 1 or xs.max() > self.num_states):
             raise ValueError(f"prefix values must lie in 1..{self.num_states}")
-        total = np.zeros(len(xs))
-        for cf in self._depth_factors[xs.shape[1]]:
-            total += cf.values_at(xs)
-        return total
+        d = xs.shape[1]
+        return self._block.sums(xs, *self._block.starts[d : d + 2])
 
     def reward_cost(self, depth: int, cost_mode: str = REWARD_EVAL) -> int:
         """Budget units charged by one reward evaluation at the given depth."""
@@ -189,11 +233,7 @@ class FactorGraph:
             raise ValueError("configurations must form an (S, N) array")
         if xs.size and (xs.min() < 1 or xs.max() > self.num_states):
             raise ValueError(f"configuration values must lie in 1..{self.num_states}")
-        total = np.zeros(len(xs))
-        for depth_factors in self._depth_factors:
-            for cf in depth_factors:
-                total += cf.values_at(xs)
-        return total
+        return self._block.sums(xs, 0, self.num_factors)
 
 
 class BudgetTooSmallError(ValueError):

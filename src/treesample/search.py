@@ -12,8 +12,9 @@ pass from a generator the caller passes, returning each one's
 log-probability with it; sample() is its one-row case and log_density() the
 per-configuration reference. The pass goes depth by depth with at most two
 draws per depth, one for every particle still in the tree and one for the
-particles that have left it, however many nodes the depth holds. The build
-itself draws no random numbers.
+particles that have left it, however many nodes the depth holds. The
+in-tree draw reduces each occupied node's row once and gathers it per
+particle. The build itself draws no random numbers.
 
 A node holds K-entry Python lists, not numpy arrays: a traversal touches
 every node on its path, and at K of 2 to 10 the fixed cost of a numpy call
@@ -114,10 +115,16 @@ class SearchTree:
         of S successive one-row calls would emit. The walk goes depth by
         depth, with one sample_softmax_rows call for all particles in the
         tree: the q rows of the depth's occupied nodes are stacked into a
-        (G, K) array and indexed by each particle's node. That draw has the
-        bits of one draw per node, since sample_softmax_rows works row by
-        row (see draw_softmax_rows): below 8 columns element-wise, column by
-        column, and from 8 on along each contiguous row. A stable sort on
+        (G, K) array and passed with which, each particle's node. The call
+        reduces the G rows once (max, exp, sum, cumulative sum and log) and
+        gathers the results per particle, so a depth costs G row reductions,
+        not one per particle. That draw has the bits of one draw per node,
+        since sample_softmax_rows works row by row (see draw_softmax_rows):
+        below 8 columns element-wise, column by column, and from 8 on along
+        each contiguous row. Every stacked node holds at least one particle,
+        so an all -inf row raises ZeroMassError exactly when a per-node draw
+        would. A depth with one occupied node draws from its row as a
+        shared row. A stable sort on
         node * K + action then cuts the particles into runs that share a
         child, in node order, then action order, each run in its earlier
         order; a run whose child is missing leaves the tree. The particles
@@ -125,7 +132,8 @@ class SearchTree:
         depth, on the same rows in the same order as one walk per node
         would pass. A prior whose values depend on the depth alone
         (HeuristicPrior) returns one broadcast row there, which
-        sample_softmax_rows reduces once. Costs no budget.
+        sample_softmax_rows reduces once; from 8 columns on it draws by
+        binary search. Costs no budget.
         """
         n, k = self.graph.num_variables, self.graph.num_states
         u = rng.random((num_samples, n))
@@ -147,7 +155,7 @@ class SearchTree:
             if not nodes:
                 continue
             q = np.array([node.q for node in nodes])
-            a, step = sample_softmax_rows(q if len(nodes) == 1 else q[which], u[at, depth])
+            a, step = sample_softmax_rows(q, u[at, depth], which)
             xs[at, depth] = a + 1
             log_q[at] += step
             if depth + 1 == n:

@@ -173,6 +173,23 @@ def reference_sample_batch(tree, num_samples: int, rng: np.random.Generator):
     return xs, log_q
 
 
+def reference_factor_sums(graph: FactorGraph, xs: np.ndarray,
+                          depth: int | None = None) -> np.ndarray:
+    """FactorGraph.reward_batch of the rows of xs at one depth, or, with no
+    depth, log_unnormalized_density_batch, as a scalar loop that the one
+    factor gather must equal bit for bit: per row, each factor's value_at
+    added to 0.0 one at a time, in depth order."""
+    depths = range(graph.num_variables + 1) if depth is None else [depth]
+    out = []
+    for x in xs.tolist():
+        total = 0.0
+        for d in depths:
+            for cf in graph.factors_at_depth(d):
+                total += cf.value_at(x)
+        out.append(total)
+    return np.array(out, dtype=np.float64)
+
+
 def reference_entropy(solution) -> float:
     """ExactSolution.entropy with every level's normaliser recomputed by
     logsumexp_rows and subtracted by broadcasting, which the entropy from

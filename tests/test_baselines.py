@@ -310,13 +310,14 @@ class TestGibbs:
 
 class TestGibbsScores:
     """The gathered (chains, K) scores equal the former scoring of K repeated
-    completions of every chain through values_at, bit for bit."""
+    completions of every chain, factor by factor, bit for bit."""
 
     @staticmethod
     def repeated_completion_gibbs(graph, num_sweeps, budget, seed, cost_mode):
         """The former Gibbs: np.repeat(states, K), the site column set to
-        1..K, values_at per site factor. Returns the run and the scores of
-        the live rows of every site update."""
+        1..K, each site factor's entries read from its table reshaped to one
+        axis per scope variable. Returns the run and the scores of the live
+        rows of every site update."""
         n, k = graph.num_variables, graph.num_states
         site_factors = {v: [cf for d in range(1, n + 1) for cf in graph.factors_at_depth(d)
                             if v in cf.factor.scope] for v in range(1, n + 1)}
@@ -336,7 +337,8 @@ class TestGibbsScores:
             completions[:, col] = np.tile(np.arange(1, k + 1), num)
             scores = np.zeros(num * k)
             for cf in site_factors[v]:
-                scores += cf.values_at(completions)
+                table = cf.table.reshape((k,) * len(cf.positions))
+                scores += table[tuple(completions[:, cf.positions - 1].T - 1)]
             scores = scores.reshape(num, k)
             u = uniforms[:, t]
             zero = scores.max(axis=1) == NEG_INF

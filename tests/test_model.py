@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from treesample.generators import GeneratorSpec, generate
+from treesample.logmath import NEG_INF
 from treesample.model import (
     BudgetLedger,
     BudgetTooSmallError,
@@ -17,7 +19,7 @@ from treesample.model import (
     save_graph,
 )
 
-from conftest import all_configs, make_random_graph
+from conftest import all_configs, make_random_graph, reference_factor_sums
 
 
 def _graph(n, k, factors, ordering=None):
@@ -196,6 +198,53 @@ class TestRewardBatch:
         for xs in (np.zeros((1, 0), dtype=int), [[1, 1, 1]], [[1, 3]], [[0, 1]], [1, 2]):
             with pytest.raises(ValueError):
                 g.reward_batch(xs)
+
+
+class TestFactorGather:
+    """reward_batch at every depth and log_unnormalized_density_batch equal
+    conftest.reference_factor_sums byte for byte, signed zeros included, on
+    graphs of all four families and on random graphs."""
+
+    @staticmethod
+    def _assert_gathers_match(g, rng):
+        n, k = g.num_variables, g.num_states
+        for s in (1, 2, 57):
+            xs = rng.integers(1, k + 1, size=(s, n))
+            got = g.log_unnormalized_density_batch(xs)
+            assert got.tobytes() == reference_factor_sums(g, xs).tobytes()
+            for depth in range(1, n + 1):
+                got = g.reward_batch(xs[:, :depth])
+                assert got.tobytes() == reference_factor_sums(g, xs, depth).tobytes()
+
+    @staticmethod
+    def _with_special_entries(g, rng):
+        """g with about a third of its table entries made -inf, 0.0 or -0.0."""
+        factors = []
+        for f in g.factors:
+            table = f.table.copy()
+            hit = rng.random(len(table)) < 0.35
+            table[hit] = rng.choice([NEG_INF, 0.0, -0.0], size=int(hit.sum()))
+            factors.append(Factor(scope=f.scope, table=table))
+        return FactorGraph(g.num_variables, g.num_states, tuple(factors), g.ordering)
+
+    @pytest.mark.parametrize("family, n, k", [("fg1", 7, 3), ("fg2", 8, 2), ("chains", 6, 4),
+                                              ("permuted_chains", 7, 3)])
+    def test_families_match_the_scalar_loop(self, family, n, k):
+        rng = np.random.default_rng(79)
+        for seed in range(3):
+            g = generate(GeneratorSpec(family=family, n=n, k=k, seed=seed))
+            self._assert_gathers_match(g, rng)
+            self._assert_gathers_match(self._with_special_entries(g, rng), rng)
+
+    def test_random_graphs_match_the_scalar_loop(self):
+        # shuffled orderings, scopes of up to four variables, so factors of
+        # mixed arity share the padded block
+        rng = np.random.default_rng(83)
+        for trial in range(10):
+            g = make_random_graph(rng, int(rng.integers(2, 7)), int(rng.integers(2, 5)),
+                                  num_extra_factors=int(rng.integers(0, 6)), max_scope=4,
+                                  shuffle_ordering=True, neg_inf_frac=0.3)
+            self._assert_gathers_match(self._with_special_entries(g, rng), rng)
 
 
 class TestPartitionProperty:

@@ -609,9 +609,9 @@ class TestSampleBatch:
         assert max(sum(len(p) == d for p in tree.nodes) for d in range(7)) >= 50
         draws = []
 
-        def counted(q, u):
+        def counted(q, u, which=None):
             draws.append(len(u))
-            return sample_softmax_rows(q, u)
+            return sample_softmax_rows(q, u, which)
 
         monkeypatch.setattr(search, "sample_softmax_rows", counted)
         xs, log_q = tree.sample_batch(500, np.random.default_rng(3))

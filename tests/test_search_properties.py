@@ -10,7 +10,9 @@ walk bit for bit, for K of 2 to 10, both priors, empty to complete trees
 and 0 to 300 samples. With the exact-value prior (the oracle's Q*, the
 scale the tree reads), the tree's KL to the target is 0 at every budget. On
 random two-child nodes, q_uct_select's unrolled binary choice equals the
-generic scoring loop's.
+generic scoring loop's. The softmax draw of G rows gathered by an index
+equals the draw of the materialised rows, and a shared row's binary-search
+draw equals the count over the materialised (S, K) array, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treesample.exact import solve_exact
-from treesample.logmath import NEG_INF, ZeroMassError
+from treesample.logmath import NEG_INF, ZeroMassError, draw_softmax_rows, sample_softmax_rows
 from treesample.model import COST_MODES, REWARD_EVAL
 from treesample.prior import HeuristicPrior, MLPValueFunction
 from treesample.search import TreeNode, build_tree, q_uct_select
@@ -169,3 +171,75 @@ def test_binary_choice_equals_scoring_loop(q, bonus, eta, complete):
     path, actions = q_uct_select(node)
     assert path == [node]
     assert actions == [reference_select(node)]
+
+
+# -inf, signed zeros and ties come up often; K spans both sides of
+# PAIRWISE_SUM_MIN (8)
+softmax_entries = st.sampled_from([NEG_INF, -0.0, 0.0, -1.0, 2.0]) | st.floats(-30.0, 30.0)
+softmax_widths = st.sampled_from([2, 3, 7, 8, 10, 16])
+
+
+def _draw_both(q, u, which=None):
+    """(draws, m, total, log q) of q at u, or ZeroMassError's type."""
+    try:
+        a, m, total = draw_softmax_rows(q, u, which)
+        a2, logp = sample_softmax_rows(q, u, which)
+    except ZeroMassError as exc:
+        return type(exc)
+    assert a.tobytes() == a2.tobytes()
+    return a.tobytes(), m.tobytes(), total.tobytes(), logp.tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(k=softmax_widths, data=st.data())
+def test_row_gather_equals_materialised_rows_bitwise(k, data):
+    # every row is drawn at least once, as sample_batch guarantees, so an
+    # all -inf row raises in both forms; a stride-0 q is one shared row
+    g = data.draw(st.integers(1, 5))
+    q = np.array(data.draw(st.lists(st.lists(softmax_entries, min_size=k, max_size=k),
+                                    min_size=g, max_size=g)))
+    if data.draw(st.booleans()):
+        q = np.broadcast_to(q[0], (g, k))
+    extra = data.draw(st.lists(st.integers(0, g - 1), max_size=20))
+    which = np.array(data.draw(st.permutations(list(range(g)) + extra)), dtype=np.int64)
+    uniforms = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True)
+    u = np.array(data.draw(st.lists(uniforms, min_size=len(which), max_size=len(which))))
+    gathered = _draw_both(q, u, which)
+    materialised = _draw_both(q[which], u)
+    if gathered is ZeroMassError or materialised is ZeroMassError:
+        assert gathered is materialised is ZeroMassError
+        return
+    a, m, total, logp = gathered
+    full_a, full_m, full_total, full_logp = materialised
+    assert a == full_a and logp == full_logp
+    # the per-row reductions, gathered, are the materialised rows' own
+    rows = 1 if q.strides[0] == 0 else g
+    m, total = np.frombuffer(m), np.frombuffer(total)
+    index = np.zeros_like(which) if rows == 1 else which
+    assert m[index].tobytes() == full_m and total[index].tobytes() == full_total
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(k=softmax_widths, data=st.data())
+def test_shared_row_draw_equals_materialised_count_bitwise(k, data):
+    # a shared row draws by binary search from PAIRWISE_SUM_MIN columns on;
+    # uniforms equal to the row's own cumulative probabilities test the
+    # side of the search
+    row = np.array(data.draw(st.lists(softmax_entries, min_size=k, max_size=k)))
+    if row.max() == NEG_INF:
+        row[data.draw(st.integers(0, k - 1))] = -0.0
+    e = np.exp(row - row.max())
+    cdf = (e / e.sum()).cumsum()
+    s = data.draw(st.integers(1, 30))
+    u = np.array(data.draw(st.lists(st.sampled_from(cdf[cdf < 1.0].tolist() + [0.0])
+                                    | st.floats(0.0, 1.0, exclude_max=True),
+                                    min_size=s, max_size=s)))
+    shared = row[None, :]
+    full = np.repeat(shared, s, axis=0)
+    a, m, total, logp = _draw_both(shared, u)
+    full_a, full_m, full_total, full_logp = _draw_both(full, u)
+    assert a == full_a and logp == full_logp
+    assert m == np.frombuffer(full_m)[:1].tobytes()
+    assert total == np.frombuffer(full_total)[:1].tobytes()
+    view = _draw_both(np.broadcast_to(row, (s, k)), u)
+    assert view == (a, m, total, logp)
