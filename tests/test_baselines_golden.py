@@ -21,7 +21,7 @@ import json
 import numpy as np
 import pytest
 
-from treesample.baselines import bp_sample, gibbs, sis, smc
+from treesample.baselines import _LoopyBP, bp_sample, gibbs, sis, smc
 from treesample.generators import GeneratorSpec, generate
 from treesample.model import FACTOR_EVAL, REWARD_EVAL
 from treesample.prior import HeuristicPrior, MLPValueFunction
@@ -149,3 +149,39 @@ def test_result_matches_golden(name):
     result = run_case(name)
     assert digest(result) == GOLDEN[name]
     assert (result.zero_conditional_count > 0) == (name == ZERO_CONDITIONAL_CASE)
+
+
+# The loopy-BP messages themselves under bp_sample's schedule: per variable
+# in index order, up to MESSAGE_ROUNDS rounds (stopping at an exact fixed
+# point), then clamp the variable to its marginal's first maximum. The
+# digests were recorded while a round still reduced each factor->variable
+# row along its own contiguous row, before the width-major layout.
+MESSAGE_ROUNDS = 10
+
+MESSAGE_GOLDEN = {
+    "chains-n20-k10": "ffa9f144a0f7b0b653ffc638a10870be6ba7514e99063963812f687e863c6cde",
+    "fg1-n14-k2": "84f5363403f75cf117a4869e15873a6e24e8858f366e9b4257318956fdc08a3b",
+}
+
+
+def message_digest(graph) -> str:
+    """sha256 of msg_vf and msg_fv after every round and of every variable's
+    log_marginal before each clamp."""
+    state = _LoopyBP(graph)
+    h = hashlib.sha256()
+    for v in range(1, graph.num_variables + 1):
+        for _ in range(MESSAGE_ROUNDS):
+            fixed = state.round()
+            h.update(state.msg_vf.tobytes())
+            h.update(state.msg_fv.tobytes())
+            if fixed:
+                break
+        for u in range(1, graph.num_variables + 1):
+            h.update(state.log_marginal(u).tobytes())
+        state.clamp(v, int(np.argmax(state.log_marginal(v))) + 1)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(MESSAGE_GOLDEN))
+def test_bp_messages_match_golden(name):
+    assert message_digest(GRAPHS[name]()) == MESSAGE_GOLDEN[name]

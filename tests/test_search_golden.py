@@ -105,3 +105,32 @@ def test_tree_and_draws_match_golden(name):
     tree = build_case(name)
     assert digests(name, tree) == GOLDEN[name]
     assert tree.root_complete() == name.endswith("/complete")
+
+
+# Trees of K = 3, 5, 8 and 11 children per node, on random graphs with -inf
+# table entries, built with a random 2 x 16 MLP prior so that no node starts
+# from uniform child values: both sides of PAIRWISE_SUM_MIN in the soft
+# values of wide nodes. The digests were recorded while every soft value
+# was recomputed from all K entries, before wide nodes kept their terms.
+# name -> (K, graph seed, budget, sha256 of the dump).
+WIDE_CASES = {
+    "k3": (3, 31, 400, "0b22ebf36bacf8f8ebd6784ae9343ea4fa3713f4340bb35b4dab94736f8d9cad"),
+    "k5": (5, 32, 400, "1924d85f40e68732f23f8ba5e5b234ecb8cacaaa7c43cd6cc435a14f45c91e76"),
+    "k8": (8, 33, 400, "4bf3690c60d0662ea58a3d36a9480da4e4a2a972c6568ec54b3524940bfac56a"),
+    "k11": (11, 34, 400, "733a7a64ec7a3e652ab7abe457cc6b8c6a9d406b49c5746d8eace099036928a5"),
+}
+
+
+def build_wide_case(name):
+    k, seed, budget, _ = WIDE_CASES[name]
+    rng = np.random.default_rng(seed)
+    graph = make_random_graph(rng, 6, k, num_extra_factors=5, neg_inf_frac=0.25,
+                              shuffle_ordering=True)
+    prior = MLPValueFunction(6 * (k + 1), k, hidden_units=16, num_hidden_layers=2, seed=seed)
+    return build_tree(graph, prior, budget)
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_CASES))
+def test_wide_tree_matches_golden(name):
+    dump = json.dumps(build_wide_case(name).dump_json_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(dump).hexdigest() == WIDE_CASES[name][-1]
