@@ -24,8 +24,11 @@ Each sampler is an array program over all of its particles or messages:
   chain's initial state and then one uniform per site update, so the draws
   equal a chain-at-a-time loop that draws each site from its own softmax.
 - Loopy BP stores the messages as (edges, K) arrays, one edge per (factor,
-  scope position), and a round reduces every factor->variable message of one
-  arity in one pass. The sums and normalizers keep the order and arithmetic
+  scope position), in buffers allocated once. A round reduces every
+  factor->variable message of one width in one pass over a width-major
+  block (see _LoopyBP), where numpy's row-sum order is replayed as column
+  adds, and sums every variable->factor message with one gather and one
+  axis-0 sum. The sums and normalizers keep the order and arithmetic
   of the per-message logsumexp_rows/logsumexp calls, so the messages and
   the draws are bit-identical to a message-at-a-time implementation. A
   round is a function of the variable->factor messages and the clamps
@@ -50,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logmath import (NEG_INF, draw_softmax_rows, log_each, logsumexp, logsumexp_rows,
-                      sample_softmax_rows, shifted_exp_sums)
+from .logmath import (NEG_INF, PAIRWISE_SUM_MIN, draw_softmax_rows, log_each, logsumexp,
+                      logsumexp_cols, sample_softmax_rows, shifted_exp_sums)
 from .model import BudgetTooSmallError  # noqa: F401  (BudgetLedger.count raises it)
 from .model import REWARD_EVAL, BudgetLedger, FactorGraph, Prefix
 
@@ -291,9 +294,24 @@ class _LoopyBP:
     msg_vf[e] and msg_fv[e] are its (K,) messages. A factor->variable message
     is a logsumexp over rows of the factor's table plus the other positions'
     incoming messages. Those rows are laid out once, for every edge of every
-    factor, in one flat array grouped by arity: a round gathers the incoming
+    factor, in one flat array of blocks: a round gathers the incoming
     messages into it with one fancy index per scope position, then reduces
-    one (rows, K^(arity-1)) block per arity.
+    each block with logsumexp_cols.
+
+    The blocks are width-major: the R rows of width w = K^(arity-1) of one
+    arity are stored as a (w, R) array, entry j of every row in one
+    contiguous run, so a reduction is a few calls on length-R vectors
+    whatever w is. The arities whose width is below PAIRWISE_SUM_MIN share
+    one block of the largest such width; a narrower row is padded with -inf
+    table entries, whose gathers read the -0.0 pad, so they add exp(-inf) =
+    0.0 at the end of a left-to-right sum, which changes no bit. Wider
+    widths keep a block each, since numpy's pairwise order depends on the
+    width.
+
+    Both message arrays are views of buffers that end in one -0.0 entry,
+    the pad that padded gathers read: msg_vf of a flat buffer, msg_fv of an
+    (edges + 1, K) one. A round writes into the buffers, and bp_sample
+    restores saved messages into them.
     """
 
     def __init__(self, graph: FactorGraph):
@@ -305,37 +323,52 @@ class _LoopyBP:
         for fi, scope in enumerate(scopes):
             for axis, v in enumerate(scope):
                 self.var_edges[v].append(int(first[fi]) + axis)
-        pad = num_edges * k  # index of an appended -0.0, which adds exactly nothing
+        pad = num_edges * k  # index of the -0.0 pad, which adds exactly nothing
         max_arity = max(len(s) for s in scopes)
-        base, steps, edge_order, self.blocks = [], [[] for _ in range(max_arity - 1)], [], []
-        offset = 0
+        # per arity, its rows' table entries and gather indices, each (R, w)
+        blocks, edge_order = [], []
         for arity in sorted({len(s) for s in scopes}):
             fis = [fi for fi, s in enumerate(scopes) if len(s) == arity]
             tables = np.stack([graph.factors[fi].table for fi in fis])  # (F, K^arity)
             edges = first[fis][:, None] + np.arange(arity)  # (F, arity)
             grid = np.arange(k**arity).reshape((k,) * arity)
+            base, steps = [], [[] for _ in range(max_arity - 1)]
             for axis in range(arity):
                 # entry (j, l): the table index with this position at value j + 1
                 # and the other positions enumerating l in row-major order
                 others = [a for a in range(arity) if a != axis]
                 cells = grid.transpose([axis] + others).reshape(k, -1)
-                base.append(tables[:, cells].ravel())
+                base.append(tables[:, cells].reshape(-1, cells.shape[1]))
                 for step in range(max_arity - 1):
                     if step < len(others):
-                        ax2 = others[step]
-                        digit = cells // k ** (arity - 1 - ax2) % k
-                        steps[step].append((edges[:, ax2, None, None] * k + digit).ravel())
+                        digit = cells // k ** (arity - 1 - others[step]) % k
+                        steps[step].append((edges[:, others[step], None, None] * k
+                                            + digit).reshape(-1, cells.shape[1]))
                     else:
-                        steps[step].append(np.full(len(fis) * cells.size, pad))
+                        steps[step].append(np.full((len(fis) * k, cells.shape[1]), pad))
                 edge_order.append(edges[:, axis])
-            size = arity * len(fis) * k**arity
-            self.blocks.append((offset, offset + size, k ** (arity - 1)))
-            offset += size
-        self.base = np.concatenate(base)
-        self.steps = [np.concatenate(idx) for idx in steps]
+            blocks.append([np.concatenate(base)] + [np.concatenate(idx) for idx in steps])
+        # the narrow arities come first (w grows with arity) and merge into one
+        # block, their rows padded on the right to the last one's width
+        num_narrow = sum(block[0].shape[1] < PAIRWISE_SUM_MIN for block in blocks)
+        if num_narrow:
+            narrow = blocks[num_narrow - 1][0].shape[1]
+            fill = [NEG_INF] + [pad] * (max_arity - 1)
+            merged = [np.concatenate([np.pad(part, ((0, 0), (0, narrow - part.shape[1])),
+                                             constant_values=value) for part in parts])
+                      for parts, value in zip(zip(*blocks[:num_narrow]), fill)]
+            blocks = [merged] + blocks[num_narrow:]
+        self.blocks, offset = [], 0
+        for block in blocks:
+            rows, width = block[0].shape
+            self.blocks.append((offset, offset + rows * width, width))
+            offset += rows * width
+        self.base = np.concatenate([block[0].T.ravel() for block in blocks])
+        self.steps = [np.concatenate([block[1 + step].T.ravel() for block in blocks])
+                      for step in range(max_arity - 1)]
         self.edge_order = np.concatenate(edge_order)
-        # incoming[e]: the edges of the other factors at e's variable, in factor
-        # order, padded with the index of an all -0.0 row
+        # incoming[j, e]: the j-th edge of the other factors at e's variable, in
+        # factor order, or the index of the all -0.0 row past the last edge
         incoming = [[] for _ in range(num_edges)]
         for edges in self.var_edges.values():
             for e in edges:
@@ -343,13 +376,20 @@ class _LoopyBP:
         width = max(len(row) for row in incoming)
         self.incoming = np.array(
             [row + [num_edges] * (width - len(row)) for row in incoming], dtype=np.int64
-        ).reshape(num_edges, width)
+        ).reshape(num_edges, width).T.copy()
+        self.vf = np.empty(num_edges * k + 1)
+        self.vf[-1] = -0.0
+        self.msg_vf = self.vf[:-1].reshape(num_edges, k)
+        self.fv = np.empty((num_edges + 1, k))
+        self.fv[-1] = -0.0
+        self.msg_fv = self.fv[:-1]
+        self.clamped = np.zeros(num_edges, dtype=bool)
         self.reset()
 
     def reset(self):
-        self.msg_vf = np.full((self.num_edges, self.k), -math.log(self.k))
-        self.msg_fv = self.msg_vf.copy()
-        self.clamped = np.zeros(self.num_edges, dtype=bool)
+        self.msg_vf[...] = -math.log(self.k)
+        self.msg_fv[...] = -math.log(self.k)
+        self.clamped[...] = False
 
     def clamp(self, v: int, value: int):
         atom = np.full(self.k, NEG_INF)
@@ -366,27 +406,22 @@ class _LoopyBP:
         or factor order (never subtracting: -inf - -inf is undefined), with
         the arithmetic of one logsumexp_rows and one logsumexp call per
         message, so every message equals the per-message computation bit
-        for bit.
+        for bit. The variable->factor sums are one gather and one axis-0
+        sum, which adds 0.0 and then the gathered messages in factor order.
         """
-        k = self.k
-        vf = np.append(self.msg_vf.ravel(), -0.0)
         rows = self.base
         for idx in self.steps:
-            rows = rows + vf[idx]
-        fv = np.empty((self.num_edges + 1, k))
-        fv[self.edge_order] = np.concatenate(
-            [logsumexp_rows(rows[lo:hi].reshape(-1, width)) for lo, hi, width in self.blocks]
-        ).reshape(-1, k)
-        fv[:-1] = _normalize_rows(fv[:-1])
-        fv[-1] = -0.0
-        self.msg_fv = fv[:-1]
-        total = np.zeros((self.num_edges, k))
-        for j in range(self.incoming.shape[1]):
-            total = total + fv[self.incoming[:, j]]
-        msg_vf = np.where(self.clamped[:, None], self.msg_vf, _normalize_rows(total))
+            rows = rows + self.vf[idx]
+        lse = np.concatenate([logsumexp_cols(rows[lo:hi].reshape(width, -1))
+                              for lo, hi, width in self.blocks])
+        fv = self.fv
+        fv[self.edge_order] = lse.reshape(-1, self.k)
+        self.msg_fv[...] = _normalize_rows(self.msg_fv)
+        msg_vf = _normalize_rows(fv[self.incoming].sum(axis=0))
+        np.copyto(msg_vf, self.msg_vf, where=self.clamped[:, None])
         # compared as int64, so that -0.0 and 0.0 differ
         fixed = np.array_equal(msg_vf.view(np.int64), self.msg_vf.view(np.int64))
-        self.msg_vf = msg_vf
+        self.msg_vf[...] = msg_vf
         return fixed
 
     def log_marginal(self, v: int) -> np.ndarray:
@@ -442,7 +477,7 @@ def bp_sample(
     while stack:
         v, members, value, saved = stack.pop()
         if saved is not None:
-            state.msg_vf, state.clamped = saved[0].copy(), saved[1].copy()
+            state.msg_vf[...], state.clamped[...] = saved
         if value:
             state.clamp(v - 1, value)
         ledger.charge(len(members) * num_message_rounds * round_cost)

@@ -28,13 +28,52 @@ def logsumexp(values: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(values - m))))
 
 
-# numpy's float64 sum adds left to right below 8 entries and pairwise (in
-# blocks of 8) from 8 on; a Python loop matches it only below.
+# numpy's float64 sum of n contiguous entries (its pairwise sum): left to
+# right below PAIRWISE_SUM_MIN entries; up to PAIRWISE_BLOCK entries into
+# eight accumulators, one per position mod 8, joined pairwise, then the
+# tail of n mod 8 entries left to right; above PAIRWISE_BLOCK the sums of
+# two halves, split at a multiple of 8. A Python loop matches it only
+# below PAIRWISE_SUM_MIN; pairwise_sum follows it at every width.
 PAIRWISE_SUM_MIN = 8
+PAIRWISE_BLOCK = 128
 
 # math.log of the sums a 2-entry logsumexp_list forms when no np.exp is needed
 _LOG_ONE = math.log(1.0)
 _LOG_TWO = math.log(2.0)
+
+
+def pairwise_sum(addends: np.ndarray):
+    """The sum of the entries or rows of an array in the order of numpy's
+    float64 row sum, bit for bit: pairwise_sum(row) equals row.sum() for a
+    1-D row, and pairwise_sum(rows.T) equals rows.sum(axis=1) for a
+    C-contiguous 2-D rows.
+
+    A 2-D array is the sequence of its rows, so a (w, R) width-major block
+    sums to R row sums with one add per column, and its eight accumulators
+    advance with one add per eight columns. numpy's sum starts from 0.0, so
+    -0.0 addends alone sum to 0.0. addends is never written to.
+    """
+    n = len(addends)
+    if n > PAIRWISE_BLOCK:
+        half = n // 2 - n // 2 % 8
+        # (0.0 + a) + (0.0 + b) equals 0.0 + (a + b): only -0.0 + -0.0 is -0.0
+        return pairwise_sum(addends[:half]) + pairwise_sum(addends[half:])
+    if n < PAIRWISE_SUM_MIN:
+        total = 0.0
+        for x in addends:
+            total += x  # 0.0 + x makes a new array, so later adds write only to it
+        return total
+    tail = n - n % 8
+    r = addends[:8].copy()
+    for i in range(8, tail, 8):
+        r += addends[i:i + 8]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    total = r[0] + r[1]
+    for x in addends[tail:]:
+        total += x
+    total += 0.0
+    return total
 
 
 def logsumexp_list(values: list[float]) -> float:
@@ -139,6 +178,31 @@ def logsumexp_rows(arr: np.ndarray) -> np.ndarray:
         safe = m > NEG_INF
         total = np.where(safe, shift + np.log(np.where(safe, total, 1.0)), NEG_INF)
     return total.reshape(arr.shape[:-1])
+
+
+def logsumexp_cols(cols: np.ndarray) -> np.ndarray:
+    """logsumexp of each column of a (w, R) array: logsumexp_rows(cols.T)
+    bit for bit, reduced width-major.
+
+    One max and one exp run over the whole array, and pairwise_sum adds its
+    w rows of R entries in the order numpy sums each length-w row, so at
+    small w and large R the work is a few calls on long vectors instead of
+    R short row reductions. The row maxima may differ from
+    logsumexp_rows' in the sign of a zero, which changes no result: the
+    shifted maximum is exp(+-0.0) = 1.0 either way, and the sum is then at
+    least 1.0, so its log is never -0.0. cols is left as it is.
+    """
+    m = cols.max(axis=0)
+    safe = m.min() > NEG_INF
+    shift = m if safe else np.where(m > NEG_INF, m, 0.0)
+    terms = cols - shift
+    total = pairwise_sum(np.exp(terms, out=terms))
+    if not safe:
+        ok = m > NEG_INF
+        return np.where(ok, shift + np.log(np.where(ok, total, 1.0)), NEG_INF)
+    total = np.log(total, out=total)
+    total += m
+    return total
 
 
 def log_each(values: np.ndarray) -> np.ndarray:

@@ -14,6 +14,15 @@ from treesample.logmath import (NEG_INF, ZeroMassError, draw_softmax_rows, logsu
 from treesample.model import BudgetLedger, Factor, FactorGraph, Prefix
 
 
+def pytest_report_header(config):
+    """numpy's version and the CPU features its build dispatches on: the
+    goldens and the bitwise tests depend on numpy's exp and summation
+    order, which both may change with either."""
+    umath = getattr(np, "_core", getattr(np, "core", None))._multiarray_umath
+    features = sorted(name for name, on in umath.__cpu_features__.items() if on)
+    return [f"numpy {np.__version__}", "cpu features: " + " ".join(features)]
+
+
 def make_random_graph(
     rng: np.random.Generator,
     n: int,

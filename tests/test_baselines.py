@@ -568,13 +568,29 @@ class TestBpSample:
             bp_sample(g, num_message_rounds=0, budget=200, seed=1)
 
     def test_messages_equal_message_at_a_time_rounds(self):
-        # the stacked rounds against one logsumexp_rows/logsumexp call per
-        # message, bit for bit, with clamps, -inf entries and K up to 10
+        # the width-major rounds against one logsumexp_rows/logsumexp call
+        # per message, bit for bit, with clamps, -inf entries and K up to 10;
+        # then two graphs whose blocks the random ones may miss: K = 3 with
+        # arities 1 to 3, whose widths 1 and 3 share the merged block beside
+        # a width-9 block, and K = 6 with arity 4, a 216-column block that
+        # pairwise_sum splits in halves
         rng = np.random.default_rng(127)
+        graphs = []
         for trial in range(24):
             k = int(rng.integers(2, 11))
-            g = make_random_graph(rng, 5, k, num_extra_factors=4, max_scope=4 if k <= 3 else 3,
-                                  neg_inf_frac=0.3 if trial % 2 else 0.0, shuffle_ordering=True)
+            graphs.append(make_random_graph(
+                rng, 5, k, num_extra_factors=4, max_scope=4 if k <= 3 else 3,
+                neg_inf_frac=0.3 if trial % 2 else 0.0, shuffle_ordering=True))
+        for k, scopes in ((3, [(1, 2), (2, 3, 4), (3, 5), (1, 4, 5)]),
+                          (6, [(1, 2, 3, 4), (4, 5), (2, 5)])):
+            factors = [((v,), rng.normal(size=k)) for v in range(1, 6)]
+            for scope in scopes:
+                table = rng.normal(size=k ** len(scope))
+                table[rng.random(table.shape) < 0.2] = NEG_INF
+                factors.append((scope, table))
+            graphs.append(_graph(5, k, factors))
+        for g in graphs:
+            k = g.num_states
             state, ref = _LoopyBP(g), _MessageAtATimeBP(g)
             for v in rng.permutation(np.arange(1, 6))[:3].tolist() + [None]:
                 for _ in range(3):

@@ -110,9 +110,7 @@ def test_tree_and_draws_match_golden(name):
 # Trees of K = 3, 5, 8 and 11 children per node, on random graphs with -inf
 # table entries, built with a random 2 x 16 MLP prior so that no node starts
 # from uniform child values: both sides of PAIRWISE_SUM_MIN in the soft
-# values of wide nodes. The digests were recorded while every soft value
-# was recomputed from all K entries, before wide nodes kept their terms.
-# name -> (K, graph seed, budget, sha256 of the dump).
+# values. name -> (K, graph seed, budget, sha256 of the dump).
 WIDE_CASES = {
     "k3": (3, 31, 400, "0b22ebf36bacf8f8ebd6784ae9343ea4fa3713f4340bb35b4dab94736f8d9cad"),
     "k5": (5, 32, 400, "1924d85f40e68732f23f8ba5e5b234ecb8cacaaa7c43cd6cc435a14f45c91e76"),

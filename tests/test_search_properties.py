@@ -13,11 +13,14 @@ random two-child nodes, q_uct_select's unrolled binary choice equals the
 generic scoring loop's. The softmax draw of G rows gathered by an index
 equals the draw of the materialised rows, and a shared row's binary-search
 draw equals the count over the materialised (S, K) array, bit for bit.
+After builds at K of 3 to 11 with an MLP prior, every node's soft value
+equals logsumexp of its child values bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -25,7 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treesample.exact import solve_exact
-from treesample.logmath import NEG_INF, ZeroMassError, draw_softmax_rows, sample_softmax_rows
+from treesample.logmath import (NEG_INF, ZeroMassError, draw_softmax_rows, logsumexp,
+                                sample_softmax_rows)
 from treesample.model import COST_MODES, REWARD_EVAL
 from treesample.prior import HeuristicPrior, MLPValueFunction
 from treesample.search import TreeNode, build_tree, q_uct_select
@@ -110,6 +114,25 @@ def test_sample_batch_equals_reference_walk_bitwise(graph_seed, n, k, extra_fact
     xs, log_q = tree.sample_batch(num_samples, np.random.default_rng(seed))
     assert xs.dtype == expected[0].dtype and xs.tolist() == expected[0].tolist()
     assert log_q.tobytes() == expected[1].tobytes()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(graph_seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       k=st.sampled_from([3, 4, 7, 8, 10, 11]), extra_factors=st.integers(0, 4),
+       neg_inf_frac=st.sampled_from([0.2, 0.5, 0.9]), cost_mode=st.sampled_from(COST_MODES),
+       budget=st.sampled_from([1, 40, 300]), seed=st.integers(0, 100))
+def test_node_values_equal_logsumexp_bitwise(graph_seed, n, k, extra_factors, neg_inf_frac,
+                                             cost_mode, budget, seed):
+    """After a build with -inf entries and a random MLP prior, every node's
+    value() is logsumexp of its q, bit for bit, on both sides of
+    PAIRWISE_SUM_MIN (8 children)."""
+    rng = np.random.default_rng(graph_seed)
+    graph = make_random_graph(rng, n, k, num_extra_factors=extra_factors if n > 1 else 0,
+                              neg_inf_frac=neg_inf_frac, shuffle_ordering=True)
+    prior = MLPValueFunction(n * (k + 1), k, hidden_units=16, num_hidden_layers=2, seed=seed)
+    tree = build_tree(graph, prior, budget, cost_mode=cost_mode)
+    for node in tree.nodes.values():
+        assert struct.pack("<d", node.value()) == struct.pack("<d", logsumexp(np.array(node.q)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
