@@ -53,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logmath import (NEG_INF, PAIRWISE_SUM_MIN, draw_softmax_rows, log_each, logsumexp,
-                      logsumexp_cols, sample_softmax_rows, shifted_exp_sums)
+from .logmath import (NEG_INF, PAIRWISE_SUM_MIN, ZeroMassError, draw_softmax_rows, log_each,
+                      logsumexp, logsumexp_cols, sample_softmax_rows, shifted_exp_sums)
 from .model import BudgetTooSmallError  # noqa: F401  (BudgetLedger.count raises it)
 from .model import REWARD_EVAL, BudgetLedger, FactorGraph, Prefix
 
@@ -198,10 +198,16 @@ def sis(
 def _draw_or_uniform(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int]:
     """draw_softmax_rows' 0-based draws (q may be one shared (1, K) row), but
     a row of all -inf takes min(int(u * K), K - 1) off its own uniform u.
-    Returns the draws and the number of these zero-mass draws."""
-    zero = q.max(axis=1) == NEG_INF
-    if not zero.any():
+    Returns the draws and the number of these zero-mass draws.
+
+    The draw is tried first: it reduces each row's max once and raises
+    ZeroMassError before it draws, so a q with no zero-mass row costs one
+    pass, and only a q with one is reduced again to find its zero rows."""
+    try:
         return draw_softmax_rows(q, u)[0], 0
+    except ZeroMassError:
+        pass
+    zero = q.max(axis=1) == NEG_INF
     zero = np.broadcast_to(zero, u.shape)  # a shared row's zero mass is every draw's
     drawn = np.minimum((u * q.shape[1]).astype(np.int64), q.shape[1] - 1)
     if not zero.all():

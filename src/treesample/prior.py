@@ -6,9 +6,13 @@ variable. evaluate takes one prefix and returns a fresh list of K Python
 floats, the form a search node stores: the node keeps that list as its
 child values and mutates it, so an expansion builds no array or copy;
 evaluate_batch takes many prefixes and returns an (R, K) float64 array, one
-row per prefix, each row equal to evaluate of that prefix; callers only read
-it, and HeuristicPrior returns a read-only broadcast view. Priors are free
-to evaluate: they never touch the budget.
+row per prefix; callers only read it, and HeuristicPrior returns a
+read-only broadcast view. A heuristic row equals evaluate of its prefix bit
+for bit. An MLP batch is one matrix product per layer, whose rows equal
+evaluate to about 1e-12 relative, and bit for bit for a one-prefix batch.
+leaf_batch is how many leaves a search round collects before it calls the
+prior once for all of them (build_tree). Priors are free to evaluate: they
+never touch the budget.
 
 A prior's outputs are soft values, the log of the summed future mass below
 each child, on the scale backup writes; train fits them with either algo,
@@ -43,6 +47,13 @@ CLAMP_FLOOR = -50.0  # what train_step clamps a -inf (zero-mass) target to
 class HeuristicPrior:
     """Values of the all-factors-vanish target: (N - n - 1) * log K after an
     n-prefix, i.e. the log-volume of the remaining configurations."""
+
+    # the search's leaves per round (build_tree): a heuristic row is a
+    # formula of the depth, so a batch of rows shares no work, and under
+    # this flat prior rounds of 8 gave a higher KL than one-leaf rounds
+    # (fg1 n18 at budget 2,500: 0.897 against 0.817, exact), so the
+    # heuristic builds one leaf per round
+    leaf_batch = 1
 
     def evaluate(self, graph: FactorGraph, prefix) -> list[float]:
         steps_left = graph.num_variables - len(prefix) - 1
@@ -125,6 +136,15 @@ class MLPValueFunction:
     biases are views of flat, so parameters() is [flat] and an in-place
     update of flat (Adam.step) updates the layers.
     """
+
+    # the search's leaves per round (build_tree), whose prior rows come from
+    # one evaluate_batch product. On 2 vCPUs with one OpenBLAS thread the
+    # 4 x 256 network at input 54 (fg2 n18) costs about 42, 25, 15, 11.5, 12
+    # and 9 us per row at 1, 2, 4, 8, 16 and 32 rows, and its build at budget
+    # 1,000 takes 36.1 ms one leaf at a time, 22.9 at 8 and 18.9 at 32; wider
+    # rounds cost KL under a good prior (a Q*-distilled 2 x 32 network on
+    # fg2 n8 at budget 300: 0.0003 at 1, 0.0004 at 8, 0.0026 at 32, exact)
+    leaf_batch = 8
 
     def __init__(
         self,
@@ -225,18 +245,25 @@ class MLPValueFunction:
     # -- prior interface ---------------------------------------------------
 
     def evaluate(self, graph: FactorGraph, prefix) -> list[float]:
-        """forward() of one prefix, with the NaN check on its K floats."""
+        """forward() of one prefix, with the NaN check on its K floats:
+        evaluate_batch of that one prefix bit for bit."""
         values = self._forward(encode_batch(graph, [prefix]))[0].tolist()
         if any(map(math.isnan, values)):
             raise ValueError("MLP produced NaN outputs")
         return values
 
     def evaluate_batch(self, graph: FactorGraph, prefixes) -> np.ndarray:
-        """evaluate() of every prefix, in either form encode_batch takes,
-        equal to it bit for bit: each row is its own (1, D) product (a
-        stacked matmul), where one (R, D) product would round differently
-        from the single-row path."""
-        return self.forward(encode_batch(graph, prefixes)[:, None, :])[:, 0, :]
+        """forward() of every prefix, in either form encode_batch takes, as
+        one (R, D) product per layer: bit for bit forward(encode_batch(...)).
+
+        A one-prefix batch is evaluate() of it bit for bit, since both are one
+        (1, D) product. In a larger batch each row equals evaluate() to about
+        1e-12 relative but not always in the last bits: the BLAS may round a
+        row differently by its place in the batch (OpenBLAS runs the rows of
+        a trailing partial tile through another kernel), so a row's bits
+        depend on the batch it came in, not on the BLAS thread count.
+        """
+        return self.forward(encode_batch(graph, prefixes))
 
 
 class Adam:

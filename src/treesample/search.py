@@ -1,11 +1,13 @@
 """Budgeted best-first tree construction with soft-Bellman backups.
 
-The tree caches one node per evaluated prefix. Each traversal walks from the
-root picking actions by a PUCT-style rule over value estimates plus an
-exploration bonus scaled by the prior, expands exactly one new node (paying
-its reward-evaluation cost), and backs the soft-Bellman recursion up the
-path. Fully expanded subtrees are flagged complete and never revisited;
-their values are exact. Sampling from the finished tree walks root to leaf
+The tree caches one node per evaluated prefix. The build runs rounds. A
+round walks from the root up to prior.leaf_batch times, picking actions by a
+PUCT-style rule over value estimates plus an exploration bonus scaled by the
+prior, each walk ending at a different missing child. It takes the prior
+rows of those leaves from one call, then expands each one (paying its
+reward-evaluation cost) and backs the soft-Bellman recursion up its path.
+Fully expanded subtrees are flagged complete and never revisited; their
+values are exact. Sampling from the finished tree walks root to leaf
 through softmax distributions, falling back to the prior once it leaves the
 tree, and costs no budget. SearchTree.sample_batch draws many samples in one
 pass from a generator the caller passes, returning each one's
@@ -18,14 +20,20 @@ particle. The build itself draws no random numbers.
 
 A node holds K-entry Python lists, not numpy arrays: a traversal touches
 every node on its path, and at K of 2 to 10 the fixed cost of a numpy call
-is many times the arithmetic it does. A traversal is three calls, whatever
-its depth: q_uct_select walks the whole path down to the first missing
-child, expand creates that child, and backup updates the path bottom-up
-through TreeNode.value. The walk and the backup are scalar Python in the
-same operation order as the array code they replaced, so the trees are the
-same bit for bit. backup stops recomputing soft values at the first edge
-whose value comes out unchanged and whose child is not newly complete: no
-value above that edge can change, so above it only the visit counts grow.
+is many times the arithmetic it does. A leaf costs three calls, whatever
+its depth, plus its share of the round's prior call: q_uct_select walks the
+whole path down to the first missing child, expand creates that child from
+its prior row, and backup updates the path bottom-up through TreeNode.value.
+While a round collects, collect_leaves flags each collected edge complete
+for the rest of the round (virtual completion), so the next walk takes the
+next-best open leaf, and it undoes every such flag before the first
+expansion. A one-leaf round (HeuristicPrior.leaf_batch) is one traversal:
+one q_uct_select, prior.evaluate, expand and backup call. The walk and the
+backup are scalar Python in the same operation order as the array code
+they replaced, so the trees are the same bit for bit. backup stops
+recomputing soft values at the first edge whose value comes out unchanged
+and whose child is not newly complete: no value above that edge can
+change, so above it only the visit counts grow.
 
 Nodes with two children, every node of a binary factor graph, take an
 unrolled path in both hot calls, chosen by the length of the node's lists:
@@ -109,31 +117,35 @@ class SearchTree:
     def sample_batch(self, num_samples: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """(xs, log_q): num_samples configurations and their log-probabilities.
 
-        xs is an (S, N) int array of values 1..K; log_q[i] equals
-        log_density(xs[i]) bit for bit. The uniforms are drawn as one (S, N)
-        block, the same stream as S*N scalar draws, so row i is what the i-th
-        of S successive one-row calls would emit. The walk goes depth by
-        depth, with one sample_softmax_rows call for all particles in the
-        tree: the q rows of the depth's occupied nodes are stacked into a
-        (G, K) array and passed with which, each particle's node. The call
-        reduces the G rows once (max, exp, sum, cumulative sum and log) and
-        gathers the results per particle, so a depth costs G row reductions,
-        not one per particle. That draw has the bits of one draw per node,
-        since sample_softmax_rows works row by row (see draw_softmax_rows):
-        below 8 columns element-wise, column by column, and from 8 on along
-        each contiguous row. Every stacked node holds at least one particle,
-        so an all -inf row raises ZeroMassError exactly when a per-node draw
-        would. A depth with one occupied node draws from its row as a
-        shared row. A stable sort on
-        node * K + action then cuts the particles into runs that share a
-        child, in node order, then action order, each run in its earlier
-        order; a run whose child is missing leaves the tree. The particles
-        that have left it are scored by one prior.evaluate_batch call per
-        depth, on the same rows in the same order as one walk per node
-        would pass. A prior whose values depend on the depth alone
-        (HeuristicPrior) returns one broadcast row there, which
-        sample_softmax_rows reduces once; from 8 columns on it draws by
-        binary search. Costs no budget.
+        xs is an (S, N) int array of values 1..K. The uniforms are drawn as
+        one (S, N) block, the same stream as S*N scalar draws. For a prior
+        whose batch rows equal evaluate bit for bit (HeuristicPrior),
+        log_q[i] equals log_density(xs[i]) bit for bit and row i is what the
+        i-th of S successive one-row calls would emit. An MLP's batch rows
+        come from one product and may differ from evaluate in the last bits,
+        so there the off-tree part of log_q agrees to about 1e-12 relative,
+        and a draw can differ only when its uniform lies that close to a
+        cumulative probability. The walk goes depth by depth, with one
+        sample_softmax_rows call for all particles in the tree: the q rows
+        of the depth's occupied nodes are stacked into a (G, K) array and
+        passed with which, each particle's node. The call reduces the G rows
+        once (max, exp, sum, cumulative sum and log) and gathers the results
+        per particle, so a depth costs G row reductions, not one per
+        particle. That draw has the bits of one draw per node, since
+        sample_softmax_rows works row by row (see draw_softmax_rows): below
+        8 columns element-wise, column by column, and from 8 on along each
+        contiguous row. Every stacked node holds at least one particle, so
+        an all -inf row raises ZeroMassError exactly when a per-node draw
+        would. A depth with one occupied node draws from its row as a shared
+        row. A stable sort on node * K + action then cuts the particles into
+        runs that share a child, in node order, then action order, each run
+        in its earlier order; a run whose child is missing leaves the tree.
+        The particles that have left it are scored by one
+        prior.evaluate_batch call per depth, on the same rows in the same
+        order as one walk per node would pass. A prior whose values depend
+        on the depth alone (HeuristicPrior) returns one broadcast row there,
+        which sample_softmax_rows reduces once; from 8 columns on it draws
+        by binary search. Costs no budget.
         """
         n, k = self.graph.num_variables, self.graph.num_states
         u = rng.random((num_samples, n))
@@ -267,17 +279,19 @@ def q_uct_select(root: TreeNode) -> tuple[list[TreeNode], list[int]]:
             return path, actions
 
 
-def expand(graph: FactorGraph, prefix: Prefix, prior, ledger: BudgetLedger, c: float,
-           epsilon: float) -> TreeNode:
+def expand(graph: FactorGraph, prefix: Prefix, prior_q: list[float] | None,
+           ledger: BudgetLedger, c: float, epsilon: float) -> TreeNode:
     """Charge the ledger for the reward at prefix, evaluate it and make the
-    node; a charge past the budget raises RuntimeError (see BudgetLedger).
+    node from prior_q, the prior's row at prefix; a charge past the budget
+    raises RuntimeError (see BudgetLedger).
 
-    The children's values start at the prior's and their exploration
-    coefficients are c * max(prior value, epsilon). Depth-N leaves initialize
-    child values to -log K and are complete, so their coefficients, never
-    read, are 0. A node whose own reward is -inf is complete immediately:
-    its branch has zero mass, so its exact edge value at the parent is -inf
-    regardless of descendants.
+    The node keeps prior_q as its children's values, so the caller hands
+    over a fresh list, and their exploration coefficients are
+    c * max(prior value, epsilon). Depth-N leaves have no prior row (pass
+    None): they initialize child values to -log K and are complete, so
+    their coefficients, never read, are 0. A node whose own reward is -inf
+    is complete immediately: its branch has zero mass, so its exact edge
+    value at the parent is -inf regardless of descendants.
     """
     n, k = len(prefix), graph.num_states
     if n:  # the root is free
@@ -285,7 +299,6 @@ def expand(graph: FactorGraph, prefix: Prefix, prior, ledger: BudgetLedger, c: f
     reward = 0.0 if n == 0 else graph.reward(prefix)
     if n == graph.num_variables:
         return TreeNode(reward, [-math.log(k)] * k, [0.0] * k, [True] * k, True)
-    prior_q = prior.evaluate(graph, prefix)
     # positional arguments: keywords make a K = 2 node's creation about 40% slower
     bonus = [c * (epsilon if epsilon > v else v) for v in prior_q]  # max(v, epsilon)
     return TreeNode(reward, prior_q, bonus, [False] * k, reward == NEG_INF)
@@ -337,6 +350,52 @@ def check_search_params(c: float, epsilon: float) -> None:
             raise ValueError(f"{name} must be finite and non-negative")
 
 
+def collect_leaves(root: TreeNode, width: int, room: int, costs: list[int],
+                   worst_cost: int) -> list[tuple[list[TreeNode], list[int]]]:
+    """One round's leaves: up to width q_uct_select descents (path, actions),
+    each to a different missing child, in the order they were taken.
+
+    room is what the ledger has left, at least worst_cost. A leaf at depth d
+    reserves costs[d - 1], and collecting stops once room less the
+    reservations could not pay worst_cost, so every collected leaf can be
+    paid for. Between descents the collected edge is flagged complete
+    (virtual completion): its node's open count drops, and a node left with
+    no open child closes its own edge in its parent the same way, up to the
+    root, so the next descent takes the next-best open leaf. Collecting also
+    stops at a root with no open child. Every close is undone before
+    returning, so the tree is left as it was.
+    """
+    leaves = [q_uct_select(root)]
+    closed = []
+    while len(leaves) < width:
+        path, actions = leaves[-1]
+        room -= costs[len(actions) - 1]
+        if room < worst_cost:
+            break
+        for node, a in zip(reversed(path), reversed(actions)):
+            node.complete_children[a - 1] = True
+            node.open -= 1
+            closed.append((node, a - 1))
+            if node.open:
+                break
+        if not root.open:
+            break
+        leaves.append(q_uct_select(root))
+    for node, i in closed:
+        node.complete_children[i] = False
+        node.open += 1
+    return leaves
+
+
+def batch_rows(graph: FactorGraph, prior, leaves):
+    """An iterator over the prior's rows, fresh lists, at the leaves'
+    prefixes that are not complete, in leaf order, from one
+    prior.evaluate_batch call; None when fewer than two need a row."""
+    n = graph.num_variables
+    inner = [tuple(actions) for _, actions in leaves if len(actions) < n]
+    return iter(prior.evaluate_batch(graph, inner).tolist()) if len(inner) > 1 else None
+
+
 def build_tree(
     graph: FactorGraph,
     prior,
@@ -345,28 +404,49 @@ def build_tree(
     epsilon: float = 0.1,
     cost_mode: str = REWARD_EVAL,
 ) -> SearchTree:
-    """Run traversals until the root completes or the next one may not be payable.
+    """Run rounds until the root completes or the next leaf may not be payable.
 
-    The loop guard reserves the worst-case cost of a single expansion (the
-    largest per-depth reward cost), so a started traversal always completes
-    and the ledger never overruns. The build draws no random numbers: the
-    tree is a deterministic function of the arguments. Raises ValueError
-    unless c and epsilon are finite and non-negative.
+    A round collects up to prior.leaf_batch missing children (collect_leaves;
+    1 for a prior that declares no width), takes the prior rows of all of
+    them from one evaluate_batch call (batch_rows), then expands and backs up
+    each leaf in collection order. A one-leaf round is one traversal: one
+    q_uct_select, prior.evaluate, expand and backup call each, so a prior of
+    width 1 skips collect_leaves, whose one descent would be the same. A
+    round whose leaves need fewer than two rows calls prior.evaluate.
+    Collecting reserves the cost of every collected leaf and stops when what
+    is left could not pay one more worst-case expansion (the largest
+    per-depth reward cost), so the ledger never overruns and a budget still
+    counts reward evaluations. The build draws no random numbers: the tree
+    is a deterministic function of the arguments. Raises ValueError unless c
+    and epsilon are finite and non-negative.
     """
     check_search_params(c, epsilon)
     ledger = BudgetLedger(budget=budget, cost_mode=cost_mode)
     tree = SearchTree(graph=graph, prior=prior, ledger=ledger)
-    worst_cost = max(graph.reward_cost(d, cost_mode) for d in range(1, graph.num_variables + 1))
-    while ledger.remaining >= worst_cost and not tree.root_complete():
-        if tree.root is None:
-            tree.root = expand(graph, (), prior, ledger, c, epsilon)
-            tree.nodes[()] = tree.root
-            continue
-        path, actions = q_uct_select(tree.root)
-        prefix = tuple(actions)
-        new = expand(graph, prefix, prior, ledger, c, epsilon)
-        path[-1].children[actions[-1] - 1] = new
-        tree.nodes[prefix] = new
-        path.append(new)
-        backup(path, actions)
+    n = graph.num_variables
+    costs = [graph.reward_cost(d, cost_mode) for d in range(1, n + 1)]
+    worst_cost = max(costs)
+    width = getattr(prior, "leaf_batch", 1)
+    if ledger.remaining < worst_cost:
+        return tree  # not even the first leaf is payable: no root
+    root = tree.root = expand(graph, (), prior.evaluate(graph, ()), ledger, c, epsilon)
+    nodes = tree.nodes
+    nodes[()] = root
+    while ledger.remaining >= worst_cost and not root.complete:
+        if width > 1:
+            leaves = collect_leaves(root, width, ledger.remaining, costs, worst_cost)
+            rows = batch_rows(graph, prior, leaves)
+        else:
+            leaves, rows = (q_uct_select(root),), None
+        for path, actions in leaves:
+            prefix = tuple(actions)
+            if len(prefix) == n:
+                row = None
+            else:
+                row = prior.evaluate(graph, prefix) if rows is None else next(rows)
+            new = expand(graph, prefix, row, ledger, c, epsilon)
+            path[-1].children[actions[-1] - 1] = new
+            nodes[prefix] = new
+            path.append(new)
+            backup(path, actions)
     return tree

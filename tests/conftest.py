@@ -15,12 +15,16 @@ from treesample.model import BudgetLedger, Factor, FactorGraph, Prefix
 
 
 def pytest_report_header(config):
-    """numpy's version and the CPU features its build dispatches on: the
-    goldens and the bitwise tests depend on numpy's exp and summation
-    order, which both may change with either."""
+    """numpy's version, the CPU features its build dispatches on and the
+    BLAS it was built against: the goldens and the bitwise tests depend on
+    numpy's exp and summation order, which both may change with the first
+    two, and the MLP goldens on the BLAS's gemm kernels."""
     umath = getattr(np, "_core", getattr(np, "core", None))._multiarray_umath
     features = sorted(name for name, on in umath.__cpu_features__.items() if on)
-    return [f"numpy {np.__version__}", "cpu features: " + " ".join(features)]
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    blas_keys = ("name", "version", "openblas configuration")
+    return [f"numpy {np.__version__}", "cpu features: " + " ".join(features),
+            "blas: " + " ".join(str(blas[key]) for key in blas_keys if key in blas)]
 
 
 def make_random_graph(
@@ -149,7 +153,10 @@ def reference_sample_batch(tree, num_samples: int, rng: np.random.Generator):
     per depth must equal bit for bit: per depth, one sample_softmax_rows
     call on each occupied node's (1, K) q row, the particles split among its
     children in action order, and those whose child is missing added to the
-    off-tree particles, scored by one prior.evaluate_batch call per depth."""
+    off-tree particles, scored by one prior.evaluate_batch call per depth.
+    The off-tree rows go in sample_batch's order (those that left earlier
+    first, then node by node, action by action), so an MLP prior, whose
+    batch rows depend on their place in the product, gets the same bits."""
     n = tree.graph.num_variables
     u = rng.random((num_samples, n))
     xs = np.empty((num_samples, n), dtype=np.int64)

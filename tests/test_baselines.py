@@ -357,8 +357,11 @@ class TestGibbsScores:
         draw = baselines.draw_softmax_rows
 
         def recording_draw(q, u):
+            # a call that raises ZeroMassError draws nothing: _draw_or_uniform
+            # then draws the rows with mass again, and that call is recorded
+            out = draw(q, u)
             recorded.append(q.copy())
-            return draw(q, u)
+            return out
 
         monkeypatch.setattr(baselines, "draw_softmax_rows", recording_draw)
         zero_seen = 0

@@ -5,6 +5,12 @@ save_checkpoint and hashes the file (the JSON header, then the parameter and
 the two Adam moment blocks). The training cases also hash the train_loop
 history rows. The digests pin every parameter, every optimizer step, every
 training target and the file format (treesample-mlp-v3) bit for bit.
+
+The two train_loop digests were recorded again when the network's
+evaluate_batch became one (R, D) product per layer, which SMC's proposals
+and the trees' rounds of up to MLPValueFunction.leaf_batch leaves read.
+They are specific to the BLAS numpy was built against (pytest prints it in
+the header): a row's last bits depend on the gemm kernel that computes it.
 """
 
 from __future__ import annotations
@@ -59,8 +65,8 @@ CASES = {
 
 GOLDEN = {
     "train-step-x10": "0b6d7f2b3c1b17eba8c22640ab320c063e9fc700ae60463103fa26f9e008ee1b",
-    "fg2-n6/treesample": "a650af2b8a3a4c1e8513c8e8c76a3f421e9c7218fa4f2ad04182c8e71e228daf",
-    "fg2-n6/smc": "7565ee0459a57dc4b1059fbfa2f776d72b8896f462639eee80ad99f988a62c60",
+    "fg2-n6/treesample": "e04395ed23686fc772a9ba4502130bec118e58cb27a8f7cf215856b45c6da627",
+    "fg2-n6/smc": "28efe920c521b839b20514fdfcf2ccafc0d64c6d7e35af11b2606f51b4ce6493",
 }
 
 

@@ -108,7 +108,9 @@ def _mixed_prefixes(n, k):
 
 
 class TestBatchEvaluation:
-    """Batch calls equal the per-prefix calls bit for bit."""
+    """Heuristic batch calls equal the per-prefix calls bit for bit; an MLP
+    batch is one product, equal to evaluate bit for bit at one row and to
+    about 1e-12 relative beyond."""
 
     def test_encode_batch_rows_match_single_prefixes(self):
         g = _uniform_graph(4, 3, ordering=(3, 1, 4, 2))
@@ -156,8 +158,20 @@ class TestBatchEvaluation:
         g = _uniform_graph(4, 3, ordering=(2, 4, 1, 3))
         mlp = MLPValueFunction(16, 3, hidden_units=32, num_hidden_layers=3, seed=5)
         prefixes = _mixed_prefixes(4, 3)
-        expected = np.stack([mlp.evaluate(g, p) for p in prefixes])
-        assert np.array_equal(mlp.evaluate_batch(g, prefixes), expected)
+        single = np.stack([mlp.evaluate(g, p) for p in prefixes])
+        for i, prefix in enumerate(prefixes):
+            assert mlp.evaluate_batch(g, [prefix]).tobytes() == single[i].tobytes()
+        # every batch size up to all 40 prefixes, so that rows fall in full
+        # and in partial gemm tiles, in both input forms
+        for r in range(2, len(prefixes) + 1):
+            out = mlp.evaluate_batch(g, prefixes[:r])
+            assert out.tobytes() == mlp.forward(encode_batch(g, prefixes[:r])).tobytes()
+            np.testing.assert_allclose(out, single[:r], rtol=1e-12, atol=0)
+        rows = np.array(list(all_configs(2, 3)))
+        out = mlp.evaluate_batch(g, rows)
+        assert out.tobytes() == mlp.forward(encode_batch(g, rows)).tobytes()
+        expected = np.stack([mlp.evaluate(g, tuple(p)) for p in rows.tolist()])
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
 
 
 class TestMlp:

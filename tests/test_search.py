@@ -54,6 +54,14 @@ class _FixedPrior:
         return [float(v) for v in self.values]
 
 
+def _heuristic_row(graph, prefix):
+    """HeuristicPrior's row at prefix, the one expand takes; None at a
+    complete prefix, which has none."""
+    if len(prefix) == graph.num_variables:
+        return None
+    return HeuristicPrior().evaluate(graph, prefix)
+
+
 def exhaustive_budget(graph, cost_mode=REWARD_EVAL):
     n, k = graph.num_variables, graph.num_states
     if cost_mode == REWARD_EVAL:
@@ -92,8 +100,8 @@ class TestQUctSelect:
     def test_epsilon_floor_applies(self):
         # prior below epsilon uses epsilon in the bonus: equal Q, equal eta,
         # bonus then ties and action 1 wins
-        node = expand(_uniform_graph(3, 2), (), _FixedPrior([-3.0, 0.01]), BudgetLedger(budget=1),
-                      c=1.0, epsilon=0.1)
+        node = expand(_uniform_graph(3, 2), (), [-3.0, 0.01], BudgetLedger(budget=1), c=1.0,
+                      epsilon=0.1)
         assert node.bonus == [0.1, 0.1]
         node.q[:] = [0.5, 0.5]
         node.eta[:] = [1, 1]
@@ -141,7 +149,7 @@ class TestExpand:
     def test_leaf_children(self):
         g = _uniform_graph(2, 3)
         ledger = BudgetLedger(budget=10)
-        node = expand(g, (1, 2), HeuristicPrior(), ledger, c=2.0, epsilon=0.1)
+        node = expand(g, (1, 2), _heuristic_row(g, (1, 2)), ledger, c=2.0, epsilon=0.1)
         assert np.allclose(node.q, -math.log(3))
         assert node.value() == pytest.approx(0.0, abs=1e-12)
         assert node.complete
@@ -149,7 +157,7 @@ class TestExpand:
 
     def test_root_uses_heuristic(self):
         g = _uniform_graph(10, 5)
-        node = expand(g, (), HeuristicPrior(), BudgetLedger(budget=10), c=2.0, epsilon=0.1)
+        node = expand(g, (), _heuristic_row(g, ()), BudgetLedger(budget=10), c=2.0, epsilon=0.1)
         assert np.allclose(node.q, 9 * math.log(5))
         assert node.q[0] == pytest.approx(14.485, abs=1e-3)
         assert node.bonus == [2.0 * node.q[0]] * 5
@@ -158,26 +166,26 @@ class TestExpand:
     def test_root_is_free(self):
         g = _uniform_graph(3, 2)
         ledger = BudgetLedger(budget=5)
-        expand(g, (), HeuristicPrior(), ledger, c=2.0, epsilon=0.1)
+        expand(g, (), _heuristic_row(g, ()), ledger, c=2.0, epsilon=0.1)
         assert ledger.spent == 0
 
     def test_dead_end_marked_complete(self):
         g = _graph(2, 2, [((1,), [0.0, -np.inf]), ((2,), [0.0, 0.0])])
-        node = expand(g, (2,), HeuristicPrior(), BudgetLedger(budget=5), c=2.0, epsilon=0.1)
+        node = expand(g, (2,), _heuristic_row(g, (2,)), BudgetLedger(budget=5), c=2.0, epsilon=0.1)
         assert node.reward == NEG_INF
         assert node.complete
 
     def test_factor_eval_cost(self):
         g = _graph(2, 2, [((1,), np.zeros(2)), ((1, 2), np.zeros(4)), ((2,), np.zeros(2))])
         ledger = BudgetLedger(budget=10, cost_mode=FACTOR_EVAL)
-        expand(g, (1, 2), HeuristicPrior(), ledger, c=2.0, epsilon=0.1)
+        expand(g, (1, 2), _heuristic_row(g, (1, 2)), ledger, c=2.0, epsilon=0.1)
         assert ledger.spent == 2  # both the pair factor and the unary resolve at depth 2
 
     def test_overrun_raises(self):
         g = _uniform_graph(2, 2)
         ledger = BudgetLedger(budget=0)
         with pytest.raises(RuntimeError, match="internal accounting error"):
-            expand(g, (1,), HeuristicPrior(), ledger, c=2.0, epsilon=0.1)
+            expand(g, (1,), _heuristic_row(g, (1,)), ledger, c=2.0, epsilon=0.1)
         assert ledger.spent == 0
 
 
@@ -185,10 +193,10 @@ class TestBackup:
     def test_fresh_leaf_gives_reward(self):
         g = _graph(2, 2, [((1,), np.zeros(2)), ((1, 2), np.array([0.7, 0.0, 0.0, 0.0]))])
         ledger = BudgetLedger(budget=10)
-        root = expand(g, (), HeuristicPrior(), ledger, c=2.0, epsilon=0.1)
-        child = expand(g, (1,), HeuristicPrior(), ledger, c=2.0, epsilon=0.1)
+        root = expand(g, (), _heuristic_row(g, ()), ledger, c=2.0, epsilon=0.1)
+        child = expand(g, (1,), _heuristic_row(g, (1,)), ledger, c=2.0, epsilon=0.1)
         root.children[0] = child
-        leaf = expand(g, (1, 1), HeuristicPrior(), ledger, c=2.0, epsilon=0.1)
+        leaf = expand(g, (1, 1), _heuristic_row(g, (1, 1)), ledger, c=2.0, epsilon=0.1)
         child.children[0] = leaf
         backup([root, child, leaf], [1, 1])
         assert child.q[0] == pytest.approx(0.7)  # leaf reward + V=0
@@ -426,7 +434,8 @@ def _per_level_build_tree(graph, prior, budget, c, epsilon, cost_mode):
 class TestBuildMatchesPerLevelReference:
     """build_tree's one-call descent, soft value and early-stopping backup
     give the same tree, bit for bit, as the per-level loop with a full
-    backup that they replaced (kept above as reference)."""
+    backup that they replaced (kept above as reference). The reference
+    builds one leaf at a time, so the MLP priors here do too."""
 
     def _assert_same_tree(self, g, prior, budget, c=2.0, epsilon=0.1, cost_mode=REWARD_EVAL):
         tree = build_tree(g, prior, budget, c=c, epsilon=epsilon, cost_mode=cost_mode)
@@ -471,7 +480,7 @@ class TestBuildMatchesPerLevelReference:
                                   shuffle_ordering=bool(trial % 2))
             cost_mode = (REWARD_EVAL, FACTOR_EVAL)[trial % 2]
             prior = (HeuristicPrior(), ExactValuePrior(solve_exact(g)),
-                     _small_mlp(g, seed=trial))[trial % 3]
+                     _small_mlp(g, seed=trial, leaf_batch=1))[trial % 3]
             full = exhaustive_budget(g, cost_mode)
             for budget in (int(rng.integers(1, full)), full):
                 tree = self._assert_same_tree(g, prior, budget, c=float(rng.choice([0.5, 2.0])),
@@ -484,7 +493,8 @@ class TestBuildMatchesPerLevelReference:
         rng = np.random.default_rng(179)
         for k in (8, 10):
             g = make_random_graph(rng, 3, k, num_extra_factors=2, neg_inf_frac=0.3)
-            for prior in (HeuristicPrior(), ExactValuePrior(solve_exact(g)), _small_mlp(g)):
+            for prior in (HeuristicPrior(), ExactValuePrior(solve_exact(g)),
+                          _small_mlp(g, leaf_batch=1)):
                 for budget in (60, 400, exhaustive_budget(g)):
                     tree = self._assert_same_tree(g, prior, budget)
                 assert tree.root_complete()
@@ -536,9 +546,14 @@ class TestSampleAndDensity:
         assert len(roots) == 1
 
 
-def _small_mlp(graph, seed=0):
+def _small_mlp(graph, seed=0, leaf_batch=None):
+    """A 2 x 16 MLP prior; leaf_batch, if given, replaces the class's
+    leaves per round on this instance."""
     dim = graph.num_variables * (graph.num_states + 1)
-    return MLPValueFunction(dim, graph.num_states, hidden_units=16, num_hidden_layers=2, seed=seed)
+    mlp = MLPValueFunction(dim, graph.num_states, hidden_units=16, num_hidden_layers=2, seed=seed)
+    if leaf_batch is not None:
+        mlp.leaf_batch = leaf_batch
+    return mlp
 
 
 def _one_row_calls(tree, num, seed):
@@ -549,14 +564,23 @@ def _one_row_calls(tree, num, seed):
 
 class TestSampleBatch:
     """sample_batch equals successive one-row sample() calls and log_density,
-    bit for bit, at the same seed."""
+    bit for bit, at the same seed, under a prior whose batch rows equal
+    evaluate (the heuristic). Under an MLP prior the off-tree rows of a
+    depth come from one product, so sample_batch equals the node-at-a-time
+    reference walk, which passes the same rows, bit for bit, and the
+    one-row calls to 1e-12."""
 
     def _assert_golden(self, tree, num=120, seed=11):
         xs, log_q = tree.sample_batch(num, np.random.default_rng(seed))
         rows, densities = _one_row_calls(tree, num, seed)
         assert xs.dtype.kind == "i" and xs.shape == (num, tree.graph.num_variables)
         assert [tuple(x) for x in xs.tolist()] == rows
-        assert log_q.tolist() == densities
+        if isinstance(tree.prior, MLPValueFunction):
+            ref_xs, ref_log_q = reference_sample_batch(tree, num, np.random.default_rng(seed))
+            assert xs.tolist() == ref_xs.tolist() and log_q.tobytes() == ref_log_q.tobytes()
+            np.testing.assert_allclose(log_q, densities, rtol=1e-12, atol=0)
+        else:
+            assert log_q.tolist() == densities
 
     def test_partial_trees_with_neg_inf_entries(self):
         rng = np.random.default_rng(151)

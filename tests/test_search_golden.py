@@ -6,6 +6,14 @@ completeness flags) and sample_batch(500, seed)'s (xs, log_q) bytes. The
 digests were recorded before the search layer moved from numpy arrays to
 Python lists, so they pin that the representation change left every tree,
 every draw and every log-probability bit-identical.
+
+The MLP cases run twice. With leaf_batch = 1 set on the prior they build one
+leaf per round, the traversal the digests were first recorded with, and keep
+those digests. At the network's default width ("/rounds") each round takes
+its prior rows from one (R, D) product, and the digests were recorded when
+rounds came in. Those and the draws of every MLP tree leaving the tree are
+specific to the BLAS numpy was built against (pytest prints it in the
+header): a row's last bits depend on the gemm kernel that computes it.
 """
 
 from __future__ import annotations
@@ -40,6 +48,12 @@ def _mlp(graph):
     return MLPValueFunction(graph.num_variables * (graph.num_states + 1), graph.num_states, seed=0)
 
 
+def _one_leaf_mlp(graph):
+    mlp = _mlp(graph)
+    mlp.leaf_batch = 1
+    return mlp
+
+
 # name -> (graph factory, prior factory, budget, cost mode, draw seed).
 # K = 10 runs the numpy-reduction branch of the soft value (8 entries or more);
 # the "/complete" case is the only one built until its root is complete.
@@ -50,7 +64,8 @@ CASES = {
     "chains-n6-k3/complete": (lambda: _spec_graph("chains", 6, 3, 13), None, 2000, REWARD_EVAL, 7),
     "neg-inf/reward_eval": (_neg_inf_graph, None, 120, REWARD_EVAL, 3),
     "neg-inf/factor_eval": (_neg_inf_graph, None, 200, FACTOR_EVAL, 3),
-    "fg2-n10/mlp": (lambda: _spec_graph("fg2", 10, 2, 5), _mlp, 300, REWARD_EVAL, 10),
+    "fg2-n10/mlp": (lambda: _spec_graph("fg2", 10, 2, 5), _one_leaf_mlp, 300, REWARD_EVAL, 10),
+    "fg2-n10/mlp/rounds": (lambda: _spec_graph("fg2", 10, 2, 5), _mlp, 300, REWARD_EVAL, 10),
 }
 
 GOLDEN = {
@@ -82,6 +97,10 @@ GOLDEN = {
         "0135b00204992657a25fbbe4b27396b3bdacbf2bc330b3ed99a50d31a397aa7b",
         "d052bdd7bacdb2a5daba404ac393056544a0d2035b0ded12e0b0407263f989b2",
     ),
+    "fg2-n10/mlp/rounds": (
+        "627f6fb3c197e6bb2aac6cb635183916636ce280cdf11faf20329cf8c7e68065",
+        "d6724cf8263e2c7d47b18b1820e57e08642e52dc823b5805d9da120fea713cb0",
+    ),
 }
 
 
@@ -110,21 +129,37 @@ def test_tree_and_draws_match_golden(name):
 # Trees of K = 3, 5, 8 and 11 children per node, on random graphs with -inf
 # table entries, built with a random 2 x 16 MLP prior so that no node starts
 # from uniform child values: both sides of PAIRWISE_SUM_MIN in the soft
-# values. name -> (K, graph seed, budget, sha256 of the dump).
+# values. The plain cases build one leaf per round, the "/rounds" cases at
+# the network's default width.
+# name -> (K, graph seed, budget, leaf_batch or None for the default, sha256 of the dump).
 WIDE_CASES = {
-    "k3": (3, 31, 400, "0b22ebf36bacf8f8ebd6784ae9343ea4fa3713f4340bb35b4dab94736f8d9cad"),
-    "k5": (5, 32, 400, "1924d85f40e68732f23f8ba5e5b234ecb8cacaaa7c43cd6cc435a14f45c91e76"),
-    "k8": (8, 33, 400, "4bf3690c60d0662ea58a3d36a9480da4e4a2a972c6568ec54b3524940bfac56a"),
-    "k11": (11, 34, 400, "733a7a64ec7a3e652ab7abe457cc6b8c6a9d406b49c5746d8eace099036928a5"),
+    "k3": (3, 31, 400, 1,
+           "0b22ebf36bacf8f8ebd6784ae9343ea4fa3713f4340bb35b4dab94736f8d9cad"),
+    "k5": (5, 32, 400, 1,
+           "1924d85f40e68732f23f8ba5e5b234ecb8cacaaa7c43cd6cc435a14f45c91e76"),
+    "k8": (8, 33, 400, 1,
+           "4bf3690c60d0662ea58a3d36a9480da4e4a2a972c6568ec54b3524940bfac56a"),
+    "k11": (11, 34, 400, 1,
+            "733a7a64ec7a3e652ab7abe457cc6b8c6a9d406b49c5746d8eace099036928a5"),
+    "k3/rounds": (3, 31, 400, None,
+                  "c036ac6147d98aa013d9e12a26e86034a8ead2cd41edf545b94c1aebae101b17"),
+    "k5/rounds": (5, 32, 400, None,
+                  "cb834a6f46583be512e1e3cf3e0b8d06cccddd6aeeef07393a96e64aa977e45e"),
+    "k8/rounds": (8, 33, 400, None,
+                  "6dd13a238e97e3b93aa9a0c6f8fa3a827432baefc8d38c3179104dbde6cadd6d"),
+    "k11/rounds": (11, 34, 400, None,
+                   "812494a0b5034b49c01e8b6a02614a41d729658f7d92f8d23e782c16a18789b9"),
 }
 
 
 def build_wide_case(name):
-    k, seed, budget, _ = WIDE_CASES[name]
+    k, seed, budget, leaf_batch, _ = WIDE_CASES[name]
     rng = np.random.default_rng(seed)
     graph = make_random_graph(rng, 6, k, num_extra_factors=5, neg_inf_frac=0.25,
                               shuffle_ordering=True)
     prior = MLPValueFunction(6 * (k + 1), k, hidden_units=16, num_hidden_layers=2, seed=seed)
+    if leaf_batch is not None:
+        prior.leaf_batch = leaf_batch
     return build_tree(graph, prior, budget)
 
 

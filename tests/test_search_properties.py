@@ -14,13 +14,18 @@ generic scoring loop's. The softmax draw of G rows gathered by an index
 equals the draw of the materialised rows, and a shared row's binary-search
 draw equals the count over the materialised (S, K) array, bit for bit.
 After builds at K of 3 to 11 with an MLP prior, every node's soft value
-equals logsumexp of its child values bit for bit.
+equals logsumexp of its child values bit for bit. Builds of 1, 2 and 8
+leaves per round, under the heuristic and an MLP prior, keep the ledger,
+density and log Z invariants, raise no RuntimeWarning, and leave every
+completeness flag and open count as the backups set them: each close made
+while a round collects is undone.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +86,37 @@ def test_search_invariants(p):
 
     xs, log_q = tree.sample_batch(50, np.random.default_rng(p["seed"]))
     assert log_q.tolist() == [tree.log_density(tuple(x)) for x in xs.tolist()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=trees, leaf_batch=st.sampled_from([1, 2, 8]), mlp=st.booleans())
+def test_rounds_keep_the_invariants(p, leaf_batch, mlp):
+    rng = np.random.default_rng(p["graph_seed"])
+    n, k = p["n"], p["k"]
+    graph = make_random_graph(rng, n, k, num_extra_factors=p["extra_factors"] if n > 1 else 0,
+                              neg_inf_frac=p["neg_inf_frac"], shuffle_ordering=True)
+    prior = (MLPValueFunction(n * (k + 1), k, hidden_units=8, num_hidden_layers=1,
+                              seed=p["seed"]) if mlp else HeuristicPrior())
+    prior.leaf_batch = leaf_batch
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tree = build_tree(graph, prior, p["budget"], c=p["c"], cost_mode=p["cost_mode"])
+        assert tree.ledger.spent <= p["budget"]
+        for prefix, node in tree.nodes.items():
+            assert node.open == node.complete_children.count(False)
+            if len(prefix) < n:  # a flag is set exactly when its child is complete
+                assert node.complete_children == [child is not None and child.complete
+                                                  for child in node.children]
+        if tree.root_complete():
+            log_z = solve_exact(graph).log_z
+            if log_z == NEG_INF:
+                assert tree.root_value() == NEG_INF
+            else:
+                assert abs(tree.root_value() - log_z) <= 1e-9
+        if tree.root is not None and max(tree.root.q) == NEG_INF:
+            return  # a complete zero-mass root: nothing to sample
+        configs = all_configs(n, k)
+        assert abs(sum(math.exp(tree.log_density(x)) for x in configs) - 1.0) <= 1e-12
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
