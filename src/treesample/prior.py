@@ -10,8 +10,8 @@ row per prefix; callers only read it, and HeuristicPrior returns a
 read-only broadcast view. A heuristic row equals evaluate of its prefix bit
 for bit. An MLP batch is one matrix product per layer, whose rows equal
 evaluate to about 1e-12 relative, and bit for bit for a one-prefix batch.
-leaf_batch is how many leaves a search round collects before it calls the
-prior once for all of them (build_tree). Priors are free to evaluate: they
+Every prior declares leaf_batch, how many leaves a search round collects
+before it calls the prior once for all of them (build_tree). Priors are free to evaluate: they
 never touch the budget.
 
 A prior's outputs are soft values, the log of the summed future mass below
@@ -141,9 +141,11 @@ class MLPValueFunction:
     # one evaluate_batch product. On 2 vCPUs with one OpenBLAS thread the
     # 4 x 256 network at input 54 (fg2 n18) costs about 42, 25, 15, 11.5, 12
     # and 9 us per row at 1, 2, 4, 8, 16 and 32 rows, and its build at budget
-    # 1,000 takes 36.1 ms one leaf at a time, 22.9 at 8 and 18.9 at 32; wider
-    # rounds cost KL under a good prior (a Q*-distilled 2 x 32 network on
-    # fg2 n8 at budget 300: 0.0003 at 1, 0.0004 at 8, 0.0026 at 32, exact)
+    # 1,000 takes 36.1 ms one leaf at a time, 22.9 at 8 and 18.9 at 32. The
+    # width trades KL under a good prior for speed: with a Q*-distilled 2 x 32
+    # network at budget 300, exact KL at 1 -> 8 leaves went 0.00014 -> 0.00041
+    # on fg1 n8, 0.00027 -> 0.00043 on fg2 n8 and 0.0020 -> 0.0036 on chains
+    # n6 k3; only the untrained network gains KL from rounds
     leaf_batch = 8
 
     def __init__(

@@ -391,6 +391,8 @@ def batch_rows(graph: FactorGraph, prior, leaves):
     """An iterator over the prior's rows, fresh lists, at the leaves'
     prefixes that are not complete, in leaf order, from one
     prior.evaluate_batch call; None when fewer than two need a row."""
+    if len(leaves) < 2:  # a one-leaf round builds no prefix list
+        return None
     n = graph.num_variables
     inner = [tuple(actions) for _, actions in leaves if len(actions) < n]
     return iter(prior.evaluate_batch(graph, inner).tolist()) if len(inner) > 1 else None
@@ -406,13 +408,12 @@ def build_tree(
 ) -> SearchTree:
     """Run rounds until the root completes or the next leaf may not be payable.
 
-    A round collects up to prior.leaf_batch missing children (collect_leaves;
-    1 for a prior that declares no width), takes the prior rows of all of
-    them from one evaluate_batch call (batch_rows), then expands and backs up
-    each leaf in collection order. A one-leaf round is one traversal: one
-    q_uct_select, prior.evaluate, expand and backup call each, so a prior of
-    width 1 skips collect_leaves, whose one descent would be the same. A
-    round whose leaves need fewer than two rows calls prior.evaluate.
+    A round collects up to prior.leaf_batch missing children
+    (collect_leaves), takes the prior rows of all of them from one
+    evaluate_batch call (batch_rows), then expands and backs up each leaf in
+    collection order. A round whose leaves need fewer than two rows calls
+    prior.evaluate, so a one-leaf round is one traversal: one q_uct_select,
+    prior.evaluate, expand and backup call each.
     Collecting reserves the cost of every collected leaf and stops when what
     is left could not pay one more worst-case expansion (the largest
     per-depth reward cost), so the ledger never overruns and a budget still
@@ -426,18 +427,15 @@ def build_tree(
     n = graph.num_variables
     costs = [graph.reward_cost(d, cost_mode) for d in range(1, n + 1)]
     worst_cost = max(costs)
-    width = getattr(prior, "leaf_batch", 1)
+    width = prior.leaf_batch
     if ledger.remaining < worst_cost:
         return tree  # not even the first leaf is payable: no root
     root = tree.root = expand(graph, (), prior.evaluate(graph, ()), ledger, c, epsilon)
     nodes = tree.nodes
     nodes[()] = root
     while ledger.remaining >= worst_cost and not root.complete:
-        if width > 1:
-            leaves = collect_leaves(root, width, ledger.remaining, costs, worst_cost)
-            rows = batch_rows(graph, prior, leaves)
-        else:
-            leaves, rows = (q_uct_select(root),), None
+        leaves = collect_leaves(root, width, ledger.remaining, costs, worst_cost)
+        rows = batch_rows(graph, prior, leaves)
         for path, actions in leaves:
             prefix = tuple(actions)
             if len(prefix) == n:

@@ -61,6 +61,8 @@ class ExactValuePrior:
     As a softmax proposal they give the target conditionals
     (zero-variance importance sampling)."""
 
+    leaf_batch = 1
+
     def __init__(self, solution):
         self.solution = solution
 

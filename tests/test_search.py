@@ -47,6 +47,8 @@ def _node(q, bonus, eta, complete):
 class _FixedPrior:
     """A prior that returns the same child values after every prefix."""
 
+    leaf_batch = 1
+
     def __init__(self, values):
         self.values = values
 
