@@ -19,6 +19,10 @@ from .logmath import NEG_INF, logsumexp, logsumexp_rows
 from .model import FactorGraph
 
 
+# ExactSolution.entropy exponentiates this many log probabilities at a time
+ENTROPY_BLOCK = 1 << 15
+
+
 class StateSpaceCapError(ValueError):
     """The graph's K^N state space exceeds the configured oracle cap."""
 
@@ -85,14 +89,28 @@ class ExactSolution:
         return logp
 
     def entropy(self) -> float:
-        """-sum p log p over the configurations of positive probability."""
-        logp = self.enumerate_log_joint()
-        p = np.exp(logp)
-        mask = p > 0
-        if not mask.all():
-            p, logp = p[mask], logp[mask]
-        p *= logp
-        return float(-np.sum(p))
+        """-sum p log p over the configurations of positive probability.
+
+        The terms p log p overwrite the joint's log probabilities, and p is
+        formed ENTROPY_BLOCK entries at a time, so the call holds one K^N
+        array instead of two (at N = 18 and K = 2, 2 MiB instead of 4).
+        A heap whose top glibc trims back to its threshold then still has
+        room for the call, which otherwise grows the heap and faults in
+        fresh pages on every call. Each term is the product p * log p, and the positive terms are
+        summed by one np.sum over a contiguous array, as when p was one
+        array, so the bits are the same. A zero p is never multiplied
+        (0 * -inf would be NaN) and its entry is dropped before the sum.
+        """
+        terms = self.enumerate_log_joint()
+        positive = np.empty(len(terms), dtype=bool)
+        for start in range(0, len(terms), ENTROPY_BLOCK):
+            logp = terms[start:start + ENTROPY_BLOCK]
+            p = np.exp(logp)
+            where = np.greater(p, 0.0, out=positive[start:start + ENTROPY_BLOCK])
+            np.multiply(p, logp, out=logp, where=where)
+        if not positive.all():
+            terms = terms[positive]
+        return float(-np.sum(terms))
 
 
 def solve_exact(graph: FactorGraph, cap: int = 10**7) -> ExactSolution:

@@ -36,22 +36,23 @@ def logsumexp(values: np.ndarray) -> float:
 # below PAIRWISE_SUM_MIN; pairwise_sum follows it at every width.
 PAIRWISE_SUM_MIN = 8
 PAIRWISE_BLOCK = 128
+# from this many entries on, the eight accumulators take more than one
+# entry each (the 8-stride loop runs)
+PAIRWISE_STRIDE_MIN = 16
 
-# math.log of the sums a 2-entry logsumexp_list forms when no np.exp is needed
-_LOG_ONE = math.log(1.0)
-_LOG_TWO = math.log(2.0)
 
-
-def pairwise_sum(addends: np.ndarray):
-    """The sum of the entries or rows of an array in the order of numpy's
-    float64 row sum, bit for bit: pairwise_sum(row) equals row.sum() for a
-    1-D row, and pairwise_sum(rows.T) equals rows.sum(axis=1) for a
-    C-contiguous 2-D rows.
+def pairwise_sum(addends: np.ndarray | list[float]):
+    """The sum of the entries or rows of an array, or of a list of floats,
+    in the order of numpy's float64 row sum, bit for bit: pairwise_sum(row)
+    equals row.sum() for a 1-D row or its tolist(), and pairwise_sum(rows.T)
+    equals rows.sum(axis=1) for a C-contiguous 2-D rows.
 
     A 2-D array is the sequence of its rows, so a (w, R) width-major block
     sums to R row sums with one add per column, and its eight accumulators
-    advance with one add per eight columns. numpy's sum starts from 0.0, so
-    -0.0 addends alone sum to 0.0. addends is never written to.
+    advance with one add per eight columns. A list's eight accumulators are
+    Python floats, which round as numpy's float64 adds do, so a short list
+    sums without the fixed cost of a numpy call. numpy's sum starts
+    from 0.0, so -0.0 addends alone sum to 0.0. addends is never written to.
     """
     n = len(addends)
     if n > PAIRWISE_BLOCK:
@@ -64,12 +65,15 @@ def pairwise_sum(addends: np.ndarray):
             total += x  # 0.0 + x makes a new array, so later adds write only to it
         return total
     tail = n - n % 8
-    r = addends[:8].copy()
-    for i in range(8, tail, 8):
-        r += addends[i:i + 8]
-    r = r[0::2] + r[1::2]
-    r = r[0::2] + r[1::2]
-    total = r[0] + r[1]
+    if isinstance(addends, list):
+        r = addends[:8]
+        for i in range(8, tail, 8):
+            r = [x + y for x, y in zip(r, addends[i:i + 8])]
+    else:
+        r = addends[:8].copy()
+        for i in range(8, tail, 8):
+            r += addends[i:i + 8]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
     for x in addends[tail:]:
         total += x
     total += 0.0
@@ -88,38 +92,30 @@ def logsumexp_list(values: list[float]) -> float:
     entry adds np.exp of its float (np.exp of one float equals the array
     np.exp; math.exp differs in the last bit on some inputs), converted to
     a Python float so that the running sum and the log stay off numpy
-    scalar arithmetic, which rounds alike but costs more.
+    scalar arithmetic, which rounds alike but costs more. Two entries, a
+    binary node's soft value, run the same loop, but search.backup forms
+    that sum inline (see its docstring).
 
-    From PAIRWISE_SUM_MIN entries on, the sum is numpy's pairwise sum of
-    exp(values - m), as in logsumexp: ndarray.sum and np.sum both run
-    np.add.reduce over the same contiguous array, so they round alike, and
-    calling the method skips np.sum's Python-level dispatch.
-
-    Two entries, the binary factor graphs' node width, skip the builtin max
-    and the loop. With the pair ordered as a >= b, the loop's sum is one of
-    three: 1.0 when b is -inf (a adds 1.0, b is skipped), 1.0 + 1.0 = 2.0
-    when a == b, else 1.0 plus the Python float of np.exp(b - a), added in
-    either order, which gives the same bits since one rounded addition does
-    not depend on the order of its operands (and 0.0 + x is x). So the
-    unrolled path returns a + log(1.0), a + log(2.0) or
-    a + log(1.0 + exp(b - a)), the loop's m + log(total) bit for bit; the
-    first keeps the addition of log(1.0) = 0.0, which turns an a of -0.0
-    into 0.0 as the loop does, and gives -inf when both entries are -inf.
+    From PAIRWISE_SUM_MIN entries on, the terms are logsumexp's,
+    np.exp(values - m) as one array. Below PAIRWISE_STRIDE_MIN entries,
+    where each of pairwise_sum's eight accumulators takes one term and its
+    8-stride loop does not run, they are summed as Python floats by
+    pairwise_sum, in numpy's order, which costs less than a numpy reduction
+    call (at K = 10 a call takes about 2.0 us against 2.2 us). From
+    PAIRWISE_STRIDE_MIN on, the Python adds cost more than that call
+    (2.7 us against 2.4 us at K = 17), and ndarray.sum sums the
+    terms: it and np.sum both run np.add.reduce over the same contiguous
+    array, so they round alike, and calling the method skips np.sum's
+    Python-level dispatch.
     """
-    if len(values) == 2:
-        a, b = values
-        if a < b:
-            a, b = b, a
-        if b == NEG_INF:
-            return a + _LOG_ONE
-        if a == b:
-            return a + _LOG_TWO
-        return a + math.log(1.0 + float(np.exp(b - a)))
     m = max(values)
     if m == NEG_INF:
         return NEG_INF
     if len(values) >= PAIRWISE_SUM_MIN:
-        return m + math.log(np.exp(np.subtract(values, m)).sum())
+        terms = np.exp(np.subtract(values, m))
+        if len(values) < PAIRWISE_STRIDE_MIN:
+            return m + math.log(pairwise_sum(terms.tolist()))
+        return m + math.log(terms.sum())
     total = 0.0
     for v in values:
         if v == m:

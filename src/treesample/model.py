@@ -186,11 +186,22 @@ class FactorGraph:
         """Sum of the factors that become computable exactly at this depth.
 
         Empty factor sets contribute 0; any -inf summand makes the result -inf.
+        Raises ValueError unless the prefix has length 1..N and values 1..K;
+        a valid prefix is then scored by reward_unchecked. This is the entry
+        point for prefixes from outside the package, kept for its checks:
+        the search builds its prefixes from valid actions and calls
+        reward_unchecked itself.
         """
         if not 1 <= len(prefix) <= self.num_variables:
             raise ValueError("reward is defined for prefixes of length 1..N")
         if min(prefix) < 1 or max(prefix) > self.num_states:
             raise ValueError(f"prefix values must lie in 1..{self.num_states}")
+        return self.reward_unchecked(prefix)
+
+    def reward_unchecked(self, prefix: Sequence[int]) -> float:
+        """reward of a prefix known to be valid, without its checks: an
+        out-of-range value would read a wrong table entry, not raise. The
+        search scores its own prefixes with it (search.expand)."""
         total = 0.0
         for cf in self._depth_factors[len(prefix)]:
             total += cf.value_at(prefix)

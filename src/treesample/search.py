@@ -23,7 +23,9 @@ every node on its path, and at K of 2 to 10 the fixed cost of a numpy call
 is many times the arithmetic it does. A leaf costs three calls, whatever
 its depth, plus its share of the round's prior call: q_uct_select walks the
 whole path down to the first missing child, expand creates that child from
-its prior row, and backup updates the path bottom-up through TreeNode.value.
+its prior row, charging the cost build_tree hands it and scoring the prefix
+without FactorGraph.reward's checks, and backup updates the path bottom-up,
+forming each soft value itself (logmath.logsumexp_list for wide nodes).
 While a round collects, collect_leaves flags each collected edge complete
 for the rest of the round (virtual completion), so the next walk takes the
 next-best open leaf, and it undoes every such flag before the first
@@ -36,12 +38,12 @@ and whose child is not newly complete: no value above that edge can
 change, so above it only the visit counts grow.
 
 Nodes with two children, every node of a binary factor graph, take an
-unrolled path in both hot calls, chosen by the length of the node's lists:
-q_uct_select scores the two children in the loop's operation order and takes
-the second only when its score is strictly greater, the loop's first
-maximum, and logmath.logsumexp_list orders the pair and forms the one sum
-the loop would (see its docstring for why the bits agree). Wider nodes keep
-the loops.
+unrolled path in both hot calls. Every node of one tree has K children, so
+each call reads the width once, not at every level: q_uct_select scores the
+two children in the loop's operation order and takes the second only when
+its score is strictly greater, the loop's first maximum, and backup orders
+the pair and forms the one sum logsumexp_list's loop would (see backup's
+docstring for why the bits agree). Wider nodes keep the loops.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ import numpy as np
 
 from .logmath import NEG_INF, json_float, logsumexp, logsumexp_list, sample_softmax_rows
 from .model import REWARD_EVAL, BudgetLedger, FactorGraph, Prefix
+
+# math.log of the sums a two-child soft value forms when no np.exp is needed
+_LOG_ONE = math.log(1.0)
+_LOG_TWO = math.log(2.0)
 
 
 class TreeNode:
@@ -84,7 +90,8 @@ class TreeNode:
 
     def value(self) -> float:
         """Soft value of the subtree below this node (logsumexp of child
-        values), equal to logmath.logsumexp of q bit for bit."""
+        values), equal to logmath.logsumexp of q bit for bit. backup forms
+        the same value without this call."""
         return logsumexp_list(self.q)
 
 
@@ -240,12 +247,15 @@ def q_uct_select(root: TreeNode) -> tuple[list[TreeNode], list[int]]:
     toward the smallest action, children flagged complete are excluded, and
     when every incomplete child scores -inf (a zero-mass prior entry) the
     first incomplete child wins. A node with one incomplete child takes it
-    without scoring, which is the same choice. Raises RuntimeError at a node
-    whose children are all complete; a root that is not complete has none.
+    without scoring, which is the same choice. Every node of one tree has K
+    children, so whether K is 2, and the two children are scored unrolled,
+    is read once, from root. Raises RuntimeError at a node whose children
+    are all complete; a root that is not complete has none.
     """
     path: list[TreeNode] = []
     actions: list[int] = []
     node = root
+    binary = len(root.q) == 2
     while True:
         open_children = node.open
         if open_children == 1:
@@ -255,7 +265,7 @@ def q_uct_select(root: TreeNode) -> tuple[list[TreeNode], list[int]]:
         else:
             q, bonus, eta = node.q, node.bonus, node.eta
             sqrt_visits = math.sqrt(node.visits)
-            if len(q) == 2:
+            if binary:
                 first = q[0] + bonus[0] * sqrt_visits / (1.0 + eta[0])
                 second = q[1] + bonus[1] * sqrt_visits / (1.0 + eta[1])
                 # both children are open (open_children >= 2); the loop's
@@ -279,11 +289,16 @@ def q_uct_select(root: TreeNode) -> tuple[list[TreeNode], list[int]]:
             return path, actions
 
 
-def expand(graph: FactorGraph, prefix: Prefix, prior_q: list[float] | None,
+def expand(graph: FactorGraph, prefix: Prefix, prior_q: list[float] | None, cost: int,
            ledger: BudgetLedger, c: float, epsilon: float) -> TreeNode:
-    """Charge the ledger for the reward at prefix, evaluate it and make the
-    node from prior_q, the prior's row at prefix; a charge past the budget
-    raises RuntimeError (see BudgetLedger).
+    """Charge the ledger cost, the reward evaluation's cost at prefix,
+    score the prefix and make the node from prior_q, the prior's row at
+    prefix; a charge past the budget raises RuntimeError (see BudgetLedger).
+    The root is free and has reward 0, so its cost is not read.
+
+    The reward comes from FactorGraph.reward_unchecked, without reward's
+    checks of the prefix: the search builds every prefix from its own
+    actions, 1..K, at depths 1..N, so the checks could never fail here.
 
     The node keeps prior_q as its children's values, so the caller hands
     over a fresh list, and their exploration coefficients are
@@ -294,9 +309,11 @@ def expand(graph: FactorGraph, prefix: Prefix, prior_q: list[float] | None,
     value at the parent is -inf regardless of descendants.
     """
     n, k = len(prefix), graph.num_states
-    if n:  # the root is free
-        ledger.charge(graph.reward_cost(n, ledger.cost_mode))
-    reward = 0.0 if n == 0 else graph.reward(prefix)
+    if n:
+        ledger.charge(cost)
+        reward = graph.reward_unchecked(prefix)
+    else:
+        reward = 0.0
     if n == graph.num_variables:
         return TreeNode(reward, [-math.log(k)] * k, [0.0] * k, [True] * k, True)
     # positional arguments: keywords make a K = 2 node's creation about 40% slower
@@ -308,6 +325,22 @@ def backup(nodes: list[TreeNode], actions: list[int]) -> None:
     """Soft-Bellman backup along one traversal path, deepest edge first.
 
     nodes has one more entry than actions; nodes[i] --actions[i]--> nodes[i+1].
+    Each edge gets the child's reward plus its soft value, the logsumexp of
+    its child values, equal to TreeNode.value bit for bit.
+
+    Every node of one tree has K children, so the width is read once, from
+    nodes[0]. Nodes with two children, every node of a binary factor graph,
+    form the soft value inline instead of calling logmath.logsumexp_list,
+    whose loop it matches bit for bit: with the pair ordered as a >= b, the
+    loop's sum is one of three. It is 1.0 when b is -inf (a adds 1.0, b is
+    skipped), 1.0 + 1.0 = 2.0 when a == b, else 1.0 plus the Python float of
+    np.exp(b - a), added in either order, which gives the same bits since
+    one rounded addition does not depend on the order of its operands (and
+    0.0 + x is x). So the soft value is a + log(1.0), a + log(2.0) or
+    a + log(1.0 + exp(b - a)), the loop's m + log(total) bit for bit; the
+    first keeps the addition of log(1.0) = 0.0, which turns an a of -0.0
+    into 0.0 as the loop does, and gives -inf when both entries are -inf.
+    Wider nodes call logsumexp_list.
 
     A node is flagged complete when it has no open child: the deepest node
     is checked on entry, and every other node where its last open child
@@ -323,9 +356,21 @@ def backup(nodes: list[TreeNode], actions: list[int]) -> None:
     """
     child = nodes[-1]
     child.complete = child.complete or not child.open
+    binary = len(nodes[0].q) == 2
     for i in range(len(actions) - 1, -1, -1):
         parent, a = nodes[i], actions[i] - 1
-        value = child.reward + child.value()
+        if binary:
+            x, y = child.q
+            if x < y:
+                x, y = y, x
+            if y == NEG_INF:
+                value = child.reward + (x + _LOG_ONE)
+            elif x == y:
+                value = child.reward + (x + _LOG_TWO)
+            else:
+                value = child.reward + (x + math.log(1.0 + float(np.exp(y - x))))
+        else:
+            value = child.reward + logsumexp_list(child.q)
         q = parent.q
         unchanged = value == q[a]
         q[a] = value
@@ -430,7 +475,7 @@ def build_tree(
     width = prior.leaf_batch
     if ledger.remaining < worst_cost:
         return tree  # not even the first leaf is payable: no root
-    root = tree.root = expand(graph, (), prior.evaluate(graph, ()), ledger, c, epsilon)
+    root = tree.root = expand(graph, (), prior.evaluate(graph, ()), 0, ledger, c, epsilon)
     nodes = tree.nodes
     nodes[()] = root
     while ledger.remaining >= worst_cost and not root.complete:
@@ -438,11 +483,12 @@ def build_tree(
         rows = batch_rows(graph, prior, leaves)
         for path, actions in leaves:
             prefix = tuple(actions)
-            if len(prefix) == n:
+            d = len(prefix)
+            if d == n:
                 row = None
             else:
                 row = prior.evaluate(graph, prefix) if rows is None else next(rows)
-            new = expand(graph, prefix, row, ledger, c, epsilon)
+            new = expand(graph, prefix, row, costs[d - 1], ledger, c, epsilon)
             path[-1].children[actions[-1] - 1] = new
             nodes[prefix] = new
             path.append(new)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from treesample import logmath
 from treesample.exact import (
+    ENTROPY_BLOCK,
     ChainSolution,
     StateSpaceCapError,
     _level_rewards,
@@ -252,10 +253,12 @@ class TestSampleSoftmaxRows:
 
 class TestLogsumexpList:
     """The list path of the search tree's soft value equals logsumexp bit for
-    bit at every width from 1 to 130, -inf entries and repeated maxima
-    included. It fails if math.exp replaces np.exp (different last bits on
-    some inputs) or if the Python loop sums 8 or more entries (numpy sums
-    those pairwise)."""
+    bit at every width from 1 to 300, -inf entries and repeated maxima
+    included: the Python loop below 8 entries, pairwise_sum's Python floats
+    from 8 to 15 and ndarray.sum from 16 on, on both sides of the 8-stride
+    loop (16) and of the halving (above 128). It fails if math.exp replaces
+    np.exp (different last bits on some inputs) or if the Python loop sums
+    8 or more entries (numpy sums those pairwise)."""
 
     def test_matches_logsumexp_bitwise(self):
         rng = np.random.default_rng(5)
@@ -291,6 +294,19 @@ class TestLogsumexpList:
         expected = logsumexp(np.array(values))
         assert struct.pack("<d", logsumexp_list(values)) == struct.pack("<d", expected)
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(width=st.sampled_from([3, 7, 8, 15, 16, 17, 128, 129]) | st.integers(3, 300),
+           scale=st.sampled_from([1e-3, 1.0, 30.0, 700.0]),
+           neg_inf_frac=st.sampled_from([0.0, 0.3, 0.9, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_logsumexp_bitwise_at_every_width(self, width, scale, neg_inf_frac, seed):
+        # -inf entries, and a tenth of the entries raised to the maximum
+        rng = np.random.default_rng(seed)
+        values = rng.normal(scale=scale, size=width)
+        values[rng.random(width) < 0.1] = values.max()
+        values[rng.random(width) < neg_inf_frac] = NEG_INF
+        expected = logsumexp(values)
+        assert struct.pack("<d", logsumexp_list(values.tolist())) == struct.pack("<d", expected)
+
 
 def _summands(rng, rows, width):
     """(rows, width) addends whose sum depends on the order of the adds:
@@ -305,13 +321,15 @@ def _summands(rng, rows, width):
 
 def _sums_like_numpy(width, rows, seed) -> bool:
     """Whether pairwise_sum gives numpy's row sums of _summands, bit for
-    bit, row by row, as a (width, rows) array and as its strided transposed
-    view, leaving every argument as it was."""
+    bit, row by row as arrays and as lists of floats, as a (width, rows)
+    array and as its strided transposed view, leaving every argument as it
+    was."""
     x = _summands(np.random.default_rng(seed), rows, width)
     expected = x.sum(axis=1)
     cols = np.ascontiguousarray(x.T)
     saved_x, saved_cols = x.copy(), cols.copy()
     same = _same_bits([pairwise_sum(row) for row in x], expected)
+    same = same and _same_bits([pairwise_sum(row) for row in x.tolist()], expected)
     for addends in (cols, x.T):
         same = same and _same_bits(pairwise_sum(addends), expected)
     assert _same_bits(x, saved_x) and _same_bits(cols, saved_cols)
@@ -321,8 +339,8 @@ def _sums_like_numpy(width, rows, seed) -> bool:
 class TestPairwiseSum:
     """pairwise_sum follows numpy's float64 row sum bit for bit at widths 1
     to 300: left to right below 8, eight accumulators up to 128, halves
-    above; on single rows of floats and on width-major (width, rows)
-    arrays."""
+    above; on single rows of floats, as arrays and as lists, and on
+    width-major (width, rows) arrays."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(width=st.integers(1, 300), rows=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
@@ -556,6 +574,15 @@ class TestStoredNormalisers:
         assert sol.log_z > NEG_INF
         assert any((v == NEG_INF).any() for v in sol.v_levels[1:])
         self._assert_equal_to_recomputed(sol)
+
+    @pytest.mark.parametrize("n, k, neg_inf_frac", [(17, 2, 0.0), (17, 2, 0.3), (11, 3, 0.3)])
+    def test_entropy_over_several_blocks(self, n, k, neg_inf_frac):
+        # K^N spans several ENTROPY_BLOCKs, the last one partial for K = 3
+        assert k**n > 2 * ENTROPY_BLOCK
+        rng = np.random.default_rng(53)
+        g = make_random_graph(rng, n, k, num_extra_factors=8, max_scope=3,
+                              neg_inf_frac=neg_inf_frac, shuffle_ordering=True)
+        self._assert_equal_to_recomputed(solve_exact(g))
 
     def test_no_mass_at_all(self):
         g = _graph(2, 2, [((1, 2), np.full(4, -np.inf))])

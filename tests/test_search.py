@@ -102,7 +102,7 @@ class TestQUctSelect:
     def test_epsilon_floor_applies(self):
         # prior below epsilon uses epsilon in the bonus: equal Q, equal eta,
         # bonus then ties and action 1 wins
-        node = expand(_uniform_graph(3, 2), (), [-3.0, 0.01], BudgetLedger(budget=1), c=1.0,
+        node = expand(_uniform_graph(3, 2), (), [-3.0, 0.01], 0, BudgetLedger(budget=1), c=1.0,
                       epsilon=0.1)
         assert node.bonus == [0.1, 0.1]
         node.q[:] = [0.5, 0.5]
@@ -151,7 +151,7 @@ class TestExpand:
     def test_leaf_children(self):
         g = _uniform_graph(2, 3)
         ledger = BudgetLedger(budget=10)
-        node = expand(g, (1, 2), _heuristic_row(g, (1, 2)), ledger, c=2.0, epsilon=0.1)
+        node = expand(g, (1, 2), _heuristic_row(g, (1, 2)), 1, ledger, c=2.0, epsilon=0.1)
         assert np.allclose(node.q, -math.log(3))
         assert node.value() == pytest.approx(0.0, abs=1e-12)
         assert node.complete
@@ -159,7 +159,7 @@ class TestExpand:
 
     def test_root_uses_heuristic(self):
         g = _uniform_graph(10, 5)
-        node = expand(g, (), _heuristic_row(g, ()), BudgetLedger(budget=10), c=2.0, epsilon=0.1)
+        node = expand(g, (), _heuristic_row(g, ()), 0, BudgetLedger(budget=10), c=2.0, epsilon=0.1)
         assert np.allclose(node.q, 9 * math.log(5))
         assert node.q[0] == pytest.approx(14.485, abs=1e-3)
         assert node.bonus == [2.0 * node.q[0]] * 5
@@ -168,26 +168,28 @@ class TestExpand:
     def test_root_is_free(self):
         g = _uniform_graph(3, 2)
         ledger = BudgetLedger(budget=5)
-        expand(g, (), _heuristic_row(g, ()), ledger, c=2.0, epsilon=0.1)
+        expand(g, (), _heuristic_row(g, ()), 0, ledger, c=2.0, epsilon=0.1)
         assert ledger.spent == 0
 
     def test_dead_end_marked_complete(self):
         g = _graph(2, 2, [((1,), [0.0, -np.inf]), ((2,), [0.0, 0.0])])
-        node = expand(g, (2,), _heuristic_row(g, (2,)), BudgetLedger(budget=5), c=2.0, epsilon=0.1)
+        node = expand(g, (2,), _heuristic_row(g, (2,)), 1, BudgetLedger(budget=5), c=2.0,
+                      epsilon=0.1)
         assert node.reward == NEG_INF
         assert node.complete
 
     def test_factor_eval_cost(self):
         g = _graph(2, 2, [((1,), np.zeros(2)), ((1, 2), np.zeros(4)), ((2,), np.zeros(2))])
         ledger = BudgetLedger(budget=10, cost_mode=FACTOR_EVAL)
-        expand(g, (1, 2), _heuristic_row(g, (1, 2)), ledger, c=2.0, epsilon=0.1)
+        expand(g, (1, 2), _heuristic_row(g, (1, 2)), g.reward_cost(2, FACTOR_EVAL), ledger, c=2.0,
+               epsilon=0.1)
         assert ledger.spent == 2  # both the pair factor and the unary resolve at depth 2
 
     def test_overrun_raises(self):
         g = _uniform_graph(2, 2)
         ledger = BudgetLedger(budget=0)
         with pytest.raises(RuntimeError, match="internal accounting error"):
-            expand(g, (1,), _heuristic_row(g, (1,)), ledger, c=2.0, epsilon=0.1)
+            expand(g, (1,), _heuristic_row(g, (1,)), 1, ledger, c=2.0, epsilon=0.1)
         assert ledger.spent == 0
 
 
@@ -195,10 +197,10 @@ class TestBackup:
     def test_fresh_leaf_gives_reward(self):
         g = _graph(2, 2, [((1,), np.zeros(2)), ((1, 2), np.array([0.7, 0.0, 0.0, 0.0]))])
         ledger = BudgetLedger(budget=10)
-        root = expand(g, (), _heuristic_row(g, ()), ledger, c=2.0, epsilon=0.1)
-        child = expand(g, (1,), _heuristic_row(g, (1,)), ledger, c=2.0, epsilon=0.1)
+        root = expand(g, (), _heuristic_row(g, ()), 0, ledger, c=2.0, epsilon=0.1)
+        child = expand(g, (1,), _heuristic_row(g, (1,)), 1, ledger, c=2.0, epsilon=0.1)
         root.children[0] = child
-        leaf = expand(g, (1, 1), _heuristic_row(g, (1, 1)), ledger, c=2.0, epsilon=0.1)
+        leaf = expand(g, (1, 1), _heuristic_row(g, (1, 1)), 1, ledger, c=2.0, epsilon=0.1)
         child.children[0] = leaf
         backup([root, child, leaf], [1, 1])
         assert child.q[0] == pytest.approx(0.7)  # leaf reward + V=0

@@ -5,7 +5,9 @@ JSON dump (every node's prefix, reward, child values, visit counts and
 completeness flags) and sample_batch(500, seed)'s (xs, log_q) bytes. The
 digests were recorded before the search layer moved from numpy arrays to
 Python lists, so they pin that the representation change left every tree,
-every draw and every log-probability bit-identical.
+every draw and every log-probability bit-identical. The "bench/" cases and
+the K = 17 wide case were recorded before the soft value of a two-child
+node moved into backup and wide soft values began to sum as Python floats.
 
 The MLP cases run twice. With leaf_batch = 1 set on the prior they build one
 leaf per round, the traversal the digests were first recorded with, and keep
@@ -55,8 +57,11 @@ def _one_leaf_mlp(graph):
 
 
 # name -> (graph factory, prior factory, budget, cost mode, draw seed).
-# K = 10 runs the numpy-reduction branch of the soft value (8 entries or more);
+# K = 10 runs the pairwise branch of the soft value (8 entries or more);
 # the "/complete" case is the only one built until its root is complete.
+# The "bench/" cases are the benchmark's tree-build and tree-eval instances
+# (perfbench/workloads.py INSTANCE_SEEDS) at budget 300, so that the trees
+# its timings are taken on are pinned here too.
 CASES = {
     "fg1-n12-k2/reward_eval": (lambda: _spec_graph("fg1", 12, 2, 3), None, 600, REWARD_EVAL, 7),
     "fg2-n12/factor_eval": (lambda: _spec_graph("fg2", 12, 2, 5), None, 800, FACTOR_EVAL, 8),
@@ -66,6 +71,9 @@ CASES = {
     "neg-inf/factor_eval": (_neg_inf_graph, None, 200, FACTOR_EVAL, 3),
     "fg2-n10/mlp": (lambda: _spec_graph("fg2", 10, 2, 5), _one_leaf_mlp, 300, REWARD_EVAL, 10),
     "fg2-n10/mlp/rounds": (lambda: _spec_graph("fg2", 10, 2, 5), _mlp, 300, REWARD_EVAL, 10),
+    "bench/fg1-n18/reward_eval": (lambda: _spec_graph("fg1", 18, 2, 3), None, 300, REWARD_EVAL, 1),
+    "bench/fg2-n18/factor_eval": (lambda: _spec_graph("fg2", 18, 2, 5), None, 300, FACTOR_EVAL, 1),
+    "bench/chains-n20-k10": (lambda: _spec_graph("chains", 20, 10, 7), None, 300, REWARD_EVAL, 1),
 }
 
 GOLDEN = {
@@ -101,6 +109,18 @@ GOLDEN = {
         "627f6fb3c197e6bb2aac6cb635183916636ce280cdf11faf20329cf8c7e68065",
         "d6724cf8263e2c7d47b18b1820e57e08642e52dc823b5805d9da120fea713cb0",
     ),
+    "bench/fg1-n18/reward_eval": (
+        "b5e88b076bb9800eee41f0cc3b6af42ae219716e4e7f46a60b7e2207b91cef8a",
+        "9a2b485882e4e0fe90055a635517076e385ec14bc94ba5d9b3b72c428b036fad",
+    ),
+    "bench/fg2-n18/factor_eval": (
+        "314e470b16a9458a8df5c81de5d8c81eb0ec4683cc150d8011a766d03d4a41b1",
+        "282abcc2b20d16c4787950fb99bba33921afba96e43a9e02d322cb54924ca7d4",
+    ),
+    "bench/chains-n20-k10": (
+        "e0a189ea3705b5bf579c4f8dd182f8f39a8c6ae456b9f0c54f576b0dbf7c584f",
+        "1dc2252ef036b5e39fc06a19b2b501bc2be54565ac787691f5a488a90b74571d",
+    ),
 }
 
 
@@ -126,11 +146,12 @@ def test_tree_and_draws_match_golden(name):
     assert tree.root_complete() == name.endswith("/complete")
 
 
-# Trees of K = 3, 5, 8 and 11 children per node, on random graphs with -inf
-# table entries, built with a random 2 x 16 MLP prior so that no node starts
-# from uniform child values: both sides of PAIRWISE_SUM_MIN in the soft
-# values. The plain cases build one leaf per round, the "/rounds" cases at
-# the network's default width.
+# Trees of K = 3, 5, 8, 11 and 17 children per node, on random graphs with
+# -inf table entries, built with a random 2 x 16 MLP prior so that no node
+# starts from uniform child values: both sides of PAIRWISE_SUM_MIN in the
+# soft values, and at K = 17 the pairwise sum's 8-stride loop. The plain
+# cases build one leaf per round, the "/rounds" cases at the network's
+# default width.
 # name -> (K, graph seed, budget, leaf_batch or None for the default, sha256 of the dump).
 WIDE_CASES = {
     "k3": (3, 31, 400, 1,
@@ -141,6 +162,8 @@ WIDE_CASES = {
            "4bf3690c60d0662ea58a3d36a9480da4e4a2a972c6568ec54b3524940bfac56a"),
     "k11": (11, 34, 400, 1,
             "733a7a64ec7a3e652ab7abe457cc6b8c6a9d406b49c5746d8eace099036928a5"),
+    "k17": (17, 35, 400, 1,
+            "9221c23e17cce6b44d692f46b444c97d406b965cbbab36a6b879493414f8a560"),
     "k3/rounds": (3, 31, 400, None,
                   "c036ac6147d98aa013d9e12a26e86034a8ead2cd41edf545b94c1aebae101b17"),
     "k5/rounds": (5, 32, 400, None,

@@ -10,7 +10,9 @@ walk bit for bit, for K of 2 to 10, both priors, empty to complete trees
 and 0 to 300 samples. With the exact-value prior (the oracle's Q*, the
 scale the tree reads), the tree's KL to the target is 0 at every budget. On
 random two-child nodes, q_uct_select's unrolled binary choice equals the
-generic scoring loop's. The softmax draw of G rows gathered by an index
+generic scoring loop's, and backup's inline soft value gives an edge the
+child's reward plus logsumexp of its values, bit for bit, at signed zeros,
+-inf, equal entries and wide gaps. The softmax draw of G rows gathered by an index
 equals the draw of the materialised rows, and a shared row's binary-search
 draw equals the count over the materialised (S, K) array, bit for bit.
 After builds at K of 3 to 11 with an MLP prior, every node's soft value
@@ -29,7 +31,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treesample.exact import solve_exact
@@ -37,7 +39,7 @@ from treesample.logmath import (NEG_INF, ZeroMassError, draw_softmax_rows, logsu
                                 sample_softmax_rows)
 from treesample.model import COST_MODES, REWARD_EVAL
 from treesample.prior import HeuristicPrior, MLPValueFunction
-from treesample.search import TreeNode, build_tree, q_uct_select
+from treesample.search import TreeNode, backup, build_tree, q_uct_select
 
 from conftest import (ExactValuePrior, all_configs, kl_by_enumeration, make_random_graph,
                       reference_sample_batch)
@@ -230,6 +232,32 @@ def test_binary_choice_equals_scoring_loop(q, bonus, eta, complete):
     path, actions = q_uct_select(node)
     assert path == [node]
     assert actions == [reference_select(node)]
+
+
+# -inf, signed zeros, equal entries and gaps past exp's range (a term of
+# 0.0) and within it come up often; within it math.exp would differ from
+# np.exp in the last bit on some pairs
+pair_entries = (st.sampled_from([NEG_INF, -0.0, 0.0, 1.0, -700.0, 700.0, 5e-324])
+                | st.floats(-5.0, 5.0) | st.floats(-800.0, 800.0))
+edge_rewards = st.sampled_from([0.0, -0.0, -1.5, NEG_INF]) | st.floats(-50.0, 50.0)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(q=st.lists(pair_entries, min_size=2, max_size=2), reward=edge_rewards,
+       equal=st.booleans())
+@example(q=[-0.0, NEG_INF], reward=-0.0, equal=False)  # log(1.0) makes -0.0 into 0.0
+@example(q=[NEG_INF, -0.0], reward=-0.0, equal=False)
+@example(q=[NEG_INF, NEG_INF], reward=0.0, equal=False)
+def test_binary_backup_equals_logsumexp_bitwise(q, reward, equal):
+    """backup's inline two-child soft value gives the edge the bits of the
+    child's reward plus logsumexp of its child values."""
+    if equal:
+        q = [q[0], q[0]]
+    child = TreeNode(reward, list(q), [0.0, 0.0], [False, False], False)
+    parent = TreeNode(0.0, [0.0, 0.0], [0.0, 0.0], [False, False], False)
+    backup([parent, child], [1])
+    expected = reward + logsumexp(np.array(q))
+    assert struct.pack("<d", parent.q[0]) == struct.pack("<d", expected)
 
 
 # -inf, signed zeros and ties come up often; K spans both sides of
