@@ -2,6 +2,10 @@
 
 All probability computations in this package stay in the log domain; -inf is a
 first-class value meaning "zero mass". +inf and NaN are never legal inputs.
+
+The array routines (logsumexp_rows, logsumexp_cols, the softmax draws) give
+numpy's own bits at every width. logsumexp_list, the search tree's scalar
+soft value, works in Python floats and agrees with logsumexp to a few ulps.
 """
 
 from __future__ import annotations
@@ -32,27 +36,23 @@ def logsumexp(values: np.ndarray) -> float:
 # right below PAIRWISE_SUM_MIN entries; up to PAIRWISE_BLOCK entries into
 # eight accumulators, one per position mod 8, joined pairwise, then the
 # tail of n mod 8 entries left to right; above PAIRWISE_BLOCK the sums of
-# two halves, split at a multiple of 8. A Python loop matches it only
-# below PAIRWISE_SUM_MIN; pairwise_sum follows it at every width.
+# two halves, split at a multiple of 8. pairwise_sum follows it at every
+# width; the column-by-column paths below PAIRWISE_SUM_MIN columns match it
+# there.
 PAIRWISE_SUM_MIN = 8
 PAIRWISE_BLOCK = 128
-# from this many entries on, the eight accumulators take more than one
-# entry each (the 8-stride loop runs)
-PAIRWISE_STRIDE_MIN = 16
 
 
-def pairwise_sum(addends: np.ndarray | list[float]):
-    """The sum of the entries or rows of an array, or of a list of floats,
-    in the order of numpy's float64 row sum, bit for bit: pairwise_sum(row)
-    equals row.sum() for a 1-D row or its tolist(), and pairwise_sum(rows.T)
-    equals rows.sum(axis=1) for a C-contiguous 2-D rows.
+def pairwise_sum(addends: np.ndarray):
+    """The sum of the entries or rows of an array in the order of numpy's
+    float64 row sum, bit for bit: pairwise_sum(row) equals row.sum() for a
+    1-D row, and pairwise_sum(rows.T) equals rows.sum(axis=1) for a
+    C-contiguous 2-D rows.
 
     A 2-D array is the sequence of its rows, so a (w, R) width-major block
     sums to R row sums with one add per column, and its eight accumulators
-    advance with one add per eight columns. A list's eight accumulators are
-    Python floats, which round as numpy's float64 adds do, so a short list
-    sums without the fixed cost of a numpy call. numpy's sum starts
-    from 0.0, so -0.0 addends alone sum to 0.0. addends is never written to.
+    advance with one add per eight columns. numpy's sum starts from 0.0, so
+    -0.0 addends alone sum to 0.0. addends is never written to.
     """
     n = len(addends)
     if n > PAIRWISE_BLOCK:
@@ -65,14 +65,9 @@ def pairwise_sum(addends: np.ndarray | list[float]):
             total += x  # 0.0 + x makes a new array, so later adds write only to it
         return total
     tail = n - n % 8
-    if isinstance(addends, list):
-        r = addends[:8]
-        for i in range(8, tail, 8):
-            r = [x + y for x, y in zip(r, addends[i:i + 8])]
-    else:
-        r = addends[:8].copy()
-        for i in range(8, tail, 8):
-            r += addends[i:i + 8]
+    r = addends[:8].copy()
+    for i in range(8, tail, 8):
+        r += addends[i:i + 8]
     total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
     for x in addends[tail:]:
         total += x
@@ -81,47 +76,26 @@ def pairwise_sum(addends: np.ndarray | list[float]):
 
 
 def logsumexp_list(values: list[float]) -> float:
-    """logsumexp of a list of floats, equal to logsumexp bit for bit.
+    """logsumexp of a list of floats, in Python floats: the search tree's
+    soft value.
 
-    Below PAIRWISE_SUM_MIN entries the sum runs as a Python loop in numpy's
-    order, which avoids the fixed cost of numpy array calls on a few
-    entries. Its summands are what logsumexp adds: an entry equal to the
-    maximum m adds exactly 1.0, since v - m is 0.0 and exp(0.0) is exactly
-    1.0; a -inf entry adds exp(-inf) = 0.0, which leaves the running total
-    (0.0 or positive) unchanged, so the entry is skipped. Every other
-    entry adds np.exp of its float (np.exp of one float equals the array
-    np.exp; math.exp differs in the last bit on some inputs), converted to
-    a Python float so that the running sum and the log stay off numpy
-    scalar arithmetic, which rounds alike but costs more. Two entries, a
-    binary node's soft value, run the same loop, but search.backup forms
-    that sum inline (see its docstring).
-
-    From PAIRWISE_SUM_MIN entries on, the terms are logsumexp's,
-    np.exp(values - m) as one array. Below PAIRWISE_STRIDE_MIN entries,
-    where each of pairwise_sum's eight accumulators takes one term and its
-    8-stride loop does not run, they are summed as Python floats by
-    pairwise_sum, in numpy's order, which costs less than a numpy reduction
-    call (at K = 10 a call takes about 2.0 us against 2.2 us). From
-    PAIRWISE_STRIDE_MIN on, the Python adds cost more than that call
-    (2.7 us against 2.4 us at K = 17), and ndarray.sum sums the
-    terms: it and np.sum both run np.add.reduce over the same contiguous
-    array, so they round alike, and calling the method skips np.sum's
-    Python-level dispatch.
+    With m the maximum, the terms math.exp(v - m) are summed left to right
+    and the result is m + math.log(sum); an all -inf list gives -inf. At a
+    node's few entries this costs less than the fixed cost of numpy calls,
+    and it stays cheaper up to at least 64 entries. The result agrees with
+    logsumexp within 4 * len(values) ulps of max(1, |result|), not bit for
+    bit: math.exp and np.exp differ in the last bit on some inputs, and
+    from PAIRWISE_SUM_MIN entries on numpy adds pairwise. Exact cases: the
+    maximum adds exp(0.0), exactly 1.0, and a -inf entry adds exp(-inf),
+    exactly 0.0, so one finite entry gives itself (m + log(1.0) = m + 0.0,
+    which makes -0.0 into 0.0) and K equal entries give m + log(K).
     """
     m = max(values)
     if m == NEG_INF:
         return NEG_INF
-    if len(values) >= PAIRWISE_SUM_MIN:
-        terms = np.exp(np.subtract(values, m))
-        if len(values) < PAIRWISE_STRIDE_MIN:
-            return m + math.log(pairwise_sum(terms.tolist()))
-        return m + math.log(terms.sum())
     total = 0.0
     for v in values:
-        if v == m:
-            total += 1.0
-        elif v != NEG_INF:
-            total += float(np.exp(v - m))
+        total += math.exp(v - m)
     return m + math.log(total)
 
 

@@ -30,9 +30,10 @@ While a round collects, collect_leaves flags each collected edge complete
 for the rest of the round (virtual completion), so the next walk takes the
 next-best open leaf, and it undoes every such flag before the first
 expansion. A one-leaf round (HeuristicPrior.leaf_batch) is one traversal:
-one q_uct_select, prior.evaluate, expand and backup call. The walk and the
-backup are scalar Python in the same operation order as the array code
-they replaced, so the trees are the same bit for bit. backup stops
+one q_uct_select, prior.evaluate, expand and backup call. The walk is
+scalar Python in the operation order of the array code it replaced. A soft
+value is logsumexp_list's: Python floats summed left to right, which agrees
+with logmath.logsumexp to a few ulps, not bit for bit. backup stops
 recomputing soft values at the first edge whose value comes out unchanged
 and whose child is not newly complete: no value above that edge can
 change, so above it only the visit counts grow.
@@ -42,8 +43,8 @@ unrolled path in both hot calls. Every node of one tree has K children, so
 each call reads the width once, not at every level: q_uct_select scores the
 two children in the loop's operation order and takes the second only when
 its score is strictly greater, the loop's first maximum, and backup orders
-the pair and forms the one sum logsumexp_list's loop would (see backup's
-docstring for why the bits agree). Wider nodes keep the loops.
+the pair and forms the one sum logsumexp_list's loop would, bit for bit
+(see backup's docstring). Wider nodes keep the loops.
 """
 
 from __future__ import annotations
@@ -56,11 +57,6 @@ import numpy as np
 
 from .logmath import NEG_INF, json_float, logsumexp, logsumexp_list, sample_softmax_rows
 from .model import REWARD_EVAL, BudgetLedger, FactorGraph, Prefix
-
-# math.log of the sums a two-child soft value forms when no np.exp is needed
-_LOG_ONE = math.log(1.0)
-_LOG_TWO = math.log(2.0)
-
 
 class TreeNode:
     """Per-prefix cache: reward, and per child its value q, visit count eta,
@@ -89,9 +85,9 @@ class TreeNode:
         self.open = self.complete_children.count(False)
 
     def value(self) -> float:
-        """Soft value of the subtree below this node (logsumexp of child
-        values), equal to logmath.logsumexp of q bit for bit. backup forms
-        the same value without this call."""
+        """Soft value of the subtree below this node: logmath.logsumexp_list
+        of its child values. backup forms the same value, bit for bit,
+        without this call."""
         return logsumexp_list(self.q)
 
 
@@ -330,17 +326,15 @@ def backup(nodes: list[TreeNode], actions: list[int]) -> None:
 
     Every node of one tree has K children, so the width is read once, from
     nodes[0]. Nodes with two children, every node of a binary factor graph,
-    form the soft value inline instead of calling logmath.logsumexp_list,
-    whose loop it matches bit for bit: with the pair ordered as a >= b, the
-    loop's sum is one of three. It is 1.0 when b is -inf (a adds 1.0, b is
-    skipped), 1.0 + 1.0 = 2.0 when a == b, else 1.0 plus the Python float of
-    np.exp(b - a), added in either order, which gives the same bits since
-    one rounded addition does not depend on the order of its operands (and
-    0.0 + x is x). So the soft value is a + log(1.0), a + log(2.0) or
-    a + log(1.0 + exp(b - a)), the loop's m + log(total) bit for bit; the
-    first keeps the addition of log(1.0) = 0.0, which turns an a of -0.0
-    into 0.0 as the loop does, and gives -inf when both entries are -inf.
-    Wider nodes call logsumexp_list.
+    form the soft value inline, which costs less than calling
+    logmath.logsumexp_list, and match its loop bit for bit. With the pair
+    ordered as a >= b (a is the loop's maximum m, the first one on a tie),
+    the loop adds exp(0.0) = 1.0 and exp(b - a) in list order, and one
+    rounded addition does not depend on the order of its operands (and
+    0.0 + x is x). So the soft value is a + log(1.0 + exp(b - a)); a -inf b
+    adds exp(-inf) = 0.0, which gives a + log(1.0) and turns an a of -0.0
+    into 0.0 as the loop does, and a == b gives a + log(2.0). When both
+    entries are -inf it is -inf. Wider nodes call logsumexp_list.
 
     A node is flagged complete when it has no open child: the deepest node
     is checked on entry, and every other node where its last open child
@@ -363,12 +357,10 @@ def backup(nodes: list[TreeNode], actions: list[int]) -> None:
             x, y = child.q
             if x < y:
                 x, y = y, x
-            if y == NEG_INF:
-                value = child.reward + (x + _LOG_ONE)
-            elif x == y:
-                value = child.reward + (x + _LOG_TWO)
+            if x == NEG_INF:
+                value = NEG_INF
             else:
-                value = child.reward + (x + math.log(1.0 + float(np.exp(y - x))))
+                value = child.reward + (x + math.log(1.0 + math.exp(y - x)))
         else:
             value = child.reward + logsumexp_list(child.q)
         q = parent.q

@@ -251,37 +251,50 @@ class TestSampleSoftmaxRows:
         assert a.tolist() == c_a.tolist() and _same_bits(logp, c_logp)
 
 
-class TestLogsumexpList:
-    """The list path of the search tree's soft value equals logsumexp bit for
-    bit at every width from 1 to 300, -inf entries and repeated maxima
-    included: the Python loop below 8 entries, pairwise_sum's Python floats
-    from 8 to 15 and ndarray.sum from 16 on, on both sides of the 8-stride
-    loop (16) and of the halving (above 128). It fails if math.exp replaces
-    np.exp (different last bits on some inputs) or if the Python loop sums
-    8 or more entries (numpy sums those pairwise)."""
+def _lse_bound(values, expected):
+    """The accuracy logsumexp_list keeps against logsumexp: 4 K ulps of 1.0,
+    scaled by the result's magnitude when that exceeds 1."""
+    return 4 * len(values) * 2.0**-52 * max(1.0, abs(expected))
 
-    def test_matches_logsumexp_bitwise(self):
+
+def _assert_close_to_logsumexp(values):
+    expected = logsumexp(np.array(values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = logsumexp_list(values)
+    if expected == NEG_INF:
+        assert got == NEG_INF, values
+    else:
+        assert abs(got - expected) <= _lse_bound(values, expected), values
+
+
+class TestLogsumexpList:
+    """The search tree's soft value sums math.exp terms as Python floats left
+    to right at every width. It agrees with logsumexp within 4 K ulps of
+    max(1, |logsumexp|) at widths 1 to 300, with -inf entries, repeated
+    maxima and values up to +-700, and raises no RuntimeWarning. An all -inf
+    list, one finite entry and K equal entries give exact results."""
+
+    def test_within_accuracy_bound(self):
         rng = np.random.default_rng(5)
-        for k in range(2, 131):
-            # below 8 entries a math.exp summand moves about 1 result in 200
-            rows = 2000 if k < 8 else 40
+        for k in range(1, 301):
+            rows = 200 if k < 16 else 10
             q = rng.normal(scale=3.0, size=(rows, k))
             q[rng.random(q.shape) < 0.2] = NEG_INF
             q[np.arange(rows), rng.integers(0, k, size=rows)] = rng.normal(size=rows)
             for row in q:
-                assert logsumexp_list(row.tolist()) == logsumexp(row), k
+                _assert_close_to_logsumexp(row.tolist())
 
     def test_all_neg_inf(self):
+        assert logsumexp_list([NEG_INF]) == NEG_INF
         assert logsumexp_list([NEG_INF, NEG_INF]) == NEG_INF
         assert logsumexp_list([NEG_INF] * 9) == NEG_INF
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(st.data())
-    def test_matches_logsumexp_bitwise_property(self, data):
+    def test_within_accuracy_bound_property(self, data):
         # lists of 1 to 40 entries up to +-700, with some entries raised to
-        # the maximum (repeated maxima, each adding exactly 1.0 below 8
-        # entries) and some set to -inf (skipped below 8 entries), or every
-        # entry -inf
+        # the maximum and some set to -inf, or every entry -inf
         values = data.draw(st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=40))
         positions = st.lists(st.integers(0, len(values) - 1), max_size=len(values))
         top = max(values)
@@ -291,21 +304,30 @@ class TestLogsumexpList:
             values[i] = NEG_INF
         if data.draw(st.integers(0, 19)) == 0:
             values = [NEG_INF] * len(values)
-        expected = logsumexp(np.array(values))
-        assert struct.pack("<d", logsumexp_list(values)) == struct.pack("<d", expected)
+        _assert_close_to_logsumexp(values)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(width=st.sampled_from([3, 7, 8, 15, 16, 17, 128, 129]) | st.integers(3, 300),
+    @given(width=st.sampled_from([1, 2, 7, 8, 15, 16, 17, 128, 129, 300]) | st.integers(1, 300),
            scale=st.sampled_from([1e-3, 1.0, 30.0, 700.0]),
            neg_inf_frac=st.sampled_from([0.0, 0.3, 0.9, 1.0]), seed=st.integers(0, 2**32 - 1))
-    def test_matches_logsumexp_bitwise_at_every_width(self, width, scale, neg_inf_frac, seed):
+    def test_within_accuracy_bound_at_every_width(self, width, scale, neg_inf_frac, seed):
         # -inf entries, and a tenth of the entries raised to the maximum
         rng = np.random.default_rng(seed)
         values = rng.normal(scale=scale, size=width)
         values[rng.random(width) < 0.1] = values.max()
         values[rng.random(width) < neg_inf_frac] = NEG_INF
-        expected = logsumexp(values)
-        assert struct.pack("<d", logsumexp_list(values.tolist())) == struct.pack("<d", expected)
+        _assert_close_to_logsumexp(values.tolist())
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 17, 300])
+    @pytest.mark.parametrize("x", [0.0, -0.0, 1.5, -2.25, 700.0, -700.0, 5e-324])
+    def test_exact_cases(self, k, x):
+        # one finite entry among -inf gives itself (-0.0 becomes 0.0), and
+        # k equal entries give x + log(k)
+        for i in range(k):
+            values = [NEG_INF] * k
+            values[i] = x
+            assert _bits(logsumexp_list(values)) == _bits(x + 0.0)
+        assert _bits(logsumexp_list([x] * k)) == _bits(x + math.log(k))
 
 
 def _summands(rng, rows, width):
@@ -321,15 +343,13 @@ def _summands(rng, rows, width):
 
 def _sums_like_numpy(width, rows, seed) -> bool:
     """Whether pairwise_sum gives numpy's row sums of _summands, bit for
-    bit, row by row as arrays and as lists of floats, as a (width, rows)
-    array and as its strided transposed view, leaving every argument as it
-    was."""
+    bit, row by row, as a (width, rows) array and as its strided transposed
+    view, leaving every argument as it was."""
     x = _summands(np.random.default_rng(seed), rows, width)
     expected = x.sum(axis=1)
     cols = np.ascontiguousarray(x.T)
     saved_x, saved_cols = x.copy(), cols.copy()
     same = _same_bits([pairwise_sum(row) for row in x], expected)
-    same = same and _same_bits([pairwise_sum(row) for row in x.tolist()], expected)
     for addends in (cols, x.T):
         same = same and _same_bits(pairwise_sum(addends), expected)
     assert _same_bits(x, saved_x) and _same_bits(cols, saved_cols)
@@ -339,8 +359,7 @@ def _sums_like_numpy(width, rows, seed) -> bool:
 class TestPairwiseSum:
     """pairwise_sum follows numpy's float64 row sum bit for bit at widths 1
     to 300: left to right below 8, eight accumulators up to 128, halves
-    above; on single rows of floats, as arrays and as lists, and on
-    width-major (width, rows) arrays."""
+    above; on single rows and on width-major (width, rows) arrays."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(width=st.integers(1, 300), rows=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
@@ -387,18 +406,17 @@ def _bits(x: float) -> bytes:
 
 
 class TestLogsumexpListBinary:
-    """Two entries take logsumexp_list's unrolled path. Each case is pinned
-    bit for bit against logsumexp and against the sum the loop forms:
-    a + log(1.0) when the smaller entry is -inf (which makes -0.0 into
-    0.0), a + log(2.0) for equal entries, else a + log(1.0 + exp(b - a))."""
+    """Two entries, a binary node's soft value. With the pair ordered as
+    a >= b, the loop's sum is 1.0 + exp(b - a) in either order, so each case
+    is pinned bit for bit to a + log(1.0 + math.exp(b - a)): a + log(1.0)
+    when the smaller entry is -inf (which makes -0.0 into 0.0), a + log(2.0)
+    for equal entries."""
 
     XS = [0.0, -0.0, 1.5, -2.25, 700.0, -700.0, 1e-300, -1e-300, 5e-324]
 
     @staticmethod
     def _check(values, expected):
-        got = logsumexp_list(values)
-        assert _bits(got) == _bits(expected), values
-        assert _bits(got) == _bits(logsumexp(np.array(values))), values
+        assert _bits(logsumexp_list(values)) == _bits(expected), values
 
     def test_signed_zeros(self):
         self._check([-0.0, 0.0], -0.0 + math.log(2.0))
@@ -424,7 +442,7 @@ class TestLogsumexpListBinary:
     @pytest.mark.parametrize("y", [-3.0, -1e-12, 0.5, 699.0])
     def test_distinct_entries_in_either_order(self, x, y):
         a, b = max(x, y), min(x, y)
-        expected = a + math.log(1.0 + float(np.exp(b - a)))
+        expected = a + math.log(1.0 + math.exp(b - a))
         self._check([x, y], expected)
         self._check([y, x], expected)
 

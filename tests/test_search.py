@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from treesample import search
 from treesample.exact import solve_exact
 from treesample.generators import GeneratorSpec, generate
-from treesample.logmath import NEG_INF, ZeroMassError, logsumexp, sample_softmax_rows
+from treesample.logmath import NEG_INF, ZeroMassError, logsumexp_list, sample_softmax_rows
 from treesample.model import FACTOR_EVAL, REWARD_EVAL, BudgetLedger, Factor, FactorGraph
 from treesample.prior import HeuristicPrior, MLPValueFunction
 from treesample.search import SearchTree, TreeNode, backup, build_tree, expand, q_uct_select
@@ -363,7 +364,7 @@ class _PerLevelNode:
         self.open = self.complete_children.count(False)
 
     def value(self):
-        return logsumexp(self.q)
+        return logsumexp_list(self.q)
 
 
 def _per_level_select(node, parent_visits, c, epsilon):
@@ -408,8 +409,9 @@ def _per_level_backup(nodes, actions):
 
 def _per_level_build_tree(graph, prior, budget, c, epsilon, cost_mode):
     """The former build_tree: one selection call per level of every traversal
-    and the soft value through numpy's logsumexp. It stops where build_tree
-    stops, since the comparison is of descent and backup."""
+    and a soft value through logsumexp_list at every edge of the path. It
+    stops where build_tree stops, since the comparison is of descent and
+    backup."""
     ledger = BudgetLedger(budget=budget, cost_mode=cost_mode)
     tree = SearchTree(graph=graph, prior=prior, ledger=ledger)
     worst_cost = max(graph.reward_cost(d, cost_mode) for d in range(1, graph.num_variables + 1))
@@ -458,22 +460,36 @@ class TestBuildMatchesPerLevelReference:
         assert '"q": [0.0, 0.0]' in json.dumps(tree.dump_json_dict())
 
     def test_backup_stops_early_with_fewer_soft_values(self, monkeypatch):
-        # fg2 under factor_eval has depths without factors, where a new
-        # node's soft value often equals the heuristic value it replaces,
-        # so the backup stops there and recomputes nothing above
-        calls = {TreeNode: 0, _PerLevelNode: 0}
-        for cls in calls:
-            def counted(self, value=cls.value, cls=cls):
-                calls[cls] += 1
-                return value(self)
-            monkeypatch.setattr(cls, "value", counted)
-        for seed in (0, 1):
-            g = generate(GeneratorSpec(family="fg2", n=8, k=2, seed=seed))
-            for budget in (50, 300, exhaustive_budget(g, FACTOR_EVAL)):
-                calls.update(dict.fromkeys(calls, 0))
-                tree = self._assert_same_tree(g, HeuristicPrior(), budget, cost_mode=FACTOR_EVAL)
-                assert calls[TreeNode] < calls[_PerLevelNode]
-            assert tree.root_complete()
+        # under factor_eval, fg2 (K = 2) and fg1 with K = 3 have depths
+        # without factors, where a new node's soft value often equals the
+        # heuristic value it replaces, so the backup stops there and forms
+        # no soft value above. backup forms a two-child soft value with one
+        # math.exp call when a child value is finite, and a wider one with
+        # one logsumexp_list call; the reference forms one per edge of every
+        # path.
+        calls = {"backup": 0, "reference": 0}
+
+        def counted(f, key):
+            def wrapper(*args):
+                calls[key] += 1
+                return f(*args)
+            return wrapper
+
+        counting_math = SimpleNamespace(**vars(math))
+        counting_math.exp = counted(math.exp, "backup")
+        monkeypatch.setattr(search, "math", counting_math)
+        monkeypatch.setattr(search, "logsumexp_list", counted(logsumexp_list, "backup"))
+        monkeypatch.setattr(_PerLevelNode, "value", counted(_PerLevelNode.value, "reference"))
+        for family, n, k in (("fg2", 8, 2), ("fg1", 6, 3)):
+            for seed in (0, 1):
+                g = generate(GeneratorSpec(family=family, n=n, k=k, seed=seed))
+                for budget in (300, exhaustive_budget(g, FACTOR_EVAL)):
+                    calls.update(dict.fromkeys(calls, 0))
+                    tree = self._assert_same_tree(g, HeuristicPrior(), budget,
+                                                  cost_mode=FACTOR_EVAL)
+                    assert all(max(node.q) > NEG_INF for node in tree.nodes.values())
+                    assert 0 < calls["backup"] < calls["reference"], (family, seed, budget)
+                assert tree.root_complete()
 
     def test_random_graphs_with_neg_inf_entries(self):
         rng = np.random.default_rng(173)
@@ -492,8 +508,9 @@ class TestBuildMatchesPerLevelReference:
                                               cost_mode=cost_mode)
             assert tree.root_complete()
 
-    def test_wide_nodes_run_the_pairwise_soft_value(self):
-        # K of 8 or more sums the soft value with numpy's pairwise reduction
+    def test_wide_nodes_match_the_reference(self):
+        # K of 8 and 10, where numpy's logsumexp would add pairwise, sum
+        # left to right as every other width does
         rng = np.random.default_rng(179)
         for k in (8, 10):
             g = make_random_graph(rng, 3, k, num_extra_factors=2, neg_inf_frac=0.3)

@@ -8,6 +8,11 @@ Python lists, so they pin that the representation change left every tree,
 every draw and every log-probability bit-identical. The "bench/" cases and
 the K = 17 wide case were recorded before the soft value of a two-child
 node moved into backup and wide soft values began to sum as Python floats.
+The tree dumps of "chains-n8-k10" and of the K = 5 to 17 wide cases were
+re-recorded when the soft value moved from numpy's exp and summation order
+to math.exp summed left to right: the same nodes, visit counts and flags,
+with a few child values 1 or 2 ulps apart. Every other digest, the binary
+trees' and "chains-n8-k10"'s draws included, was kept.
 
 The MLP cases run twice. With leaf_batch = 1 set on the prior they build one
 leaf per round, the traversal the digests were first recorded with, and keep
@@ -57,8 +62,7 @@ def _one_leaf_mlp(graph):
 
 
 # name -> (graph factory, prior factory, budget, cost mode, draw seed).
-# K = 10 runs the pairwise branch of the soft value (8 entries or more);
-# the "/complete" case is the only one built until its root is complete.
+# The "/complete" case is the only one built until its root is complete.
 # The "bench/" cases are the benchmark's tree-build and tree-eval instances
 # (perfbench/workloads.py INSTANCE_SEEDS) at budget 300, so that the trees
 # its timings are taken on are pinned here too.
@@ -86,7 +90,7 @@ GOLDEN = {
         "8ef3198ef23168387c307d9c8526be620e2c330bbcac6f472354cc2241ab1c84",
     ),
     "chains-n8-k10": (
-        "a25099edad2b2513999dba2c724a3c752c8933866a3ced8e1a0d38ac556b26cb",
+        "f4b8876c59026139c14c14e41aa5e0103b7caf0af24caf0a56915303f9c7d734",
         "e0231017b4ed6e67df1f501bd4728d2d58019a74c8eaa7ca769bf4212078cd9d",
     ),
     "chains-n6-k3/complete": (
@@ -148,30 +152,28 @@ def test_tree_and_draws_match_golden(name):
 
 # Trees of K = 3, 5, 8, 11 and 17 children per node, on random graphs with
 # -inf table entries, built with a random 2 x 16 MLP prior so that no node
-# starts from uniform child values: both sides of PAIRWISE_SUM_MIN in the
-# soft values, and at K = 17 the pairwise sum's 8-stride loop. The plain
-# cases build one leaf per round, the "/rounds" cases at the network's
-# default width.
+# starts from uniform child values. The plain cases build one leaf per
+# round, the "/rounds" cases at the network's default width.
 # name -> (K, graph seed, budget, leaf_batch or None for the default, sha256 of the dump).
 WIDE_CASES = {
     "k3": (3, 31, 400, 1,
            "0b22ebf36bacf8f8ebd6784ae9343ea4fa3713f4340bb35b4dab94736f8d9cad"),
     "k5": (5, 32, 400, 1,
-           "1924d85f40e68732f23f8ba5e5b234ecb8cacaaa7c43cd6cc435a14f45c91e76"),
+           "2fe41a7bb0d3b4c8c9b2396dc982357ed1eeb210d1fc2ba01af124342d403776"),
     "k8": (8, 33, 400, 1,
-           "4bf3690c60d0662ea58a3d36a9480da4e4a2a972c6568ec54b3524940bfac56a"),
+           "bb37934429129ab60f43914cb7d6be1ef9752f0750b51274d202ca7c57ba202b"),
     "k11": (11, 34, 400, 1,
-            "733a7a64ec7a3e652ab7abe457cc6b8c6a9d406b49c5746d8eace099036928a5"),
+            "25b18185470c7ea4db4a097ea07bb4dc79776a640b4cc85bb3b4fdb68ef9b685"),
     "k17": (17, 35, 400, 1,
-            "9221c23e17cce6b44d692f46b444c97d406b965cbbab36a6b879493414f8a560"),
+            "ef5108602247ac656de5e594da4e18263e8c4ccc2ad8340aecaab4f32ce92b62"),
     "k3/rounds": (3, 31, 400, None,
                   "c036ac6147d98aa013d9e12a26e86034a8ead2cd41edf545b94c1aebae101b17"),
     "k5/rounds": (5, 32, 400, None,
-                  "cb834a6f46583be512e1e3cf3e0b8d06cccddd6aeeef07393a96e64aa977e45e"),
+                  "617984d90da0be2ea62ac133d65b78321eaedfafede211d01db9f41d4ba3eb69"),
     "k8/rounds": (8, 33, 400, None,
-                  "6dd13a238e97e3b93aa9a0c6f8fa3a827432baefc8d38c3179104dbde6cadd6d"),
+                  "bf2027c1f6533b5c1f6738bf41c0ed07de6f4aac9d6efc9a72bb4f6bdb1d8dde"),
     "k11/rounds": (11, 34, 400, None,
-                   "812494a0b5034b49c01e8b6a02614a41d729658f7d92f8d23e782c16a18789b9"),
+                   "0dee056a5e9bbdf7ad5c5b476294ef34a6c4e13063792cf716e65233e3b95822"),
 }
 
 

@@ -11,12 +11,13 @@ and 0 to 300 samples. With the exact-value prior (the oracle's Q*, the
 scale the tree reads), the tree's KL to the target is 0 at every budget. On
 random two-child nodes, q_uct_select's unrolled binary choice equals the
 generic scoring loop's, and backup's inline soft value gives an edge the
-child's reward plus logsumexp of its values, bit for bit, at signed zeros,
--inf, equal entries and wide gaps. The softmax draw of G rows gathered by an index
+child's reward plus logsumexp_list of its values, bit for bit, at signed
+zeros, -inf, equal entries and wide gaps. The softmax draw of G rows gathered by an index
 equals the draw of the materialised rows, and a shared row's binary-search
 draw equals the count over the materialised (S, K) array, bit for bit.
-After builds at K of 3 to 11 with an MLP prior, every node's soft value
-equals logsumexp of its child values bit for bit. Builds of 1, 2 and 8
+After builds at K of 2 to 11 with an MLP prior, every node's soft value
+is logsumexp_list of its child values, and every edge holds its child's
+reward plus that soft value, bit for bit. Builds of 1, 2 and 8
 leaves per round, under the heuristic and an MLP prior, keep the ledger,
 density and log Z invariants, raise no RuntimeWarning, and leave every
 completeness flag and open count as the backups set them: each close made
@@ -35,7 +36,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treesample.exact import solve_exact
-from treesample.logmath import (NEG_INF, ZeroMassError, draw_softmax_rows, logsumexp,
+from treesample.logmath import (NEG_INF, ZeroMassError, draw_softmax_rows, logsumexp_list,
                                 sample_softmax_rows)
 from treesample.model import COST_MODES, REWARD_EVAL
 from treesample.prior import HeuristicPrior, MLPValueFunction
@@ -156,21 +157,27 @@ def test_sample_batch_equals_reference_walk_bitwise(graph_seed, n, k, extra_fact
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(graph_seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
-       k=st.sampled_from([3, 4, 7, 8, 10, 11]), extra_factors=st.integers(0, 4),
+       k=st.sampled_from([2, 3, 4, 7, 8, 10, 11]), extra_factors=st.integers(0, 4),
        neg_inf_frac=st.sampled_from([0.2, 0.5, 0.9]), cost_mode=st.sampled_from(COST_MODES),
        budget=st.sampled_from([1, 40, 300]), seed=st.integers(0, 100))
-def test_node_values_equal_logsumexp_bitwise(graph_seed, n, k, extra_factors, neg_inf_frac,
-                                             cost_mode, budget, seed):
+def test_node_values_equal_logsumexp_list_bitwise(graph_seed, n, k, extra_factors, neg_inf_frac,
+                                                  cost_mode, budget, seed):
     """After a build with -inf entries and a random MLP prior, every node's
-    value() is logsumexp of its q, bit for bit, on both sides of
-    PAIRWISE_SUM_MIN (8 children)."""
+    value() is logsumexp_list of its q, and every edge to a node in the tree
+    holds the node's reward plus that value, bit for bit: backup's inline
+    two-child form and its early stop leave no edge that a full backup would
+    set to other bits."""
     rng = np.random.default_rng(graph_seed)
     graph = make_random_graph(rng, n, k, num_extra_factors=extra_factors if n > 1 else 0,
                               neg_inf_frac=neg_inf_frac, shuffle_ordering=True)
     prior = MLPValueFunction(n * (k + 1), k, hidden_units=16, num_hidden_layers=2, seed=seed)
     tree = build_tree(graph, prior, budget, cost_mode=cost_mode)
-    for node in tree.nodes.values():
-        assert struct.pack("<d", node.value()) == struct.pack("<d", logsumexp(np.array(node.q)))
+    for prefix, node in tree.nodes.items():
+        value = node.value()
+        assert struct.pack("<d", value) == struct.pack("<d", logsumexp_list(node.q))
+        if prefix:
+            edge = tree.nodes[prefix[:-1]].q[prefix[-1] - 1]
+            assert struct.pack("<d", edge) == struct.pack("<d", node.reward + value)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -235,8 +242,7 @@ def test_binary_choice_equals_scoring_loop(q, bonus, eta, complete):
 
 
 # -inf, signed zeros, equal entries and gaps past exp's range (a term of
-# 0.0) and within it come up often; within it math.exp would differ from
-# np.exp in the last bit on some pairs
+# 0.0) and within it come up often
 pair_entries = (st.sampled_from([NEG_INF, -0.0, 0.0, 1.0, -700.0, 700.0, 5e-324])
                 | st.floats(-5.0, 5.0) | st.floats(-800.0, 800.0))
 edge_rewards = st.sampled_from([0.0, -0.0, -1.5, NEG_INF]) | st.floats(-50.0, 50.0)
@@ -248,15 +254,15 @@ edge_rewards = st.sampled_from([0.0, -0.0, -1.5, NEG_INF]) | st.floats(-50.0, 50
 @example(q=[-0.0, NEG_INF], reward=-0.0, equal=False)  # log(1.0) makes -0.0 into 0.0
 @example(q=[NEG_INF, -0.0], reward=-0.0, equal=False)
 @example(q=[NEG_INF, NEG_INF], reward=0.0, equal=False)
-def test_binary_backup_equals_logsumexp_bitwise(q, reward, equal):
+def test_binary_backup_equals_logsumexp_list_bitwise(q, reward, equal):
     """backup's inline two-child soft value gives the edge the bits of the
-    child's reward plus logsumexp of its child values."""
+    child's reward plus logsumexp_list of its child values."""
     if equal:
         q = [q[0], q[0]]
     child = TreeNode(reward, list(q), [0.0, 0.0], [False, False], False)
     parent = TreeNode(0.0, [0.0, 0.0], [0.0, 0.0], [False, False], False)
     backup([parent, child], [1])
-    expected = reward + logsumexp(np.array(q))
+    expected = reward + logsumexp_list(q)
     assert struct.pack("<d", parent.q[0]) == struct.pack("<d", expected)
 
 
