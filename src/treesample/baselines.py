@@ -12,17 +12,23 @@ Each sampler is an array program over all of its particles or messages:
   depth alone and come back as one broadcast row, which
   sample_softmax_rows reduces once for all particles; from 8 columns on
   it draws by binary search.
-- Gibbs runs all chains in lockstep on one (chains, N) state array. One pass
-  over the factors builds its site table: per variable, in raw index order,
-  its column, the charge of one update of one chain, and per site factor
-  the terms a site update gathers. A site update scores the K completions of
-  every chain through the site's factors at once: per factor, one (chains,)
-  table index from the factor's other scope positions, plus
-  stride * (0..K-1) for the site, gathers a (chains, K) block of table
-  entries, and the blocks add up in site-factor order. Each site update
-  reads exactly one uniform per chain: chain by chain, the stream holds the
-  chain's initial state and then one uniform per site update, so the draws
-  equal a chain-at-a-time loop that draws each site from its own softmax.
+- Gibbs runs all chains in lockstep on one (N, chains) state array, row c
+  holding every chain's value at column c, and runs each call's sweeps as
+  dependency waves. A site update goes into the wave after the latest one
+  so far that updated the site itself or a variable sharing a factor with
+  it. The waves, run in order, then read every value the raw-index scan
+  reads, and the updates of one wave share no factor, so they run
+  together: per term (site factor), one table index per (site, chain)
+  from the factor's other scope positions, plus stride * (0..K-1) for the
+  site, and one gather from a flat table of every factor's entries gives
+  the wave's (terms, sites, chains, K) block. A site with fewer terms than
+  the wave's widest reads an appended 0.0 entry, and the terms add up into
+  0.0 in site-factor order, pads last, so each score is the scan's bit for
+  bit. Each site update reads exactly one uniform per chain: chain by
+  chain, the stream holds the chain's initial state and then one uniform
+  per site update, so the draws equal a chain-at-a-time loop that draws
+  each site from its own softmax. A wave charges what its site updates
+  would, one by one.
 - Loopy BP stores the messages as (edges, K) arrays, one edge per (factor,
   scope position), in buffers allocated once. A round reduces every
   factor->variable message of one width in one pass over a width-major
@@ -220,6 +226,34 @@ def _draw_or_uniform(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 
 
+def _gibbs_waves(graph: FactorGraph, num_sweeps: int) -> list[int]:
+    """The wave of each of the num_sweeps * N site updates, in scan order
+    (variables in raw index order, sweep after sweep).
+
+    An update's wave is 1 + the latest wave so far of its own site (the
+    self rule) or of any variable that shares a factor with it (the
+    neighbour rule). So each update runs after every earlier update whose
+    value it reads, and after the site's own previous update, and before
+    every later update that reads its value: the neighbour relation is
+    symmetric. No wave holds two sites that share a factor, or one site
+    twice. The self rule matters only for a site whose factors are all
+    unary; any other site has a neighbour updated between two of its own
+    updates.
+    """
+    n = graph.num_variables
+    near: list[set[int]] = [set() for _ in range(n + 1)]
+    for f in graph.factors:
+        for v in f.scope:
+            near[v].update(u for u in f.scope if u != v)
+    last = [0] * (n + 1)  # last[v]: the wave of v's latest update so far
+    waves = []
+    for _ in range(num_sweeps):
+        for v in range(1, n + 1):
+            last[v] = wave = 1 + max([last[v]] + [last[u] for u in near[v]])
+            waves.append(wave)
+    return waves
+
+
 def gibbs(
     graph: FactorGraph,
     num_sweeps: int,
@@ -235,24 +269,53 @@ def gibbs(
     completions of the site's factors); under factor-level accounting it
     charges K times the number of factors touching the site. Raises
     ValueError when num_sweeps is below 1.
+
+    The sweeps run as dependency waves (_gibbs_waves): a wave's site
+    updates share no factor, so they read no value another of them writes,
+    and every value they read is the one the raw-index scan reads. Each
+    update draws every chain's value from the update's own uniform, so the
+    atoms, the zero-conditional count and the spend equal the scan's. A
+    wave scores all of its (site, chain) pairs with one gather from a flat
+    table of every factor's entries; a site with fewer factors than the
+    wave's widest reads one appended 0.0 entry for each missing term. Each
+    site's terms are added left to right into 0.0 in site-factor order, the
+    pads last, and adding 0.0 to a sum that starts at 0.0 changes no bit
+    (-inf included), so each score is the scan's. One _draw_or_uniform call
+    draws every row of the wave and one store writes the values back. A
+    wave charges the sum of its sites' charges for every chain.
     """
     if num_sweeps < 1:
         raise ValueError("num_sweeps must be at least 1")
     n, k = graph.num_variables, graph.num_states
-    # per site factor of v: its table, the (column, stride) of its other scope
-    # positions, and the index offsets stride * (0..K-1) of v's values
-    terms = {v: [] for v in range(1, n + 1)}
+    # per site factor of v, in site-factor order: its table's start in the
+    # flat table, the (column, stride) of its other scope positions, and the
+    # stride of v's own position
+    terms: list[list] = [[] for _ in range(n)]
+    tables, pad = [], 0
     for d in range(1, n + 1):
         for cf in graph.factors_at_depth(d):
             scope = list(zip(cf.factor.scope, cf.positions.tolist(), cf.strides.tolist()))
             for v, pos, stride in scope:
-                others = [(p - 1, s) for _, p, s in scope if p != pos]
-                terms[v].append((cf.table, others, np.arange(k) * stride))
-    # per site update, in raw index order: (column, charge of one chain, terms)
-    sites = [(graph.depth_of(v) - 1, k if cost_mode == REWARD_EVAL else k * len(terms[v]),
-              terms[v]) for v in range(1, n + 1)]
+                terms[v - 1].append((pad, [(p - 1, s) for _, p, s in scope if p != pos], stride))
+            tables.append(cf.table)
+            pad += len(cf.table)
+    flat = np.concatenate(tables + [np.zeros(1)])  # flat[pad] is the 0.0 pad
+    # per site, its terms padded to the widest site's count with pad terms,
+    # whose columns and strides are 0 and whose K indices are all pad
+    width = max(len(site_terms) for site_terms in terms)
+    arity = max(len(others) for site_terms in terms for _, others, _ in site_terms)
+    cols = np.zeros((n, width, arity), dtype=np.int64)
+    strides = np.zeros((n, width, arity), dtype=np.int64)
+    offsets = np.full((n, width, k), pad, dtype=np.int64)
+    for v, site_terms in enumerate(terms):
+        for i, (first, others, stride) in enumerate(site_terms):
+            for j, (c, s) in enumerate(others):
+                cols[v, i, j], strides[v, i, j] = c, s
+            offsets[v, i] = first + stride * np.arange(k)
+    num_terms = np.array([len(site_terms) for site_terms in terms])
+    site_costs = k * (np.ones(n, dtype=np.int64) if cost_mode == REWARD_EVAL else num_terms)
     ledger = BudgetLedger(budget=budget, cost_mode=cost_mode)
-    num = ledger.count(num_sweeps * sum(cost for _, cost, _ in sites), "one sample")
+    num = ledger.count(num_sweeps * int(site_costs.sum()), "one sample")
     rng = np.random.default_rng(seed)
     # chain by chain: the initial state, then one uniform per site update
     states = np.empty((num, n), dtype=np.int64)
@@ -260,20 +323,36 @@ def gibbs(
     for i in range(num):
         states[i] = rng.integers(1, k + 1, size=n)
         uniforms[i] = rng.random(num_sweeps * n)
-    x = states - 1  # 0-based values, the digits of a table index
+    # the updates in wave order, scan order within a wave; update t is site t % n
+    waves = np.array(_gibbs_waves(graph, num_sweeps))
+    order = np.argsort(waves, kind="stable")
+    site = order % n
+    starts = np.flatnonzero(np.diff(waves[order], prepend=0))
+    bounds = zip(starts.tolist(), starts[1:].tolist() + [len(order)],
+                 np.maximum.reduceat(num_terms[site], starts).tolist(),
+                 (num * np.add.reduceat(site_costs[site], starts)).tolist())
+    # per update in wave order: its terms' other columns and strides, each
+    # (arity, width, updates), its terms' K table indices, (width, updates,
+    # K), its column, and every chain's uniform, (updates, chains)
+    cols, strides = cols[site].transpose(2, 1, 0), strides[site].transpose(2, 1, 0)[..., None]
+    offsets = offsets[site].transpose(1, 0, 2)[:, :, None]
+    column = np.array([graph.depth_of(v) - 1 for v in range(1, n + 1)])[site]
+    uniforms = uniforms.T[order]
+    xt = (states - 1).T.copy()  # row c: every chain's 0-based value at column c
     zero_conditionals = 0
-    for t, (col, cost, site_terms) in enumerate(sites * num_sweeps):
-        ledger.charge(num * cost)
-        # scores[c, j]: the site's factors at chain c with the site set to j + 1
-        scores = np.zeros((num, k))
-        for table, others, offsets in site_terms:
-            base = np.zeros(num, dtype=np.int64)
-            for c, stride in others:
-                base += x[:, c] * stride
-            scores += table[base[:, None] + offsets]
-        x[:, col], zeros = _draw_or_uniform(scores, uniforms[:, t])
+    for lo, hi, w, charge in bounds:
+        ledger.charge(charge)
+        # entries[i, s, c, j]: the wave's s-th site's i-th term at chain c
+        # with the site set to j + 1
+        base = (xt[cols[:, :w, lo:hi]] * strides[:, :w, lo:hi]).sum(axis=0)
+        entries = flat[base[..., None] + offsets[:w, lo:hi]]
+        scores = 0.0 + entries[0]
+        for term in entries[1:]:
+            scores += term
+        drawn, zeros = _draw_or_uniform(scores.reshape(-1, k), uniforms[lo:hi].ravel())
+        xt[column[lo:hi]] = drawn.reshape(hi - lo, num)
         zero_conditionals += zeros
-    atoms, weights = merge_particles(x + 1, np.zeros(num))
+    atoms, weights = merge_particles(xt.T + 1, np.zeros(num))
     return WeightedAtoms(atoms=atoms, weights=weights, num_particles=num,
                          budget_spent=ledger.spent, zero_conditional_count=zero_conditionals)
 

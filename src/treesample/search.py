@@ -29,14 +29,16 @@ forming each soft value itself (logmath.logsumexp_list for wide nodes).
 While a round collects, collect_leaves flags each collected edge complete
 for the rest of the round (virtual completion), so the next walk takes the
 next-best open leaf, and it undoes every such flag before the first
-expansion. A one-leaf round (HeuristicPrior.leaf_batch) is one traversal:
-one q_uct_select, prior.evaluate, expand and backup call. The walk is
-scalar Python in the operation order of the array code it replaced. A soft
-value is logsumexp_list's: Python floats summed left to right, which agrees
-with logmath.logsumexp to a few ulps, not bit for bit. backup stops
-recomputing soft values at the first edge whose value comes out unchanged
-and whose child is not newly complete: no value above that edge can
-change, so above it only the visit counts grow.
+expansion. Each later walk starts at the highest node whose flags
+changed, since every choice above it is the previous walk's. A one-leaf
+round (HeuristicPrior.leaf_batch) is one traversal: one q_uct_select,
+prior.evaluate, expand and backup call. The walk is scalar Python in the
+operation order of the array code it replaced. A soft value is
+logsumexp_list's: Python floats summed left to right, which agrees with
+logmath.logsumexp to a few ulps, not bit for bit. backup stops recomputing
+soft values at the first edge whose value comes out unchanged and whose
+child is not newly complete: no value above that edge can change, so above
+it only the visit counts grow.
 
 Nodes with two children, every node of a binary factor graph, take an
 unrolled path in both hot calls. Every node of one tree has K children, so
@@ -245,8 +247,9 @@ def q_uct_select(root: TreeNode) -> tuple[list[TreeNode], list[int]]:
     first incomplete child wins. A node with one incomplete child takes it
     without scoring, which is the same choice. Every node of one tree has K
     children, so whether K is 2, and the two children are scored unrolled,
-    is read once, from root. Raises RuntimeError at a node whose children
-    are all complete; a root that is not complete has none.
+    is read once, from root. The descent may start below the tree's root
+    (collect_leaves resumes there). Raises RuntimeError at a node whose
+    children are all complete; a root that is not complete has none.
     """
     path: list[TreeNode] = []
     actions: list[int] = []
@@ -401,6 +404,11 @@ def collect_leaves(root: TreeNode, width: int, room: int, costs: list[int],
     root, so the next descent takes the next-best open leaf. Collecting also
     stops at a root with no open child. Every close is undone before
     returning, so the tree is left as it was.
+
+    The next descent resumes at path[i], the node where the closes stopped,
+    below the previous leaf's first i edges. During a round only the flags
+    and open counts change, and only at path[i] and below, so a descent from
+    the root would make the same choices down to path[i].
     """
     leaves = [q_uct_select(root)]
     closed = []
@@ -409,15 +417,19 @@ def collect_leaves(root: TreeNode, width: int, room: int, costs: list[int],
         room -= costs[len(actions) - 1]
         if room < worst_cost:
             break
-        for node, a in zip(reversed(path), reversed(actions)):
-            node.complete_children[a - 1] = True
+        i = len(actions)
+        while i:
+            i -= 1
+            node, a = path[i], actions[i] - 1
+            node.complete_children[a] = True
             node.open -= 1
-            closed.append((node, a - 1))
+            closed.append((node, a))
             if node.open:
                 break
         if not root.open:
             break
-        leaves.append(q_uct_select(root))
+        tail, tail_actions = q_uct_select(path[i])
+        leaves.append((path[:i] + tail, actions[:i] + tail_actions))
     for node, i in closed:
         node.complete_children[i] = False
         node.open += 1

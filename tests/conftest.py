@@ -11,7 +11,7 @@ from treesample.baselines import WeightedAtoms, _LoopyBP, merge_particles
 from treesample.exact import ChainSolution, StateSpaceCapError
 from treesample.logmath import (NEG_INF, ZeroMassError, draw_softmax_rows, logsumexp,
                                 logsumexp_rows, sample_softmax_rows)
-from treesample.model import BudgetLedger, Factor, FactorGraph, Prefix
+from treesample.model import REWARD_EVAL, BudgetLedger, Factor, FactorGraph, Prefix
 
 
 def pytest_report_header(config):
@@ -273,6 +273,47 @@ def reference_bp_sample(graph: FactorGraph, num_message_rounds: int, budget: int
     atoms, weights = merge_particles(particles, np.zeros(num))
     return WeightedAtoms(atoms=atoms, weights=weights, num_particles=num,
                          budget_spent=ledger.spent, zero_conditional_count=zero_marginals)
+
+
+def repeated_completion_gibbs(graph: FactorGraph, num_sweeps: int, budget: int, seed: int,
+                              cost_mode: str):
+    """baselines.gibbs as the raw-index scan it must equal, one site update
+    at a time, scored the former way: np.repeat(states, K), the site column
+    set to 1..K, each site factor's entries read from its table reshaped to
+    one axis per scope variable. Returns (atoms, weights, spend,
+    zero-conditional count), every site update's (chains, K) scores in scan
+    order, zero-mass rows included, and the (chains, updates) uniforms."""
+    n, k = graph.num_variables, graph.num_states
+    site_factors = {v: [cf for d in range(1, n + 1) for cf in graph.factors_at_depth(d)
+                        if v in cf.factor.scope] for v in range(1, n + 1)}
+    cost = {v: k if cost_mode == REWARD_EVAL else k * len(fs) for v, fs in site_factors.items()}
+    num = budget // (num_sweeps * sum(cost.values()))
+    rng = np.random.default_rng(seed)
+    states = np.empty((num, n), dtype=np.int64)
+    uniforms = np.empty((num, num_sweeps * n))
+    for i in range(num):
+        states[i] = rng.integers(1, k + 1, size=n)
+        uniforms[i] = rng.random(num_sweeps * n)
+    recorded, zero_conditionals, spent = [], 0, 0
+    for t, v in enumerate(list(range(1, n + 1)) * num_sweeps):
+        col = graph.depth_of(v) - 1
+        spent += num * cost[v]
+        completions = np.repeat(states, k, axis=0)
+        completions[:, col] = np.tile(np.arange(1, k + 1), num)
+        scores = np.zeros(num * k)
+        for cf in site_factors[v]:
+            table = cf.table.reshape((k,) * len(cf.positions))
+            scores += table[tuple(completions[:, cf.positions - 1].T - 1)]
+        scores = scores.reshape(num, k)
+        recorded.append(scores)
+        u = uniforms[:, t]
+        zero = scores.max(axis=1) == NEG_INF
+        zero_conditionals += int(zero.sum())
+        states[zero, col] = np.minimum((u[zero] * k).astype(np.int64), k - 1) + 1
+        if (~zero).any():
+            states[~zero, col] = sample_softmax_rows(scores[~zero], u[~zero])[0] + 1
+    atoms, weights = merge_particles(states, np.zeros(num))
+    return (atoms, weights, spent, zero_conditionals), recorded, uniforms
 
 
 def all_configs(n: int, k: int):

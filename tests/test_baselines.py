@@ -29,7 +29,8 @@ from treesample.prior import HeuristicPrior
 from test_baselines_golden import digest as golden_digest
 
 from conftest import (ExactValuePrior, all_configs, assignment_to_prefix, log_step_conditionals,
-                      make_random_graph, reference_bp_sample, variable_marginals)
+                      make_random_graph, reference_bp_sample, repeated_completion_gibbs,
+                      variable_marginals)
 
 
 def _graph(n, k, factors, ordering=None):
@@ -309,76 +310,47 @@ class TestGibbs:
 
 
 class TestGibbsScores:
-    """The gathered (chains, K) scores equal the former scoring of K repeated
-    completions of every chain, factor by factor, bit for bit."""
-
-    @staticmethod
-    def repeated_completion_gibbs(graph, num_sweeps, budget, seed, cost_mode):
-        """The former Gibbs: np.repeat(states, K), the site column set to
-        1..K, each site factor's entries read from its table reshaped to one
-        axis per scope variable. Returns the run and the scores of the live
-        rows of every site update."""
-        n, k = graph.num_variables, graph.num_states
-        site_factors = {v: [cf for d in range(1, n + 1) for cf in graph.factors_at_depth(d)
-                            if v in cf.factor.scope] for v in range(1, n + 1)}
-        cost = {v: k if cost_mode == REWARD_EVAL else k * len(fs) for v, fs in site_factors.items()}
-        num = budget // (num_sweeps * sum(cost.values()))
-        rng = np.random.default_rng(seed)
-        states = np.empty((num, n), dtype=np.int64)
-        uniforms = np.empty((num, num_sweeps * n))
-        for i in range(num):
-            states[i] = rng.integers(1, k + 1, size=n)
-            uniforms[i] = rng.random(num_sweeps * n)
-        recorded, zero_conditionals, spent = [], 0, 0
-        for t, v in enumerate(list(range(1, n + 1)) * num_sweeps):
-            col = graph.depth_of(v) - 1
-            spent += num * cost[v]
-            completions = np.repeat(states, k, axis=0)
-            completions[:, col] = np.tile(np.arange(1, k + 1), num)
-            scores = np.zeros(num * k)
-            for cf in site_factors[v]:
-                table = cf.table.reshape((k,) * len(cf.positions))
-                scores += table[tuple(completions[:, cf.positions - 1].T - 1)]
-            scores = scores.reshape(num, k)
-            u = uniforms[:, t]
-            zero = scores.max(axis=1) == NEG_INF
-            zero_conditionals += int(zero.sum())
-            states[zero, col] = np.minimum((u[zero] * k).astype(np.int64), k - 1) + 1
-            if (~zero).any():
-                recorded.append(scores[~zero])
-                states[~zero, col] = sample_softmax_rows(scores[~zero], u[~zero])[0] + 1
-        atoms, weights = merge_particles(states, np.zeros(num))
-        return (atoms, weights, spent, zero_conditionals), recorded
+    """Every site update's gathered (chains, K) scores equal the former
+    scoring of K repeated completions of every chain, factor by factor, bit
+    for bit, zero-mass rows included."""
 
     @pytest.mark.parametrize("cost_mode", [REWARD_EVAL, FACTOR_EVAL])
     def test_scores_equal_repeated_completions(self, cost_mode, monkeypatch):
         rng = np.random.default_rng(137)
         recorded = []
-        draw = baselines.draw_softmax_rows
+        draw = baselines._draw_or_uniform
 
         def recording_draw(q, u):
-            # a call that raises ZeroMassError draws nothing: _draw_or_uniform
-            # then draws the rows with mass again, and that call is recorded
-            out = draw(q, u)
-            recorded.append(q.copy())
-            return out
+            # one call per wave: its sites' (chains, K) blocks, one after another
+            recorded.append((q.copy(), u.copy()))
+            return draw(q, u)
 
-        monkeypatch.setattr(baselines, "draw_softmax_rows", recording_draw)
-        zero_seen = 0
+        monkeypatch.setattr(baselines, "_draw_or_uniform", recording_draw)
+        zero_seen = multi_site_waves = 0
         for trial in range(12):
             k = int(rng.integers(2, 5))
             g = make_random_graph(rng, 5, k, num_extra_factors=4, max_scope=3,
                                   neg_inf_frac=0.5 if trial % 2 else 0.0, shuffle_ordering=True)
             recorded.clear()
             result = gibbs(g, num_sweeps=3, budget=20_000, seed=trial, cost_mode=cost_mode)
-            ref, ref_scores = self.repeated_completion_gibbs(g, 3, 20_000, trial, cost_mode)
+            ref, ref_scores, uniforms = repeated_completion_gibbs(g, 3, 20_000, trial, cost_mode)
             assert (result.atoms, result.weights, result.budget_spent,
                     result.zero_conditional_count) == ref
-            assert len(recorded) == len(ref_scores)
-            for got, want in zip(recorded, ref_scores):
-                assert got.tobytes() == want.tobytes()
+            # a site block's uniforms are its update's column of the stream
+            update_of = {uniforms[:, t].tobytes(): t for t in range(uniforms.shape[1])}
+            seen = []
+            num = result.num_particles
+            for q, u in recorded:
+                sites = len(u) // num
+                multi_site_waves += sites > 1
+                for block, block_u in zip(q.reshape(sites, num, k), u.reshape(sites, num)):
+                    t = update_of[block_u.tobytes()]
+                    seen.append(t)
+                    assert block.tobytes() == ref_scores[t].tobytes()
+            assert sorted(seen) == list(range(len(ref_scores)))
             zero_seen += result.zero_conditional_count > 0
         assert zero_seen >= 3
+        assert multi_site_waves > 0
 
 
 class TestBpSample:

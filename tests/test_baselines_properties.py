@@ -1,9 +1,16 @@
-"""Property test of SMC's normalizing-constant estimate on random small graphs.
+"""Property tests of the baselines on random small graphs.
 
 SMC's estimate of Z (exp of log_z_estimate) is unbiased, with and without
 resampling: over many run seeds its mean must lie within 4 standard errors
 of the exact Z. Graphs have up to 4 variables of up to 3 states, random extra
 factors and a shuffled depth ordering.
+
+Gibbs run in dependency waves equals the raw-index scan of
+conftest.repeated_completion_gibbs: the same atoms, weights, spend and
+zero-conditional count, on graphs with -inf entries, shuffled orderings and
+variables whose only factor is unary, in both cost modes. Its schedule puts
+no two sites that share a factor in one wave, and each site's successive
+updates in increasing waves.
 """
 
 from __future__ import annotations
@@ -14,11 +21,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesample.baselines import smc
+from treesample.baselines import _gibbs_waves, gibbs, smc
 from treesample.exact import solve_exact
+from treesample.model import FACTOR_EVAL, REWARD_EVAL
 from treesample.prior import HeuristicPrior
 
-from conftest import make_random_graph
+from conftest import make_random_graph, repeated_completion_gibbs
 
 NUM_RUNS = 150
 
@@ -48,3 +56,45 @@ def test_smc_z_estimate_is_unbiased(p):
         se = estimates.std(ddof=1) / math.sqrt(NUM_RUNS)
         # the rounding allowance covers targets where every weight is equal
         assert abs(estimates.mean() - z) <= 4 * se + 1e-9 * z
+
+
+gibbs_runs = st.fixed_dictionaries({
+    "graph_seed": st.integers(0, 2**32 - 1),
+    "n": st.integers(1, 6),
+    "k": st.integers(2, 4),
+    "extra_factors": st.integers(0, 4),
+    "neg_inf_frac": st.sampled_from([0.0, 0.3, 0.6]),
+    "shuffle": st.booleans(),
+    "cost_mode": st.sampled_from([REWARD_EVAL, FACTOR_EVAL]),
+    "sweeps": st.integers(1, 3),
+    "chains": st.integers(1, 12),
+    "seed": st.integers(0, 2**16),
+})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gibbs_runs)
+def test_wave_gibbs_equals_the_scan(p):
+    rng = np.random.default_rng(p["graph_seed"])
+    n, sweeps = p["n"], p["sweeps"]
+    extra = p["extra_factors"] if n > 1 else 0  # extra factors span 2+ variables
+    graph = make_random_graph(rng, n, p["k"], num_extra_factors=extra,
+                              neg_inf_frac=p["neg_inf_frac"], shuffle_ordering=p["shuffle"])
+    # enough for the chains in either cost mode; reward_eval buys more
+    budget = p["chains"] * sweeps * p["k"] * sum(len(f.scope) for f in graph.factors)
+    result = gibbs(graph, sweeps, budget, seed=p["seed"], cost_mode=p["cost_mode"])
+    ref, _, _ = repeated_completion_gibbs(graph, sweeps, budget, p["seed"], p["cost_mode"])
+    assert (result.atoms, result.weights, result.budget_spent,
+            result.zero_conditional_count) == ref
+
+    waves = _gibbs_waves(graph, sweeps)
+    assert len(waves) == sweeps * n
+    members: dict[int, list[int]] = {}
+    for t, wave in enumerate(waves):
+        members.setdefault(wave, []).append(t % n + 1)
+    for sites in members.values():
+        for f in graph.factors:
+            assert len(set(f.scope) & set(sites)) <= 1
+    for v in range(n):
+        own = waves[v::n]
+        assert all(a < b for a, b in zip(own, own[1:]))
