@@ -7,7 +7,9 @@ end to end; the only exponentiations happen inside logsumexp and final
 softmax normalizations. Both solutions index by depth (ordering position).
 The exhaustive solution keeps every level's soft values next to its
 state-action values, so its entropy enumerates the joint from the solve's
-own normalisers instead of reducing every level a second time.
+own normalisers instead of reducing every level a second time. It builds
+each level width-major, with the level's own depth as the first axis, so
+each q level is a transposed view whose K columns are contiguous.
 """
 
 from __future__ import annotations
@@ -28,21 +30,25 @@ class StateSpaceCapError(ValueError):
 
 
 def _level_rewards(graph: FactorGraph, depth: int) -> np.ndarray:
-    """Vector of depth-`depth` rewards over all K^depth prefixes, rank order.
+    """(K, K^(depth-1)) array of depth-`depth` rewards, width-major: row j
+    holds the rewards of every (depth-1)-prefix, in rank order, extended by
+    j + 1.
 
-    The rewards live on a (K,) * depth grid, one axis per depth, so rank
-    order is the grid's row-major order. Each factor's table is reshaped to
-    its scope, its axes put in depth order, and broadcast onto the grid.
+    The rewards live on a (K,) * depth grid whose first axis is depth
+    `depth` and whose other axes are depths 1..depth-1, so each row is the
+    grid's row-major order over the prefix and a factor's broadcast add
+    runs long inner loops. Each factor's table is reshaped to its scope,
+    its axes put in grid order, and broadcast onto the grid.
     """
     k = graph.num_states
     total = np.zeros((k,) * depth)
     for cf in graph.factors_at_depth(depth):
-        shape = [1] * depth
-        for pos in cf.positions:
-            shape[pos - 1] = k
-        table = cf.table.reshape((k,) * len(cf.positions)).transpose(np.argsort(cf.positions))
+        axes = cf.positions % depth
+        shape = np.ones(depth, dtype=np.intp)
+        shape[axes] = k
+        table = cf.table.reshape((k,) * len(axes)).transpose(np.argsort(axes))
         total += table.reshape(shape)
-    return total.reshape(-1)
+    return total.reshape(k, -1)
 
 
 @dataclass
@@ -51,6 +57,8 @@ class ExactSolution:
 
     q_levels[n-1] has shape (K^(n-1), K): row r holds the K values at the
     prefix whose base-K rank is r (depth 1 is the most significant digit).
+    It is the transposed view of solve_exact's width-major (K, K^(n-1))
+    level, so each of its K columns is contiguous.
     v_levels[n-1] has shape (K^(n-1),): entry r is the soft value V of that
     prefix, logsumexp_rows(q_levels[n-1]) as solve_exact computed it for
     the level above, kept so that the prefix marginals need no second
@@ -124,10 +132,10 @@ def solve_exact(graph: FactorGraph, cap: int = 10**7) -> ExactSolution:
     # that starts from +0.0 is never -0.0), so the deepest level skips it
     v_next = None
     for depth in range(n, 0, -1):
-        q = _level_rewards(graph, depth)
+        w = _level_rewards(graph, depth)
         if v_next is not None:
-            q += v_next
-        q = q_levels[depth - 1] = q.reshape(-1, k)
+            w += v_next.reshape(-1, k).T
+        q = q_levels[depth - 1] = w.T
         v_next = v_levels[depth - 1] = logsumexp_rows(q)
     log_z = float(v_next[0])
     return ExactSolution(log_z=log_z, q_levels=q_levels, v_levels=v_levels)

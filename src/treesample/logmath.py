@@ -107,9 +107,11 @@ def shifted_exp_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     Each row's sum runs in numpy's order for a row of that width. Below
     PAIRWISE_SUM_MIN columns that is left to right, done here column by
     column over the whole array; from PAIRWISE_SUM_MIN on it is numpy's
-    pairwise sum along a contiguous row, so the array is made C-contiguous
-    first (a transposed array would be summed column by column, which rounds
-    differently).
+    pairwise sum along a contiguous row, so the shifted terms are written
+    C-ordered whatever the layout of rows (a transposed array would be
+    summed column by column, which rounds differently). For a rows that is
+    not C-contiguous, m may differ from the maximum of a C-ordered copy in
+    the sign of a zero, which changes no shifted term: exp(+-0.0) is 1.0.
     """
     k = rows.shape[1]
     if k < PAIRWISE_SUM_MIN:
@@ -125,10 +127,9 @@ def shifted_exp_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
             np.exp(term, out=term)
             total += term
     else:
-        rows = np.ascontiguousarray(rows)
         m = rows.max(axis=1)
         shift = m if m.min() > NEG_INF else np.where(m > NEG_INF, m, 0.0)
-        terms = rows - shift[:, None]
+        terms = np.subtract(rows, shift[:, None], order="C")
         total = np.exp(terms, out=terms).sum(axis=1)
     return m, shift, total
 
@@ -137,7 +138,12 @@ def logsumexp_rows(arr: np.ndarray) -> np.ndarray:
     """Row-wise logsumexp over the last axis; all-(-inf) rows yield -inf.
 
     The sums are shifted_exp_sums'; an all-(-inf) row is shifted by 0
-    instead of its maximum.
+    instead of its maximum. A column-contiguous (M, K) input, such as a
+    transposed C array, is reduced without a copy: below PAIRWISE_SUM_MIN
+    columns each column is one contiguous vector, and from PAIRWISE_SUM_MIN
+    on the one (M, K) array of shifted terms is C-ordered. The result's
+    log(sum) is at least +0.0, so a maximum of either zero sign gives the
+    same bits.
     """
     arr = np.asarray(arr, dtype=np.float64)
     m, shift, total = shifted_exp_sums(arr.reshape(-1, arr.shape[-1]))
@@ -216,11 +222,12 @@ def draw_softmax_rows(q: np.ndarray, u: np.ndarray,
     K - 2, since the cumulative sum never decreases and the draw is capped
     at K - 1. From PAIRWISE_SUM_MIN columns on, the row sum is numpy's
     pairwise sum, so the reductions stay numpy's own, over a C-contiguous
-    copy of q as in shifted_exp_sums: a Fortran-ordered q would be summed
-    column by column, one ulp off on some rows. There, a shared row counts
-    by binary search: np.searchsorted(cdf, u, side="right") is the number
-    of entries at most u, as the count is, since a cumulative sum of
-    non-negative terms never decreases.
+    copy of q (shifted_exp_sums writes its terms C-ordered for the same
+    reason): a Fortran-ordered q would be summed column by column, one ulp
+    off on some rows. There, a shared row counts by binary search:
+    np.searchsorted(cdf, u, side="right") is the number of entries at most
+    u, as the count is, since a cumulative sum of non-negative terms never
+    decreases.
     """
     q, which = _shared_row(q, which)
     k = q.shape[1]

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from treesample.baselines import WeightedAtoms, _LoopyBP, merge_particles
-from treesample.exact import ChainSolution, StateSpaceCapError
+from treesample.exact import ChainSolution, ExactSolution, StateSpaceCapError
 from treesample.logmath import (NEG_INF, ZeroMassError, draw_softmax_rows, logsumexp,
                                 logsumexp_rows, sample_softmax_rows)
 from treesample.model import REWARD_EVAL, BudgetLedger, Factor, FactorGraph, Prefix
@@ -228,6 +228,38 @@ def reference_entropy(solution) -> float:
         p, logp = p[mask], logp[mask]
     p *= logp
     return float(-np.sum(p))
+
+
+def reference_level_rewards(graph: FactorGraph, depth: int) -> np.ndarray:
+    """The rank-order form of exact._level_rewards: the K^depth rewards on a
+    (K,) * depth grid with one axis per depth in depth order, flattened, so
+    that the level's own depth is the last, fastest axis."""
+    k = graph.num_states
+    total = np.zeros((k,) * depth)
+    for cf in graph.factors_at_depth(depth):
+        shape = [1] * depth
+        for pos in cf.positions:
+            shape[pos - 1] = k
+        table = cf.table.reshape((k,) * len(cf.positions)).transpose(np.argsort(cf.positions))
+        total += table.reshape(shape)
+    return total.reshape(-1)
+
+
+def reference_solve_exact(graph: FactorGraph) -> ExactSolution:
+    """solve_exact in rank order, which the width-major solve must equal bit
+    for bit: each level's rewards as one flat rank-order vector, the soft
+    values of the level below added, reshaped to C-ordered (K^(d-1), K)
+    rows and reduced by logsumexp_rows."""
+    n, k = graph.num_variables, graph.num_states
+    q_levels, v_levels = [None] * n, [None] * n
+    v_next = None
+    for depth in range(n, 0, -1):
+        q = reference_level_rewards(graph, depth)
+        if v_next is not None:
+            q += v_next
+        q = q_levels[depth - 1] = q.reshape(-1, k)
+        v_next = v_levels[depth - 1] = logsumexp_rows(q)
+    return ExactSolution(log_z=float(v_next[0]), q_levels=q_levels, v_levels=v_levels)
 
 
 def assignment_to_prefix(graph: FactorGraph, assignment) -> Prefix:

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from treesample.exact import (
     solve_chain,
     solve_exact,
 )
+from treesample.generators import GeneratorSpec, generate
 from treesample.logmath import (
     NEG_INF,
     ZeroMassError,
@@ -34,7 +36,7 @@ from treesample.model import Factor, FactorGraph
 from conftest import (all_configs, assignment_to_prefix, brute_force_log_z, exact_kl,
                       kl_by_enumeration, log_joint, log_step_conditionals, make_random_graph,
                       q_values, reference_entropy, reference_sample_softmax_rows,
-                      variable_marginals)
+                      reference_solve_exact, variable_marginals)
 
 
 def _conditional(sol, prefix):
@@ -473,7 +475,7 @@ class TestLevelRewards:
                                   shuffle_ordering=True, neg_inf_frac=0.2)
             arities |= {len(f.scope) for f in g.factors}
             for depth in range(1, n + 1):
-                got = _level_rewards(g, depth)
+                got = _level_rewards(g, depth).T.reshape(-1)
                 assert _same_bits(got, _digit_gather_level_rewards(g, depth)), (trial, depth)
         assert arities == {1, 2, 3, 4}
 
@@ -483,7 +485,7 @@ class TestLevelRewards:
                               shuffle_ordering=True, neg_inf_frac=0.2)
         for depth in range(1, 5):
             ref = [g.reward(x) for x in all_configs(depth, 3)]
-            assert _level_rewards(g, depth).tolist() == ref
+            assert _level_rewards(g, depth).T.reshape(-1).tolist() == ref
 
 
 class TestSolveExact:
@@ -620,6 +622,67 @@ class TestStoredNormalisers:
         g = make_random_graph(rng, n, k, num_extra_factors=extra_factors if n > 1 else 0,
                               max_scope=4, neg_inf_frac=neg_inf_frac, shuffle_ordering=True)
         self._assert_equal_to_recomputed(solve_exact(g))
+
+
+# tracemalloc peaks in bytes of solve_exact(g).entropy() on the benchmark's
+# fg1 n14 instance (instance seed 11) and the K = 10 chains n5 instance of
+# test_exact_golden.py (instance seed 3), measured with
+# TestWidthMajorLevels.test_entropy_peak on the rank-order solve that
+# preceded the width-major one (numpy 2.4.6, Python 3.11.7). The width-major
+# solve reads the same figures to within 32 bytes; run in the whole suite,
+# fg1 read 2 KiB less on both. The level arrays and the joint make up nearly
+# all of each peak, and the slack allows for Python objects. One more K^N or
+# K^(N-1) float64 temporary would add 128 or 64 KiB on fg1; a C-ordered copy
+# of a K = 10 level before its reduction adds 153 KiB on chains.
+ENTROPY_PEAKS = {("fg1", 14, 2, 11): 683_568, ("chains", 5, 10, 3): 2_405_448}
+PEAK_SLACK = 4096
+
+
+class TestWidthMajorLevels:
+    """solve_exact builds each level as a (K, K^(d-1)) array and keeps its
+    transpose: the same adds in the same order as the rank-order solve of
+    conftest.reference_solve_exact, so the same bits, with contiguous
+    columns and no larger allocation."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(graph_seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), k=st.integers(2, 10),
+           extra_factors=st.integers(0, 8), neg_inf_frac=st.sampled_from([0.0, 0.3]))
+    def test_matches_rank_order_solve_bitwise(self, graph_seed, n, k, extra_factors,
+                                              neg_inf_frac):
+        # K from 8 reduces rows pairwise, below 8 column by column; K^N is
+        # held to 10^5 entries (K = 10 up to N = 5, K = 2 up to N = 7)
+        while k**n > 10**5:
+            n -= 1
+        rng = np.random.default_rng(graph_seed)
+        g = make_random_graph(rng, n, k, num_extra_factors=extra_factors, max_scope=4,
+                              shuffle_ordering=True, neg_inf_frac=neg_inf_frac)
+        sol, ref = solve_exact(g), reference_solve_exact(g)
+        for got, want in zip(sol.q_levels + sol.v_levels, ref.q_levels + ref.v_levels):
+            assert _same_bits(got, want)
+        assert _bits(sol.log_z) == _bits(ref.log_z)
+        assert _bits(sol.entropy()) == _bits(ref.entropy())
+
+    @pytest.mark.parametrize("n, k", [(14, 2), (6, 3), (4, 10)])
+    def test_columns_contiguous(self, n, k):
+        rng = np.random.default_rng(59)
+        g = make_random_graph(rng, n, k, num_extra_factors=6, max_scope=4,
+                              shuffle_ordering=True, neg_inf_frac=0.3)
+        for q in solve_exact(g).q_levels:
+            assert all(q[:, j].flags.c_contiguous for j in range(k))
+
+    @pytest.mark.parametrize("instance", sorted(ENTROPY_PEAKS),
+                             ids=lambda inst: "{}-n{}-k{}".format(*inst))
+    def test_entropy_peak(self, instance):
+        family, n, k, seed = instance
+        g = generate(GeneratorSpec(family=family, n=n, k=k, seed=seed))
+        solve_exact(g).entropy()  # first calls may fill caches
+        tracemalloc.start()
+        try:
+            solve_exact(g).entropy()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= ENTROPY_PEAKS[instance] + PEAK_SLACK
 
 
 class TestSolveChain:
