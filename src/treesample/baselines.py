@@ -10,8 +10,9 @@ Each sampler is an array program over all of its particles or messages:
   factors in one take. Its proposal rows come from one
   prior.evaluate_batch call per depth; HeuristicPrior's depend on the
   depth alone and come back as one broadcast row, which
-  sample_softmax_rows reduces once for all particles; from 8 columns on
-  it draws by binary search.
+  sample_softmax_rows reduces once for all particles (logmath's
+  shifted_exp_terms, as every draw); from 8 columns on it draws by binary
+  search.
 - Gibbs runs all chains in lockstep on one (N, chains) state array, row c
   holding every chain's value at column c, and runs each call's sweeps as
   dependency waves. A site update goes into the wave after the latest one
@@ -60,8 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logmath import (NEG_INF, PAIRWISE_SUM_MIN, ZeroMassError, draw_softmax_rows, log_each,
-                      logsumexp, logsumexp_cols, sample_softmax_rows, shifted_exp_sums)
-from .model import BudgetTooSmallError  # noqa: F401  (BudgetLedger.count raises it)
+                      logsumexp, logsumexp_cols, sample_softmax_rows, shifted_exp_terms)
 from .model import REWARD_EVAL, BudgetLedger, FactorGraph, Prefix
 
 
@@ -206,7 +206,7 @@ def _draw_or_uniform(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int]:
     a row of all -inf takes min(int(u * K), K - 1) off its own uniform u.
     Returns the draws and the number of these zero-mass draws.
 
-    The draw is tried first: it reduces each row's max once and raises
+    The draw is tried first: it reduces each row once and raises
     ZeroMassError before it draws, so a q with no zero-mass row costs one
     pass, and only a q with one is reduced again to find its zero rows."""
     try:
@@ -364,9 +364,10 @@ def gibbs(
 
 def _normalize_rows(vecs: np.ndarray) -> np.ndarray:
     """Subtract each row's logsumexp, in logsumexp's arithmetic (math.log);
-    rows of all -inf stay as they are. The sums are shifted_exp_sums',
-    column by column below PAIRWISE_SUM_MIN columns."""
-    m, shift, total = shifted_exp_sums(vecs)
+    rows of all -inf stay as they are. The maxima, shifts and sums are
+    shifted_exp_terms', column by column below PAIRWISE_SUM_MIN columns,
+    and its terms are dropped."""
+    m, shift, total = shifted_exp_terms(vecs)[:3]
     if shift is not m:
         total[total == 0.0] = 1.0  # an all -inf row: shift 0, log 1
     return vecs - (shift + log_each(total))[:, None]

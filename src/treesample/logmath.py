@@ -4,8 +4,13 @@ All probability computations in this package stay in the log domain; -inf is a
 first-class value meaning "zero mass". +inf and NaN are never legal inputs.
 
 The array routines (logsumexp_rows, logsumexp_cols, the softmax draws) give
-numpy's own bits at every width. logsumexp_list, the search tree's scalar
-soft value, works in Python floats and agrees with logsumexp to a few ulps.
+numpy's own bits at every width. logsumexp_rows and the softmax draws reduce
+rows through one routine, shifted_exp_terms, which returns the maxima, the
+shifted exp terms and their sums; the draws read the terms. logsumexp_cols
+reduces loopy BP's width-major blocks, and shares with logsumexp_rows the
+shift of an all -inf row and the log of the sums. logsumexp_list, the
+search tree's scalar soft value, works in Python floats and agrees with
+logsumexp to a few ulps.
 """
 
 from __future__ import annotations
@@ -99,45 +104,73 @@ def logsumexp_list(values: list[float]) -> float:
     return m + math.log(total)
 
 
-def shifted_exp_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m, shift, total) of a 2-D array: each row's maximum m, its shift
-    (m itself when no row is all -inf, else m with those rows' -inf made 0)
-    and each row's sum of exp(row - shift).
+def _shift(m: np.ndarray) -> np.ndarray:
+    """The shift of rows whose maxima are m: m itself when no row is all
+    -inf, else m with those rows' -inf made 0, so that their shifted terms
+    are exp(-inf) = 0.0 instead of NaN."""
+    return m if m.min() > NEG_INF else np.where(m > NEG_INF, m, 0.0)
+
+
+def _log_sums(m: np.ndarray, shift: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Each row's logsumexp from its maximum, shift and sum of shifted
+    terms: shift + log(total), and -inf on the all -inf rows. total is
+    overwritten when no row is all -inf."""
+    if shift is m:
+        total = np.log(total, out=total)
+        total += m
+        return total
+    safe = m > NEG_INF
+    return np.where(safe, shift + np.log(np.where(safe, total, 1.0)), NEG_INF)
+
+
+def shifted_exp_terms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                   np.ndarray | list[np.ndarray]]:
+    """(m, shift, total, terms) of a 2-D array: each row's maximum m, its
+    shift (see _shift), each row's sum of exp(row - shift) and the shifted
+    terms themselves, which the softmax draws read.
 
     Each row's sum runs in numpy's order for a row of that width. Below
     PAIRWISE_SUM_MIN columns that is left to right, done here column by
-    column over the whole array; from PAIRWISE_SUM_MIN on it is numpy's
-    pairwise sum along a contiguous row, so the shifted terms are written
-    C-ordered whatever the layout of rows (a transposed array would be
-    summed column by column, which rounds differently). For a rows that is
-    not C-contiguous, m may differ from the maximum of a C-ordered copy in
-    the sign of a zero, which changes no shifted term: exp(+-0.0) is 1.0.
+    column over the whole array: terms is then the list of the first K - 1
+    columns' terms, each a contiguous vector, and total starts as the last
+    column's terms, to which their left-to-right sum is added (a + b is
+    b + a in floating point). From PAIRWISE_SUM_MIN on the sum is numpy's
+    pairwise sum along a contiguous row, so terms is one (M, K) array
+    written C-ordered whatever the layout of rows (a transposed array
+    would be summed column by column, which rounds differently). total is
+    never a view of the terms. For a rows that is not C-contiguous, m may
+    differ from the maximum of a C-ordered copy in the sign of a zero,
+    which changes no shifted term: exp(+-0.0) is 1.0.
     """
     k = rows.shape[1]
     if k < PAIRWISE_SUM_MIN:
         m = rows[:, 0].copy()
         for j in range(1, k):
             np.maximum(m, rows[:, j], out=m)
-        shift = m if m.min() > NEG_INF else np.where(m > NEG_INF, m, 0.0)
-        total = np.subtract(rows[:, 0], shift)
+        shift = _shift(m)
+        # the sums array comes before the terms: allocation order shows in
+        # tree-build's peak_rss_mb, which read 1.3-1.4 MiB higher with the
+        # sums allocated after the terms the draws keep (ROADMAP, Not planned)
+        total = np.subtract(rows[:, k - 1], shift)
         np.exp(total, out=total)
-        term = np.empty_like(total)
-        for j in range(1, k):
-            np.subtract(rows[:, j], shift, out=term)
-            np.exp(term, out=term)
-            total += term
+        terms = []
+        for j in range(k - 1):
+            t = np.subtract(rows[:, j], shift)
+            terms.append(np.exp(t, out=t))
+        if terms:
+            total += sum(terms[1:], terms[0])
     else:
         m = rows.max(axis=1)
-        shift = m if m.min() > NEG_INF else np.where(m > NEG_INF, m, 0.0)
+        shift = _shift(m)
         terms = np.subtract(rows, shift[:, None], order="C")
         total = np.exp(terms, out=terms).sum(axis=1)
-    return m, shift, total
+    return m, shift, total, terms
 
 
 def logsumexp_rows(arr: np.ndarray) -> np.ndarray:
     """Row-wise logsumexp over the last axis; all-(-inf) rows yield -inf.
 
-    The sums are shifted_exp_sums'; an all-(-inf) row is shifted by 0
+    The sums are shifted_exp_terms'; an all-(-inf) row is shifted by 0
     instead of its maximum. A column-contiguous (M, K) input, such as a
     transposed C array, is reduced without a copy: below PAIRWISE_SUM_MIN
     columns each column is one contiguous vector, and from PAIRWISE_SUM_MIN
@@ -146,14 +179,8 @@ def logsumexp_rows(arr: np.ndarray) -> np.ndarray:
     same bits.
     """
     arr = np.asarray(arr, dtype=np.float64)
-    m, shift, total = shifted_exp_sums(arr.reshape(-1, arr.shape[-1]))
-    if shift is m:
-        total = np.log(total, out=total)
-        total += m
-    else:
-        safe = m > NEG_INF
-        total = np.where(safe, shift + np.log(np.where(safe, total, 1.0)), NEG_INF)
-    return total.reshape(arr.shape[:-1])
+    m, shift, total = shifted_exp_terms(arr.reshape(-1, arr.shape[-1]))[:3]
+    return _log_sums(m, shift, total).reshape(arr.shape[:-1])
 
 
 def logsumexp_cols(cols: np.ndarray) -> np.ndarray:
@@ -163,22 +190,16 @@ def logsumexp_cols(cols: np.ndarray) -> np.ndarray:
     One max and one exp run over the whole array, and pairwise_sum adds its
     w rows of R entries in the order numpy sums each length-w row, so at
     small w and large R the work is a few calls on long vectors instead of
-    R short row reductions. The row maxima may differ from
+    R short row reductions. The all -inf shift and the log of the sums
+    are logsumexp_rows' own. The row maxima may differ from
     logsumexp_rows' in the sign of a zero, which changes no result: the
     shifted maximum is exp(+-0.0) = 1.0 either way, and the sum is then at
     least 1.0, so its log is never -0.0. cols is left as it is.
     """
     m = cols.max(axis=0)
-    safe = m.min() > NEG_INF
-    shift = m if safe else np.where(m > NEG_INF, m, 0.0)
+    shift = _shift(m)
     terms = cols - shift
-    total = pairwise_sum(np.exp(terms, out=terms))
-    if not safe:
-        ok = m > NEG_INF
-        return np.where(ok, shift + np.log(np.where(ok, total, 1.0)), NEG_INF)
-    total = np.log(total, out=total)
-    total += m
-    return total
+    return _log_sums(m, shift, pairwise_sum(np.exp(terms, out=terms)))
 
 
 def log_each(values: np.ndarray) -> np.ndarray:
@@ -188,12 +209,6 @@ def log_each(values: np.ndarray) -> np.ndarray:
     last bit.
     """
     return np.fromiter(map(math.log, values.tolist()), dtype=np.float64, count=len(values))
-
-
-def _shared_row(q: np.ndarray, which: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """(q, which), or q's one row and no index when q has one row or its
-    row stride is 0."""
-    return (q[:1], None) if len(q) == 1 or q.strides[0] == 0 else (q, which)
 
 
 def draw_softmax_rows(q: np.ndarray, u: np.ndarray,
@@ -206,55 +221,44 @@ def draw_softmax_rows(q: np.ndarray, u: np.ndarray,
     which (shape (S,)), G rows of which uniform i draws from row which[i].
     A q with one row, or whose row stride is 0 (an np.broadcast_to view of
     one row), is a shared row, and which is then ignored. Each row of q is
-    reduced once, so m and total have one entry per row of q, and the
-    draws equal those from the materialised q[which] (or np.array(q)) bit
-    for bit: a row's reduction does not depend on its neighbours. Every
-    row of an indexed q is reduced, so an all -inf row raises
-    ZeroMassError even when no uniform draws from it. A caller that passes
-    which must draw from every row at least once; the error then fires
-    exactly when the materialised q[which] would raise it.
+    reduced once, so m and total have one entry per row of q (one for a
+    shared row), and the draws equal those from the materialised q[which]
+    (or np.array(q)) bit for bit: a row's reduction does not depend on its
+    neighbours. Every row of an indexed q is reduced, so an all -inf row
+    raises ZeroMassError even when no uniform draws from it. A caller that
+    passes which must draw from every row at least once; the error then
+    fires exactly when the materialised q[which] would raise it.
 
-    A draw is the first index whose cumulative probability exceeds u, or
-    K - 1 when none does. Below PAIRWISE_SUM_MIN columns the max, exp, sum,
-    cumulative sum and count run column by column, in the left-to-right
-    order numpy's row reductions use at those widths, so they give the
-    same bits without a row reduction call; the count stops at column
-    K - 2, since the cumulative sum never decreases and the draw is capped
-    at K - 1. From PAIRWISE_SUM_MIN columns on, the row sum is numpy's
-    pairwise sum, so the reductions stay numpy's own, over a C-contiguous
-    copy of q (shifted_exp_sums writes its terms C-ordered for the same
-    reason): a Fortran-ordered q would be summed column by column, one ulp
-    off on some rows. There, a shared row counts by binary search:
-    np.searchsorted(cdf, u, side="right") is the number of entries at most
-    u, as the count is, since a cumulative sum of non-negative terms never
-    decreases.
+    The maxima, sums and shifted terms are shifted_exp_terms', in numpy's
+    own row-reduction order at every width; for a q that is not C-ordered,
+    a maximum may differ from a C-ordered copy's in the sign of a zero,
+    which changes no term, draw or log probability. A draw is the first
+    index whose cumulative probability exceeds u, or K - 1 when none does.
+    Below PAIRWISE_SUM_MIN columns the cumulative sum and the count run
+    column by column over the first K - 1 columns' terms, in the
+    left-to-right order numpy's cumsum uses at those widths; the last
+    column is never counted, since the cumulative sum never decreases and
+    the draw is capped at K - 1. From PAIRWISE_SUM_MIN columns on, the
+    cumulative sum is numpy's over the C-ordered terms, and a shared row
+    counts by binary search: np.searchsorted(cdf, u, side="right") is the
+    number of entries at most u, as the count is, since a cumulative sum
+    of non-negative terms never decreases.
     """
-    q, which = _shared_row(q, which)
+    if len(q) == 1 or q.strides[0] == 0:
+        q, which = q[:1], None
+    m, shift, total, terms = shifted_exp_terms(q)
+    if shift is not m:
+        raise ZeroMassError("softmax of an all-(-inf) vector is undefined")
     k = q.shape[1]
     if k < PAIRWISE_SUM_MIN:
-        cols = [q[:, j] for j in range(k)]
-        m = cols[0].copy()
-        for col in cols[1:]:
-            np.maximum(m, col, out=m)
-        if m.min() == NEG_INF:
-            raise ZeroMassError("softmax of an all-(-inf) vector is undefined")
-        exps = [np.exp(col - m) for col in cols]
-        total = exps[0].copy()
-        for e in exps[1:]:
-            total += e
-        cdf = exps[0] / total
+        # a width-1 row has no term to count: its one cumulative probability is 1.0
+        cdf = terms[0] / total if terms else np.ones_like(total)
         a = ((cdf if which is None else cdf[which]) <= u).astype(np.int64)
-        for e in exps[1:-1]:
-            cdf += e / total
+        for t in terms[1:]:
+            cdf += t / total
             a += (cdf if which is None else cdf[which]) <= u
         return a, m, total
-    q = np.ascontiguousarray(q)
-    m = q.max(axis=1)
-    if m.min() == NEG_INF:
-        raise ZeroMassError("softmax of an all-(-inf) vector is undefined")
-    e = np.exp(q - m[:, None])
-    total = e.sum(axis=1)
-    cdf = (e / total[:, None]).cumsum(axis=1)
+    cdf = (terms / total[:, None]).cumsum(axis=1)
     if len(q) == 1:
         a = np.searchsorted(cdf[0], u, side="right")
     else:
@@ -270,12 +274,12 @@ def sample_softmax_rows(q: np.ndarray, u: np.ndarray,
     The log probability is the row entry minus the row's logsumexp,
     m + math.log(total) in logsumexp's arithmetic, so it equals
     q[a] - logsumexp(q) bit for bit. The logsumexp is formed once per row
-    of q and then gathered by which.
+    that draw_softmax_rows reduced and then gathered by which; one maximum
+    means q was reduced as a shared row.
     """
-    q, which = _shared_row(q, which)
     a, m, total = draw_softmax_rows(q, u, which)
     lse = m + log_each(total)
-    if len(q) == 1:
+    if len(m) == 1:
         return a, q[0, a] - lse
     if which is None:
         return a, q[np.arange(len(q)), a] - lse

@@ -68,7 +68,8 @@ class HeuristicPrior:
         samplers pass it, or a sequence of tuples of any lengths. For a
         non-empty array, the result is np.broadcast_to of the one evaluate
         row: a read-only (R, K) view with row stride 0, which
-        logmath.draw_softmax_rows reduces once as a shared row.
+        logmath.draw_softmax_rows takes as a shared row: its one row goes
+        through shifted_exp_terms once.
         """
         if isinstance(prefixes, np.ndarray) and len(prefixes):
             row = np.array(self.evaluate(graph, prefixes[0]))

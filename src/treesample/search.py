@@ -134,12 +134,13 @@ class SearchTree:
         sample_softmax_rows call for all particles in the tree: the q rows
         of the depth's occupied nodes are stacked into a (G, K) array and
         passed with which, each particle's node. The call reduces the G rows
-        once (max, exp, sum, cumulative sum and log) and gathers the results
-        per particle, so a depth costs G row reductions, not one per
-        particle. That draw has the bits of one draw per node, since
-        sample_softmax_rows works row by row (see draw_softmax_rows): below
-        8 columns element-wise, column by column, and from 8 on along each
-        contiguous row. Every stacked node holds at least one particle, so
+        once (logmath.shifted_exp_terms' max, exp and sum, then the
+        cumulative sum and the log) and gathers the results per particle,
+        so a depth costs G row reductions, not one per particle. That draw
+        has the bits of one draw per node, since every step works row by
+        row (see draw_softmax_rows): below 8 columns column by column over
+        all G rows, and from 8 on along each C-ordered row. Every stacked
+        node holds at least one particle, so
         an all -inf row raises ZeroMassError exactly when a per-node draw
         would. A depth with one occupied node draws from its row as a shared
         row. A stable sort on node * K + action then cuts the particles into
@@ -149,8 +150,8 @@ class SearchTree:
         prior.evaluate_batch call per depth, on the same rows in the same
         order as one walk per node would pass. A prior whose values depend
         on the depth alone (HeuristicPrior) returns one broadcast row there,
-        which sample_softmax_rows reduces once; from 8 columns on it draws
-        by binary search. Costs no budget.
+        which sample_softmax_rows reduces once as a shared row; from 8
+        columns on it draws by binary search. Costs no budget.
         """
         n, k = self.graph.num_variables, self.graph.num_states
         u = rng.random((num_samples, n))

@@ -150,6 +150,17 @@ def reference_sample_softmax_rows(q: np.ndarray, u: np.ndarray) -> tuple[np.ndar
     return a, picked - lse
 
 
+def reference_shifted_exp_terms(rows: np.ndarray):
+    """logmath.shifted_exp_terms by numpy's own row reductions over a
+    C-ordered copy of rows: (m, shift, total, terms) with every row's terms
+    in one (M, K) array."""
+    rows = np.ascontiguousarray(rows)
+    m = rows.max(axis=1)
+    shift = np.where(m > NEG_INF, m, 0.0)
+    terms = np.exp(rows - shift[:, None])
+    return m, shift, terms.sum(axis=1), terms
+
+
 def reference_sample_batch(tree, num_samples: int, rng: np.random.Generator):
     """SearchTree.sample_batch as a node-at-a-time walk, which its one draw
     per depth must equal bit for bit: per depth, one sample_softmax_rows

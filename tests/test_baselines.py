@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from treesample import baselines
 from treesample.baselines import (
-    BudgetTooSmallError,
     DegenerateSampleError,
     WeightedAtoms,
     _LoopyBP,
@@ -23,7 +22,7 @@ from treesample.baselines import (
 from treesample.exact import solve_chain, solve_exact
 from treesample.generators import GeneratorSpec, generate
 from treesample.logmath import NEG_INF, logsumexp, logsumexp_rows, sample_softmax_rows
-from treesample.model import FACTOR_EVAL, REWARD_EVAL, Factor, FactorGraph
+from treesample.model import FACTOR_EVAL, REWARD_EVAL, BudgetTooSmallError, Factor, FactorGraph
 from treesample.prior import HeuristicPrior
 
 from test_baselines_golden import digest as golden_digest

@@ -30,13 +30,14 @@ from treesample.logmath import (
     logsumexp_rows,
     pairwise_sum,
     sample_softmax_rows,
+    shifted_exp_terms,
 )
 from treesample.model import Factor, FactorGraph
 
 from conftest import (all_configs, assignment_to_prefix, brute_force_log_z, exact_kl,
                       kl_by_enumeration, log_joint, log_step_conditionals, make_random_graph,
                       q_values, reference_entropy, reference_sample_softmax_rows,
-                      reference_solve_exact, variable_marginals)
+                      reference_shifted_exp_terms, reference_solve_exact, variable_marginals)
 
 
 def _conditional(sol, prefix):
@@ -139,6 +140,61 @@ class TestLogsumexpRowsBitwise:
             assert out.tolist() == [NEG_INF, 0.5, NEG_INF, NEG_INF]
 
 
+class TestShiftedExpTerms:
+    """shifted_exp_terms, the one row reduction of logsumexp_rows, the
+    softmax draws and BP's normalizer, equals numpy's own row reductions
+    over a C-ordered copy (conftest.reference_shifted_exp_terms) bit for
+    bit: every maximum, shift, term and row sum, at widths on both sides
+    of PAIRWISE_SUM_MIN and of the 128-entry pairwise block, with -inf
+    entries and all -inf rows, whatever the input's layout."""
+
+    LAYOUTS = {
+        "C": lambda x: x,
+        "Fortran": np.asfortranarray,
+        "column-contiguous": lambda x: np.ascontiguousarray(x.T).T,  # solve_exact's w.T
+        "stride-0": lambda x: np.broadcast_to(x[0], x.shape),
+    }
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(width=st.integers(1, 9) | st.integers(120, 130) | st.integers(1, 130),
+           rows=st.integers(1, 40), layout=st.sampled_from(sorted(LAYOUTS)),
+           neg_inf=st.sampled_from([0.0, 0.3, 0.9]), zero_rows=st.booleans(), ties=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_numpy_row_reductions_bitwise(self, width, rows, layout, neg_inf, zero_rows,
+                                                 ties, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(scale=5.0, size=(rows, width))
+        x[rng.random(x.shape) < neg_inf] = NEG_INF
+        if zero_rows:
+            x[rng.random(rows) < 0.5] = NEG_INF
+        if ties:
+            x = np.minimum(x, 0.0)
+            zeros = rng.random(x.shape) < 0.5
+            x[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+        rows_in = self.LAYOUTS[layout](x)
+        saved = rows_in.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m, shift, total, terms = shifted_exp_terms(rows_in)
+        ref_m, ref_shift, ref_total, ref_terms = reference_shifted_exp_terms(rows_in)
+        assert _same_bits(rows_in, saved)
+        if rows_in.flags.c_contiguous:
+            assert _same_bits(m, ref_m) and _same_bits(shift, ref_shift)
+        else:
+            # the maximum of a row as it lies may differ in the sign of a zero
+            assert np.array_equal(m, ref_m) and np.array_equal(shift, ref_shift)
+        assert _same_bits(total, ref_total)
+        if width < logmath.PAIRWISE_SUM_MIN:
+            # the first K - 1 columns' terms; the last column's went into total
+            assert len(terms) == width - 1
+            for j, t in enumerate(terms):
+                assert t.flags.c_contiguous and _same_bits(t, ref_terms[:, j])
+        else:
+            assert terms.flags.c_contiguous and _same_bits(terms, ref_terms)
+        # total owns its memory, so a kept row sum never pins a block of terms
+        assert total.base is None
+
+
 class TestSampleSoftmaxRows:
     """The row-wise draw equals sample_softmax and logsumexp bit for bit,
     for widths on both sides of numpy's 8-way and 128-block summation."""
@@ -177,11 +233,11 @@ class TestSampleSoftmaxRows:
             sample_softmax_rows(np.array([[0.0, 1.0], [NEG_INF, NEG_INF]]), np.zeros(2))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(k=st.integers(2, 10), rows=st.integers(1, 60), shared=st.booleans(),
+    @given(k=st.integers(1, 10), rows=st.integers(1, 60), shared=st.booleans(),
            neg_inf=st.sampled_from([0.0, 0.3, 0.9]), ties=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_equals_row_reduction_form_bitwise(self, k, rows, shared, neg_inf, ties, seed):
-        # K from 2 to 10 (both sides of PAIRWISE_SUM_MIN), -inf entries,
+        # K from 1 to 10 (both sides of PAIRWISE_SUM_MIN), -inf entries,
         # +-0 ties for the maximum, u = 0 and a (1, K) row shared by all
         rng = np.random.default_rng(seed)
         q = rng.normal(scale=5.0, size=(1 if shared else rows, k))
