@@ -35,18 +35,21 @@ Each sampler is an array program over all of its particles or messages:
   factor->variable message of one width in one pass over a width-major
   block (see _LoopyBP), where numpy's row-sum order is replayed as column
   adds, and sums every variable->factor message with one gather and one
-  axis-0 sum. The sums and normalizers keep the order and arithmetic
-  of the per-message logsumexp_rows/logsumexp calls, so the messages and
-  the draws are bit-identical to a message-at-a-time implementation. A
-  round is a function of the variable->factor messages and the clamps
-  alone, so once a round returns those messages with the same bit patterns
-  (an exact fixed point), the variable's remaining rounds are skipped. A
-  skipped round is still charged num_factors units, so wall-clock work
-  does not change what a budget buys. The samples share their prefixes'
-  rounds: bp_sample walks the trie of sampled assignment prefixes depth
-  first, runs each node's rounds once, and charges the node what its
-  member samples would pay one by one. Each draw is written at its
-  variable's depth column, so the samples come out as prefixes.
+  axis-0 sum. The factor->variable messages stay unnormalized, since a
+  sum-product message's scale is arbitrary: their readers, the
+  variable->factor sums and the marginals, normalize their own sums, so
+  one round normalizes once. The sums and normalizers keep the order and
+  arithmetic of the per-message logsumexp_rows/logsumexp calls, so the
+  messages and the draws are bit-identical to a message-at-a-time
+  implementation. A round is a function of the variable->factor messages
+  and the clamps alone, so once a round returns those messages with the
+  same bit patterns (an exact fixed point), the variable's remaining
+  rounds are skipped. A skipped round is still charged num_factors units,
+  so wall-clock work does not change what a budget buys. The samples share
+  their prefixes' rounds: bp_sample walks the trie of sampled assignment
+  prefixes depth first, runs each node's rounds once, and charges the node
+  what its member samples would pay one by one. Each draw is written at
+  its variable's depth column, so the samples come out as prefixes.
 
 Gibbs and BP share one zero-mass rule: a conditional or marginal of all -inf
 draws min(int(u * K), K - 1) + 1 off its own uniform u, and is counted.
@@ -366,7 +369,8 @@ def _normalize_rows(vecs: np.ndarray) -> np.ndarray:
     """Subtract each row's logsumexp, in logsumexp's arithmetic (math.log);
     rows of all -inf stay as they are. The maxima, shifts and sums are
     shifted_exp_terms', column by column below PAIRWISE_SUM_MIN columns,
-    and its terms are dropped."""
+    and its terms are dropped. Loopy BP's two normalizers: a round's
+    variable->factor sums and log_marginal's one row."""
     m, shift, total = shifted_exp_terms(vecs)[:3]
     if shift is not m:
         total[total == 0.0] = 1.0  # an all -inf row: shift 0, log 1
@@ -379,10 +383,14 @@ class _LoopyBP:
     Edge e is one (factor, scope position) pair, numbered factor by factor;
     msg_vf[e] and msg_fv[e] are its (K,) messages. A factor->variable message
     is a logsumexp over rows of the factor's table plus the other positions'
-    incoming messages. Those rows are laid out once, for every edge of every
-    factor, in one flat array of blocks: a round gathers the incoming
-    messages into it with one fancy index per scope position, then reduces
-    each block with logsumexp_cols.
+    incoming messages, left unnormalized. Its entries are at most the
+    factor's largest entry plus the log of its row width, since the incoming
+    messages are normalized (at most 0.0), so a variable->factor sum of them
+    can overflow only where the graph's own reward sums already do. Those
+    rows are laid out once, for every edge of every factor, in one flat
+    array of blocks: a round gathers the incoming messages into it with one
+    fancy index per scope position, then reduces each block with
+    logsumexp_cols.
 
     The blocks are width-major: the R rows of width w = K^(arity-1) of one
     arity are stored as a (w, R) array, entry j of every row in one
@@ -490,10 +498,13 @@ class _LoopyBP:
 
         Each message adds the other incoming messages one at a time in scope
         or factor order (never subtracting: -inf - -inf is undefined), with
-        the arithmetic of one logsumexp_rows and one logsumexp call per
-        message, so every message equals the per-message computation bit
-        for bit. The variable->factor sums are one gather and one axis-0
-        sum, which adds 0.0 and then the gathered messages in factor order.
+        the arithmetic of one logsumexp_rows call per factor->variable
+        message and one logsumexp call per variable->factor message, so
+        every message equals the per-message computation bit for bit. The
+        factor->variable messages are the logsumexps as they are; only the
+        variable->factor sums are normalized. Those sums are one gather and
+        one axis-0 sum, which adds 0.0 and then the gathered messages in
+        factor order.
         """
         rows = self.base
         for idx in self.steps:
@@ -502,7 +513,6 @@ class _LoopyBP:
                               for lo, hi, width in self.blocks])
         fv = self.fv
         fv[self.edge_order] = lse.reshape(-1, self.k)
-        self.msg_fv[...] = _normalize_rows(self.msg_fv)
         msg_vf = _normalize_rows(fv[self.incoming].sum(axis=0))
         np.copyto(msg_vf, self.msg_vf, where=self.clamped[:, None])
         # compared as int64, so that -0.0 and 0.0 differ

@@ -195,7 +195,13 @@ def logsumexp_cols(cols: np.ndarray) -> np.ndarray:
     logsumexp_rows' in the sign of a zero, which changes no result: the
     shifted maximum is exp(+-0.0) = 1.0 either way, and the sum is then at
     least 1.0, so its log is never -0.0. cols is left as it is.
+
+    A one-row block (w = 1, the unary messages of a graph with K >= 8) is
+    not reduced: cols[0] + 0.0 is what the reduction gives, bit for bit
+    (m + log(1.0), which makes -0.0 into 0.0 and keeps -inf).
     """
+    if len(cols) == 1:
+        return cols[0] + 0.0
     m = cols.max(axis=0)
     shift = _shift(m)
     terms = cols - shift

@@ -7,10 +7,10 @@ import math
 
 import numpy as np
 
-from treesample.baselines import WeightedAtoms, _LoopyBP, merge_particles
+from treesample.baselines import WeightedAtoms, _LoopyBP, _normalize_rows, merge_particles
 from treesample.exact import ChainSolution, ExactSolution, StateSpaceCapError
 from treesample.logmath import (NEG_INF, ZeroMassError, draw_softmax_rows, logsumexp,
-                                logsumexp_rows, sample_softmax_rows)
+                                logsumexp_cols, logsumexp_rows, sample_softmax_rows)
 from treesample.model import REWARD_EVAL, BudgetLedger, Factor, FactorGraph, Prefix
 
 
@@ -316,6 +316,27 @@ def reference_bp_sample(graph: FactorGraph, num_message_rounds: int, budget: int
     atoms, weights = merge_particles(particles, np.zeros(num))
     return WeightedAtoms(atoms=atoms, weights=weights, num_particles=num,
                          budget_spent=ledger.spent, zero_conditional_count=zero_marginals)
+
+
+class NormalizedFvLoopyBP(_LoopyBP):
+    """_LoopyBP whose rounds also normalize every factor->variable message
+    before the variable->factor sums read them, as rounds did before that
+    step was dropped: the reference for what dropping it must not change,
+    bp_sample's atoms and, up to rounding, every marginal."""
+
+    def round(self) -> bool:
+        rows = self.base
+        for idx in self.steps:
+            rows = rows + self.vf[idx]
+        lse = np.concatenate([logsumexp_cols(rows[lo:hi].reshape(width, -1))
+                              for lo, hi, width in self.blocks])
+        self.fv[self.edge_order] = lse.reshape(-1, self.k)
+        self.msg_fv[...] = _normalize_rows(self.msg_fv)
+        msg_vf = _normalize_rows(self.fv[self.incoming].sum(axis=0))
+        np.copyto(msg_vf, self.msg_vf, where=self.clamped[:, None])
+        fixed = np.array_equal(msg_vf.view(np.int64), self.msg_vf.view(np.int64))
+        self.msg_vf[...] = msg_vf
+        return fixed
 
 
 def repeated_completion_gibbs(graph: FactorGraph, num_sweeps: int, budget: int, seed: int,

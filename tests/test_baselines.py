@@ -646,7 +646,9 @@ def _normalize(vec):
 
 class _MessageAtATimeBP:
     """Reference loopy BP: one dict entry and one logsumexp_rows/logsumexp
-    call per message, in the order of _LoopyBP's edges."""
+    call per message, in the order of _LoopyBP's edges. A factor->variable
+    message is its logsumexp_rows output as it is, unnormalized; the
+    variable->factor messages and the marginals normalize their sums."""
 
     def __init__(self, graph):
         k = self.k = graph.num_states
@@ -682,7 +684,7 @@ class _MessageAtATimeBP:
                         shape[ax2] = self.k
                         arr = arr + self.msg_vf[(u, fi)].reshape(shape)
                 rows = np.moveaxis(arr, axis, 0).reshape(self.k, -1)
-                new_fv[(fi, v)] = _normalize(logsumexp_rows(rows))
+                new_fv[(fi, v)] = logsumexp_rows(rows)
         self.msg_fv = new_fv
         for v, fi in self.msg_vf:
             if v not in self.clamped:

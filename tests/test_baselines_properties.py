@@ -11,6 +11,14 @@ zero-conditional count, on graphs with -inf entries, shuffled orderings and
 variables whose only factor is unary, in both cost modes. Its schedule puts
 no two sites that share a factor in one wave, and each site's successive
 updates in increasing waves.
+
+Loopy BP leaves its factor->variable messages unnormalized; the
+variable->factor messages and the marginals normalize their own sums. A
+run of bp_sample equals one whose rounds normalize those messages too
+(conftest.NormalizedFvLoopyBP, substituted for _LoopyBP): the same atoms,
+weights, spend and zero-mass count. Under the golden message schedule
+every marginal agrees with that reference's to 1e-12 of max(1, |x|), with
+the same -inf entries.
 """
 
 from __future__ import annotations
@@ -18,15 +26,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesample.baselines import _gibbs_waves, gibbs, smc
+from treesample import baselines
+from treesample.baselines import _gibbs_waves, _LoopyBP, bp_sample, gibbs, smc
 from treesample.exact import solve_exact
 from treesample.model import FACTOR_EVAL, REWARD_EVAL
 from treesample.prior import HeuristicPrior
 
-from conftest import make_random_graph, repeated_completion_gibbs
+from conftest import NormalizedFvLoopyBP, make_random_graph, repeated_completion_gibbs
 
 NUM_RUNS = 150
 
@@ -98,3 +108,51 @@ def test_wave_gibbs_equals_the_scan(p):
     for v in range(n):
         own = waves[v::n]
         assert all(a < b for a, b in zip(own, own[1:]))
+
+
+bp_runs = st.fixed_dictionaries({
+    "graph_seed": st.integers(0, 2**32 - 1),
+    "n": st.integers(3, 8),
+    "k": st.integers(2, 10),
+    "extra_factors": st.integers(1, 5),
+    "neg_inf_frac": st.sampled_from([0.0, 0.3]),
+    "rounds": st.integers(1, 10),
+    "samples": st.integers(1, 6),
+    "seed": st.integers(0, 2**16),
+})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bp_runs)
+def test_unnormalized_factor_messages_keep_atoms_and_marginals(p):
+    rng = np.random.default_rng(p["graph_seed"])
+    n, k, rounds = p["n"], p["k"], p["rounds"]
+    graph = make_random_graph(rng, n, k, num_extra_factors=p["extra_factors"],
+                              max_scope=4 if k <= 3 else 3, neg_inf_frac=p["neg_inf_frac"],
+                              shuffle_ordering=True)
+    budget = p["samples"] * n * rounds * graph.num_factors
+    result = bp_sample(graph, rounds, budget, seed=p["seed"])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "_LoopyBP", NormalizedFvLoopyBP)
+        ref = bp_sample(graph, rounds, budget, seed=p["seed"])
+    assert (result.atoms, result.weights, result.budget_spent,
+            result.zero_conditional_count) == (ref.atoms, ref.weights, ref.budget_spent,
+                                               ref.zero_conditional_count)
+
+    # each state runs its own rounds up to its own exact fixed point; both
+    # clamp the value the reference's marginal puts first
+    state, ref_state = _LoopyBP(graph), NormalizedFvLoopyBP(graph)
+    for v in range(1, n + 1):
+        for s in (state, ref_state):
+            for _ in range(rounds):
+                if s.round():
+                    break
+        for u in range(1, n + 1):
+            got, expected = state.log_marginal(u), ref_state.log_marginal(u)
+            finite = expected > -math.inf
+            assert np.array_equal(got > -math.inf, finite)
+            err = np.abs(got[finite] - expected[finite])
+            assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(expected[finite])))
+        value = int(np.argmax(ref_state.log_marginal(v))) + 1
+        state.clamp(v, value)
+        ref_state.clamp(v, value)

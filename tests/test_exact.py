@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treesample import logmath
@@ -437,12 +437,22 @@ class TestPairwiseSum:
 class TestLogsumexpCols:
     """logsumexp_cols of a (w, R) array equals logsumexp_rows of its
     transpose bit for bit, and leaves its argument as it was: a contiguous
-    block, a transposed view, one row or one column."""
+    block, a transposed view, one row or one column.
+
+    The examples pin width 1, which logsumexp_cols returns as cols[0] + 0.0
+    without a reduction: at seed 1 with ties the 30 entries hold -0.0 (which
+    must come back 0.0), 0.0, finite values and -inf; without ties they are
+    finite of either sign; at neg_inf 1.0 every entry is -inf; the one-entry
+    block at seed 2 is a lone -0.0."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(width=st.integers(1, 300), rows=st.integers(1, 30),
            neg_inf=st.sampled_from([0.0, 0.3, 0.9, 1.0]), ties=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
+    @example(width=1, rows=30, neg_inf=0.3, ties=True, seed=1)
+    @example(width=1, rows=30, neg_inf=0.0, ties=False, seed=1)
+    @example(width=1, rows=30, neg_inf=1.0, ties=False, seed=1)
+    @example(width=1, rows=1, neg_inf=0.0, ties=True, seed=2)
     def test_equals_logsumexp_rows_bitwise(self, width, rows, neg_inf, ties, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(scale=5.0, size=(rows, width))
