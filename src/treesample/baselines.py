@@ -31,25 +31,26 @@ Each sampler is an array program over all of its particles or messages:
   each site from its own softmax. A wave charges what its site updates
   would, one by one.
 - Loopy BP stores the messages as (edges, K) arrays, one edge per (factor,
-  scope position), in buffers allocated once. A round reduces every
-  factor->variable message of one width in one pass over a width-major
-  block (see _LoopyBP), where numpy's row-sum order is replayed as column
-  adds, and sums every variable->factor message with one gather and one
-  axis-0 sum. The factor->variable messages stay unnormalized, since a
-  sum-product message's scale is arbitrary: their readers, the
-  variable->factor sums and the marginals, normalize their own sums, so
-  one round normalizes once. The sums and normalizers keep the order and
-  arithmetic of the per-message logsumexp_rows/logsumexp calls, so the
-  messages and the draws are bit-identical to a message-at-a-time
-  implementation. A round is a function of the variable->factor messages
-  and the clamps alone, so once a round returns those messages with the
-  same bit patterns (an exact fixed point), the variable's remaining
-  rounds are skipped. A skipped round is still charged num_factors units,
-  so wall-clock work does not change what a budget buys. The samples share
-  their prefixes' rounds: bp_sample walks the trie of sampled assignment
-  prefixes depth first, runs each node's rounds once, and charges the node
-  what its member samples would pay one by one. Each draw is written at
-  its variable's depth column, so the samples come out as prefixes.
+  scope position), in buffers allocated once. A unary factor's message is
+  its table, whatever the other messages, so it is written once and rounds
+  leave it out. A round reduces every other factor->variable message in one
+  pass over one width-major block (see _LoopyBP), and sums every
+  variable->factor message with one gather and one axis-0 sum. A
+  sum-product message's scale is arbitrary, so the factor->variable
+  messages stay unnormalized and each variable->factor sum has its maximum
+  subtracted: those messages are at most 0.0, which bounds overflow. Only
+  the marginals, which the draws read, subtract their logsumexp. The
+  messages are held to an accuracy bound against a message-at-a-time
+  implementation, not to its bits; the atoms are pinned by golden digests.
+  A round is a function of the variable->factor messages and the clamps
+  alone, so once a round returns those messages with the same bit patterns
+  (an exact fixed point), the variable's remaining rounds are skipped. A
+  skipped round is still charged num_factors units, so wall-clock work
+  does not change what a budget buys. The samples share their prefixes'
+  rounds: bp_sample walks the trie of sampled assignment prefixes depth
+  first, runs each node's rounds once, and charges the node what its
+  member samples would pay one by one. Each draw is written at its
+  variable's depth column, so the samples come out as prefixes.
 
 Gibbs and BP share one zero-mass rule: a conditional or marginal of all -inf
 draws min(int(u * K), K - 1) + 1 off its own uniform u, and is counted.
@@ -63,8 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logmath import (NEG_INF, PAIRWISE_SUM_MIN, ZeroMassError, draw_softmax_rows, log_each,
-                      logsumexp, logsumexp_cols, sample_softmax_rows, shifted_exp_terms)
+from .logmath import (NEG_INF, ZeroMassError, _log_sums, _shift, draw_softmax_rows, logsumexp,
+                      sample_softmax_rows)
 from .model import REWARD_EVAL, BudgetLedger, FactorGraph, Prefix
 
 
@@ -229,7 +230,7 @@ def _draw_or_uniform(q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 
 
-def _gibbs_waves(graph: FactorGraph, num_sweeps: int) -> list[int]:
+def _gibbs_waves(graph: FactorGraph, num_sweeps: int) -> np.ndarray:
     """The wave of each of the num_sweeps * N site updates, in scan order
     (variables in raw index order, sweep after sweep).
 
@@ -242,6 +243,14 @@ def _gibbs_waves(graph: FactorGraph, num_sweeps: int) -> list[int]:
     twice. The self rule matters only for a site whose factors are all
     unary; any other site has a neighbour updated between two of its own
     updates.
+
+    A sweep's waves are a function of the latest waves before it, and
+    adding a constant c to all of those adds c to every wave of the sweep
+    (max and + commute with the shift). So once a sweep's waves are the
+    previous sweep's plus one constant c, each later sweep is c more again,
+    and the rest of the schedule is tiled from that sweep. The sweep at
+    which this first happens depends on the graph, so every sweep is
+    checked.
     """
     n = graph.num_variables
     near: list[set[int]] = [set() for _ in range(n + 1)]
@@ -250,11 +259,16 @@ def _gibbs_waves(graph: FactorGraph, num_sweeps: int) -> list[int]:
             near[v].update(u for u in f.scope if u != v)
     last = [0] * (n + 1)  # last[v]: the wave of v's latest update so far
     waves = []
-    for _ in range(num_sweeps):
+    for sweep in range(1, num_sweeps + 1):
+        before = last[1:]
         for v in range(1, n + 1):
             last[v] = wave = 1 + max([last[v]] + [last[u] for u in near[v]])
             waves.append(wave)
-    return waves
+        shifts = {after - prev for after, prev in zip(last[1:], before)}
+        if len(shifts) == 1:
+            later = np.arange(1, num_sweeps - sweep + 1)[:, None] * shifts.pop() + last[1:]
+            return np.concatenate([waves, later.ravel()])
+    return np.array(waves)
 
 
 def gibbs(
@@ -327,7 +341,7 @@ def gibbs(
         states[i] = rng.integers(1, k + 1, size=n)
         uniforms[i] = rng.random(num_sweeps * n)
     # the updates in wave order, scan order within a wave; update t is site t % n
-    waves = np.array(_gibbs_waves(graph, num_sweeps))
+    waves = _gibbs_waves(graph, num_sweeps)
     order = np.argsort(waves, kind="stable")
     site = order % n
     starts = np.flatnonzero(np.diff(waves[order], prepend=0))
@@ -365,42 +379,36 @@ def gibbs(
 # ---------------------------------------------------------------------------
 
 
-def _normalize_rows(vecs: np.ndarray) -> np.ndarray:
-    """Subtract each row's logsumexp, in logsumexp's arithmetic (math.log);
-    rows of all -inf stay as they are. The maxima, shifts and sums are
-    shifted_exp_terms', column by column below PAIRWISE_SUM_MIN columns,
-    and its terms are dropped. Loopy BP's two normalizers: a round's
-    variable->factor sums and log_marginal's one row."""
-    m, shift, total = shifted_exp_terms(vecs)[:3]
-    if shift is not m:
-        total[total == 0.0] = 1.0  # an all -inf row: shift 0, log 1
-    return vecs - (shift + log_each(total))[:, None]
-
-
 class _LoopyBP:
     """Log-domain sum-product messages on the bipartite factor graph.
 
     Edge e is one (factor, scope position) pair, numbered factor by factor;
-    msg_vf[e] and msg_fv[e] are its (K,) messages. A factor->variable message
-    is a logsumexp over rows of the factor's table plus the other positions'
-    incoming messages, left unnormalized. Its entries are at most the
-    factor's largest entry plus the log of its row width, since the incoming
-    messages are normalized (at most 0.0), so a variable->factor sum of them
-    can overflow only where the graph's own reward sums already do. Those
-    rows are laid out once, for every edge of every factor, in one flat
-    array of blocks: a round gathers the incoming messages into it with one
-    fancy index per scope position, then reduces each block with
-    logsumexp_cols.
+    msg_vf[e] and msg_fv[e] are its (K,) messages. A unary factor's
+    factor->variable message is its table + 0.0 whatever the other
+    messages, so reset() writes it and rounds leave it as it is. Every
+    other factor->variable message is a logsumexp over rows of the factor's
+    table plus the other positions' incoming messages, left unnormalized. A
+    variable->factor message is the sum of the variable's other incoming
+    messages minus the sum's maximum (an all -inf sum is shifted by 0), so
+    it is at most 0.0. A factor->variable message is then at most the
+    factor's largest entry plus the log of its row width, so a
+    variable->factor sum of them can overflow only where the graph's own
+    reward sums already do.
 
-    The blocks are width-major: the R rows of width w = K^(arity-1) of one
-    arity are stored as a (w, R) array, entry j of every row in one
-    contiguous run, so a reduction is a few calls on length-R vectors
-    whatever w is. The arities whose width is below PAIRWISE_SUM_MIN share
-    one block of the largest such width; a narrower row is padded with -inf
-    table entries, whose gathers read the -0.0 pad, so they add exp(-inf) =
-    0.0 at the end of a left-to-right sum, which changes no bit. Wider
-    widths keep a block each, since numpy's pairwise order depends on the
-    width.
+    The rows of every factor of arity 2 or more are laid out once in one
+    width-major (w, R) block, w = K^(a - 1) for the largest arity a: entry
+    j of every row in one contiguous run, so a round reduces the R rows
+    with a few calls on length-R vectors whatever w is. A narrower row is
+    padded with -inf table entries, whose gathers read the -0.0 pad, so
+    they add exp(-inf) = 0.0 to its sum. A round gathers the incoming
+    messages into the block with one fancy index per other scope position.
+    A graph whose factors are all unary has no block.
+
+    The messages are held to an accuracy bound, not to the bits of a
+    message-at-a-time implementation: the block sums each row left to
+    right, not in numpy's pairwise row order, and the variable->factor
+    sums are normalized by their maxima, not their logsumexps. The atoms
+    bp_sample draws are pinned by golden digests.
 
     Both message arrays are views of buffers that end in one -0.0 entry,
     the pad that padded gathers read: msg_vf of a flat buffer, msg_fv of an
@@ -417,50 +425,39 @@ class _LoopyBP:
         for fi, scope in enumerate(scopes):
             for axis, v in enumerate(scope):
                 self.var_edges[v].append(int(first[fi]) + axis)
+        unary = [fi for fi, s in enumerate(scopes) if len(s) == 1]
+        self.unary_edges = first[unary]
+        self.unary_msgs = np.reshape([graph.factors[fi].table for fi in unary], (-1, k)) + 0.0
         pad = num_edges * k  # index of the -0.0 pad, which adds exactly nothing
         max_arity = max(len(s) for s in scopes)
-        # per arity, its rows' table entries and gather indices, each (R, w)
-        blocks, edge_order = [], []
-        for arity in sorted({len(s) for s in scopes}):
+        width = k ** (max_arity - 1)
+        num_rows = k * sum(len(s) for s in scopes if len(s) > 1)
+        # row r of the block: its table entries base[:, r], its gather index
+        # at each other position steps[:, :, r], and its edge edge_order[r // K],
+        # laid out arity by arity, then position by position
+        self.base = np.full((width, num_rows), NEG_INF)
+        steps = np.full((max_arity - 1, width, num_rows), pad)
+        self.edge_order = np.empty(num_rows // k, dtype=np.int64)
+        end = 0
+        for arity in sorted({len(s) for s in scopes} - {1}):
             fis = [fi for fi, s in enumerate(scopes) if len(s) == arity]
             tables = np.stack([graph.factors[fi].table for fi in fis])  # (F, K^arity)
             edges = first[fis][:, None] + np.arange(arity)  # (F, arity)
             grid = np.arange(k**arity).reshape((k,) * arity)
-            base, steps = [], [[] for _ in range(max_arity - 1)]
+            cols = k ** (arity - 1)
             for axis in range(arity):
+                start, end = end, end + len(fis) * k
                 # entry (j, l): the table index with this position at value j + 1
                 # and the other positions enumerating l in row-major order
                 others = [a for a in range(arity) if a != axis]
                 cells = grid.transpose([axis] + others).reshape(k, -1)
-                base.append(tables[:, cells].reshape(-1, cells.shape[1]))
-                for step in range(max_arity - 1):
-                    if step < len(others):
-                        digit = cells // k ** (arity - 1 - others[step]) % k
-                        steps[step].append((edges[:, others[step], None, None] * k
-                                            + digit).reshape(-1, cells.shape[1]))
-                    else:
-                        steps[step].append(np.full((len(fis) * k, cells.shape[1]), pad))
-                edge_order.append(edges[:, axis])
-            blocks.append([np.concatenate(base)] + [np.concatenate(idx) for idx in steps])
-        # the narrow arities come first (w grows with arity) and merge into one
-        # block, their rows padded on the right to the last one's width
-        num_narrow = sum(block[0].shape[1] < PAIRWISE_SUM_MIN for block in blocks)
-        if num_narrow:
-            narrow = blocks[num_narrow - 1][0].shape[1]
-            fill = [NEG_INF] + [pad] * (max_arity - 1)
-            merged = [np.concatenate([np.pad(part, ((0, 0), (0, narrow - part.shape[1])),
-                                             constant_values=value) for part in parts])
-                      for parts, value in zip(zip(*blocks[:num_narrow]), fill)]
-            blocks = [merged] + blocks[num_narrow:]
-        self.blocks, offset = [], 0
-        for block in blocks:
-            rows, width = block[0].shape
-            self.blocks.append((offset, offset + rows * width, width))
-            offset += rows * width
-        self.base = np.concatenate([block[0].T.ravel() for block in blocks])
-        self.steps = [np.concatenate([block[1 + step].T.ravel() for block in blocks])
-                      for step in range(max_arity - 1)]
-        self.edge_order = np.concatenate(edge_order)
+                self.base[:cols, start:end] = tables[:, cells].reshape(-1, cols).T
+                for step, other in enumerate(others):
+                    digit = cells // k ** (arity - 1 - other) % k
+                    steps[step, :cols, start:end] = (edges[:, other, None, None] * k
+                                                     + digit).reshape(-1, cols).T
+                self.edge_order[start // k:end // k] = edges[:, axis]
+        self.steps = list(steps)
         # incoming[j, e]: the j-th edge of the other factors at e's variable, in
         # factor order, or the index of the all -0.0 row past the last edge
         incoming = [[] for _ in range(num_edges)]
@@ -483,6 +480,7 @@ class _LoopyBP:
     def reset(self):
         self.msg_vf[...] = -math.log(self.k)
         self.msg_fv[...] = -math.log(self.k)
+        self.msg_fv[self.unary_edges] = self.unary_msgs
         self.clamped[...] = False
 
     def clamp(self, v: int, value: int):
@@ -492,28 +490,32 @@ class _LoopyBP:
         self.clamped[self.var_edges[v]] = True
 
     def round(self) -> bool:
-        """One synchronous round: all factor->variable, then variable->factor.
-        Returns whether it was an exact fixed point: every variable->factor
-        message came out with the bit pattern it went in with.
+        """One synchronous round: every factor->variable message of a factor
+        of arity 2 or more, then every variable->factor message. Returns
+        whether it was an exact fixed point: every variable->factor message
+        came out with the bit pattern it went in with.
 
-        Each message adds the other incoming messages one at a time in scope
-        or factor order (never subtracting: -inf - -inf is undefined), with
-        the arithmetic of one logsumexp_rows call per factor->variable
-        message and one logsumexp call per variable->factor message, so
-        every message equals the per-message computation bit for bit. The
-        factor->variable messages are the logsumexps as they are; only the
-        variable->factor sums are normalized. Those sums are one gather and
-        one axis-0 sum, which adds 0.0 and then the gathered messages in
-        factor order.
+        The block adds its rows' gathered messages one position at a time,
+        never subtracting (-inf - -inf is undefined); then one max, one
+        shift, one exp and one axis-0 sum over the block, and one log, give
+        every row's logsumexp, an all -inf row's being -inf. The
+        variable->factor sums are one gather and one axis-0 sum of the
+        incoming factor->variable messages, in factor order; each sum then
+        has its maximum subtracted, and the clamped edges keep their
+        messages.
         """
-        rows = self.base
-        for idx in self.steps:
-            rows = rows + self.vf[idx]
-        lse = np.concatenate([logsumexp_cols(rows[lo:hi].reshape(width, -1))
-                              for lo, hi, width in self.blocks])
         fv = self.fv
-        fv[self.edge_order] = lse.reshape(-1, self.k)
-        msg_vf = _normalize_rows(fv[self.incoming].sum(axis=0))
+        if self.edge_order.size:  # an all-unary graph has an empty block
+            rows = self.base + self.vf[self.steps[0]]
+            for idx in self.steps[1:]:
+                rows += self.vf[idx]
+            m = rows.max(axis=0)
+            shift = _shift(m)
+            rows -= shift
+            total = np.exp(rows, out=rows).sum(axis=0)
+            fv[self.edge_order] = _log_sums(m, shift, total).reshape(-1, self.k)
+        msg_vf = fv[self.incoming].sum(axis=0)
+        msg_vf -= _shift(msg_vf.max(axis=1))[:, None]
         np.copyto(msg_vf, self.msg_vf, where=self.clamped[:, None])
         # compared as int64, so that -0.0 and 0.0 differ
         fixed = np.array_equal(msg_vf.view(np.int64), self.msg_vf.view(np.int64))
@@ -521,10 +523,14 @@ class _LoopyBP:
         return fixed
 
     def log_marginal(self, v: int) -> np.ndarray:
+        """The sum of v's incoming factor->variable messages minus its
+        logsumexp, in logsumexp's arithmetic; an all -inf sum stays as it
+        is. The draws read it."""
         total = np.zeros(self.k)
         for e in self.var_edges[v]:
             total = total + self.msg_fv[e]
-        return _normalize_rows(total[None, :])[0]
+        lse = logsumexp(total)
+        return total - lse if lse > NEG_INF else total
 
 
 def bp_sample(
@@ -555,6 +561,10 @@ def bp_sample(
     in that order, so the atoms, the charge and the zero-mass count equal a
     sample-at-a-time loop's. A marginal of zero mass gives each member the
     uniform value read off its own uniform, as a Gibbs site update does.
+
+    The marginals agree with those of a message-at-a-time implementation to
+    an accuracy bound, not bit for bit (see _LoopyBP); fixed seeds give the
+    atoms the golden digests pin.
     """
     if num_message_rounds < 1:
         raise ValueError("num_message_rounds must be at least 1")

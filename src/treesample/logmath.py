@@ -3,14 +3,15 @@
 All probability computations in this package stay in the log domain; -inf is a
 first-class value meaning "zero mass". +inf and NaN are never legal inputs.
 
-The array routines (logsumexp_rows, logsumexp_cols, the softmax draws) give
-numpy's own bits at every width. logsumexp_rows and the softmax draws reduce
-rows through one routine, shifted_exp_terms, which returns the maxima, the
-shifted exp terms and their sums; the draws read the terms. logsumexp_cols
-reduces loopy BP's width-major blocks, and shares with logsumexp_rows the
-shift of an all -inf row and the log of the sums. logsumexp_list, the
-search tree's scalar soft value, works in Python floats and agrees with
-logsumexp to a few ulps.
+The array routines (logsumexp_rows, the softmax draws) give numpy's own bits
+at every width. They reduce rows through one routine, shifted_exp_terms,
+which returns the maxima, the shifted exp terms and their sums; the draws
+read the terms. Loopy BP reduces its width-major block with plain numpy
+calls and shares with logsumexp_rows only the shift of an all -inf row and
+the log of the sums (_shift, _log_sums); its messages are held to an
+accuracy bound, not to numpy's row-sum bits. logsumexp_list, the search
+tree's scalar soft value, works in Python floats and agrees with logsumexp
+to a few ulps.
 """
 
 from __future__ import annotations
@@ -37,47 +38,10 @@ def logsumexp(values: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(values - m))))
 
 
-# numpy's float64 sum of n contiguous entries (its pairwise sum): left to
-# right below PAIRWISE_SUM_MIN entries; up to PAIRWISE_BLOCK entries into
-# eight accumulators, one per position mod 8, joined pairwise, then the
-# tail of n mod 8 entries left to right; above PAIRWISE_BLOCK the sums of
-# two halves, split at a multiple of 8. pairwise_sum follows it at every
-# width; the column-by-column paths below PAIRWISE_SUM_MIN columns match it
-# there.
+# numpy's float64 sum of n contiguous entries adds left to right below
+# PAIRWISE_SUM_MIN entries and pairwise from there on; the column-by-column
+# paths below PAIRWISE_SUM_MIN columns follow its left-to-right order.
 PAIRWISE_SUM_MIN = 8
-PAIRWISE_BLOCK = 128
-
-
-def pairwise_sum(addends: np.ndarray):
-    """The sum of the entries or rows of an array in the order of numpy's
-    float64 row sum, bit for bit: pairwise_sum(row) equals row.sum() for a
-    1-D row, and pairwise_sum(rows.T) equals rows.sum(axis=1) for a
-    C-contiguous 2-D rows.
-
-    A 2-D array is the sequence of its rows, so a (w, R) width-major block
-    sums to R row sums with one add per column, and its eight accumulators
-    advance with one add per eight columns. numpy's sum starts from 0.0, so
-    -0.0 addends alone sum to 0.0. addends is never written to.
-    """
-    n = len(addends)
-    if n > PAIRWISE_BLOCK:
-        half = n // 2 - n // 2 % 8
-        # (0.0 + a) + (0.0 + b) equals 0.0 + (a + b): only -0.0 + -0.0 is -0.0
-        return pairwise_sum(addends[:half]) + pairwise_sum(addends[half:])
-    if n < PAIRWISE_SUM_MIN:
-        total = 0.0
-        for x in addends:
-            total += x  # 0.0 + x makes a new array, so later adds write only to it
-        return total
-    tail = n - n % 8
-    r = addends[:8].copy()
-    for i in range(8, tail, 8):
-        r += addends[i:i + 8]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for x in addends[tail:]:
-        total += x
-    total += 0.0
-    return total
 
 
 def logsumexp_list(values: list[float]) -> float:
@@ -181,31 +145,6 @@ def logsumexp_rows(arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
     m, shift, total = shifted_exp_terms(arr.reshape(-1, arr.shape[-1]))[:3]
     return _log_sums(m, shift, total).reshape(arr.shape[:-1])
-
-
-def logsumexp_cols(cols: np.ndarray) -> np.ndarray:
-    """logsumexp of each column of a (w, R) array: logsumexp_rows(cols.T)
-    bit for bit, reduced width-major.
-
-    One max and one exp run over the whole array, and pairwise_sum adds its
-    w rows of R entries in the order numpy sums each length-w row, so at
-    small w and large R the work is a few calls on long vectors instead of
-    R short row reductions. The all -inf shift and the log of the sums
-    are logsumexp_rows' own. The row maxima may differ from
-    logsumexp_rows' in the sign of a zero, which changes no result: the
-    shifted maximum is exp(+-0.0) = 1.0 either way, and the sum is then at
-    least 1.0, so its log is never -0.0. cols is left as it is.
-
-    A one-row block (w = 1, the unary messages of a graph with K >= 8) is
-    not reduced: cols[0] + 0.0 is what the reduction gives, bit for bit
-    (m + log(1.0), which makes -0.0 into 0.0 and keeps -inf).
-    """
-    if len(cols) == 1:
-        return cols[0] + 0.0
-    m = cols.max(axis=0)
-    shift = _shift(m)
-    terms = cols - shift
-    return _log_sums(m, shift, pairwise_sum(np.exp(terms, out=terms)))
 
 
 def log_each(values: np.ndarray) -> np.ndarray:

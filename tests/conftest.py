@@ -7,10 +7,10 @@ import math
 
 import numpy as np
 
-from treesample.baselines import WeightedAtoms, _LoopyBP, _normalize_rows, merge_particles
+from treesample.baselines import WeightedAtoms, _LoopyBP, merge_particles
 from treesample.exact import ChainSolution, ExactSolution, StateSpaceCapError
 from treesample.logmath import (NEG_INF, ZeroMassError, draw_softmax_rows, logsumexp,
-                                logsumexp_cols, logsumexp_rows, sample_softmax_rows)
+                                logsumexp_rows, sample_softmax_rows)
 from treesample.model import REWARD_EVAL, BudgetLedger, Factor, FactorGraph, Prefix
 
 
@@ -279,19 +279,20 @@ def assignment_to_prefix(graph: FactorGraph, assignment) -> Prefix:
 
 
 def reference_bp_sample(graph: FactorGraph, num_message_rounds: int, budget: int,
-                        seed: int = 0) -> WeightedAtoms:
+                        seed: int = 0, bp=_LoopyBP) -> WeightedAtoms:
     """baselines.bp_sample as a sample-at-a-time loop, which its trie walk
     must equal: per sample, reset the messages; per variable, run rounds
     up to an exact fixed point (charging the skipped ones), draw from the
     marginal at the next rng.random(1) and clamp. A zero-mass marginal
     gives the uniform value min(int(u * K), K - 1) + 1 of that uniform u,
-    and is counted."""
+    and is counted. bp is the message-passing state: _LoopyBP, or
+    MessageAtATimeBP for a reference that shares none of its code."""
     n, k = graph.num_variables, graph.num_states
     round_cost = graph.num_factors
     num = budget // (n * num_message_rounds * round_cost)
     ledger = BudgetLedger(budget=budget)
     rng = np.random.default_rng(seed)
-    state = _LoopyBP(graph)
+    state = bp(graph)
     particles = np.zeros((num, n), dtype=np.int64)
     zero_marginals = 0
     for i in range(num):
@@ -318,25 +319,93 @@ def reference_bp_sample(graph: FactorGraph, num_message_rounds: int, budget: int
                          budget_spent=ledger.spent, zero_conditional_count=zero_marginals)
 
 
-class NormalizedFvLoopyBP(_LoopyBP):
-    """_LoopyBP whose rounds also normalize every factor->variable message
-    before the variable->factor sums read them, as rounds did before that
-    step was dropped: the reference for what dropping it must not change,
-    bp_sample's atoms and, up to rounding, every marginal."""
+def _normalize(vec):
+    lse = logsumexp(vec)
+    return vec - lse if lse > NEG_INF else vec
+
+
+class MessageAtATimeBP:
+    """Reference loopy BP: one dict entry and one logsumexp_rows/logsumexp
+    call per message, in the order of _LoopyBP's edges. A factor->variable
+    message is its logsumexp_rows output as it is, unnormalized; the
+    variable->factor messages and the marginals subtract their sums'
+    logsumexp. round() returns whether every variable->factor message came
+    out with the bits it went in with, as _LoopyBP.round does.
+
+    _LoopyBP normalizes its variable->factor messages by their maxima and
+    sums its rows in another order, so its messages agree with these up to
+    each row's maximum and rounding (assert_log_close of max_shifted rows),
+    and bp_sample's atoms equal reference_bp_sample's over this class."""
+
+    def __init__(self, graph):
+        k = self.k = graph.num_states
+        self.scopes = [f.scope for f in graph.factors]
+        self.tensors = [f.table.reshape((k,) * len(f.scope)) for f in graph.factors]
+        self.var_factors = {v: [] for v in range(1, graph.num_variables + 1)}
+        for fi, scope in enumerate(self.scopes):
+            for v in scope:
+                self.var_factors[v].append(fi)
+        self.reset()
+
+    def reset(self):
+        edges = [(fi, v) for fi, scope in enumerate(self.scopes) for v in scope]
+        self.msg_vf = {(v, fi): np.full(self.k, -math.log(self.k)) for fi, v in edges}
+        self.msg_fv = {(fi, v): np.full(self.k, -math.log(self.k)) for fi, v in edges}
+        self.clamped = set()
+
+    def stacked(self, messages):
+        return np.array(list(messages.values()))
+
+    def clamp(self, v, value):
+        self.clamped.add(v)
+        atom = np.full(self.k, NEG_INF)
+        atom[value - 1] = 0.0
+        for fi in self.var_factors[v]:
+            self.msg_vf[(v, fi)] = atom.copy()
 
     def round(self) -> bool:
-        rows = self.base
-        for idx in self.steps:
-            rows = rows + self.vf[idx]
-        lse = np.concatenate([logsumexp_cols(rows[lo:hi].reshape(width, -1))
-                              for lo, hi, width in self.blocks])
-        self.fv[self.edge_order] = lse.reshape(-1, self.k)
-        self.msg_fv[...] = _normalize_rows(self.msg_fv)
-        msg_vf = _normalize_rows(self.fv[self.incoming].sum(axis=0))
-        np.copyto(msg_vf, self.msg_vf, where=self.clamped[:, None])
-        fixed = np.array_equal(msg_vf.view(np.int64), self.msg_vf.view(np.int64))
-        self.msg_vf[...] = msg_vf
-        return fixed
+        before = self.stacked(self.msg_vf).tobytes()
+        new_fv = {}
+        for fi, scope in enumerate(self.scopes):
+            for axis, v in enumerate(scope):
+                arr = self.tensors[fi]
+                for ax2, u in enumerate(scope):
+                    if u != v:
+                        shape = [1] * len(scope)
+                        shape[ax2] = self.k
+                        arr = arr + self.msg_vf[(u, fi)].reshape(shape)
+                rows = np.moveaxis(arr, axis, 0).reshape(self.k, -1)
+                new_fv[(fi, v)] = logsumexp_rows(rows)
+        self.msg_fv = new_fv
+        for v, fi in self.msg_vf:
+            if v not in self.clamped:
+                total = np.zeros(self.k)
+                for gi in self.var_factors[v]:
+                    if gi != fi:
+                        total = total + self.msg_fv[(gi, v)]
+                self.msg_vf[(v, fi)] = _normalize(total)
+        return self.stacked(self.msg_vf).tobytes() == before
+
+    def log_marginal(self, v):
+        total = np.zeros(self.k)
+        for fi in self.var_factors[v]:
+            total = total + self.msg_fv[(fi, v)]
+        return _normalize(total)
+
+
+def max_shifted(rows: np.ndarray) -> np.ndarray:
+    """Each row minus its maximum; an all -inf row as it is."""
+    m = rows.max(axis=1, keepdims=True)
+    return rows - np.where(m > NEG_INF, m, 0.0)
+
+
+def assert_log_close(got: np.ndarray, expected: np.ndarray, rel: float = 1e-12):
+    """got has -inf at expected's -inf entries and agrees with expected
+    elsewhere within rel * max(1, |expected|)."""
+    finite = expected > NEG_INF
+    assert np.array_equal(got > NEG_INF, finite)
+    err = np.abs(got[finite] - expected[finite])
+    assert np.all(err <= rel * np.maximum(1.0, np.abs(expected[finite])))
 
 
 def repeated_completion_gibbs(graph: FactorGraph, num_sweeps: int, budget: int, seed: int,
@@ -378,6 +447,21 @@ def repeated_completion_gibbs(graph: FactorGraph, num_sweeps: int, budget: int, 
             states[~zero, col] = sample_softmax_rows(scores[~zero], u[~zero])[0] + 1
     atoms, weights = merge_particles(states, np.zeros(num))
     return (atoms, weights, spent, zero_conditionals), recorded, uniforms
+
+
+def reference_gibbs_waves(graph: FactorGraph, num_sweeps: int) -> list[int]:
+    """baselines._gibbs_waves computed update by update for every sweep,
+    without tiling: an update's wave is 1 + the latest wave so far of its
+    own site or of any variable that shares a factor with it."""
+    n = graph.num_variables
+    last = [0] * (n + 1)
+    waves = []
+    for _ in range(num_sweeps):
+        for v in range(1, n + 1):
+            near = [u for f in graph.factors if v in f.scope for u in f.scope]
+            last[v] = max(last[u] for u in near + [v]) + 1
+            waves.append(last[v])
+    return waves
 
 
 def all_configs(n: int, k: int):

@@ -27,8 +27,9 @@ from treesample.prior import HeuristicPrior
 
 from test_baselines_golden import digest as golden_digest
 
-from conftest import (ExactValuePrior, all_configs, assignment_to_prefix, log_step_conditionals,
-                      make_random_graph, reference_bp_sample, repeated_completion_gibbs,
+from conftest import (ExactValuePrior, MessageAtATimeBP, all_configs, assert_log_close,
+                      assignment_to_prefix, log_step_conditionals, make_random_graph,
+                      max_shifted, reference_bp_sample, repeated_completion_gibbs,
                       variable_marginals)
 
 
@@ -542,12 +543,15 @@ class TestBpSample:
             bp_sample(g, num_message_rounds=0, budget=200, seed=1)
 
     def test_messages_equal_message_at_a_time_rounds(self):
-        # the width-major rounds against one logsumexp_rows/logsumexp call
-        # per message, bit for bit, with clamps, -inf entries and K up to 10;
-        # then two graphs whose blocks the random ones may miss: K = 3 with
-        # arities 1 to 3, whose widths 1 and 3 share the merged block beside
-        # a width-9 block, and K = 6 with arity 4, a 216-column block that
-        # pairwise_sum splits in halves
+        # the one-block rounds against one logsumexp_rows/logsumexp call per
+        # message, with clamps, -inf entries and K up to 10: every message
+        # row minus its maximum, and every marginal, within 1e-12 of
+        # max(1, |x|), with the same -inf entries. The block sums its rows
+        # in another order and normalizes the variable->factor messages by
+        # their maxima, so the bits differ. Then two graphs whose padding
+        # the random ones may miss: K = 3 with arities 1 to 3, whose width-3
+        # rows are padded to 9, and K = 6 with arities 2 and 4, whose
+        # width-6 rows are padded to 216
         rng = np.random.default_rng(127)
         graphs = []
         for trial in range(24):
@@ -565,19 +569,48 @@ class TestBpSample:
             graphs.append(_graph(5, k, factors))
         for g in graphs:
             k = g.num_states
-            state, ref = _LoopyBP(g), _MessageAtATimeBP(g)
+            state, ref = _LoopyBP(g), MessageAtATimeBP(g)
             for v in rng.permutation(np.arange(1, 6))[:3].tolist() + [None]:
                 for _ in range(3):
                     state.round()
                     ref.round()
-                    assert state.msg_fv.tobytes() == ref.stacked(ref.msg_fv).tobytes()
-                    assert state.msg_vf.tobytes() == ref.stacked(ref.msg_vf).tobytes()
+                    for got, expected in ((state.msg_fv, ref.msg_fv), (state.msg_vf, ref.msg_vf)):
+                        assert_log_close(max_shifted(got), max_shifted(ref.stacked(expected)))
                 for u in range(1, 6):
-                    assert state.log_marginal(u).tobytes() == ref.log_marginal(u).tobytes()
+                    assert_log_close(state.log_marginal(u), ref.log_marginal(u))
                 if v is not None:
                     value = int(rng.integers(1, k + 1))
                     state.clamp(v, value)
                     ref.clamp(v, value)
+
+    @pytest.mark.parametrize("n, k", [(1, 2), (1, 10), (4, 3), (6, 9)])
+    def test_unary_only_graphs_give_exact_marginals(self, n, k):
+        # no factor spans two variables, so the block is empty: one round
+        # gives each variable its exact marginal, the sum of its unary
+        # tables minus its logsumexp, and bp_sample draws the reference's
+        # atoms; -inf entries include a variable of zero mass at n = 6
+        rng = np.random.default_rng(100 * n + k)
+        tables = {v: [rng.normal(size=k) for _ in range(int(rng.integers(1, 4)))]
+                  for v in range(1, n + 1)}
+        for v_tables in tables.values():
+            for table in v_tables:
+                table[rng.random(k) < 0.3] = NEG_INF
+        if n == 6:
+            tables[6][0][:] = NEG_INF
+        g = _graph(n, k, [((v,), t) for v, v_tables in tables.items() for t in v_tables])
+        state = _LoopyBP(g)
+        state.round()
+        for v, v_tables in tables.items():
+            total = sum(v_tables, np.zeros(k))
+            lse = logsumexp(total)
+            assert_log_close(state.log_marginal(v), total - lse if lse > NEG_INF else total)
+        budget = 5 * n * 2 * g.num_factors
+        result = bp_sample(g, 2, budget, seed=k)
+        ref = reference_bp_sample(g, 2, budget, seed=k, bp=MessageAtATimeBP)
+        assert (result.atoms, result.weights, result.budget_spent,
+                result.zero_conditional_count) == (ref.atoms, ref.weights, ref.budget_spent,
+                                                   ref.zero_conditional_count)
+        assert result.zero_conditional_count == (5 if n == 6 else 0)
 
 
 def bp_step_conditionals(graph, num_message_rounds, prefix_values):
@@ -638,64 +671,3 @@ def _reference_bp_marginal(graph, rounds, clamped, target):
             belief = belief * msg_fv[(fi, target)]
     return belief / belief.sum()
 
-
-def _normalize(vec):
-    lse = logsumexp(vec)
-    return vec - lse if lse > NEG_INF else vec
-
-
-class _MessageAtATimeBP:
-    """Reference loopy BP: one dict entry and one logsumexp_rows/logsumexp
-    call per message, in the order of _LoopyBP's edges. A factor->variable
-    message is its logsumexp_rows output as it is, unnormalized; the
-    variable->factor messages and the marginals normalize their sums."""
-
-    def __init__(self, graph):
-        k = self.k = graph.num_states
-        self.scopes = [f.scope for f in graph.factors]
-        self.tensors = [f.table.reshape((k,) * len(f.scope)) for f in graph.factors]
-        self.var_factors = {v: [] for v in range(1, graph.num_variables + 1)}
-        for fi, scope in enumerate(self.scopes):
-            for v in scope:
-                self.var_factors[v].append(fi)
-        edges = [(fi, v) for fi, scope in enumerate(self.scopes) for v in scope]
-        self.msg_vf = {(v, fi): np.full(k, -math.log(k)) for fi, v in edges}
-        self.msg_fv = {(fi, v): np.full(k, -math.log(k)) for fi, v in edges}
-        self.clamped = set()
-
-    def stacked(self, messages):
-        return np.array(list(messages.values()))
-
-    def clamp(self, v, value):
-        self.clamped.add(v)
-        atom = np.full(self.k, NEG_INF)
-        atom[value - 1] = 0.0
-        for fi in self.var_factors[v]:
-            self.msg_vf[(v, fi)] = atom.copy()
-
-    def round(self):
-        new_fv = {}
-        for fi, scope in enumerate(self.scopes):
-            for axis, v in enumerate(scope):
-                arr = self.tensors[fi]
-                for ax2, u in enumerate(scope):
-                    if u != v:
-                        shape = [1] * len(scope)
-                        shape[ax2] = self.k
-                        arr = arr + self.msg_vf[(u, fi)].reshape(shape)
-                rows = np.moveaxis(arr, axis, 0).reshape(self.k, -1)
-                new_fv[(fi, v)] = logsumexp_rows(rows)
-        self.msg_fv = new_fv
-        for v, fi in self.msg_vf:
-            if v not in self.clamped:
-                total = np.zeros(self.k)
-                for gi in self.var_factors[v]:
-                    if gi != fi:
-                        total = total + self.msg_fv[(gi, v)]
-                self.msg_vf[(v, fi)] = _normalize(total)
-
-    def log_marginal(self, v):
-        total = np.zeros(self.k)
-        for fi in self.var_factors[v]:
-            total = total + self.msg_fv[(fi, v)]
-        return _normalize(total)

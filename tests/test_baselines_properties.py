@@ -12,13 +12,17 @@ variables whose only factor is unary, in both cost modes. Its schedule puts
 no two sites that share a factor in one wave, and each site's successive
 updates in increasing waves.
 
-Loopy BP leaves its factor->variable messages unnormalized; the
-variable->factor messages and the marginals normalize their own sums. A
-run of bp_sample equals one whose rounds normalize those messages too
-(conftest.NormalizedFvLoopyBP, substituted for _LoopyBP): the same atoms,
-weights, spend and zero-mass count. Under the golden message schedule
-every marginal agrees with that reference's to 1e-12 of max(1, |x|), with
-the same -inf entries.
+The tiled Gibbs schedule equals conftest.reference_gibbs_waves, the
+schedule computed update by update for every sweep, on graphs with shuffled
+orderings and variables whose only factor is unary.
+
+Loopy BP equals a message-at-a-time reference (conftest.MessageAtATimeBP)
+up to each message's scale and rounding: bp_sample gives the atoms,
+weights, spend and zero-mass count of reference_bp_sample over that
+reference, on graphs with -inf entries, up to 8 variables, K up to 10 and
+unary-only graphs included. Under the golden message schedule every
+marginal agrees with the reference's to 1e-12 of max(1, |x|), with the same
+-inf entries.
 """
 
 from __future__ import annotations
@@ -26,17 +30,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treesample import baselines
 from treesample.baselines import _gibbs_waves, _LoopyBP, bp_sample, gibbs, smc
 from treesample.exact import solve_exact
 from treesample.model import FACTOR_EVAL, REWARD_EVAL
 from treesample.prior import HeuristicPrior
 
-from conftest import NormalizedFvLoopyBP, make_random_graph, repeated_completion_gibbs
+from conftest import (MessageAtATimeBP, assert_log_close, make_random_graph, reference_bp_sample,
+                      reference_gibbs_waves, repeated_completion_gibbs)
 
 NUM_RUNS = 150
 
@@ -110,11 +113,30 @@ def test_wave_gibbs_equals_the_scan(p):
         assert all(a < b for a, b in zip(own, own[1:]))
 
 
+wave_graphs = st.fixed_dictionaries({
+    "graph_seed": st.integers(0, 2**32 - 1),
+    "n": st.integers(1, 10),
+    "extra_factors": st.integers(0, 8),
+    "max_scope": st.integers(2, 4),
+    "sweeps": st.integers(1, 12),
+})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(wave_graphs)
+def test_tiled_gibbs_waves_equal_the_full_schedule(p):
+    rng = np.random.default_rng(p["graph_seed"])
+    extra = p["extra_factors"] if p["n"] > 1 else 0  # extra factors span 2+ variables
+    graph = make_random_graph(rng, p["n"], 2, num_extra_factors=extra,
+                              max_scope=p["max_scope"], shuffle_ordering=True)
+    assert _gibbs_waves(graph, p["sweeps"]).tolist() == reference_gibbs_waves(graph, p["sweeps"])
+
+
 bp_runs = st.fixed_dictionaries({
     "graph_seed": st.integers(0, 2**32 - 1),
-    "n": st.integers(3, 8),
+    "n": st.integers(1, 8),
     "k": st.integers(2, 10),
-    "extra_factors": st.integers(1, 5),
+    "extra_factors": st.integers(0, 5),
     "neg_inf_frac": st.sampled_from([0.0, 0.3]),
     "rounds": st.integers(1, 10),
     "samples": st.integers(1, 6),
@@ -124,35 +146,35 @@ bp_runs = st.fixed_dictionaries({
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(bp_runs)
+@example({"graph_seed": 1, "n": 1, "k": 3, "extra_factors": 0, "neg_inf_frac": 0.3,
+          "rounds": 2, "samples": 4, "seed": 1})
+@example({"graph_seed": 2, "n": 5, "k": 10, "extra_factors": 0, "neg_inf_frac": 0.0,
+          "rounds": 3, "samples": 6, "seed": 2})
 def test_unnormalized_factor_messages_keep_atoms_and_marginals(p):
+    # the examples pin an N = 1 graph and a unary-only graph at K = 10
     rng = np.random.default_rng(p["graph_seed"])
     n, k, rounds = p["n"], p["k"], p["rounds"]
-    graph = make_random_graph(rng, n, k, num_extra_factors=p["extra_factors"],
+    extra = p["extra_factors"] if n > 1 else 0  # extra factors span 2+ variables
+    graph = make_random_graph(rng, n, k, num_extra_factors=extra,
                               max_scope=4 if k <= 3 else 3, neg_inf_frac=p["neg_inf_frac"],
                               shuffle_ordering=True)
     budget = p["samples"] * n * rounds * graph.num_factors
     result = bp_sample(graph, rounds, budget, seed=p["seed"])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(baselines, "_LoopyBP", NormalizedFvLoopyBP)
-        ref = bp_sample(graph, rounds, budget, seed=p["seed"])
+    ref = reference_bp_sample(graph, rounds, budget, seed=p["seed"], bp=MessageAtATimeBP)
     assert (result.atoms, result.weights, result.budget_spent,
             result.zero_conditional_count) == (ref.atoms, ref.weights, ref.budget_spent,
                                                ref.zero_conditional_count)
 
     # each state runs its own rounds up to its own exact fixed point; both
     # clamp the value the reference's marginal puts first
-    state, ref_state = _LoopyBP(graph), NormalizedFvLoopyBP(graph)
+    state, ref_state = _LoopyBP(graph), MessageAtATimeBP(graph)
     for v in range(1, n + 1):
         for s in (state, ref_state):
             for _ in range(rounds):
                 if s.round():
                     break
         for u in range(1, n + 1):
-            got, expected = state.log_marginal(u), ref_state.log_marginal(u)
-            finite = expected > -math.inf
-            assert np.array_equal(got > -math.inf, finite)
-            err = np.abs(got[finite] - expected[finite])
-            assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(expected[finite])))
+            assert_log_close(state.log_marginal(u), ref_state.log_marginal(u))
         value = int(np.argmax(ref_state.log_marginal(v))) + 1
         state.clamp(v, value)
         ref_state.clamp(v, value)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treesample import logmath
@@ -25,10 +25,8 @@ from treesample.logmath import (
     ZeroMassError,
     draw_softmax_rows,
     logsumexp,
-    logsumexp_cols,
     logsumexp_list,
     logsumexp_rows,
-    pairwise_sum,
     sample_softmax_rows,
     shifted_exp_terms,
 )
@@ -386,87 +384,6 @@ class TestLogsumexpList:
             values[i] = x
             assert _bits(logsumexp_list(values)) == _bits(x + 0.0)
         assert _bits(logsumexp_list([x] * k)) == _bits(x + math.log(k))
-
-
-def _summands(rng, rows, width):
-    """(rows, width) addends whose sum depends on the order of the adds:
-    both signs over twenty decades, entries of 0.0 and of -0.0, and a
-    tenth of the rows -0.0 throughout (numpy's sum of those is 0.0)."""
-    x = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-10, 10, size=(rows, width))
-    x[rng.random(x.shape) < 0.1] = 0.0
-    x[rng.random(x.shape) < 0.1] = -0.0
-    x[rng.random(rows) < 0.1] = -0.0
-    return x
-
-
-def _sums_like_numpy(width, rows, seed) -> bool:
-    """Whether pairwise_sum gives numpy's row sums of _summands, bit for
-    bit, row by row, as a (width, rows) array and as its strided transposed
-    view, leaving every argument as it was."""
-    x = _summands(np.random.default_rng(seed), rows, width)
-    expected = x.sum(axis=1)
-    cols = np.ascontiguousarray(x.T)
-    saved_x, saved_cols = x.copy(), cols.copy()
-    same = _same_bits([pairwise_sum(row) for row in x], expected)
-    for addends in (cols, x.T):
-        same = same and _same_bits(pairwise_sum(addends), expected)
-    assert _same_bits(x, saved_x) and _same_bits(cols, saved_cols)
-    return same
-
-
-class TestPairwiseSum:
-    """pairwise_sum follows numpy's float64 row sum bit for bit at widths 1
-    to 300: left to right below 8, eight accumulators up to 128, halves
-    above; on single rows and on width-major (width, rows) arrays."""
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(width=st.integers(1, 300), rows=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
-    def test_equals_numpy_row_sum_bitwise(self, width, rows, seed):
-        assert _sums_like_numpy(width, rows, seed)
-
-    def test_left_to_right_mutant_fails(self, monkeypatch):
-        # with the left-to-right loop at every width up to 128 (and in each
-        # half above), the property's inputs tell it from numpy's order
-        monkeypatch.setattr(logmath, "PAIRWISE_SUM_MIN", 10**9)
-        for width in (1, 7):
-            assert _sums_like_numpy(width, 20, width)
-        for width in (8, 9, 16, 129, 300):
-            assert not _sums_like_numpy(width, 20, width)
-
-
-class TestLogsumexpCols:
-    """logsumexp_cols of a (w, R) array equals logsumexp_rows of its
-    transpose bit for bit, and leaves its argument as it was: a contiguous
-    block, a transposed view, one row or one column.
-
-    The examples pin width 1, which logsumexp_cols returns as cols[0] + 0.0
-    without a reduction: at seed 1 with ties the 30 entries hold -0.0 (which
-    must come back 0.0), 0.0, finite values and -inf; without ties they are
-    finite of either sign; at neg_inf 1.0 every entry is -inf; the one-entry
-    block at seed 2 is a lone -0.0."""
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(width=st.integers(1, 300), rows=st.integers(1, 30),
-           neg_inf=st.sampled_from([0.0, 0.3, 0.9, 1.0]), ties=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    @example(width=1, rows=30, neg_inf=0.3, ties=True, seed=1)
-    @example(width=1, rows=30, neg_inf=0.0, ties=False, seed=1)
-    @example(width=1, rows=30, neg_inf=1.0, ties=False, seed=1)
-    @example(width=1, rows=1, neg_inf=0.0, ties=True, seed=2)
-    def test_equals_logsumexp_rows_bitwise(self, width, rows, neg_inf, ties, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(scale=5.0, size=(rows, width))
-        x[rng.random(x.shape) < neg_inf] = NEG_INF
-        if ties:
-            x = np.minimum(x, 0.0)
-            zeros = rng.random(x.shape) < 0.5
-            x[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
-        expected = logsumexp_rows(x)
-        cols = np.ascontiguousarray(x.T)
-        saved_x, saved_cols = x.copy(), cols.copy()
-        assert _same_bits(logsumexp_cols(cols), expected)
-        assert _same_bits(logsumexp_cols(x.T), expected)
-        assert _same_bits(x, saved_x) and _same_bits(cols, saved_cols)
 
 
 def _bits(x: float) -> bytes:
