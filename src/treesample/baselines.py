@@ -21,15 +21,16 @@ Each sampler is an array program over all of its particles or messages:
   reads, and the updates of one wave share no factor, so they run
   together: per term (site factor), one table index per (site, chain)
   from the factor's other scope positions, plus stride * (0..K-1) for the
-  site, and one gather from a flat table of every factor's entries gives
-  the wave's (terms, sites, chains, K) block. A site with fewer terms than
-  the wave's widest reads an appended 0.0 entry, and the terms add up into
-  0.0 in site-factor order, pads last, so each score is the scan's bit for
-  bit. Each site update reads exactly one uniform per chain: chain by
-  chain, the stream holds the chain's initial state and then one uniform
-  per site update, so the draws equal a chain-at-a-time loop that draws
-  each site from its own softmax. A wave charges what its site updates
-  would, one by one.
+  site, and one gather from the graph's _FactorBlock tables, plus one
+  appended 0.0 pad, gives the wave's (terms, sites, chains, K) block. The
+  terms come from the block's (factor, scope slot) pairs with a few array
+  calls. A site with fewer terms than the wave's widest reads the pad, and
+  the terms add up into 0.0 in site-factor order, pads last, so each score
+  is the scan's bit for bit. Each site update reads exactly one uniform per
+  chain: chain by chain, the stream holds the chain's initial state and
+  then one uniform per site update, so the draws equal a chain-at-a-time
+  loop that draws each site from its own softmax. A wave charges what its
+  site updates would, one by one.
 - Loopy BP stores the messages as (edges, K) arrays, one edge per (factor,
   scope position), in buffers allocated once. A unary factor's message is
   its table, whatever the other messages, so it is written once and rounds
@@ -248,9 +249,12 @@ def _gibbs_waves(graph: FactorGraph, num_sweeps: int) -> np.ndarray:
     adding a constant c to all of those adds c to every wave of the sweep
     (max and + commute with the shift). So once a sweep's waves are the
     previous sweep's plus one constant c, each later sweep is c more again,
-    and the rest of the schedule is tiled from that sweep. The sweep at
-    which this first happens depends on the graph, so every sweep is
-    checked.
+    and the rest of the schedule is tiled from that sweep. A connected
+    component's waves read only its own variables' waves, so the constant
+    may differ between components: the check is that every variable's
+    shift equals each neighbour's, one constant per connected component,
+    and each variable is tiled with its own. The sweep at which this first
+    happens depends on the graph, so every sweep is checked.
     """
     n = graph.num_variables
     near: list[set[int]] = [set() for _ in range(n + 1)]
@@ -264,9 +268,9 @@ def _gibbs_waves(graph: FactorGraph, num_sweeps: int) -> np.ndarray:
         for v in range(1, n + 1):
             last[v] = wave = 1 + max([last[v]] + [last[u] for u in near[v]])
             waves.append(wave)
-        shifts = {after - prev for after, prev in zip(last[1:], before)}
-        if len(shifts) == 1:
-            later = np.arange(1, num_sweeps - sweep + 1)[:, None] * shifts.pop() + last[1:]
+        shift = np.subtract(last[1:], before)
+        if all(shift[u - 1] == shift[v - 1] for v in range(1, n + 1) for u in near[v]):
+            later = np.arange(1, num_sweeps - sweep + 1)[:, None] * shift + last[1:]
             return np.concatenate([waves, later.ravel()])
     return np.array(waves)
 
@@ -292,44 +296,44 @@ def gibbs(
     and every value they read is the one the raw-index scan reads. Each
     update draws every chain's value from the update's own uniform, so the
     atoms, the zero-conditional count and the spend equal the scan's. A
-    wave scores all of its (site, chain) pairs with one gather from a flat
-    table of every factor's entries; a site with fewer factors than the
-    wave's widest reads one appended 0.0 entry for each missing term. Each
-    site's terms are added left to right into 0.0 in site-factor order, the
-    pads last, and adding 0.0 to a sum that starts at 0.0 changes no bit
-    (-inf included), so each score is the scan's. One _draw_or_uniform call
-    draws every row of the wave and one store writes the values back. A
-    wave charges the sum of its sites' charges for every chain.
+    wave scores all of its (site, chain) pairs with one gather from the
+    graph's _FactorBlock tables plus one appended 0.0 pad; a site with
+    fewer factors than the wave's widest reads the pad for each missing
+    term. Each site's terms are added left to right into 0.0 in
+    site-factor order, the pads last, and adding 0.0 to a sum that starts
+    at 0.0 changes no bit (-inf included), so each score is the scan's. One
+    _draw_or_uniform call draws every row of the wave and one store writes
+    the values back. A wave charges the sum of its sites' charges for every
+    chain.
     """
     if num_sweeps < 1:
         raise ValueError("num_sweeps must be at least 1")
     n, k = graph.num_variables, graph.num_states
-    # per site factor of v, in site-factor order: its table's start in the
-    # flat table, the (column, stride) of its other scope positions, and the
-    # stride of v's own position
-    terms: list[list] = [[] for _ in range(n)]
-    tables, pad = [], 0
-    for d in range(1, n + 1):
-        for cf in graph.factors_at_depth(d):
-            scope = list(zip(cf.factor.scope, cf.positions.tolist(), cf.strides.tolist()))
-            for v, pos, stride in scope:
-                terms[v - 1].append((pad, [(p - 1, s) for _, p, s in scope if p != pos], stride))
-            tables.append(cf.table)
-            pad += len(cf.table)
-    flat = np.concatenate(tables + [np.zeros(1)])  # flat[pad] is the 0.0 pad
-    # per site, its terms padded to the widest site's count with pad terms,
-    # whose columns and strides are 0 and whose K indices are all pad
-    width = max(len(site_terms) for site_terms in terms)
-    arity = max(len(others) for site_terms in terms for _, others, _ in site_terms)
-    cols = np.zeros((n, width, arity), dtype=np.int64)
-    strides = np.zeros((n, width, arity), dtype=np.int64)
-    offsets = np.full((n, width, k), pad, dtype=np.int64)
-    for v, site_terms in enumerate(terms):
-        for i, (first, others, stride) in enumerate(site_terms):
-            for j, (c, s) in enumerate(others):
-                cols[v, i, j], strides[v, i, j] = c, s
-            offsets[v, i] = first + stride * np.arange(k)
-    num_terms = np.array([len(site_terms) for site_terms in terms])
+    block = graph._block
+    # one term per (factor, scope slot) of the block, factor by factor (a
+    # pad slot's stride is 0, a real one's at least 1), then stably by the
+    # slot's site: each site's terms in block order, which is site-factor order
+    f, slot = np.nonzero(block.strides)
+    term_site = np.asarray(graph.ordering)[block.columns[f, slot]] - 1
+    by_site = np.argsort(term_site, kind="stable")
+    f, slot, term_site = f[by_site], slot[by_site], term_site[by_site]
+    num_terms = np.bincount(term_site, minlength=n)
+    rank = np.arange(len(f)) - (np.cumsum(num_terms) - num_terms)[term_site]
+    # a term reads its factor's row with its own slot's stride zeroed, from
+    # its table's 0-based start plus own stride * (0..K-1); per site, the
+    # terms are padded to the widest site's count with pad terms, whose
+    # columns and strides are 0 and whose K indices all read the 0.0 pad
+    own = block.strides[f, slot]
+    others = block.strides[f]
+    others[np.arange(len(f)), slot] = 0
+    flat = np.append(block.tables, 0.0)
+    width = int(num_terms.max())
+    cols = np.zeros((n, width, block.columns.shape[1]), dtype=np.int64)
+    strides = np.zeros_like(cols)
+    offsets = np.full((n, width, k), len(block.tables), dtype=np.int64)
+    cols[term_site, rank], strides[term_site, rank] = block.columns[f], others
+    start = block.base[f] + block.strides[f].sum(axis=1)
+    offsets[term_site, rank] = start[:, None] + own[:, None] * np.arange(k)
     site_costs = k * (np.ones(n, dtype=np.int64) if cost_mode == REWARD_EVAL else num_terms)
     ledger = BudgetLedger(budget=budget, cost_mode=cost_mode)
     num = ledger.count(num_sweeps * int(site_costs.sum()), "one sample")

@@ -48,8 +48,8 @@ class _CompiledFactor:
 
     value_at reads Python ints and a list copy of the table: it is called once
     per factor of every reward, where a numpy scalar costs more than the
-    arithmetic. The exact oracle and Gibbs read the numpy forms, and the
-    batch methods of FactorGraph gather through its _FactorBlock.
+    arithmetic. Only the exact oracle reads the numpy forms; the batch
+    methods of FactorGraph and Gibbs gather through its _FactorBlock.
     """
 
     __slots__ = ("factor", "depth", "positions", "strides", "table", "_terms", "_entries")
@@ -81,6 +81,11 @@ class _FactorBlock:
     entry at a row x is tables[base[f] + sum_j x[columns[f, j]] * strides[f, j]].
     starts[d] is the first factor of depth d; depth d's factors are
     starts[d] to starts[d + 1] - 1.
+
+    A scope slot's stride is a power of K, so at least 1, and a pad slot's
+    is 0: the nonzero strides list every (factor, scope variable) pair.
+    reward_batch and log_unnormalized_density_batch read the block through
+    sums; baselines.gibbs builds its per-site terms from those pairs.
     """
 
     __slots__ = ("tables", "base", "columns", "strides", "starts")

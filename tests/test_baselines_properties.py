@@ -7,14 +7,15 @@ factors and a shuffled depth ordering.
 
 Gibbs run in dependency waves equals the raw-index scan of
 conftest.repeated_completion_gibbs: the same atoms, weights, spend and
-zero-conditional count, on graphs with -inf entries, shuffled orderings and
-variables whose only factor is unary, in both cost modes. Its schedule puts
-no two sites that share a factor in one wave, and each site's successive
-updates in increasing waves.
+zero-conditional count, on graphs with -inf entries, shuffled orderings,
+factor scopes of up to 4 variables and variables whose only factor is
+unary, in both cost modes. Its schedule puts no two sites that share a
+factor in one wave, and each site's successive updates in increasing waves.
 
 The tiled Gibbs schedule equals conftest.reference_gibbs_waves, the
 schedule computed update by update for every sweep, on graphs with shuffled
-orderings and variables whose only factor is unary.
+orderings, variables whose only factor is unary and several connected
+components.
 
 Loopy BP equals a message-at-a-time reference (conftest.MessageAtATimeBP)
 up to each message's scale and rounding: bp_sample gives the atoms,
@@ -76,6 +77,7 @@ gibbs_runs = st.fixed_dictionaries({
     "n": st.integers(1, 6),
     "k": st.integers(2, 4),
     "extra_factors": st.integers(0, 4),
+    "max_scope": st.integers(2, 4),
     "neg_inf_frac": st.sampled_from([0.0, 0.3, 0.6]),
     "shuffle": st.booleans(),
     "cost_mode": st.sampled_from([REWARD_EVAL, FACTOR_EVAL]),
@@ -91,7 +93,7 @@ def test_wave_gibbs_equals_the_scan(p):
     rng = np.random.default_rng(p["graph_seed"])
     n, sweeps = p["n"], p["sweeps"]
     extra = p["extra_factors"] if n > 1 else 0  # extra factors span 2+ variables
-    graph = make_random_graph(rng, n, p["k"], num_extra_factors=extra,
+    graph = make_random_graph(rng, n, p["k"], num_extra_factors=extra, max_scope=p["max_scope"],
                               neg_inf_frac=p["neg_inf_frac"], shuffle_ordering=p["shuffle"])
     # enough for the chains in either cost mode; reward_eval buys more
     budget = p["chains"] * sweeps * p["k"] * sum(len(f.scope) for f in graph.factors)
