@@ -2,8 +2,9 @@
 method against an instance, sweep a benchmark grid to CSV, and train the
 MLP value prior.
 
-Each RunConfig and TrainConfig field is also a flag, made by _add_field_flags.
-The --config of run and bench sets the same fields, and a flag wins.
+Flags are the one way to set a RunConfig or a TrainConfig: each field is a
+flag, made by _add_field_flags, and a field without a default is a required
+flag, so run needs --method and --budget.
 
 Exit codes: 0 success, 2 bad input or data, 1 a bug. Bad input (a usage error
 such as an unknown flag or a flag without its value, config or parameters, a
@@ -24,7 +25,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -60,20 +61,14 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.budget < 0:
-            raise ValueError("budget must be non-negative")
+        for name in ("budget", "run_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         check_resample_threshold(self.resample_threshold)
         for name in ("metric_samples", "num_gibbs_sweeps", "num_message_rounds", "oracle_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         check_search_params(self.c, self.epsilon)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        try:
-            return cls(**data)
-        except TypeError as exc:  # an unknown, missing or mistyped field
-            raise ValueError(f"bad config: {exc}") from None
 
 
 def _checkpoint_for(path, graph: FactorGraph):
@@ -181,30 +176,21 @@ def _given_fields(cls, args) -> dict:
 
 
 def _add_field_flags(parser, cls, skip=()) -> None:
-    """An optional --<name with dashes> per field of dataclass cls outside skip,
-    of the annotation's type, with the metadata's choices and help. An omitted
-    flag is None, so _given_fields leaves the field to the dataclass."""
+    """A --<name with dashes> per field of dataclass cls outside skip, of the
+    annotation's type, with the metadata's choices and help. A field without
+    a default is a required flag; an omitted optional flag is None, so
+    _given_fields leaves the field to the dataclass."""
     types = {"int": int, "float": float, "str": str}
     for f in fields(cls):
         if f.name not in skip:
             parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                                type=types[f.type], **f.metadata)
-
-
-def _run_config_fields(args) -> dict:
-    """The RunConfig fields of the --config file, overridden by the flags given."""
-    data = {}
-    if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"--config {args.config} must hold a JSON object")
-    return {**data, **_given_fields(RunConfig, args)}
+                                type=types[f.type], required=f.default is MISSING,
+                                **f.metadata)
 
 
 def cmd_run(args) -> int:
     graph = load_graph(args.instance)
-    config = RunConfig.from_dict(_run_config_fields(args))
+    config = RunConfig(**_given_fields(RunConfig, args))
     if args.dump_tree and config.method != "treesample":
         raise ValueError(f"--dump-tree needs method treesample; {config.method} builds no tree")
     if args.atoms_out and config.method == "treesample":
@@ -264,7 +250,7 @@ def cmd_bench(args) -> int:
         for i, entry in enumerate(entries):
             if entry in entries[:i]:
                 raise ValueError(f"{flag} lists {entry} more than once")
-    base_config = _run_config_fields(args)
+    given = _given_fields(RunConfig, args)
     params = json.loads(args.params) if args.params else {}
     # input errors of the whole grid exit 2 here, before any cell runs
     spec = GeneratorSpec(family=args.family, n=args.n, k=args.k, seed=args.instance_seed,
@@ -272,7 +258,7 @@ def cmd_bench(args) -> int:
     tasks = []
     for method in methods:
         for budget in budgets:
-            config = RunConfig.from_dict(dict(base_config, method=method, budget=budget))
+            config = RunConfig(**given, method=method, budget=budget)
             tasks += [(replace(spec, seed=spec.seed + i),
                        replace(config, run_seed=args.run_seed + i))
                       for i in range(args.num_instances)]
@@ -378,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one inference method on an instance")
     p.add_argument("instance")
     _add_field_flags(p, RunConfig)
-    p.add_argument("--config", help="JSON file of RunConfig fields")
     p.add_argument("--dump-tree", dest="dump_tree")
     p.add_argument("--atoms-out", dest="atoms_out")
     p.add_argument("--no-telemetry", action="store_true")
@@ -395,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-seed", dest="run_seed", type=int, default=0)
     _add_field_flags(p, RunConfig, skip=("method", "budget", "run_seed"))
     p.add_argument("--params", help="JSON dict of family-specific parameters")
-    p.add_argument("--config", help="JSON file of shared RunConfig fields")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True)
     p.add_argument("--summary-out", dest="summary_out")

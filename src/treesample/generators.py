@@ -39,6 +39,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown family {self.family!r}; choose from {sorted(FAMILIES)}")
         if self.n < 1 or self.k < 2:
             raise ValueError("a graph needs n >= 1 variables of k >= 2 states")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         signature = inspect.signature(FAMILIES[self.family])
         try:
             signature.bind(self.n, self.k, self.seed, **self.params)

@@ -26,8 +26,9 @@ _KINDS = {"int": int, "float": (int, float), "str": str}
 
 
 def check_type(name: str, value, type_name: str) -> None:
-    """Raise TypeError unless value is of the named type; an int will do for a float."""
-    if not isinstance(value, _KINDS[type_name]):
+    """Raise TypeError unless value is of the named type; an int will do for
+    a float, and a bool, though Python counts it an int, for neither."""
+    if isinstance(value, bool) or not isinstance(value, _KINDS[type_name]):
         raise TypeError(f"{name} must be of type {type_name}")
 
 

@@ -120,8 +120,6 @@ def encode_batch(graph: FactorGraph, prefixes) -> np.ndarray:
 
 def _flat_size(input_dim: int, output_dim: int, hidden_units: int, num_hidden_layers: int) -> int:
     """Length of MLPValueFunction.flat in closed form, to size untrusted headers."""
-    if num_hidden_layers == 0:  # one linear layer
-        return (input_dim + 1) * output_dim
     h = hidden_units
     return (input_dim + 1) * h + (num_hidden_layers - 1) * (h + 1) * h + (h + 1) * output_dim
 
@@ -157,6 +155,8 @@ class MLPValueFunction:
         num_hidden_layers: int = 4,
         seed: int = 0,
     ):
+        if hidden_units < 1 or num_hidden_layers < 1:
+            raise ValueError("an MLP needs hidden_units >= 1 and num_hidden_layers >= 1")
         self.input_dim = input_dim
         self.output_dim = output_dim
         self.hidden_units = hidden_units
@@ -376,6 +376,8 @@ class TrainConfig:
                      "batch_size", "learning_rate", "metric_samples"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails this too
                 raise ValueError(f"{name} must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         check_search_params(self.c, self.epsilon)
         check_resample_threshold(self.resample_threshold)
 
@@ -521,7 +523,7 @@ def load_checkpoint(path):
             d_in, d_out, h, layers, adam_step, episode = sizes = [header[key] for key in keys]
         except (KeyError, TypeError, ValueError) as exc:  # a missing entry or a bad config
             raise ValueError(f"malformed checkpoint header in {path}: {exc!r}") from None
-        if not all(isinstance(v, int) and v >= 0 for v in sizes) or 0 in sizes[:4]:
+        if not all(type(v) is int and v >= 0 for v in sizes) or 0 in sizes[:4]:
             raise ValueError(f"checkpoint {keys} must be integers, the first four positive")
         # the MLP's weights and biases, counted before anything is allocated
         count = _flat_size(d_in, d_out, h, layers)

@@ -9,7 +9,6 @@ out serially and from two worker processes.
 from __future__ import annotations
 
 import hashlib
-import json
 
 import pytest
 
@@ -21,12 +20,11 @@ SUMMARY_SHA256 = "ac7efd48dfb829974d77c168cd02f90aa6ae3b4218706c784c327a4a42f341
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_bench_grid_matches_golden(tmp_path, capsys, jobs):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"num_gibbs_sweeps": 2, "num_message_rounds": 2}))
     out, summary = tmp_path / "b.csv", tmp_path / "s.csv"
     code = main(["bench", "--family", "fg1", "--n", "6", "--methods",
                  "treesample,sis,smc,gibbs,bp", "--budgets", "50,200", "--num-instances", "2",
-                 "--metric-samples", "200", "--config", str(config), "--jobs", jobs,
+                 "--metric-samples", "200", "--num-gibbs-sweeps", "2",
+                 "--num-message-rounds", "2", "--jobs", jobs,
                  "--out", str(out), "--summary-out", str(summary)])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_SHA256

@@ -64,19 +64,22 @@ def _main_json(argv, quiet_success=False):
 
 class TestRunConfig:
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError):
-            RunConfig.from_dict({"method": "sis", "budget": 10, "bogus": 1})
+        with pytest.raises(TypeError, match="bogus"):
+            RunConfig(method="sis", budget=10, bogus=1)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig.from_dict({"method": "nope", "budget": 10})
-        with pytest.raises(ValueError):
-            RunConfig.from_dict({"method": "sis", "budget": -1})
-        for key, value in (("metric_samples", 0), ("num_gibbs_sweeps", 0),
-                           ("num_message_rounds", 0), ("oracle_cap", 0), ("c", -1.0),
-                           ("c", float("nan")), ("epsilon", -0.1), ("epsilon", float("inf"))):
+        with pytest.raises(ValueError, match="method"):
+            RunConfig(method="nope", budget=10)
+        for key, value in (("budget", -1), ("run_seed", -1), ("metric_samples", 0),
+                           ("num_gibbs_sweeps", 0), ("num_message_rounds", 0), ("oracle_cap", 0),
+                           ("c", -1.0), ("c", float("nan")), ("epsilon", -0.1),
+                           ("epsilon", float("inf"))):
             with pytest.raises(ValueError, match=key):
-                RunConfig.from_dict({"method": "sis", "budget": 10, key: value})
+                RunConfig(**{"method": "sis", "budget": 10, key: value})
+        # a bool is an int to Python, but no number here
+        for key in ("budget", "run_seed", "c"):
+            with pytest.raises(TypeError, match=key):
+                RunConfig(**{"method": "sis", "budget": 10, key: True})
 
 
 class TestGenerate:
@@ -242,13 +245,6 @@ class TestRun:
         assert code == 2
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
-    def test_config_file_with_unknown_key(self, tmp_path, capsys):
-        instance = _uniform_instance(tmp_path)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"method": "sis", "budget": 50, "mystery": True}))
-        code = main(["run", str(instance), "--config", str(cfg)])
-        assert code == 2
-
 
 class TestBench:
     def test_grid_shape_and_determinism(self, tmp_path, capsys):
@@ -265,24 +261,6 @@ class TestBench:
         assert out1.read_bytes() == out2.read_bytes()
         srows = summary.read_text().strip().splitlines()
         assert len(srows) == 3  # header + one summary row per (method, budget)
-
-    def test_metric_samples_flag_overrides_config_file(self, tmp_path, capsys, monkeypatch):
-        scored = []
-        evaluate_run = cli.evaluate_run
-
-        def recording_evaluate_run(graph, config, **kwargs):
-            scored.append(config.metric_samples)
-            return evaluate_run(graph, config, **kwargs)
-
-        monkeypatch.setattr(cli, "evaluate_run", recording_evaluate_run)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"metric_samples": 50}))
-        base = ["bench", "--family", "chains", "--n", "5", "--k", "2", "--methods", "treesample",
-                "--budgets", "20", "--num-instances", "1", "--config", str(config),
-                "--summary-out", str(tmp_path / "s.csv")]
-        assert main(base + ["--metric-samples", "100", "--out", str(tmp_path / "a.csv")]) == 0
-        assert main(base + ["--out", str(tmp_path / "b.csv")]) == 0
-        assert scored == [100, 50]
 
     def test_parallel_jobs_match_serial(self, tmp_path, capsys):
         base = ["bench", "--family", "chains", "--n", "5", "--k", "2",
@@ -352,12 +330,10 @@ class TestBench:
     def test_summary_keeps_runs_with_infinite_kl(self, tmp_path, capsys):
         # a tiny alpha puts exact zeros in the tables; one Gibbs sweep then
         # leaves some chains on zero-mass configurations, whose KL is +inf
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"num_gibbs_sweeps": 1}))
         out, summary = tmp_path / "b.csv", tmp_path / "s.csv"
         code = main(["bench", "--family", "permuted_chains", "--n", "6", "--k", "3",
                      "--params", json.dumps({"alpha": 0.005}), "--methods", "gibbs",
-                     "--budgets", "400", "--num-instances", "12", "--config", str(config),
+                     "--budgets", "400", "--num-instances", "12", "--num-gibbs-sweeps", "1",
                      "--out", str(out), "--summary-out", str(summary)])
         assert code == 0
         with open(out) as fh:
@@ -374,7 +350,7 @@ class TestBench:
 # command -> (its config class, the fields it takes by other flags, the
 # arguments it requires)
 _FIELD_FLAG_COMMANDS = {
-    "run": (RunConfig, (), ["g.json"]),
+    "run": (RunConfig, (), ["g.json", "--method", "sis", "--budget", "10"]),
     "bench": (RunConfig, ("method", "budget", "run_seed"),
               ["--family", "fg1", "--n", "3", "--methods", "sis", "--budgets", "10",
                "--num-instances", "1", "--out", "b.csv"]),
@@ -398,7 +374,7 @@ class TestFieldFlags:
             assert given == value and type(given) is type(value)
 
     @pytest.mark.parametrize("argv, message", [
-        ("run {instance} --meth sis --budget 10", "unrecognized arguments: --meth sis"),
+        ("run {instance} --meth sis --budget 10", "required: --method"),
         ("run {instance} --method sis --budget 10 --metric 20",
          "unrecognized arguments: --metric 20"),
         ("bench --family chains --n 3 --method sis --budget 30 --num-inst 1 --metric 20 "
@@ -428,6 +404,7 @@ class TestFieldFlags:
         text = " ".join(capsys.readouterr().out.split())
         for entry in expected:
             assert entry in text
+        assert "--config" not in text  # flags are the one way to set a run
 
 
 class TestTrain:
@@ -564,13 +541,9 @@ class TestErrorContract:
     @pytest.fixture
     def files(self, tmp_path):
         instance = _uniform_instance(tmp_path)
-        (tmp_path / "bad.json").write_text("{bad")
         (tmp_path / "nofactors.json").write_text(json.dumps({"n": 1, "k": 2, "ordering": [1]}))
-        (tmp_path / "badkey.json").write_text(json.dumps({"method": "sis", "budget": 10, "x": 1}))
         (tmp_path / "bare.ckpt").write_bytes(json.dumps({"format": CHECKPOINT_FORMAT}).encode()
                                               + b"\n")
-        (tmp_path / "list.json").write_text("[1]")
-        (tmp_path / "badcost.json").write_text(json.dumps({"cost_mode": "bogus"}))
         mlp = MLPValueFunction(3 * 3, 2, hidden_units=4, num_hidden_layers=1)  # the instance's
         save_checkpoint(tmp_path / "float.ckpt", mlp, Adam(mlp.parameters()), 0, TrainConfig())
         header, blocks = (tmp_path / "float.ckpt").read_bytes().split(b"\n", 1)
@@ -578,14 +551,18 @@ class TestErrorContract:
         (tmp_path / "float.ckpt").write_bytes(json.dumps(header).encode() + b"\n" + blocks)
         header = dict(header, hidden_units=4, num_hidden_layers=10**12)
         (tmp_path / "huge.ckpt").write_bytes(json.dumps(header).encode() + b"\n" + blocks)
+        # hidden_units true: Python counts it as 1, which fits these blocks
+        mlp = MLPValueFunction(3 * 3, 2, hidden_units=1, num_hidden_layers=1)
+        save_checkpoint(tmp_path / "bool.ckpt", mlp, Adam(mlp.parameters()), 0, TrainConfig())
+        header, blocks = (tmp_path / "bool.ckpt").read_bytes().split(b"\n", 1)
+        header = dict(json.loads(header), hidden_units=True)
+        (tmp_path / "bool.ckpt").write_bytes(json.dumps(header).encode() + b"\n" + blocks)
         mlp = MLPValueFunction(5 * 3, 2, hidden_units=4, num_hidden_layers=1)  # an n5 k2 graph's
         save_checkpoint(tmp_path / "n5.ckpt", mlp, Adam(mlp.parameters()), 0, TrainConfig())
         return tmp_path, str(instance)
 
     @pytest.mark.parametrize("probe", [
         "run {instance} --budget 10",
-        "run {instance} --config {d}/badkey.json",
-        "run {instance} --method sis --budget 10 --config {d}/bad.json",
         "run {d}/missing.json --method sis --budget 10",
         "run {d}/nofactors.json --method sis --budget 10",
         "run {instance} --method treesample --budget 10 --c -1",
@@ -607,9 +584,8 @@ class TestErrorContract:
         "run {instance} --method sis --budget 10 --prior {d}/n5.ckpt",
         "train {instance} --episodes 2 --resume {d}/n5.ckpt --checkpoint-out {d}/t.ckpt "
         "--metrics-out {d}/t.csv",
-        "run {instance} --method sis --budget 10 --config {d}/badcost.json",
+        "run {instance} --method sis --budget 10 --cost-mode bogus",
         "run {instance} --method smc --budget 10 --resample-threshold 1.5",
-        "run {instance} --method sis --budget 10 --config {d}/list.json",
         "train {instance} --episodes 0 --checkpoint-out {d}/t.ckpt --metrics-out {d}/t.csv",
         "train {instance} --episodes 1 --batch-size 0 --checkpoint-out {d}/t.ckpt "
         "--metrics-out {d}/t.csv",
@@ -617,15 +593,18 @@ class TestErrorContract:
         "run {instance} --method sis --budget 10 --prior {d}/huge.ckpt",
         "train {instance} --episodes 2 --resume {d}/huge.ckpt --checkpoint-out {d}/t.ckpt "
         "--metrics-out {d}/t.csv",
-    ], ids=["no-method", "unknown-config-key", "malformed-config-json", "missing-instance",
+        "generate --family chains --n 3 --seed 0 --out {d}/g.json "
+        "--params {{\"coupling\":true}}",
+        "run {instance} --method treesample --budget 10 --prior {d}/bool.ckpt",
+    ], ids=["no-method", "missing-instance",
             "instance-without-factors", "negative-c", "unknown-generator-param",
             "checkpoint-header-without-keys", "generate-out-is-a-directory", "bench-jobs-0",
             "bench-num-instances-0", "mistyped-generator-param",
             "generator-param-divides-by-zero", "generator-param-overflows", "diverging-training",
             "run-prior-of-another-graph-size", "resume-of-another-graph-size",
-            "config-unknown-cost-mode", "resample-threshold-above-1", "config-json-non-object",
-            "train-zero-episodes", "train-zero-batch-size", "checkpoint-float-size",
-            "run-prior-of-a-huge-header", "resume-of-a-huge-header"])
+            "config-unknown-cost-mode", "resample-threshold-above-1", "train-zero-episodes",
+            "train-zero-batch-size", "checkpoint-float-size", "run-prior-of-a-huge-header",
+            "resume-of-a-huge-header", "bool-generator-param", "checkpoint-bool-size"])
     def test_input_error_exits_2_with_one_json_object(self, files, probe):
         d, instance = files
         code, error = _main_json(probe.format(d=d, instance=instance).split())
@@ -640,16 +619,43 @@ class TestErrorContract:
          "GP kernel not positive definite even after jitter escalation"),
         ("run {d}/n0.json --method sis --budget 10", "num_variables must be positive"),
         ("run {d}/k1.json --method sis --budget 10", "num_states must be at least 2"),
+        ("generate --family chains --n 3 --seed -1 --out {d}/g.json",
+         "seed must be non-negative"),
+        ("run {d}/uniform.json --method treesample --budget 10 --run-seed -1",
+         "run_seed must be non-negative"),
+        ("run {d}/uniform.json --method smc --budget 10 --run-seed -1",
+         "run_seed must be non-negative"),
+        ("run {d}/uniform.json --method gibbs --budget 10 --run-seed -1",
+         "run_seed must be non-negative"),
+        ("bench --family chains --n 3 --methods sis --budgets 10 --num-instances 1 "
+         "--run-seed -1 --out {d}/b.csv", "run_seed must be non-negative"),
+        ("bench --family chains --n 3 --methods sis --budgets 10 --num-instances 1 "
+         "--instance-seed -1 --out {d}/b.csv", "seed must be non-negative"),
+        ("train {d}/uniform.json --episodes 1 --seed -1 --checkpoint-out {d}/t.ckpt "
+         "--metrics-out {d}/t.csv", "seed must be non-negative"),
+        ("run {d}/uniform.json --method sis --budget 10 --config {d}/cfg.json",
+         "treesample: unrecognized arguments: --config {d}/cfg.json"),
+        ("bench --family chains --n 3 --methods sis --budgets 10 --num-instances 1 "
+         "--config {d}/cfg.json --out {d}/b.csv",
+         "treesample: unrecognized arguments: --config {d}/cfg.json"),
     ], ids=["generate-n-0", "generate-kernel-not-positive-definite", "run-instance-n-0",
-            "run-instance-k-1"])
+            "run-instance-k-1", "generate-negative-seed",
+            "run-treesample-negative-run-seed", "run-smc-negative-run-seed",
+            "run-gibbs-negative-run-seed", "bench-negative-run-seed",
+            "bench-negative-instance-seed", "train-negative-seed", "run-config-file",
+            "bench-config-file"])
     def test_input_check_exits_2_with_its_message(self, tmp_path, probe, message):
         (tmp_path / "n0.json").write_text(json.dumps(
             {"n": 0, "k": 2, "ordering": [], "factors": []}))
         (tmp_path / "k1.json").write_text(json.dumps(
             {"n": 1, "k": 1, "ordering": [1], "factors": [{"scope": [1], "log_table": [0.0]}]}))
+        _uniform_instance(tmp_path)
+        # a valid file of RunConfig fields: run and bench take no --config
+        (tmp_path / "cfg.json").write_text(json.dumps({"method": "sis", "budget": 10}))
         code, error = _main_json(probe.format(d=tmp_path).split())
         assert code == 2
-        assert error["message"] == message
+        assert error["message"] == message.format(d=tmp_path)
+        assert not (tmp_path / "g.json").exists() and not (tmp_path / "b.csv").exists()
 
     @pytest.mark.parametrize("exc", [KeyError("k"), TypeError("t")])
     def test_program_key_or_type_error_exits_1(self, tmp_path, capsys, monkeypatch, exc):
@@ -729,19 +735,23 @@ def test_run_fuzz_exits_0_or_2_with_one_json_object(tmp_path_factory, n, k, grap
     if config.get("prior") in ("mlp", "mlp-other-graph", "missing.ckpt"):
         config["prior"] = str(d / config["prior"])
     budget = config.get("budget")
+    # every field goes as a flag; a bad flag value is a usage error,
+    # reported as one JSON object
     argv = ["run", str(d / "g.json"), "--no-telemetry"]
-    # each field goes as a flag or into the --config file; a bad flag value
-    # is a usage error, reported as one JSON object
-    flags = [name for name in config if data.draw(st.booleans(), label=f"--{name}")]
-    for name in flags:
-        argv.append(f"--{name.replace('_', '-')}={config.pop(name)}")
-    (d / "config.json").write_text(json.dumps(config))
-    code, out = _main_json(argv + ["--config", str(d / "config.json")])
+    argv += [f"--{name.replace('_', '-')}={value}" for name, value in config.items()]
+    code, out = _main_json(argv)
+    flag = f"--{faulty.replace('_', '-')}"
     # every text is a str, so a --prior flag cannot be mistyped: it names a path
-    if fault == "mistyped" and not (faulty == "prior" and faulty in flags):
-        usage = f"treesample run: argument --{faulty.replace('_', '-')}: invalid"
+    if fault == "mistyped" and faulty != "prior":
         assert code == 2
-        assert out["message"].startswith(usage if faulty in flags else "bad config")
+        assert out["message"].startswith(f"treesample run: argument {flag}: invalid")
+    if fault == "missing" and faulty in ("method", "budget"):
+        assert code == 2
+        assert out["message"].endswith(f"required: {flag}")
+    # a checkpoint is read only by the methods that take a prior; any other
+    # value out of range fails up front
+    if fault == "out of range" and faulty != "prior":
+        assert code == 2
     if code == 0:
         assert out["budget_spent"] <= budget
 

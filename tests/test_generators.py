@@ -257,3 +257,10 @@ class TestGeneratorSpec:
         g = generate(spec)
         pair = next(f for f in g.factors if len(f.scope) == 2)
         assert pair.table.max() == pytest.approx(1.0)
+
+    def test_bool_param_rejected(self):
+        # Python counts True as the int 1, which would build coupling 1
+        with pytest.raises(ValueError, match="coupling must be of type float"):
+            GeneratorSpec(family="chains", n=4, k=3, seed=1, params={"coupling": True})
+        with pytest.raises(ValueError, match="max_clique must be of type int"):
+            GeneratorSpec(family="fg1", n=4, k=2, seed=1, params={"max_clique": False})

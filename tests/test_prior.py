@@ -256,6 +256,12 @@ class TestMlp:
         with pytest.raises(ValueError, match="NaN"):
             mlp.evaluate(g, (1,))
 
+    @pytest.mark.parametrize("hidden_units, num_hidden_layers", [(0, 1), (1, 0), (-1, 2)])
+    def test_sizes_below_one_rejected(self, hidden_units, num_hidden_layers):
+        # load_checkpoint's rule: every saved network loads again
+        with pytest.raises(ValueError, match="hidden_units >= 1 and num_hidden_layers >= 1"):
+            MLPValueFunction(3, 2, hidden_units=hidden_units, num_hidden_layers=num_hidden_layers)
+
     def test_from_flat_of_the_wrong_length_rejected(self):
         size = MLPValueFunction(2, 2, hidden_units=4, num_hidden_layers=1).flat.size
         for wrong in (size + 1, size - 1):
@@ -356,6 +362,11 @@ class TestTrainConfig:
             with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
                 TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["episodes", "seed", "learning_rate"])
+    def test_bool_is_no_number(self, name):
+        with pytest.raises(TypeError, match=f"{name} must be of type"):
+            TrainConfig(**{name: True})
+
 
 class TestCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):
@@ -385,6 +396,14 @@ class TestCheckpoint:
         assert np.array_equal(mlp.flat, mlp2.flat)
         for a, b in zip(adam.m + adam.v, adam2.m + adam2.v):
             assert np.array_equal(a, b)
+
+    def test_smallest_network_round_trip(self, tmp_path):
+        mlp = MLPValueFunction(3, 2, hidden_units=1, num_hidden_layers=1, seed=4)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, mlp, Adam(mlp.parameters()), episode=0, config=TrainConfig())
+        mlp2 = load_checkpoint(path)[0]
+        assert (mlp2.hidden_units, mlp2.num_hidden_layers, mlp2.flat.size) == (1, 1, 4 + 2 * 2)
+        assert np.array_equal(mlp2.flat, mlp.flat)
 
     def test_load_builds_the_network_from_the_blocks(self, tmp_path, monkeypatch):
         # no random initial weights are drawn, and the network computes
@@ -435,7 +454,8 @@ class TestCheckpoint:
                 load_checkpoint(path)
 
     @pytest.mark.parametrize("key, value", [("input_dim", 1.5), ("hidden_units", "8"),
-                                            ("episode", -1), ("output_dim", 0)])
+                                            ("episode", -1), ("output_dim", 0),
+                                            ("hidden_units", True), ("adam_step", False)])
     def test_rejects_non_integer_or_bad_sizes(self, tmp_path, key, value):
         mlp = MLPValueFunction(6, 2, hidden_units=8, num_hidden_layers=2, seed=5)
         path = tmp_path / "model.ckpt"
