@@ -2,9 +2,10 @@
 method against an instance, sweep a benchmark grid to CSV, and train the
 MLP value prior.
 
-Flags are the one way to set a RunConfig or a TrainConfig: each field is a
-flag, made by _add_field_flags, and a field without a default is a required
-flag, so run needs --method and --budget.
+Flags are the one way to set a RunConfig, a TrainConfig or a GeneratorSpec:
+each field is a flag, made by _add_field_flags, and a field without a default
+is a required flag, so run needs --method and --budget and generate needs
+--family, --n and --seed.
 
 Exit codes: 0 success, 2 bad input or data, 1 a bug. Bad input (a usage error
 such as an unknown flag or a flag without its value, config or parameters, a
@@ -31,12 +32,12 @@ import numpy as np
 
 from .baselines import bp_sample, check_resample_threshold, gibbs, sis, smc
 from .exact import is_chain, solve_chain, solve_exact
-from .generators import FAMILIES, GeneratorSpec, generate
+from .generators import GeneratorSpec, generate
 from .logmath import NEG_INF, ZeroMassError
 from .metrics import evaluate_method
-from .model import COST_MODES, FactorGraph, load_graph, save_graph
-from .prior import (Adam, HeuristicPrior, MLPValueFunction, TrainConfig, check_fields,
-                    config_field, load_checkpoint, save_checkpoint, train_loop)
+from .model import COST_MODES, FactorGraph, check_fields, config_field, load_graph, save_graph
+from .prior import (Adam, HeuristicPrior, MLPValueFunction, TrainConfig, load_checkpoint,
+                    save_checkpoint, train_loop)
 from .search import build_tree, check_search_params
 
 METHODS = ("treesample", "sis", "smc", "gibbs", "bp")
@@ -160,9 +161,7 @@ def evaluate_run(graph: FactorGraph, config: RunConfig, dump_tree_path=None):
 
 
 def cmd_generate(args) -> int:
-    params = json.loads(args.params) if args.params else {}
-    spec = GeneratorSpec(family=args.family, n=args.n, k=args.k, seed=args.seed, params=params)
-    graph = generate(spec)
+    graph = generate(GeneratorSpec(**_given_fields(GeneratorSpec, args)))
     save_graph(graph, args.out)
     print(json.dumps({"out": args.out, "n": graph.num_variables, "k": graph.num_states,
                       "num_factors": graph.num_factors}))
@@ -175,17 +174,27 @@ def _given_fields(cls, args) -> dict:
             if getattr(args, f.name, None) is not None}
 
 
+def _json_object(text: str) -> dict:
+    """A dict field's flag value. Text that is no JSON object raises
+    ValueError, which argparse reports as an invalid _json_object value."""
+    value = json.loads(text)
+    if not isinstance(value, dict):
+        raise ValueError("not a JSON object")
+    return value
+
+
 def _add_field_flags(parser, cls, skip=()) -> None:
     """A --<name with dashes> per field of dataclass cls outside skip, of the
-    annotation's type, with the metadata's choices and help. A field without
-    a default is a required flag; an omitted optional flag is None, so
-    _given_fields leaves the field to the dataclass."""
-    types = {"int": int, "float": float, "str": str}
+    annotation's type, with the metadata's choices and help; a dict field
+    takes a JSON object. A field without a default is a required flag; an
+    omitted optional flag is None, so _given_fields leaves the field to the
+    dataclass."""
+    types = {"int": int, "float": float, "str": str, "dict": _json_object}
     for f in fields(cls):
         if f.name not in skip:
             parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                                type=types[f.type], required=f.default is MISSING,
-                                **f.metadata)
+                                type=types[f.type], **f.metadata,
+                                required=f.default is MISSING and f.default_factory is MISSING)
 
 
 def cmd_run(args) -> int:
@@ -241,9 +250,11 @@ def _quantiles(values: list[float]) -> dict:
 
 
 def cmd_bench(args) -> int:
-    for flag, value in (("--jobs", args.jobs), ("--num-instances", args.num_instances)):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1")
+    for flag, value, least in (("--jobs", args.jobs, 1),
+                               ("--num-instances", args.num_instances, 1),
+                               ("--instance-seed", args.instance_seed, 0)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}")
     methods = args.methods.split(",")
     budgets = [int(b) for b in args.budgets.split(",")]
     for flag, entries in (("--methods", methods), ("--budgets", budgets)):
@@ -251,10 +262,8 @@ def cmd_bench(args) -> int:
             if entry in entries[:i]:
                 raise ValueError(f"{flag} lists {entry} more than once")
     given = _given_fields(RunConfig, args)
-    params = json.loads(args.params) if args.params else {}
     # input errors of the whole grid exit 2 here, before any cell runs
-    spec = GeneratorSpec(family=args.family, n=args.n, k=args.k, seed=args.instance_seed,
-                         params=params)
+    spec = GeneratorSpec(**_given_fields(GeneratorSpec, args), seed=args.instance_seed)
     tasks = []
     for method in methods:
         for budget in budgets:
@@ -353,12 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a random instance as JSON")
-    p.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--seed", type=int, required=True)
+    _add_field_flags(p, GeneratorSpec)
     p.add_argument("--out", required=True)
-    p.add_argument("--params", help="JSON dict of family-specific parameters")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("run", help="run one inference method on an instance")
@@ -370,16 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="sweep methods x budgets x instances to CSV")
-    p.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=2)
+    _add_field_flags(p, GeneratorSpec, skip=("seed",))
     p.add_argument("--methods", required=True, help="comma-separated")
     p.add_argument("--budgets", required=True, help="comma-separated")
     p.add_argument("--num-instances", dest="num_instances", type=int, required=True)
     p.add_argument("--instance-seed", dest="instance_seed", type=int, default=0)
     p.add_argument("--run-seed", dest="run_seed", type=int, default=0)
     _add_field_flags(p, RunConfig, skip=("method", "budget", "run_seed"))
-    p.add_argument("--params", help="JSON dict of family-specific parameters")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True)
     p.add_argument("--summary-out", dest="summary_out")

@@ -15,49 +15,15 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Factor, FactorGraph, check_type
+from .model import Factor, FactorGraph, check_fields, check_type, config_field
 
 
 class GenerationError(ValueError):
     """Rejection sampling exceeded its cap or a kernel was not factorizable."""
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    family: str
-    n: int
-    k: int
-    seed: int
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {sorted(FAMILIES)}")
-        if self.n < 1 or self.k < 2:
-            raise ValueError("a graph needs n >= 1 variables of k >= 2 states")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        signature = inspect.signature(FAMILIES[self.family])
-        try:
-            signature.bind(self.n, self.k, self.seed, **self.params)
-            for name, value in self.params.items():  # each of its default's type
-                check_type(name, value, type(signature.parameters[name].default).__name__)
-        except TypeError as exc:  # an unknown or mistyped parameter, or params not a mapping
-            raise ValueError(f"{self.family} params: {exc}") from None
-
-
-def generate(spec: GeneratorSpec) -> FactorGraph:
-    """The spec's graph. Parameter values that overflow or divide by zero
-    raise ValueError, as other bad values do."""
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return FAMILIES[spec.family](spec.n, spec.k, spec.seed, **spec.params)
-    except ArithmeticError as exc:  # FloatingPointError, or OverflowError from a float power
-        raise ValueError(f"{spec.family} params {spec.params}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +53,8 @@ def gen_chain(
     length-scale kernel_bandwidth). Binary tables are coupling * distance on
     the K-state torus. N unary + (N-1) binary factors, identity ordering.
     """
+    if not 0.0 < jitter <= 1e-2:  # the escalation below multiplies it up to 1e-2; NaN fails too
+        raise ValueError(f"jitter must lie in (0, 1e-2], not {jitter}")
     if n * k > 10_000:
         raise ValueError("kernel matrix would exceed the N*K <= 10^4 feasibility bound")
     rng = np.random.default_rng(seed)
@@ -297,3 +265,40 @@ FAMILIES = {
     "fg1": gen_fg1,
     "fg2": gen_fg2,
 }
+
+
+@dataclass(frozen=True, kw_only=True)
+class GeneratorSpec:
+    """One instance of a family; each field's help is also its flag's. The
+    fields are keyword-only, so k keeps its default ahead of seed, which has
+    none, and the flags keep their order."""
+
+    family: str = config_field(help="the instance family", choices=tuple(sorted(FAMILIES)))
+    n: int = config_field(help="the number of variables")
+    k: int = config_field(2, "the number of states of each variable")
+    seed: int = config_field(help="the seed of the instance's draw")
+    params: dict = config_field(help="a JSON object of family parameters", default_factory=dict)
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.n < 1 or self.k < 2:
+            raise ValueError("a graph needs n >= 1 variables of k >= 2 states")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        signature = inspect.signature(FAMILIES[self.family])
+        try:
+            signature.bind(self.n, self.k, self.seed, **self.params)
+            for name, value in self.params.items():  # each of its default's type
+                check_type(name, value, type(signature.parameters[name].default).__name__)
+        except TypeError as exc:  # an unknown or mistyped parameter
+            raise ValueError(f"{self.family} params: {exc}") from None
+
+
+def generate(spec: GeneratorSpec) -> FactorGraph:
+    """The spec's graph. Parameter values that overflow or divide by zero
+    raise ValueError, as other bad values do."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return FAMILIES[spec.family](spec.n, spec.k, spec.seed, **spec.params)
+    except ArithmeticError as exc:  # FloatingPointError, or OverflowError from a float power
+        raise ValueError(f"{spec.family} params {spec.params}: {exc}") from None

@@ -4,12 +4,16 @@ Variables are indexed 1..N and take values 1..K. A graph carries an ordering
 (a permutation of the variables) that maps search depth d to the variable
 assigned at that depth; prefixes are tuples of values read through that
 ordering. Factor tables are dense log-values, -inf allowed, +inf/NaN rejected.
+
+The module also holds the rule for declared config fields (config_field,
+check_type, check_fields), which RunConfig, TrainConfig and GeneratorSpec
+share and from which the CLI makes their flags.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +26,7 @@ COST_MODES = (REWARD_EVAL, FACTOR_EVAL)
 
 Prefix = tuple[int, ...]
 
-_KINDS = {"int": int, "float": (int, float), "str": str}
+_KINDS = {"int": int, "float": (int, float), "str": str, "dict": dict}
 
 
 def check_type(name: str, value, type_name: str) -> None:
@@ -30,6 +34,23 @@ def check_type(name: str, value, type_name: str) -> None:
     a float, and a bool, though Python counts it an int, for neither."""
     if isinstance(value, bool) or not isinstance(value, _KINDS[type_name]):
         raise TypeError(f"{name} must be of type {type_name}")
+
+
+def check_fields(config) -> None:
+    """check_type of each field of a dataclass against its annotation, and
+    of its value against the choices in the field's metadata, if any."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        check_type(f.name, value, f.type)
+        choices = f.metadata.get("choices")
+        if choices is not None and value not in choices:
+            raise ValueError(f"{f.name} must be one of {choices}")
+
+
+def config_field(default=MISSING, help=None, choices=None, default_factory=MISSING):
+    """A config dataclass field that carries its flag's help and choices."""
+    return field(default=default, default_factory=default_factory,
+                 metadata={"help": help, "choices": choices})
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,16 +338,20 @@ def graph_to_json_dict(graph: FactorGraph) -> dict:
 
 
 def graph_from_json_dict(data: dict) -> FactorGraph:
+    """The graph of a dict in the schema above. n, k and the entries of the
+    ordering and of every scope must be ints: a bool, float or str raises
+    TypeError naming its field, and is never truncated or parsed."""
     factors = []
     for fd in data["factors"]:
         table = np.array(fd["log_table"], dtype=np.float64)  # parses the "-inf" strings
         factors.append(Factor(scope=tuple(fd["scope"]), table=table))
-    return FactorGraph(
-        num_variables=int(data["n"]),
-        num_states=int(data["k"]),
-        factors=tuple(factors),
-        ordering=tuple(data["ordering"]),
-    )
+    n, k, ordering = data["n"], data["k"], tuple(data["ordering"])
+    entries = [("n", [n]), ("k", [k]), ("ordering entry", ordering)]
+    entries += [(f"factor {i} scope entry", f.scope) for i, f in enumerate(factors)]
+    for name, values in entries:
+        for value in values:
+            check_type(name, value, "int")
+    return FactorGraph(num_variables=n, num_states=k, factors=tuple(factors), ordering=ordering)
 
 
 def save_graph(graph: FactorGraph, path) -> None:

@@ -30,12 +30,13 @@ import functools
 import json
 import math
 import os
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .baselines import WeightedAtoms, check_resample_threshold
-from .model import FactorGraph, Prefix, check_type
+from .baselines import DegenerateSampleError, WeightedAtoms, check_resample_threshold, smc
+from .metrics import delta_kl_atoms, delta_kl_sampler, sampler_estimate
+from .model import FactorGraph, Prefix, check_fields, config_field
 from .search import build_tree, check_search_params
 
 CHECKPOINT_FORMAT = "treesample-mlp-v3"
@@ -338,22 +339,6 @@ def train_step(mlp: MLPValueFunction, replay: ReplayBuffer, batch_size: int, ada
     return loss
 
 
-def check_fields(config) -> None:
-    """check_type of each field of a dataclass against its annotation, and
-    of its value against the choices in the field's metadata, if any."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        check_type(f.name, value, f.type)
-        choices = f.metadata.get("choices")
-        if choices is not None and value not in choices:
-            raise ValueError(f"{f.name} must be one of {choices}")
-
-
-def config_field(default=MISSING, help=None, choices=None):
-    """A config dataclass field that carries its flag's help and choices."""
-    return field(default=default, metadata={"help": help, "choices": choices})
-
-
 @dataclass
 class TrainConfig:
     """One train run on one graph; each field's help is also its flag's."""
@@ -407,9 +392,6 @@ def train_loop(graph: FactorGraph, config: TrainConfig, mlp: MLPValueFunction, a
     targets to replay, then run one optimizer step per sample drawn. Returns
     the trained network and one metrics row per episode.
     """
-    from .baselines import DegenerateSampleError, smc
-    from .metrics import delta_kl_atoms, delta_kl_sampler, sampler_estimate
-
     n, k = graph.num_variables, graph.num_states
     replay = ReplayBuffer(REPLAY_CAPACITY, n * (k + 1), k)
     master = np.random.default_rng(config.seed)

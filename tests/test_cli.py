@@ -347,6 +347,12 @@ class TestBench:
         assert float(row["q25"]) == pytest.approx(np.interp(2.75, range(6), finite))
 
 
+# the GeneratorSpec flags of generate and bench, with their choices and help
+_INSTANCE_HELP = ["--family {" + ",".join(sorted(FAMILIES)) + "} the instance family",
+                  "--n N the number of variables", "--k K the number of states of each variable",
+                  "--params PARAMS a JSON object of family parameters"]
+
+
 # command -> (its config class, the fields it takes by other flags, the
 # arguments it requires)
 _FIELD_FLAG_COMMANDS = {
@@ -393,9 +399,10 @@ class TestFieldFlags:
     @pytest.mark.parametrize("command, expected", [
         ("run", ["--method {" + ",".join(METHODS) + "}", "--cost-mode {" + ",".join(COST_MODES)
                  + "}", "--prior PRIOR 'heuristic' or a checkpoint path"]),
-        ("bench", ["--cost-mode {" + ",".join(COST_MODES) + "}",
-                   "--prior PRIOR 'heuristic' or a checkpoint path"]),
+        ("bench", _INSTANCE_HELP + ["--cost-mode {" + ",".join(COST_MODES) + "}",
+                                    "--prior PRIOR 'heuristic' or a checkpoint path"]),
         ("train", ["--algo {" + ",".join(ALGOS) + "}"]),
+        ("generate", _INSTANCE_HELP + ["--seed SEED the seed of the instance's draw"]),
     ])
     def test_help_lists_choices_and_help_of_the_fields(self, capsys, command, expected):
         with pytest.raises(SystemExit) as exit_info:
@@ -405,6 +412,8 @@ class TestFieldFlags:
         for entry in expected:
             assert entry in text
         assert "--config" not in text  # flags are the one way to set a run
+        if command == "bench":  # its instance seeds start at --instance-seed
+            assert "--seed" not in text
 
 
 class TestTrain:
@@ -559,6 +568,14 @@ class TestErrorContract:
         (tmp_path / "bool.ckpt").write_bytes(json.dumps(header).encode() + b"\n" + blocks)
         mlp = MLPValueFunction(5 * 3, 2, hidden_units=4, num_hidden_layers=1)  # an n5 k2 graph's
         save_checkpoint(tmp_path / "n5.ckpt", mlp, Adam(mlp.parameters()), 0, TrainConfig())
+        # instance files with an entry of the wrong JSON type, each of which
+        # Python would take as an int
+        pair = {"n": 2, "k": 2, "ordering": [1, 2],
+                "factors": [{"scope": [1, 2], "log_table": [0.0] * 4}]}
+        for name, entries in (("boolscope", {"factors": [{"scope": [True, 2],
+                                                          "log_table": [0.0] * 4}]}),
+                              ("floatn", {"n": 2.9}), ("strk", {"k": "2"})):
+            (tmp_path / f"{name}.json").write_text(json.dumps(dict(pair, **entries)))
         return tmp_path, str(instance)
 
     @pytest.mark.parametrize("probe", [
@@ -596,6 +613,10 @@ class TestErrorContract:
         "generate --family chains --n 3 --seed 0 --out {d}/g.json "
         "--params {{\"coupling\":true}}",
         "run {instance} --method treesample --budget 10 --prior {d}/bool.ckpt",
+        "run {d}/boolscope.json --method sis --budget 10",
+        "run {d}/floatn.json --method sis --budget 10",
+        "run {d}/strk.json --method sis --budget 10",
+        "generate --family chains --n 3 --seed 0 --out {d}/g.json --params null",
     ], ids=["no-method", "missing-instance",
             "instance-without-factors", "negative-c", "unknown-generator-param",
             "checkpoint-header-without-keys", "generate-out-is-a-directory", "bench-jobs-0",
@@ -604,7 +625,9 @@ class TestErrorContract:
             "run-prior-of-another-graph-size", "resume-of-another-graph-size",
             "config-unknown-cost-mode", "resample-threshold-above-1", "train-zero-episodes",
             "train-zero-batch-size", "checkpoint-float-size", "run-prior-of-a-huge-header",
-            "resume-of-a-huge-header", "bool-generator-param", "checkpoint-bool-size"])
+            "resume-of-a-huge-header", "bool-generator-param", "checkpoint-bool-size",
+            "instance-bool-scope-entry", "instance-float-n", "instance-str-k",
+            "generator-params-null"])
     def test_input_error_exits_2_with_one_json_object(self, files, probe):
         d, instance = files
         code, error = _main_json(probe.format(d=d, instance=instance).split())
@@ -630,7 +653,7 @@ class TestErrorContract:
         ("bench --family chains --n 3 --methods sis --budgets 10 --num-instances 1 "
          "--run-seed -1 --out {d}/b.csv", "run_seed must be non-negative"),
         ("bench --family chains --n 3 --methods sis --budgets 10 --num-instances 1 "
-         "--instance-seed -1 --out {d}/b.csv", "seed must be non-negative"),
+         "--instance-seed -1 --out {d}/b.csv", "--instance-seed must be at least 0"),
         ("train {d}/uniform.json --episodes 1 --seed -1 --checkpoint-out {d}/t.ckpt "
          "--metrics-out {d}/t.csv", "seed must be non-negative"),
         ("run {d}/uniform.json --method sis --budget 10 --config {d}/cfg.json",
@@ -638,12 +661,19 @@ class TestErrorContract:
         ("bench --family chains --n 3 --methods sis --budgets 10 --num-instances 1 "
          "--config {d}/cfg.json --out {d}/b.csv",
          "treesample: unrecognized arguments: --config {d}/cfg.json"),
+        ("generate --family chains --n 3 --seed 0 --out {d}/g.json --params {{\"jitter\":0.0}}",
+         "jitter must lie in (0, 1e-2], not 0.0"),
+        ("generate --family chains --n 3 --seed 0 --out {d}/g.json --params {{\"jitter\":-1.0}}",
+         "jitter must lie in (0, 1e-2], not -1.0"),
+        ("generate --family chains --n 3 --seed 0 --out {d}/g.json --params {{\"jitter\":0.1}}",
+         "jitter must lie in (0, 1e-2], not 0.1"),
     ], ids=["generate-n-0", "generate-kernel-not-positive-definite", "run-instance-n-0",
             "run-instance-k-1", "generate-negative-seed",
             "run-treesample-negative-run-seed", "run-smc-negative-run-seed",
             "run-gibbs-negative-run-seed", "bench-negative-run-seed",
             "bench-negative-instance-seed", "train-negative-seed", "run-config-file",
-            "bench-config-file"])
+            "bench-config-file", "generate-jitter-0", "generate-negative-jitter",
+            "generate-jitter-above-escalation-cap"])
     def test_input_check_exits_2_with_its_message(self, tmp_path, probe, message):
         (tmp_path / "n0.json").write_text(json.dumps(
             {"n": 0, "k": 2, "ordering": [], "factors": []}))

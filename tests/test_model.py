@@ -370,6 +370,20 @@ class TestJsonRoundTrip:
         for f, f3 in zip(g.factors, g3.factors):
             assert np.array_equal(f.table, f3.table)
 
+    @pytest.mark.parametrize("entry, value, name", [
+        ("n", 2.0, "n"), ("n", True, "n"), ("k", "2", "k"),
+        ("ordering", [1.0, 2], "ordering entry"), ("scope", [True, 2], "factor 0 scope entry"),
+    ])
+    def test_integer_entry_of_another_type_rejected(self, entry, value, name):
+        # Python's int() would truncate 2.9, parse "2" and take True as 1
+        data = graph_to_json_dict(_graph(2, 2, [((1, 2), np.zeros(4))]))
+        if entry == "scope":
+            data["factors"][0]["scope"] = value
+        else:
+            data[entry] = value
+        with pytest.raises(TypeError, match=f"^{name} must be of type int$"):
+            graph_from_json_dict(data)
+
     def test_neg_inf_encoded_as_string(self):
         t = np.array([0.5, -np.inf])
         g = _graph(1, 2, [((1,), t)])
