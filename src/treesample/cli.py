@@ -35,7 +35,8 @@ from .exact import is_chain, solve_chain, solve_exact
 from .generators import GeneratorSpec, generate
 from .logmath import NEG_INF, ZeroMassError
 from .metrics import evaluate_method
-from .model import COST_MODES, FactorGraph, check_fields, config_field, load_graph, save_graph
+from .model import (COST_MODES, FactorGraph, check_fields, config_field, load_graph,
+                    parse_json, save_graph)
 from .prior import (Adam, HeuristicPrior, MLPValueFunction, TrainConfig, load_checkpoint,
                     save_checkpoint, train_loop)
 from .search import build_tree, check_search_params
@@ -82,7 +83,7 @@ def _checkpoint_for(path, graph: FactorGraph):
     return checkpoint
 
 
-def run_method(graph: FactorGraph, config: RunConfig, dump_tree_path=None):
+def run_method(graph: FactorGraph, config: RunConfig):
     """Build the configured approximation: a SearchTree or WeightedAtoms."""
     if config.method == "gibbs":
         return gibbs(
@@ -104,11 +105,8 @@ def run_method(graph: FactorGraph, config: RunConfig, dump_tree_path=None):
     else:
         prior = _checkpoint_for(config.prior, graph)[0]
     if config.method == "treesample":
-        tree = build_tree(graph, prior, config.budget, c=config.c, epsilon=config.epsilon,
+        return build_tree(graph, prior, config.budget, c=config.c, epsilon=config.epsilon,
                           cost_mode=config.cost_mode)
-        if dump_tree_path:
-            tree.dump(dump_tree_path)
-        return tree
     if config.method == "sis":
         return sis(graph, prior, config.budget, seed=config.run_seed, cost_mode=config.cost_mode)
     return smc(
@@ -138,9 +136,9 @@ def pick_oracle(graph: FactorGraph, cap: int):
     return oracle
 
 
-def evaluate_run(graph: FactorGraph, config: RunConfig, dump_tree_path=None):
+def evaluate_run(graph: FactorGraph, config: RunConfig):
     start = time.perf_counter()
-    approx = run_method(graph, config, dump_tree_path)
+    approx = run_method(graph, config)
     oracle = pick_oracle(graph, config.oracle_cap)
     report = evaluate_method(
         config.method,
@@ -177,7 +175,7 @@ def _given_fields(cls, args) -> dict:
 def _json_object(text: str) -> dict:
     """A dict field's flag value. Text that is no JSON object raises
     ValueError, which argparse reports as an invalid _json_object value."""
-    value = json.loads(text)
+    value = parse_json(text, "a flag value")
     if not isinstance(value, dict):
         raise ValueError("not a JSON object")
     return value
@@ -204,8 +202,11 @@ def cmd_run(args) -> int:
         raise ValueError(f"--dump-tree needs method treesample; {config.method} builds no tree")
     if args.atoms_out and config.method == "treesample":
         raise ValueError("--atoms-out needs a particle method; treesample builds a tree")
-    approx, report = evaluate_run(graph, config, dump_tree_path=args.dump_tree)
-    if args.atoms_out:  # before the report, so a failed write prints only the error
+    approx, report = evaluate_run(graph, config)
+    # the files before the report, so a failed write prints only the error
+    if args.dump_tree:
+        approx.dump(args.dump_tree)
+    if args.atoms_out:
         with open(args.atoms_out, "w") as fh:
             fh.write(approx.to_json_lines())
     data = report.to_json_dict()
@@ -271,8 +272,10 @@ def cmd_bench(args) -> int:
             tasks += [(replace(spec, seed=spec.seed + i),
                        replace(config, run_seed=args.run_seed + i))
                       for i in range(args.num_instances)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool forks all of its workers at the first submit, so start no idle ones
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_cell, tasks))
     else:
         rows = [_bench_cell(t) for t in tasks]

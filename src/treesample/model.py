@@ -360,9 +360,18 @@ def save_graph(graph: FactorGraph, path) -> None:
         fh.write("\n")
 
 
+def parse_json(text, source: str):
+    """json.loads(text) of JSON from outside the program. Nesting too deep
+    for the decoder, a RecursionError, raises ValueError naming source."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{source} nests JSON too deeply to decode") from None
+
+
 def load_graph(path) -> FactorGraph:
     with open(path) as fh:
-        data = json.load(fh)
+        data = parse_json(fh.read(), f"instance {path}")
     try:
         return graph_from_json_dict(data)
     except (LookupError, TypeError) as exc:  # a missing or mistyped entry

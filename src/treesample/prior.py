@@ -9,7 +9,8 @@ evaluate_batch takes many prefixes and returns an (R, K) float64 array, one
 row per prefix; callers only read it, and HeuristicPrior returns a
 read-only broadcast view. A heuristic row equals evaluate of its prefix bit
 for bit. An MLP batch is one matrix product per layer, whose rows equal
-evaluate to about 1e-12 relative, and bit for bit for a one-prefix batch.
+evaluate to about 1e-12 relative; the MLP's evaluate is its one-prefix
+batch, so one product path and one NaN check serve both.
 Every prior declares leaf_batch, how many leaves a search round collects
 before it calls the prior once for all of them (build_tree). Priors are free to evaluate: they
 never touch the budget.
@@ -22,6 +23,9 @@ replay capacity, the target floor and Adam's moment rates are constants.
 The MLP's trainable state is three float64 vectors in one layout (see
 MLPValueFunction): its parameters, flat, and Adam's two moments. The
 gradient shares the layout, and a checkpoint stores the three vectors.
+MLPValueFunction has one constructor: it draws He-initialised weights from
+a seed, or wraps a given flat vector, which is how load_checkpoint builds
+the network without drawing or allocating.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 
 from .baselines import DegenerateSampleError, WeightedAtoms, check_resample_threshold, smc
 from .metrics import delta_kl_atoms, delta_kl_sampler, sampler_estimate
-from .model import FactorGraph, Prefix, check_fields, config_field
+from .model import FactorGraph, Prefix, check_fields, config_field, parse_json
 from .search import build_tree, check_search_params
 
 CHECKPOINT_FORMAT = "treesample-mlp-v3"
@@ -155,32 +159,25 @@ class MLPValueFunction:
         hidden_units: int = 256,
         num_hidden_layers: int = 4,
         seed: int = 0,
+        flat: np.ndarray | None = None,
     ):
+        """He-initialised weights drawn from seed, and zero biases. Given
+        flat, the network's parameter vector is flat itself, not a copy, and
+        nothing is drawn or allocated; a flat of the wrong length raises
+        ValueError."""
         if hidden_units < 1 or num_hidden_layers < 1:
             raise ValueError("an MLP needs hidden_units >= 1 and num_hidden_layers >= 1")
         self.input_dim = input_dim
         self.output_dim = output_dim
         self.hidden_units = hidden_units
         self.num_hidden_layers = num_hidden_layers
-        self.flat = np.zeros(_flat_size(input_dim, output_dim, hidden_units, num_hidden_layers))
+        self.flat = flat if flat is not None else np.zeros(
+            _flat_size(input_dim, output_dim, hidden_units, num_hidden_layers))
         self.weights, self.biases = self._views(self.flat)
-        rng = np.random.default_rng(seed)
-        for w in self.weights:
-            w[...] = rng.normal(scale=math.sqrt(2.0 / w.shape[0]), size=w.shape)
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, input_dim: int, output_dim: int, hidden_units: int,
-                  num_hidden_layers: int) -> "MLPValueFunction":
-        """The network whose parameter vector is flat itself, not a copy,
-        built without drawing random initial weights."""
-        mlp = cls.__new__(cls)
-        mlp.input_dim = input_dim
-        mlp.output_dim = output_dim
-        mlp.hidden_units = hidden_units
-        mlp.num_hidden_layers = num_hidden_layers
-        mlp.flat = flat
-        mlp.weights, mlp.biases = mlp._views(flat)
-        return mlp
+        if flat is None:
+            rng = np.random.default_rng(seed)
+            for w in self.weights:
+                w[...] = rng.normal(scale=math.sqrt(2.0 / w.shape[0]), size=w.shape)
 
     def _views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer (weights, biases) views of a vector in flat's layout;
@@ -249,22 +246,18 @@ class MLPValueFunction:
     # -- prior interface ---------------------------------------------------
 
     def evaluate(self, graph: FactorGraph, prefix) -> list[float]:
-        """forward() of one prefix, with the NaN check on its K floats:
-        evaluate_batch of that one prefix bit for bit."""
-        values = self._forward(encode_batch(graph, [prefix]))[0].tolist()
-        if any(map(math.isnan, values)):
-            raise ValueError("MLP produced NaN outputs")
-        return values
+        """The one row of evaluate_batch of [prefix], as K Python floats."""
+        return self.evaluate_batch(graph, [prefix])[0].tolist()
 
     def evaluate_batch(self, graph: FactorGraph, prefixes) -> np.ndarray:
         """forward() of every prefix, in either form encode_batch takes, as
         one (R, D) product per layer: bit for bit forward(encode_batch(...)).
 
-        A one-prefix batch is evaluate() of it bit for bit, since both are one
-        (1, D) product. In a larger batch each row equals evaluate() to about
-        1e-12 relative but not always in the last bits: the BLAS may round a
-        row differently by its place in the batch (OpenBLAS runs the rows of
-        a trailing partial tile through another kernel), so a row's bits
+        evaluate() is the one-prefix batch, so forward()'s NaN check serves
+        both. In a larger batch each row equals evaluate() to about 1e-12
+        relative but not always in the last bits: the BLAS may round a row
+        differently by its place in the batch (OpenBLAS runs the rows of a
+        trailing partial tile through another kernel), so a row's bits
         depend on the batch it came in, not on the BLAS thread count.
         """
         return self.forward(encode_batch(graph, prefixes))
@@ -361,6 +354,8 @@ class TrainConfig:
                      "batch_size", "learning_rate", "metric_samples"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails this too
                 raise ValueError(f"{name} must be positive and finite")
+        if self.batch_size > REPLAY_CAPACITY:  # replay never holds a larger batch
+            raise ValueError(f"batch_size must be at most the replay capacity, {REPLAY_CAPACITY}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         check_search_params(self.c, self.epsilon)
@@ -495,7 +490,7 @@ def save_checkpoint(path, mlp: MLPValueFunction, adam: Adam, episode: int,
 def load_checkpoint(path):
     """Returns (mlp, adam, episode, config) rebuilt bit-exactly."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
+        header = parse_json(fh.readline().decode("utf-8"), f"checkpoint header of {path}")
         if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
             raise ValueError("unrecognized checkpoint format")
         keys = ("input_dim", "output_dim", "hidden_units", "num_hidden_layers", "adam_step",
@@ -517,7 +512,7 @@ def load_checkpoint(path):
         # optimizer frees the moment blocks
         flat = np.fromfile(fh, dtype="<f8", count=count)
         m, v = np.fromfile(fh, dtype="<f8", count=2 * count).reshape(2, count)
-    mlp = MLPValueFunction.from_flat(flat, d_in, d_out, hidden_units=h, num_hidden_layers=layers)
+    mlp = MLPValueFunction(d_in, d_out, hidden_units=h, num_hidden_layers=layers, flat=flat)
     adam = Adam([], learning_rate=config.learning_rate)
     adam.step_count = adam_step
     adam.m, adam.v = [m], [v]

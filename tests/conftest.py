@@ -9,6 +9,7 @@ import numpy as np
 
 from treesample.baselines import WeightedAtoms, _LoopyBP, merge_particles
 from treesample.exact import ChainSolution, ExactSolution, StateSpaceCapError
+from treesample.generators import GeneratorSpec, generate
 from treesample.logmath import (NEG_INF, ZeroMassError, draw_softmax_rows, logsumexp,
                                 logsumexp_rows, sample_softmax_rows)
 from treesample.model import REWARD_EVAL, BudgetLedger, Factor, FactorGraph, Prefix
@@ -25,6 +26,26 @@ def pytest_report_header(config):
     blas_keys = ("name", "version", "openblas configuration")
     return [f"numpy {np.__version__}", "cpu features: " + " ".join(features),
             "blas: " + " ".join(str(blas[key]) for key in blas_keys if key in blas)]
+
+
+def make_graph(n: int, k: int, factors, ordering=None) -> FactorGraph:
+    """The graph of (scope, table) pairs; the ordering defaults to 1..n."""
+    return FactorGraph(
+        num_variables=n,
+        num_states=k,
+        factors=tuple(Factor(scope=s, table=np.asarray(t, dtype=float)) for s, t in factors),
+        ordering=tuple(ordering or range(1, n + 1)),
+    )
+
+
+def uniform_graph(n: int, k: int, ordering=None) -> FactorGraph:
+    """n variables of k states, each under one all-zero unary factor."""
+    return make_graph(n, k, [((v,), np.zeros(k)) for v in range(1, n + 1)], ordering)
+
+
+def spec_graph(family: str, n: int, k: int, seed: int) -> FactorGraph:
+    """The instance the generator draws for one GeneratorSpec."""
+    return generate(GeneratorSpec(family=family, n=n, k=k, seed=seed))
 
 
 def make_random_graph(

@@ -22,36 +22,21 @@ from treesample.baselines import (
 from treesample.exact import solve_chain, solve_exact
 from treesample.generators import GeneratorSpec, generate
 from treesample.logmath import NEG_INF, logsumexp, logsumexp_rows, sample_softmax_rows
-from treesample.model import FACTOR_EVAL, REWARD_EVAL, BudgetTooSmallError, Factor, FactorGraph
+from treesample.model import FACTOR_EVAL, REWARD_EVAL, BudgetTooSmallError
 from treesample.prior import HeuristicPrior
 
 from test_baselines_golden import digest as golden_digest
 
 from conftest import (ExactValuePrior, MessageAtATimeBP, all_configs, assert_log_close,
-                      assignment_to_prefix, log_step_conditionals, make_random_graph,
-                      max_shifted, reference_bp_sample, repeated_completion_gibbs,
-                      variable_marginals)
-
-
-def _graph(n, k, factors, ordering=None):
-    return FactorGraph(
-        num_variables=n,
-        num_states=k,
-        factors=tuple(
-            Factor(scope=s, table=np.asarray(t, dtype=float)) for s, t in factors
-        ),
-        ordering=tuple(ordering or range(1, n + 1)),
-    )
-
-
-def _uniform_graph(n, k):
-    return _graph(n, k, [((v,), np.zeros(k)) for v in range(1, n + 1)])
+                      assignment_to_prefix, log_step_conditionals, make_graph,
+                      make_random_graph, max_shifted, reference_bp_sample,
+                      repeated_completion_gibbs, uniform_graph, variable_marginals)
 
 
 def make_random_chain(rng, n, k, scale=1.0):
     factors = [((v,), rng.normal(scale=scale, size=k)) for v in range(1, n + 1)]
     factors += [((v, v + 1), rng.normal(scale=scale, size=k * k)) for v in range(1, n)]
-    return _graph(n, k, factors)
+    return make_graph(n, k, factors)
 
 
 class TestWeightedAtoms:
@@ -90,7 +75,7 @@ class TestEffectiveSampleSize:
 
 class TestSis:
     def test_uniform_target_weights_are_multiplicities(self):
-        g = _uniform_graph(2, 2)
+        g = uniform_graph(2, 2)
         result = sis(g, HeuristicPrior(), budget=40, seed=0)
         assert result.num_particles == 20
         for w in result.weights:
@@ -119,18 +104,18 @@ class TestSis:
         assert delta_kl_atoms(result, g) == pytest.approx(-sol.log_z, abs=0.05)
 
     def test_budget_respected(self):
-        g = _uniform_graph(3, 2)
+        g = uniform_graph(3, 2)
         result = sis(g, HeuristicPrior(), budget=31, seed=0)
         assert result.num_particles == 10
         assert result.budget_spent == 30 <= 31
 
     def test_budget_too_small(self):
-        g = _uniform_graph(3, 2)
+        g = uniform_graph(3, 2)
         with pytest.raises(BudgetTooSmallError):
             sis(g, HeuristicPrior(), budget=2, seed=0)
 
     def test_degenerate_signal(self):
-        g = _graph(1, 2, [((1,), [-np.inf, -np.inf])])
+        g = make_graph(1, 2, [((1,), [-np.inf, -np.inf])])
         with pytest.raises(DegenerateSampleError):
             sis(g, HeuristicPrior(), budget=10, seed=0)
 
@@ -185,7 +170,7 @@ class TestSmc:
         assert result.log_z_estimate == logsumexp(lw) - math.log(num)
 
     def test_uniform_weights_never_resample(self):
-        g = _uniform_graph(4, 2)
+        g = uniform_graph(4, 2)
         a = smc(g, HeuristicPrior(), budget=200, resample_threshold=1.0, seed=7)
         b = sis(g, HeuristicPrior(), budget=200, seed=7)
         assert a.atoms == b.atoms and a.weights == b.weights
@@ -220,7 +205,7 @@ class TestSmc:
 class TestGibbs:
     def test_single_variable_exact(self):
         table = np.array([0.0, 1.0, -0.5])
-        g = _graph(1, 3, [((1,), table)])
+        g = make_graph(1, 3, [((1,), table)])
         result = gibbs(g, num_sweeps=1, budget=9000, seed=3)
         probs = np.exp(table - logsumexp_rows(table[None, :])[0])
         got = np.zeros(3)
@@ -229,7 +214,7 @@ class TestGibbs:
         assert np.allclose(got, probs, atol=0.03)
 
     def test_uniform_target_uniform_marginals(self):
-        g = _uniform_graph(3, 2)
+        g = uniform_graph(3, 2)
         result = gibbs(g, num_sweeps=2, budget=2 * 12 * 2500, seed=5)
         marg = np.zeros((3, 2))
         for x, w in zip(result.atoms, result.weights):
@@ -255,7 +240,7 @@ class TestGibbs:
         # only (1,1) has mass; chains starting at x=(2,2) see all-(-inf)
         # conditionals and must fall back to uniform site resampling
         table = np.array([0.0, -np.inf, -np.inf, -np.inf])
-        g = _graph(2, 2, [((1, 2), table)])
+        g = make_graph(2, 2, [((1, 2), table)])
         result = gibbs(g, num_sweeps=2, budget=400, seed=11)
         assert result.zero_conditional_count > 0
         assert (1, 1) in result.atoms
@@ -263,7 +248,7 @@ class TestGibbs:
         assert weight_11 > 0.5
 
     def test_budget_respected(self):
-        g = _uniform_graph(3, 2)
+        g = uniform_graph(3, 2)
         result = gibbs(g, num_sweeps=4, budget=100, seed=0)
         # one sample costs 4 sweeps * 3 sites * K=2 -> 24 units; 4 samples fit
         assert result.num_particles == 4
@@ -500,7 +485,7 @@ class TestBpSample:
     def test_single_factor_graph_one_round(self):
         rng = np.random.default_rng(103)
         table = rng.normal(size=4)
-        g = _graph(2, 2, [((1, 2), table)])
+        g = make_graph(2, 2, [((1, 2), table)])
         marg = bp_step_conditionals(g, num_message_rounds=1, prefix_values={})
         joint = np.exp(table.reshape(2, 2))
         ref = joint.sum(axis=1) / joint.sum()
@@ -521,7 +506,7 @@ class TestBpSample:
     def test_loopy_matches_reference_implementation(self):
         rng = np.random.default_rng(109)
         tables = [rng.normal(size=4) for _ in range(3)]
-        g = _graph(3, 2, [((1, 2), tables[0]), ((2, 3), tables[1]), ((1, 3), tables[2])])
+        g = make_graph(3, 2, [((1, 2), tables[0]), ((2, 3), tables[1]), ((1, 3), tables[2])])
         got = bp_step_conditionals(g, num_message_rounds=5, prefix_values={})
         ref = _reference_bp_marginal(g, rounds=5, clamped={}, target=1)
         assert np.allclose(np.exp(got), ref, atol=1e-9)
@@ -566,7 +551,7 @@ class TestBpSample:
                 table = rng.normal(size=k ** len(scope))
                 table[rng.random(table.shape) < 0.2] = NEG_INF
                 factors.append((scope, table))
-            graphs.append(_graph(5, k, factors))
+            graphs.append(make_graph(5, k, factors))
         for g in graphs:
             k = g.num_states
             state, ref = _LoopyBP(g), MessageAtATimeBP(g)
@@ -597,7 +582,7 @@ class TestBpSample:
                 table[rng.random(k) < 0.3] = NEG_INF
         if n == 6:
             tables[6][0][:] = NEG_INF
-        g = _graph(n, k, [((v,), t) for v, v_tables in tables.items() for t in v_tables])
+        g = make_graph(n, k, [((v,), t) for v, v_tables in tables.items() for t in v_tables])
         state = _LoopyBP(g)
         state.round()
         for v, v_tables in tables.items():

@@ -28,15 +28,10 @@ import numpy as np
 import pytest
 
 from treesample.baselines import _LoopyBP, bp_sample, gibbs, sis, smc
-from treesample.generators import GeneratorSpec, generate
 from treesample.model import FACTOR_EVAL, REWARD_EVAL
 from treesample.prior import HeuristicPrior, MLPValueFunction
 
-from conftest import make_random_graph
-
-
-def _spec_graph(family, n, k, seed):
-    return generate(GeneratorSpec(family=family, n=n, k=k, seed=seed))
+from conftest import make_random_graph, spec_graph
 
 
 def _neg_inf_graph(seed):
@@ -50,10 +45,10 @@ def _mlp(graph):
 
 
 GRAPHS = {
-    "fg1-n14-k2": lambda: _spec_graph("fg1", 14, 2, 11),
-    "chains-n20-k10": lambda: _spec_graph("chains", 20, 10, 7),
-    "fg2-n12": lambda: _spec_graph("fg2", 12, 2, 5),
-    "fg2-n10": lambda: _spec_graph("fg2", 10, 2, 5),
+    "fg1-n14-k2": lambda: spec_graph("fg1", 14, 2, 11),
+    "chains-n20-k10": lambda: spec_graph("chains", 20, 10, 7),
+    "fg2-n12": lambda: spec_graph("fg2", 12, 2, 5),
+    "fg2-n10": lambda: spec_graph("fg2", 10, 2, 5),
     # -inf entries, and no Gibbs conditional of zero mass at these seeds
     "neg-inf": lambda: _neg_inf_graph(156),
     # -inf entries with many zero-mass Gibbs conditionals

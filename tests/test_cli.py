@@ -160,6 +160,17 @@ class TestRun:
         assert data["root_complete"] is True
         assert data["num_nodes"] == 15
 
+    def test_failed_run_writes_no_tree(self, tmp_path):
+        # the tree is written after the oracle and the metrics, as --atoms-out is
+        instance = tmp_path / "zero.json"
+        instance.write_text(json.dumps({"n": 2, "k": 2, "ordering": [1, 2], "factors": [
+            {"scope": [1, 2], "log_table": ["-inf"] * 4}]}))
+        dump = tmp_path / "tree.json"
+        code, error = _main_json(["run", str(instance), "--method", "treesample", "--budget",
+                                  "14", "--dump-tree", str(dump)])
+        assert (code, error["error"]) == (2, "ZeroMassError")
+        assert not dump.exists()
+
     @pytest.mark.parametrize("method, flag", [("gibbs", "--dump-tree"), ("smc", "--dump-tree"),
                                               ("treesample", "--atoms-out")])
     def test_output_flag_the_method_cannot_fill_rejected(self, tmp_path, capsys, method, flag):
@@ -274,6 +285,35 @@ class TestBench:
             outputs.append((out.read_bytes(), summary.read_bytes()))
         assert outputs[0] == outputs[1]
         assert len(outputs[0][0].splitlines()) == 13  # header + 3 methods x 2 budgets x 2
+
+    def test_jobs_capped_at_the_cells(self, tmp_path, monkeypatch):
+        # the pool forks all max_workers processes at its first submit; a
+        # stub that maps serially records how many it was asked for
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        for jobs, instances, workers in (("64", "2", [2]), ("2", "3", [2]), ("64", "1", [])):
+            seen.clear()
+            code, _ = _main_json(["bench", "--family", "chains", "--n", "3", "--methods", "sis",
+                                  "--budgets", "40", "--num-instances", instances,
+                                  "--metric-samples", "20", "--jobs", jobs,
+                                  "--out", str(tmp_path / "b.csv"),
+                                  "--summary-out", str(tmp_path / "s.csv")], quiet_success=True)
+            assert code == 0 and seen == workers
+            assert len((tmp_path / "b.csv").read_text().splitlines()) == 1 + int(instances)
 
     def test_budget_sweep(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -576,6 +616,9 @@ class TestErrorContract:
                                                           "log_table": [0.0] * 4}]}),
                               ("floatn", {"n": 2.9}), ("strk", {"k": "2"})):
             (tmp_path / f"{name}.json").write_text(json.dumps(dict(pair, **entries)))
+        # JSON nested deeper than the decoder's recursion limit
+        (tmp_path / "deep.json").write_text("[" * 5000)
+        (tmp_path / "deep.ckpt").write_bytes(b'{"a":' * 5000 + b"\n")
         return tmp_path, str(instance)
 
     @pytest.mark.parametrize("probe", [
@@ -617,6 +660,9 @@ class TestErrorContract:
         "run {d}/floatn.json --method sis --budget 10",
         "run {d}/strk.json --method sis --budget 10",
         "generate --family chains --n 3 --seed 0 --out {d}/g.json --params null",
+        "run {d}/deep.json --method sis --budget 10",
+        "run {instance} --method sis --budget 10 --prior {d}/deep.ckpt",
+        "generate --family chains --n 3 --seed 0 --out {d}/g.json --params " + "[" * 5000,
     ], ids=["no-method", "missing-instance",
             "instance-without-factors", "negative-c", "unknown-generator-param",
             "checkpoint-header-without-keys", "generate-out-is-a-directory", "bench-jobs-0",
@@ -627,7 +673,8 @@ class TestErrorContract:
             "train-zero-batch-size", "checkpoint-float-size", "run-prior-of-a-huge-header",
             "resume-of-a-huge-header", "bool-generator-param", "checkpoint-bool-size",
             "instance-bool-scope-entry", "instance-float-n", "instance-str-k",
-            "generator-params-null"])
+            "generator-params-null", "instance-nested-too-deep",
+            "checkpoint-header-nested-too-deep", "generator-params-nested-too-deep"])
     def test_input_error_exits_2_with_one_json_object(self, files, probe):
         d, instance = files
         code, error = _main_json(probe.format(d=d, instance=instance).split())
@@ -667,13 +714,15 @@ class TestErrorContract:
          "jitter must lie in (0, 1e-2], not -1.0"),
         ("generate --family chains --n 3 --seed 0 --out {d}/g.json --params {{\"jitter\":0.1}}",
          "jitter must lie in (0, 1e-2], not 0.1"),
+        ("train {d}/uniform.json --episodes 1 --batch-size 10001 --checkpoint-out {d}/t.ckpt "
+         "--metrics-out {d}/t.csv", "batch_size must be at most the replay capacity, 10000"),
     ], ids=["generate-n-0", "generate-kernel-not-positive-definite", "run-instance-n-0",
             "run-instance-k-1", "generate-negative-seed",
             "run-treesample-negative-run-seed", "run-smc-negative-run-seed",
             "run-gibbs-negative-run-seed", "bench-negative-run-seed",
             "bench-negative-instance-seed", "train-negative-seed", "run-config-file",
             "bench-config-file", "generate-jitter-0", "generate-negative-jitter",
-            "generate-jitter-above-escalation-cap"])
+            "generate-jitter-above-escalation-cap", "train-batch-above-replay-capacity"])
     def test_input_check_exits_2_with_its_message(self, tmp_path, probe, message):
         (tmp_path / "n0.json").write_text(json.dumps(
             {"n": 0, "k": 2, "ordering": [], "factors": []}))

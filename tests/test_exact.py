@@ -30,11 +30,10 @@ from treesample.logmath import (
     sample_softmax_rows,
     shifted_exp_terms,
 )
-from treesample.model import Factor, FactorGraph
 
 from conftest import (all_configs, assignment_to_prefix, brute_force_log_z, exact_kl,
-                      kl_by_enumeration, log_joint, log_step_conditionals, make_random_graph,
-                      q_values, reference_entropy, reference_sample_softmax_rows,
+                      kl_by_enumeration, log_joint, log_step_conditionals, make_graph,
+                      make_random_graph, q_values, reference_entropy, reference_sample_softmax_rows,
                       reference_shifted_exp_terms, reference_solve_exact, variable_marginals)
 
 
@@ -44,21 +43,10 @@ def _conditional(sol, prefix):
     return np.exp(q - logsumexp(q))
 
 
-def _graph(n, k, factors, ordering=None):
-    return FactorGraph(
-        num_variables=n,
-        num_states=k,
-        factors=tuple(
-            Factor(scope=s, table=np.asarray(t, dtype=float)) for s, t in factors
-        ),
-        ordering=tuple(ordering or range(1, n + 1)),
-    )
-
-
 def make_random_chain(rng, n, k, scale=1.0):
     factors = [((v,), rng.normal(scale=scale, size=k)) for v in range(1, n + 1)]
     factors += [((v, v + 1), rng.normal(scale=scale, size=k * k)) for v in range(1, n)]
-    return _graph(n, k, factors)
+    return make_graph(n, k, factors)
 
 
 class TestLogsumexp:
@@ -473,7 +461,7 @@ class TestLevelRewards:
 
 class TestSolveExact:
     def test_uniform_target(self):
-        g = _graph(3, 2, [((v,), np.zeros(2)) for v in (1, 2, 3)])
+        g = make_graph(3, 2, [((v,), np.zeros(2)) for v in (1, 2, 3)])
         sol = solve_exact(g)
         assert sol.log_z == pytest.approx(3 * math.log(2), abs=1e-12)
         for n in range(3):
@@ -483,7 +471,7 @@ class TestSolveExact:
     def test_point_mass(self):
         table = np.full(8, -np.inf)
         table[0] = 0.0  # only x=(1,1,1) has mass
-        g = _graph(3, 2, [((1, 2, 3), table)])
+        g = make_graph(3, 2, [((1, 2, 3), table)])
         sol = solve_exact(g)
         assert sol.log_z == pytest.approx(0.0, abs=1e-12)
         assert np.array_equal(_conditional(sol, ()), [1.0, 0.0])
@@ -539,7 +527,7 @@ class TestSolveExact:
                 assert marg[v - 1][val - 1] == pytest.approx(ref, abs=1e-9)
 
     def test_cap(self):
-        g = _graph(3, 2, [((v,), np.zeros(2)) for v in (1, 2, 3)])
+        g = make_graph(3, 2, [((v,), np.zeros(2)) for v in (1, 2, 3)])
         with pytest.raises(StateSpaceCapError):
             solve_exact(g, cap=7)
 
@@ -588,7 +576,7 @@ class TestStoredNormalisers:
         self._assert_equal_to_recomputed(solve_exact(g))
 
     def test_no_mass_at_all(self):
-        g = _graph(2, 2, [((1, 2), np.full(4, -np.inf))])
+        g = make_graph(2, 2, [((1, 2), np.full(4, -np.inf))])
         sol = solve_exact(g)
         assert sol.log_z == NEG_INF
         self._assert_equal_to_recomputed(sol)
@@ -670,7 +658,7 @@ class TestWidthMajorLevels:
 
 class TestSolveChain:
     def test_uniform_chain(self):
-        g = _graph(10, 5, [((v,), np.zeros(5)) for v in range(1, 11)] + [((v, v + 1), np.zeros(25)) for v in range(1, 10)])
+        g = make_graph(10, 5, [((v,), np.zeros(5)) for v in range(1, 11)] + [((v, v + 1), np.zeros(25)) for v in range(1, 10)])
         sol = solve_chain(g)
         assert sol.log_z == pytest.approx(10 * math.log(5), abs=1e-9)
         assert np.allclose(sol.position_marginals(), 0.2, atol=1e-12)
@@ -713,14 +701,14 @@ class TestSolveChain:
             assert log_joint(chain, x) == pytest.approx(ref, abs=1e-9)
 
     def test_non_chain_rejected(self):
-        g = _graph(3, 2, [((1, 3), np.zeros(4)), ((2,), np.zeros(2))])
+        g = make_graph(3, 2, [((1, 3), np.zeros(4)), ((2,), np.zeros(2))])
         assert not is_chain(g)
         with pytest.raises(ValueError):
             solve_chain(g)
 
     def test_reordered_chain_accepted(self):
         # scopes are non-consecutive in raw indices but consecutive under ordering
-        g = _graph(
+        g = make_graph(
             3,
             2,
             [((1, 3), np.ones(4)), ((2, 3), np.ones(4)), ((1,), np.zeros(2)), ((2,), np.zeros(2))],
@@ -732,7 +720,7 @@ class TestSolveChain:
 
     def test_position_marginals_follow_ordering(self):
         # position p holds variable ordering[p]: rows 1, 3, 2 of the exact marginals
-        g = _graph(3, 2, [((1, 3), np.array([0.1, -0.7, 1.3, 0.4])),
+        g = make_graph(3, 2, [((1, 3), np.array([0.1, -0.7, 1.3, 0.4])),
                           ((2, 3), np.array([0.5, 0.2, -1.1, 0.9])),
                           ((1,), np.array([0.3, -0.2])), ((2,), np.array([1.0, 0.0]))],
                    ordering=(1, 3, 2))
@@ -750,7 +738,7 @@ class TestSolveChain:
 
     def test_expected_log_density_with_neg_inf_entries(self):
         # zero-marginal entries meet -inf potentials; no 0 * -inf may be formed
-        g = _graph(2, 2, [((1,), np.array([0.3, -np.inf])), ((2,), np.array([0.1, -0.4])),
+        g = make_graph(2, 2, [((1,), np.array([0.3, -np.inf])), ((2,), np.array([0.1, -0.4])),
                           ((1, 2), np.array([0.2, -np.inf, 0.5, 0.0]))])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -784,14 +772,14 @@ class TestExactKl:
         assert exact_kl(approx, sol) == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_approx_uniform_target(self):
-        g = _graph(2, 2, [((1,), np.zeros(2)), ((2,), np.zeros(2))])
+        g = make_graph(2, 2, [((1,), np.zeros(2)), ((2,), np.zeros(2))])
         sol = solve_exact(g)
         assert exact_kl(_Uniform(2, 2), sol, num_samples=50, seed=1) == pytest.approx(0.0, abs=1e-12)
 
     def test_support_mismatch_gives_inf(self):
         table = np.full(4, -np.inf)
         table[0] = 0.0
-        g = _graph(2, 2, [((1, 2), table)])
+        g = make_graph(2, 2, [((1, 2), table)])
         sol = solve_exact(g)
         assert exact_kl(_Uniform(2, 2), sol, num_samples=200, seed=2) == math.inf
 

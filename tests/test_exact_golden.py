@@ -19,13 +19,8 @@ import numpy as np
 import pytest
 
 from treesample.exact import solve_chain, solve_exact
-from treesample.generators import GeneratorSpec, generate
 
-from conftest import log_step_conditionals, make_random_graph
-
-
-def _spec_graph(family, n, k, seed):
-    return generate(GeneratorSpec(family=family, n=n, k=k, seed=seed))
+from conftest import log_step_conditionals, make_random_graph, spec_graph
 
 
 def _neg_inf_graph(seed, n, k):
@@ -36,7 +31,7 @@ def _neg_inf_graph(seed, n, k):
 
 def _neg_inf_chain(seed, n, k):
     rng = np.random.default_rng(seed)
-    graph = _spec_graph("chains", n, k, seed)
+    graph = spec_graph("chains", n, k, seed)
     for f in graph.factors:
         f.table[rng.random(f.table.shape) < 0.2] = -np.inf
     return graph
@@ -46,11 +41,11 @@ def _neg_inf_chain(seed, n, k):
 # logsumexp (8 columns or more); the -inf graphs have zero-mass prefixes,
 # whose q rows are all -inf.
 CASES = {
-    "exact/fg1-n14-k2": ("exact", lambda: _spec_graph("fg1", 14, 2, 11)),
-    "exact/fg2-n12": ("exact", lambda: _spec_graph("fg2", 12, 2, 5)),
+    "exact/fg1-n14-k2": ("exact", lambda: spec_graph("fg1", 14, 2, 11)),
+    "exact/fg2-n12": ("exact", lambda: spec_graph("fg2", 12, 2, 5)),
     "exact/neg-inf": ("exact", lambda: _neg_inf_graph(157, 7, 3)),
-    "exact/chains-n5-k10": ("exact", lambda: _spec_graph("chains", 5, 10, 3)),
-    "chain/chains-n20-k10": ("chain", lambda: _spec_graph("chains", 20, 10, 7)),
+    "exact/chains-n5-k10": ("exact", lambda: spec_graph("chains", 5, 10, 3)),
+    "chain/chains-n20-k10": ("chain", lambda: spec_graph("chains", 20, 10, 7)),
     "chain/neg-inf-n12-k9": ("chain", lambda: _neg_inf_chain(19, 12, 9)),
 }
 

@@ -17,16 +17,7 @@ from treesample.model import Factor, FactorGraph
 from treesample.prior import HeuristicPrior
 from treesample.search import build_tree
 
-from conftest import all_configs, exact_kl, log_joint, make_random_graph
-
-
-def _uniform_graph(n, k):
-    return FactorGraph(
-        num_variables=n,
-        num_states=k,
-        factors=tuple(Factor(scope=(v,), table=np.zeros(k)) for v in range(1, n + 1)),
-        ordering=tuple(range(1, n + 1)),
-    )
+from conftest import all_configs, exact_kl, log_joint, make_random_graph, uniform_graph
 
 
 def _target_atoms(graph, sol):
@@ -111,7 +102,7 @@ class TestBatchedAtomScoring:
         assert inf_seen
 
     def test_empty_atoms(self):
-        g = _uniform_graph(2, 2)
+        g = uniform_graph(2, 2)
         sol = solve_exact(g)
         empty = WeightedAtoms(atoms=[], weights=[])
         assert delta_kl_atoms(empty, g) == 0.0
@@ -140,7 +131,7 @@ class TestDeltaKlSampler:
         assert abs(est - (-sol.log_z)) < max(3 * stderr, 1e-9)
 
     def test_constant_integrand_has_zero_stderr(self):
-        g = _uniform_graph(3, 2)
+        g = uniform_graph(3, 2)
         tree = build_tree(g, HeuristicPrior(), budget=0)
         est, stderr, *_ = delta_kl_sampler(tree, g, num_samples=100, seed=5)
         assert est == pytest.approx(-3 * math.log(2), abs=1e-12)
@@ -205,7 +196,7 @@ class TestEnergyEntropyDeltas:
         assert dh == pytest.approx(0.0, abs=1e-9)
 
     def test_point_mass_on_uniform_target(self):
-        g = _uniform_graph(1, 2)
+        g = uniform_graph(1, 2)
         sol = solve_exact(g)
         atoms = WeightedAtoms(atoms=[(1,)], weights=[1.0])
         de, dh = energy_entropy_deltas(atoms, sol, g)

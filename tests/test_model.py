@@ -19,16 +19,7 @@ from treesample.model import (
     save_graph,
 )
 
-from conftest import all_configs, make_random_graph, reference_factor_sums
-
-
-def _graph(n, k, factors, ordering=None):
-    return FactorGraph(
-        num_variables=n,
-        num_states=k,
-        factors=tuple(Factor(scope=s, table=np.asarray(t, dtype=float)) for s, t in factors),
-        ordering=tuple(ordering or range(1, n + 1)),
-    )
+from conftest import all_configs, make_graph, make_random_graph, reference_factor_sums
 
 
 def _density_by_lookup(g, x):
@@ -48,19 +39,19 @@ def _density_by_lookup(g, x):
 class TestReward:
     def test_empty_depth_is_zero(self):
         # depth 2 carries no factor: (1,) resolves at depth 1, (2,3) at depth 3
-        g = _graph(3, 2, [((1,), [0.1, 0.2]), ((2, 3), np.arange(4.0))])
+        g = make_graph(3, 2, [((1,), [0.1, 0.2]), ((2, 3), np.arange(4.0))])
         assert g.reward((1, 2)) == 0.0
         assert g.reward((2, 1)) == 0.0
 
     def test_unary_lookup(self):
-        g = _graph(1, 2, [((1,), [0.3, -0.7])])
+        g = make_graph(1, 2, [((1,), [0.3, -0.7])])
         assert g.reward((2,)) == pytest.approx(-0.7)
 
     def test_partition_sums_to_density(self):
         # psi_a(x1,x3), psi_b(x2): M_1 empty, M_2={b}, M_3={a}; checked by
         # exhaustive enumeration of all 8 configurations.
         rng = np.random.default_rng(7)
-        g = _graph(3, 2, [((1, 3), rng.normal(size=4)), ((2,), rng.normal(size=2))])
+        g = make_graph(3, 2, [((1, 3), rng.normal(size=4)), ((2,), rng.normal(size=2))])
         assert g.factors_at_depth(1) == ()
         assert len(g.factors_at_depth(2)) == 1
         assert len(g.factors_at_depth(3)) == 1
@@ -70,7 +61,7 @@ class TestReward:
             assert via_rewards == pytest.approx(direct, abs=1e-12)
 
     def test_out_of_range_value_rejected(self):
-        g = _graph(2, 2, [((1,), [0.0, 0.0]), ((2,), [0.0, 0.0])])
+        g = make_graph(2, 2, [((1,), [0.0, 0.0]), ((2,), [0.0, 0.0])])
         for prefix in [(3,), (0,), (1, 3), (0, 1), (), (1, 1, 1)]:
             with pytest.raises(ValueError):
                 g.reward(prefix)
@@ -97,47 +88,47 @@ class TestReward:
                     assert seen == set(range(len(cf.factor.table)))
 
     def test_neg_inf_propagates(self):
-        g = _graph(2, 2, [((1,), [-np.inf, 0.0]), ((1, 2), np.ones(4))])
+        g = make_graph(2, 2, [((1,), [-np.inf, 0.0]), ((1, 2), np.ones(4))])
         assert g.reward((1,)) == -np.inf
         assert g.log_unnormalized_density((1, 1)) == -np.inf
 
 
 class TestRewardCost:
     def test_factor_eval_counts_factors(self):
-        g = _graph(2, 2, [((2,), [0.0, 0.0]), ((1, 2), np.zeros(4)), ((1, 2), np.zeros(4)), ((1,), [0.0, 0.0])])
+        g = make_graph(2, 2, [((2,), [0.0, 0.0]), ((1, 2), np.zeros(4)), ((1, 2), np.zeros(4)), ((1,), [0.0, 0.0])])
         assert g.reward_cost(2, FACTOR_EVAL) == 3
         assert g.reward_cost(2, REWARD_EVAL) == 1
         assert g.reward_cost(1, FACTOR_EVAL) == 1
 
     def test_empty_depth_factor_eval_is_free(self):
         # depth 2 resolves no factor: (1,) at depth 1, (2,3) and (1,2,3) at depth 3
-        g = _graph(3, 2, [((1,), [0.0, 0.0]), ((2, 3), np.zeros(4)), ((1, 2, 3), np.zeros(8))])
+        g = make_graph(3, 2, [((1,), [0.0, 0.0]), ((2, 3), np.zeros(4)), ((1, 2, 3), np.zeros(8))])
         assert g.reward_cost(2, FACTOR_EVAL) == 0
         assert g.reward_cost(2, REWARD_EVAL) == 1
         assert g.reward_cost(3, FACTOR_EVAL) == 2
 
     @pytest.mark.parametrize("depth", [0, 3])
     def test_depth_out_of_range_rejected(self, depth):
-        g = _graph(2, 2, [((1, 2), np.zeros(4))])
+        g = make_graph(2, 2, [((1, 2), np.zeros(4))])
         with pytest.raises(ValueError, match="depth out of range"):
             g.reward_cost(depth)
 
     def test_unknown_cost_mode_rejected(self):
-        g = _graph(2, 2, [((1, 2), np.zeros(4))])
+        g = make_graph(2, 2, [((1, 2), np.zeros(4))])
         with pytest.raises(ValueError, match="unknown cost mode 'bogus'"):
             g.reward_cost(1, "bogus")
 
 
 class TestLogUnnormalizedDensity:
     def test_all_zero_factors(self):
-        g = _graph(3, 2, [((1,), np.zeros(2)), ((2,), np.zeros(2)), ((3,), np.zeros(2))])
+        g = make_graph(3, 2, [((1,), np.zeros(2)), ((2,), np.zeros(2)), ((3,), np.zeros(2))])
         for x in all_configs(3, 2):
             assert g.log_unnormalized_density(x) == 0.0
 
     def test_neg_inf_entry(self):
         t = np.zeros(4)
         t[0] = -np.inf
-        g = _graph(2, 2, [((1, 2), t)])
+        g = make_graph(2, 2, [((1, 2), t)])
         assert g.log_unnormalized_density((1, 1)) == -np.inf
         assert g.log_unnormalized_density((2, 2)) == 0.0
 
@@ -151,7 +142,7 @@ class TestLogUnnormalizedDensity:
             assert summed == pytest.approx(direct, abs=1e-12)
 
     def test_incomplete_rejected(self):
-        g = _graph(2, 2, [((1,), np.zeros(2)), ((2,), np.zeros(2))])
+        g = make_graph(2, 2, [((1,), np.zeros(2)), ((2,), np.zeros(2))])
         with pytest.raises(ValueError):
             g.log_unnormalized_density((1,))
 
@@ -168,11 +159,11 @@ class TestLogUnnormalizedDensityBatch:
             assert [g.log_unnormalized_density(x) for x in xs.tolist()] == expected
 
     def test_empty_batch(self):
-        g = _graph(2, 2, [((1, 2), [0.0, 1.0, 2.0, 3.0])])
+        g = make_graph(2, 2, [((1, 2), [0.0, 1.0, 2.0, 3.0])])
         assert g.log_unnormalized_density_batch(np.zeros((0, 2), dtype=int)).shape == (0,)
 
     def test_bad_rows_rejected(self):
-        g = _graph(2, 2, [((1, 2), [0.0, 1.0, 2.0, 3.0])])
+        g = make_graph(2, 2, [((1, 2), [0.0, 1.0, 2.0, 3.0])])
         for xs in ([[1]], [[1, 3]], [[0, 1]], [1, 2]):
             with pytest.raises(ValueError):
                 g.log_unnormalized_density_batch(xs)
@@ -190,11 +181,11 @@ class TestRewardBatch:
                 assert g.reward_batch(xs[:, :depth]).tolist() == expected
 
     def test_empty_batch(self):
-        g = _graph(2, 2, [((1, 2), [0.0, 1.0, 2.0, 3.0])])
+        g = make_graph(2, 2, [((1, 2), [0.0, 1.0, 2.0, 3.0])])
         assert g.reward_batch(np.zeros((0, 1), dtype=int)).shape == (0,)
 
     def test_bad_rows_rejected(self):
-        g = _graph(2, 2, [((1, 2), [0.0, 1.0, 2.0, 3.0])])
+        g = make_graph(2, 2, [((1, 2), [0.0, 1.0, 2.0, 3.0])])
         for xs in (np.zeros((1, 0), dtype=int), [[1, 1, 1]], [[1, 3]], [[0, 1]], [1, 2]):
             with pytest.raises(ValueError):
                 g.reward_batch(xs)
@@ -258,7 +249,7 @@ class TestPartitionProperty:
             assert sorted(seen) == list(range(g.num_factors))
 
     def test_depth_equals_max_ordering_position(self):
-        g = _graph(3, 2, [((1, 3), np.zeros(4)), ((2,), np.zeros(2)), ((1,), np.zeros(2))], ordering=(3, 2, 1))
+        g = make_graph(3, 2, [((1, 3), np.zeros(4)), ((2,), np.zeros(2)), ((1,), np.zeros(2))], ordering=(3, 2, 1))
         # positions: var3->1, var2->2, var1->3; factor (1,3) resolves at depth 3
         assert [g.factors.index(cf.factor) for cf in g.factors_at_depth(3)] == [0, 2]
         assert [g.factors.index(cf.factor) for cf in g.factors_at_depth(2)] == [1]
@@ -267,29 +258,29 @@ class TestPartitionProperty:
 class TestValidation:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            _graph(1, 2, [((1,), [np.nan, 0.0])])
+            make_graph(1, 2, [((1,), [np.nan, 0.0])])
 
     def test_pos_inf_rejected(self):
         with pytest.raises(ValueError):
-            _graph(1, 2, [((1,), [np.inf, 0.0])])
+            make_graph(1, 2, [((1,), [np.inf, 0.0])])
 
     def test_bad_scope(self):
         with pytest.raises(ValueError):
-            _graph(2, 2, [((2, 1), np.zeros(4)), ((1,), np.zeros(2))])
+            make_graph(2, 2, [((2, 1), np.zeros(4)), ((1,), np.zeros(2))])
         with pytest.raises(ValueError):
-            _graph(2, 2, [((0,), np.zeros(2)), ((1,), np.zeros(2)), ((2,), np.zeros(2))])
+            make_graph(2, 2, [((0,), np.zeros(2)), ((1,), np.zeros(2)), ((2,), np.zeros(2))])
 
     def test_wrong_table_length(self):
         with pytest.raises(ValueError):
-            _graph(2, 3, [((1, 2), np.zeros(8)), ((1,), np.zeros(3)), ((2,), np.zeros(3))])
+            make_graph(2, 3, [((1, 2), np.zeros(8)), ((1,), np.zeros(3)), ((2,), np.zeros(3))])
 
     def test_uncovered_variable(self):
         with pytest.raises(ValueError):
-            _graph(2, 2, [((1,), np.zeros(2))])
+            make_graph(2, 2, [((1,), np.zeros(2))])
 
     def test_bad_ordering(self):
         with pytest.raises(ValueError):
-            _graph(2, 2, [((1,), np.zeros(2)), ((2,), np.zeros(2))], ordering=(1, 1))
+            make_graph(2, 2, [((1,), np.zeros(2)), ((2,), np.zeros(2))], ordering=(1, 1))
 
 
 class TestBudgetLedger:
@@ -376,7 +367,7 @@ class TestJsonRoundTrip:
     ])
     def test_integer_entry_of_another_type_rejected(self, entry, value, name):
         # Python's int() would truncate 2.9, parse "2" and take True as 1
-        data = graph_to_json_dict(_graph(2, 2, [((1, 2), np.zeros(4))]))
+        data = graph_to_json_dict(make_graph(2, 2, [((1, 2), np.zeros(4))]))
         if entry == "scope":
             data["factors"][0]["scope"] = value
         else:
@@ -386,6 +377,6 @@ class TestJsonRoundTrip:
 
     def test_neg_inf_encoded_as_string(self):
         t = np.array([0.5, -np.inf])
-        g = _graph(1, 2, [((1,), t)])
+        g = make_graph(1, 2, [((1,), t)])
         data = graph_to_json_dict(g)
         assert data["factors"][0]["log_table"] == [0.5, "-inf"]

@@ -8,9 +8,9 @@ from treesample.baselines import WeightedAtoms, smc
 from treesample.exact import solve_exact
 from treesample.generators import GeneratorSpec, generate
 from treesample.logmath import logsumexp_rows
-from treesample.model import Factor, FactorGraph
 from treesample.prior import (
     CHECKPOINT_FORMAT,
+    REPLAY_CAPACITY,
     Adam,
     HeuristicPrior,
     MLPValueFunction,
@@ -25,37 +25,28 @@ from treesample.prior import (
 )
 from treesample.search import build_tree
 
-from conftest import all_configs, kl_by_enumeration, make_random_graph, q_values
-
-
-def _uniform_graph(n, k, ordering=None):
-    return FactorGraph(
-        num_variables=n,
-        num_states=k,
-        factors=tuple(Factor(scope=(v,), table=np.zeros(k)) for v in range(1, n + 1)),
-        ordering=tuple(ordering or range(1, n + 1)),
-    )
+from conftest import all_configs, kl_by_enumeration, make_random_graph, q_values, uniform_graph
 
 
 class TestHeuristicPrior:
     def test_last_variable_is_zero(self):
-        g = _uniform_graph(4, 3)
+        g = uniform_graph(4, 3)
         assert np.array_equal(HeuristicPrior().evaluate(g, (1, 2, 3)), np.zeros(3))
 
     def test_first_variable_value(self):
-        g = _uniform_graph(10, 5)
+        g = uniform_graph(10, 5)
         q = HeuristicPrior().evaluate(g, ())
         assert np.allclose(q, 9 * math.log(5))
 
     def test_equals_exact_on_uniform_graph(self):
-        g = _uniform_graph(5, 3)
+        g = uniform_graph(5, 3)
         sol = solve_exact(g)
         h = HeuristicPrior()
         for prefix in [(), (1,), (2, 3), (1, 1, 1), (3, 2, 1, 3)]:
             assert np.array_equal(q_values(sol, prefix), h.evaluate(g, prefix))
 
     def test_complete_prefix_rejected(self):
-        g = _uniform_graph(2, 2)
+        g = uniform_graph(2, 2)
         with pytest.raises(ValueError):
             HeuristicPrior().evaluate(g, (1, 2))
 
@@ -66,31 +57,31 @@ def encode_one(graph, prefix):
 
 class TestEncodePrefix:
     def test_empty_prefix(self):
-        g = _uniform_graph(2, 2)
+        g = uniform_graph(2, 2)
         assert np.array_equal(encode_one(g, ()), [0, 0, 1, 0, 0, 1])
 
     def test_partial_prefix(self):
-        g = _uniform_graph(2, 2)
+        g = uniform_graph(2, 2)
         assert np.array_equal(encode_one(g, (2,)), [0, 1, 0, 0, 0, 1])
 
     def test_complete_prefix_has_no_flags(self):
-        g = _uniform_graph(3, 2)
+        g = uniform_graph(3, 2)
         enc = encode_one(g, (1, 2, 1)).reshape(3, 3)
         assert np.all(enc[:, 2] == 0)
 
     def test_respects_ordering(self):
-        g = _uniform_graph(2, 2, ordering=(2, 1))
+        g = uniform_graph(2, 2, ordering=(2, 1))
         # depth-1 value assigns variable 2
         assert np.array_equal(encode_one(g, (1,)), [0, 0, 1, 1, 0, 0])
 
     def test_array_rows(self):
-        g = _uniform_graph(3, 2, ordering=(2, 3, 1))
+        g = uniform_graph(3, 2, ordering=(2, 3, 1))
         rows = np.array([[1, 2], [2, 1]])
         assert np.array_equal(encode_batch(g, rows), [[0, 0, 1, 1, 0, 0, 0, 1, 0],
                                                       [0, 0, 1, 0, 1, 0, 1, 0, 0]])
 
     def test_injective(self):
-        g = _uniform_graph(3, 2)
+        g = uniform_graph(3, 2)
         seen = set()
         prefixes = [()]
         for n in range(1, 4):
@@ -113,7 +104,7 @@ class TestBatchEvaluation:
     about 1e-12 relative beyond."""
 
     def test_encode_batch_rows_match_single_prefixes(self):
-        g = _uniform_graph(4, 3, ordering=(3, 1, 4, 2))
+        g = uniform_graph(4, 3, ordering=(3, 1, 4, 2))
         prefixes = _mixed_prefixes(4, 3)
         expected = np.stack([encode_one(g, p) for p in prefixes])
         assert np.array_equal(encode_batch(g, prefixes), expected)
@@ -122,12 +113,12 @@ class TestBatchEvaluation:
         assert np.array_equal(encode_batch(g, same_length), expected)
 
     def test_empty_batch(self):
-        g = _uniform_graph(3, 2)
+        g = uniform_graph(3, 2)
         assert encode_batch(g, []).shape == (0, 9)
         assert HeuristicPrior().evaluate_batch(g, np.zeros((0, 1), dtype=int)).shape == (0, 2)
 
     def test_heuristic_batch_matches_evaluate(self):
-        g = _uniform_graph(4, 3)
+        g = uniform_graph(4, 3)
         h = HeuristicPrior()
         prefixes = _mixed_prefixes(4, 3)
         expected = np.stack([h.evaluate(g, p) for p in prefixes])
@@ -139,7 +130,7 @@ class TestBatchEvaluation:
         assert out.strides[0] == 0 and not out.flags.writeable
 
     def test_heuristic_batch_calls_evaluate_once_per_length(self, monkeypatch):
-        g = _uniform_graph(4, 3)
+        g = uniform_graph(4, 3)
         calls = []
         evaluate = HeuristicPrior.evaluate
 
@@ -155,7 +146,7 @@ class TestBatchEvaluation:
         assert calls == [2]
 
     def test_mlp_batch_matches_evaluate(self):
-        g = _uniform_graph(4, 3, ordering=(2, 4, 1, 3))
+        g = uniform_graph(4, 3, ordering=(2, 4, 1, 3))
         mlp = MLPValueFunction(16, 3, hidden_units=32, num_hidden_layers=3, seed=5)
         prefixes = _mixed_prefixes(4, 3)
         single = np.stack([mlp.evaluate(g, p) for p in prefixes])
@@ -250,7 +241,7 @@ class TestMlp:
             mlp.forward(np.ones((1, 2)))
 
     def test_evaluate_with_nan_parameters_hard_error(self):
-        g = _uniform_graph(3, 2)
+        g = uniform_graph(3, 2)
         mlp = MLPValueFunction(3 * 3, 2, hidden_units=4, num_hidden_layers=1, seed=0)
         mlp.flat[-1] = np.nan  # the last output bias
         with pytest.raises(ValueError, match="NaN"):
@@ -266,12 +257,11 @@ class TestMlp:
         size = MLPValueFunction(2, 2, hidden_units=4, num_hidden_layers=1).flat.size
         for wrong in (size + 1, size - 1):
             with pytest.raises(ValueError, match="flat parameter vector has the wrong length"):
-                MLPValueFunction.from_flat(np.zeros(wrong), 2, 2, hidden_units=4,
-                                           num_hidden_layers=1)
+                MLPValueFunction(2, 2, hidden_units=4, num_hidden_layers=1, flat=np.zeros(wrong))
 
     def test_prior_interface_shape(self):
         # evaluate: a list of K Python floats; evaluate_batch: an (R, K) array
-        g = _uniform_graph(3, 2)
+        g = uniform_graph(3, 2)
         mlp = MLPValueFunction(9, 2, hidden_units=8, num_hidden_layers=2, seed=1)
         for prior in (HeuristicPrior(), mlp):
             q = prior.evaluate(g, (1,))
@@ -361,6 +351,12 @@ class TestTrainConfig:
         for value in (0, -1):
             with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
                 TrainConfig(**{name: value})
+
+    def test_batch_above_replay_capacity_rejected(self):
+        # replay never holds more pairs, so no Adam step could ever run
+        with pytest.raises(ValueError, match=f"replay capacity, {REPLAY_CAPACITY}"):
+            TrainConfig(batch_size=REPLAY_CAPACITY + 1)
+        TrainConfig(batch_size=REPLAY_CAPACITY)
 
     @pytest.mark.parametrize("name", ["episodes", "seed", "learning_rate"])
     def test_bool_is_no_number(self, name):
@@ -496,7 +492,7 @@ class TestPriorDistribution:
     """The distribution a prior induces is sampled by a tree with no expansions."""
 
     def test_heuristic_prior_is_uniform(self):
-        g = _uniform_graph(3, 2)
+        g = uniform_graph(3, 2)
         dist = build_tree(g, HeuristicPrior(), 0)
         for x in all_configs(3, 2):
             assert dist.log_density(x) == pytest.approx(-3 * math.log(2), abs=1e-12)
@@ -512,7 +508,7 @@ class TestTrainLoop:
         return mlp, Adam(mlp.parameters(), learning_rate=config.learning_rate)
 
     def test_learns_uniform_target(self):
-        g = _uniform_graph(3, 2)
+        g = uniform_graph(3, 2)
         config = TrainConfig(
             episodes=25, budget_per_episode=30, samples_per_episode=32, batch_size=32,
             learning_rate=3e-3, seed=1, metric_samples=64,
@@ -539,7 +535,7 @@ class TestTrainLoop:
         assert np.allclose(got, q_values(sol, ()), atol=0.05)
 
     def test_smc_algo_runs(self):
-        g = _uniform_graph(3, 2)
+        g = uniform_graph(3, 2)
         config = TrainConfig(
             episodes=3, budget_per_episode=30, samples_per_episode=16, batch_size=16,
             learning_rate=1e-3, seed=3, metric_samples=16, algo="smc",
@@ -549,7 +545,7 @@ class TestTrainLoop:
         assert all(math.isfinite(row["delta_kl"]) for row in history)
 
     def test_deterministic(self):
-        g = _uniform_graph(3, 2)
+        g = uniform_graph(3, 2)
         config = TrainConfig(
             episodes=4, budget_per_episode=20, samples_per_episode=8, batch_size=8,
             learning_rate=1e-3, seed=9, metric_samples=8,

@@ -9,27 +9,12 @@ from treesample import search
 from treesample.exact import solve_exact
 from treesample.generators import GeneratorSpec, generate
 from treesample.logmath import NEG_INF, ZeroMassError, logsumexp_list, sample_softmax_rows
-from treesample.model import FACTOR_EVAL, REWARD_EVAL, BudgetLedger, Factor, FactorGraph
+from treesample.model import FACTOR_EVAL, REWARD_EVAL, BudgetLedger
 from treesample.prior import HeuristicPrior, MLPValueFunction
 from treesample.search import SearchTree, TreeNode, backup, build_tree, expand, q_uct_select
 
-from conftest import (ExactValuePrior, all_configs, kl_by_enumeration, log_joint,
-                      make_random_graph, q_values, reference_sample_batch)
-
-
-def _graph(n, k, factors, ordering=None):
-    return FactorGraph(
-        num_variables=n,
-        num_states=k,
-        factors=tuple(
-            Factor(scope=s, table=np.asarray(t, dtype=float)) for s, t in factors
-        ),
-        ordering=tuple(ordering or range(1, n + 1)),
-    )
-
-
-def _uniform_graph(n, k):
-    return _graph(n, k, [((v,), np.zeros(k)) for v in range(1, n + 1)])
+from conftest import (ExactValuePrior, all_configs, kl_by_enumeration, log_joint, make_graph,
+                      make_random_graph, q_values, reference_sample_batch, uniform_graph)
 
 
 def _node(q, bonus, eta, complete):
@@ -103,7 +88,7 @@ class TestQUctSelect:
     def test_epsilon_floor_applies(self):
         # prior below epsilon uses epsilon in the bonus: equal Q, equal eta,
         # bonus then ties and action 1 wins
-        node = expand(_uniform_graph(3, 2), (), [-3.0, 0.01], 0, BudgetLedger(budget=1), c=1.0,
+        node = expand(uniform_graph(3, 2), (), [-3.0, 0.01], 0, BudgetLedger(budget=1), c=1.0,
                       epsilon=0.1)
         assert node.bonus == [0.1, 0.1]
         node.q[:] = [0.5, 0.5]
@@ -150,7 +135,7 @@ class TestQUctSelect:
 
 class TestExpand:
     def test_leaf_children(self):
-        g = _uniform_graph(2, 3)
+        g = uniform_graph(2, 3)
         ledger = BudgetLedger(budget=10)
         node = expand(g, (1, 2), _heuristic_row(g, (1, 2)), 1, ledger, c=2.0, epsilon=0.1)
         assert np.allclose(node.q, -math.log(3))
@@ -159,7 +144,7 @@ class TestExpand:
         assert ledger.spent == 1
 
     def test_root_uses_heuristic(self):
-        g = _uniform_graph(10, 5)
+        g = uniform_graph(10, 5)
         node = expand(g, (), _heuristic_row(g, ()), 0, BudgetLedger(budget=10), c=2.0, epsilon=0.1)
         assert np.allclose(node.q, 9 * math.log(5))
         assert node.q[0] == pytest.approx(14.485, abs=1e-3)
@@ -167,27 +152,27 @@ class TestExpand:
         assert not node.complete
 
     def test_root_is_free(self):
-        g = _uniform_graph(3, 2)
+        g = uniform_graph(3, 2)
         ledger = BudgetLedger(budget=5)
         expand(g, (), _heuristic_row(g, ()), 0, ledger, c=2.0, epsilon=0.1)
         assert ledger.spent == 0
 
     def test_dead_end_marked_complete(self):
-        g = _graph(2, 2, [((1,), [0.0, -np.inf]), ((2,), [0.0, 0.0])])
+        g = make_graph(2, 2, [((1,), [0.0, -np.inf]), ((2,), [0.0, 0.0])])
         node = expand(g, (2,), _heuristic_row(g, (2,)), 1, BudgetLedger(budget=5), c=2.0,
                       epsilon=0.1)
         assert node.reward == NEG_INF
         assert node.complete
 
     def test_factor_eval_cost(self):
-        g = _graph(2, 2, [((1,), np.zeros(2)), ((1, 2), np.zeros(4)), ((2,), np.zeros(2))])
+        g = make_graph(2, 2, [((1,), np.zeros(2)), ((1, 2), np.zeros(4)), ((2,), np.zeros(2))])
         ledger = BudgetLedger(budget=10, cost_mode=FACTOR_EVAL)
         expand(g, (1, 2), _heuristic_row(g, (1, 2)), g.reward_cost(2, FACTOR_EVAL), ledger, c=2.0,
                epsilon=0.1)
         assert ledger.spent == 2  # both the pair factor and the unary resolve at depth 2
 
     def test_overrun_raises(self):
-        g = _uniform_graph(2, 2)
+        g = uniform_graph(2, 2)
         ledger = BudgetLedger(budget=0)
         with pytest.raises(RuntimeError, match="internal accounting error"):
             expand(g, (1,), _heuristic_row(g, (1,)), 1, ledger, c=2.0, epsilon=0.1)
@@ -196,7 +181,7 @@ class TestExpand:
 
 class TestBackup:
     def test_fresh_leaf_gives_reward(self):
-        g = _graph(2, 2, [((1,), np.zeros(2)), ((1, 2), np.array([0.7, 0.0, 0.0, 0.0]))])
+        g = make_graph(2, 2, [((1,), np.zeros(2)), ((1, 2), np.array([0.7, 0.0, 0.0, 0.0]))])
         ledger = BudgetLedger(budget=10)
         root = expand(g, (), _heuristic_row(g, ()), 0, ledger, c=2.0, epsilon=0.1)
         child = expand(g, (1,), _heuristic_row(g, (1,)), 1, ledger, c=2.0, epsilon=0.1)
@@ -259,7 +244,7 @@ class TestBuildTree:
         assert charges == []
 
     def test_zero_budget_tree_is_prior(self):
-        g = _uniform_graph(3, 2)
+        g = uniform_graph(3, 2)
         tree = build_tree(g, HeuristicPrior(), 0)
         assert len(tree.nodes) == 0
         assert tree.root_value() is None
@@ -276,7 +261,7 @@ class TestBuildTree:
         assert np.allclose(log_q, -3 * math.log(2), atol=1e-12)
 
     def test_hand_run_two_level_uniform(self):
-        g = _uniform_graph(2, 2)
+        g = uniform_graph(2, 2)
         tree = build_tree(g, HeuristicPrior(), 6)
         assert tree.ledger.spent == 6
         assert len(tree.nodes) == 7  # root plus six charged expansions
@@ -333,7 +318,7 @@ class TestBuildTree:
         assert checked > 50
 
     def test_dead_end_branch_never_sampled(self):
-        g = _graph(2, 2, [((1,), [0.0, -np.inf]), ((2,), [0.3, -0.2])])
+        g = make_graph(2, 2, [((1,), [0.0, -np.inf]), ((2,), [0.3, -0.2])])
         tree = build_tree(g, HeuristicPrior(), 100)
         assert tree.root_complete()
         assert tree.root.q[1] == NEG_INF
@@ -343,7 +328,7 @@ class TestBuildTree:
         assert tree.log_density((2, 1)) == NEG_INF
 
     def test_zero_mass_target_raises_on_sample(self):
-        g = _graph(1, 2, [((1,), [-np.inf, -np.inf])])
+        g = make_graph(1, 2, [((1,), [-np.inf, -np.inf])])
         tree = build_tree(g, HeuristicPrior(), 10)
         with pytest.raises(ZeroMassError):
             tree.sample(np.random.default_rng(0))
@@ -454,7 +439,7 @@ class TestBuildMatchesPerLevelReference:
         # a leaf's soft value on a zero graph is 0.0, which equals the
         # prior's -0.0 that it replaces: the backup stops at that edge, but
         # it stores 0.0 there, as a full backup does
-        g = _uniform_graph(3, 2)
+        g = uniform_graph(3, 2)
         for budget in range(2, exhaustive_budget(g) + 1):
             tree = self._assert_same_tree(g, _FixedPrior([-0.0, -0.0]), budget)
         assert '"q": [0.0, 0.0]' in json.dumps(tree.dump_json_dict())
@@ -554,7 +539,7 @@ class TestSampleAndDensity:
             assert abs(counts.get(tuple(x), 0) / draws - p) < 5 * se + 1e-3
 
     def test_dump_round_trip(self, tmp_path):
-        g = _uniform_graph(2, 2)
+        g = uniform_graph(2, 2)
         tree = build_tree(g, HeuristicPrior(), 6)
         path = tmp_path / "tree.json"
         tree.dump(path)
@@ -665,12 +650,12 @@ class TestSampleBatch:
         assert xs.tolist() == ref_xs.tolist() and log_q.tobytes() == ref_log_q.tobytes()
 
     def test_zero_draws(self):
-        tree = build_tree(_uniform_graph(3, 2), HeuristicPrior(), 3)
+        tree = build_tree(uniform_graph(3, 2), HeuristicPrior(), 3)
         xs, log_q = tree.sample_batch(0, np.random.default_rng(0))
         assert xs.shape == (0, 3) and log_q.shape == (0,)
 
     def test_zero_mass_raises_like_one_row_path(self):
-        g = _graph(1, 2, [((1,), [-np.inf, -np.inf])])
+        g = make_graph(1, 2, [((1,), [-np.inf, -np.inf])])
         tree = build_tree(g, HeuristicPrior(), 10)
         with pytest.raises(ZeroMassError):
             tree.sample_batch(50, np.random.default_rng(0))

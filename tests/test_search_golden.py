@@ -31,18 +31,13 @@ import json
 import numpy as np
 import pytest
 
-from treesample.generators import GeneratorSpec, generate
 from treesample.model import FACTOR_EVAL, REWARD_EVAL
 from treesample.prior import HeuristicPrior, MLPValueFunction
 from treesample.search import build_tree
 
-from conftest import make_random_graph
+from conftest import make_random_graph, spec_graph
 
 NUM_DRAWS = 500
-
-
-def _spec_graph(family, n, k, seed):
-    return generate(GeneratorSpec(family=family, n=n, k=k, seed=seed))
 
 
 def _neg_inf_graph():
@@ -67,17 +62,17 @@ def _one_leaf_mlp(graph):
 # (perfbench/workloads.py INSTANCE_SEEDS) at budget 300, so that the trees
 # its timings are taken on are pinned here too.
 CASES = {
-    "fg1-n12-k2/reward_eval": (lambda: _spec_graph("fg1", 12, 2, 3), None, 600, REWARD_EVAL, 7),
-    "fg2-n12/factor_eval": (lambda: _spec_graph("fg2", 12, 2, 5), None, 800, FACTOR_EVAL, 8),
-    "chains-n8-k10": (lambda: _spec_graph("chains", 8, 10, 7), None, 600, REWARD_EVAL, 12),
-    "chains-n6-k3/complete": (lambda: _spec_graph("chains", 6, 3, 13), None, 2000, REWARD_EVAL, 7),
+    "fg1-n12-k2/reward_eval": (lambda: spec_graph("fg1", 12, 2, 3), None, 600, REWARD_EVAL, 7),
+    "fg2-n12/factor_eval": (lambda: spec_graph("fg2", 12, 2, 5), None, 800, FACTOR_EVAL, 8),
+    "chains-n8-k10": (lambda: spec_graph("chains", 8, 10, 7), None, 600, REWARD_EVAL, 12),
+    "chains-n6-k3/complete": (lambda: spec_graph("chains", 6, 3, 13), None, 2000, REWARD_EVAL, 7),
     "neg-inf/reward_eval": (_neg_inf_graph, None, 120, REWARD_EVAL, 3),
     "neg-inf/factor_eval": (_neg_inf_graph, None, 200, FACTOR_EVAL, 3),
-    "fg2-n10/mlp": (lambda: _spec_graph("fg2", 10, 2, 5), _one_leaf_mlp, 300, REWARD_EVAL, 10),
-    "fg2-n10/mlp/rounds": (lambda: _spec_graph("fg2", 10, 2, 5), _mlp, 300, REWARD_EVAL, 10),
-    "bench/fg1-n18/reward_eval": (lambda: _spec_graph("fg1", 18, 2, 3), None, 300, REWARD_EVAL, 1),
-    "bench/fg2-n18/factor_eval": (lambda: _spec_graph("fg2", 18, 2, 5), None, 300, FACTOR_EVAL, 1),
-    "bench/chains-n20-k10": (lambda: _spec_graph("chains", 20, 10, 7), None, 300, REWARD_EVAL, 1),
+    "fg2-n10/mlp": (lambda: spec_graph("fg2", 10, 2, 5), _one_leaf_mlp, 300, REWARD_EVAL, 10),
+    "fg2-n10/mlp/rounds": (lambda: spec_graph("fg2", 10, 2, 5), _mlp, 300, REWARD_EVAL, 10),
+    "bench/fg1-n18/reward_eval": (lambda: spec_graph("fg1", 18, 2, 3), None, 300, REWARD_EVAL, 1),
+    "bench/fg2-n18/factor_eval": (lambda: spec_graph("fg2", 18, 2, 5), None, 300, FACTOR_EVAL, 1),
+    "bench/chains-n20-k10": (lambda: spec_graph("chains", 20, 10, 7), None, 300, REWARD_EVAL, 1),
 }
 
 GOLDEN = {
