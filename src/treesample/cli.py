@@ -31,7 +31,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from .baselines import bp_sample, check_resample_threshold, gibbs, sis, smc
-from .exact import is_chain, solve_chain, solve_exact
+from .exact import StateSpaceCapError, solve_exact
 from .generators import GeneratorSpec, generate
 from .logmath import NEG_INF, ZeroMassError
 from .metrics import evaluate_method
@@ -59,7 +59,8 @@ class RunConfig:
     metric_samples: int = config_field(10_000, "the draws the metrics score")
     run_seed: int = config_field(0, "the seed of the build and of the scoring")
     prior: str = config_field("heuristic", "'heuristic' or a checkpoint path")
-    oracle_cap: int = config_field(10**6, "the largest K**N of a non-chain graph solved exactly")
+    oracle_cap: int = config_field(10**6, "the largest table (K to the widest level scope) the "
+                                          "exact oracle may build")
 
     def __post_init__(self):
         check_fields(self)
@@ -120,16 +121,15 @@ def run_method(graph: FactorGraph, config: RunConfig):
 
 
 def pick_oracle(graph: FactorGraph, cap: int):
-    """The exact oracle of graph, or None when its state space exceeds cap.
+    """The exact oracle of graph, or None when its widest level table
+    exceeds cap.
 
     Raises ZeroMassError when the target has zero total mass: there is no
     distribution to score an approximation against.
     """
-    if is_chain(graph):
-        oracle = solve_chain(graph)
-    elif graph.num_states**graph.num_variables <= cap:
+    try:
         oracle = solve_exact(graph, cap=cap)
-    else:
+    except StateSpaceCapError:
         return None
     if oracle.log_z == NEG_INF:
         raise ZeroMassError("the target has zero mass: every configuration has log-density -inf")
@@ -174,10 +174,14 @@ def _given_fields(cls, args) -> dict:
 
 def _json_object(text: str) -> dict:
     """A dict field's flag value. Text that is no JSON object raises
-    ValueError, which argparse reports as an invalid _json_object value."""
-    value = parse_json(text, "a flag value")
+    argparse.ArgumentTypeError, which argparse reports by its reason after
+    the flag's name, without echoing the text."""
+    try:
+        value = parse_json(text, "the value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if not isinstance(value, dict):
-        raise ValueError("not a JSON object")
+        raise argparse.ArgumentTypeError("not a JSON object")
     return value
 
 

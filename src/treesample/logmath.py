@@ -6,7 +6,8 @@ first-class value meaning "zero mass". +inf and NaN are never legal inputs.
 The array routines (logsumexp_rows, the softmax draws) give numpy's own bits
 at every width. They reduce rows through one routine, shifted_exp_terms,
 which returns the maxima, the shifted exp terms and their sums; the draws
-read the terms. Loopy BP reduces its width-major block with plain numpy
+read the terms. The exact oracle weights each level's rows by
+exp(q - _shift(V)). Loopy BP reduces its width-major block with plain numpy
 calls and shares with logsumexp_rows only the shift of an all -inf row and
 the log of the sums (_shift, _log_sums); its messages are held to an
 accuracy bound, not to numpy's row-sum bits. logsumexp_list, the search

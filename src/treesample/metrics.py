@@ -113,9 +113,9 @@ def _estimate(approx, graph: FactorGraph, num_samples: int, seed: int) -> Sample
 def _oracle_deltas(oracle, est: SamplerEstimate):
     """(delta_energy, delta_entropy) of an estimate's energy and entropy.
 
-    The oracle's entropy H* is computed once, and E* = log Z - H*.
+    The oracle holds log Z and the entropy H*, and E* = log Z - H*.
     """
-    h_star = oracle.entropy()
+    h_star = oracle.entropy
     e_star = oracle.log_z - h_star
     delta_energy = e_star - est.energy if est.energy > NEG_INF else math.inf
     return delta_energy, est.entropy - h_star

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from treesample.baselines import WeightedAtoms, _LoopyBP, merge_particles
-from treesample.exact import ChainSolution, ExactSolution, StateSpaceCapError
+from treesample.exact import StateSpaceCapError
 from treesample.generators import GeneratorSpec, generate
 from treesample.logmath import (NEG_INF, ZeroMassError, draw_softmax_rows, logsumexp,
                                 logsumexp_rows, sample_softmax_rows)
@@ -36,6 +37,13 @@ def make_graph(n: int, k: int, factors, ordering=None) -> FactorGraph:
         factors=tuple(Factor(scope=s, table=np.asarray(t, dtype=float)) for s, t in factors),
         ordering=tuple(ordering or range(1, n + 1)),
     )
+
+
+def make_random_chain(rng: np.random.Generator, n: int, k: int, scale: float = 1.0) -> FactorGraph:
+    """A chain 1 - 2 - ... - n with normal unary and pairwise tables."""
+    factors = [((v,), rng.normal(scale=scale, size=k)) for v in range(1, n + 1)]
+    factors += [((v, v + 1), rng.normal(scale=scale, size=k * k)) for v in range(1, n)]
+    return make_graph(n, k, factors)
 
 
 def uniform_graph(n: int, k: int, ordering=None) -> FactorGraph:
@@ -95,7 +103,7 @@ class ExactValuePrior:
 
 
 def _prefix_rank(solution, prefix) -> int:
-    """Base-K rank of a prefix: its row in an ExactSolution's q level."""
+    """Base-K rank of a prefix: its row in a ReferenceSolution's q level."""
     k = solution.q_levels[0].shape[1]
     r = 0
     for v in prefix:
@@ -104,34 +112,21 @@ def _prefix_rank(solution, prefix) -> int:
 
 
 def q_values(solution, prefix) -> np.ndarray:
-    """K-vector of an ExactSolution's optimal values for the actions below a prefix."""
+    """K-vector of a ReferenceSolution's optimal values for the actions below a prefix."""
     if len(prefix) >= len(solution.q_levels):
         raise ValueError("no actions below a complete configuration")
     return solution.q_levels[len(prefix)][_prefix_rank(solution, prefix)]
 
 
-def log_step_conditionals(chain: ChainSolution) -> tuple[np.ndarray, np.ndarray]:
-    """(first, steps): log P*(x_1) of shape (K,) and log P*(x_{p+1}|x_p)
-    of shape (N-1, K, K); rows for zero-mass predecessors stay -inf."""
-    first = chain.unary[0] + chain.beta[0] - chain.log_z
-    scores = chain.pair + chain.unary[1:, None, :] + chain.beta[1:, None, :]
-    norms = logsumexp_rows(scores)[..., None]
-    steps = np.subtract(scores, norms, out=np.full_like(scores, NEG_INF),
-                        where=norms > NEG_INF)
-    return first, steps
+def conditional(solution, prefix) -> np.ndarray:
+    """Target conditional of the next variable: the softmax of q_values."""
+    q = q_values(solution, prefix)
+    return np.exp(q - logsumexp(q))
 
 
 def log_joint(solution, x) -> float:
     """Normalized log-probability of a complete configuration (depth order)
-    under an ExactSolution or a ChainSolution."""
-    if isinstance(solution, ChainSolution):
-        first, steps = log_step_conditionals(solution)
-        total = float(first[x[0] - 1])
-        for p in range(len(steps)):
-            if total == NEG_INF:
-                return NEG_INF
-            total += float(steps[p][x[p] - 1, x[p + 1] - 1])
-        return total
+    under a ReferenceSolution."""
     if len(x) != len(solution.q_levels):
         raise ValueError("configuration must be complete")
     total = 0.0
@@ -145,9 +140,9 @@ def log_joint(solution, x) -> float:
 
 
 def variable_marginals(solution, graph: FactorGraph) -> np.ndarray:
-    """(N, K) marginal table of an ExactSolution, indexed by variable (row v-1)."""
+    """(N, K) marginal table of a ReferenceSolution, indexed by variable (row v-1)."""
     k, n = graph.num_states, graph.num_variables
-    probs = np.exp(solution.enumerate_log_joint()).reshape((k,) * n)
+    probs = np.exp(reference_log_joint(solution)).reshape((k,) * n)
     out = np.zeros((n, k))
     for depth in range(1, n + 1):
         axes = tuple(d for d in range(n) if d != depth - 1)
@@ -240,26 +235,26 @@ def reference_factor_sums(graph: FactorGraph, xs: np.ndarray,
     return np.array(out, dtype=np.float64)
 
 
-def reference_entropy(solution) -> float:
-    """ExactSolution.entropy with every level's normaliser recomputed by
-    logsumexp_rows and subtracted by broadcasting, which the entropy from
-    the stored v_levels must equal bit for bit."""
+def reference_log_joint(solution) -> np.ndarray:
+    """log P*(x) of a ReferenceSolution for all K^N configurations, in rank
+    order, built level by level from the conditionals q - V; a zero-mass
+    prefix (V = -inf) gives -inf children without -inf - -inf."""
     logp = np.zeros(1)
-    for q in solution.q_levels:
-        v = logsumexp_rows(q)[:, None]
-        safe = v > NEG_INF
-        if safe.all():
-            cond = q - v
-        else:
-            cond = np.subtract(q, v, out=np.full(q.shape, NEG_INF), where=safe)
+    for q, v in zip(solution.q_levels, solution.v_levels):
+        v = v[:, None]
+        cond = np.subtract(q, v, out=np.full(q.shape, NEG_INF), where=v > NEG_INF)
         cond += logp[:, None]
         logp = cond.reshape(-1)
+    return logp
+
+
+def reference_entropy(solution) -> float:
+    """-sum p log p over the K^N configurations of positive probability of
+    a ReferenceSolution; a zero p is never multiplied."""
+    logp = reference_log_joint(solution)
     p = np.exp(logp)
     mask = p > 0
-    if not mask.all():
-        p, logp = p[mask], logp[mask]
-    p *= logp
-    return float(-np.sum(p))
+    return float(-np.sum(p[mask] * logp[mask]))
 
 
 def reference_level_rewards(graph: FactorGraph, depth: int) -> np.ndarray:
@@ -277,11 +272,25 @@ def reference_level_rewards(graph: FactorGraph, depth: int) -> np.ndarray:
     return total.reshape(-1)
 
 
-def reference_solve_exact(graph: FactorGraph) -> ExactSolution:
-    """solve_exact in rank order, which the width-major solve must equal bit
-    for bit: each level's rewards as one flat rank-order vector, the soft
-    values of the level below added, reshaped to C-ordered (K^(d-1), K)
-    rows and reduced by logsumexp_rows."""
+@dataclass
+class ReferenceSolution:
+    """The K^N oracle: Q* and the soft values V of every prefix, level by
+    level. q_levels[n-1] has shape (K^(n-1), K): row r holds the K values
+    at the prefix whose base-K rank is r (depth 1 is the most significant
+    digit); v_levels[n-1] holds the rows' logsumexp. reference_entropy is
+    its entropy."""
+
+    log_z: float
+    q_levels: list[np.ndarray]
+    v_levels: list[np.ndarray]
+
+
+def reference_solve_exact(graph: FactorGraph) -> ReferenceSolution:
+    """Backward soft-Bellman dynamic programming over the full prefix tree,
+    in rank order: each level's rewards as one flat rank-order vector, the
+    soft values of the level below added, reshaped to C-ordered
+    (K^(d-1), K) rows and reduced by logsumexp_rows. Its log Z has the bits
+    of solve_exact's, whose levels hold the same sums on each frontier."""
     n, k = graph.num_variables, graph.num_states
     q_levels, v_levels = [None] * n, [None] * n
     v_next = None
@@ -291,7 +300,7 @@ def reference_solve_exact(graph: FactorGraph) -> ExactSolution:
             q += v_next
         q = q_levels[depth - 1] = q.reshape(-1, k)
         v_next = v_levels[depth - 1] = logsumexp_rows(q)
-    return ExactSolution(log_z=float(v_next[0]), q_levels=q_levels, v_levels=v_levels)
+    return ReferenceSolution(log_z=float(v_next[0]), q_levels=q_levels, v_levels=v_levels)
 
 
 def assignment_to_prefix(graph: FactorGraph, assignment) -> Prefix:

@@ -19,7 +19,7 @@ from treesample.baselines import (
     sis,
     smc,
 )
-from treesample.exact import solve_chain, solve_exact
+from treesample.exact import solve_exact
 from treesample.generators import GeneratorSpec, generate
 from treesample.logmath import NEG_INF, logsumexp, logsumexp_rows, sample_softmax_rows
 from treesample.model import FACTOR_EVAL, REWARD_EVAL, BudgetTooSmallError
@@ -28,15 +28,9 @@ from treesample.prior import HeuristicPrior
 from test_baselines_golden import digest as golden_digest
 
 from conftest import (ExactValuePrior, MessageAtATimeBP, all_configs, assert_log_close,
-                      assignment_to_prefix, log_step_conditionals, make_graph,
-                      make_random_graph, max_shifted, reference_bp_sample,
+                      assignment_to_prefix, conditional, make_graph, make_random_chain,
+                      make_random_graph, max_shifted, reference_bp_sample, reference_solve_exact,
                       repeated_completion_gibbs, uniform_graph, variable_marginals)
-
-
-def make_random_chain(rng, n, k, scale=1.0):
-    factors = [((v,), rng.normal(scale=scale, size=k)) for v in range(1, n + 1)]
-    factors += [((v, v + 1), rng.normal(scale=scale, size=k * k)) for v in range(1, n)]
-    return make_graph(n, k, factors)
 
 
 class TestWeightedAtoms:
@@ -85,7 +79,7 @@ class TestSis:
     def test_exact_proposal_zero_variance(self):
         rng = np.random.default_rng(71)
         g = make_random_graph(rng, 3, 2, num_extra_factors=2)
-        sol = solve_exact(g)
+        sol = reference_solve_exact(g)
         result = sis(g, ExactValuePrior(sol), budget=600, seed=1)
         # every particle carries weight Z exactly, so the estimate is exact
         assert result.log_z_estimate == pytest.approx(sol.log_z, abs=1e-9)
@@ -152,7 +146,7 @@ class TestSmc:
         n, k = 6, 3
         rng = np.random.default_rng(97)
         g = make_random_chain(rng, n, k, scale=2.0)
-        prior = ExactValuePrior(solve_exact(make_random_chain(rng, n, k, scale=2.0)))
+        prior = ExactValuePrior(reference_solve_exact(make_random_chain(rng, n, k, scale=2.0)))
         result = sis(g, prior, budget=1200, seed=4)
         num = result.num_particles
         stream = np.random.default_rng(4)
@@ -225,8 +219,7 @@ class TestGibbs:
     def test_marginals_close_to_exact(self):
         rng = np.random.default_rng(101)
         g = make_random_graph(rng, 3, 2, num_extra_factors=2)
-        sol = solve_exact(g)
-        exact = variable_marginals(sol, g)
+        exact = variable_marginals(reference_solve_exact(g), g)
         result = gibbs(g, num_sweeps=50, budget=50 * 6 * 3000, seed=7)
         assert g.ordering == (1, 2, 3)  # so each atom is also the by-variable assignment
         marg = np.zeros((3, 2))
@@ -494,14 +487,13 @@ class TestBpSample:
     def test_chain_conditionals_exact(self):
         rng = np.random.default_rng(107)
         g = make_random_chain(rng, 6, 3)
-        chain = solve_chain(g)
-        first, steps = log_step_conditionals(chain)
+        sol = reference_solve_exact(g)
         got0 = bp_step_conditionals(g, num_message_rounds=6, prefix_values={})
-        assert np.allclose(np.exp(got0), np.exp(first), atol=1e-6)
+        assert np.allclose(np.exp(got0), conditional(sol, ()), atol=1e-6)
         got2 = bp_step_conditionals(g, num_message_rounds=6, prefix_values={1: 2})
-        assert np.allclose(np.exp(got2), np.exp(steps[0][1]), atol=1e-6)
+        assert np.allclose(np.exp(got2), conditional(sol, (2,)), atol=1e-6)
         got3 = bp_step_conditionals(g, num_message_rounds=6, prefix_values={1: 2, 2: 3})
-        assert np.allclose(np.exp(got3), np.exp(steps[1][2]), atol=1e-6)
+        assert np.allclose(np.exp(got3), conditional(sol, (2, 3)), atol=1e-6)
 
     def test_loopy_matches_reference_implementation(self):
         rng = np.random.default_rng(109)

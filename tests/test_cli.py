@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 from treesample import cli
 from treesample.cli import METHODS, RunConfig, main
+from treesample.exact import _level_scopes, solve_exact
 from treesample.generators import FAMILIES
 from treesample.model import COST_MODES, Factor, FactorGraph, load_graph, save_graph
 from treesample.prior import (ALGOS, CHECKPOINT_FORMAT, Adam, MLPValueFunction, TrainConfig,
                               load_checkpoint, save_checkpoint)
 
-from conftest import make_random_graph
+from conftest import make_random_graph, spec_graph
 
 
 def _uniform_instance(tmp_path, n=3, k=2, name="uniform.json"):
@@ -106,6 +107,22 @@ class TestGenerate:
         assert not (tmp_path / "x.json").exists()
 
 
+class TestPickOracle:
+    """oracle_cap bounds the largest table the exact oracle builds, K to the
+    widest level scope, not the K^N state space."""
+
+    def test_state_space_above_the_cap_gets_an_oracle(self):
+        g = spec_graph("fg1", 14, 2, 11)
+        cap = 2 ** max(map(len, _level_scopes(g)))
+        assert 2**14 > cap
+        assert cli.pick_oracle(g, cap) == solve_exact(g)
+
+    def test_widest_table_above_the_cap_gets_none(self):
+        g = spec_graph("fg1", 14, 2, 11)
+        cap = 2 ** max(map(len, _level_scopes(g)))
+        assert cli.pick_oracle(g, cap - 1) is None
+
+
 class TestRun:
     def test_treesample_uniform_kl_zero(self, tmp_path, capsys):
         instance = _uniform_instance(tmp_path)
@@ -141,7 +158,7 @@ class TestRun:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["kl"] is not None
-        assert report["oracle"] == "ChainSolution"
+        assert report["oracle"] == "ExactSolution"
         assert report["kl"] == pytest.approx(report["delta_kl"] + report["log_z"], abs=1e-9)
 
     def test_budget_too_small_structured_error(self, tmp_path, capsys):
@@ -716,13 +733,18 @@ class TestErrorContract:
          "jitter must lie in (0, 1e-2], not 0.1"),
         ("train {d}/uniform.json --episodes 1 --batch-size 10001 --checkpoint-out {d}/t.ckpt "
          "--metrics-out {d}/t.csv", "batch_size must be at most the replay capacity, 10000"),
+        ("generate --family chains --n 3 --seed 0 --out {d}/g.json --params [1]",
+         "treesample generate: argument --params: not a JSON object"),
+        ("generate --family chains --n 3 --seed 0 --out {d}/g.json --params " + "[" * 5000,
+         "treesample generate: argument --params: the value nests JSON too deeply to decode"),
     ], ids=["generate-n-0", "generate-kernel-not-positive-definite", "run-instance-n-0",
             "run-instance-k-1", "generate-negative-seed",
             "run-treesample-negative-run-seed", "run-smc-negative-run-seed",
             "run-gibbs-negative-run-seed", "bench-negative-run-seed",
             "bench-negative-instance-seed", "train-negative-seed", "run-config-file",
             "bench-config-file", "generate-jitter-0", "generate-negative-jitter",
-            "generate-jitter-above-escalation-cap", "train-batch-above-replay-capacity"])
+            "generate-jitter-above-escalation-cap", "train-batch-above-replay-capacity",
+            "generate-params-not-an-object", "generate-params-nested-too-deep"])
     def test_input_check_exits_2_with_its_message(self, tmp_path, probe, message):
         (tmp_path / "n0.json").write_text(json.dumps(
             {"n": 0, "k": 2, "ordering": [], "factors": []}))

@@ -10,15 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treesample import logmath
-from treesample.exact import (
-    ENTROPY_BLOCK,
-    ChainSolution,
-    StateSpaceCapError,
-    _level_rewards,
-    is_chain,
-    solve_chain,
-    solve_exact,
-)
+from treesample.exact import StateSpaceCapError, _level_rewards, _level_scopes, solve_exact
 from treesample.generators import GeneratorSpec, generate
 from treesample.logmath import (
     NEG_INF,
@@ -31,22 +23,30 @@ from treesample.logmath import (
     shifted_exp_terms,
 )
 
-from conftest import (all_configs, assignment_to_prefix, brute_force_log_z, exact_kl,
-                      kl_by_enumeration, log_joint, log_step_conditionals, make_graph,
-                      make_random_graph, q_values, reference_entropy, reference_sample_softmax_rows,
-                      reference_shifted_exp_terms, reference_solve_exact, variable_marginals)
+from conftest import (all_configs, assignment_to_prefix, brute_force_log_z, conditional, exact_kl,
+                      kl_by_enumeration, log_joint, make_graph, make_random_chain,
+                      make_random_graph, reference_entropy, reference_log_joint,
+                      reference_sample_softmax_rows, reference_shifted_exp_terms,
+                      reference_solve_exact, variable_marginals)
 
 
-def _conditional(sol, prefix):
-    """Target conditional of the next variable: the softmax of q_values."""
-    q = q_values(sol, prefix)
-    return np.exp(q - logsumexp(q))
+def _brute_force_energy_entropy(graph):
+    """(E*[log-density], H[P*]) by enumerating the graph's K^N densities."""
+    lds = np.array([graph.log_unnormalized_density(x)
+                    for x in all_configs(graph.num_variables, graph.num_states)])
+    live = lds > NEG_INF
+    p = np.exp(lds[live] - brute_force_log_z(graph))
+    return float(np.sum(p * lds[live])), float(-np.sum(p * np.log(p)))
 
 
-def make_random_chain(rng, n, k, scale=1.0):
-    factors = [((v,), rng.normal(scale=scale, size=k)) for v in range(1, n + 1)]
-    factors += [((v, v + 1), rng.normal(scale=scale, size=k * k)) for v in range(1, n)]
-    return make_graph(n, k, factors)
+def _assert_matches_reference(sol, ref):
+    """log Z bit for bit (the same sums and row reductions), zero mass where
+    the reference has it, and the entropy within 1e-12 relative."""
+    assert _bits(sol.log_z) == _bits(ref.log_z)
+    if ref.log_z == NEG_INF:
+        assert sol.entropy == 0.0
+    else:
+        assert sol.entropy == pytest.approx(reference_entropy(ref), rel=1e-12, abs=0.0)
 
 
 class TestLogsumexp:
@@ -137,7 +137,7 @@ class TestShiftedExpTerms:
     LAYOUTS = {
         "C": lambda x: x,
         "Fortran": np.asfortranarray,
-        "column-contiguous": lambda x: np.ascontiguousarray(x.T).T,  # solve_exact's w.T
+        "column-contiguous": lambda x: np.ascontiguousarray(x.T).T,  # a transposed C array
         "stride-0": lambda x: np.broadcast_to(x[0], x.shape),
     }
 
@@ -437,6 +437,9 @@ def _digit_gather_level_rewards(graph, depth):
 
 
 class TestLevelRewards:
+    """_level_rewards on the full grid of depths 1..d, in depth order, is the
+    level's K^d rewards in prefix-rank order."""
+
     def test_matches_digit_gather(self):
         rng = np.random.default_rng(79)
         arities = set()
@@ -446,7 +449,7 @@ class TestLevelRewards:
                                   shuffle_ordering=True, neg_inf_frac=0.2)
             arities |= {len(f.scope) for f in g.factors}
             for depth in range(1, n + 1):
-                got = _level_rewards(g, depth).T.reshape(-1)
+                got = _level_rewards(g, depth, tuple(range(1, depth + 1))).reshape(-1)
                 assert _same_bits(got, _digit_gather_level_rewards(g, depth)), (trial, depth)
         assert arities == {1, 2, 3, 4}
 
@@ -456,7 +459,7 @@ class TestLevelRewards:
                               shuffle_ordering=True, neg_inf_frac=0.2)
         for depth in range(1, 5):
             ref = [g.reward(x) for x in all_configs(depth, 3)]
-            assert _level_rewards(g, depth).T.reshape(-1).tolist() == ref
+            assert _level_rewards(g, depth, tuple(range(1, depth + 1))).reshape(-1).tolist() == ref
 
 
 class TestSolveExact:
@@ -464,20 +467,19 @@ class TestSolveExact:
         g = make_graph(3, 2, [((v,), np.zeros(2)) for v in (1, 2, 3)])
         sol = solve_exact(g)
         assert sol.log_z == pytest.approx(3 * math.log(2), abs=1e-12)
-        for n in range(3):
-            expected = (3 - (n + 1)) * math.log(2)
-            assert np.allclose(sol.q_levels[n], expected, atol=1e-12)
+        assert sol.entropy == pytest.approx(3 * math.log(2), abs=1e-12)
 
     def test_point_mass(self):
         table = np.full(8, -np.inf)
         table[0] = 0.0  # only x=(1,1,1) has mass
         g = make_graph(3, 2, [((1, 2, 3), table)])
         sol = solve_exact(g)
-        assert sol.log_z == pytest.approx(0.0, abs=1e-12)
-        assert np.array_equal(_conditional(sol, ()), [1.0, 0.0])
-        assert np.array_equal(_conditional(sol, (1,)), [1.0, 0.0])
-        assert log_joint(sol, (1, 1, 1)) == pytest.approx(0.0)
-        assert log_joint(sol, (2, 1, 1)) == NEG_INF
+        assert (sol.log_z, sol.entropy) == (0.0, 0.0)
+        ref = reference_solve_exact(g)
+        assert np.array_equal(conditional(ref, ()), [1.0, 0.0])
+        assert np.array_equal(conditional(ref, (1,)), [1.0, 0.0])
+        assert log_joint(ref, (1, 1, 1)) == pytest.approx(0.0)
+        assert log_joint(ref, (2, 1, 1)) == NEG_INF
 
     def test_log_z_matches_enumeration(self):
         rng = np.random.default_rng(23)
@@ -492,7 +494,7 @@ class TestSolveExact:
         # conditional computed from the enumerated joint.
         rng = np.random.default_rng(29)
         g = make_random_graph(rng, 4, 2, num_extra_factors=3, neg_inf_frac=0.15)
-        sol = solve_exact(g)
+        sol = reference_solve_exact(g)
         joint = {x: g.log_unnormalized_density(x) for x in all_configs(4, 2)}
         for prefix_len in range(4):
             for prefix in all_configs(prefix_len, 2) if prefix_len else [()]:
@@ -503,13 +505,13 @@ class TestSolveExact:
                 if masses.sum() == 0:
                     continue
                 ref = masses / masses.sum()
-                assert np.allclose(_conditional(sol, tuple(prefix)), ref, atol=1e-9)
+                assert np.allclose(conditional(sol, tuple(prefix)), ref, atol=1e-9)
 
     def test_enumerate_log_joint_matches_enumeration(self):
         rng = np.random.default_rng(31)
         g = make_random_graph(rng, 4, 3, num_extra_factors=2, neg_inf_frac=0.2)
-        sol = solve_exact(g)
-        logp = sol.enumerate_log_joint()
+        sol = reference_solve_exact(g)
+        logp = reference_log_joint(sol)
         ref = np.array([g.log_unnormalized_density(x) for x in all_configs(4, 3)]) - sol.log_z
         assert np.array_equal(logp == NEG_INF, ref == NEG_INF) and (ref == NEG_INF).any()
         assert np.allclose(logp[ref > NEG_INF], ref[ref > NEG_INF], atol=1e-10)
@@ -518,7 +520,7 @@ class TestSolveExact:
     def test_variable_marginals_match_enumeration(self):
         rng = np.random.default_rng(37)
         g = make_random_graph(rng, 4, 2, num_extra_factors=3, shuffle_ordering=True)
-        sol = solve_exact(g)
+        sol = reference_solve_exact(g)
         marg = variable_marginals(sol, g)
         probs = {x: math.exp(log_joint(sol, assignment_to_prefix(g, x))) for x in all_configs(4, 2)}
         for v in range(1, 5):
@@ -527,7 +529,14 @@ class TestSolveExact:
                 assert marg[v - 1][val - 1] == pytest.approx(ref, abs=1e-9)
 
     def test_cap(self):
+        # the cap bounds the widest level table, K to the widest scope: 2^1
+        # with unary factors only, 2^3 under a factor over all three
         g = make_graph(3, 2, [((v,), np.zeros(2)) for v in (1, 2, 3)])
+        assert solve_exact(g, cap=2).log_z == pytest.approx(3 * math.log(2))
+        with pytest.raises(StateSpaceCapError):
+            solve_exact(g, cap=1)
+        g = make_graph(3, 2, [((1, 2, 3), np.zeros(8))])
+        assert solve_exact(g, cap=8).log_z == pytest.approx(3 * math.log(2))
         with pytest.raises(StateSpaceCapError):
             solve_exact(g, cap=7)
 
@@ -536,50 +545,59 @@ class TestSolveExact:
         g = make_random_graph(rng, 3, 3, num_extra_factors=2)
         sol = solve_exact(g)
         # H = log Z - E[sum psi], both sides computed independently here
-        probs = np.exp(sol.enumerate_log_joint())
-        lds = np.array([g.log_unnormalized_density(x) for x in all_configs(3, 3)])
-        e_ref = float(np.sum(probs * lds))
-        h_ref = float(-np.sum(probs[probs > 0] * np.log(probs[probs > 0])))
-        assert sol.log_z - sol.entropy() == pytest.approx(e_ref, abs=1e-9)
-        assert sol.entropy() == pytest.approx(h_ref, abs=1e-9)
+        e_ref, h_ref = _brute_force_energy_entropy(g)
+        assert sol.log_z - sol.entropy == pytest.approx(e_ref, abs=1e-9)
+        assert sol.entropy == pytest.approx(h_ref, abs=1e-9)
+
+
+class TestLevelScopes:
+    """Each level's scope is its own depth last, after the earlier depths
+    that a factor of this depth or a deeper one reads."""
+
+    def test_matches_definition(self):
+        rng = np.random.default_rng(43)
+        for trial in range(40):
+            n = int(rng.integers(2, 9))
+            g = make_random_graph(rng, n, 2, num_extra_factors=int(rng.integers(0, 6)),
+                                  max_scope=4, shuffle_ordering=True)
+            for depth, scope in enumerate(_level_scopes(g), start=1):
+                frontier = {int(p) for d in range(depth, n + 1) for cf in g.factors_at_depth(d)
+                            for p in cf.positions if p < depth}
+                assert scope == (*sorted(frontier), depth)
+
+    def test_chain_scopes_are_pairs(self):
+        g = make_random_chain(np.random.default_rng(44), 7, 3)
+        assert _level_scopes(g) == [(1,)] + [(d - 1, d) for d in range(2, 8)]
 
 
 class TestStoredNormalisers:
-    """solve_exact keeps each level's soft values V as v_levels, and the
-    entropy reads them: both must equal the recomputed values bit for bit,
-    zero-mass prefixes (all -inf q rows) included."""
-
-    @staticmethod
-    def _assert_equal_to_recomputed(sol):
-        assert len(sol.v_levels) == len(sol.q_levels)
-        for q, v in zip(sol.q_levels, sol.v_levels):
-            assert v.shape == (q.shape[0],)
-            assert _same_bits(v, logsumexp_rows(q))
-        assert struct.pack("<d", sol.entropy()) == struct.pack("<d", reference_entropy(sol))
+    """Each level hands its soft values V on its frontier to the level above.
+    Those are the K^N solve's row logsumexps, so solve_exact's log Z has the
+    bits of conftest.reference_solve_exact's and its entropy agrees with
+    reference_entropy, zero-mass prefixes (all -inf rows) included."""
 
     def test_zero_mass_prefixes(self):
         rng = np.random.default_rng(47)
         g = make_random_graph(rng, 5, 3, num_extra_factors=6, max_scope=3, neg_inf_frac=0.4,
                               shuffle_ordering=True)
-        sol = solve_exact(g)
-        assert sol.log_z > NEG_INF
-        assert any((v == NEG_INF).any() for v in sol.v_levels[1:])
-        self._assert_equal_to_recomputed(sol)
+        ref = reference_solve_exact(g)
+        assert ref.log_z > NEG_INF
+        assert any((v == NEG_INF).any() for v in ref.v_levels[1:])
+        _assert_matches_reference(solve_exact(g), ref)
 
     @pytest.mark.parametrize("n, k, neg_inf_frac", [(17, 2, 0.0), (17, 2, 0.3), (11, 3, 0.3)])
     def test_entropy_over_several_blocks(self, n, k, neg_inf_frac):
-        # K^N spans several ENTROPY_BLOCKs, the last one partial for K = 3
-        assert k**n > 2 * ENTROPY_BLOCK
+        # graphs whose K^N joint the former entropy took in several blocks
         rng = np.random.default_rng(53)
         g = make_random_graph(rng, n, k, num_extra_factors=8, max_scope=3,
                               neg_inf_frac=neg_inf_frac, shuffle_ordering=True)
-        self._assert_equal_to_recomputed(solve_exact(g))
+        _assert_matches_reference(solve_exact(g), reference_solve_exact(g))
 
     def test_no_mass_at_all(self):
         g = make_graph(2, 2, [((1, 2), np.full(4, -np.inf))])
         sol = solve_exact(g)
-        assert sol.log_z == NEG_INF
-        self._assert_equal_to_recomputed(sol)
+        assert (sol.log_z, sol.entropy) == (NEG_INF, 0.0)
+        _assert_matches_reference(sol, reference_solve_exact(g))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(graph_seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
@@ -592,64 +610,50 @@ class TestStoredNormalisers:
         rng = np.random.default_rng(graph_seed)
         g = make_random_graph(rng, n, k, num_extra_factors=extra_factors if n > 1 else 0,
                               max_scope=4, neg_inf_frac=neg_inf_frac, shuffle_ordering=True)
-        self._assert_equal_to_recomputed(solve_exact(g))
+        _assert_matches_reference(solve_exact(g), reference_solve_exact(g))
 
 
-# tracemalloc peaks in bytes of solve_exact(g).entropy() on the benchmark's
-# fg1 n14 instance (instance seed 11) and the K = 10 chains n5 instance of
+# tracemalloc peaks in bytes of solve_exact(g) on the benchmark's fg1 n14
+# instance (instance seed 11) and the K = 10 chains n5 instance of
 # test_exact_golden.py (instance seed 3), measured with
-# TestWidthMajorLevels.test_entropy_peak on the rank-order solve that
-# preceded the width-major one (numpy 2.4.6, Python 3.11.7). The width-major
-# solve reads the same figures to within 32 bytes; run in the whole suite,
-# fg1 read 2 KiB less on both. The level arrays and the joint make up nearly
-# all of each peak, and the slack allows for Python objects. One more K^N or
-# K^(N-1) float64 temporary would add 128 or 64 KiB on fg1; a C-ordered copy
-# of a K = 10 level before its reduction adds 153 KiB on chains.
-ENTROPY_PEAKS = {("fg1", 14, 2, 11): 683_568, ("chains", 5, 10, 3): 2_405_448}
-PEAK_SLACK = 4096
+# TestWidthMajorLevels.test_entropy_peak (numpy 2.4.6, Python 3.11.7). The
+# K^N solve and its entropy had peaked at 683,568 and 2,405,448 bytes. The
+# level tables make up nearly all of each peak, and the slack allows for
+# Python objects. One more table of the widest level would add 8 KiB on fg1
+# (2^10 entries) and 800 bytes on chains (10^2).
+ENTROPY_PEAKS = {("fg1", 14, 2, 11): 24_544, ("chains", 5, 10, 3): 6_696}
+PEAK_SLACK = 1024
 
 
 class TestWidthMajorLevels:
-    """solve_exact builds each level as a (K, K^(d-1)) array and keeps its
-    transpose: the same adds in the same order as the rank-order solve of
-    conftest.reference_solve_exact, so the same bits, with contiguous
-    columns and no larger allocation."""
+    """solve_exact against the K^N levels of conftest.reference_solve_exact,
+    built in rank order: log Z bit for bit, the entropy within 1e-12
+    relative and zero mass exactly where the reference finds it, on random
+    graphs with -inf entries and shuffled orderings, at K below 8 (the row
+    reduction runs column by column) and from 8 on (pairwise)."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(graph_seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), k=st.integers(2, 10),
            extra_factors=st.integers(0, 8), neg_inf_frac=st.sampled_from([0.0, 0.3]))
     def test_matches_rank_order_solve_bitwise(self, graph_seed, n, k, extra_factors,
                                               neg_inf_frac):
-        # K from 8 reduces rows pairwise, below 8 column by column; K^N is
-        # held to 10^5 entries (K = 10 up to N = 5, K = 2 up to N = 7)
+        # K^N is held to 10^5 entries (K = 10 up to N = 5, K = 2 up to N = 7)
         while k**n > 10**5:
             n -= 1
         rng = np.random.default_rng(graph_seed)
         g = make_random_graph(rng, n, k, num_extra_factors=extra_factors, max_scope=4,
                               shuffle_ordering=True, neg_inf_frac=neg_inf_frac)
-        sol, ref = solve_exact(g), reference_solve_exact(g)
-        for got, want in zip(sol.q_levels + sol.v_levels, ref.q_levels + ref.v_levels):
-            assert _same_bits(got, want)
-        assert _bits(sol.log_z) == _bits(ref.log_z)
-        assert _bits(sol.entropy()) == _bits(ref.entropy())
-
-    @pytest.mark.parametrize("n, k", [(14, 2), (6, 3), (4, 10)])
-    def test_columns_contiguous(self, n, k):
-        rng = np.random.default_rng(59)
-        g = make_random_graph(rng, n, k, num_extra_factors=6, max_scope=4,
-                              shuffle_ordering=True, neg_inf_frac=0.3)
-        for q in solve_exact(g).q_levels:
-            assert all(q[:, j].flags.c_contiguous for j in range(k))
+        _assert_matches_reference(solve_exact(g), reference_solve_exact(g))
 
     @pytest.mark.parametrize("instance", sorted(ENTROPY_PEAKS),
                              ids=lambda inst: "{}-n{}-k{}".format(*inst))
     def test_entropy_peak(self, instance):
         family, n, k, seed = instance
         g = generate(GeneratorSpec(family=family, n=n, k=k, seed=seed))
-        solve_exact(g).entropy()  # first calls may fill caches
+        solve_exact(g)  # first calls may fill caches
         tracemalloc.start()
         try:
-            solve_exact(g).entropy()
+            solve_exact(g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -657,54 +661,51 @@ class TestWidthMajorLevels:
 
 
 class TestSolveChain:
+    """The exact oracle on chain graphs, which a forward-backward solver took
+    before: its widest table is K^2, and it agrees with the K^N reference
+    and with brute force."""
+
     def test_uniform_chain(self):
         g = make_graph(10, 5, [((v,), np.zeros(5)) for v in range(1, 11)] + [((v, v + 1), np.zeros(25)) for v in range(1, 10)])
-        sol = solve_chain(g)
+        sol = solve_exact(g, cap=25)
         assert sol.log_z == pytest.approx(10 * math.log(5), abs=1e-9)
-        assert np.allclose(sol.position_marginals(), 0.2, atol=1e-12)
+        assert sol.entropy == pytest.approx(10 * math.log(5), abs=1e-9)
 
     def test_two_variable_marginals(self):
         rng = np.random.default_rng(43)
         g = make_random_chain(rng, 2, 3)
-        sol = solve_chain(g)
         masses = np.zeros((3, 3))
         for x in all_configs(2, 3):
             masses[x[0] - 1, x[1] - 1] = math.exp(g.log_unnormalized_density(x))
         z = masses.sum()
-        assert math.exp(sol.log_z) == pytest.approx(z, rel=1e-12)
-        assert np.allclose(sol.position_marginals()[0], masses.sum(axis=1) / z, atol=1e-12)
-        assert np.allclose(sol.position_marginals()[1], masses.sum(axis=0) / z, atol=1e-12)
+        assert math.exp(solve_exact(g).log_z) == pytest.approx(z, rel=1e-12)
+        marg = variable_marginals(reference_solve_exact(g), g)
+        assert np.allclose(marg[0], masses.sum(axis=1) / z, atol=1e-12)
+        assert np.allclose(marg[1], masses.sum(axis=0) / z, atol=1e-12)
 
     def test_agrees_with_solve_exact(self):
         rng = np.random.default_rng(47)
         for trial in range(5):
             g = make_random_chain(rng, 6, 3)
-            chain = solve_chain(g)
-            full = solve_exact(g)
-            assert chain.log_z == pytest.approx(full.log_z, abs=1e-9)
-            by_depth = variable_marginals(full, g)[np.array(g.ordering) - 1]
-            assert np.allclose(chain.position_marginals(), by_depth, atol=1e-9)
-            first, steps = log_step_conditionals(chain)
-            assert np.allclose(np.exp(first), _conditional(full, ()), atol=1e-9)
-            for prefix in [(1,), (2, 3), (3, 1, 2, 1)]:
-                p = len(prefix)
-                ref = _conditional(full, prefix)
-                got = np.exp(steps[p - 1][prefix[-1] - 1])
-                assert np.allclose(got, ref, atol=1e-9)
+            _assert_matches_reference(solve_exact(g, cap=9), reference_solve_exact(g))
 
     def test_log_joint_matches(self):
         rng = np.random.default_rng(53)
         g = make_random_chain(rng, 5, 2)
-        chain = solve_chain(g)
+        sol = reference_solve_exact(g)
         for x in all_configs(5, 2):
-            ref = g.log_unnormalized_density(x) - chain.log_z
-            assert log_joint(chain, x) == pytest.approx(ref, abs=1e-9)
+            ref = g.log_unnormalized_density(x) - sol.log_z
+            assert log_joint(sol, x) == pytest.approx(ref, abs=1e-9)
 
     def test_non_chain_rejected(self):
+        # x1 - x3 skips a depth, so no chain: it carries depth 1 through
+        # level 2, whose scope becomes (1, 2), and the widest table stays
+        # 2^2; a factor over 1, 2, 3 makes level 3's table 2^3
         g = make_graph(3, 2, [((1, 3), np.zeros(4)), ((2,), np.zeros(2))])
-        assert not is_chain(g)
-        with pytest.raises(ValueError):
-            solve_chain(g)
+        assert solve_exact(g, cap=4).log_z == pytest.approx(brute_force_log_z(g), abs=1e-9)
+        g = make_graph(3, 2, [((1, 3), np.zeros(4)), ((1, 2, 3), np.zeros(8))])
+        with pytest.raises(StateSpaceCapError):
+            solve_exact(g, cap=4)
 
     def test_reordered_chain_accepted(self):
         # scopes are non-consecutive in raw indices but consecutive under ordering
@@ -714,40 +715,43 @@ class TestSolveChain:
             [((1, 3), np.ones(4)), ((2, 3), np.ones(4)), ((1,), np.zeros(2)), ((2,), np.zeros(2))],
             ordering=(1, 3, 2),
         )
-        assert is_chain(g)
-        sol = solve_chain(g)
+        sol = solve_exact(g, cap=4)
         assert sol.log_z == pytest.approx(brute_force_log_z(g), abs=1e-9)
 
     def test_position_marginals_follow_ordering(self):
-        # position p holds variable ordering[p]: rows 1, 3, 2 of the exact marginals
+        # position p holds variable ordering[p]; the marginals are by variable
         g = make_graph(3, 2, [((1, 3), np.array([0.1, -0.7, 1.3, 0.4])),
                           ((2, 3), np.array([0.5, 0.2, -1.1, 0.9])),
                           ((1,), np.array([0.3, -0.2])), ((2,), np.array([1.0, 0.0]))],
                    ordering=(1, 3, 2))
-        by_variable = variable_marginals(solve_exact(g), g)
-        assert np.allclose(solve_chain(g).position_marginals(), by_variable[[0, 2, 1]], atol=1e-12)
+        by_variable = variable_marginals(reference_solve_exact(g), g)
+        masses = np.zeros((3, 2))
+        for x in all_configs(3, 2):  # x by variable
+            p = math.exp(g.log_unnormalized_density(assignment_to_prefix(g, x)))
+            for v in range(3):
+                masses[v, x[v] - 1] += p
+        assert np.allclose(by_variable, masses / masses[0].sum(), atol=1e-12)
         assert not np.allclose(by_variable[[0, 2, 1]], by_variable, atol=1e-3)
 
     def test_expected_log_density(self):
         rng = np.random.default_rng(59)
         g = make_random_chain(rng, 4, 3)
-        chain = solve_chain(g)
-        full = solve_exact(g)
-        assert chain.expected_log_density() == pytest.approx(full.log_z - full.entropy(), abs=1e-9)
-        assert chain.entropy() == pytest.approx(full.entropy(), abs=1e-9)
+        sol = solve_exact(g)
+        e_ref, h_ref = _brute_force_energy_entropy(g)
+        assert sol.log_z - sol.entropy == pytest.approx(e_ref, abs=1e-9)
+        assert sol.entropy == pytest.approx(h_ref, abs=1e-9)
 
     def test_expected_log_density_with_neg_inf_entries(self):
-        # zero-marginal entries meet -inf potentials; no 0 * -inf may be formed
+        # zero-probability entries meet -inf potentials; no 0 * -inf may be formed
         g = make_graph(2, 2, [((1,), np.array([0.3, -np.inf])), ((2,), np.array([0.1, -0.4])),
                           ((1, 2), np.array([0.2, -np.inf, 0.5, 0.0]))])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            chain = solve_chain(g)
-            full = solve_exact(g)
-            assert chain.expected_log_density() == pytest.approx(full.log_z - full.entropy(),
-                                                                 abs=1e-12)
-            assert chain.entropy() == pytest.approx(full.entropy(), abs=1e-12)
-            assert math.isfinite(chain.expected_log_density())
+            sol = solve_exact(g)
+            e_ref, h_ref = _brute_force_energy_entropy(g)
+        assert sol.log_z - sol.entropy == pytest.approx(e_ref, abs=1e-12)
+        assert sol.entropy == pytest.approx(h_ref, abs=1e-12)
+        assert math.isfinite(sol.entropy)
 
 
 class _Uniform:
@@ -765,7 +769,7 @@ class TestExactKl:
     def test_atoms_equal_target_gives_zero(self):
         rng = np.random.default_rng(61)
         g = make_random_graph(rng, 3, 2, num_extra_factors=2)
-        sol = solve_exact(g)
+        sol = reference_solve_exact(g)
         atoms = list(all_configs(3, 2))
         weights = [math.exp(log_joint(sol, x)) for x in atoms]
         approx = SimpleNamespace(atoms=atoms, weights=weights)
@@ -773,20 +777,20 @@ class TestExactKl:
 
     def test_uniform_approx_uniform_target(self):
         g = make_graph(2, 2, [((1,), np.zeros(2)), ((2,), np.zeros(2))])
-        sol = solve_exact(g)
+        sol = reference_solve_exact(g)
         assert exact_kl(_Uniform(2, 2), sol, num_samples=50, seed=1) == pytest.approx(0.0, abs=1e-12)
 
     def test_support_mismatch_gives_inf(self):
         table = np.full(4, -np.inf)
         table[0] = 0.0
         g = make_graph(2, 2, [((1, 2), table)])
-        sol = solve_exact(g)
+        sol = reference_solve_exact(g)
         assert exact_kl(_Uniform(2, 2), sol, num_samples=200, seed=2) == math.inf
 
     def test_enumeration_path(self):
         rng = np.random.default_rng(67)
         g = make_random_graph(rng, 3, 2, num_extra_factors=2)
-        sol = solve_exact(g)
+        sol = reference_solve_exact(g)
         kl = kl_by_enumeration(lambda x: -3 * math.log(2), sol, g)
         # uniform vs target: KL = log Z ... E_unif[log gamma-hat] - H(unif)
         ref = sum(

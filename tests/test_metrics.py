@@ -17,10 +17,12 @@ from treesample.model import Factor, FactorGraph
 from treesample.prior import HeuristicPrior
 from treesample.search import build_tree
 
-from conftest import all_configs, exact_kl, log_joint, make_random_graph, uniform_graph
+from conftest import (all_configs, exact_kl, log_joint, make_random_graph, reference_solve_exact,
+                      uniform_graph)
 
 
 def _target_atoms(graph, sol):
+    """P* as atoms, from a conftest.ReferenceSolution."""
     atoms = list(all_configs(graph.num_variables, graph.num_states))
     weights = [math.exp(log_joint(sol, x)) for x in atoms]
     total = sum(weights)
@@ -31,7 +33,7 @@ class TestDeltaKlAtoms:
     def test_plug_in_identity(self):
         rng = np.random.default_rng(7)
         g = make_random_graph(rng, 3, 2, num_extra_factors=2)
-        sol = solve_exact(g)
+        sol = reference_solve_exact(g)
         atoms = _target_atoms(g, sol)
         assert delta_kl_atoms(atoms, g) == pytest.approx(-sol.log_z, abs=1e-9)
 
@@ -95,7 +97,7 @@ class TestBatchedAtomScoring:
             ref_kl, ref_energy, ref_entropy = _scalar_atom_scores(atoms, g)
             inf_seen |= ref_kl == math.inf
             assert delta_kl_atoms(atoms, g) == ref_kl
-            h_star = sol.entropy()
+            h_star = sol.entropy
             de, dh = energy_entropy_deltas(atoms, sol, g)
             assert de == (sol.log_z - h_star - ref_energy if ref_energy > -math.inf else math.inf)
             assert dh == ref_entropy - h_star
@@ -106,7 +108,7 @@ class TestBatchedAtomScoring:
         sol = solve_exact(g)
         empty = WeightedAtoms(atoms=[], weights=[])
         assert delta_kl_atoms(empty, g) == 0.0
-        assert energy_entropy_deltas(empty, sol, g) == (sol.log_z - sol.entropy(), -sol.entropy())
+        assert energy_entropy_deltas(empty, sol, g) == (sol.log_z - sol.entropy, -sol.entropy)
 
     def test_zero_mass_atom_without_warning(self):
         table = np.array([0.0, -np.inf])
@@ -189,9 +191,8 @@ class TestEnergyEntropyDeltas:
     def test_exact_target_gives_zero_zero(self):
         rng = np.random.default_rng(29)
         g = make_random_graph(rng, 3, 2, num_extra_factors=2)
-        sol = solve_exact(g)
-        atoms = _target_atoms(g, sol)
-        de, dh = energy_entropy_deltas(atoms, sol, g)
+        atoms = _target_atoms(g, reference_solve_exact(g))
+        de, dh = energy_entropy_deltas(atoms, solve_exact(g), g)
         assert de == pytest.approx(0.0, abs=1e-9)
         assert dh == pytest.approx(0.0, abs=1e-9)
 
@@ -212,7 +213,7 @@ class TestEnergyEntropyDeltas:
         w /= w.sum()
         atoms = WeightedAtoms(atoms=[tuple(x) for x in configs], weights=w.tolist())
         de, dh = energy_entropy_deltas(atoms, sol, g)
-        kl = exact_kl(atoms, sol)
+        kl = exact_kl(atoms, reference_solve_exact(g))
         assert kl == pytest.approx(de - dh, abs=1e-9)
 
 
@@ -242,7 +243,7 @@ class TestEvaluateMethod:
     def test_ranking_preserved(self):
         rng = np.random.default_rng(41)
         g = make_random_graph(rng, 3, 2, num_extra_factors=2)
-        sol = solve_exact(g)
+        sol = reference_solve_exact(g)
         good = _target_atoms(g, sol)
         x = max(all_configs(3, 2), key=g.log_unnormalized_density)
         bad = WeightedAtoms(atoms=[x], weights=[1.0])

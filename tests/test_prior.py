@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from treesample.baselines import WeightedAtoms, smc
-from treesample.exact import solve_exact
 from treesample.generators import GeneratorSpec, generate
 from treesample.logmath import logsumexp_rows
 from treesample.prior import (
@@ -25,7 +24,8 @@ from treesample.prior import (
 )
 from treesample.search import build_tree
 
-from conftest import all_configs, kl_by_enumeration, make_random_graph, q_values, uniform_graph
+from conftest import (all_configs, kl_by_enumeration, make_random_graph, q_values,
+                      reference_log_joint, reference_solve_exact, uniform_graph)
 
 
 class TestHeuristicPrior:
@@ -40,7 +40,7 @@ class TestHeuristicPrior:
 
     def test_equals_exact_on_uniform_graph(self):
         g = uniform_graph(5, 3)
-        sol = solve_exact(g)
+        sol = reference_solve_exact(g)
         h = HeuristicPrior()
         for prefix in [(), (1,), (2, 3), (1, 1, 1), (3, 2, 1, 3)]:
             assert np.array_equal(q_values(sol, prefix), h.evaluate(g, prefix))
@@ -525,7 +525,7 @@ class TestTrainLoop:
         from conftest import make_random_graph
 
         g = make_random_graph(rng, 3, 2, num_extra_factors=1)
-        sol = solve_exact(g)
+        sol = reference_solve_exact(g)
         config = TrainConfig(
             episodes=60, budget_per_episode=14, samples_per_episode=32, batch_size=32,
             learning_rate=3e-3, seed=2, metric_samples=8,
@@ -572,9 +572,9 @@ class TestSmcValueTargets:
         # every configuration as an atom, at its exact weight, with the
         # exact log Z and no smoothing: the targets are Q*
         g = make_random_graph(np.random.default_rng(seed), 5, 3, shuffle_ordering=True)
-        sol = solve_exact(g)
+        sol = reference_solve_exact(g)
         atoms = WeightedAtoms(atoms=list(all_configs(5, 3)),
-                              weights=np.exp(sol.enumerate_log_joint()).tolist(),
+                              weights=np.exp(reference_log_joint(sol)).tolist(),
                               log_z_estimate=sol.log_z)
         targets = _smc_value_targets(g, atoms, 0.0)
         assert sorted(targets) == sorted(_prefixes_below(5, 3))
@@ -611,7 +611,7 @@ class TestDistilledPrior:
     ])
     def test_distilled_values_beat_the_heuristic(self, family, n, k, seed):
         g = generate(GeneratorSpec(family=family, n=n, k=k, seed=seed))
-        sol = solve_exact(g)
+        sol = reference_solve_exact(g)
         prefixes = _prefixes_below(n, k)
         replay = ReplayBuffer(len(prefixes), n * (k + 1), k)
         for x, prefix in zip(encode_batch(g, prefixes), prefixes):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from treesample import search
-from treesample.exact import solve_exact
 from treesample.generators import GeneratorSpec, generate
 from treesample.logmath import NEG_INF, ZeroMassError, logsumexp_list, sample_softmax_rows
 from treesample.model import FACTOR_EVAL, REWARD_EVAL, BudgetLedger
@@ -14,7 +13,8 @@ from treesample.prior import HeuristicPrior, MLPValueFunction
 from treesample.search import SearchTree, TreeNode, backup, build_tree, expand, q_uct_select
 
 from conftest import (ExactValuePrior, all_configs, kl_by_enumeration, log_joint, make_graph,
-                      make_random_graph, q_values, reference_sample_batch, uniform_graph)
+                      make_random_graph, q_values, reference_sample_batch, reference_solve_exact,
+                      uniform_graph)
 
 
 def _node(q, bonus, eta, complete):
@@ -107,7 +107,7 @@ class TestQUctSelect:
         # rows of incomplete children score -inf during the build
         for seed in range(40):
             g = make_random_graph(np.random.default_rng(seed), 4, 3, neg_inf_frac=0.4)
-            tree = build_tree(g, ExactValuePrior(solve_exact(g)), 60)
+            tree = build_tree(g, ExactValuePrior(reference_solve_exact(g)), 60)
             total = sum(math.exp(tree.log_density(x)) for x in all_configs(4, 3))
             assert abs(total - 1.0) <= 1e-12
 
@@ -223,7 +223,7 @@ class TestBuildTree:
         rng = np.random.default_rng(101)
         for trial in range(5):
             g = make_random_graph(rng, 3, 2, num_extra_factors=2, shuffle_ordering=True)
-            sol = solve_exact(g)
+            sol = reference_solve_exact(g)
             for cost_mode in (REWARD_EVAL, FACTOR_EVAL):
                 tree = build_tree(
                     g, HeuristicPrior(), exhaustive_budget(g, cost_mode), cost_mode=cost_mode
@@ -301,7 +301,7 @@ class TestBuildTree:
             g = make_random_graph(
                 rng, 4, 2, num_extra_factors=3, neg_inf_frac=0.1, shuffle_ordering=True
             )
-            sol = solve_exact(g)
+            sol = reference_solve_exact(g)
             budget = int(rng.integers(5, exhaustive_budget(g) + 5))
             tree = build_tree(g, HeuristicPrior(), budget)
             for prefix, node in tree.nodes.items():
@@ -484,7 +484,7 @@ class TestBuildMatchesPerLevelReference:
                                   neg_inf_frac=float(rng.choice([0.1, 0.3, 0.6])),
                                   shuffle_ordering=bool(trial % 2))
             cost_mode = (REWARD_EVAL, FACTOR_EVAL)[trial % 2]
-            prior = (HeuristicPrior(), ExactValuePrior(solve_exact(g)),
+            prior = (HeuristicPrior(), ExactValuePrior(reference_solve_exact(g)),
                      _small_mlp(g, seed=trial, leaf_batch=1))[trial % 3]
             full = exhaustive_budget(g, cost_mode)
             for budget in (int(rng.integers(1, full)), full):
@@ -499,7 +499,7 @@ class TestBuildMatchesPerLevelReference:
         rng = np.random.default_rng(179)
         for k in (8, 10):
             g = make_random_graph(rng, 3, k, num_extra_factors=2, neg_inf_frac=0.3)
-            for prior in (HeuristicPrior(), ExactValuePrior(solve_exact(g)),
+            for prior in (HeuristicPrior(), ExactValuePrior(reference_solve_exact(g)),
                           _small_mlp(g, leaf_batch=1)):
                 for budget in (60, 400, exhaustive_budget(g)):
                     tree = self._assert_same_tree(g, prior, budget)
@@ -518,7 +518,7 @@ class TestSampleAndDensity:
     def test_full_tree_matches_target(self):
         rng = np.random.default_rng(131)
         g = make_random_graph(rng, 3, 2, num_extra_factors=2)
-        sol = solve_exact(g)
+        sol = reference_solve_exact(g)
         tree = build_tree(g, HeuristicPrior(), exhaustive_budget(g))
         for x in all_configs(3, 2):
             assert tree.log_density(x) == pytest.approx(log_joint(sol, x), abs=1e-9)
@@ -526,7 +526,7 @@ class TestSampleAndDensity:
     def test_sampling_frequencies_track_target(self):
         rng = np.random.default_rng(137)
         g = make_random_graph(rng, 3, 2, num_extra_factors=1)
-        sol = solve_exact(g)
+        sol = reference_solve_exact(g)
         tree = build_tree(g, HeuristicPrior(), exhaustive_budget(g))
         draws = 20000
         counts: dict = {}

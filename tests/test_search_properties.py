@@ -43,7 +43,7 @@ from treesample.prior import HeuristicPrior, MLPValueFunction
 from treesample.search import TreeNode, backup, build_tree, q_uct_select
 
 from conftest import (ExactValuePrior, all_configs, kl_by_enumeration, make_random_graph,
-                      reference_sample_batch)
+                      reference_sample_batch, reference_solve_exact)
 
 trees = st.fixed_dictionaries({
     "graph_seed": st.integers(0, 2**32 - 1),
@@ -191,7 +191,7 @@ def test_exact_value_prior_gives_zero_kl_at_every_budget(graph_seed, n, k, extra
     rng = np.random.default_rng(graph_seed)
     graph = make_random_graph(rng, n, k, num_extra_factors=extra_factors if n > 1 else 0,
                               neg_inf_frac=neg_inf_frac, shuffle_ordering=True)
-    oracle = solve_exact(graph)
+    oracle = reference_solve_exact(graph)
     if oracle.log_z == NEG_INF:
         return  # no target distribution to compare with
     prior = ExactValuePrior(oracle)
