@@ -67,7 +67,7 @@ import numpy as np
 
 from .logmath import (NEG_INF, ZeroMassError, _log_sums, _shift, draw_softmax_rows, logsumexp,
                       sample_softmax_rows)
-from .model import REWARD_EVAL, BudgetLedger, FactorGraph, Prefix
+from .model import REWARD_EVAL, BudgetLedger, FactorGraph
 
 
 class DegenerateSampleError(ValueError):
@@ -76,7 +76,10 @@ class DegenerateSampleError(ValueError):
 
 @dataclass
 class WeightedAtoms:
-    """Distinct complete configurations with normalized weights.
+    """Distinct complete configurations with normalized weights: atoms is an
+    (M, N) int64 array, one configuration per row in depth order, and
+    weights the (M,) float64 vector of their probabilities. M = 0 is an
+    empty approximation.
 
     num_particles, log_z_estimate, budget_spent and zero_conditional_count
     are run metadata, not part of the distribution itself.
@@ -84,30 +87,28 @@ class WeightedAtoms:
     Gibbs site update or a sample's BP draw; SMC and SIS leave it 0.
     """
 
-    atoms: list[Prefix]
-    weights: list[float]
+    atoms: np.ndarray
+    weights: np.ndarray
     num_particles: int | None = None
     log_z_estimate: float | None = None
     budget_spent: int | None = None
     zero_conditional_count: int = 0
 
     def __post_init__(self):
-        if len(self.atoms) != len(self.weights):
-            raise ValueError("atoms and weights must be parallel lists")
-        if self.atoms:
-            total = float(sum(self.weights))
-            if abs(total - 1.0) > 1e-12:
+        if self.atoms.ndim != 2 or self.weights.shape != self.atoms.shape[:1]:
+            raise ValueError("atoms must be an (M, N) array and weights a parallel (M,) vector")
+        if len(self.atoms):
+            total = float(self.weights.sum())
+            if not abs(total - 1.0) <= 1e-12:  # NaN fails this too
                 raise ValueError(f"weights sum to {total}, not 1")
-            if len(set(self.atoms)) != len(self.atoms):
+            if not _row_groups(self.atoms)[1].all():
                 raise ValueError("atoms must be pairwise distinct")
-            if any(w <= 0 for w in self.weights):
+            if (self.weights <= 0).any():
                 raise ValueError("weights must be positive after merging")
 
     def to_json_lines(self) -> str:
-        return "".join(
-            json.dumps({"x": list(x), "weight": w}) + "\n"
-            for x, w in zip(self.atoms, self.weights)
-        )
+        return "".join(json.dumps({"x": x, "weight": w}) + "\n"
+                       for x, w in zip(self.atoms.tolist(), self.weights.tolist()))
 
 
 def effective_sample_size(weights) -> float:
@@ -119,23 +120,39 @@ def effective_sample_size(weights) -> float:
     return total_sq / float(np.sum(w * w))
 
 
-def merge_particles(particles: np.ndarray, log_weights: np.ndarray) -> tuple[list, list]:
-    """Normalize, merge duplicate configurations, drop zero-mass particles."""
+def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable lexicographic order of the rows of a nonempty (I, N)
+    array, and for each row in that order whether it differs from the one
+    before it. Equal rows form one run in the order, in row-index order."""
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    return order, np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
+
+
+def merge_particles(particles: np.ndarray,
+                    log_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize, merge duplicate configurations, drop zero-mass particles.
+
+    Returns the distinct rows of the (I, N) particles that carry mass, as an
+    (M, N) array in order of first occurrence, and their (M,) weights; every
+    log weight -inf gives M = 0. The rows are grouped by one stable lexsort
+    (_row_groups). bincount adds each atom's normalized weights into 0.0 in
+    particle order, and the sums are divided by their total, so the weights
+    have the bits of a dict merge in particle order.
+    """
     m = float(np.max(log_weights))
     if m == NEG_INF:
-        return [], []
+        return particles[:0], np.zeros(0)
     w = np.exp(log_weights - m)
     w /= w.sum()
-    merged: dict[Prefix, float] = {}
-    for row, wi in zip(particles.tolist(), w.tolist()):
-        if wi <= 0.0:
-            continue
-        x = tuple(row)
-        merged[x] = merged.get(x, 0.0) + wi
-    atoms = list(merged.keys())
-    weights = np.array([merged[x] for x in atoms])
+    particles, w = particles[w > 0.0], w[w > 0.0]
+    order, new = _row_groups(particles)
+    first = order[new]  # each atom's first particle
+    by_first = np.argsort(first)
+    # sorted order keeps each atom's particles in particle order
+    weights = np.bincount(np.cumsum(new) - 1, weights=w[order])[by_first]
     weights /= weights.sum()
-    return atoms, weights.tolist()
+    return particles[first[by_first]], weights
 
 
 def check_resample_threshold(resample_threshold: float) -> None:
@@ -184,7 +201,7 @@ def smc(
                 lw[:] = 0.0
     log_z += logsumexp(lw) - math.log(num)
     atoms, weights = merge_particles(particles, lw)
-    if not atoms:
+    if not len(atoms):
         raise DegenerateSampleError("all particles have zero weight")
     return WeightedAtoms(
         atoms=atoms,

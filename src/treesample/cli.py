@@ -31,7 +31,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from .baselines import bp_sample, check_resample_threshold, gibbs, sis, smc
-from .exact import StateSpaceCapError, solve_exact
+from .exact import ORACLE_CAP, StateSpaceCapError, solve_exact
 from .generators import GeneratorSpec, generate
 from .logmath import NEG_INF, ZeroMassError
 from .metrics import evaluate_method
@@ -59,8 +59,8 @@ class RunConfig:
     metric_samples: int = config_field(10_000, "the draws the metrics score")
     run_seed: int = config_field(0, "the seed of the build and of the scoring")
     prior: str = config_field("heuristic", "'heuristic' or a checkpoint path")
-    oracle_cap: int = config_field(10**6, "the largest table (K to the widest level scope) the "
-                                          "exact oracle may build")
+    oracle_cap: int = config_field(ORACLE_CAP, "the largest table (K to the widest level scope) "
+                                               "the exact oracle may build")
 
     def __post_init__(self):
         check_fields(self)

@@ -32,6 +32,9 @@ from .model import FactorGraph
 # which is exactly 0, so the product is 0 and not 0 * -inf = NaN
 LOWEST = -np.finfo(np.float64).max
 
+# the default bound on the oracle's largest table, RunConfig.oracle_cap's too
+ORACLE_CAP = 10**6
+
 
 class StateSpaceCapError(ValueError):
     """The widest level table of the graph exceeds the configured oracle cap."""
@@ -74,7 +77,7 @@ def _level_rewards(graph: FactorGraph, depth: int, scope: tuple[int, ...]) -> np
     return total
 
 
-def solve_exact(graph: FactorGraph, cap: int = 10**7) -> ExactSolution:
+def solve_exact(graph: FactorGraph, cap: int = ORACLE_CAP) -> ExactSolution:
     """log Z and the entropy of P*, from one backward pass over the levels.
 
     Raises StateSpaceCapError, before any table is built, when the widest

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .logmath import NEG_INF, json_float
+from .logmath import NEG_INF, json_float, log_each
 from .model import FactorGraph
 
 
@@ -82,19 +82,23 @@ def delta_kl_sampler(sampler, graph: FactorGraph, num_samples: int, seed: int = 
     return sampler_estimate(log_q, graph.log_unnormalized_density_batch(xs))
 
 
+def _running_sum(terms: np.ndarray) -> float:
+    """0.0 plus each term in turn, left to right: the bits of a Python loop
+    that starts at 0.0. np.cumsum adds in order; np.sum may add pairwise."""
+    return float(np.cumsum(np.append(0.0, terms))[-1])
+
+
 def _atoms_estimate(approx, graph: FactorGraph) -> SamplerEstimate:
-    """SamplerEstimate of an atom approximation, scoring every atom in one
-    batched call. A zero-mass atom (log-density -inf, weight > 0) makes
-    delta_kl +inf and the energy -inf."""
-    atoms = approx.atoms
-    log_densities = graph.log_unnormalized_density_batch(atoms).tolist() if atoms else []
-    delta_kl = energy = entropy = 0.0
-    for w, ld in zip(approx.weights, log_densities):
-        log_w = math.log(w)
-        delta_kl += w * (log_w - ld)
-        energy += w * ld
-        entropy -= w * log_w
-    return SamplerEstimate(delta_kl, 0.0, energy, entropy)
+    """SamplerEstimate of an atom approximation, exact: the (M, N) atoms are
+    scored in one batched call, and delta_kl, the energy and the entropy are
+    each a _running_sum over the atoms in order, the weights' logs by
+    math.log, so each has the bits of a loop over the atoms. A zero-mass
+    atom (log-density -inf, weight > 0) makes delta_kl +inf and the energy
+    -inf; an empty approximation scores 0.0."""
+    w = approx.weights
+    log_w, ld = log_each(w), graph.log_unnormalized_density_batch(approx.atoms)
+    return SamplerEstimate(_running_sum(w * (log_w - ld)), 0.0, _running_sum(w * ld),
+                           _running_sum(-(w * log_w)))
 
 
 def delta_kl_atoms(atoms, graph: FactorGraph) -> float:

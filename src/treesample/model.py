@@ -183,6 +183,8 @@ class FactorGraph:
                 raise ValueError(f"factor {i}: scope must be nonempty and strictly ascending")
             if f.scope[0] < 1 or f.scope[-1] > n:
                 raise ValueError(f"factor {i}: scope out of range 1..{n}")
+            if np.ndim(f.table) != 1:
+                raise ValueError(f"factor {i}: table must be one-dimensional")
             if len(f.table) != k ** len(f.scope):
                 raise ValueError(f"factor {i}: table length must be K^|scope|")
             if np.any(np.isnan(f.table)) or np.any(f.table == np.inf):

@@ -365,13 +365,14 @@ class TrainConfig:
 def _smc_value_targets(graph: FactorGraph, result: WeightedAtoms, smooth: float) -> dict:
     """Soft-value targets Q(x<n, a) = log(P(x<n.a) + smooth) + log Z - R(x<n)
     at every prefix hit by an atom of result: P is the atoms' mass, Z their
-    log_z_estimate, R the prefix's summed reward. With the exact mass and Z
-    and smooth 0 this is the optimal value Q*."""
-    xs, n, k = np.array(result.atoms), graph.num_variables, graph.num_states
+    log_z_estimate, R the prefix's summed reward, from one reward_batch call
+    per depth on the (M, N) atoms. With the exact mass and Z and smooth 0
+    this is the optimal value Q*."""
+    xs, n, k = result.atoms, graph.num_variables, graph.num_states
     steps = [np.zeros(len(xs))] + [graph.reward_batch(xs[:, :d]) for d in range(1, n)]
     offsets = result.log_z_estimate - np.cumsum(steps, axis=0).T  # log Z - R(x<d) at [i, d]
     masses: dict[Prefix, tuple[np.ndarray, float]] = {}
-    for x, w, offset in zip(result.atoms, result.weights, offsets.tolist()):
+    for x, w, offset in zip(map(tuple, xs.tolist()), result.weights.tolist(), offsets.tolist()):
         for d in range(n):
             vec = masses.setdefault(x[:d], (np.zeros(k), offset[d]))[0]
             vec[x[d] - 1] += w
@@ -402,7 +403,7 @@ def train_loop(graph: FactorGraph, config: TrainConfig, mlp: MLPValueFunction, a
         degenerate = False
         delta_kl = math.nan
         targets: dict = {}  # prefix -> value target, for the prefixes that have one
-        draws: list[Prefix] = []  # configurations whose prefixes go to replay
+        xs = np.zeros((0, n), dtype=np.int64)  # configurations whose prefixes go to replay
 
         if config.algo == "treesample":
             tree = build_tree(graph, mlp, config.budget_per_episode, c=config.c,
@@ -411,7 +412,6 @@ def train_loop(graph: FactorGraph, config: TrainConfig, mlp: MLPValueFunction, a
             delta_kl = sampler_estimate(log_q, graph.log_unnormalized_density_batch(xs)).delta_kl
             # the finished tree no longer changes, and replay copies each target
             targets = {prefix: node.q for prefix, node in tree.nodes.items()}
-            draws = list(map(tuple, xs.tolist()))
         else:
             try:
                 result = smc(graph, mlp, config.budget_per_episode,
@@ -421,12 +421,12 @@ def train_loop(graph: FactorGraph, config: TrainConfig, mlp: MLPValueFunction, a
             else:
                 delta_kl = delta_kl_atoms(result, graph)
                 targets = _smc_value_targets(graph, result, 1.0 / (k * result.num_particles))
-                picks = draw_rng.choice(len(result.atoms), size=config.samples_per_episode,
-                                        p=np.asarray(result.weights))
-                draws = [result.atoms[i] for i in picks.tolist()]
+                xs = result.atoms[draw_rng.choice(len(result.atoms),
+                                                  size=config.samples_per_episode,
+                                                  p=result.weights)]
 
         pairs = []
-        for x in draws:  # draw by draw, then depth by depth
+        for x in map(tuple, xs.tolist()):  # draw by draw, then depth by depth
             for d in range(n):
                 target = targets.get(x[:d])
                 if target is not None:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -443,9 +445,10 @@ def repeated_completion_gibbs(graph: FactorGraph, num_sweeps: int, budget: int, 
     """baselines.gibbs as the raw-index scan it must equal, one site update
     at a time, scored the former way: np.repeat(states, K), the site column
     set to 1..K, each site factor's entries read from its table reshaped to
-    one axis per scope variable. Returns (atoms, weights, spend,
-    zero-conditional count), every site update's (chains, K) scores in scan
-    order, zero-mass rows included, and the (chains, updates) uniforms."""
+    one axis per scope variable. Returns the WeightedAtoms (with the spend
+    and the zero-conditional count), every site update's (chains, K) scores
+    in scan order, zero-mass rows included, and the (chains, updates)
+    uniforms."""
     n, k = graph.num_variables, graph.num_states
     site_factors = {v: [cf for d in range(1, n + 1) for cf in graph.factors_at_depth(d)
                         if v in cf.factor.scope] for v in range(1, n + 1)}
@@ -476,7 +479,8 @@ def repeated_completion_gibbs(graph: FactorGraph, num_sweeps: int, budget: int, 
         if (~zero).any():
             states[~zero, col] = sample_softmax_rows(scores[~zero], u[~zero])[0] + 1
     atoms, weights = merge_particles(states, np.zeros(num))
-    return (atoms, weights, spent, zero_conditionals), recorded, uniforms
+    return (WeightedAtoms(atoms=atoms, weights=weights, num_particles=num, budget_spent=spent,
+                          zero_conditional_count=zero_conditionals), recorded, uniforms)
 
 
 def reference_gibbs_waves(graph: FactorGraph, num_sweeps: int) -> list[int]:
@@ -522,7 +526,7 @@ def exact_kl(approx, oracle, num_samples: int = 10_000, seed: int = 0) -> float:
     atoms = getattr(approx, "atoms", None)
     if atoms is not None:
         total = 0.0
-        for x, w in zip(atoms, approx.weights):
+        for x, w in zip(atoms.tolist(), approx.weights.tolist()):
             target = log_joint(oracle, x)
             if target == NEG_INF:
                 return math.inf
@@ -563,3 +567,57 @@ def _rank_to_prefix(rank: int, n: int, k: int) -> Prefix:
         digits.append(rank % k + 1)
         rank //= k
     return tuple(reversed(digits))
+
+
+def make_atoms(configs, weights, **metadata) -> WeightedAtoms:
+    """WeightedAtoms of a nonempty sequence of configurations and their
+    weights, as the (M, N) int64 and (M,) float64 arrays it holds."""
+    return WeightedAtoms(atoms=np.array(configs, dtype=np.int64),
+                         weights=np.array(weights, dtype=np.float64), **metadata)
+
+
+def particle_record(result) -> list:
+    """A particle result's atoms, weights, log Z estimate, budget spent and
+    zero-conditional count as plain Python values, read by .tolist(): the
+    floats by repr, which round-trips exactly and tells -0.0 from 0.0."""
+    return [result.atoms.tolist(), [repr(w) for w in result.weights.tolist()],
+            repr(result.log_z_estimate), result.budget_spent, result.zero_conditional_count]
+
+
+def particle_digest(result) -> str:
+    """sha256 of particle_record's JSON, what the golden digests pin."""
+    return hashlib.sha256(json.dumps(particle_record(result)).encode()).hexdigest()
+
+
+def reference_merge_particles(particles: np.ndarray, log_weights: np.ndarray) -> tuple[list, list]:
+    """baselines.merge_particles as a dict of tuple rows: normalize, drop the
+    particles of weight 0, add each row's weights in particle order into its
+    first occurrence's entry, then divide by the sum of the entries."""
+    m = float(np.max(log_weights))
+    if m == NEG_INF:
+        return [], []
+    w = np.exp(log_weights - m)
+    w /= w.sum()
+    merged: dict[Prefix, float] = {}
+    for row, wi in zip(particles.tolist(), w.tolist()):
+        if wi <= 0.0:
+            continue
+        x = tuple(row)
+        merged[x] = merged.get(x, 0.0) + wi
+    atoms = list(merged.keys())
+    weights = np.array([merged[x] for x in atoms])
+    weights /= weights.sum()
+    return atoms, weights.tolist()
+
+
+def reference_atoms_estimate(atoms: list, weights: list, graph: FactorGraph):
+    """metrics._atoms_estimate's (delta_kl, energy, entropy) as one Python
+    loop over the atoms, each sum starting at 0.0, the logs by math.log."""
+    log_densities = graph.log_unnormalized_density_batch(atoms).tolist() if atoms else []
+    delta_kl = energy = entropy = 0.0
+    for w, ld in zip(weights, log_densities):
+        log_w = math.log(w)
+        delta_kl += w * (log_w - ld)
+        energy += w * ld
+        entropy -= w * log_w
+    return delta_kl, energy, entropy

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 
@@ -25,32 +24,38 @@ from treesample.logmath import NEG_INF, logsumexp, logsumexp_rows, sample_softma
 from treesample.model import FACTOR_EVAL, REWARD_EVAL, BudgetTooSmallError
 from treesample.prior import HeuristicPrior
 
-from test_baselines_golden import digest as golden_digest
-
-from conftest import (ExactValuePrior, MessageAtATimeBP, all_configs, assert_log_close,
+from conftest import (ExactValuePrior, MessageAtATimeBP, assert_log_close,
                       assignment_to_prefix, conditional, make_graph, make_random_chain,
-                      make_random_graph, max_shifted, reference_bp_sample, reference_solve_exact,
-                      repeated_completion_gibbs, uniform_graph, variable_marginals)
+                      make_random_graph, max_shifted, particle_digest, particle_record,
+                      reference_bp_sample, reference_solve_exact, repeated_completion_gibbs,
+                      uniform_graph, variable_marginals)
 
 
 class TestWeightedAtoms:
     def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            WeightedAtoms(atoms=[(1,), (1,)], weights=[0.5, 0.5])
-        with pytest.raises(ValueError):
-            WeightedAtoms(atoms=[(1,), (2,)], weights=[0.7, 0.7])
-        with pytest.raises(ValueError):
-            WeightedAtoms(atoms=[(1,), (2,)], weights=[1.0, 0.0])
+        with pytest.raises(ValueError, match="distinct"):
+            WeightedAtoms(atoms=np.array([[1], [1]]), weights=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="sum"):
+            WeightedAtoms(atoms=np.array([[1], [2]]), weights=np.array([0.7, 0.7]))
+        with pytest.raises(ValueError, match="sum"):
+            WeightedAtoms(atoms=np.array([[1], [2]]), weights=np.array([np.nan, np.nan]))
+        with pytest.raises(ValueError, match="positive"):
+            WeightedAtoms(atoms=np.array([[1], [2]]), weights=np.array([1.0, 0.0]))
 
-    def test_lists_must_be_parallel(self):
+    @pytest.mark.parametrize("atoms, weights", [
+        (np.array([[1], [2]]), np.array([1.0])),
+        (np.array([1, 2]), np.array([0.5, 0.5])),
+        (np.array([[1], [2]]), np.array([[0.5], [0.5]])),
+    ], ids=["unequal-lengths", "one-dimensional-atoms", "two-dimensional-weights"])
+    def test_arrays_must_be_parallel(self, atoms, weights):
         with pytest.raises(ValueError, match="parallel"):
-            WeightedAtoms(atoms=[(1,), (2,)], weights=[1.0])
+            WeightedAtoms(atoms=atoms, weights=weights)
 
     def test_json_lines_round_trip(self):
-        wa = WeightedAtoms(atoms=[(1, 2), (2, 1)], weights=[0.25, 0.75])
+        wa = WeightedAtoms(atoms=np.array([[1, 2], [2, 1]]), weights=np.array([0.25, 0.75]))
         lines = [json.loads(line) for line in wa.to_json_lines().splitlines()]
-        assert [tuple(d["x"]) for d in lines] == wa.atoms
-        assert [d["weight"] for d in lines] == wa.weights
+        assert [d["x"] for d in lines] == wa.atoms.tolist()
+        assert [d["weight"] for d in lines] == wa.weights.tolist()
 
 
 class TestEffectiveSampleSize:
@@ -74,7 +79,7 @@ class TestSis:
         assert result.num_particles == 20
         for w in result.weights:
             assert (w * 20) == pytest.approx(round(w * 20), abs=1e-9)
-        assert sum(result.weights) == pytest.approx(1.0, abs=1e-12)
+        assert result.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_proposal_zero_variance(self):
         rng = np.random.default_rng(71)
@@ -120,9 +125,7 @@ class TestSmc:
         g = make_random_chain(rng, 5, 3)
         a = sis(g, HeuristicPrior(), budget=200, seed=5)
         b = smc(g, HeuristicPrior(), budget=200, resample_threshold=0.0, seed=5)
-        assert a.atoms == b.atoms
-        assert a.weights == b.weights
-        assert a.log_z_estimate == b.log_z_estimate
+        assert particle_record(a) == particle_record(b)
 
     @pytest.mark.parametrize("family,n,k,seed", [("fg1", 14, 2, 11), ("chains", 20, 10, 7)])
     def test_shared_heuristic_row_equals_materialised_rows(self, family, n, k, seed):
@@ -137,8 +140,7 @@ class TestSmc:
         for threshold in (0.0, 0.5):
             a = smc(g, HeuristicPrior(), budget=6000, resample_threshold=threshold, seed=3)
             b = smc(g, MaterialisedPrior(), budget=6000, resample_threshold=threshold, seed=3)
-            assert (a.atoms, a.weights) == (b.atoms, b.weights)
-            assert a.log_z_estimate == b.log_z_estimate
+            assert particle_record(a) == particle_record(b)
 
     def test_proposals_are_sample_softmax_rows_draws(self):
         # SIS replayed by hand: per depth, one sample_softmax_rows draw over
@@ -159,22 +161,21 @@ class TestSmc:
             particles[:, depth - 1] = actions + 1
             lw += np.array([g.reward(tuple(row[:depth])) for row in particles.tolist()]) - logq
         atoms, weights = merge_particles(particles, lw)
-        assert result.atoms == atoms
-        assert result.weights == weights
-        assert result.log_z_estimate == logsumexp(lw) - math.log(num)
+        assert particle_record(result) == particle_record(WeightedAtoms(
+            atoms, weights, log_z_estimate=logsumexp(lw) - math.log(num), budget_spent=1200))
 
     def test_uniform_weights_never_resample(self):
         g = uniform_graph(4, 2)
         a = smc(g, HeuristicPrior(), budget=200, resample_threshold=1.0, seed=7)
         b = sis(g, HeuristicPrior(), budget=200, seed=7)
-        assert a.atoms == b.atoms and a.weights == b.weights
+        assert particle_record(a) == particle_record(b)
 
     def test_resampling_changes_output_under_skew(self):
         rng = np.random.default_rng(83)
         g = make_random_chain(rng, 6, 3, scale=3.0)
         a = smc(g, HeuristicPrior(), budget=600, resample_threshold=0.9, seed=11)
         b = sis(g, HeuristicPrior(), budget=600, seed=11)
-        assert a.atoms != b.atoms or a.weights != b.weights
+        assert particle_record(a)[:2] != particle_record(b)[:2]
 
     def test_unbiased_z_estimate(self):
         rng = np.random.default_rng(89)
@@ -203,8 +204,7 @@ class TestGibbs:
         result = gibbs(g, num_sweeps=1, budget=9000, seed=3)
         probs = np.exp(table - logsumexp_rows(table[None, :])[0])
         got = np.zeros(3)
-        for x, w in zip(result.atoms, result.weights):
-            got[x[0] - 1] = w
+        got[result.atoms[:, 0] - 1] = result.weights
         assert np.allclose(got, probs, atol=0.03)
 
     def test_uniform_target_uniform_marginals(self):
@@ -236,8 +236,7 @@ class TestGibbs:
         g = make_graph(2, 2, [((1, 2), table)])
         result = gibbs(g, num_sweeps=2, budget=400, seed=11)
         assert result.zero_conditional_count > 0
-        assert (1, 1) in result.atoms
-        weight_11 = result.weights[result.atoms.index((1, 1))]
+        weight_11 = result.weights[result.atoms.tolist().index([1, 1])]
         assert weight_11 > 0.5
 
     def test_budget_respected(self):
@@ -282,9 +281,8 @@ class TestGibbs:
             actions, _ = sample_softmax_rows(scores, uniforms[:, t])
             states[:, pos - 1] = actions + 1
         atoms, weights = merge_particles(states, np.zeros(num))
-        assert result.atoms == atoms
-        assert result.weights == weights
-        assert result.zero_conditional_count == 0
+        assert particle_record(result) == particle_record(WeightedAtoms(
+            atoms, weights, budget_spent=result.budget_spent))
 
 
 class TestGibbsScores:
@@ -312,8 +310,7 @@ class TestGibbsScores:
             recorded.clear()
             result = gibbs(g, num_sweeps=3, budget=20_000, seed=trial, cost_mode=cost_mode)
             ref, ref_scores, uniforms = repeated_completion_gibbs(g, 3, 20_000, trial, cost_mode)
-            assert (result.atoms, result.weights, result.budget_spent,
-                    result.zero_conditional_count) == ref
+            assert particle_record(result) == particle_record(ref)
             # a site block's uniforms are its update's column of the stream
             update_of = {uniforms[:, t].tobytes(): t for t in range(uniforms.shape[1])}
             seen = []
@@ -359,7 +356,8 @@ class TestBpSample:
                 state.clamp(v, assignment[v - 1])
             particles[i] = assignment_to_prefix(graph, assignment)
         atoms, weights = merge_particles(particles, np.zeros(num))
-        return atoms, weights, spent, zero_marginals
+        return WeightedAtoms(atoms, weights, budget_spent=spent,
+                             zero_conditional_count=zero_marginals)
 
     def test_fixed_point_skip_equals_running_every_round(self):
         # random graphs with -inf entries: same atoms, weights, charge and
@@ -372,8 +370,7 @@ class TestBpSample:
             budget = 3 * 5 * 6 * g.num_factors
             ref = self.every_round_bp_sample(g, 6, budget, seed=trial)
             result = bp_sample(g, 6, budget, seed=trial)
-            assert (result.atoms, result.weights, result.budget_spent,
-                    result.zero_conditional_count) == ref
+            assert particle_record(result) == particle_record(ref)
 
     def test_skipped_rounds_are_charged_on_fg1(self, monkeypatch):
         g = generate(GeneratorSpec(family="fg1", n=14, k=2, seed=11))
@@ -388,8 +385,7 @@ class TestBpSample:
 
         monkeypatch.setattr(_LoopyBP, "round", counted_round)
         result = bp_sample(g, 10, 8000, seed=6)
-        assert (result.atoms, result.weights, result.budget_spent,
-                result.zero_conditional_count) == ref
+        assert particle_record(result) == particle_record(ref)
         assert rounds_run < result.budget_spent // g.num_factors == 420
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -405,9 +401,8 @@ class TestBpSample:
         budget = samples * per_sample + int(rng.integers(0, per_sample))
         ref = reference_bp_sample(g, rounds, budget, seed=seed)
         result = bp_sample(g, rounds, budget, seed=seed)
-        assert (result.atoms, result.weights) == (ref.atoms, ref.weights)
-        assert (result.num_particles, result.budget_spent) == (samples, ref.budget_spent)
-        assert result.zero_conditional_count == ref.zero_conditional_count
+        assert particle_record(result) == particle_record(ref)
+        assert result.num_particles == samples
 
     def test_zero_mass_marginals_draw_a_uniform_value(self):
         # hard-constraint graphs on which a BP marginal of zero mass used to
@@ -434,7 +429,7 @@ class TestBpSample:
                               neg_inf_frac=0.4, shuffle_ordering=True)
         result = bp_sample(g, 2, 2000, seed=3)
         assert (result.num_particles, result.zero_conditional_count) == (22, 39)
-        assert golden_digest(result) == (
+        assert particle_digest(result) == (
             "cc57dddfc4d66dd785b8ad79e10df0253e0776a4370d986cbff7e6571c066f22")
 
     @pytest.mark.parametrize("seed", range(6, 12))
@@ -471,7 +466,7 @@ class TestBpSample:
         once_per_prefix = sum(first_visit[prefix] == i for i, prefix in calls)
         calls.clear()
         result = bp_sample(g, 10, 8000, seed=seed)
-        assert (result.atoms, result.weights) == (ref.atoms, ref.weights)
+        assert particle_record(result) == particle_record(ref)
         assert len(calls) == once_per_prefix < 315
         assert result.budget_spent == ref.budget_spent == 420 * g.num_factors
 
@@ -584,9 +579,7 @@ class TestBpSample:
         budget = 5 * n * 2 * g.num_factors
         result = bp_sample(g, 2, budget, seed=k)
         ref = reference_bp_sample(g, 2, budget, seed=k, bp=MessageAtATimeBP)
-        assert (result.atoms, result.weights, result.budget_spent,
-                result.zero_conditional_count) == (ref.atoms, ref.weights, ref.budget_spent,
-                                                   ref.zero_conditional_count)
+        assert particle_record(result) == particle_record(ref)
         assert result.zero_conditional_count == (5 if n == 6 else 0)
 
 

@@ -1,8 +1,9 @@
 """Golden digests of the baseline samplers' outputs.
 
 Each case runs one baseline (SIS, SMC, Gibbs or BP-guided sampling) at fixed
-seeds and hashes what it returns: the atoms, the weights, the log Z estimate,
-the budget spent and the Gibbs zero-conditional count. The digests were
+seeds and hashes what it returns with conftest.particle_digest: the atoms,
+the weights, the log Z estimate, the budget spent and the Gibbs
+zero-conditional count. The digests were
 recorded before the baselines became array programs (batched SMC rewards,
 lockstep Gibbs chains, stacked BP messages), so they pin that the rewrite
 left every atom and every weight bit-identical.
@@ -22,7 +23,6 @@ kernel that computes it.
 from __future__ import annotations
 
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -31,7 +31,7 @@ from treesample.baselines import _LoopyBP, bp_sample, gibbs, sis, smc
 from treesample.model import FACTOR_EVAL, REWARD_EVAL
 from treesample.prior import HeuristicPrior, MLPValueFunction
 
-from conftest import make_random_graph, spec_graph
+from conftest import make_random_graph, particle_digest, spec_graph
 
 
 def _neg_inf_graph(seed):
@@ -132,23 +132,10 @@ def run_case(name):
     return runner(GRAPHS[graph_key](), budget, seed, cost_mode)
 
 
-def digest(result) -> str:
-    """sha256 of the atoms, weights, log Z estimate, budget spent and
-    zero-conditional count (floats by repr, which round-trips exactly)."""
-    record = [
-        [list(x) for x in result.atoms],
-        [repr(w) for w in result.weights],
-        repr(result.log_z_estimate),
-        result.budget_spent,
-        result.zero_conditional_count,
-    ]
-    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_result_matches_golden(name):
     result = run_case(name)
-    assert digest(result) == GOLDEN[name]
+    assert particle_digest(result) == GOLDEN[name]
     assert (result.zero_conditional_count > 0) == (name == ZERO_CONDITIONAL_CASE)
 
 

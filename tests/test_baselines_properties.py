@@ -17,6 +17,14 @@ schedule computed update by update for every sweep, on graphs with shuffled
 orderings, variables whose only factor is unary and several connected
 components.
 
+The array merge of baselines.merge_particles equals the dict merge of
+conftest.reference_merge_particles (the same atoms in the same order, the
+same weight bits), and metrics' scoring of the merged atoms equals the
+Python loop of conftest.reference_atoms_estimate (the same delta_kl, energy
+and entropy bits, the sign of a zero included), on particles drawn from few
+distinct rows or many, some or all log weights -inf, single atoms of weight
+1.0, atoms of log-density -inf and empty approximations.
+
 Loopy BP equals a message-at-a-time reference (conftest.MessageAtATimeBP)
 up to each message's scale and rounding: bp_sample gives the atoms,
 weights, spend and zero-mass count of reference_bp_sample over that
@@ -34,13 +42,16 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treesample.baselines import _gibbs_waves, _LoopyBP, bp_sample, gibbs, smc
+from treesample.baselines import (WeightedAtoms, _gibbs_waves, _LoopyBP, bp_sample, gibbs,
+                                  merge_particles, smc)
 from treesample.exact import solve_exact
+from treesample.metrics import _atoms_estimate
 from treesample.model import FACTOR_EVAL, REWARD_EVAL
 from treesample.prior import HeuristicPrior
 
-from conftest import (MessageAtATimeBP, assert_log_close, make_random_graph, reference_bp_sample,
-                      reference_gibbs_waves, repeated_completion_gibbs)
+from conftest import (MessageAtATimeBP, assert_log_close, make_random_graph, particle_record,
+                      reference_atoms_estimate, reference_bp_sample, reference_gibbs_waves,
+                      reference_merge_particles, repeated_completion_gibbs)
 
 NUM_RUNS = 150
 
@@ -99,8 +110,7 @@ def test_wave_gibbs_equals_the_scan(p):
     budget = p["chains"] * sweeps * p["k"] * sum(len(f.scope) for f in graph.factors)
     result = gibbs(graph, sweeps, budget, seed=p["seed"], cost_mode=p["cost_mode"])
     ref, _, _ = repeated_completion_gibbs(graph, sweeps, budget, p["seed"], p["cost_mode"])
-    assert (result.atoms, result.weights, result.budget_spent,
-            result.zero_conditional_count) == ref
+    assert particle_record(result) == particle_record(ref)
 
     waves = _gibbs_waves(graph, sweeps)
     assert len(waves) == sweeps * n
@@ -113,6 +123,54 @@ def test_wave_gibbs_equals_the_scan(p):
     for v in range(n):
         own = waves[v::n]
         assert all(a < b for a, b in zip(own, own[1:]))
+
+
+def _bits(values) -> list[int]:
+    """The float64 bit patterns of values: -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+merges = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "n": st.integers(1, 6),
+    "k": st.integers(2, 4),
+    "particles": st.integers(1, 300),
+    "distinct": st.sampled_from([1, 2, 5, 40, None]),  # None: rows drawn uniformly
+    "log_weight_scale": st.sampled_from([0.0, 1.0, 30.0]),
+    "neg_inf_weights": st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+    "neg_inf_frac": st.sampled_from([0.0, 0.3]),
+})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(merges)
+@example({"seed": 1, "n": 3, "k": 2, "particles": 7, "distinct": 1, "log_weight_scale": 1.0,
+          "neg_inf_weights": 0.0, "neg_inf_frac": 0.0})
+@example({"seed": 2, "n": 2, "k": 3, "particles": 9, "distinct": None, "log_weight_scale": 1.0,
+          "neg_inf_weights": 1.0, "neg_inf_frac": 0.0})
+def test_array_merge_and_scoring_equal_dict_and_loop_bitwise(p):
+    # the examples pin one atom of weight 1.0 (entropy 0.0, not -0.0) and an
+    # empty approximation (every log weight -inf)
+    rng = np.random.default_rng(p["seed"])
+    n, k, num = p["n"], p["k"], p["particles"]
+    graph = make_random_graph(rng, n, k, num_extra_factors=3 if n > 1 else 0,
+                              neg_inf_frac=p["neg_inf_frac"], shuffle_ordering=True)
+    if p["distinct"] is None:
+        particles = rng.integers(1, k + 1, size=(num, n))
+    else:
+        pool = rng.integers(1, k + 1, size=(p["distinct"], n))
+        particles = pool[rng.integers(0, len(pool), size=num)]
+    log_weights = p["log_weight_scale"] * rng.normal(size=num)
+    log_weights[rng.random(num) < p["neg_inf_weights"]] = -np.inf
+    atoms, weights = merge_particles(particles, log_weights)
+    ref_atoms, ref_weights = reference_merge_particles(particles, log_weights)
+    assert atoms.shape == (len(ref_atoms), n) and atoms.dtype == np.int64
+    assert atoms.tolist() == [list(x) for x in ref_atoms]
+    assert _bits(weights) == _bits(ref_weights)
+    est = _atoms_estimate(WeightedAtoms(atoms=atoms, weights=weights), graph)
+    ref = reference_atoms_estimate(ref_atoms, ref_weights, graph)
+    assert est.stderr == 0.0
+    assert _bits([est.delta_kl, est.energy, est.entropy]) == _bits(ref)
 
 
 wave_graphs = st.fixed_dictionaries({
@@ -163,9 +221,7 @@ def test_unnormalized_factor_messages_keep_atoms_and_marginals(p):
     budget = p["samples"] * n * rounds * graph.num_factors
     result = bp_sample(graph, rounds, budget, seed=p["seed"])
     ref = reference_bp_sample(graph, rounds, budget, seed=p["seed"], bp=MessageAtATimeBP)
-    assert (result.atoms, result.weights, result.budget_spent,
-            result.zero_conditional_count) == (ref.atoms, ref.weights, ref.budget_spent,
-                                               ref.zero_conditional_count)
+    assert particle_record(result) == particle_record(ref)
 
     # each state runs its own rounds up to its own exact fixed point; both
     # clamp the value the reference's marginal puts first

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import inspect
 import io
 import json
@@ -20,7 +21,7 @@ from treesample.model import COST_MODES, Factor, FactorGraph, load_graph, save_g
 from treesample.prior import (ALGOS, CHECKPOINT_FORMAT, Adam, MLPValueFunction, TrainConfig,
                               load_checkpoint, save_checkpoint)
 
-from conftest import make_random_graph, spec_graph
+from conftest import make_random_graph, particle_digest, spec_graph
 
 
 def _uniform_instance(tmp_path, n=3, k=2, name="uniform.json"):
@@ -211,6 +212,41 @@ class TestRun:
         atoms = [json.loads(line) for line in out.read_text().splitlines()]
         assert atoms and all(len(a["x"]) == 3 for a in atoms)
         assert sum(a["weight"] for a in atoms) == pytest.approx(1.0)
+
+    # method -> (sha256 of the bytes --atoms-out writes, of the --no-telemetry
+    # stdout, conftest.particle_digest of the approximation) on one fg1
+    # instance; recorded while the atoms were still merged through a dict
+    # of tuples and scored in a Python loop
+    ATOMS_OUT_GOLDEN = {
+        "smc": ("a007d98ad4917af3f3207095e6a7883214c3b58c65d1f5cb330b6feefea68284",
+                "301bde1ec4240d20223e74d4027d0a050d572b89460ed93eea668dbb250544d6",
+                "4863ebe4ef19df60ad816d4304fe5f88297e7a1460997c493a5e586a10a0ca74"),
+        "gibbs": ("22329c4e2998fc4fb8a8c3bdf706c255ac3b60f7ee4dd645e510f29664b50026",
+                  "a5c2de5719ea75cbc39ee538b671225de23f678cc75505a975e9eb8f79abc72a",
+                  "3e55c8e6cb793845e413331dcdfcb4479adcda5095d0741ef623db0e6bfef900"),
+        "bp": ("cbf409dc0be4fea16b44f1c1f53e4a86f1401b43da4fcc7805fb8dfaa3f71517",
+               "29a89190b4cbe92e2e3da6d0c077bdbea6d51ef894f0824e33e1ce21bd5c209f",
+               "fc8f210148bebb88da2a7a47df4c17e5f588774984ed9152fc0749c81ad64535"),
+    }
+
+    @pytest.mark.parametrize("method", sorted(ATOMS_OUT_GOLDEN))
+    def test_atoms_out_matches_golden(self, tmp_path, capsys, method):
+        # 400 SMC particles merge into 83 atoms, 66 Gibbs chains into 38 and
+        # 14 BP samples into 10
+        assert main(["generate", "--family", "fg1", "--n", "10", "--seed", "4",
+                     "--out", str(tmp_path / "g.json")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "atoms.jsonl"
+        config = {"method": method, "budget": 4000, "run_seed": 3, "metric_samples": 100,
+                  "num_gibbs_sweeps": 3, "num_message_rounds": 3}
+        flags = [f"--{name.replace('_', '-')}={value}" for name, value in config.items()]
+        code = main(["run", str(tmp_path / "g.json"), "--atoms-out", str(out),
+                     "--no-telemetry"] + flags)
+        assert code == 0
+        approx = cli.run_method(load_graph(tmp_path / "g.json"), RunConfig(**config))
+        assert (hashlib.sha256(out.read_bytes()).hexdigest(),
+                hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+                particle_digest(approx)) == self.ATOMS_OUT_GOLDEN[method]
 
     def test_deterministic_stdout(self, tmp_path, capsys):
         instance = _uniform_instance(tmp_path)
@@ -737,6 +773,8 @@ class TestErrorContract:
          "treesample generate: argument --params: not a JSON object"),
         ("generate --family chains --n 3 --seed 0 --out {d}/g.json --params " + "[" * 5000,
          "treesample generate: argument --params: the value nests JSON too deeply to decode"),
+        ("run {d}/table2d.json --method treesample --budget 10",
+         "factor 0: table must be one-dimensional"),
     ], ids=["generate-n-0", "generate-kernel-not-positive-definite", "run-instance-n-0",
             "run-instance-k-1", "generate-negative-seed",
             "run-treesample-negative-run-seed", "run-smc-negative-run-seed",
@@ -744,12 +782,16 @@ class TestErrorContract:
             "bench-negative-instance-seed", "train-negative-seed", "run-config-file",
             "bench-config-file", "generate-jitter-0", "generate-negative-jitter",
             "generate-jitter-above-escalation-cap", "train-batch-above-replay-capacity",
-            "generate-params-not-an-object", "generate-params-nested-too-deep"])
+            "generate-params-not-an-object", "generate-params-nested-too-deep",
+            "run-instance-two-dimensional-table"])
     def test_input_check_exits_2_with_its_message(self, tmp_path, probe, message):
         (tmp_path / "n0.json").write_text(json.dumps(
             {"n": 0, "k": 2, "ordering": [], "factors": []}))
         (tmp_path / "k1.json").write_text(json.dumps(
             {"n": 1, "k": 1, "ordering": [1], "factors": [{"scope": [1], "log_table": [0.0]}]}))
+        # K^|scope| = 2 rows, so only the table's shape is wrong
+        (tmp_path / "table2d.json").write_text(json.dumps({"n": 1, "k": 2, "ordering": [1],
+            "factors": [{"scope": [1], "log_table": [[0.0, 1.0], [0.5, 0.2]]}]}))
         _uniform_instance(tmp_path)
         # a valid file of RunConfig fields: run and bench take no --config
         (tmp_path / "cfg.json").write_text(json.dumps({"method": "sis", "budget": 10}))

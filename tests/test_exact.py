@@ -772,7 +772,7 @@ class TestExactKl:
         sol = reference_solve_exact(g)
         atoms = list(all_configs(3, 2))
         weights = [math.exp(log_joint(sol, x)) for x in atoms]
-        approx = SimpleNamespace(atoms=atoms, weights=weights)
+        approx = SimpleNamespace(atoms=np.array(atoms), weights=np.array(weights))
         assert exact_kl(approx, sol) == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_approx_uniform_target(self):

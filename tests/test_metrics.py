@@ -17,8 +17,8 @@ from treesample.model import Factor, FactorGraph
 from treesample.prior import HeuristicPrior
 from treesample.search import build_tree
 
-from conftest import (all_configs, exact_kl, log_joint, make_random_graph, reference_solve_exact,
-                      uniform_graph)
+from conftest import (all_configs, exact_kl, log_joint, make_atoms, make_random_graph,
+                      reference_solve_exact, uniform_graph)
 
 
 def _target_atoms(graph, sol):
@@ -26,7 +26,7 @@ def _target_atoms(graph, sol):
     atoms = list(all_configs(graph.num_variables, graph.num_states))
     weights = [math.exp(log_joint(sol, x)) for x in atoms]
     total = sum(weights)
-    return WeightedAtoms(atoms=atoms, weights=[w / total for w in weights])
+    return make_atoms(atoms, [w / total for w in weights])
 
 
 class TestDeltaKlAtoms:
@@ -41,7 +41,7 @@ class TestDeltaKlAtoms:
         rng = np.random.default_rng(11)
         g = make_random_graph(rng, 3, 2, num_extra_factors=1)
         x = max(all_configs(3, 2), key=g.log_unnormalized_density)
-        atoms = WeightedAtoms(atoms=[x], weights=[1.0])
+        atoms = make_atoms([x], [1.0])
         assert delta_kl_atoms(atoms, g) == pytest.approx(-g.log_unnormalized_density(x), abs=1e-12)
 
     def test_matches_independent_summation(self):
@@ -51,9 +51,9 @@ class TestDeltaKlAtoms:
         picks = rng.choice(len(configs), size=6, replace=False)
         w = rng.random(6)
         w /= w.sum()
-        atoms = WeightedAtoms(atoms=[tuple(configs[i]) for i in picks], weights=w.tolist())
+        atoms = make_atoms([configs[i] for i in picks], w)
         direct = 0.0
-        for x, wi in zip(atoms.atoms, atoms.weights):
+        for x, wi in zip(atoms.atoms.tolist(), atoms.weights.tolist()):
             direct += wi * math.log(wi) - wi * g.log_unnormalized_density(x)
         assert delta_kl_atoms(atoms, g) == pytest.approx(direct, abs=1e-12)
 
@@ -63,7 +63,7 @@ class TestDeltaKlAtoms:
             num_variables=1, num_states=2,
             factors=(Factor(scope=(1,), table=table),), ordering=(1,),
         )
-        atoms = WeightedAtoms(atoms=[(2,)], weights=[1.0])
+        atoms = make_atoms([(2,)], [1.0])
         assert delta_kl_atoms(atoms, g) == math.inf
 
 
@@ -71,7 +71,7 @@ def _scalar_atom_scores(atoms, graph):
     """delta_kl_atoms and the atom energy and entropy of energy_entropy_deltas,
     with one scalar log_unnormalized_density call per atom and sum."""
     delta_kl, energy, entropy = 0.0, 0.0, 0.0
-    for x, w in zip(atoms.atoms, atoms.weights):
+    for x, w in zip(atoms.atoms.tolist(), atoms.weights.tolist()):
         ld = graph.log_unnormalized_density(x)
         delta_kl = delta_kl + w * (math.log(w) - ld) if ld > -math.inf else math.inf
         energy = energy + w * ld if ld > -math.inf else -math.inf
@@ -93,7 +93,7 @@ class TestBatchedAtomScoring:
             picks = rng.choice(len(configs), size=int(rng.integers(1, 40)), replace=False)
             w = rng.random(len(picks))
             w /= w.sum()
-            atoms = WeightedAtoms(atoms=[configs[i] for i in picks], weights=w.tolist())
+            atoms = make_atoms([configs[i] for i in picks], w)
             ref_kl, ref_energy, ref_entropy = _scalar_atom_scores(atoms, g)
             inf_seen |= ref_kl == math.inf
             assert delta_kl_atoms(atoms, g) == ref_kl
@@ -106,7 +106,7 @@ class TestBatchedAtomScoring:
     def test_empty_atoms(self):
         g = uniform_graph(2, 2)
         sol = solve_exact(g)
-        empty = WeightedAtoms(atoms=[], weights=[])
+        empty = WeightedAtoms(atoms=np.zeros((0, 2), dtype=np.int64), weights=np.zeros(0))
         assert delta_kl_atoms(empty, g) == 0.0
         assert energy_entropy_deltas(empty, sol, g) == (sol.log_z - sol.entropy, -sol.entropy)
 
@@ -116,7 +116,7 @@ class TestBatchedAtomScoring:
             num_variables=1, num_states=2,
             factors=(Factor(scope=(1,), table=table),), ordering=(1,),
         )
-        atoms = WeightedAtoms(atoms=[(1,), (2,)], weights=[0.5, 0.5])
+        atoms = make_atoms([(1,), (2,)], [0.5, 0.5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert delta_kl_atoms(atoms, g) == math.inf
@@ -199,7 +199,7 @@ class TestEnergyEntropyDeltas:
     def test_point_mass_on_uniform_target(self):
         g = uniform_graph(1, 2)
         sol = solve_exact(g)
-        atoms = WeightedAtoms(atoms=[(1,)], weights=[1.0])
+        atoms = make_atoms([(1,)], [1.0])
         de, dh = energy_entropy_deltas(atoms, sol, g)
         assert de == pytest.approx(0.0, abs=1e-12)
         assert dh == pytest.approx(-math.log(2), abs=1e-12)
@@ -211,7 +211,7 @@ class TestEnergyEntropyDeltas:
         configs = list(all_configs(3, 2))
         w = rng.random(len(configs))
         w /= w.sum()
-        atoms = WeightedAtoms(atoms=[tuple(x) for x in configs], weights=w.tolist())
+        atoms = make_atoms(configs, w)
         de, dh = energy_entropy_deltas(atoms, sol, g)
         kl = exact_kl(atoms, reference_solve_exact(g))
         assert kl == pytest.approx(de - dh, abs=1e-9)
@@ -246,7 +246,7 @@ class TestEvaluateMethod:
         sol = reference_solve_exact(g)
         good = _target_atoms(g, sol)
         x = max(all_configs(3, 2), key=g.log_unnormalized_density)
-        bad = WeightedAtoms(atoms=[x], weights=[1.0])
+        bad = make_atoms([x], [1.0])
         d_good, d_bad = delta_kl_atoms(good, g), delta_kl_atoms(bad, g)
         k_good, k_bad = exact_kl(good, sol), exact_kl(bad, sol)
         assert (d_good < d_bad) == (k_good < k_bad)

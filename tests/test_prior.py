@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from treesample.baselines import WeightedAtoms, smc
+from treesample.baselines import smc
 from treesample.generators import GeneratorSpec, generate
 from treesample.logmath import logsumexp_rows
 from treesample.prior import (
@@ -24,7 +24,7 @@ from treesample.prior import (
 )
 from treesample.search import build_tree
 
-from conftest import (all_configs, kl_by_enumeration, make_random_graph, q_values,
+from conftest import (all_configs, kl_by_enumeration, make_atoms, make_random_graph, q_values,
                       reference_log_joint, reference_solve_exact, uniform_graph)
 
 
@@ -573,9 +573,8 @@ class TestSmcValueTargets:
         # exact log Z and no smoothing: the targets are Q*
         g = make_random_graph(np.random.default_rng(seed), 5, 3, shuffle_ordering=True)
         sol = reference_solve_exact(g)
-        atoms = WeightedAtoms(atoms=list(all_configs(5, 3)),
-                              weights=np.exp(reference_log_joint(sol)).tolist(),
-                              log_z_estimate=sol.log_z)
+        atoms = make_atoms(list(all_configs(5, 3)), np.exp(reference_log_joint(sol)),
+                           log_z_estimate=sol.log_z)
         targets = _smc_value_targets(g, atoms, 0.0)
         assert sorted(targets) == sorted(_prefixes_below(5, 3))
         for prefix, target in targets.items():
@@ -590,7 +589,7 @@ class TestSmcValueTargets:
         smooth = 1.0 / (3 * result.num_particles)
         targets = _smc_value_targets(g, result, smooth)
         masses = {}
-        for x, w in zip(result.atoms, result.weights):
+        for x, w in zip(map(tuple, result.atoms.tolist()), result.weights.tolist()):
             for d in range(6):
                 masses.setdefault(x[:d], np.zeros(3))[x[d] - 1] += w
         assert sorted(targets) == sorted(masses)
