@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,23 @@ from .model import REWARD_EVAL, BudgetLedger, FactorGraph
 
 class DegenerateSampleError(ValueError):
     """Every particle ended with zero weight."""
+
+
+class BudgetTooLargeError(ValueError):
+    """The budget pays for more samples than memory can hold."""
+
+
+@contextmanager
+def _budget_sized(budget: int, num: int, what: str):
+    """Turn a failure to allocate the arrays of the num samples a budget
+    pays for into BudgetTooLargeError, which names the budget: numpy raises
+    MemoryError for an array that does not fit and ValueError for one whose
+    size overflows."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        raise BudgetTooLargeError(f"budget {budget} pays for {num} {what}, more than memory "
+                                  f"holds: {exc}") from None
 
 
 @dataclass
@@ -173,15 +191,18 @@ def smc(
     multinomial resampling whenever the effective sample size drops below
     threshold * I. A threshold of 0 never resamples and reproduces SIS.
     A particle costs reward_cost summed over depths 1..N. Raises
-    DegenerateSampleError when every particle ends with zero weight."""
+    DegenerateSampleError when every particle ends with zero weight, and
+    BudgetTooLargeError when the particles the budget pays for do not fit
+    in memory."""
     check_resample_threshold(resample_threshold)
     n = graph.num_variables
     costs = [graph.reward_cost(d, cost_mode) for d in range(1, n + 1)]
     ledger = BudgetLedger(budget=budget, cost_mode=cost_mode)
     num = ledger.count(sum(costs), "one rollout")
     rng = np.random.default_rng(seed)
-    particles = np.zeros((num, n), dtype=np.int64)
-    lw = np.zeros(num)
+    with _budget_sized(budget, num, "rollouts"):
+        particles = np.zeros((num, n), dtype=np.int64)
+        lw = np.zeros(num)
     log_z = 0.0
     for depth in range(1, n + 1):
         qs = np.asarray(prior.evaluate_batch(graph, particles[:, : depth - 1]), dtype=np.float64)
@@ -306,7 +327,8 @@ def gibbs(
     One full-conditional update charges K reward-equivalents (it probes the K
     completions of the site's factors); under factor-level accounting it
     charges K times the number of factors touching the site. Raises
-    ValueError when num_sweeps is below 1.
+    ValueError when num_sweeps is below 1, and BudgetTooLargeError when the
+    chains the budget pays for do not fit in memory.
 
     The sweeps run as dependency waves (_gibbs_waves): a wave's site
     updates share no factor, so they read no value another of them writes,
@@ -356,8 +378,9 @@ def gibbs(
     num = ledger.count(num_sweeps * int(site_costs.sum()), "one sample")
     rng = np.random.default_rng(seed)
     # chain by chain: the initial state, then one uniform per site update
-    states = np.empty((num, n), dtype=np.int64)
-    uniforms = np.empty((num, num_sweeps * n))
+    with _budget_sized(budget, num, "chains"):
+        states = np.empty((num, n), dtype=np.int64)
+        uniforms = np.empty((num, num_sweeps * n))
     for i in range(num):
         states[i] = rng.integers(1, k + 1, size=n)
         uniforms[i] = rng.random(num_sweeps * n)
@@ -562,7 +585,9 @@ def bp_sample(
 ) -> WeightedAtoms:
     """Per sample: run message rounds, draw the next unsampled variable from
     its loopy-BP marginal, clamp it, and repeat through all variables in raw
-    index order. Raises ValueError when num_message_rounds is below 1.
+    index order. Raises ValueError when num_message_rounds is below 1, and
+    BudgetTooLargeError when the samples the budget pays for do not fit in
+    memory.
 
     A round charges num_factors units, one per factor it updates, which
     both cost modes count alike; so bp_sample takes no cost mode. A round
@@ -593,8 +618,9 @@ def bp_sample(
     round_cost = graph.num_factors
     ledger = BudgetLedger(budget=budget)
     num = ledger.count(n * num_message_rounds * round_cost, "one sample")
-    uniforms = np.random.default_rng(seed).random((num, n))
-    values = np.empty((num, n), dtype=np.int64)  # the samples as prefixes
+    with _budget_sized(budget, num, "samples"):
+        uniforms = np.random.default_rng(seed).random((num, n))
+        values = np.empty((num, n), dtype=np.int64)  # the samples as prefixes
     state = _LoopyBP(graph)
     # a trie node: its variable v, its member samples, and the value of
     # v - 1 to clamp on entry (0 at the root) after restoring the parent's

@@ -9,11 +9,12 @@ is a required flag, so run needs --method and --budget and generate needs
 
 Exit codes: 0 success, 2 bad input or data, 1 a bug. Bad input (a usage error
 such as an unknown flag or a flag without its value, config or parameters, a
-malformed or unreadable file, a budget too small for one unit of work, a
-target of zero total mass) raises ValueError or OSError, and `main` alone
-reports it: one JSON object on stdout, {"error": <exception class>,
-"message": <text>}, plus "method" and "budget" when given as flags. Any other
-exception is a bug: `main` writes "internal error: ..." to stderr.
+malformed or unreadable file, a budget too small for one unit of work or
+one whose samples' arrays cannot be allocated, a target of zero total mass)
+raises ValueError or OSError, and `main` alone reports it: one JSON object
+on stdout, {"error": <exception class>, "message": <text>}, plus "method"
+and "budget" when given as flags. Any other exception is a bug: `main`
+writes "internal error: ..." to stderr.
 """
 
 from __future__ import annotations

@@ -142,10 +142,11 @@ class MLPValueFunction:
     """
 
     # the search's leaves per round (build_tree), whose prior rows come from
-    # one evaluate_batch product. On 2 vCPUs with one OpenBLAS thread the
-    # 4 x 256 network at input 54 (fg2 n18) costs about 42, 25, 15, 11.5, 12
-    # and 9 us per row at 1, 2, 4, 8, 16 and 32 rows, and its build at budget
-    # 1,000 takes 36.1 ms one leaf at a time, 22.9 at 8 and 18.9 at 32. The
+    # one evaluate_batch product and whose paths one backup call updates. On
+    # 2 vCPUs with one OpenBLAS thread the 4 x 256 network at input 54 (fg2
+    # n18) costs about 42, 25, 15, 11.5, 12 and 9 us per row at 1, 2, 4, 8,
+    # 16 and 32 rows, and its build at budget 1,000 takes 57.8 ms one leaf at
+    # a time, 22.8 at 8 and 20.7 at 32 (median of 21 interleaved builds). The
     # width trades KL under a good prior for speed: with a Q*-distilled 2 x 32
     # network at budget 300, exact KL at 1 -> 8 leaves went 0.00014 -> 0.00041
     # on fg1 n8, 0.00027 -> 0.00043 on fg2 n8 and 0.0020 -> 0.0036 on chains

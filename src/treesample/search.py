@@ -4,8 +4,9 @@ The tree caches one node per evaluated prefix. The build runs rounds. A
 round walks from the root up to prior.leaf_batch times, picking actions by a
 PUCT-style rule over value estimates plus an exploration bonus scaled by the
 prior, each walk ending at a different missing child. It takes the prior
-rows of those leaves from one call, then expands each one (paying its
-reward-evaluation cost) and backs the soft-Bellman recursion up its path.
+rows of those leaves from one call, expands each one (paying its
+reward-evaluation cost), then backs the soft-Bellman recursion up the
+union of their paths.
 Fully expanded subtrees are flagged complete and never revisited; their
 values are exact. Sampling from the finished tree walks root to leaf
 through softmax distributions, falling back to the prior once it leaves the
@@ -20,25 +21,31 @@ particle. The build itself draws no random numbers.
 
 A node holds K-entry Python lists, not numpy arrays: a traversal touches
 every node on its path, and at K of 2 to 10 the fixed cost of a numpy call
-is many times the arithmetic it does. A leaf costs three calls, whatever
-its depth, plus its share of the round's prior call: q_uct_select walks the
-whole path down to the first missing child, expand creates that child from
-its prior row, charging the cost build_tree hands it and scoring the prefix
-without FactorGraph.reward's checks, and backup updates the path bottom-up,
-forming each soft value itself (logmath.logsumexp_list for wide nodes).
-While a round collects, collect_leaves flags each collected edge complete
-for the rest of the round (virtual completion), so the next walk takes the
-next-best open leaf, and it undoes every such flag before the first
-expansion. Each later walk starts at the highest node whose flags
-changed, since every choice above it is the previous walk's. A one-leaf
-round (HeuristicPrior.leaf_batch) is one traversal: one q_uct_select,
-prior.evaluate, expand and backup call. The walk is scalar Python in the
-operation order of the array code it replaced. A soft value is
-logsumexp_list's: Python floats summed left to right, which agrees with
-logmath.logsumexp to a few ulps, not bit for bit. backup stops recomputing
-soft values at the first edge whose value comes out unchanged and whose
-child is not newly complete: no value above that edge can change, so above
-it only the visit counts grow.
+is many times the arithmetic it does. A round costs two calls per leaf,
+whatever its depth, plus one prior call and one backup call: q_uct_select
+walks a path down to the first missing child, expand creates that child
+from its prior row, charging the cost build_tree hands it and scoring the
+prefix without FactorGraph.reward's checks, and backup updates the union
+of the round's paths bottom-up, each edge at most once, forming each soft
+value itself (logmath.logsumexp_list for wide nodes). While a round
+collects, collect_leaves flags each collected edge complete for the rest of
+the round (virtual completion), so the next walk takes the next-best open
+leaf, and it undoes every such flag before the first expansion. Each later walk
+starts at the highest node whose flags changed, since every choice above it
+is the previous walk's, and the edges above that node are the ones the two
+leaves share. backup takes a leaf's shared edges as a hand-off to the next
+leaf, so an edge gets its soft value after every leaf below it is backed
+up, with its visit count raised by the number of leaves that pass through
+it; the tree has the bits that backing up one leaf after another would
+give. A one-leaf round (HeuristicPrior.leaf_batch) is one traversal: one
+q_uct_select, prior.evaluate, expand and backup call. The walk is scalar
+Python in the operation order of the array code it replaced. A soft value
+is logsumexp_list's: Python floats summed left to right, which agrees with
+logmath.logsumexp to a few ulps, not bit for bit. Above an edge whose
+value comes out unchanged and whose child is not newly complete, backup
+forms no soft value until it takes over a hand-off that carries another
+leaf's change: up to there no value can change, so only the visit counts
+grow.
 
 Nodes with two children, every node of a binary factor graph, take an
 unrolled path in both hot calls. Every node of one tree has K children, so
@@ -321,15 +328,19 @@ def expand(graph: FactorGraph, prefix: Prefix, prior_q: list[float] | None, cost
     return TreeNode(reward, prior_q, bonus, [False] * k, reward == NEG_INF)
 
 
-def backup(nodes: list[TreeNode], actions: list[int]) -> None:
-    """Soft-Bellman backup along one traversal path, deepest edge first.
+def backup(leaves: list[tuple[list[TreeNode], list[int]]], shared: list[int]) -> None:
+    """Soft-Bellman backup of one round's expanded leaves, deepest edge
+    first: each edge in the union of their paths gets its soft value once.
 
-    nodes has one more entry than actions; nodes[i] --actions[i]--> nodes[i+1].
-    Each edge gets the child's reward plus its soft value, the logsumexp of
-    its child values, equal to TreeNode.value bit for bit.
+    leaves and shared are collect_leaves' lists, each path extended by its
+    new leaf: a path has one more node than its actions, and nodes[i]
+    --actions[i]--> nodes[i + 1]. Each edge gets the child's reward plus its soft value, the
+    logsumexp of its child values, equal to TreeNode.value bit for bit. Its
+    eta, and its parent's visits, grow by the number of the round's leaves
+    whose paths pass through it.
 
     Every node of one tree has K children, so the width is read once, from
-    nodes[0]. Nodes with two children, every node of a binary factor graph,
+    the root. Nodes with two children, every node of a binary factor graph,
     form the soft value inline, which costs less than calling
     logmath.logsumexp_list, and match its loop bit for bit. With the pair
     ordered as a >= b (a is the loop's maximum m, the first one on a tie),
@@ -340,48 +351,114 @@ def backup(nodes: list[TreeNode], actions: list[int]) -> None:
     into 0.0 as the loop does, and a == b gives a + log(2.0). When both
     entries are -inf it is -inf. Wider nodes call logsumexp_list.
 
-    A node is flagged complete when it has no open child: the deepest node
-    is checked on entry, and every other node where its last open child
+    A node is flagged complete when it has no open child: each new leaf is
+    checked on entry, and every other node where its last open child
     completes, since only that edge changes its count of open children.
 
-    It stops recomputing at the first edge whose new value equals the old
-    one and whose child is not newly complete. The node above that edge
-    then holds the same q as before, up to the sign of a zero, and a soft
-    value does not depend on the sign of a zero, so every edge further up
-    would be recomputed to the bits it holds. Above that edge only eta and
-    visits change. The edge itself still stores the new value, which may be
-    the other zero.
+    A path's backup stops recomputing at the first edge whose new value
+    equals the old one and whose child is not newly complete. The node above
+    that edge then holds the same q as before, up to the sign of a zero, and
+    a soft value does not depend on the sign of a zero, so every edge
+    further up would be recomputed to the bits it holds. Above that edge
+    only eta and visits change. The edge itself still stores the new value,
+    which may be the other zero. A one-leaf round (shared empty) is this
+    one path's backup, with no hand-off to look for.
+
+    A round of two or more leaves gives the tree, its flags and its visit
+    counts the bits that backing up each leaf in turn, each along its whole
+    path, would give. expand reads no q, so expanding every leaf first
+    changes nothing. A leaf shares its first s edges with the next leaf
+    (s its entry in shared), and no later leaf shares more with it, since
+    the edge below them stays closed for the rest of the round (see
+    collect_leaves). So the leaf's edges from s on are its own: no later
+    leaf passes through them, and every leaf below them is backed up by
+    then. Each such edge's child then holds its final q, and the edge gets
+    what the last per-leaf backup through it would write: by the argument
+    above, after per-leaf backups every edge holds its child's reward plus
+    the soft value of the child's final q, however early those backups
+    stopped. The leaf hands its first s edges to the next leaf, with its
+    count of leaves and whether its edge at depth s changed or completed.
+    The hand-offs form a stack in increasing depth, and a later leaf takes
+    one over at the edge into the node where its path and the handing
+    leaf's part. An edge is recomputed when the edge below it on the leaf's
+    path changed or completed, or when a hand-off it takes over did, so a
+    round forms at most one soft value per edge of the union of its paths.
     """
-    child = nodes[-1]
-    child.complete = child.complete or not child.open
+    nodes, actions = leaves[0]
     binary = len(nodes[0].q) == 2
-    for i in range(len(actions) - 1, -1, -1):
-        parent, a = nodes[i], actions[i] - 1
-        if binary:
-            x, y = child.q
-            if x < y:
-                x, y = y, x
-            if x == NEG_INF:
-                value = NEG_INF
+    if not shared:
+        child = nodes[-1]
+        child.complete = child.complete or not child.open
+        for i in range(len(actions) - 1, -1, -1):
+            parent, a = nodes[i], actions[i] - 1
+            if binary:
+                x, y = child.q
+                if x < y:
+                    x, y = y, x
+                if x == NEG_INF:
+                    value = NEG_INF
+                else:
+                    value = child.reward + (x + math.log(1.0 + math.exp(y - x)))
             else:
-                value = child.reward + (x + math.log(1.0 + math.exp(y - x)))
-        else:
-            value = child.reward + logsumexp_list(child.q)
-        q = parent.q
-        unchanged = value == q[a]
-        q[a] = value
-        if child.complete and not parent.complete_children[a]:
-            parent.complete_children[a] = True
-            parent.open -= 1
-            parent.complete = parent.complete or not parent.open
-        elif unchanged:
-            for node, action in zip(nodes[: i + 1], actions):
-                node.eta[action - 1] += 1
-                node.visits += 1
-            return
-        parent.eta[a] += 1
-        parent.visits += 1
-        child = parent
+                value = child.reward + logsumexp_list(child.q)
+            q = parent.q
+            unchanged = value == q[a]
+            q[a] = value
+            if child.complete and not parent.complete_children[a]:
+                parent.complete_children[a] = True
+                parent.open -= 1
+                parent.complete = parent.complete or not parent.open
+            elif unchanged:
+                for node, action in zip(nodes[: i + 1], actions):
+                    node.eta[action - 1] += 1
+                    node.visits += 1
+                return
+            parent.eta[a] += 1
+            parent.visits += 1
+            child = parent
+        return
+    handoffs = []  # [depth, count, changed], in increasing depth
+    top = -1  # the depth of handoffs[-1]; -1 when there is none
+    for (nodes, actions), depth in zip(leaves, shared):
+        child = nodes[-1]
+        child.complete = child.complete or not child.open
+        count, changing = 1, True
+        for i in range(len(actions) - 1, depth - 1, -1):
+            if i < top:  # the edge above a hand-off's depth: take it over
+                _, carried, changed = handoffs.pop()
+                count += carried
+                changing = changing or changed
+                top = handoffs[-1][0] if handoffs else -1
+            parent, a = nodes[i], actions[i] - 1
+            if changing:
+                if binary:
+                    x, y = child.q
+                    if x < y:
+                        x, y = y, x
+                    if x == NEG_INF:
+                        value = NEG_INF
+                    else:
+                        value = child.reward + (x + math.log(1.0 + math.exp(y - x)))
+                else:
+                    value = child.reward + logsumexp_list(child.q)
+                q = parent.q
+                changing = value != q[a]
+                q[a] = value
+                if child.complete and not parent.complete_children[a]:
+                    parent.complete_children[a] = True
+                    parent.open -= 1
+                    parent.complete = parent.complete or not parent.open
+                    changing = True
+            parent.eta[a] += count
+            parent.visits += count
+            child = parent
+        if depth == top:
+            handoff = handoffs[-1]
+            handoff[1] += count
+            handoff[2] = handoff[2] or changing
+        elif depth:
+            handoffs.append([depth, count, changing])
+            top = depth
 
 
 def check_search_params(c: float, epsilon: float) -> None:
@@ -392,9 +469,11 @@ def check_search_params(c: float, epsilon: float) -> None:
 
 
 def collect_leaves(root: TreeNode, width: int, room: int, costs: list[int],
-                   worst_cost: int) -> list[tuple[list[TreeNode], list[int]]]:
-    """One round's leaves: up to width q_uct_select descents (path, actions),
-    each to a different missing child, in the order they were taken.
+                   worst_cost: int) -> tuple[list[tuple[list[TreeNode], list[int]]], list[int]]:
+    """(leaves, shared): one round's leaves, up to width q_uct_select
+    descents (path, actions), each to a different missing child, in the
+    order they were taken, and per leaf the number of edges it shares with
+    the next one (0 for the last). shared is empty for a one-leaf round.
 
     room is what the ledger has left, at least worst_cost. A leaf at depth d
     reserves costs[d - 1], and collecting stops once room less the
@@ -407,11 +486,17 @@ def collect_leaves(root: TreeNode, width: int, room: int, costs: list[int],
     returning, so the tree is left as it was.
 
     The next descent resumes at path[i], the node where the closes stopped,
-    below the previous leaf's first i edges. During a round only the flags
-    and open counts change, and only at path[i] and below, so a descent from
-    the root would make the same choices down to path[i].
+    below the previous leaf's first i edges, so i is the previous leaf's
+    entry in shared. During a round only the flags and open counts change, and only
+    at path[i] and below, so a descent from the root would make the same
+    choices down to path[i]. The edge at path[i] stays closed for the rest
+    of the round, so no later leaf shares more than i edges with that leaf
+    either: backup hands a leaf's first i edges on to the next leaf.
     """
     leaves = [q_uct_select(root)]
+    shared = []
+    if width == 1:
+        return leaves, shared
     closed = []
     while len(leaves) < width:
         path, actions = leaves[-1]
@@ -429,20 +514,22 @@ def collect_leaves(root: TreeNode, width: int, room: int, costs: list[int],
                 break
         if not root.open:
             break
+        shared.append(i)
         tail, tail_actions = q_uct_select(path[i])
         leaves.append((path[:i] + tail, actions[:i] + tail_actions))
     for node, i in closed:
         node.complete_children[i] = False
         node.open += 1
-    return leaves
+    if shared:
+        shared.append(0)
+    return leaves, shared
 
 
 def batch_rows(graph: FactorGraph, prior, leaves):
     """An iterator over the prior's rows, fresh lists, at the leaves'
     prefixes that are not complete, in leaf order, from one
-    prior.evaluate_batch call; None when fewer than two need a row."""
-    if len(leaves) < 2:  # a one-leaf round builds no prefix list
-        return None
+    prior.evaluate_batch call; None when fewer than two need a row. A
+    one-leaf round does not call it."""
     n = graph.num_variables
     inner = [tuple(actions) for _, actions in leaves if len(actions) < n]
     return iter(prior.evaluate_batch(graph, inner).tolist()) if len(inner) > 1 else None
@@ -460,10 +547,14 @@ def build_tree(
 
     A round collects up to prior.leaf_batch missing children
     (collect_leaves), takes the prior rows of all of them from one
-    evaluate_batch call (batch_rows), then expands and backs up each leaf in
-    collection order. A round whose leaves need fewer than two rows calls
-    prior.evaluate, so a one-leaf round is one traversal: one q_uct_select,
-    prior.evaluate, expand and backup call each.
+    evaluate_batch call (batch_rows), expands each leaf in collection order,
+    then backs the whole round up with one backup call, which forms each
+    soft value of the union of the leaves' paths once. The tree, its flags
+    and its visit counts have the bits that expanding and backing up one
+    leaf after another would give (see backup). A round whose leaves need
+    fewer than two rows calls prior.evaluate, so a one-leaf round is one
+    traversal: one q_uct_select, prior.evaluate, expand and backup call
+    each.
     Collecting reserves the cost of every collected leaf and stops when what
     is left could not pay one more worst-case expansion (the largest
     per-depth reward cost), so the ledger never overruns and a budget still
@@ -484,8 +575,8 @@ def build_tree(
     nodes = tree.nodes
     nodes[()] = root
     while ledger.remaining >= worst_cost and not root.complete:
-        leaves = collect_leaves(root, width, ledger.remaining, costs, worst_cost)
-        rows = batch_rows(graph, prior, leaves)
+        leaves, shared = collect_leaves(root, width, ledger.remaining, costs, worst_cost)
+        rows = batch_rows(graph, prior, leaves) if shared else None
         for path, actions in leaves:
             prefix = tuple(actions)
             d = len(prefix)
@@ -497,5 +588,5 @@ def build_tree(
             path[-1].children[actions[-1] - 1] = new
             nodes[prefix] = new
             path.append(new)
-            backup(path, actions)
+        backup(leaves, shared)
     return tree

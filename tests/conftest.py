@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from treesample import search
 from treesample.baselines import WeightedAtoms, _LoopyBP, merge_particles
 from treesample.exact import StateSpaceCapError
 from treesample.generators import GeneratorSpec, generate
@@ -218,6 +219,42 @@ def reference_sample_batch(tree, num_samples: int, rng: np.random.Generator):
         groups = next_groups
         off = np.concatenate(left) if len(left) > 1 else off
     return xs, log_q
+
+
+def reference_leaf_by_leaf_build_tree(graph: FactorGraph, prior, budget: int, c: float = 2.0,
+                                      epsilon: float = 0.1, cost_mode: str = REWARD_EVAL):
+    """search.build_tree as it was before a round was backed up at once:
+    each round's leaves (collect_leaves, batch_rows) are expanded and backed
+    up one at a time, in collection order, each along its whole path (a
+    one-leaf backup call per leaf). build_tree must give the same tree, bit
+    for bit."""
+    ledger = BudgetLedger(budget=budget, cost_mode=cost_mode)
+    tree = search.SearchTree(graph=graph, prior=prior, ledger=ledger)
+    n = graph.num_variables
+    costs = [graph.reward_cost(d, cost_mode) for d in range(1, n + 1)]
+    worst_cost = max(costs)
+    width = prior.leaf_batch
+    if ledger.remaining < worst_cost:
+        return tree
+    root = tree.root = search.expand(graph, (), prior.evaluate(graph, ()), 0, ledger, c, epsilon)
+    nodes = tree.nodes
+    nodes[()] = root
+    while ledger.remaining >= worst_cost and not root.complete:
+        leaves, shared = search.collect_leaves(root, width, ledger.remaining, costs, worst_cost)
+        rows = search.batch_rows(graph, prior, leaves) if shared else None
+        for path, actions in leaves:
+            prefix = tuple(actions)
+            d = len(prefix)
+            if d == n:
+                row = None
+            else:
+                row = prior.evaluate(graph, prefix) if rows is None else next(rows)
+            new = search.expand(graph, prefix, row, costs[d - 1], ledger, c, epsilon)
+            path[-1].children[actions[-1] - 1] = new
+            nodes[prefix] = new
+            path.append(new)
+            search.backup([(path, actions)], [])
+    return tree
 
 
 def reference_factor_sums(graph: FactorGraph, xs: np.ndarray,

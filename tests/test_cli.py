@@ -169,6 +169,17 @@ class TestRun:
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "BudgetTooSmallError"
 
+    @pytest.mark.parametrize("method", ["smc", "sis", "gibbs", "bp"])
+    def test_budget_too_large_for_memory_structured_error(self, tmp_path, method):
+        # 10^18 units pay for 10^15 to 10^17 samples of 3 variables: their
+        # arrays need more than the 2^47 bytes of a process's address space
+        instance = _uniform_instance(tmp_path)
+        budget = 10**18
+        code, error = _main_json(["run", str(instance), "--method", method, "--budget",
+                                  str(budget)])
+        assert (code, error["error"], error["budget"]) == (2, "BudgetTooLargeError", budget)
+        assert error["message"].startswith(f"budget {budget} pays for ")
+
     def test_dump_tree(self, tmp_path, capsys):
         instance = _uniform_instance(tmp_path)
         dump = tmp_path / "tree.json"
@@ -390,6 +401,18 @@ class TestBench:
         with open(out) as fh:
             rows = list(csvmod.DictReader(fh))
         assert rows[0]["error"].startswith("BudgetTooSmallError")
+        assert rows[0]["delta_kl"] == ""
+
+    def test_cell_past_memory_is_an_error_row(self, tmp_path):
+        out = tmp_path / "huge.csv"
+        code, _ = _main_json(["bench", "--family", "chains", "--n", "5", "--k", "2",
+                              "--methods", "smc", "--budgets", str(10**18),
+                              "--num-instances", "1", "--out", str(out),
+                              "--summary-out", str(tmp_path / "s.csv")], quiet_success=True)
+        assert code == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["error"].startswith(f"BudgetTooLargeError: budget {10**18} pays for ")
         assert rows[0]["delta_kl"] == ""
 
     @pytest.mark.parametrize("flag, entries, message", [

@@ -188,7 +188,7 @@ class TestBackup:
         root.children[0] = child
         leaf = expand(g, (1, 1), _heuristic_row(g, (1, 1)), 1, ledger, c=2.0, epsilon=0.1)
         child.children[0] = leaf
-        backup([root, child, leaf], [1, 1])
+        backup([([root, child, leaf], [1, 1])], [])
         assert child.q[0] == pytest.approx(0.7)  # leaf reward + V=0
         assert child.eta[0] == 1
         assert root.eta[0] == 1
@@ -197,7 +197,7 @@ class TestBackup:
         parent = _node([0.0, 0.0], [0.2, 0.2], [0, 0], [False, False])
         child = _node([0.0, 0.0], [0.2, 0.2], [0, 0], [False, False])
         child.reward = -1.0
-        backup([parent, child], [1])
+        backup([([parent, child], [1])], [])
         assert parent.q[0] == pytest.approx(-1.0 + math.log(2), abs=1e-12)
         assert parent.q[0] == pytest.approx(-0.3069, abs=1e-4)
 
@@ -205,17 +205,48 @@ class TestBackup:
         parent = _node([0.0, 0.0], [0.2, 0.2], [0, 0], [False, False])
         child = _node([NEG_INF, 0.0], [0.2, 0.2], [0, 0], [False, False])
         child.reward = 0.0
-        backup([parent, child], [2])
+        backup([([parent, child], [2])], [])
         assert parent.q[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_completeness_propagates(self):
         parent = _node([0.0, 0.0], [0.2, 0.2], [0, 0], [False, True])
         child = _node([0.0, 0.0], [0.2, 0.2], [0, 0], [True, True])
         child.reward = 0.0
-        backup([parent, child], [1])
+        backup([([parent, child], [1])], [])
         assert child.complete
         assert parent.complete_children[0]
         assert parent.complete
+
+    def test_a_round_forms_one_soft_value_per_edge_at_most(self, monkeypatch):
+        # fg2 n18 (K = 2) under an untrained 4 x 256 network, rounds of 8
+        # leaves, at budget 1,000: a round's leaves share most of their
+        # paths. backup forms a two-child soft value with one math.exp call
+        # when a child value is finite, so a round makes no more calls than
+        # its paths have distinct edges; backing each leaf up to the root
+        # would make one per edge of every path.
+        rounds = []  # per round: [soft values formed, distinct edges, path edges]
+        collect_leaves = search.collect_leaves
+
+        def collecting(*args):
+            leaves, shared = collect_leaves(*args)
+            edges = [tuple(actions[:i]) for _, actions in leaves for i in range(1, len(actions) + 1)]
+            rounds.append([0, len(set(edges)), len(edges)])
+            return leaves, shared
+
+        def exp(x):
+            rounds[-1][0] += 1
+            return math.exp(x)
+
+        counting_math = SimpleNamespace(**vars(math))
+        counting_math.exp = exp
+        monkeypatch.setattr(search, "math", counting_math)
+        monkeypatch.setattr(search, "collect_leaves", collecting)
+        g = generate(GeneratorSpec(family="fg2", n=18, k=2, seed=5))
+        tree = build_tree(g, MLPValueFunction(18 * 3, 2, seed=0), 1000)
+        assert len(tree.nodes) == 1001
+        assert all(formed <= distinct for formed, distinct, _ in rounds)
+        formed, distinct, path_edges = map(sum, zip(*rounds))
+        assert 0 < formed <= distinct < path_edges / 3
 
 
 class TestBuildTree:

@@ -18,7 +18,8 @@ The MLP cases run twice. With leaf_batch = 1 set on the prior they build one
 leaf per round, the traversal the digests were first recorded with, and keep
 those digests. At the network's default width ("/rounds") each round takes
 its prior rows from one (R, D) product, and the digests were recorded when
-rounds came in. Those and the draws of every MLP tree leaving the tree are
+rounds came in, and kept when a round came to be backed up in one pass.
+Those and the draws of every MLP tree leaving the tree are
 specific to the BLAS numpy was built against (pytest prints it in the
 header): a row's last bits depend on the gemm kernel that computes it.
 """

@@ -21,11 +21,15 @@ reward plus that soft value, bit for bit. Builds of 1, 2 and 8
 leaves per round, under the heuristic and an MLP prior, keep the ledger,
 density and log Z invariants, raise no RuntimeWarning, and leave every
 completeness flag and open count as the backups set them: each close made
-while a round collects is undone.
+while a round collects is undone. Every node's visits equal the sum of its
+eta, and each eta the number of nodes below that child. Under MLP priors
+at 2, 3, 8 and 32 leaves per round, backing a round up once gives the tree
+that backing its leaves up one at a time gives, bit for bit.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 import warnings
@@ -43,7 +47,8 @@ from treesample.prior import HeuristicPrior, MLPValueFunction
 from treesample.search import TreeNode, backup, build_tree, q_uct_select
 
 from conftest import (ExactValuePrior, all_configs, kl_by_enumeration, make_random_graph,
-                      reference_sample_batch, reference_solve_exact)
+                      reference_leaf_by_leaf_build_tree, reference_sample_batch,
+                      reference_solve_exact)
 
 trees = st.fixed_dictionaries({
     "graph_seed": st.integers(0, 2**32 - 1),
@@ -105,7 +110,14 @@ def test_rounds_keep_the_invariants(p, leaf_batch, mlp):
         warnings.simplefilter("error", RuntimeWarning)
         tree = build_tree(graph, prior, p["budget"], c=p["c"], cost_mode=p["cost_mode"])
         assert tree.ledger.spent <= p["budget"]
+        subtree = dict.fromkeys(tree.nodes, 0)  # nodes at or below each prefix
+        for prefix in tree.nodes:
+            for d in range(len(prefix) + 1):
+                subtree[prefix[:d]] += 1
         for prefix, node in tree.nodes.items():
+            # every leaf a round backs up passes each edge of its path once
+            assert node.visits == sum(node.eta)
+            assert node.eta == [subtree.get(prefix + (a,), 0) for a in range(1, k + 1)]
             assert node.open == node.complete_children.count(False)
             if len(prefix) < n:  # a flag is set exactly when its child is complete
                 assert node.complete_children == [child is not None and child.complete
@@ -120,6 +132,35 @@ def test_rounds_keep_the_invariants(p, leaf_batch, mlp):
             return  # a complete zero-mass root: nothing to sample
         configs = all_configs(n, k)
         assert abs(sum(math.exp(tree.log_density(x)) for x in configs) - 1.0) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graph_seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), k=st.integers(2, 4),
+       extra_factors=st.integers(0, 4), neg_inf_frac=st.sampled_from([0.0, 0.2, 0.5, 0.9]),
+       cost_mode=st.sampled_from(COST_MODES), budget_frac=st.floats(0.0, 1.2),
+       leaf_batch=st.sampled_from([2, 3, 8, 32]), c=st.sampled_from([0.5, 2.0]),
+       seed=st.integers(0, 100))
+def test_round_backup_equals_leaf_by_leaf_bitwise(graph_seed, n, k, extra_factors, neg_inf_frac,
+                                                  cost_mode, budget_frac, leaf_batch, c, seed):
+    """Backing a round up once, each edge of the union of its paths after
+    every leaf below it, gives the tree that backing its leaves up one at a
+    time gives: every q, eta and flag, and the JSON text, unlike ==, tells
+    -0.0 from 0.0. Budgets run from 0 to past the exhaustive one."""
+    rng = np.random.default_rng(graph_seed)
+    graph = make_random_graph(rng, n, k, num_extra_factors=extra_factors if n > 1 else 0,
+                              neg_inf_frac=neg_inf_frac, shuffle_ordering=True)
+    exhaustive = (sum(k**d for d in range(1, n + 1)) if cost_mode == REWARD_EVAL
+                  else graph.num_factors * k**n)
+    budget = int(budget_frac * exhaustive)
+    trees = []
+    for build in (build_tree, reference_leaf_by_leaf_build_tree):
+        prior = MLPValueFunction(n * (k + 1), k, hidden_units=8, num_hidden_layers=1, seed=seed)
+        prior.leaf_batch = leaf_batch
+        trees.append(build(graph, prior, budget, c=c, cost_mode=cost_mode))
+    tree, ref = trees
+    assert json.dumps(tree.dump_json_dict()) == json.dumps(ref.dump_json_dict())
+    assert [node.visits for node in tree.nodes.values()] == [ref.nodes[p].visits
+                                                              for p in tree.nodes]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -261,7 +302,7 @@ def test_binary_backup_equals_logsumexp_list_bitwise(q, reward, equal):
         q = [q[0], q[0]]
     child = TreeNode(reward, list(q), [0.0, 0.0], [False, False], False)
     parent = TreeNode(0.0, [0.0, 0.0], [0.0, 0.0], [False, False], False)
-    backup([parent, child], [1])
+    backup([([parent, child], [1])], [])
     expected = reward + logsumexp_list(q)
     assert struct.pack("<d", parent.q[0]) == struct.pack("<d", expected)
 
